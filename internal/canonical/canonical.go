@@ -110,6 +110,14 @@ func (d *DRIP) Act(h history.Vector) drip.Action {
 	return d.table.Act(h)
 }
 
+// ListenUntil returns the first local round r >= i in which Act may return
+// anything but Listen, whatever the history, from the compiled round plans
+// (see PhaseTable.ListenUntil). It lets the radio simulator skip the
+// protocol's unconditional listen rounds.
+func (d *DRIP) ListenUntil(i int) int {
+	return d.table.ListenUntil(i)
+}
+
 // Table returns the compiled phase table of the protocol.
 func (d *DRIP) Table() *PhaseTable { return d.table }
 

@@ -214,6 +214,21 @@ func (pt *PhaseTable) Act(h history.Vector) drip.Action {
 	return drip.ListenAction()
 }
 
+// ListenUntil returns the first local round r >= i in which Act may return
+// anything but Listen, whatever the history: a transmit slot (Block > 0) or
+// a terminate round (Block < 0, and every round past the plans). The rounds
+// before r are unconditional listens (Block == 0), which the simulator then
+// skips instead of consulting Act; see radio.ListenScheduler. Histories
+// always hold the wake-up entry, so r is at least 1.
+func (pt *PhaseTable) ListenUntil(i int) int {
+	for i = max(i, 1); i <= len(pt.Plans); i++ {
+		if pt.Plans[i-1].Block != 0 {
+			return i
+		}
+	}
+	return i
+}
+
 // TransmissionBlock returns the transmission block the node with history h
 // uses in phase j (0 when no entry matches); it is the compiled counterpart
 // of (*DRIP).TransmissionBlock.

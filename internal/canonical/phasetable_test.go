@@ -80,6 +80,50 @@ func TestPropertyPhaseTableMatchesReference(t *testing.T) {
 	}
 }
 
+// TestPropertyListenUntilSkipsOnlyListens checks the contract the radio
+// simulator relies on to skip consults: for every local round i >= 1, every
+// history whose length lies in [i, ListenUntil(i)) makes both the compiled
+// Act and the reference matcher listen — random histories, since the
+// contract holds whatever the history, and the canonical execution's own.
+func TestPropertyListenUntilSkipsOnlyListens(t *testing.T) {
+	entries := []history.Entry{history.Silent(), history.Received(Message), history.Collision(), history.Received("x")}
+	f := func(seed int64, sz, span uint8) bool {
+		n := int(sz%10) + 2
+		d, res, _ := tableDRIP(t, seed, n, int(span%4)+1)
+		if d == nil {
+			return true
+		}
+		rng := rand.New(rand.NewSource(seed))
+		listens := func(h history.Vector) bool {
+			return d.Table().Act(h).Kind == drip.Listen && d.ActReference(h).Kind == drip.Listen
+		}
+		for i := 1; i <= d.TerminationRound()+1; i++ {
+			r := d.ListenUntil(i)
+			if r < i {
+				return false
+			}
+			for l := i; l < r; l++ {
+				h := make(history.Vector, l)
+				for k := range h {
+					h[k] = entries[rng.Intn(len(entries))]
+				}
+				if !listens(h) {
+					return false
+				}
+				for _, ch := range res.Histories {
+					if len(ch) >= l && !listens(ch[:l]) {
+						return false
+					}
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Fatalf("ListenUntil skipped a round that may not listen: %v", err)
+	}
+}
+
 // TestPhaseTableTransmissionBlockMatchesReference pins the compiled matching
 // chain against the reference on the canonical execution.
 func TestPhaseTableTransmissionBlockMatchesReference(t *testing.T) {

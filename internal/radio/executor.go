@@ -7,20 +7,20 @@ import (
 )
 
 // An Executor is the step-execution seam of the Simulator: it schedules the
-// protocol-action step of one global round (the per-node Act calls) over the
-// nodes. A node's action is a pure function of that node's own history, so
-// every schedule — an inline loop, or contiguous shards on a worker pool —
-// produces bit-identical actions; the seam only changes how fast the step
-// runs, never what it computes. The engine-equivalence property tests
-// enforce exactly that.
+// consult step of one global round (the Act calls of the round's due nodes).
+// A node's action is a pure function of that node's own history, so every
+// schedule — an inline loop, or contiguous shards of the due list on a
+// worker pool — produces bit-identical actions; the seam only changes how
+// fast the step runs, never what it computes. The engine-equivalence
+// property tests enforce exactly that.
 //
 // An Executor is plugged into a Simulator at construction time
 // (NewSimulator, NewParallelSimulator) and is owned by that simulator
 // afterwards; Simulator.Close releases it.
 type Executor interface {
-	// act computes the actions of one global round by invoking
-	// (*Simulator).actRange over a partition of [0, n).
-	act(s *Simulator, round, n int)
+	// act consults the protocols of one global round's due nodes by
+	// invoking (*Simulator).actDue over a partition of the due list.
+	act(s *Simulator, round int, due []int32)
 	// Name identifies the executor in engine names and reports.
 	Name() string
 	// Close releases executor resources. It is a no-op for the inline
@@ -28,16 +28,16 @@ type Executor interface {
 	Close()
 }
 
-// inlineExecutor runs the action step as a plain loop on the calling
+// inlineExecutor runs the consult step as a plain loop on the calling
 // goroutine. It is the executor behind NewSimulator and the Sequential
 // engine.
 type inlineExecutor struct{}
 
-// NewInlineExecutor returns the single-threaded executor: the action step is
-// one in-order loop on the calling goroutine.
+// NewInlineExecutor returns the single-threaded executor: the consult step
+// is one in-order loop over the due list on the calling goroutine.
 func NewInlineExecutor() Executor { return inlineExecutor{} }
 
-func (inlineExecutor) act(s *Simulator, round, n int) { s.actRange(round, 0, n) }
+func (inlineExecutor) act(s *Simulator, round int, due []int32) { s.actDue(round, due) }
 
 // Name implements Executor.
 func (inlineExecutor) Name() string { return "inline" }
@@ -45,49 +45,35 @@ func (inlineExecutor) Name() string { return "inline" }
 // Close implements Executor.
 func (inlineExecutor) Close() {}
 
-// poolJob is one shard of an action step handed to a pool worker.
+// poolJob is one shard of a consult step handed to a pool worker.
 type poolJob struct {
-	s      *Simulator
-	round  int
-	lo, hi int
+	s     *Simulator
+	round int
+	due   []int32
 }
 
-// poolExecutor shards the action step across a persistent pool of worker
+// poolExecutor shards the consult step across a persistent pool of worker
 // goroutines. Unlike the retired goroutine-per-node coordinator it performs
 // a constant number of channel operations per round (two per worker, not two
 // per node), keeps no per-node goroutine state, and allocates nothing in
 // steady state: workers live for the executor's lifetime and every job is a
-// value sent over a buffered channel.
-//
-// Shards are contiguous node ranges whose boundaries are balanced by
-// cumulative act weight (1 + degree) rather than by equal node counts, so a
-// skewed graph (a few hubs carrying most of the edges, contiguously
-// numbered) does not concentrate the heavy neighbourhoods into one worker.
-// The boundaries are computed once per simulator (see Simulator.actShards)
-// and any contiguous partition produces bit-identical actions, so the
-// balancing changes only the schedule, never the result.
+// value sent over a buffered channel. Each worker takes one contiguous part
+// of the round's due list.
 type poolExecutor struct {
 	jobs []chan poolJob
 	wg   sync.WaitGroup
 	once sync.Once
-	// uniform restores the historical equal-node-count split; it exists only
-	// so the skewed-graph benchmarks can measure the balancing win in-tree.
-	uniform bool
 }
 
-// NewPoolExecutor returns an executor that shards the action step over
+// NewPoolExecutor returns an executor that shards the consult step over
 // `workers` persistent goroutines; workers <= 0 selects GOMAXPROCS. The
 // executor must be released with Close (or Simulator.Close) once its
 // simulator is no longer needed.
 func NewPoolExecutor(workers int) Executor {
-	return newPoolExecutor(workers, false)
-}
-
-func newPoolExecutor(workers int, uniform bool) *poolExecutor {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	p := &poolExecutor{jobs: make([]chan poolJob, workers), uniform: uniform}
+	p := &poolExecutor{jobs: make([]chan poolJob, workers)}
 	for i := range p.jobs {
 		ch := make(chan poolJob, 1)
 		p.jobs[i] = ch
@@ -98,57 +84,23 @@ func newPoolExecutor(workers int, uniform bool) *poolExecutor {
 
 func (p *poolExecutor) worker(ch chan poolJob) {
 	for job := range ch {
-		job.s.actRange(job.round, job.lo, job.hi)
+		job.s.actDue(job.round, job.due)
 		p.wg.Done()
 	}
 }
 
-func (p *poolExecutor) act(s *Simulator, round, n int) {
-	workers := len(p.jobs)
-	if workers > n {
-		workers = n
-	}
+func (p *poolExecutor) act(s *Simulator, round int, due []int32) {
+	workers := min(len(p.jobs), len(due))
 	if workers <= 1 {
-		s.actRange(round, 0, n)
+		s.actDue(round, due)
 		return
 	}
-	if p.uniform {
-		// Historical equal-node-count split, kept for benchmarks.
-		chunk := (n + workers - 1) / workers
-		used := (n + chunk - 1) / chunk
-		p.wg.Add(used)
-		i := 0
-		for lo := 0; lo < n; lo += chunk {
-			hi := lo + chunk
-			if hi > n {
-				hi = n
-			}
-			p.jobs[i] <- poolJob{s: s, round: round, lo: lo, hi: hi}
-			i++
-		}
-		p.wg.Wait()
-		return
-	}
-	// One contiguous shard per worker, boundaries balanced by cumulative
-	// degree: disjoint index ranges, so workers never write the same slice
-	// element and results are schedule-independent. Shards left empty by a
-	// heavy hub absorbing several boundary targets are skipped.
-	bounds := s.actShards(workers)
-	used := 0
-	for i := 0; i < workers; i++ {
-		if bounds[i+1] > bounds[i] {
-			used++
-		}
-	}
-	p.wg.Add(used)
-	w := 0
-	for i := 0; i < workers; i++ {
-		lo, hi := int(bounds[i]), int(bounds[i+1])
-		if hi <= lo {
-			continue
-		}
-		p.jobs[w] <- poolJob{s: s, round: round, lo: lo, hi: hi}
-		w++
+	// Disjoint parts of the due list hold disjoint nodes, so workers never
+	// write the same slice element and results are schedule-independent.
+	chunk := (len(due) + workers - 1) / workers
+	p.wg.Add((len(due) + chunk - 1) / chunk)
+	for i, lo := 0, 0; lo < len(due); i, lo = i+1, lo+chunk {
+		p.jobs[i] <- poolJob{s: s, round: round, due: due[lo:min(lo+chunk, len(due))]}
 	}
 	p.wg.Wait()
 }

@@ -11,7 +11,7 @@ import (
 // the zero-alloc Simulator core with the pool executor, so the per-round
 // protocol computations are sharded across a persistent pool of goroutines
 // while the medium resolution stays on the dirty-list fast path. Histories
-// are bit-identical to the Sequential engine (the action step is
+// are bit-identical to the Sequential engine (the consult step is
 // schedule-independent; the property suite enforces it).
 //
 // Because Act calls for different nodes run concurrently, protocols must be

@@ -24,10 +24,10 @@
 //   - the history entry of the termination round is silence.
 //
 // All engines are thin adapters over one simulation core, the reusable
-// zero-alloc Simulator, whose protocol-action step runs through a pluggable
-// Executor: Sequential (deterministic, single-threaded, the reference),
-// Parallel (worker-pool executor) and Concurrent (the historical name, now
-// an alias for the worker-pool path). GoroutinePerNode is the original
+// zero-alloc, event-driven Simulator, whose protocol-consult step runs
+// through a pluggable Executor: Sequential (deterministic, single-threaded,
+// the reference), Parallel (worker-pool executor) and Concurrent (the
+// historical name, now an alias for the worker-pool path). GoroutinePerNode is the original
 // goroutine-per-node coordinator, retained as an independent semantic
 // reference. All implement identical semantics and the tests assert
 // bit-identical histories across every engine.

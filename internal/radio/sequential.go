@@ -5,7 +5,6 @@ import (
 
 	"anonradio/internal/config"
 	"anonradio/internal/drip"
-	"anonradio/internal/history"
 )
 
 // Sequential is the deterministic single-threaded simulation engine. It is
@@ -17,16 +16,6 @@ type Sequential struct{}
 
 // Name implements Engine.
 func (Sequential) Name() string { return "sequential" }
-
-// nodeState is the per-node bookkeeping shared by both engines' semantics.
-type nodeState struct {
-	awake      bool
-	terminated bool
-	wakeRound  int
-	forced     bool
-	doneLocal  int
-	hist       history.Vector
-}
 
 // Run implements Engine.
 func (Sequential) Run(cfg *config.Config, proto drip.Protocol, opts Options) (*Result, error) {
@@ -53,5 +42,5 @@ func RunAssigned(cfg *config.Config, protos []drip.Protocol, opts Options) (*Res
 	if err != nil {
 		return nil, err
 	}
-	return sim.RunAssigned(protos, opts)
+	return sim.RunProtocols(protos, opts)
 }

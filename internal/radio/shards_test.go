@@ -31,81 +31,9 @@ func hubCluster(k, m int) *config.Config {
 	return config.MustNew(g, tags)
 }
 
-// shardWeight sums the act weight (1 + degree) of the contiguous node range
-// [lo, hi).
-func shardWeight(cfg *config.Config, lo, hi int) int {
-	w := 0
-	for v := lo; v < hi; v++ {
-		w += 1 + cfg.Graph().Degree(v)
-	}
-	return w
-}
-
-// TestDegreeAwareShardBalance checks the structural property behind the
-// degree-aware executor sharding: on a skewed hub-cluster graph the heaviest
-// degree-balanced shard stays close to the ideal split, while the historical
-// equal-node-count split concentrates all hubs into one shard. The property
-// holds regardless of core count, so the test is meaningful on single-core
-// CI hosts where the wall-clock win of BenchmarkSkewedShardAct cannot show.
-func TestDegreeAwareShardBalance(t *testing.T) {
-	const k, m = 4, 60
-	cfg := hubCluster(k, m)
-	sim, err := NewSimulator(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := cfg.N()
-	bounds := sim.actShards(k)
-	if bounds[0] != 0 || bounds[k] != int32(n) {
-		t.Fatalf("bounds do not cover [0,%d): %v", n, bounds)
-	}
-	total := 0
-	degMax := 0
-	maxNodeWeight := 1 + cfg.MaxDegree()
-	for i := 0; i < k; i++ {
-		lo, hi := int(bounds[i]), int(bounds[i+1])
-		if hi < lo {
-			t.Fatalf("boundaries not monotone: %v", bounds)
-		}
-		w := shardWeight(cfg, lo, hi)
-		total += w
-		if w > degMax {
-			degMax = w
-		}
-	}
-	ideal := (total + k - 1) / k
-	if degMax > ideal+maxNodeWeight {
-		t.Fatalf("degree-aware max shard weight %d exceeds ideal %d + max node weight %d", degMax, ideal, maxNodeWeight)
-	}
-	// The equal-count split puts all k hubs into the first chunk.
-	chunk := (n + k - 1) / k
-	uniMax := 0
-	for lo := 0; lo < n; lo += chunk {
-		hi := min(lo+chunk, n)
-		if w := shardWeight(cfg, lo, hi); w > uniMax {
-			uniMax = w
-		}
-	}
-	if degMax >= uniMax {
-		t.Fatalf("degree-aware split (max %d) should beat equal-count split (max %d) on a hub cluster", degMax, uniMax)
-	}
-	// The cache must serve repeated calls and be invalidated by Reset.
-	if &sim.actShards(k)[0] != &bounds[0] {
-		t.Fatalf("shard boundaries not cached")
-	}
-	if err := sim.Reset(config.StaggeredClique(8)); err != nil {
-		t.Fatal(err)
-	}
-	fresh := sim.actShards(2)
-	if fresh[2] != 8 {
-		t.Fatalf("post-Reset boundaries wrong: %v", fresh)
-	}
-}
-
-// TestPoolExecutorDegreeShardsMatchInline checks that the degree-balanced
-// schedule is still observationally identical to the inline executor on the
-// graph shape it was built for (hubs absorbing whole shards, empty shards
-// skipped).
+// TestPoolExecutorDegreeShardsMatchInline checks that the pool executor is
+// observationally identical to the inline executor on a skewed-degree graph,
+// at worker counts below, near and above the round's due-list length.
 func TestPoolExecutorDegreeShardsMatchInline(t *testing.T) {
 	cfg := hubCluster(3, 17)
 	ref, err := NewSimulator(cfg)
@@ -251,13 +179,9 @@ func (p weightedListener) Act(h history.Vector) drip.Action {
 	return drip.ListenAction()
 }
 
-// BenchmarkSkewedShardAct measures the degree-aware balancing win on a
-// hub-cluster graph with per-node work proportional to the degree
-// (heterogeneous protocols via RunProtocols). The "uniform" variant restores
-// the historical equal-node-count split. On multi-core hosts the degree
-// variant finishes the hub work in parallel; on a single-core host the two
-// coincide (the balance property itself is pinned by
-// TestDegreeAwareShardBalance).
+// BenchmarkSkewedShardAct measures the pool executor on a hub-cluster graph
+// with per-node work proportional to the degree (heterogeneous protocols via
+// RunProtocols).
 func BenchmarkSkewedShardAct(b *testing.B) {
 	const k, m, workers = 8, 96, 8
 	cfg := hubCluster(k, m)
@@ -265,20 +189,16 @@ func BenchmarkSkewedShardAct(b *testing.B) {
 	for v := range protos {
 		protos[v] = weightedListener{work: 20 * cfg.Graph().Degree(v), stop: 12}
 	}
-	for _, mode := range []string{"uniform", "degree"} {
-		b.Run(mode, func(b *testing.B) {
-			sim, err := NewSimulatorExecutor(cfg, newPoolExecutor(workers, mode == "uniform"))
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer sim.Close()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := sim.RunProtocols(protos, Options{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	sim, err := NewParallelSimulator(cfg, workers)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer sim.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sim.RunProtocols(protos, Options{}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package radio
 
 import (
 	"fmt"
+	"slices"
 
 	"anonradio/internal/arena"
 	"anonradio/internal/config"
@@ -10,28 +11,59 @@ import (
 	"anonradio/internal/history"
 )
 
+// ListenScheduler is the opt-in through which a protocol lets the Simulator
+// skip its unconditional listen rounds. ListenUntil(i) returns the first
+// local round r >= i in which Act may return anything but Listen, whatever
+// the history. The simulator then consults the protocol next in local round
+// r; in the rounds before it the node listens without being asked.
+//
+// Protocols that do not implement it are consulted every round. Run honours
+// it; RunProtocols, whose nodes run different protocols, consults every node
+// every round.
+type ListenScheduler interface {
+	ListenUntil(i int) int
+}
+
 // Simulator is a reusable sequential simulation engine bound to one
-// configuration. All per-node and per-round buffers — medium state, action
-// scratch, history backing arrays, the result itself — are allocated once
+// configuration. All per-node and per-round buffers — medium state, the
+// agenda, history backing arrays, the result itself — are allocated once
 // and reused across runs, so from the second Run onwards the engine's own
 // round loop performs no heap allocations (protocols may of course allocate
 // inside Act, and traced runs record per-round transcripts).
 //
-// The round loop is also allocation-free *within* a run: the transmitter
-// medium (counts of transmitting neighbours, pending single messages) is
-// hoisted out of the loop and reset through a dirty list that touches only
-// the neighbourhoods of the round's transmitters, so quiet rounds cost O(n)
-// flag resets and nothing else.
+// The round loop is event-driven. A round costs work only for the nodes
+// that must consult their protocol, the neighbourhoods of the round's
+// transmitters, and the nodes whose wake-up tag fires:
+//
+//   - An agenda holds, per global round, the list of nodes due to consult
+//     their protocol; every awake node has exactly one pending consult. A
+//     node is due every round unless its protocol implements
+//     ListenScheduler, which lets the agenda skip the node's unconditional
+//     listen rounds. The executor is handed only the round's due list.
+//   - A node that is awake but not due listens. It records only what it
+//     hears, and in a clean medium only the neighbours of transmitters hear
+//     anything: the transmitter medium (counts of transmitting neighbours,
+//     pending single messages) is reset through a dirty list of exactly
+//     those entries.
+//   - Silence is the zero history.Entry and is written lazily: a node's
+//     skipped silent entries are filled in before it consults its protocol,
+//     before it records a heard entry, and when a run is cut off by its
+//     round limit.
+//   - Spontaneous wake-ups come from a tag-ordered node list; forced ones
+//     from the dirty list.
+//   - Under a fault plan any node may perceive noise in any round, so one
+//     dense pass per round perceives for every sleeping node and every
+//     listener, making exactly the perception calls the model prescribes.
 //
 // The Result returned by Run points into the simulator's reusable buffers:
 // it is valid until the next Run on the same Simulator. Callers that need
 // to retain results across runs must copy them (or use the one-shot
 // Sequential engine, which dedicates a fresh Simulator per call).
 //
-// The protocol-action step of each round runs through a pluggable Executor:
+// The consult step of each round runs through a pluggable Executor:
 // NewSimulator installs the inline (single-threaded) executor and
-// NewParallelSimulator installs a persistent worker pool that shards the Act
-// calls across goroutines. Both produce bit-identical results; see the
+// NewParallelSimulator installs a persistent worker pool that shards the
+// due list across goroutines. Both produce bit-identical results; see the
 // Executor doc for why.
 //
 // A Simulator is not safe for concurrent use; give each goroutine its own.
@@ -43,21 +75,45 @@ type Simulator struct {
 	states       []nodeState
 	protos       []drip.Protocol
 	actions      []drip.Action
-	acting       []bool
 	transmitting []bool
-	messages     []string
 	counts       []int32  // transmitting-neighbour count per node
 	single       []string // pending message when counts is exactly 1
 	touched      []int32  // nodes whose counts/single entries are dirty
 	faultDepth   []int32  // per-node outage depth; allocated on first faulted run with outages
 
-	// shardBounds caches the degree-balanced shard boundaries handed to the
-	// pool executor; shardWorkers is the worker count it was computed for
-	// (0 = not computed). Reset invalidates the cache.
-	shardBounds  []int32
-	shardWorkers int
+	// The agenda. next lists the nodes due to consult their protocol in the
+	// following round; further ahead, heads[r] is the first node due in
+	// global round r (-1: none) and link[v] the node due after v in the same
+	// round. heads grows on demand, never past the run's round limit.
+	// Next-round consults bypass the calendar's links, so protocols
+	// consulted every round pay one append per node-round for the agenda.
+	next  []int32
+	heads []int32
+	link  []int32
+	// due is the previous round's due list, whose buffer collects next once
+	// the round starts; within a round the due list is compacted in place
+	// to the round's transmitters after the consult step.
+	due []int32
+	// byTag lists the nodes in ascending wake-up tag order.
+	byTag []int32
+	// sched is the running protocol's ListenScheduler; nil when it has none
+	// or the nodes run different protocols.
+	sched     ListenScheduler
+	maxRounds int
 
 	res Result
+}
+
+// nodeState is the simulator's per-node bookkeeping. A running node's hist
+// may lag behind its local round: the missing tail is silence, written
+// lazily.
+type nodeState struct {
+	awake      bool
+	terminated bool
+	wakeRound  int
+	forced     bool
+	doneLocal  int
+	hist       history.Vector
 }
 
 // NewSimulator validates cfg and builds a reusable simulator for it, with
@@ -66,7 +122,7 @@ func NewSimulator(cfg *config.Config) (*Simulator, error) {
 	return NewSimulatorExecutor(cfg, NewInlineExecutor())
 }
 
-// NewParallelSimulator builds a reusable simulator whose action step is
+// NewParallelSimulator builds a reusable simulator whose consult step is
 // sharded across a persistent pool of `workers` goroutines (workers <= 0
 // selects GOMAXPROCS). Call Close when done to stop the pool; the
 // simulator's buffers (and any Result pointing into them) stay valid after
@@ -80,8 +136,8 @@ func NewParallelSimulator(cfg *config.Config, workers int) (*Simulator, error) {
 }
 
 // NewSimulatorExecutor validates cfg and builds a reusable simulator that
-// runs its action step on the given executor. The simulator takes ownership
-// of the executor: Close releases it.
+// runs its consult step on the given executor. The simulator takes
+// ownership of the executor: Close releases it.
 func NewSimulatorExecutor(cfg *config.Config, exec Executor) (*Simulator, error) {
 	if cfg == nil {
 		if exec != nil {
@@ -106,24 +162,26 @@ func NewSimulatorExecutor(cfg *config.Config, exec Executor) (*Simulator, error)
 		states:       make([]nodeState, n),
 		protos:       make([]drip.Protocol, n),
 		actions:      make([]drip.Action, n),
-		acting:       make([]bool, n),
 		transmitting: make([]bool, n),
-		messages:     make([]string, n),
 		counts:       make([]int32, n),
 		single:       make([]string, n),
 		touched:      make([]int32, 0, n),
+		next:         make([]int32, 0, n),
+		link:         make([]int32, n),
+		due:          make([]int32, 0, n),
+		byTag:        tagOrder(nil, cfg),
 	}, nil
 }
 
 // Reset rebinds the simulator to a different configuration, reusing every
 // internal buffer the new configuration fits in: the CSR adjacency, the
-// per-node state (including history backing arrays), the medium scratch and
-// the result buffers are all retained, so re-binding a warm simulator across
-// a stream of same-sized configurations allocates nothing. The executor is
-// kept as well. It is the build-path counterpart of the zero-alloc round
-// loop: services that admit configurations repeatedly (the election
-// registry's build arena) re-use one simulator instead of constructing one
-// per admission.
+// per-node state (including history backing arrays), the medium scratch,
+// the agenda and the result buffers are all retained, so re-binding a warm
+// simulator across a stream of same-sized configurations allocates nothing.
+// The executor is kept as well. It is the build-path counterpart of the
+// zero-alloc round loop: services that admit configurations repeatedly (the
+// election registry's build arena) re-use one simulator instead of
+// constructing one per admission.
 //
 // Any Result returned by a previous Run is invalidated.
 //
@@ -149,9 +207,7 @@ func (s *Simulator) Reset(cfg *config.Config) error {
 	s.states = growStates(s.states, n)
 	s.protos = arena.Grow(s.protos, n)
 	s.actions = arena.Grow(s.actions, n)
-	s.acting = arena.Grow(s.acting, n)
 	s.transmitting = arena.Grow(s.transmitting, n)
-	s.messages = arena.Grow(s.messages, n)
 	// The round loop relies on the medium being all-clean; clearing here is
 	// simpler than reasoning about dirt left by aborted runs or by entries
 	// that fell outside a smaller intermediate configuration.
@@ -160,7 +216,10 @@ func (s *Simulator) Reset(cfg *config.Config) error {
 	s.single = arena.Grow(s.single, n)
 	clear(s.single)
 	s.touched = s.touched[:0]
-	s.shardWorkers = 0
+	s.next = arena.Grow(s.next, n)[:0]
+	s.link = arena.Grow(s.link, n)
+	s.due = arena.Grow(s.due, n)[:0]
+	s.byTag = tagOrder(s.byTag, cfg)
 	return nil
 }
 
@@ -175,46 +234,20 @@ func growStates(states []nodeState, n int) []nodeState {
 	return states[:n]
 }
 
-// actShards returns shard boundaries b[0..workers] for the pool executor:
-// shard i covers the contiguous node range [b[i], b[i+1]) and the cumulative
-// act weight of every shard is approximately equal, where a node weighs
-// 1 + degree. Equal node counts serialize skewed graphs — a handful of
-// contiguously numbered hubs (and their long neighbour scans in protocols
-// whose per-node work tracks the neighbourhood size) all land in one shard —
-// while cumulative-degree boundaries keep the heaviest shard within one
-// node's weight of the ideal split. The boundaries are cached; Reset and
-// worker-count changes invalidate the cache.
-func (s *Simulator) actShards(workers int) []int32 {
-	if s.shardWorkers == workers {
-		return s.shardBounds
+// tagOrder fills order with cfg's nodes in ascending wake-up tag order.
+func tagOrder(order []int32, cfg *config.Config) []int32 {
+	order = arena.Grow(order, cfg.N())
+	for v := range order {
+		order[v] = int32(v)
 	}
-	n := len(s.states)
-	s.shardBounds = arena.Grow(s.shardBounds, workers+1)
-	bounds := s.shardBounds
-	bounds[0] = 0
-	total := int64(n) + int64(len(s.csr.Targets))
-	var cum int64
-	shard := 1
-	for v := 0; v < n; v++ {
-		cum += 1 + int64(s.csr.Degree(v))
-		// A hub heavier than one shard target advances several boundaries at
-		// once, producing empty shards the executor skips.
-		for shard <= workers && cum*int64(workers) >= int64(shard)*total {
-			bounds[shard] = int32(v + 1)
-			shard++
-		}
-	}
-	for ; shard <= workers; shard++ {
-		bounds[shard] = int32(n)
-	}
-	s.shardWorkers = workers
-	return bounds
+	slices.SortFunc(order, func(a, b int32) int { return cfg.Tag(int(a)) - cfg.Tag(int(b)) })
+	return order
 }
 
 // Config returns the configuration the simulator is bound to.
 func (s *Simulator) Config() *config.Config { return s.cfg }
 
-// ExecutorName identifies the executor the simulator schedules its action
+// ExecutorName identifies the executor the simulator schedules its consult
 // step on.
 func (s *Simulator) ExecutorName() string { return s.exec.Name() }
 
@@ -237,15 +270,17 @@ func (s *Simulator) Run(proto drip.Protocol, opts Options) (*Result, error) {
 	for v := range s.protos {
 		s.protos[v] = proto
 	}
+	s.sched, _ = proto.(ListenScheduler)
 	return s.run(opts)
 }
 
 // RunProtocols executes a heterogeneous system in which node v runs
-// protos[v], on the same zero-alloc dirty-list medium as Run: all buffers
-// are reused across runs, so repeated heterogeneous workloads (the labeled
+// protos[v], on the same zero-alloc round loop as Run: all buffers are
+// reused across runs, so repeated heterogeneous workloads (the labeled
 // baselines, mixed-protocol experiments) are allocation-free in steady
-// state. The protocols are copied into the simulator's own table, so the
-// caller may reuse or mutate the slice afterwards.
+// state. Every node is consulted every round. The protocols are copied into
+// the simulator's own table, so the caller may reuse or mutate the slice
+// afterwards.
 func (s *Simulator) RunProtocols(protos []drip.Protocol, opts Options) (*Result, error) {
 	if len(protos) != s.cfg.N() {
 		return nil, fmt.Errorf("radio: %d protocols for %d nodes", len(protos), s.cfg.N())
@@ -256,18 +291,14 @@ func (s *Simulator) RunProtocols(protos []drip.Protocol, opts Options) (*Result,
 		}
 	}
 	copy(s.protos, protos)
+	s.sched = nil
 	return s.run(opts)
 }
 
-// RunAssigned is the historical name of RunProtocols, kept for callers of
-// the labeled-baseline era.
-func (s *Simulator) RunAssigned(protos []drip.Protocol, opts Options) (*Result, error) {
-	return s.RunProtocols(protos, opts)
-}
-
 // run is the engine's round loop. The step structure follows the model
-// definition (see the package comment): choose actions, resolve the medium,
-// process wake-ups, then record histories and terminations.
+// definition (see the package comment): the due nodes choose their actions
+// (terminations are recorded here), the medium is resolved, then wake-ups
+// and what the listeners hear are recorded.
 func (s *Simulator) run(opts Options) (*Result, error) {
 	n := s.cfg.N()
 	// Fault seam: fp is nil for a clean medium (including an empty plan), so
@@ -298,21 +329,26 @@ func (s *Simulator) run(opts Options) (*Result, error) {
 		trace = &Trace{}
 	}
 
-	maxRounds := opts.maxRounds()
+	s.maxRounds = opts.maxRounds()
 	remaining := n // nodes that have not yet terminated
 	lastActive := 0
-	// Drain any medium state left dirty by a previous run that returned
-	// mid-round (round limit, invalid protocol action): entries dirtied in
-	// the aborted round are still on the touched list, so resetting them
-	// here restores the all-clean invariant the round loop relies on.
+	tagged := 0 // prefix of byTag whose tag round has been processed
+	// A run that returned mid-round (round limit, invalid protocol action)
+	// may have left medium entries on the touched list, transmit flags set
+	// and consults pending on the agenda; restore the all-clean state the
+	// round loop relies on.
 	for _, w := range s.touched {
 		s.counts[w] = 0
 		s.single[w] = ""
 	}
 	s.touched = s.touched[:0]
+	clear(s.transmitting)
+	s.next = s.next[:0]
+	s.heads = s.heads[:0]
 
 	for round := 0; remaining > 0; round++ {
-		if round >= maxRounds {
+		if round >= s.maxRounds {
+			s.padRunning(round)
 			return s.buildResult(round, trace, fs), fmt.Errorf("%w: %d rounds simulated, %d nodes still running", ErrRoundLimit, round, remaining)
 		}
 
@@ -321,11 +357,56 @@ func (s *Simulator) run(opts Options) (*Result, error) {
 			fs.OutageRounds += int64(downNow)
 		}
 
-		// Step 1: every awake, non-terminated node that woke up in an
-		// earlier round consults the protocol for its next action. The
+		var rec *RoundRecord
+		if trace != nil {
+			rec = &RoundRecord{Global: round, Heard: make(map[int]history.Entry)}
+		}
+
+		// Step 1: the nodes due this round consult their protocol. The
 		// executor decides the schedule of the Act calls (inline loop or
-		// worker-pool shards); the computed actions are identical either way.
-		s.exec.act(s, round, n)
+		// worker-pool shards); the computed actions are identical either
+		// way. Every other awake node listens this round.
+		due := s.next
+		if round < len(s.heads) {
+			for v := s.heads[round]; v >= 0; v = s.link[v] {
+				due = append(due, v)
+			}
+		}
+		s.next, s.due = s.due[:0], due
+		if len(due) > 0 {
+			s.exec.act(s, round, due)
+		}
+		// Apply the actions, compacting the due list to the transmitters.
+		tx := due[:0]
+		bad := -1
+		for _, v := range due {
+			switch s.actions[v].Kind {
+			case drip.Transmit:
+				s.transmitting[v] = true
+				tx = append(tx, v)
+				s.schedule(v, round)
+				lastActive = round
+			case drip.Listen:
+				s.schedule(v, round)
+			case drip.Terminate:
+				st := &s.states[v]
+				st.terminated = true
+				st.doneLocal = len(st.hist)
+				st.hist = append(st.hist, history.Silent())
+				remaining--
+				if rec != nil {
+					rec.Terminated = append(rec.Terminated, int(v))
+				}
+				lastActive = round
+			default:
+				if bad < 0 || int(v) < bad {
+					bad = int(v)
+				}
+			}
+		}
+		if bad >= 0 {
+			return nil, fmt.Errorf("radio: protocol returned invalid action %v for node %d", s.actions[bad], bad)
+		}
 
 		// Step 2: resolve the radio medium: count transmitting neighbours of
 		// every node and remember the message when the count is exactly one.
@@ -335,125 +416,103 @@ func (s *Simulator) run(opts Options) (*Result, error) {
 		// counts nothing, and each surviving delivery is independently
 		// dropped; the decisions depend only on (seed, round, v, w), never
 		// on the schedule.
-		if fp == nil {
-			for v := 0; v < n; v++ {
-				if !s.transmitting[v] {
-					continue
-				}
-				for _, w := range s.csr.Neighbors(v) {
-					if s.counts[w] == 0 {
-						s.touched = append(s.touched, w)
-					}
-					s.counts[w]++
-					s.single[w] = s.messages[v]
-				}
+		for _, v := range tx {
+			if fp != nil && down(depth, int(v)) {
+				continue
 			}
-		} else {
-			for v := 0; v < n; v++ {
-				if !s.transmitting[v] || down(depth, v) {
-					continue
-				}
-				for _, w := range s.csr.Neighbors(v) {
+			msg := s.actions[v].Msg
+			for _, w := range s.csr.Neighbors(int(v)) {
+				if fp != nil {
 					if down(depth, int(w)) {
 						continue
 					}
-					if fp.dropsDelivery(round, v, int(w)) {
+					if fp.dropsDelivery(round, int(v), int(w)) {
 						fs.Drops++
 						continue
 					}
-					if s.counts[w] == 0 {
-						s.touched = append(s.touched, w)
+				}
+				if s.counts[w] == 0 {
+					s.touched = append(s.touched, w)
+				}
+				s.counts[w]++
+				s.single[w] = msg
+			}
+		}
+		if rec != nil {
+			for _, v := range tx {
+				rec.Transmitters = append(rec.Transmitters, int(v))
+			}
+			slices.Sort(rec.Transmitters)
+			for _, v := range rec.Transmitters {
+				rec.Messages = append(rec.Messages, s.actions[v].Msg)
+			}
+		}
+
+		// Step 3: wake-ups and listening. A sleeping node wakes
+		// spontaneously when the global round equals its tag, or by force
+		// when it receives a message (exactly one transmitting neighbour).
+		// Every awake node that neither woke, transmitted nor terminated
+		// this round listens. Faults act on the node's perception: an
+		// outaged node hears silence (no forced wake), injected noise is a
+		// collision (which never wakes, per the model's corner-case rules);
+		// spontaneous tag wake-ups always fire — the wake-up tag is a clock,
+		// not a radio event.
+		if fp == nil {
+			// Clean medium: only touched nodes hear anything, so the
+			// touched list yields every forced wake-up and every non-silent
+			// listen entry, and the tag order yields the spontaneous
+			// wake-ups.
+			for _, w := range s.touched {
+				st := &s.states[w]
+				cnt := int(s.counts[w])
+				switch {
+				case !st.awake:
+					if cnt == 1 {
+						s.wake(int(w), round, cnt, s.single[w], rec)
+						lastActive = round
 					}
-					s.counts[w]++
-					s.single[w] = s.messages[v]
-				}
-			}
-		}
-
-		var rec RoundRecord
-		if trace != nil {
-			rec = RoundRecord{Global: round, Heard: make(map[int]history.Entry)}
-			for v := 0; v < n; v++ {
-				if s.transmitting[v] {
-					rec.Transmitters = append(rec.Transmitters, v)
-					rec.Messages = append(rec.Messages, s.messages[v])
-				}
-			}
-		}
-
-		// Step 3: wake-ups. A sleeping node wakes spontaneously when the
-		// global round equals its tag, or by force when it receives a
-		// message (exactly one transmitting neighbour). Faults act on the
-		// node's perception: an outaged node hears silence (no forced wake),
-		// injected noise is a collision (which never wakes, per the model's
-		// corner-case rules); spontaneous tag wake-ups always fire — the
-		// wake-up tag is a clock, not a radio event.
-		for v := 0; v < n; v++ {
-			st := &s.states[v]
-			if st.awake {
-				continue
-			}
-			cnt, msg := int(s.counts[v]), s.single[v]
-			if fp != nil {
-				cnt, msg = fp.perceive(cnt, msg, round, v, depth, &fs)
-			}
-			spontaneous := s.cfg.Tag(v) == round
-			forced := cnt == 1
-			if !spontaneous && !forced {
-				continue
-			}
-			st.awake = true
-			st.wakeRound = round
-			st.forced = forced
-			st.hist = append(st.hist, wakeEntry(cnt, msg))
-			if trace != nil {
-				rec.Woke = append(rec.Woke, v)
-				if cnt > 0 {
-					rec.Heard[v] = st.hist[0]
-				}
-			}
-			lastActive = round
-		}
-
-		// Step 4: record history entries and process terminations for the
-		// nodes that acted this round.
-		for v := 0; v < n; v++ {
-			if !s.acting[v] {
-				continue
-			}
-			st := &s.states[v]
-			switch s.actions[v].Kind {
-			case drip.Transmit:
-				st.hist = append(st.hist, history.Silent())
-				lastActive = round
-			case drip.Listen:
-				cnt, msg := int(s.counts[v]), s.single[v]
-				if fp != nil {
-					cnt, msg = fp.perceive(cnt, msg, round, v, depth, &fs)
-				}
-				entry := listenEntry(cnt, msg)
-				st.hist = append(st.hist, entry)
-				if trace != nil && entry.Kind != history.Silence {
-					rec.Heard[v] = entry
-				}
-				if cnt > 0 {
+				case !st.terminated && !s.transmitting[w]:
+					s.hear(int(w), round, cnt, s.single[w], rec)
 					lastActive = round
 				}
-			case drip.Terminate:
-				st.terminated = true
-				st.doneLocal = len(st.hist)
-				st.hist = append(st.hist, history.Silent())
-				remaining--
-				if trace != nil {
-					rec.Terminated = append(rec.Terminated, v)
+			}
+			for ; tagged < n; tagged++ {
+				v := int(s.byTag[tagged])
+				if s.cfg.Tag(v) != round {
+					break
 				}
-				lastActive = round
-			default:
-				return nil, fmt.Errorf("radio: protocol returned invalid action %v for node %d", s.actions[v], v)
+				if !s.states[v].awake {
+					s.wake(v, round, int(s.counts[v]), s.single[v], rec)
+					lastActive = round
+				}
+			}
+		} else {
+			// Faulted medium: noise may reach any node, so one dense pass
+			// perceives for every sleeping node and every listener.
+			for v := 0; v < n; v++ {
+				st := &s.states[v]
+				if st.awake && (st.terminated || s.transmitting[v]) {
+					continue
+				}
+				cnt, msg := fp.perceive(int(s.counts[v]), s.single[v], round, v, depth, &fs)
+				switch {
+				case !st.awake:
+					if s.cfg.Tag(v) == round || cnt == 1 {
+						s.wake(v, round, cnt, msg, rec)
+						lastActive = round
+					}
+				case cnt > 0:
+					s.hear(v, round, cnt, msg, rec)
+					lastActive = round
+				}
 			}
 		}
 
-		trace.addRound(rec)
+		if rec != nil {
+			slices.Sort(rec.Woke)
+			slices.Sort(rec.Terminated)
+			trace.addRound(*rec)
+		}
 
 		// Reset the medium for the next round, touching only the entries the
 		// round's transmitters dirtied.
@@ -462,31 +521,125 @@ func (s *Simulator) run(opts Options) (*Result, error) {
 			s.single[w] = ""
 		}
 		s.touched = s.touched[:0]
+		for _, v := range tx {
+			s.transmitting[v] = false
+		}
 	}
 
 	return s.buildResult(lastActive+1, trace, fs), nil
 }
 
-// actRange performs the action step for the contiguous node range [lo, hi):
-// for every awake, non-terminated node past its wake-up round it records the
-// protocol's next action and the transmit flags. Ranges are disjoint across
-// executor shards and every write is indexed by the node, so concurrent
-// actRange calls on disjoint ranges are race-free.
-func (s *Simulator) actRange(round, lo, hi int) {
-	for v := lo; v < hi; v++ {
-		s.acting[v] = false
-		s.transmitting[v] = false
+// actDue performs the consult step for the nodes of due: each node's
+// skipped silent entries are written, then its protocol's action for the
+// round is recorded. Every write is indexed by the node, so concurrent
+// actDue calls on disjoint parts of the due list are race-free.
+func (s *Simulator) actDue(round int, due []int32) {
+	for _, v := range due {
 		st := &s.states[v]
-		if !st.awake || st.terminated || st.wakeRound == round {
-			continue
-		}
-		s.acting[v] = true
+		st.hist = padSilence(st.hist, round-st.wakeRound)
 		s.actions[v] = s.protos[v].Act(st.hist)
-		if s.actions[v].Kind == drip.Transmit {
-			s.transmitting[v] = true
-			s.messages[v] = s.actions[v].Msg
+	}
+}
+
+// schedule queues node v's next consult after the given round: in the
+// following round, or later when the protocol declares the rounds in
+// between unconditional listens.
+func (s *Simulator) schedule(v int32, round int) {
+	if s.sched == nil {
+		s.next = append(s.next, v)
+		return
+	}
+	s.scheduleAhead(v, round)
+}
+
+// scheduleAhead is schedule for a protocol with a ListenScheduler, kept
+// apart so that schedule stays small enough to inline into the round loop.
+// A consult at or past the round limit is never reached, so it is not put
+// on the calendar.
+func (s *Simulator) scheduleAhead(v int32, round int) {
+	wake := s.states[v].wakeRound
+	r := max(round+1, wake+s.sched.ListenUntil(round+1-wake))
+	if r == round+1 {
+		s.next = append(s.next, v)
+		return
+	}
+	if r >= s.maxRounds {
+		return
+	}
+	if r >= len(s.heads) {
+		s.growAgenda(r)
+	}
+	s.link[v] = s.heads[r]
+	s.heads[r] = v
+}
+
+// growAgenda extends the agenda to cover round r, at least doubling it but
+// never past the round limit, so a bounded run (elections pass their round
+// bound) sizes it from the limit.
+func (s *Simulator) growAgenda(r int) {
+	old := len(s.heads)
+	size := min(max(r+1, 2*old), s.maxRounds)
+	if size > cap(s.heads) {
+		grown := make([]int32, size)
+		copy(grown, s.heads)
+		s.heads = grown
+	}
+	s.heads = s.heads[:size]
+	for i := old; i < size; i++ {
+		s.heads[i] = -1
+	}
+}
+
+// wake makes sleeping node v wake up in the given round, having perceived
+// cnt transmitting neighbours (msg when exactly one), and queues its first
+// consult.
+func (s *Simulator) wake(v, round, cnt int, msg string, rec *RoundRecord) {
+	st := &s.states[v]
+	st.awake = true
+	st.wakeRound = round
+	st.forced = cnt == 1
+	st.hist = append(st.hist, wakeEntry(cnt, msg))
+	s.schedule(int32(v), round)
+	if rec != nil {
+		rec.Woke = append(rec.Woke, v)
+		if cnt > 0 {
+			rec.Heard[v] = st.hist[0]
 		}
 	}
+}
+
+// hear records the entry of listening node v, which perceived cnt > 0
+// transmitting neighbours this round.
+func (s *Simulator) hear(v, round, cnt int, msg string, rec *RoundRecord) {
+	st := &s.states[v]
+	entry := listenEntry(cnt, msg)
+	st.hist = append(padSilence(st.hist, round-st.wakeRound), entry)
+	if rec != nil {
+		rec.Heard[v] = entry
+	}
+}
+
+// padRunning writes the skipped silent entries of every running node up to
+// the given global round, exclusive: a run cut off there reports every
+// round a node was awake for.
+func (s *Simulator) padRunning(round int) {
+	for v := range s.states {
+		st := &s.states[v]
+		if st.awake && !st.terminated {
+			st.hist = padSilence(st.hist, round-st.wakeRound)
+		}
+	}
+}
+
+// padSilence extends h with silent (zero) entries to length l. It appends
+// entry by entry: most pads are a round or two, where a bulk clear costs
+// more than the stores, and capacity grows exactly as recording the
+// history round by round would grow it.
+func padSilence(h history.Vector, l int) history.Vector {
+	for len(h) < l {
+		h = append(h, history.Entry{})
+	}
+	return h
 }
 
 // buildResult assembles the reusable Result from the final node states.

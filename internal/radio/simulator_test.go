@@ -63,10 +63,10 @@ func TestSimulatorValidation(t *testing.T) {
 	if _, err := sim.Run(nil, Options{}); err == nil {
 		t.Fatalf("nil protocol should error")
 	}
-	if _, err := sim.RunAssigned(nil, Options{}); err == nil {
+	if _, err := sim.RunProtocols(nil, Options{}); err == nil {
 		t.Fatalf("protocol count mismatch should error")
 	}
-	if _, err := sim.RunAssigned([]drip.Protocol{nil, nil, nil}, Options{}); err == nil {
+	if _, err := sim.RunProtocols([]drip.Protocol{nil, nil, nil}, Options{}); err == nil {
 		t.Fatalf("nil per-node protocol should error")
 	}
 	if sim.Config().N() != 3 {

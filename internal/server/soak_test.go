@@ -142,6 +142,18 @@ func TestShutdownStopsSoak(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 
+	// The soak churns keys that are already admitted, as a deployment
+	// registers them before starting it; it never admits a key it has not
+	// yet reached, so without this Shutdown could stop it first.
+	for _, e := range soakEntries() {
+		cfg, err := config.Unmarshal(e.Config)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := reg.Register(e.Key, cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
 	resp := postJSON(t, ts, "/v1/soak/start", SoakStartRequest{Entries: soakEntries()})
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {

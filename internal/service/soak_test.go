@@ -129,8 +129,16 @@ func TestChurnSoakRaceStress(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Elections race the churn: churned keys may be mid-cycle, so unknown-key
-	// failures are legal; wrong outcomes never are.
-	hammerElect(t, r, keys, want, 8, 30, true)
+	// failures are legal; wrong outcomes never are. The churn runs for as
+	// long as the elections do, so keep electing until the soak has
+	// journaled past the checkpoint threshold and the checkpointer ran: the
+	// faster the elections, the fewer cycles one pass leaves the soak.
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		hammerElect(t, r, keys, want, 8, 30, true)
+		if t.Failed() || r.WALStats().Checkpoints > 0 || time.Now().After(deadline) {
+			break
+		}
+	}
 	s.Stop()
 	if t.Failed() {
 		return
