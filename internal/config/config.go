@@ -38,25 +38,33 @@ type Config struct {
 // connected graphs). Use NewUnchecked for intentionally malformed inputs in
 // tests.
 func New(g *graph.Graph, tags []int) (*Config, error) {
+	if err := check(g, tags); err != nil {
+		return nil, err
+	}
+	return &Config{g: g.Clone(), tags: append([]int(nil), tags...)}, nil
+}
+
+// check is New's validation, shared with Unmarshal, which adopts the graph
+// and tags it built instead of copying them.
+func check(g *graph.Graph, tags []int) error {
 	if g == nil {
-		return nil, fmt.Errorf("config: nil graph")
+		return fmt.Errorf("config: nil graph")
 	}
 	if len(tags) != g.N() {
-		return nil, fmt.Errorf("config: %d tags for %d nodes", len(tags), g.N())
+		return fmt.Errorf("config: %d tags for %d nodes", len(tags), g.N())
 	}
 	for v, t := range tags {
 		if t < 0 {
-			return nil, fmt.Errorf("config: node %d has negative tag %d", v, t)
+			return fmt.Errorf("config: node %d has negative tag %d", v, t)
 		}
 	}
 	if g.N() == 0 {
-		return nil, fmt.Errorf("config: configuration must have at least one node")
+		return fmt.Errorf("config: configuration must have at least one node")
 	}
 	if !g.Connected() {
-		return nil, fmt.Errorf("config: graph is not connected")
+		return fmt.Errorf("config: graph is not connected")
 	}
-	c := &Config{g: g.Clone(), tags: append([]int(nil), tags...)}
-	return c, nil
+	return nil
 }
 
 // MustNew is like New but panics on error. It is convenient for constructing

@@ -448,28 +448,31 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
+// decodeErrorCases are texts Unmarshal must reject; they also seed
+// FuzzParseConfig.
+var decodeErrorCases = []string{
+	"",                            // empty
+	"tag 0 1",                     // tag before nodes
+	"edge 0 1",                    // edge before nodes
+	"nodes 2\nnodes 2",            // duplicate nodes
+	"nodes x",                     // bad count
+	"nodes 2\ntag 0",              // short tag
+	"nodes 2\ntag 5 1\nedge 0 1",  // out-of-range tag node
+	"nodes 2\ntag 0 -1\nedge 0 1", // negative tag
+	"nodes 2\ntag 0 1\ntag 0 2",   // duplicate tag
+	"nodes 2\nedge 0 0",           // self loop
+	"nodes 2\nedge 0 9",           // out of range edge
+	"nodes 2\nedge 0",             // short edge
+	"nodes 2\nbogus 1",            // unknown directive
+	"nodes 3\nedge 0 1",           // disconnected -> New fails
+	"name a b\nnodes 2\nedge 0 1", // name arity
+	"nodes 2\ntag a b\nedge 0 1",  // non-numeric tag
+	"nodes 2\nedge a b",           // non-numeric edge
+	"nodes 0",                     // empty configuration
+}
+
 func TestDecodeErrors(t *testing.T) {
-	cases := []string{
-		"",                            // empty
-		"tag 0 1",                     // tag before nodes
-		"edge 0 1",                    // edge before nodes
-		"nodes 2\nnodes 2",            // duplicate nodes
-		"nodes x",                     // bad count
-		"nodes 2\ntag 0",              // short tag
-		"nodes 2\ntag 5 1\nedge 0 1",  // out-of-range tag node
-		"nodes 2\ntag 0 -1\nedge 0 1", // negative tag
-		"nodes 2\ntag 0 1\ntag 0 2",   // duplicate tag
-		"nodes 2\nedge 0 0",           // self loop
-		"nodes 2\nedge 0 9",           // out of range edge
-		"nodes 2\nedge 0",             // short edge
-		"nodes 2\nbogus 1",            // unknown directive
-		"nodes 3\nedge 0 1",           // disconnected -> New fails
-		"name a b\nnodes 2\nedge 0 1", // name arity
-		"nodes 2\ntag a b\nedge 0 1",  // non-numeric tag
-		"nodes 2\nedge a b",           // non-numeric edge
-		"nodes 0",                     // empty configuration
-	}
-	for i, c := range cases {
+	for i, c := range decodeErrorCases {
 		if _, err := Unmarshal(c); err == nil {
 			t.Errorf("case %d (%q): expected error", i, c)
 		}

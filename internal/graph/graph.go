@@ -5,8 +5,8 @@
 // unordered pairs of distinct node indices. The package provides
 // construction, adjacency queries, structural properties (degree, maximum
 // degree, connectivity, distances, diameter), traversals, standard
-// generators (paths, cycles, stars, grids, trees, random graphs) and a
-// textual codec.
+// generators (paths, cycles, stars, grids, trees, random graphs) and bulk
+// construction from an edge list (FromEdges).
 //
 // All operations are deterministic: neighbour lists are kept sorted so that
 // iteration order never depends on insertion order. Randomized generators
@@ -15,6 +15,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -87,6 +88,62 @@ func (g *Graph) AddEdge(u, v int) {
 	g.insert(u, v)
 	g.insert(v, u)
 	g.m++
+}
+
+// FromEdges returns the graph on n nodes whose edges are the consecutive
+// endpoint pairs of edges: edges[2i] and edges[2i+1] are the ends of edge
+// i. Pairs may repeat and come in either orientation and any order; the
+// result equals the graph that AddEdge builds from them one by one. It
+// panics on an odd-length list, an out-of-range endpoint or a self-loop.
+//
+// It builds the graph in bulk: a degree count, one backing array for all
+// neighbour lists, then a sort and dedupe per node.
+func FromEdges(n int, edges []int32) *Graph {
+	if len(edges)%2 != 0 {
+		panic(fmt.Sprintf("graph: odd endpoint count %d", len(edges)))
+	}
+	g := New(n)
+	// end[v+1] counts v's endpoints; prefix-summed, end[v] is where v's
+	// region of the backing array starts, and the fill advances it to where
+	// the region ends.
+	end := make([]int, n+1)
+	for i := 0; i < len(edges); i += 2 {
+		u, v := int(edges[i]), int(edges[i+1])
+		g.check(u)
+		g.check(v)
+		if u == v {
+			panic(fmt.Sprintf("graph: self-loop at node %d", u))
+		}
+		end[u+1]++
+		end[v+1]++
+	}
+	for v := 1; v <= n; v++ {
+		end[v] += end[v-1]
+	}
+	backing := make([]int, len(edges))
+	for i := 0; i < len(edges); i += 2 {
+		u, v := int(edges[i]), int(edges[i+1])
+		backing[end[u]] = v
+		end[u]++
+		backing[end[v]] = u
+		end[v]++
+	}
+	// Node v's region is now [end[v-1], end[v]). Each list's capacity stops
+	// at its region's end, so an AddEdge on one node never writes into the
+	// next node's list.
+	lo := 0
+	for v := 0; v < n; v++ {
+		hi := end[v]
+		nb := backing[lo:hi:hi]
+		slices.Sort(nb)
+		if nb = slices.Compact(nb); len(nb) > 0 {
+			g.adj[v] = nb
+			g.m += len(nb)
+		}
+		lo = hi
+	}
+	g.m /= 2
+	return g
 }
 
 func (g *Graph) insert(u, v int) {

@@ -532,65 +532,107 @@ func TestPropertyBFSDistanceTriangle(t *testing.T) {
 	}
 }
 
-func TestEncodeDecodeRoundTrip(t *testing.T) {
-	graphs := []*Graph{
-		New(0), New(1), Path(5), Cycle(6), Complete(4), Grid(3, 4), Star(9),
+// addEdges builds the graph FromEdges must equal: AddEdge, pair by pair.
+func addEdges(n int, edges []int32) *Graph {
+	g := New(n)
+	for i := 0; i < len(edges); i += 2 {
+		g.AddEdge(int(edges[i]), int(edges[i+1]))
 	}
-	for i, g := range graphs {
-		s := g.Marshal()
-		h, err := Unmarshal(s)
-		if err != nil {
-			t.Fatalf("graph %d: decode failed: %v\n%s", i, err, s)
+	return g
+}
+
+// sameAdjacency reports whether g and h hold identical neighbour lists,
+// down to nil (never touched) versus empty.
+func sameAdjacency(g, h *Graph) bool {
+	if !g.Equal(h) {
+		return false
+	}
+	for v := range g.adj {
+		if (g.adj[v] == nil) != (h.adj[v] == nil) {
+			return false
 		}
-		if !g.Equal(h) {
-			t.Fatalf("graph %d: round-trip mismatch", i)
+	}
+	return true
+}
+
+func TestFromEdgesMatchesAddEdge(t *testing.T) {
+	cases := []struct {
+		name  string
+		n     int
+		edges []int32
+	}{
+		{"empty", 0, nil},
+		{"isolated", 4, nil},
+		{"duplicates", 3, []int32{0, 1, 0, 1, 1, 2, 0, 1}},
+		{"reversed", 3, []int32{1, 0, 2, 1, 0, 1}},
+		{"unsorted", 5, []int32{4, 2, 0, 3, 1, 4, 0, 1, 3, 2}},
+		{"isolated nodes between", 6, []int32{5, 0, 2, 0, 5, 2}},
+	}
+	for _, tc := range cases {
+		got, want := FromEdges(tc.n, tc.edges), addEdges(tc.n, tc.edges)
+		if !sameAdjacency(got, want) {
+			t.Fatalf("%s: FromEdges = %v, AddEdge = %v", tc.name, got.adj, want.adj)
+		}
+		if err := got.Validate(); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
 		}
 	}
 }
 
-func TestDecodeErrors(t *testing.T) {
-	cases := []string{
-		"",                          // missing nodes
-		"edge 0 1",                  // edge before nodes
-		"nodes 2\nnodes 3",          // duplicate nodes
-		"nodes x",                   // bad node count
-		"nodes -3",                  // negative
-		"nodes 2\nedge 0",           // too few fields
-		"nodes 2\nedge 0 5",         // out of range
-		"nodes 2\nedge 1 1",         // self loop
-		"nodes 2\nedge a b",         // non-numeric
-		"nodes 2\nfrobnicate 1 2",   // unknown directive
-		"nodes 2\nnodes 2\nedge 01", // garbage
-	}
-	for i, c := range cases {
-		if _, err := Unmarshal(c); err == nil {
-			t.Errorf("case %d (%q): expected error, got nil", i, c)
+func TestPropertyFromEdgesMatchesAddEdge(t *testing.T) {
+	f := func(seed int64, size, count uint8) bool {
+		n := int(size%20) + 2
+		rng := rand.New(rand.NewSource(seed))
+		edges := make([]int32, 0, 2*int(count))
+		for len(edges) < cap(edges) {
+			u, v := rng.Intn(n), rng.Intn(n)
+			if u != v {
+				edges = append(edges, int32(u), int32(v))
+			}
 		}
+		g := FromEdges(n, edges)
+		return sameAdjacency(g, addEdges(n, edges)) && g.Validate() == nil
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatalf("property failed: %v", err)
 	}
 }
 
-func TestDecodeWithCommentsAndBlanks(t *testing.T) {
-	src := "# a comment\n\nnodes 3\n# another\nedge 0 1\n\nedge 1 2\n"
-	g, err := Unmarshal(src)
-	if err != nil {
-		t.Fatalf("decode failed: %v", err)
+// TestFromEdgesListsStayApart pins that the shared backing array never lets
+// a mutation of one node's list reach another's: duplicates leave slack at
+// the end of a region, and AddEdge must not grow into the next region.
+func TestFromEdgesListsStayApart(t *testing.T) {
+	g := FromEdges(4, []int32{0, 1, 0, 1, 1, 2, 2, 3})
+	want := addEdges(4, []int32{0, 1, 1, 2, 2, 3})
+	g.AddEdge(0, 3)
+	want.AddEdge(0, 3)
+	g.RemoveEdge(1, 2)
+	want.RemoveEdge(1, 2)
+	g.AddEdge(1, 3)
+	want.AddEdge(1, 3)
+	if !g.Equal(want) {
+		t.Fatalf("mutations leaked across lists: %v, want %v", g.adj, want.adj)
 	}
-	if !g.Equal(Path(3)) {
-		t.Fatalf("decoded graph does not match P3")
+	if err := g.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }
 
-func TestDOTOutput(t *testing.T) {
-	g := Path(3)
-	dot := g.DOT("p 3!")
-	if !strings.HasPrefix(dot, "graph p_3_ {") {
-		t.Fatalf("DOT name not sanitized: %q", dot)
-	}
-	if !strings.Contains(dot, "n0 -- n1;") || !strings.Contains(dot, "n1 -- n2;") {
-		t.Fatalf("DOT missing edges:\n%s", dot)
-	}
-	if got := New(1).DOT(""); !strings.Contains(got, "graph G {") {
-		t.Fatalf("empty DOT name should default to G: %q", got)
+func TestFromEdgesPanics(t *testing.T) {
+	for name, edges := range map[string][]int32{
+		"odd":          {0},
+		"self-loop":    {1, 1},
+		"out of range": {0, 3},
+		"negative":     {-1, 0},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: FromEdges(3, %v) did not panic", name, edges)
+				}
+			}()
+			FromEdges(3, edges)
+		}()
 	}
 }
 

@@ -296,8 +296,8 @@ type resetWriter struct {
 	status int
 }
 
-func (w *resetWriter) Header() http.Header        { return w.h }
-func (w *resetWriter) WriteHeader(s int)          { w.status = s }
+func (w *resetWriter) Header() http.Header         { return w.h }
+func (w *resetWriter) WriteHeader(s int)           { w.status = s }
 func (w *resetWriter) Write(p []byte) (int, error) { return w.buf.Write(p) }
 
 // TestWireElectHandlerAllocs pins the unbatched binary elect path to the

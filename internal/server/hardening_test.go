@@ -10,6 +10,7 @@ import (
 
 	"anonradio/internal/config"
 	"anonradio/internal/service"
+	"anonradio/internal/wire"
 )
 
 // newGatedServer boots a server whose registry parks every build for the
@@ -57,6 +58,26 @@ func TestOversizedBody413(t *testing.T) {
 	} else {
 		resp.Body.Close()
 	}
+}
+
+// TestRegisterUnconnectableNodeCount400 pins the parser's size bound at the
+// HTTP surface: a tiny body declaring more nodes than its bytes can connect
+// answers 400 over both encodings, naming the count, without the daemon
+// allocating for those nodes.
+func TestRegisterUnconnectableNodeCount400(t *testing.T) {
+	_, ts := newTestServer(t)
+	text := "name big\nnodes 50000000\n"
+	resp := postJSON(t, ts, "/v1/register", RegisterRequest{Key: "big", Config: text})
+	var e ErrorResponse
+	decodeBody(t, resp, &e)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, "nodes 50000000") {
+		t.Fatalf("JSON register: status %d (%s), want 400 naming the node count", resp.StatusCode, e.Error)
+	}
+	resp = postBinary(t, ts, "/v1/register", mustRegisterFrame(t, &wire.RegisterRequest{Key: "big", Config: text}))
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("binary register: status %d, want 400", resp.StatusCode)
+	}
+	resp.Body.Close()
 }
 
 // TestStrictDecoding pins the 400 contract of docs/SERVER.md: unknown

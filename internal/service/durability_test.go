@@ -308,6 +308,50 @@ func TestCheckpointTruncatesJournal(t *testing.T) {
 	}
 }
 
+// TestWhitespaceNamesSurviveRecovery pins that an acknowledged admission
+// whose configuration name holds white space is not lost: the journaled
+// text must parse back, so each key survives Close/Open through journal
+// replay and then through a checkpoint, with clean recovery reports.
+func TestWhitespaceNamesSurviveRecovery(t *testing.T) {
+	names := map[string]string{
+		"space": "team A", "tab": "team\tA", "newline": "team\nA",
+		"cr": "team\rA", "nbsp": "team\u00a0A", "line-separator": "team\u2028A",
+	}
+	keys := make([]string, 0, len(names))
+	dir := t.TempDir()
+	r, _ := openTestRegistry(t, dir, WALOptions{Sync: wal.SyncAlways})
+	for key, name := range names {
+		cfg := config.StaggeredPath(5, 2)
+		cfg.Name = name
+		if err := r.Register(key, cfg); err != nil {
+			t.Fatalf("register %s: %v", key, err)
+		}
+		keys = append(keys, key)
+	}
+	want := electOutcomes(t, r, keys)
+	r.Close()
+
+	r2, report := openTestRegistry(t, dir, WALOptions{Sync: wal.SyncAlways})
+	if !report.Clean() || report.Admits != len(names) {
+		t.Fatalf("journal replay: %d admits, report %+v", report.Admits, report)
+	}
+	if got := electOutcomes(t, r2, keys); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("replayed outcomes diverged:\n got %v\nwant %v", got, want)
+	}
+	if err := r2.Checkpoint(); err != nil {
+		t.Fatalf("checkpoint: %v", err)
+	}
+	r2.Close()
+
+	r3, report := openTestRegistry(t, dir, WALOptions{Sync: wal.SyncAlways})
+	if !report.Clean() || !report.CheckpointRestored || report.Checkpoint.Entries != len(names) {
+		t.Fatalf("checkpoint restore: %+v", report)
+	}
+	if got := electOutcomes(t, r3, keys); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("restored outcomes diverged:\n got %v\nwant %v", got, want)
+	}
+}
+
 // TestRecoveryCheckpointJournalOverlap simulates a checkpoint that raced a
 // crash: the snapshot committed but the journal segments it covers were
 // never deleted, so every checkpointed admission is also replayed from the

@@ -250,9 +250,9 @@ func TestChurnSoakClosedMidSoak(t *testing.T) {
 func TestServiceFaultModeMatchesDirect(t *testing.T) {
 	plans := []*radio.FaultPlan{
 		nil,
-		{Seed: 7},                                      // empty plan == clean medium
-		{Seed: 7, Drop: 0.2, Noise: 0.05},              // lossy
-		{Seed: 7, Drop: 1},                             // total loss
+		{Seed: 7},                         // empty plan == clean medium
+		{Seed: 7, Drop: 0.2, Noise: 0.05}, // lossy
+		{Seed: 7, Drop: 1},                // total loss
 		{Seed: 7, Outages: []radio.Outage{{Node: 0, From: 0, To: 50}}}, // node 0 dark
 	}
 	for pi, plan := range plans {
