@@ -91,7 +91,7 @@ const (
 	HistoryNoise   = history.Noise
 )
 
-// EngineKind selects a simulation engine. All engines produce bit-identical
+// EngineKind selects a simulation engine. Both engines produce bit-identical
 // histories (the property suite enforces it); they differ only in how the
 // per-round protocol computations are scheduled.
 type EngineKind string
@@ -103,19 +103,12 @@ const (
 	// ParallelEngine shards the per-round protocol computations across a
 	// persistent worker pool on the zero-alloc simulator core.
 	ParallelEngine EngineKind = "parallel"
-	// ConcurrentEngine is the historical name of the concurrent execution
-	// path; it now selects the same worker-pool engine as ParallelEngine.
-	ConcurrentEngine EngineKind = "concurrent"
-	// GoroutinePerNodeEngine is the original coordinator that dedicates one
-	// goroutine to every node; it is kept as an independent semantic
-	// reference and is considerably slower than the worker-pool engine.
-	GoroutinePerNodeEngine EngineKind = "goroutine-per-node"
 )
 
 // EngineKinds lists every valid engine kind, in the order user-facing tools
 // present them.
 func EngineKinds() []EngineKind {
-	return []EngineKind{SequentialEngine, ParallelEngine, ConcurrentEngine, GoroutinePerNodeEngine}
+	return []EngineKind{SequentialEngine, ParallelEngine}
 }
 
 // EngineList renders the valid engine kinds as a comma-separated string for
@@ -142,10 +135,6 @@ func engineFor(kind EngineKind) (radio.Engine, error) {
 		return radio.Sequential{}, nil
 	case ParallelEngine:
 		return radio.Parallel{}, nil
-	case ConcurrentEngine:
-		return radio.Concurrent{}, nil
-	case GoroutinePerNodeEngine:
-		return radio.GoroutinePerNode{}, nil
 	default:
 		return nil, fmt.Errorf("anonradio: unknown engine %q (valid engines: %s)", kind, EngineList())
 	}
@@ -327,9 +316,12 @@ func LoadElectionTrusted(c *CompiledElection, cfg *Config) (*Dedicated, error) {
 	return election.LoadTrusted(c, cfg)
 }
 
-// ParseCompiledElection decodes a compiled algorithm from JSON.
+// ParseCompiledElection decodes a compiled algorithm in either encoding:
+// the JSON document cmd/compile writes, or the binary artifact frame of a
+// snapshot's NNNN.artifact.bin file (sniffed from the leading bytes, as
+// snapshot restore does).
 func ParseCompiledElection(data []byte) (*CompiledElection, error) {
-	return election.UnmarshalCompiled(data)
+	return wire.DecodeArtifactAuto(data)
 }
 
 // ElectCompiled executes a pre-compiled dedicated algorithm on cfg with the
@@ -626,12 +618,6 @@ func BuildTimeline(res *SimulationResult) (*ExecutionTimeline, error) {
 	return radio.BuildTimeline(res)
 }
 
-// ClassifyFast is a drop-in replacement for Classify that uses hash-based
-// partition refinement instead of the paper's representative scan; it
-// produces an identical report. The A1 ablation experiment and the
-// BenchmarkAblationRefine* benchmarks compare the two implementations.
-func ClassifyFast(cfg *Config) (*Report, error) { return core.ClassifyFast(cfg) }
-
 // ClassifyOptions control how much of a Classifier run the report
 // materializes; the zero value is the lean mode used by batch surveys (only
 // the final partition is kept), while RecordSnapshots true reproduces the
@@ -777,22 +763,6 @@ func RunExperimentOn(id string, quick bool, seed int64, kind EngineKind) (*Exper
 	}
 	return exp.Run(harness.Options{Quick: quick, Seed: seed, Engine: eng})
 }
-
-// ServiceEncoding selects an on-disk encoding for what the durable service
-// writes: snapshot artifacts (ServiceOptions.SnapshotEncoding) and journal
-// records (ServiceWALOptions.Encoding). The binary wire encoding is the
-// default; restore and replay auto-detect either encoding regardless of this
-// setting, so mixed-era directories always boot.
-type ServiceEncoding = service.Encoding
-
-// The service encodings.
-const (
-	ServiceEncodingBinary = service.EncodingBinary
-	ServiceEncodingJSON   = service.EncodingJSON
-)
-
-// ParseServiceEncoding parses "binary" or "json".
-func ParseServiceEncoding(s string) (ServiceEncoding, error) { return service.ParseEncoding(s) }
 
 // WireContentType is the Content-Type that selects the binary wire encoding
 // on the HTTP server's register/elect/batch endpoints: a request carrying it

@@ -88,12 +88,12 @@ func TestElectWithEngines(t *testing.T) {
 	if err != nil {
 		t.Fatalf("sequential: %v", err)
 	}
-	concOut, _, err := ElectWith(cfg, ConcurrentEngine)
+	parOut, _, err := ElectWith(cfg, ParallelEngine)
 	if err != nil {
-		t.Fatalf("concurrent: %v", err)
+		t.Fatalf("parallel: %v", err)
 	}
-	if seqOut.Leader() != concOut.Leader() || seqOut.Rounds != concOut.Rounds {
-		t.Fatalf("engines disagree: %v vs %v", seqOut, concOut)
+	if seqOut.Leader() != parOut.Leader() || seqOut.Rounds != parOut.Rounds {
+		t.Fatalf("engines disagree: %v vs %v", seqOut, parOut)
 	}
 	if _, _, err := ElectWith(cfg, "bogus"); err == nil {
 		t.Fatalf("unknown engine should error")
@@ -161,7 +161,7 @@ func TestRunExperimentSingle(t *testing.T) {
 
 func TestExperimentIDs(t *testing.T) {
 	ids := ExperimentIDs()
-	if len(ids) != 21 || ids[0] != "E1" || ids[19] != "E20" || ids[20] != "A1" {
+	if len(ids) != 20 || ids[0] != "E1" || ids[18] != "E20" || ids[19] != "A1" {
 		t.Fatalf("experiment ids wrong: %v", ids)
 	}
 }

@@ -231,19 +231,10 @@ func BenchmarkE8SequentialEngine(b *testing.B) {
 	}
 }
 
-// The worker-pool engine (the "concurrent" path since the executor-seam
-// refactor) and the goroutine-per-node coordinator it replaced, on identical
-// workloads. The acceptance bar of the refactor is pool < goroutine-per-node
-// from n=64 up.
+// The worker-pool engine on the same workloads as the sequential one.
 func BenchmarkE8ParallelEngine(b *testing.B) {
 	for _, n := range []int{16, 32, 64, 128} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) { benchmarkEngine(b, radio.Parallel{}, n) })
-	}
-}
-
-func BenchmarkE8GoroutinePerNodeEngine(b *testing.B) {
-	for _, n := range []int{16, 32, 64, 128} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) { benchmarkEngine(b, radio.GoroutinePerNode{}, n) })
 	}
 }
 
@@ -446,21 +437,6 @@ func BenchmarkAblationRefineScan(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := core.Classify(cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkAblationRefineHash(b *testing.B) {
-	for _, n := range []int{32, 128} {
-		b.Run(fmt.Sprintf("clique-n=%d", n), func(b *testing.B) {
-			cfg := config.StaggeredClique(n)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := core.ClassifyFast(cfg); err != nil {
 					b.Fatal(err)
 				}
 			}

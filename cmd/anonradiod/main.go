@@ -17,6 +17,10 @@
 //     requests complete, bounded by -shutdown-timeout) and, with
 //     -snapshot-on-shutdown, persists the then-quiescent registry.
 //
+// Snapshots, checkpoints and journal records are written as binary wire
+// frames; directories an older release wrote in JSON still restore and
+// replay unchanged.
+//
 // Usage:
 //
 //	anonradiod [-listen :8080] [-shards N] [-queue-depth N] [-builders N]
@@ -24,8 +28,7 @@
 //	           [-restore-on-boot] [-snapshot-on-shutdown]
 //	           [-shutdown-timeout 10s] [-wal-dir DIR]
 //	           [-wal-sync always|batch|off] [-checkpoint-every 1m]
-//	           [-checkpoint-records N]
-//	           [-snapshot-encoding binary|json] [-wal-encoding binary|json]
+//	           [-checkpoint-records N] [-max-batch N]
 //	           [-work-stealing=false] [-fault-drop P] [-fault-noise P]
 //	           [-fault-seed N] [-fault-outages node:from:to,...]
 //
@@ -121,8 +124,6 @@ func run() int {
 		walSync         = flag.String("wal-sync", "always", "journal fsync policy: always (fsync before acknowledging), batch (group fsync on a short timer), off (OS decides)")
 		checkpointEvery = flag.Duration("checkpoint-every", time.Minute, "background checkpoint interval: snapshot the registry and truncate the journal (0 disables the timer)")
 		checkpointRecs  = flag.Int64("checkpoint-records", 0, "checkpoint once this many journal records accumulate since the last one (0 = automatic pacing proportional to the registry size; negative disables the count trigger)")
-		snapshotEnc     = flag.String("snapshot-encoding", "binary", "artifact encoding of snapshots and checkpoints this daemon writes: binary (compact wire frames) or json (elect -compiled compatible); restore auto-detects either")
-		walEnc          = flag.String("wal-encoding", "binary", "journal record encoding this daemon writes: binary or json; replay auto-detects either, so mixed-era journals boot unchanged")
 		workStealing    = flag.Bool("work-stealing", true, "let idle shard workers steal queued read-only elections from loaded siblings (hot-key relief); mutations always stay on the owning shard")
 		faultDrop       = flag.Float64("fault-drop", 0, "per-delivery message-drop probability injected into every served election, in [0,1] (robustness experiments; 0 = the paper's clean medium)")
 		faultNoise      = flag.Float64("fault-noise", 0, "per-node-per-round spurious-collision probability injected into every served election, in [0,1]")
@@ -138,16 +139,6 @@ func run() int {
 		return 2
 	}
 
-	snapEncoding, err := service.ParseEncoding(*snapshotEnc)
-	if err != nil {
-		log.Printf("-snapshot-encoding: %v", err)
-		return 2
-	}
-	walEncoding, err := service.ParseEncoding(*walEnc)
-	if err != nil {
-		log.Printf("-wal-encoding: %v", err)
-		return 2
-	}
 	fault, err := buildFaultPlan(*faultSeed, *faultDrop, *faultNoise, *faultOutages)
 	if err != nil {
 		log.Printf("fault flags: %v", err)
@@ -159,7 +150,6 @@ func run() int {
 		Builders:             *buildersN,
 		AdmissionQueue:       *admissionQueue,
 		TrustCompiledDigests: *trust,
-		SnapshotEncoding:     snapEncoding,
 		WorkStealing:         service.Bool(*workStealing),
 		Fault:                fault,
 	}
@@ -175,17 +165,17 @@ func run() int {
 			return 2
 		}
 		start := time.Now()
-		opts.WAL = service.WALOptions{Dir: *walDir, Sync: policy, CheckpointEvery: *checkpointEvery, CheckpointRecords: *checkpointRecs, Encoding: walEncoding}
+		opts.WAL = service.WALOptions{Dir: *walDir, Sync: policy, CheckpointEvery: *checkpointEvery, CheckpointRecords: *checkpointRecs}
 		var report *service.RecoveryReport
 		reg, report, err = service.Open(opts)
 		if err != nil {
 			log.Printf("opening durable registry at %s: %v", *walDir, err)
 			return 1
 		}
-		log.Printf("recovered %s in %s: checkpoint %d entries, journal %d admits / %d evicts / %d compacted across %d segments (sync=%s, checkpoint every %s, wal-encoding=%s, snapshot-encoding=%s)",
+		log.Printf("recovered %s in %s: checkpoint %d entries, journal %d admits / %d evicts / %d compacted across %d segments (sync=%s, checkpoint every %s)",
 			*walDir, time.Since(start).Round(time.Millisecond),
 			report.Checkpoint.Entries, report.Admits, report.Evicts, report.Compacted,
-			report.Journal.Segments, policy, *checkpointEvery, walEncoding, snapEncoding)
+			report.Journal.Segments, policy, *checkpointEvery)
 		if !report.Clean() {
 			for _, f := range report.Journal.Faults {
 				log.Printf("recovery: journal damage in %s at offset %d: %s", f.Segment, f.Offset, f.Reason)

@@ -8,7 +8,7 @@
 //
 // Usage:
 //
-//	elect -config cfg.txt [-engine sequential|parallel|concurrent|goroutine-per-node] [-trace]
+//	elect -config cfg.txt [-engine sequential|parallel] [-trace] [-compiled alg.json|NNNN.artifact.bin]
 //	elect -config cfg.txt -serve 100000 [-shards 4] [-batch 64] [-compiled alg.json] [-trust-artifact]
 package main
 
@@ -27,7 +27,7 @@ func main() {
 		path     = flag.String("config", "", "configuration file (default: read standard input)")
 		engine   = flag.String("engine", "sequential", "simulation engine: "+anonradio.EngineList())
 		trace    = flag.Bool("trace", false, "print the round-by-round transcript of the election")
-		compiled = flag.String("compiled", "", "run a pre-compiled algorithm (JSON from cmd/compile) instead of re-deriving it")
+		compiled = flag.String("compiled", "", "run a pre-compiled algorithm (JSON from cmd/compile, or a snapshot's binary .artifact.bin) instead of re-deriving it")
 		serve    = flag.Int("serve", 0, "service mode: admit the configuration into a sharded election service and serve N elections")
 		shards   = flag.Int("shards", 0, "shard workers for -serve (0 = GOMAXPROCS)")
 		batch    = flag.Int("batch", 64, "submission batch size for -serve")

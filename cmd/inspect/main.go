@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	inspect -config cfg.txt [-engine sequential|concurrent]
+//	inspect -config cfg.txt [-engine sequential|parallel]
 package main
 
 import (
@@ -20,7 +20,7 @@ import (
 func main() {
 	var (
 		path   = flag.String("config", "", "configuration file (default: read standard input)")
-		engine = flag.String("engine", "sequential", "simulation engine: sequential or concurrent")
+		engine = flag.String("engine", "sequential", "simulation engine: "+anonradio.EngineList())
 	)
 	flag.Parse()
 

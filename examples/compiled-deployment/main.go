@@ -39,13 +39,13 @@ func main() {
 		dedicated.DRIP.Phases(), dedicated.LocalRounds, dedicated.ExpectedLeader)
 
 	// Phase 2 (online, distributed): the artifact is shipped to the nodes.
-	// Here we just decode it again and run it on the goroutine-per-node
-	// engine, which models every node as its own process.
+	// Here we just decode it again and run it on the parallel engine, which
+	// computes the nodes' per-round actions on a worker pool.
 	decoded, err := anonradio.ParseCompiledElection(artifact)
 	if err != nil {
 		log.Fatal(err)
 	}
-	outcome, loaded, err := anonradio.ElectCompiled(decoded, cfg, anonradio.ConcurrentEngine)
+	outcome, loaded, err := anonradio.ElectCompiled(decoded, cfg, anonradio.ParallelEngine)
 	if err != nil {
 		log.Fatal(err)
 	}

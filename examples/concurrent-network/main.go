@@ -1,9 +1,7 @@
 // Concurrent network: execute the canonical leader election protocol with
-// the concurrent engines — the worker-pool executor that shards the
-// per-round protocol computations across goroutines, and the legacy
-// goroutine-per-node coordinator (every node a real concurrent process
-// synchronized through the simulated radio medium) — and check that both
-// behave identically to the deterministic sequential reference engine.
+// the parallel engine — the worker-pool executor that shards the per-round
+// protocol computations across goroutines — and check that it behaves
+// identically to the deterministic sequential reference engine.
 //
 // Run with:
 //
@@ -58,35 +56,26 @@ func main() {
 	seqTime := time.Since(start)
 
 	start = time.Now()
-	concRes, err := anonradio.Simulate(dedicated, anonradio.ConcurrentEngine, false)
+	parRes, err := anonradio.Simulate(dedicated, anonradio.ParallelEngine, false)
 	if err != nil {
 		log.Fatal(err)
 	}
-	concTime := time.Since(start)
+	parTime := time.Since(start)
 
-	start = time.Now()
-	gpnRes, err := anonradio.Simulate(dedicated, anonradio.GoroutinePerNodeEngine, false)
-	if err != nil {
-		log.Fatal(err)
-	}
-	gpnTime := time.Since(start)
-
-	identical := seqRes.GlobalRounds == concRes.GlobalRounds && seqRes.GlobalRounds == gpnRes.GlobalRounds
+	identical := seqRes.GlobalRounds == parRes.GlobalRounds
 	for v := 0; v < cfg.N() && identical; v++ {
-		identical = seqRes.Histories[v].Equal(concRes.Histories[v]) &&
-			seqRes.Histories[v].Equal(gpnRes.Histories[v])
+		identical = seqRes.Histories[v].Equal(parRes.Histories[v])
 	}
 
 	fmt.Printf("global rounds:        %d\n", seqRes.GlobalRounds)
 	fmt.Printf("sequential engine:    %v\n", seqTime.Round(time.Microsecond))
-	fmt.Printf("concurrent engine:    %v (worker-pool executor)\n", concTime.Round(time.Microsecond))
-	fmt.Printf("goroutine-per-node:   %v (legacy coordinator)\n", gpnTime.Round(time.Microsecond))
+	fmt.Printf("parallel engine:      %v (worker-pool executor)\n", parTime.Round(time.Microsecond))
 	fmt.Printf("identical executions: %v\n\n", identical)
 
-	out, _, err := anonradio.ElectWith(cfg, anonradio.ConcurrentEngine)
+	out, _, err := anonradio.ElectWith(cfg, anonradio.ParallelEngine)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("leader elected by the concurrent run: node %d (in %d rounds, bound %d)\n",
+	fmt.Printf("leader elected by the parallel run: node %d (in %d rounds, bound %d)\n",
 		out.Leader(), out.Rounds, dedicated.RoundBound)
 }

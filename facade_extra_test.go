@@ -103,24 +103,6 @@ func TestHistoryAliases(t *testing.T) {
 	}
 }
 
-func TestClassifyFastFacade(t *testing.T) {
-	cfg := RandomConfig(20, 0.2, 3, 99)
-	slow, err := Classify(cfg)
-	if err != nil {
-		t.Fatalf("%v", err)
-	}
-	fast, err := ClassifyFast(cfg)
-	if err != nil {
-		t.Fatalf("%v", err)
-	}
-	if slow.Feasible() != fast.Feasible() || slow.Leader != fast.Leader || slow.Iterations() != fast.Iterations() {
-		t.Fatalf("fast classifier diverged: %v/%d vs %v/%d", slow.Decision, slow.Leader, fast.Decision, fast.Leader)
-	}
-	if _, err := ClassifyFast(nil); err == nil {
-		t.Fatalf("nil configuration should error")
-	}
-}
-
 func TestRunExperimentAblationIDs(t *testing.T) {
 	table, err := RunExperiment("A1", true, 1)
 	if err != nil {

@@ -2,6 +2,9 @@ package anonradio
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -109,5 +112,60 @@ func TestFacadeServiceAsyncAdmission(t *testing.T) {
 	ast := svc.AdmissionStats()
 	if ast.Submitted != 1 || ast.Completed != 1 || ast.Builders != 1 {
 		t.Fatalf("admission stats %+v", ast)
+	}
+}
+
+// TestParseCompiledElectionReadsSnapshotArtifacts pins what `elect
+// -compiled` relies on: an artifact file from a snapshot directory — the
+// binary frame a Snapshot writes, or the JSON file of a JSON-era checkpoint
+// — parses and elects the leader and round count the registry serves.
+func TestParseCompiledElectionReadsSnapshotArtifacts(t *testing.T) {
+	jsonEra := filepath.Join("internal", "service", "testdata", "json-era", "checkpoint")
+	svc := NewService(ServiceOptions{Shards: 2})
+	defer svc.Close()
+	if report, err := RestoreService(svc, jsonEra); err != nil || report.Entries != 3 {
+		t.Fatalf("restoring the JSON-era checkpoint: %+v, %v", report, err)
+	}
+	served, err := svc.Elect("era1-a")
+	if err != nil || !served.Elected() {
+		t.Fatalf("served era1-a: %+v, %v", served, err)
+	}
+	snapDir := t.TempDir()
+	manifest, err := SnapshotService(svc, snapDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := manifest.Entries[0]
+	if first.Key != "era1-a" || !strings.HasSuffix(first.ArtifactFile, ".artifact.bin") {
+		t.Fatalf("first snapshot entry %+v, want era1-a as a .artifact.bin file", first)
+	}
+	for _, f := range []struct{ dir, artifact, config string }{
+		{jsonEra, "0000.artifact.json", "0000.config.txt"},
+		{snapDir, first.ArtifactFile, first.ConfigFile},
+	} {
+		data, err := os.ReadFile(filepath.Join(f.dir, f.artifact))
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := ParseCompiledElection(data)
+		if err != nil {
+			t.Fatalf("parsing %s: %v", f.artifact, err)
+		}
+		text, err := os.ReadFile(filepath.Join(f.dir, f.config))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg, err := ParseConfig(strings.NewReader(string(text)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, _, err := ElectCompiled(c, cfg, SequentialEngine)
+		if err != nil {
+			t.Fatalf("electing from %s: %v", f.artifact, err)
+		}
+		if out.Leader() != served.Leader || out.Rounds != served.Rounds {
+			t.Fatalf("%s elected %d in %d rounds, the registry serves %d in %d",
+				f.artifact, out.Leader(), out.Rounds, served.Leader, served.Rounds)
+		}
 	}
 }

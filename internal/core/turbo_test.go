@@ -8,6 +8,52 @@ import (
 	"anonradio/internal/graph"
 )
 
+// reportsEquivalent reports whether two Classifier reports agree on
+// verdict, leader, iteration count and the full partition sequence
+// (classes, labels, representatives of every snapshot, and every list L_j).
+func reportsEquivalent(a, b *Report) bool {
+	if a.Feasible() != b.Feasible() || a.Leader != b.Leader || a.LeaderClass != b.LeaderClass {
+		return false
+	}
+	if a.Iterations() != b.Iterations() || len(a.Lists) != len(b.Lists) {
+		return false
+	}
+	for j := range a.Snapshots {
+		sa, sb := a.Snapshots[j], b.Snapshots[j]
+		if sa.NumClasses != sb.NumClasses {
+			return false
+		}
+		for v := range sa.Classes {
+			if sa.Classes[v] != sb.Classes[v] {
+				return false
+			}
+			if !sa.Labels[v].Equal(sb.Labels[v]) {
+				return false
+			}
+		}
+		for k := range sa.Reps {
+			if sa.Reps[k] != sb.Reps[k] {
+				return false
+			}
+		}
+	}
+	for j := range a.Lists {
+		la, lb := a.Lists[j], b.Lists[j]
+		if la.Terminate != lb.Terminate || len(la.Entries) != len(lb.Entries) {
+			return false
+		}
+		for k := range la.Entries {
+			if la.Entries[k].OldClass != lb.Entries[k].OldClass {
+				return false
+			}
+			if !la.Entries[k].Label.Equal(lb.Entries[k].Label) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 func TestClassifyTurboInputValidation(t *testing.T) {
 	if _, err := ClassifyTurbo(nil, ClassifyOptions{}); err == nil {
 		t.Fatalf("nil configuration should error")
@@ -54,12 +100,14 @@ func TestClassifyTurboAgreesOnFamilies(t *testing.T) {
 // TestPropertyThreeImplementationsAgree is the cross-implementation property
 // test: over ~200 seeded random configurations spanning sparse and dense
 // graphs and a range of tag spans, Classify (the paper-faithful
-// representative scan), ClassifyFast (string-keyed hashing) and the turbo
-// path must agree on verdict, leader, iteration count and the full partition
-// sequence (classes, labels, representatives of every snapshot, and every
-// list L_j).
+// representative scan), the turbo path on fresh memory, and the turbo path
+// recycling the previous trial's report through ClassifyInto (the
+// rebuild-in-place admission path) must agree on verdict, leader, iteration
+// count and the full partition sequence (classes, labels, representatives
+// of every snapshot, and every list L_j).
 func TestPropertyThreeImplementationsAgree(t *testing.T) {
 	turboEngine := NewTurbo()
+	var recycled *Report
 	trials := 200
 	for trial := 0; trial < trials; trial++ {
 		rng := rand.New(rand.NewSource(int64(1000 + trial)))
@@ -72,17 +120,17 @@ func TestPropertyThreeImplementationsAgree(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d %s baseline: %v", trial, cfg, err)
 		}
-		fast, err := ClassifyFast(cfg)
-		if err != nil {
-			t.Fatalf("trial %d %s fast: %v", trial, cfg, err)
-		}
 		turbo, err := turboEngine.Classify(cfg, ClassifyOptions{RecordSnapshots: true})
 		if err != nil {
 			t.Fatalf("trial %d %s turbo: %v", trial, cfg, err)
 		}
-		if !reportsEquivalent(baseline, fast) {
-			t.Fatalf("trial %d %s: fast diverged\nbaseline:\n%s\nfast:\n%s",
-				trial, cfg, baseline.Summary(), fast.Summary())
+		recycled, err = turboEngine.ClassifyInto(recycled, cfg, ClassifyOptions{RecordSnapshots: true})
+		if err != nil {
+			t.Fatalf("trial %d %s recycled turbo: %v", trial, cfg, err)
+		}
+		if !reportsEquivalent(baseline, recycled) {
+			t.Fatalf("trial %d %s: recycled turbo diverged\nbaseline:\n%s\nrecycled:\n%s",
+				trial, cfg, baseline.Summary(), recycled.Summary())
 		}
 		if !reportsEquivalent(baseline, turbo) {
 			t.Fatalf("trial %d %s: turbo diverged\nbaseline:\n%s\nturbo:\n%s",
@@ -206,6 +254,37 @@ func TestPackedTripleRoundTrip(t *testing.T) {
 		}
 		if !ordered[i].Less(ordered[i+1]) {
 			t.Fatalf("test fixture not in ≺hist order at %d", i)
+		}
+	}
+}
+
+// TestTurboSpanFallbackMatchesClassify covers the one input the packed
+// triple layout cannot hold: a span above maxTurboSpan sends Turbo.Classify
+// to the reference Classify, in both recording modes, and the report must
+// equal a direct Classify run.
+func TestTurboSpanFallbackMatchesClassify(t *testing.T) {
+	g := graph.New(3)
+	g.AddEdge(0, 1)
+	g.AddEdge(1, 2)
+	cfg, err := config.New(g, []int{0, 1 << 30, 1<<31 - 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Span() <= maxTurboSpan {
+		t.Fatalf("span %d does not exceed maxTurboSpan %d", cfg.Span(), maxTurboSpan)
+	}
+	want, err := Classify(cfg)
+	if err != nil {
+		t.Fatalf("reference: %v", err)
+	}
+	for _, opts := range []ClassifyOptions{{}, {RecordSnapshots: true}} {
+		got, err := NewTurbo().Classify(cfg, opts)
+		if err != nil {
+			t.Fatalf("turbo %+v: %v", opts, err)
+		}
+		if !reportsEquivalent(want, got) {
+			t.Fatalf("turbo %+v diverged from Classify on span %d\nwant:\n%s\ngot:\n%s",
+				opts, cfg.Span(), want.Summary(), got.Summary())
 		}
 	}
 }

@@ -240,8 +240,8 @@ func finishBuildInto(prev *Dedicated, report *core.Report, dg *canonical.DRIP, r
 // engine and returns the outcome. A nil or Sequential engine runs on the
 // algorithm's pooled simulator, so repeated elections reuse every simulation
 // buffer; the outcome's Result then points into those buffers and is valid
-// until the next run on this Dedicated. Other engines (Parallel, Concurrent,
-// GoroutinePerNode) execute a one-shot run as before.
+// until the next run on this Dedicated. The Parallel engine executes a
+// one-shot run on a fresh worker-pool simulator.
 func (d *Dedicated) Elect(engine radio.Engine, opts radio.Options) (*radio.ElectionOutcome, error) {
 	if opts.MaxRounds == 0 {
 		opts.MaxRounds = d.RoundBound + 1

@@ -12,7 +12,7 @@ import (
 	"anonradio/internal/radio"
 )
 
-var engines = []radio.Engine{radio.Sequential{}, radio.Parallel{}, radio.Concurrent{}, radio.GoroutinePerNode{}}
+var engines = []radio.Engine{radio.Sequential{}, radio.Parallel{}}
 
 func buildDedicated(t *testing.T, cfg *config.Config) *Dedicated {
 	t.Helper()
@@ -382,7 +382,7 @@ func TestPropertyEnginesAgreeOnElection(t *testing.T) {
 			return false
 		}
 		a, err1 := d.Elect(radio.Sequential{}, radio.Options{})
-		b, err2 := d.Elect(radio.Concurrent{}, radio.Options{})
+		b, err2 := d.Elect(radio.Parallel{}, radio.Options{})
 		if err1 != nil || err2 != nil {
 			return false
 		}
@@ -460,7 +460,7 @@ func TestElectPooledMatchesOneShotEngines(t *testing.T) {
 	}
 	leader, rounds := pooled.Leader(), pooled.Rounds
 	hist := pooled.Result.Histories[leader].Clone()
-	for _, e := range []radio.Engine{radio.Parallel{}, radio.Concurrent{}, radio.GoroutinePerNode{}} {
+	for _, e := range []radio.Engine{radio.Parallel{}} {
 		out, err := radio.RunElection(e, d.Config, d.Algorithm, radio.Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", e.Name(), err)

@@ -12,7 +12,8 @@ import (
 
 // This file implements E11 (how far the simple automorphism certificate gets
 // compared to the full Classifier) and A1 (ablation of the Refine
-// implementation: the paper's representative scan vs hash-based grouping).
+// implementation: the paper's representative scan vs the turbo classifier's
+// hashed grouping).
 
 func e11Params(opts Options) (sizes []int, spans []int, trials int) {
 	if opts.Quick {
@@ -84,15 +85,15 @@ func a1Sizes(opts Options) []int {
 // choice the complexity analysis of Lemma 3.5 hinges on: how nodes are
 // grouped into classes during Refine. The baseline follows the paper
 // (compare every node against every class representative, O(n²Δ) per
-// iteration); the variant groups by hashed (class, label) keys (O(nΔ)
-// expected, but with per-node allocations for the keys). Both produce
-// identical reports (enforced by tests); the table reports the measured
-// ratio on two opposite regimes: the dense staggered clique (few iterations,
-// long labels) and the line family G_m (many iterations, many classes, short
-// labels).
+// iteration); the turbo classifier groups by hashed (class, label) keys over
+// packed integer labels (O(nΔ) expected, allocation-free in steady state).
+// Both produce identical reports (enforced by tests); the table reports the
+// measured ratio on two opposite regimes: the dense staggered clique (few
+// iterations, long labels) and the line family G_m (many iterations, many
+// classes, short labels).
 func A1RefineAblation(opts Options) (*Table, error) {
-	table := NewTable("A1: Refine implementation ablation (representative scan vs hashing vs turbo)",
-		"workload", "n", "Δ", "scan refine", "hash refine", "turbo", "hash speedup", "turbo speedup")
+	table := NewTable("A1: Refine implementation ablation (representative scan vs turbo)",
+		"workload", "n", "Δ", "scan refine", "turbo", "turbo speedup")
 	turboEngine := core.NewTurbo()
 	workloads := []struct {
 		name string
@@ -112,7 +113,6 @@ func A1RefineAblation(opts Options) (*Table, error) {
 			cfg := w.gen(n)
 			repeat := 3
 			scan := time.Duration(0)
-			hash := time.Duration(0)
 			turbo := time.Duration(0)
 			for i := 0; i < repeat; i++ {
 				start := time.Now()
@@ -120,11 +120,6 @@ func A1RefineAblation(opts Options) (*Table, error) {
 					return nil, fmt.Errorf("A1 %s n=%d: %w", w.name, n, err)
 				}
 				scan += time.Since(start)
-				start = time.Now()
-				if _, err := core.ClassifyFast(cfg); err != nil {
-					return nil, fmt.Errorf("A1 %s n=%d: %w", w.name, n, err)
-				}
-				hash += time.Since(start)
 				start = time.Now()
 				if _, err := turboEngine.Classify(cfg, core.ClassifyOptions{}); err != nil {
 					return nil, fmt.Errorf("A1 %s n=%d: %w", w.name, n, err)
@@ -136,13 +131,11 @@ func A1RefineAblation(opts Options) (*Table, error) {
 				fmt.Sprintf("%d", cfg.N()),
 				fmt.Sprintf("%d", cfg.MaxDegree()),
 				(scan / time.Duration(repeat)).Round(time.Microsecond).String(),
-				(hash / time.Duration(repeat)).Round(time.Microsecond).String(),
 				(turbo / time.Duration(repeat)).Round(time.Microsecond).String(),
-				fmt.Sprintf("%.2f", stats.Ratio(float64(scan), float64(hash))),
 				fmt.Sprintf("%.2f", stats.Ratio(float64(scan), float64(turbo))),
 			)
 		}
 	}
-	table.AddNote("all three implementations produce identical verdicts and partitions (see internal/core/fast_test.go and turbo_test.go); speedups are relative to the paper-faithful representative scan, and turbo runs in lean mode (no snapshot materialization), which is how the batch survey layer drives it")
+	table.AddNote("both implementations produce identical verdicts and partitions (see internal/core/turbo_test.go); the speedup is relative to the paper-faithful representative scan, and turbo runs in lean mode (no snapshot materialization), which is how the batch survey layer drives it")
 	return table, nil
 }

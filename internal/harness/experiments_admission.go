@@ -13,16 +13,13 @@ import (
 )
 
 // E14AdmissionIsolation measures whether elections on a shard stall behind
-// a concurrent admission on the same shard — the operational flaw PR 5
-// removed. One single-shard registry serves a hot key while a second
-// goroutine keeps admitting a deliberately expensive configuration onto
-// the *same* shard, in two modes: the retained pre-pipeline behavior
-// (Options.BuildOnShard: the build runs on the shard worker, ahead of
-// every queued election) and the admission pipeline (the build runs on a
-// builder goroutine; the shard only sees an O(1) install). The table
-// reports the election latency distribution of each mode against an
-// idle baseline: build-on-shard drives the tail to the build duration and
-// collapses throughput, the pipeline keeps the tail at the baseline.
+// a concurrent admission on the same shard. One single-shard registry
+// serves a hot key while a second goroutine keeps admitting a deliberately
+// expensive configuration onto the *same* shard; the admission pipeline
+// runs the build on a builder goroutine, and the shard only sees an O(1)
+// install. The table reports the election latency distribution under
+// admissions against an idle baseline: the pipeline keeps the tail at the
+// baseline.
 func E14AdmissionIsolation(opts Options) (*Table, error) {
 	hot := config.StaggeredClique(16)
 	big := config.StaggeredPath(64, 100) // span 6300: a deliberately expensive build (~100ms class)
@@ -49,8 +46,8 @@ func E14AdmissionIsolation(opts Options) (*Table, error) {
 		stalled    float64 // share of the window spent inside >1ms elections
 	}
 
-	measure := func(mode string, buildOnShard, admitting bool) (row, error) {
-		reg := service.New(service.Options{Shards: 1, Builders: 1, BuildOnShard: buildOnShard})
+	measure := func(mode string, admitting bool) (row, error) {
+		reg := service.New(service.Options{Shards: 1, Builders: 1})
 		defer reg.Close()
 		if err := reg.Register("hot", hot); err != nil {
 			return row{}, fmt.Errorf("E14 register hot: %w", err)
@@ -110,17 +107,16 @@ func E14AdmissionIsolation(opts Options) (*Table, error) {
 	}
 
 	rows := []struct {
-		mode                    string
-		buildOnShard, admitting bool
+		mode      string
+		admitting bool
 	}{
-		{"idle baseline", false, false},
-		{"build-on-shard (before)", true, true},
-		{"pipeline (after)", false, true},
+		{"idle baseline", false},
+		{"pipeline", true},
 	}
 	table := NewTable("E14: Election latency on a shard during admissions on the same shard",
 		"mode", "elections", "admissions", "p50", "p99.9", "max", "stall share")
 	for _, rc := range rows {
-		r, err := measure(rc.mode, rc.buildOnShard, rc.admitting)
+		r, err := measure(rc.mode, rc.admitting)
 		if err != nil {
 			return nil, err
 		}
@@ -137,6 +133,6 @@ func E14AdmissionIsolation(opts Options) (*Table, error) {
 	table.AddNote("one shard, one builder, one closed-loop elect client; the admitted configuration builds in ~%s (cold) and always lands on the serving shard",
 		buildTime.Round(time.Millisecond))
 	table.AddNote("stall share: time the elect client spent inside >1ms elections, as a fraction of the window — a queued-behind-a-build election holds the client for the whole build")
-	table.AddNote("build-on-shard (the retained pre-PR-5 mode, service.Options.BuildOnShard) parks every queued election for a full non-preemptible build; the pipeline never queues an election behind a build (on a single-core host the remaining tail is scheduler time-slicing against the builder, not queueing)")
+	table.AddNote("the pipeline never queues an election behind a build (on a single-core host the remaining tail is scheduler time-slicing against the builder, not queueing)")
 	return table, nil
 }

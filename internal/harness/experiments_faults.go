@@ -52,11 +52,11 @@ func e18Points(opts Options) []e18Point {
 // fault plans and reports the outcome distribution.
 //
 // Every trial doubles as a cross-engine determinism check: the same fault
-// seed is replayed on all four engines (sequential, parallel, concurrent,
-// goroutine-per-node) and the outcomes must match the sequential reference
-// bit-for-bit — fault decisions are pure functions of (seed, round, node),
-// never of goroutine schedule. The (0, 0) row additionally pins the clean
-// path: an all-zero plan must reproduce the fault-free outcome exactly.
+// seed is replayed on both engines (sequential, parallel) and the outcomes
+// must match the sequential reference bit-for-bit — fault decisions are
+// pure functions of (seed, round, node), never of goroutine schedule. The
+// (0, 0) row additionally pins the clean path: an all-zero plan must
+// reproduce the fault-free outcome exactly.
 func E18FaultedMedium(opts Options) (*Table, error) {
 	trials := opts.trials(100, 12)
 	cfg := config.StaggeredClique(12)
@@ -73,8 +73,6 @@ func E18FaultedMedium(opts Options) (*Table, error) {
 	}{
 		{"sequential", radio.Sequential{}},
 		{"parallel", radio.Parallel{}},
-		{"concurrent", radio.Concurrent{}},
-		{"goroutine-per-node", radio.GoroutinePerNode{}},
 	}
 
 	// Clean reference outcome, once.
@@ -87,7 +85,7 @@ func E18FaultedMedium(opts Options) (*Table, error) {
 	}
 	cleanLeader, cleanRounds := clean.Leader(), clean.Rounds
 
-	table := NewTable("E18: protocol outcome over a seeded lossy medium (canonical algorithm, all engines)",
+	table := NewTable("E18: protocol outcome over a seeded lossy medium (canonical algorithm, both engines)",
 		"drop", "noise", "trials", "correct", "no leader", "wrong leader", "multi leader", "mean rounds", "engines agree")
 	for _, pt := range e18Points(opts) {
 		var correct, none, wrong, multi int
@@ -147,7 +145,7 @@ func E18FaultedMedium(opts Options) (*Table, error) {
 			fmt.Sprintf("%v", agree),
 		)
 	}
-	table.AddNote("staggered clique (n=%d), %d independently seeded fault plans per point, every plan replayed on all four engines", cfg.N(), trials)
+	table.AddNote("staggered clique (n=%d), %d independently seeded fault plans per point, every plan replayed on both engines", cfg.N(), trials)
 	table.AddNote("the algorithm terminates at fixed local rounds, so a faulted election always finishes within the round bound — faults change the outcome class, never termination")
 	table.AddNote("drop=0 noise=0 doubles as the clean-path check: an all-zero plan reproduced the fault-free leader and round count on every seed")
 	return table, nil

@@ -162,15 +162,14 @@ func e8Sizes(opts Options) []int {
 	return []int{16, 32, 64, 128}
 }
 
-// E8Engines compares the three engine implementations — the sequential
-// reference, the worker-pool parallel executor, and the legacy
-// goroutine-per-node coordinator — on identical canonical-DRIP workloads:
-// wall-clock time, speedups, and a strict check that every engine produced
-// identical histories.
+// E8Engines compares the two engines — the sequential reference and the
+// worker-pool parallel executor — on identical canonical-DRIP workloads:
+// wall-clock time, speedup, and a strict check that both produced identical
+// histories.
 func E8Engines(opts Options) (*Table, error) {
 	rng := opts.rng()
-	table := NewTable("E8: Sequential vs worker-pool vs goroutine-per-node engine",
-		"n", "σ", "rounds", "seq time", "pool time", "gpn time", "pool/gpn speedup", "identical")
+	table := NewTable("E8: Sequential vs worker-pool engine",
+		"n", "σ", "rounds", "seq time", "pool time", "pool/seq speedup", "identical")
 	for _, n := range e8Sizes(opts) {
 		cfg := config.Random(n, 4.0/float64(n), config.DistinctRandomTags{}, rng)
 		rep, err := core.Classify(cfg)
@@ -205,14 +204,9 @@ func E8Engines(opts Options) (*Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("E8 n=%d parallel: %w", n, err)
 		}
-		gpnRes, gpnTime, err := run(radio.GoroutinePerNode{})
-		if err != nil {
-			return nil, fmt.Errorf("E8 n=%d goroutine-per-node: %w", n, err)
-		}
-		identical := seqRes.GlobalRounds == poolRes.GlobalRounds && seqRes.GlobalRounds == gpnRes.GlobalRounds
+		identical := seqRes.GlobalRounds == poolRes.GlobalRounds
 		for v := 0; v < cfg.N() && identical; v++ {
-			identical = seqRes.Histories[v].Equal(poolRes.Histories[v]) &&
-				seqRes.Histories[v].Equal(gpnRes.Histories[v])
+			identical = seqRes.Histories[v].Equal(poolRes.Histories[v])
 		}
 		table.AddRow(
 			fmt.Sprintf("%d", cfg.N()),
@@ -220,15 +214,14 @@ func E8Engines(opts Options) (*Table, error) {
 			fmt.Sprintf("%d", seqRes.GlobalRounds),
 			seqTime.Round(time.Microsecond).String(),
 			poolTime.Round(time.Microsecond).String(),
-			gpnTime.Round(time.Microsecond).String(),
-			fmt.Sprintf("%.2f", stats.Ratio(float64(gpnTime.Nanoseconds()), float64(poolTime.Nanoseconds()))),
+			fmt.Sprintf("%.2f", stats.Ratio(float64(seqTime.Nanoseconds()), float64(poolTime.Nanoseconds()))),
 			fmt.Sprintf("%v", identical),
 		)
 		if !identical {
 			return nil, fmt.Errorf("E8 n=%d: engines diverged", n)
 		}
 	}
-	table.AddNote("pool/gpn speedup > 1 means the worker-pool executor beat the goroutine-per-node coordinator it replaced; per-round protocol work is tiny, so the sequential engine usually still wins outright at these sizes")
+	table.AddNote("pool/seq speedup > 1 means the worker-pool executor beat the sequential reference; per-round protocol work is tiny, so the sequential engine usually still wins outright at these sizes")
 	return table, nil
 }
 

@@ -19,15 +19,16 @@ import (
 )
 
 // E16WireEncoding measures what the binary wire encoding buys over JSON on
-// the same routes: the election workload of E13 is served over loopback HTTP
-// twice — once as JSON bodies, once as binary frames
-// (application/x-anonradio-bin) — against one shared registry, with every
-// outcome checked against the in-process reference for its key. The table
-// reports per-election cost and the slowdown versus in-process ElectBatch;
-// the notes carry the at-rest half of the story (snapshot bytes and journal
-// record bytes under each encoding). The benchmarks behind the CI numbers
-// are BenchmarkWireServedElect / BenchmarkJSONServedElect (internal/server)
-// and the Binary*/JSON* snapshot and WAL pairs (internal/service).
+// the same routes: a mixed clique/path election workload is served over
+// loopback HTTP twice — once as JSON bodies, once as binary frames
+// (application/x-anonradio-bin), single elects and batches — against one
+// shared registry, with every outcome checked against the in-process
+// reference for its key. The table reports per-election cost and the
+// slowdown versus in-process ElectBatch; a note carries the at-rest half
+// (the fleet's snapshot artifact bytes). The benchmarks behind the CI
+// numbers are BenchmarkWireServedElect / BenchmarkJSONServedElect
+// (internal/server) and the Binary* snapshot and WAL benchmarks
+// (internal/service).
 func E16WireEncoding(opts Options) (*Table, error) {
 	nCfgs, size, elections := 8, 16, 2000
 	batchSizes := []int{1, 64}
@@ -218,48 +219,28 @@ func E16WireEncoding(opts Options) (*Table, error) {
 		}
 	}
 
-	// The at-rest half: snapshot the same fleet under both encodings and
-	// compare artifact bytes, plus one journal record of each encoding.
-	snapBytes := func(enc service.Encoding) (int64, error) {
-		dir, err := os.MkdirTemp("", "anonradio-e16-")
-		if err != nil {
-			return 0, err
-		}
-		defer os.RemoveAll(dir)
-		src := service.New(service.Options{Shards: 2, SnapshotEncoding: enc})
-		defer src.Close()
-		for i, key := range keys {
-			if err := src.Register(key, cfgs[i]); err != nil {
-				return 0, err
-			}
-		}
-		m, err := src.Snapshot(dir)
-		if err != nil {
-			return 0, err
-		}
-		var total int64
-		for _, e := range m.Entries {
-			fi, err := os.Stat(filepath.Join(dir, e.ArtifactFile))
-			if err != nil {
-				return 0, err
-			}
-			total += fi.Size()
-		}
-		return total, nil
-	}
-	jsonSnap, err := snapBytes(service.EncodingJSON)
+	// The at-rest half: snapshot the same fleet and count artifact bytes.
+	snapDir, err := os.MkdirTemp("", "anonradio-e16-")
 	if err != nil {
-		return nil, fmt.Errorf("E16 JSON snapshot: %w", err)
+		return nil, fmt.Errorf("E16 snapshot: %w", err)
 	}
-	binSnap, err := snapBytes(service.EncodingBinary)
+	defer os.RemoveAll(snapDir)
+	m, err := reg.Snapshot(snapDir)
 	if err != nil {
-		return nil, fmt.Errorf("E16 binary snapshot: %w", err)
+		return nil, fmt.Errorf("E16 snapshot: %w", err)
+	}
+	var snapBytes int64
+	for _, e := range m.Entries {
+		fi, err := os.Stat(filepath.Join(snapDir, e.ArtifactFile))
+		if err != nil {
+			return nil, fmt.Errorf("E16 snapshot: %w", err)
+		}
+		snapBytes += fi.Size()
 	}
 
 	table.AddNote("one loopback HTTP connection (keep-alive); both encodings hit the same routes and the same registry")
 	table.AddNote("agreement: every served outcome matched the in-process leader and round count, across both encodings")
-	table.AddNote("snapshot artifacts for the same %d-config fleet: binary %d bytes vs JSON %d bytes (%.1fx smaller)",
-		nCfgs, binSnap, jsonSnap, float64(jsonSnap)/float64(binSnap))
-	table.AddNote("journal records use the same frames; see BenchmarkBinaryWALAdmit / BenchmarkJSONWALAdmit for the append cost")
+	table.AddNote("snapshot artifacts for the same %d-config fleet: %d bytes of binary frames", nCfgs, snapBytes)
+	table.AddNote("journal records use the same frames; see BenchmarkBinaryWALAdmit for the append cost")
 	return table, nil
 }

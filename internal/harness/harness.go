@@ -21,7 +21,7 @@ type Options struct {
 	Trials int
 	// Engine is the simulation engine the election experiments (E2-E4, E9,
 	// E12) run on; nil selects the sequential reference engine. Results are
-	// engine-independent (all engines produce bit-identical histories; E8
+	// engine-independent (both engines produce bit-identical histories; E8
 	// verifies it), only the wall-clock changes.
 	Engine radio.Engine
 }
@@ -73,17 +73,16 @@ func All() []Experiment {
 		{ID: "E5", Name: "No universal 4-node algorithm (Proposition 4.4)", Run: E5Universal},
 		{ID: "E6", Name: "No distributed feasibility decision (Proposition 4.5)", Run: E6Decision},
 		{ID: "E7", Name: "Feasibility survey and oracle agreement", Run: E7Survey},
-		{ID: "E8", Name: "Sequential vs concurrent engine (substrate validation)", Run: E8Engines},
+		{ID: "E8", Name: "Sequential vs parallel engine (substrate validation)", Run: E8Engines},
 		{ID: "E9", Name: "Baseline comparison (identifiers / randomness vs anonymity)", Run: E9Baselines},
 		{ID: "E10", Name: "Radio-model refinement vs colour refinement (structural comparison)", Run: E10Structure},
 		{ID: "E11", Name: "Automorphism certificate vs Classifier (structural comparison)", Run: E11Symmetry},
 		{ID: "E12", Name: "Sharded election service throughput (substrate validation)", Run: E12ServiceThroughput},
-		{ID: "E13", Name: "HTTP serving overhead (served vs in-process ElectBatch)", Run: E13ServedThroughput},
 		{ID: "E14", Name: "Admission isolation (election latency during same-shard builds)", Run: E14AdmissionIsolation},
 		{ID: "E15", Name: "Durability cost (admission throughput and recovery per fsync policy)", Run: E15DurabilityCost},
 		{ID: "E16", Name: "Wire encoding cost (binary frames vs JSON serving and snapshots)", Run: E16WireEncoding},
 		{ID: "E17", Name: "Hot-shard relief (work stealing under zipf skew; rebuild-in-place churn)", Run: E17HotShardRelief},
-		{ID: "E18", Name: "Faulted medium (outcome vs drop/noise rate, all engines)", Run: E18FaultedMedium},
+		{ID: "E18", Name: "Faulted medium (outcome vs drop/noise rate, both engines)", Run: E18FaultedMedium},
 		{ID: "E19", Name: "HTTP churn soak (elections under evict/re-admit churn, WAL on)", Run: E19ChurnSoak},
 		{ID: "E20", Name: "Fleet serving, migration and recovery (router vs direct; artifact ship; node loss)", Run: E20FleetServing},
 		{ID: "A1", Name: "Ablation: Refine implementation (representative scan vs hashing)", Run: A1RefineAblation},

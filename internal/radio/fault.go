@@ -7,8 +7,8 @@ import (
 
 // This file is the fault-injection seam of the simulation core: a seeded,
 // deterministic model of a lossy radio medium layered onto the Simulator's
-// medium-resolution step (and replicated in the independent GoroutinePerNode
-// coordinator). The paper's model assumes a clean medium — every transmitted
+// medium-resolution step (and replicated in the test-only GoroutinePerNode
+// oracle). The paper's model assumes a clean medium — every transmitted
 // message reaches every neighbour, collisions happen exactly when two or
 // more neighbours transmit — and all prior experiments inherit that
 // assumption. A FaultPlan perturbs it in three ways:

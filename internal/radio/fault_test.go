@@ -60,10 +60,10 @@ func TestFaultPlanEmptyAndValidate(t *testing.T) {
 
 // TestPropertyEmptyFaultPlanBitIdentical is the satellite property: an
 // all-zero FaultPlan — any seed, zero rates, no live outage windows — is
-// bit-identical to the clean Simulator across all four engines, including
-// the inline and pool executors at randomized widths. A plan holding only
-// empty windows (From >= To) takes the faulted code path and must still
-// reproduce the clean medium exactly.
+// bit-identical to the clean Simulator on both engines and the
+// goroutine-per-node oracle, including the inline and pool executors at
+// randomized widths. A plan holding only empty windows (From >= To) takes
+// the faulted code path and must still reproduce the clean medium exactly.
 func TestPropertyEmptyFaultPlanBitIdentical(t *testing.T) {
 	f := func(seed int64, fseed uint64, sz, span, workers uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -79,7 +79,7 @@ func TestPropertyEmptyFaultPlanBitIdentical(t *testing.T) {
 		}
 		for _, plan := range plans {
 			opts := Options{MaxRounds: 2000, Fault: plan}
-			for _, e := range []Engine{Sequential{}, Parallel{}, Parallel{Workers: int(workers%4) + 1}, Concurrent{}, GoroutinePerNode{}} {
+			for _, e := range []Engine{Sequential{}, Parallel{}, Parallel{Workers: int(workers%4) + 1}, GoroutinePerNode{}} {
 				res, err2 := e.Run(cfg, proto, opts)
 				if (err1 == nil) != (err2 == nil) {
 					return false
@@ -126,7 +126,7 @@ func TestPropertyFaultSeedDeterminism(t *testing.T) {
 		opts := Options{MaxRounds: 2000, Fault: randomFaultPlan(fseed, n)}
 
 		want, err1 := Sequential{}.Run(cfg, proto, opts)
-		for _, e := range []Engine{Sequential{}, Parallel{}, Parallel{Workers: int(workers%4) + 1}, Concurrent{}, GoroutinePerNode{}} {
+		for _, e := range []Engine{Sequential{}, Parallel{}, Parallel{Workers: int(workers%4) + 1}, GoroutinePerNode{}} {
 			res, err2 := e.Run(cfg, proto, opts)
 			if (err1 == nil) != (err2 == nil) {
 				return false

@@ -9,24 +9,6 @@ import (
 	"anonradio/internal/history"
 )
 
-// Concurrent is the concurrency-enabled engine, kept under its historical
-// name: since the executor-seam refactor it is a thin adapter over the
-// zero-alloc Simulator core with the worker-pool executor (see Parallel).
-// The goroutine-per-node coordinator it used to be survives as
-// GoroutinePerNode, retained as a semantic reference for differential tests
-// and as the baseline the engine benchmarks compare against.
-type Concurrent struct{}
-
-// Name implements Engine.
-func (Concurrent) Name() string { return "concurrent" }
-
-// Run implements Engine by delegating to the worker-pool Parallel engine;
-// Options.Workers bounds the pool size as it used to bound the number of
-// runnable node goroutines.
-func (Concurrent) Run(cfg *config.Config, proto drip.Protocol, opts Options) (*Result, error) {
-	return Parallel{}.Run(cfg, proto, opts)
-}
-
 // GoroutinePerNode is the original goroutine-per-node simulation engine.
 // Each node of the configuration is a long-lived goroutine that owns its
 // history vector and computes its protocol actions; a coordinator implements
@@ -44,10 +26,10 @@ func (Concurrent) Run(cfg *config.Config, proto drip.Protocol, opts Options) (*R
 // The per-round channel traffic (two operations per node per round) and the
 // per-node goroutine state make this engine allocate on every round, which
 // is why the worker-pool Parallel engine replaced it as the concurrent
-// execution path. It is kept because it exercises the model semantics
-// through a completely independent mechanism: the test suite checks
-// bit-identical histories against both Simulator-based engines on randomized
-// workloads.
+// execution path. It lives on in the tests as the differential oracle: it
+// exercises the model semantics through a completely independent mechanism,
+// and the test suite checks bit-identical histories against both
+// Simulator-based engines on randomized workloads.
 type GoroutinePerNode struct{}
 
 // Name implements Engine.
@@ -86,19 +68,12 @@ type concNode struct {
 	percept chan nodePercept
 	replies chan<- nodeReply
 	finals  chan<- nodeFinal
-	sem     chan struct{} // optional concurrency limiter, may be nil
 }
 
 func (nd *concNode) run(wg *sync.WaitGroup) {
 	defer wg.Done()
 	for range nd.cmd {
-		if nd.sem != nil {
-			nd.sem <- struct{}{}
-		}
 		action := nd.proto.Act(nd.hist)
-		if nd.sem != nil {
-			<-nd.sem
-		}
 		nd.replies <- nodeReply{id: nd.id, action: action}
 		p := <-nd.percept
 		nd.hist = append(nd.hist, p.entry)
@@ -151,11 +126,6 @@ func (GoroutinePerNode) Run(cfg *config.Config, proto drip.Protocol, opts Option
 		trace = &Trace{}
 	}
 
-	var sem chan struct{}
-	if opts.Workers > 0 && opts.Workers < n {
-		sem = make(chan struct{}, opts.Workers)
-	}
-
 	metas := make([]concMeta, n)
 	for v := range metas {
 		metas[v].wakeRound = -1
@@ -176,7 +146,6 @@ func (GoroutinePerNode) Run(cfg *config.Config, proto drip.Protocol, opts Option
 			percept: make(chan nodePercept, 1),
 			replies: replies,
 			finals:  finals,
-			sem:     sem,
 		}
 		nodes[v] = nd
 		wg.Add(1)
@@ -394,4 +363,18 @@ func concResult(metas []concMeta, rounds int, trace *Trace, fs FaultStats) *Resu
 		res.DoneLocal[v] = metas[v].doneLocal
 	}
 	return res
+}
+
+// validate checks the oracle's simulation inputs.
+func validate(cfg *config.Config, proto drip.Protocol) error {
+	if cfg == nil {
+		return fmt.Errorf("radio: nil configuration")
+	}
+	if proto == nil {
+		return fmt.Errorf("radio: nil protocol")
+	}
+	if err := cfg.Validate(); err != nil {
+		return fmt.Errorf("radio: invalid configuration: %w", err)
+	}
+	return nil
 }

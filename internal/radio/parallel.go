@@ -16,13 +16,7 @@ import (
 //
 // Because Act calls for different nodes run concurrently, protocols must be
 // safe for concurrent use — which the DRIP contract already requires: a
-// Protocol is a deterministic pure function of the history. The same
-// requirement applied to the goroutine-per-node coordinator this engine
-// replaces.
-//
-// Workers bounds the pool size; 0 means GOMAXPROCS. Options.Workers, when
-// set, takes precedence so callers of the Engine interface can size the pool
-// per run.
+// Protocol is a deterministic pure function of the history.
 type Parallel struct {
 	// Workers is the number of pool goroutines; 0 selects GOMAXPROCS.
 	Workers int
@@ -39,11 +33,7 @@ func (p Parallel) Run(cfg *config.Config, proto drip.Protocol, opts Options) (*R
 	if proto == nil {
 		return nil, fmt.Errorf("radio: nil protocol")
 	}
-	workers := p.Workers
-	if opts.Workers > 0 {
-		workers = opts.Workers
-	}
-	sim, err := NewParallelSimulator(cfg, workers)
+	sim, err := NewParallelSimulator(cfg, p.Workers)
 	if err != nil {
 		return nil, err
 	}

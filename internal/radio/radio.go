@@ -23,14 +23,12 @@
 //     neighbours transmit records noise as H[0];
 //   - the history entry of the termination round is silence.
 //
-// All engines are thin adapters over one simulation core, the reusable
+// Both engines are thin adapters over one simulation core, the reusable
 // zero-alloc, event-driven Simulator, whose protocol-consult step runs
 // through a pluggable Executor: Sequential (deterministic, single-threaded,
-// the reference), Parallel (worker-pool executor) and Concurrent (the
-// historical name, now an alias for the worker-pool path). GoroutinePerNode is the original
-// goroutine-per-node coordinator, retained as an independent semantic
-// reference. All implement identical semantics and the tests assert
-// bit-identical histories across every engine.
+// the reference) and Parallel (worker-pool executor). The tests hold both
+// to bit-identical histories against an independent goroutine-per-node
+// coordinator that lives only in the test files as a differential oracle.
 //
 // In the repository's layering, radio is the execution substrate: package
 // election runs canonical DRIPs (package canonical) on it to build and
@@ -64,12 +62,6 @@ type Options struct {
 	MaxRounds int
 	// RecordTrace enables collection of a per-round Trace in the Result.
 	RecordTrace bool
-	// Workers bounds the parallelism of the concurrent engines: the pool
-	// size for Parallel/Concurrent, and the number of node goroutines that
-	// the legacy GoroutinePerNode engine keeps runnable at once. Zero means
-	// the engine's default (GOMAXPROCS for the pool, one goroutine per node
-	// for the legacy coordinator).
-	Workers int
 	// Fault injects seeded, deterministic medium faults — message drops,
 	// spurious collisions, per-node outage windows — into the run; nil (or
 	// an empty plan) is the paper's clean medium and leaves the round loop
@@ -178,20 +170,6 @@ func RunElection(e Engine, cfg *config.Config, alg drip.Algorithm, opts Options)
 		}
 	}
 	return outcome, nil
-}
-
-// validate checks the simulation inputs shared by both engines.
-func validate(cfg *config.Config, proto drip.Protocol) error {
-	if cfg == nil {
-		return fmt.Errorf("radio: nil configuration")
-	}
-	if proto == nil {
-		return fmt.Errorf("radio: nil protocol")
-	}
-	if err := cfg.Validate(); err != nil {
-		return fmt.Errorf("radio: invalid configuration: %w", err)
-	}
-	return nil
 }
 
 // wakeEntry returns the history entry recorded by a node in its wake-up

@@ -13,13 +13,10 @@ import (
 	"anonradio/internal/history"
 )
 
-var engines = []Engine{Sequential{}, Parallel{}, Concurrent{}, GoroutinePerNode{}}
+var engines = []Engine{Sequential{}, Parallel{}, GoroutinePerNode{}}
 
 func TestEngineNames(t *testing.T) {
-	if (Sequential{}).Name() != "sequential" || (Concurrent{}).Name() != "concurrent" {
-		t.Fatalf("engine names wrong")
-	}
-	if (Parallel{}).Name() != "parallel" || (GoroutinePerNode{}).Name() != "goroutine-per-node" {
+	if (Sequential{}).Name() != "sequential" || (Parallel{}).Name() != "parallel" || (GoroutinePerNode{}).Name() != "goroutine-per-node" {
 		t.Fatalf("engine names wrong")
 	}
 }
@@ -380,7 +377,7 @@ func TestTraceQuietCompression(t *testing.T) {
 func TestConcurrentWorkerLimit(t *testing.T) {
 	cfg := config.StaggeredClique(8)
 	proto := drip.ListenForever{Rounds: 3}
-	res, err := Concurrent{}.Run(cfg, proto, Options{Workers: 2})
+	res, err := Parallel{Workers: 2}.Run(cfg, proto, Options{})
 	if err != nil {
 		t.Fatalf("%v", err)
 	}
@@ -443,10 +440,9 @@ func sameOutcome(a, b *Result, n int) bool {
 }
 
 func TestPropertyEnginesProduceIdenticalHistories(t *testing.T) {
-	// Every engine — the inline reference, the worker-pool executor (both
-	// under its own name and the historical "concurrent" alias, and at a
-	// randomized worker count), and the legacy goroutine-per-node
-	// coordinator — must reproduce the sequential execution bit for bit on
+	// Every engine — the inline reference, the worker-pool executor (at the
+	// default and at a randomized worker count), and the goroutine-per-node
+	// oracle — must reproduce the sequential execution bit for bit on
 	// randomized configurations.
 	f := func(seed int64, sz, span, workers uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -458,7 +454,6 @@ func TestPropertyEnginesProduceIdenticalHistories(t *testing.T) {
 		candidates := []Engine{
 			Parallel{},
 			Parallel{Workers: int(workers%4) + 1},
-			Concurrent{},
 			GoroutinePerNode{},
 		}
 		for _, e := range candidates {

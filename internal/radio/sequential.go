@@ -8,7 +8,7 @@ import (
 )
 
 // Sequential is the deterministic single-threaded simulation engine. It is
-// the reference implementation of the model semantics; the concurrent engine
+// the reference implementation of the model semantics; the Parallel engine
 // is validated against it. Each call dedicates a fresh Simulator to the run,
 // so the returned Result owns its memory; callers that execute many runs on
 // the same configuration should hold a Simulator directly and reuse it.

@@ -48,7 +48,7 @@ func readFrame(t *testing.T, resp *http.Response) (wire.FrameType, []byte) {
 // TestBinaryElectMatchesJSONAndEngines is the cross-encoding acceptance
 // check: keys registered over the binary endpoint serve elections whose
 // outcomes are identical over JSON, over binary, in process, and on direct
-// Dedicated elections across all four engines.
+// Dedicated elections on both engines.
 func TestBinaryElectMatchesJSONAndEngines(t *testing.T) {
 	reg := service.New(service.Options{Shards: 3})
 	t.Cleanup(reg.Close)
@@ -76,7 +76,7 @@ func TestBinaryElectMatchesJSONAndEngines(t *testing.T) {
 		}
 	}
 
-	engines := []radio.Engine{radio.Sequential{}, radio.Parallel{}, radio.Concurrent{}, radio.GoroutinePerNode{}}
+	engines := []radio.Engine{radio.Sequential{}, radio.Parallel{}}
 	var keys []string
 	for key, cfg := range testConfigs() {
 		keys = append(keys, key)

@@ -291,14 +291,15 @@ func TestStatsAfterClose503(t *testing.T) {
 	}
 }
 
-// TestHealthDuringSlowAdmission pins the liveness satellite: with the only
-// shard worker deterministically parked mid-build (legacy build-on-shard
-// mode), /healthz must still answer — pre-PR-5 it queued behind the build.
+// TestHealthDuringSlowAdmission pins the liveness contract: with the only
+// builder deterministically parked mid-build, /healthz must still answer
+// from cached counters. (internal/service's TestLenDuringSlowAdmission
+// parks the shard worker itself.)
 func TestHealthDuringSlowAdmission(t *testing.T) {
 	entered := make(chan struct{})
 	var once sync.Once
 	ts, release := newGatedServer(t,
-		service.Options{Shards: 1, BuildOnShard: true},
+		service.Options{Shards: 1, Builders: 1},
 		func(key string) bool {
 			if key != "slow" {
 				return false
@@ -318,7 +319,7 @@ func TestHealthDuringSlowAdmission(t *testing.T) {
 		resp.Body.Close()
 		slowDone <- resp.StatusCode
 	}()
-	<-entered // the only shard worker is parked inside the build
+	<-entered // the only builder is parked inside the build
 
 	healthDone := make(chan HealthResponse, 1)
 	go func() {
@@ -338,7 +339,7 @@ func TestHealthDuringSlowAdmission(t *testing.T) {
 			t.Fatalf("health during held build: %+v", health)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("/healthz blocked behind a mid-build shard worker")
+		t.Fatal("/healthz blocked behind a mid-build builder")
 	}
 
 	release()

@@ -147,8 +147,8 @@ func (r *Registry) RegisterCompiledAsync(key string, c *election.Compiled, cfg *
 	return r.admitAsync(key, cfg, c)
 }
 
-// admitAsync enqueues an admission without a reply channel. Async
-// admissions always use the builder pool, even under Options.BuildOnShard.
+// admitAsync enqueues an admission onto the builder pool without a reply
+// channel.
 func (r *Registry) admitAsync(key string, cfg *config.Config, c *election.Compiled) error {
 	if !r.acquire() {
 		return ErrClosed

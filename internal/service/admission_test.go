@@ -281,74 +281,74 @@ func TestStatsAfterClose(t *testing.T) {
 
 // TestLenDuringSlowAdmission pins the liveness-probe contract behind
 // /healthz: Len must answer from its cached counter even while the only
-// shard worker is parked mid-build (forced via the retained build-on-shard
-// mode), because it never enters a shard queue.
+// shard worker is parked and an admission waits on it to install, because
+// Len never enters a shard queue. The worker is parked on an election
+// whose entry mutex the test holds.
 func TestLenDuringSlowAdmission(t *testing.T) {
-	entered := make(chan struct{})
-	gate := make(chan struct{})
-	release := sync.OnceFunc(func() { close(gate) })
-	r := New(Options{Shards: 1, BuildOnShard: true, BuildHook: func(key string) {
-		if key == "slow" {
-			close(entered)
-			<-gate
-		}
-	}})
+	r := New(Options{Shards: 1})
 	defer r.Close()
-	defer release()
-
-	if err := r.Register("fast", config.StaggeredClique(5)); err != nil {
+	if err := r.Register("held", config.StaggeredClique(5)); err != nil {
 		t.Fatal(err)
 	}
-	var slowWG sync.WaitGroup
-	slowWG.Add(1)
-	go func() {
-		defer slowWG.Done()
-		if err := r.Register("slow", config.StaggeredClique(6)); err != nil {
-			t.Errorf("slow register: %v", err)
-		}
-	}()
-	<-entered // the only shard worker is now parked inside the build
+	// Register returned, so no mutation is in flight: reading the worker's
+	// entry map here is ordered after the install and races with nothing.
+	e := r.shards[0].entries["held"]
+	e.mu.Lock()
+	release := sync.OnceFunc(e.mu.Unlock)
+	defer release()
 
+	electDone := make(chan error, 1)
+	go func() {
+		_, err := r.Elect("held")
+		electDone <- err
+	}()
+	// Stats runs on the same worker: once a probe stops answering, the
+	// worker has taken the election and is parked on the held mutex. An
+	// answered probe only means the election was not dequeued yet.
+	parked := false
+	for deadline := time.Now().Add(5 * time.Second); !parked && time.Now().Before(deadline); {
+		statsDone := make(chan struct{})
+		go func() {
+			_, _ = r.Stats()
+			close(statsDone)
+		}()
+		select {
+		case <-statsDone:
+		case <-time.After(100 * time.Millisecond):
+			parked = true
+		}
+	}
+	if !parked {
+		t.Fatal("the shard worker never parked on the held entry")
+	}
+
+	slowDone := make(chan error, 1)
+	go func() { slowDone <- r.Register("slow", config.StaggeredClique(6)) }()
 	lenDone := make(chan int, 1)
 	go func() { lenDone <- r.Len() }()
 	select {
 	case n := <-lenDone:
 		if n != 1 {
-			t.Fatalf("Len during the held build = %d, want 1", n)
+			t.Fatalf("Len while the worker is parked = %d, want 1", n)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("Len blocked behind a mid-build shard worker")
+		t.Fatal("Len blocked behind a parked shard worker")
+	}
+	select {
+	case err := <-electDone:
+		t.Fatalf("elect on the held entry returned early: %v", err)
+	default:
 	}
 
 	release()
-	slowWG.Wait()
+	if err := <-electDone; err != nil {
+		t.Fatalf("elect after release: %v", err)
+	}
+	if err := <-slowDone; err != nil {
+		t.Fatalf("slow register: %v", err)
+	}
 	if r.Len() != 2 {
-		t.Fatalf("Len after the build = %d, want 2", r.Len())
-	}
-}
-
-// TestBuildOnShardMode checks the retained legacy admission mode still
-// admits and serves (E14 uses it as the before side of the comparison).
-func TestBuildOnShardMode(t *testing.T) {
-	r := New(Options{Shards: 2, BuildOnShard: true})
-	defer r.Close()
-	if err := r.Register("k", config.StaggeredClique(7)); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Register("bad", config.SymmetricPair()); !errors.Is(err, election.ErrInfeasible) {
-		t.Fatalf("infeasible legacy admission: %v", err)
-	}
-	out, err := r.Elect("k")
-	if err != nil || !out.Elected() {
-		t.Fatalf("legacy-mode elect: %+v %v", out, err)
-	}
-	stats, err := r.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := Totals(stats)
-	if total.Builds != 1 || total.Failures != 1 || total.Configs != 1 {
-		t.Fatalf("legacy-mode totals: %+v", total)
+		t.Fatalf("Len after the admission = %d, want 2", r.Len())
 	}
 }
 

@@ -40,6 +40,11 @@ import (
 // between install and append loses only un-acknowledged work, and replay
 // is idempotent (an install is a replace), so the crash windows around
 // checkpointing all converge to the acknowledged state.
+//
+// Journal records and checkpoint artifacts are written as binary wire
+// frames. Replay and restore sniff each record and artifact file, so a
+// directory written by an older release in JSON (records, checkpoint, or
+// both) boots unchanged, and its next checkpoint rewrites it as binary.
 
 // CheckpointDirName is the snapshot subdirectory inside the journal
 // directory.
@@ -71,14 +76,11 @@ type WALOptions struct {
 	// disables the count trigger entirely (the journal then only truncates
 	// on the timer or explicit Checkpoint calls).
 	CheckpointRecords int64
-	// Encoding selects the journal record encoding that gets *written*:
-	// EncodingBinary (the default) appends wire frames, EncodingJSON the
-	// pre-binary JSON records. Replay auto-detects per record, so a journal
-	// whose records span both eras replays unchanged.
-	Encoding Encoding
 }
 
-// walRecord is the JSON payload of one journal record.
+// walRecord is the JSON payload of one JSON-era journal record. The journal
+// is written as binary wire frames; replay still decodes these records, so
+// journals written by older releases boot unchanged.
 type walRecord struct {
 	// Op is "admit" or "evict".
 	Op string `json:"op"`
@@ -425,22 +427,11 @@ func (r *Registry) applyAdmit(key, cfgText string, artifact *election.Compiled, 
 // after the install succeeds, preserving the checkpoint ordering invariant
 // documented at the top of this file.
 func (r *Registry) walEncodeAdmit(key string, d *election.Dedicated) ([]byte, error) {
-	var payload []byte
-	var err error
-	if r.walOpts.Encoding == EncodingJSON {
-		payload, err = json.Marshal(walRecord{
-			Op:       walOpAdmit,
-			Key:      key,
-			Config:   d.Config.Marshal(),
-			Artifact: d.Compile(),
-		})
-	} else {
-		payload, err = wire.AppendWALAdmitFrame(nil, &wire.WALAdmit{
-			Key:      key,
-			Config:   d.Config.Marshal(),
-			Artifact: d.Compile(),
-		})
-	}
+	payload, err := wire.AppendWALAdmitFrame(nil, &wire.WALAdmit{
+		Key:      key,
+		Config:   d.Config.Marshal(),
+		Artifact: d.Compile(),
+	})
 	if err != nil {
 		return nil, fmt.Errorf("service: encoding journal record for %q: %w", key, err)
 	}
@@ -450,13 +441,6 @@ func (r *Registry) walEncodeAdmit(key string, d *election.Dedicated) ([]byte, er
 // walAppendEvict journals one acknowledged eviction; it runs on the
 // evicting caller's goroutine.
 func (r *Registry) walAppendEvict(key string) error {
-	if r.walOpts.Encoding == EncodingJSON {
-		payload, err := json.Marshal(walRecord{Op: walOpEvict, Key: key})
-		if err != nil {
-			return fmt.Errorf("service: encoding journal record for %q: %w", key, err)
-		}
-		return r.walAppend(payload)
-	}
 	return r.walAppend(wire.AppendWALEvictFrame(nil, &wire.WALEvict{Key: key}))
 }
 

@@ -12,48 +12,106 @@ import (
 	"anonradio/internal/wire"
 )
 
-// TestParseEncoding pins the flag names.
-func TestParseEncoding(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want Encoding
-	}{{"binary", EncodingBinary}, {"json", EncodingJSON}} {
-		got, err := ParseEncoding(tc.in)
-		if err != nil || got != tc.want {
-			t.Fatalf("ParseEncoding(%q) = %v, %v", tc.in, got, err)
+// jsonEraFixture is a -wal-dir written by a daemon that still wrote JSON
+// (see its README.md): a JSON checkpoint holding jsonEraCheckpointKeys and
+// a JSON journal tail that admits era1-d, era1-e and era1-x, then evicts
+// era1-x.
+const jsonEraFixture = "testdata/json-era"
+
+var jsonEraCheckpointKeys = []string{"era1-a", "era1-b", "era1-c"}
+
+// jsonEraConfigs returns the configurations the fixture admitted, keyed as
+// it admitted them (era1-x, evicted again, is left out).
+func jsonEraConfigs(t *testing.T) map[string]*config.Config {
+	t.Helper()
+	parse := func(text string) *config.Config {
+		cfg, err := config.Unmarshal(text)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if got.String() != tc.in {
-			t.Fatalf("%v.String() = %q, want %q", got, got.String(), tc.in)
-		}
+		return cfg
 	}
-	if _, err := ParseEncoding("protobuf"); err == nil {
-		t.Fatal("ParseEncoding accepted an unknown encoding")
+	return map[string]*config.Config{
+		"era1-a": parse("name demo\nnodes 4\ntag 0 2\ntag 1 0\ntag 2 0\ntag 3 3\nedge 0 1\nedge 1 2\nedge 2 3\n"),
+		"era1-b": config.StaggeredClique(4),
+		"era1-c": parse("name churn\nnodes 3\ntag 0 0\ntag 1 2\ntag 2 4\nedge 0 1\nedge 1 2\n"),
+		"era1-d": config.StaggeredPath(5, 1),
+		"era1-e": config.EarlyCenterStar(4, 4),
 	}
 }
 
-// TestSnapshotEncodings snapshots the same registry under both encodings
-// and asserts the on-disk formats, the manifest's encoding field, the
-// restore equivalence, and the size win the binary format exists for.
-func TestSnapshotEncodings(t *testing.T) {
-	src := newTestRegistry(t, 2)
-	keys := make([]string, 0, len(testConfigs()))
-	for key := range testConfigs() {
+// copyJSONEra copies the fixture into a fresh directory: a boot appends a
+// journal segment and a checkpoint rewrites checkpoint/, and the checked-in
+// files must stay as they were written.
+func copyJSONEra(t *testing.T) string {
+	t.Helper()
+	dir := filepath.Join(t.TempDir(), "wal")
+	if err := os.CopyFS(dir, os.DirFS(jsonEraFixture)); err != nil {
+		t.Fatalf("copying the JSON-era fixture: %v", err)
+	}
+	return dir
+}
+
+// freshOutcomes builds every configuration of cfgs from scratch in a plain
+// registry and elects once per key.
+func freshOutcomes(t *testing.T, cfgs map[string]*config.Config) map[string][2]int {
+	t.Helper()
+	r := New(Options{Shards: 2})
+	t.Cleanup(r.Close)
+	keys := make([]string, 0, len(cfgs))
+	for key, cfg := range cfgs {
+		if err := r.Register(key, cfg); err != nil {
+			t.Fatalf("register %s: %v", key, err)
+		}
 		keys = append(keys, key)
 	}
-	want := electOutcomes(t, src, keys)
+	return electOutcomes(t, r, keys)
+}
 
-	jsonDir, binDir := t.TempDir(), t.TempDir()
-	jsonSrc := New(Options{Shards: 2, SnapshotEncoding: EncodingJSON})
-	t.Cleanup(jsonSrc.Close)
-	for key, cfg := range testConfigs() {
-		if err := jsonSrc.Register(key, cfg); err != nil {
+// artifactBytes sums the artifact files a manifest lists, asserting each is
+// (or is not) a wire frame.
+func artifactBytes(t *testing.T, dir string, m *Manifest, frames bool) int64 {
+	t.Helper()
+	var total int64
+	for _, e := range m.Entries {
+		data, err := os.ReadFile(filepath.Join(dir, e.ArtifactFile))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wire.IsFrame(data) != frames {
+			t.Fatalf("%s: IsFrame = %v, want %v", e.ArtifactFile, !frames, frames)
+		}
+		total += int64(len(data))
+	}
+	return total
+}
+
+// TestRestoreReadsBothArtifactEncodings restores a snapshot of each
+// artifact encoding into a plain registry: the fixture's JSON-era
+// checkpoint and a binary snapshot of the same configurations. Both restore
+// digest-trusted and serve the outcomes of fresh builds, and the binary
+// artifacts are several-fold smaller than the JSON ones.
+func TestRestoreReadsBothArtifactEncodings(t *testing.T) {
+	all := jsonEraConfigs(t)
+	cfgs := make(map[string]*config.Config, len(jsonEraCheckpointKeys))
+	for _, key := range jsonEraCheckpointKeys {
+		cfgs[key] = all[key]
+	}
+	want := freshOutcomes(t, cfgs)
+
+	jsonDir := filepath.Join(copyJSONEra(t), CheckpointDirName)
+	mJSON, err := ReadManifest(jsonDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := New(Options{Shards: 2})
+	t.Cleanup(src.Close)
+	for key, cfg := range cfgs {
+		if err := src.Register(key, cfg); err != nil {
 			t.Fatal(err)
 		}
 	}
-	mJSON, err := jsonSrc.Snapshot(jsonDir)
-	if err != nil {
-		t.Fatalf("json snapshot: %v", err)
-	}
+	binDir := t.TempDir()
 	mBin, err := src.Snapshot(binDir)
 	if err != nil {
 		t.Fatalf("binary snapshot: %v", err)
@@ -61,163 +119,204 @@ func TestSnapshotEncodings(t *testing.T) {
 	if mJSON.Encoding != "json" || mBin.Encoding != "binary" {
 		t.Fatalf("manifest encodings %q / %q, want json / binary", mJSON.Encoding, mBin.Encoding)
 	}
-
-	var jsonBytes, binBytes int64
-	for i, m := range []*Manifest{mJSON, mBin} {
-		dir := []string{jsonDir, binDir}[i]
-		wantExt := []string{".json", ".bin"}[i]
-		for _, e := range m.Entries {
-			if !strings.HasSuffix(e.ArtifactFile, wantExt) {
-				t.Fatalf("%s snapshot wrote %s, want %s files", m.Encoding, e.ArtifactFile, wantExt)
-			}
-			data, err := os.ReadFile(filepath.Join(dir, e.ArtifactFile))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if isFrame := wire.IsFrame(data); isFrame != (wantExt == ".bin") {
-				t.Fatalf("%s content of %s: IsFrame=%v", m.Encoding, e.ArtifactFile, isFrame)
-			}
-			if wantExt == ".json" {
-				jsonBytes += int64(len(data))
-			} else {
-				binBytes += int64(len(data))
-			}
-		}
-	}
+	jsonBytes := artifactBytes(t, jsonDir, mJSON, false)
+	binBytes := artifactBytes(t, binDir, mBin, true)
 	if binBytes*3 > jsonBytes {
 		t.Fatalf("binary artifacts are %d bytes vs %d JSON — want at least 3x smaller", binBytes, jsonBytes)
 	}
 
-	// Both snapshots restore — each into a fresh registry of the *other*
-	// write encoding, so restore decodes purely by sniffing — and serve
-	// bit-identical outcomes through the digest-trusted fast path.
-	for i, dir := range []string{jsonDir, binDir} {
-		dst := New(Options{Shards: 3, SnapshotEncoding: []Encoding{EncodingBinary, EncodingJSON}[i]})
+	for _, dir := range []string{jsonDir, binDir} {
+		dst := New(Options{Shards: 3})
 		t.Cleanup(dst.Close)
 		report, err := dst.Restore(dir)
 		if err != nil {
 			t.Fatalf("restore from %s: %v", dir, err)
 		}
-		if report.Trusted != len(keys) || report.Revalidated != 0 {
-			t.Fatalf("restore report %+v, want all %d digest-trusted", report, len(keys))
+		if report.Trusted != len(cfgs) || report.Revalidated != 0 || len(report.Skipped) != 0 {
+			t.Fatalf("restore report %+v, want all %d digest-trusted", report, len(cfgs))
 		}
-		if got := electOutcomes(t, dst, keys); fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Fatalf("outcomes diverged after %s restore:\n got %v\nwant %v", dir, got, want)
+		if got := electOutcomes(t, dst, jsonEraCheckpointKeys); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("outcomes diverged after restoring %s:\n got %v\nwant %v", dir, got, want)
 		}
 	}
 }
 
-// TestJSONEraSnapshotCheckpointsBinary is the upgrade path in one test: a
-// durable registry writing JSON (the pre-binary era) checkpoints and closes;
-// the same directory reopens under the binary defaults, restores the JSON
-// checkpoint, and its next checkpoint rewrites the state as binary — with
-// outcomes bit-identical across the whole journey.
+// TestJSONEraSnapshotCheckpointsBinary is the upgrade path: Open boots the
+// JSON-era fixture (JSON checkpoint restored digest-trusted, JSON journal
+// tail replayed with its admit/evict pair compacted) into the outcomes of
+// fresh builds, and the next checkpoint rewrites the state as binary
+// frames, leaving no JSON artifact behind.
 func TestJSONEraSnapshotCheckpointsBinary(t *testing.T) {
-	dir := t.TempDir()
-	era1, _, err := Open(Options{
-		Shards:           2,
-		SnapshotEncoding: EncodingJSON,
-		WAL:              WALOptions{Dir: dir, Sync: wal.SyncAlways, Encoding: EncodingJSON},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	keys := []string{"alpha", "beta", "gamma"}
-	for i, key := range keys {
-		if err := era1.Register(key, config.StaggeredClique(5+i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := era1.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	want := electOutcomes(t, era1, keys)
-	era1.Close()
+	cfgs := jsonEraConfigs(t)
+	want := freshOutcomes(t, cfgs)
+	dir := copyJSONEra(t)
 
+	r, report := openTestRegistry(t, dir, WALOptions{Sync: wal.SyncAlways})
+	if !report.Clean() || !report.CheckpointRestored || report.Checkpoint.Trusted != len(jsonEraCheckpointKeys) {
+		t.Fatalf("JSON checkpoint not restored digest-trusted: %+v", report)
+	}
+	if report.Admits != 2 || report.Evicts != 1 || report.Compacted != 1 {
+		t.Fatalf("JSON tail replay: %d admits / %d evicts / %d compacted, want 2 / 1 / 1",
+			report.Admits, report.Evicts, report.Compacted)
+	}
+	keys := make([]string, 0, len(cfgs))
+	for key := range cfgs {
+		keys = append(keys, key)
+	}
+	if got := electOutcomes(t, r, keys); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("JSON-era outcomes diverged from fresh builds:\n got %v\nwant %v", got, want)
+	}
+	if out, _ := r.Elect("era1-x"); out.Err == nil {
+		t.Fatal("the evicted era1-x was resurrected")
+	}
+
+	if err := r.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
 	ckDir := filepath.Join(dir, CheckpointDirName)
 	m, err := ReadManifest(ckDir)
-	if err != nil || m.Encoding != "json" {
-		t.Fatalf("era-1 checkpoint manifest: %+v, %v (want json encoding)", m, err)
+	if err != nil || m.Encoding != "binary" || len(m.Entries) != len(cfgs) {
+		t.Fatalf("checkpoint manifest after the upgrade: %+v, %v (want %d binary entries)", m, err, len(cfgs))
 	}
-
-	era2, report := openTestRegistry(t, dir, WALOptions{Sync: wal.SyncAlways})
-	if !report.CheckpointRestored || report.Checkpoint.Trusted != len(keys) {
-		t.Fatalf("binary-era boot did not trust the JSON checkpoint: %+v", report)
-	}
-	if err := era2.Register("delta", config.StaggeredPath(7, 1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := era2.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	m2, err := ReadManifest(ckDir)
-	if err != nil || m2.Encoding != "binary" {
-		t.Fatalf("era-2 checkpoint manifest: %+v, %v (want binary encoding)", m2, err)
-	}
-	for _, e := range m2.Entries {
-		data, err := os.ReadFile(filepath.Join(ckDir, e.ArtifactFile))
-		if err != nil || !wire.IsFrame(data) {
-			t.Fatalf("era-2 artifact %s is not a wire frame (%v)", e.ArtifactFile, err)
-		}
-	}
-	if got := electOutcomes(t, era2, keys); fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("outcomes diverged across the era boundary:\n got %v\nwant %v", got, want)
+	artifactBytes(t, ckDir, m, true)
+	if left, _ := filepath.Glob(filepath.Join(ckDir, "*.artifact.json")); len(left) != 0 {
+		t.Fatalf("the binary checkpoint left JSON artifacts behind: %v", left)
 	}
 }
 
-// TestMixedEncodingJournalReplay writes a journal whose records span both
-// encodings — a JSON-era boot, then a binary-era boot appending to the same
-// directory — and asserts a third boot replays every record of either
-// encoding into bit-identical outcomes.
+// TestMixedEncodingJournalReplay appends a binary journal tail to the
+// JSON-era fixture — an admit, and an evict of a key whose admit is a JSON
+// record — and asserts the next boot replays both encodings into the same
+// outcomes, compacting the admit/evict pair across the encoding boundary.
 func TestMixedEncodingJournalReplay(t *testing.T) {
-	dir := t.TempDir()
-	era1, _, err := Open(Options{Shards: 2, WAL: WALOptions{Dir: dir, Sync: wal.SyncAlways, Encoding: EncodingJSON}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := era1.Register("json-era", config.StaggeredClique(6)); err != nil {
-		t.Fatal(err)
-	}
-	if err := era1.Register("doomed", config.SingleNode()); err != nil {
-		t.Fatal(err)
-	}
-	era1.Close()
+	cfgs := jsonEraConfigs(t)
+	dir := copyJSONEra(t)
 
-	era2, report := openTestRegistry(t, dir, WALOptions{Sync: wal.SyncAlways})
-	if !report.Clean() || report.Admits != 2 {
-		t.Fatalf("era-2 replay of the JSON journal: %+v", report)
-	}
-	if err := era2.Register("binary-era", config.StaggeredPath(8, 1)); err != nil {
+	era2, _ := openTestRegistry(t, dir, WALOptions{Sync: wal.SyncAlways})
+	cfgs["era2-f"] = config.StaggeredPath(8, 1)
+	if err := era2.Register("era2-f", cfgs["era2-f"]); err != nil {
 		t.Fatal(err)
 	}
-	if !era2.Evict("doomed") {
-		t.Fatal("evict failed")
+	if !era2.Evict("era1-d") {
+		t.Fatal("evicting the JSON-journaled era1-d failed")
 	}
-	keys := []string{"json-era", "binary-era"}
+	delete(cfgs, "era1-d")
+	keys := make([]string, 0, len(cfgs))
+	for key := range cfgs {
+		keys = append(keys, key)
+	}
 	want := electOutcomes(t, era2, keys)
 	era2.Close()
 
-	era3, report3 := openTestRegistry(t, dir, WALOptions{Sync: wal.SyncAlways})
-	// The doomed key's JSON admit is paired with the later binary evict, so
-	// the compaction pre-pass drops the admit across the encoding boundary
-	// instead of replay installing it just to tear it down again.
-	if !report3.Clean() || report3.Admits != 2 || report3.Evicts != 1 || report3.Compacted != 1 {
-		t.Fatalf("mixed-era replay: %+v", report3)
+	// era1-x pairs within the JSON tail; era1-d pairs a JSON admit with the
+	// binary evict, so the compaction pre-pass drops both admits instead of
+	// installing them just to tear them down again.
+	era3, report := openTestRegistry(t, dir, WALOptions{Sync: wal.SyncAlways})
+	if !report.Clean() || report.Admits != 2 || report.Evicts != 2 || report.Compacted != 2 {
+		t.Fatalf("mixed-encoding replay: %+v", report)
 	}
-	if out, _ := era3.Elect("doomed"); out.Err == nil {
-		t.Fatal("binary evict record did not apply over the JSON admit")
+	for _, gone := range []string{"era1-d", "era1-x"} {
+		if out, _ := era3.Elect(gone); out.Err == nil {
+			t.Fatalf("evicted %s was resurrected", gone)
+		}
 	}
-	if got := electOutcomes(t, era3, keys); fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("mixed-era outcomes diverged:\n got %v\nwant %v", got, want)
+	got := electOutcomes(t, era3, keys)
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("mixed-encoding outcomes diverged across the reboot:\n got %v\nwant %v", got, want)
+	}
+	if fresh := freshOutcomes(t, cfgs); fmt.Sprint(got) != fmt.Sprint(fresh) {
+		t.Fatalf("mixed-encoding outcomes diverged from fresh builds:\n got %v\nwant %v", got, fresh)
 	}
 }
 
-// BenchmarkBinarySnapshotWrite / BenchmarkJSONSnapshotWrite measure writing
-// the benchmark fleet's snapshot under each encoding (the checkpoint cost),
-// and the restore pair below measures the boot cost. CI publishes all four
-// into BENCH_engines.json; docs/PERFORMANCE.md (E16) carries the analysis.
-func benchmarkSnapshotWrite(b *testing.B, enc Encoding) {
-	src := New(Options{Shards: 2, SnapshotEncoding: enc})
+// TestSnapshotRemovesOrphanedFiles pins that a snapshot directory holds
+// only what its manifest lists: files of an earlier, larger snapshot and
+// JSON artifacts a binary snapshot superseded are deleted, along with
+// staged leftovers of an interrupted write, while unrelated files stay.
+func TestSnapshotRemovesOrphanedFiles(t *testing.T) {
+	listed := func(t *testing.T, dir string, m *Manifest) {
+		t.Helper()
+		want := map[string]bool{ManifestFile: true}
+		for _, e := range m.Entries {
+			want[e.ArtifactFile] = true
+			want[e.ConfigFile] = true
+		}
+		files, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var extra []string
+		for _, f := range files {
+			if !want[f.Name()] && f.Name() != "notes.txt" {
+				extra = append(extra, f.Name())
+			}
+			delete(want, f.Name())
+		}
+		if len(extra) != 0 || len(want) != 0 {
+			t.Fatalf("snapshot directory: unlisted files %v, missing files %v", extra, want)
+		}
+		if _, err := os.Stat(filepath.Join(dir, "notes.txt")); err != nil {
+			t.Fatalf("an unrelated file was touched: %v", err)
+		}
+	}
+
+	t.Run("shrunk registry", func(t *testing.T) {
+		r := New(Options{Shards: 2})
+		t.Cleanup(r.Close)
+		for _, key := range []string{"a", "b", "c"} {
+			if err := r.Register(key, config.StaggeredClique(4)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		dir := t.TempDir()
+		if _, err := r.Snapshot(dir); err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range []string{"notes.txt", "0007.config.txt.staged"} {
+			if err := os.WriteFile(filepath.Join(dir, name), []byte("x"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		r.Evict("b")
+		r.Evict("c")
+		m, err := r.Snapshot(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(m.Entries) != 1 {
+			t.Fatalf("manifest lists %d entries, want 1", len(m.Entries))
+		}
+		listed(t, dir, m)
+	})
+
+	t.Run("JSON-era checkpoint", func(t *testing.T) {
+		dir := filepath.Join(copyJSONEra(t), CheckpointDirName)
+		if err := os.WriteFile(filepath.Join(dir, "notes.txt"), []byte("x"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		r := New(Options{Shards: 2})
+		t.Cleanup(r.Close)
+		if _, err := r.Restore(dir); err != nil {
+			t.Fatal(err)
+		}
+		m, err := r.Snapshot(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range m.Entries {
+			if !strings.HasSuffix(e.ArtifactFile, ".artifact.bin") {
+				t.Fatalf("snapshot wrote %s", e.ArtifactFile)
+			}
+		}
+		listed(t, dir, m)
+	})
+}
+
+// BenchmarkBinarySnapshotWrite measures writing the benchmark fleet's
+// snapshot (the checkpoint cost); BenchmarkSnapshotRestore measures the
+// boot cost. docs/PERFORMANCE.md (E16) carries the analysis.
+func BenchmarkBinarySnapshotWrite(b *testing.B) {
+	src := New(Options{Shards: 2})
 	defer src.Close()
 	for i := 0; i < snapBenchCfgs; i++ {
 		if err := src.Register(benchKey(i), snapBenchConfig(i)); err != nil {
@@ -234,42 +333,11 @@ func benchmarkSnapshotWrite(b *testing.B, enc Encoding) {
 	}
 }
 
-func BenchmarkBinarySnapshotWrite(b *testing.B) { benchmarkSnapshotWrite(b, EncodingBinary) }
-func BenchmarkJSONSnapshotWrite(b *testing.B)   { benchmarkSnapshotWrite(b, EncodingJSON) }
-
-func benchmarkSnapshotRestore(b *testing.B, enc Encoding) {
-	dir := b.TempDir()
-	src := New(Options{Shards: 2, SnapshotEncoding: enc})
-	for i := 0; i < snapBenchCfgs; i++ {
-		if err := src.Register(benchKey(i), snapBenchConfig(i)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if _, err := src.Snapshot(dir); err != nil {
-		b.Fatal(err)
-	}
-	src.Close()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dst := New(Options{Shards: 2})
-		if report, err := dst.Restore(dir); err != nil || report.Trusted != snapBenchCfgs {
-			b.Fatalf("restore: %+v, %v", report, err)
-		}
-		dst.Close()
-	}
-}
-
-func BenchmarkBinarySnapshotRestore(b *testing.B) { benchmarkSnapshotRestore(b, EncodingBinary) }
-func BenchmarkJSONSnapshotRestore(b *testing.B)   { benchmarkSnapshotRestore(b, EncodingJSON) }
-
-// BenchmarkBinaryWALAdmit / BenchmarkJSONWALAdmit measure one journaled
-// admission end to end (build + install + journal append) under each record
-// encoding, SyncOff so the encoding cost is not drowned by fsync.
-func benchmarkWALAdmit(b *testing.B, enc Encoding) {
-	r, _, err := Open(Options{Shards: 2, WAL: WALOptions{
-		Dir: b.TempDir(), Sync: wal.SyncOff, Encoding: enc,
-	}})
+// BenchmarkBinaryWALAdmit measures one journaled admission end to end
+// (build + install + journal append), SyncOff so the encoding cost is not
+// drowned by fsync.
+func BenchmarkBinaryWALAdmit(b *testing.B) {
+	r, _, err := Open(Options{Shards: 2, WAL: WALOptions{Dir: b.TempDir(), Sync: wal.SyncOff}})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -283,6 +351,3 @@ func benchmarkWALAdmit(b *testing.B, enc Encoding) {
 		}
 	}
 }
-
-func BenchmarkBinaryWALAdmit(b *testing.B) { benchmarkWALAdmit(b, EncodingBinary) }
-func BenchmarkJSONWALAdmit(b *testing.B)   { benchmarkWALAdmit(b, EncodingJSON) }

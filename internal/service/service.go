@@ -36,9 +36,7 @@
 // on a shard therefore never wait behind a build. When the queue is full,
 // admissions fail fast with ErrAdmissionBusy (backpressure; the HTTP layer
 // maps it to 429), and every admission's progress is pollable through
-// AdmissionStatus. The pre-pipeline behavior (builds on the shard worker)
-// is retained behind Options.BuildOnShard for comparison — experiment E14
-// measures the difference.
+// AdmissionStatus. Experiment E14 measures what this isolation buys.
 //
 // The design trades large-result access for serve throughput: a served
 // Outcome carries the elected leader and the round count by value, not the
@@ -47,12 +45,13 @@
 // want to inspect full executions should build a Dedicated directly.
 //
 // A registry can be persisted and revived: Snapshot writes every admitted
-// configuration as a compiled artifact plus a manifest of keys and artifact
-// digests, and Restore re-admits the set through the digest-trusted load
-// fast path, so a cold restart parses artifacts instead of re-running the
-// classifier and the DRIP compiler. Package internal/server exposes a
-// Registry over HTTP/JSON, and cmd/anonradiod is the deployable daemon
-// around both.
+// configuration as a binary compiled-artifact frame plus a manifest of keys
+// and artifact digests, and Restore re-admits the set through the
+// digest-trusted load fast path, so a cold restart parses artifacts instead
+// of re-running the classifier and the DRIP compiler. Restore and journal
+// replay also read the JSON artifacts and records older releases wrote.
+// Package internal/server exposes a Registry over HTTP/JSON, and
+// cmd/anonradiod is the deployable daemon around both.
 package service
 
 import (
@@ -100,34 +99,21 @@ type Options struct {
 	// artifact comes from a source the deployment already trusts; the
 	// default (false) fully validates every artifact.
 	TrustCompiledDigests bool
-	// BuildOnShard routes synchronous Register/RegisterCompiled builds onto
-	// the owning shard worker — the pre-pipeline admission behavior, under
-	// which one expensive build stalls every election on its shard. It is
-	// retained only for comparison (experiment E14 measures before/after);
-	// leave it off in deployments. Async admissions always use the builder
-	// pool.
-	BuildOnShard bool
 	// BuildHook, when non-nil, is invoked with the key being admitted, on
-	// the goroutine performing the build (a pool builder, or the shard
-	// worker under BuildOnShard), immediately before the build or artifact
-	// validation starts. It exists for tests and instrumentation — e.g.
-	// deterministically holding a build open to observe backpressure.
+	// the pool builder performing the build, immediately before the build
+	// or artifact validation starts. It exists for tests and
+	// instrumentation — e.g. deterministically holding a build open to
+	// observe backpressure.
 	// Leave nil in production; a hook that never returns wedges its builder
 	// and deadlocks Close.
 	BuildHook func(key string)
 	// WAL enables the durable admission journal when WAL.Dir is non-empty:
 	// every acknowledged admission and eviction is appended to a
 	// write-ahead log and replayed at the next boot (see Open and
-	// durability.go). Durability requires the admission pipeline, so a
-	// non-empty WAL.Dir overrides BuildOnShard. Prefer Open over New for
-	// durable registries — Open surfaces journal errors and the recovery
-	// report; New panics if the journal cannot be opened.
+	// durability.go). Prefer Open over New for durable registries — Open
+	// surfaces journal errors and the recovery report; New panics if the
+	// journal cannot be opened.
 	WAL WALOptions
-	// SnapshotEncoding selects the artifact encoding Snapshot (and the
-	// background checkpointer) writes: compact binary wire frames (the
-	// zero value) or the pre-binary era's indented JSON. Restore always
-	// auto-detects per file, so the option never affects what can be read.
-	SnapshotEncoding Encoding
 	// Fault layers a radio-level fault plan under every served election:
 	// elections run with radio.Options{Fault: Fault}, so the registry serves
 	// the protocol over a seeded lossy medium instead of the paper's clean
@@ -223,9 +209,8 @@ func Totals(stats []ShardStats) ShardStats {
 type opKind uint8
 
 const (
-	opElect    opKind = iota
-	opRegister        // legacy build-on-shard admission (Options.BuildOnShard)
-	opInstall         // O(1) hand-off of a pipeline-built algorithm to its shard
+	opElect   opKind = iota
+	opInstall        // O(1) hand-off of a pipeline-built algorithm to its shard
 	opEvict
 	opStats
 	opSnapshot   // gather compiled artifacts (all entries, or request.key only)
@@ -252,9 +237,6 @@ type request struct {
 	op       opKind
 	key      string
 	index    int
-	cfg      *config.Config
-	compiled *election.Compiled
-	trust    trustMode
 	d        *election.Dedicated // opInstall: the pipeline-built algorithm
 	buildErr error               // opInstall: the build failure to account
 	reply    chan response
@@ -303,16 +285,15 @@ type entry struct {
 	faults KeyFaultStats // Key left empty; filled in at gather time
 }
 
-// shard is the state owned by one worker goroutine. The entries map, arena
-// and stats are only ever touched by the owning worker; the atomics and the
+// shard is the state owned by one worker goroutine. The entries map and
+// stats are only ever touched by the owning worker; the atomics and the
 // view are the shard's cross-worker surface for work stealing.
 type shard struct {
 	id       int
 	requests chan request // mutations, stats, snapshots — home-worker only
 	elects   chan request // queued elections — stealable by idle siblings
 	entries  map[string]*entry
-	arena    *election.BuildArena // used only under Options.BuildOnShard
-	stats    ShardStats           // worker-only counters (Builds, admission Failures)
+	stats    ShardStats // worker-only counters (Builds, admission Failures)
 
 	stealing bool
 	// view is a copy-on-write snapshot of entries for stealing siblings;
@@ -360,9 +341,7 @@ type Registry struct {
 	closeDone chan struct{}
 
 	trustDigests bool
-	buildOnShard bool
 	buildHook    func(key string)
-	snapshotEnc  Encoding
 	fault        *radio.FaultPlan // immutable after construction; nil = clean medium
 
 	// stealKick wakes blocked workers when an election queue grows beyond
@@ -461,12 +440,7 @@ func newCore(opts Options) *Registry {
 		drained:      make(chan struct{}),
 		closeDone:    make(chan struct{}),
 		trustDigests: opts.TrustCompiledDigests,
-		snapshotEnc:  opts.SnapshotEncoding,
 		fault:        opts.Fault,
-		// The journal hooks into the builder pipeline (appends happen on
-		// builder goroutines, after the install and before the
-		// acknowledgment), so durability forces the pipeline on.
-		buildOnShard: opts.BuildOnShard && opts.WAL.Dir == "",
 		buildHook:    opts.BuildHook,
 		admissions:   make(chan admission, queue),
 		builderCount: builders,
@@ -485,7 +459,6 @@ func newCore(opts Options) *Registry {
 			requests: make(chan request, depth),
 			elects:   make(chan request, depth),
 			entries:  make(map[string]*entry),
-			arena:    election.NewBuildArena(),
 			stealing: stealing,
 		}
 		sh.publishView()
@@ -622,17 +595,12 @@ func (r *Registry) RegisterShipped(key string, c *election.Compiled, cfg *config
 	return r.admitSync(key, cfg, c, trustDigest)
 }
 
-// admitSync runs one admission to completion: through the builder pipeline
-// normally, or on the owning shard worker under Options.BuildOnShard.
+// admitSync runs one admission through the builder pipeline to completion.
 func (r *Registry) admitSync(key string, cfg *config.Config, c *election.Compiled, trust trustMode) error {
 	if !r.acquire() {
 		return ErrClosed
 	}
 	defer r.release()
-	if r.buildOnShard {
-		resp := r.do(r.shardFor(key), request{op: opRegister, key: key, cfg: cfg, compiled: c, trust: trust})
-		return resp.out.Err
-	}
 	reply := r.replies.Get().(chan response)
 	if err := r.enqueue(admission{key: key, cfg: cfg, compiled: c, trust: trust, reply: reply}); err != nil {
 		r.replies.Put(reply)
@@ -865,7 +833,7 @@ func (r *Registry) Close() {
 }
 
 // worker owns one shard: it is the only goroutine that ever mutates the
-// shard's entries, arena and worker-only counters. The loop drains the
+// shard's entries and worker-only counters. The loop drains the
 // shard's own queues first (mutations before elections, both without
 // blocking), then — when idle — serves a queued election from the most
 // loaded sibling, and only then blocks. A nil stealKick (stealing disabled)
@@ -920,12 +888,6 @@ func (r *Registry) worker(sh *shard) {
 func (r *Registry) serve(sh *shard, req request) {
 	var resp response
 	switch req.op {
-	case opRegister:
-		resp.out = Outcome{Key: req.key, Index: req.index, Leader: -1}
-		trusted := req.trust == trustDigest || (req.trust == trustRegistry && r.trustDigests)
-		displaced, err := sh.register(req.key, req.cfg, req.compiled, trusted, r.buildHook, &r.configCount)
-		resp.out.Err = err
-		r.retire(displaced)
 	case opInstall:
 		resp.out = Outcome{Key: req.key, Index: req.index, Leader: -1}
 		if req.buildErr != nil {
@@ -1137,31 +1099,4 @@ func (sh *shard) install(key string, d *election.Dedicated, configCount *atomic.
 	e.d = d // replacing a key keeps its reusable outcome buffers
 	e.mu.Unlock()
 	return displaced
-}
-
-// register is the legacy build-on-shard admission (Options.BuildOnShard):
-// the build runs on the owning worker, stalling the shard's elections for
-// its duration. It returns the displaced algorithm alongside the error.
-func (sh *shard) register(key string, cfg *config.Config, compiled *election.Compiled, trustDigests bool, hook func(string), configCount *atomic.Int64) (*election.Dedicated, error) {
-	if hook != nil {
-		hook(key)
-	}
-	var (
-		d   *election.Dedicated
-		err error
-	)
-	switch {
-	case compiled != nil && trustDigests:
-		d, err = election.LoadTrusted(compiled, cfg)
-	case compiled != nil:
-		d, err = election.Load(compiled, cfg)
-	default:
-		d, err = election.BuildDedicatedInto(sh.arena, cfg)
-	}
-	if err != nil {
-		sh.stats.Failures++
-		return nil, err
-	}
-	sh.stats.Builds++
-	return sh.install(key, d, configCount), nil
 }

@@ -45,8 +45,6 @@ func TestServiceMatchesDirectElect(t *testing.T) {
 		nil, // pooled sequential
 		radio.Sequential{},
 		radio.Parallel{},
-		radio.Concurrent{},
-		radio.GoroutinePerNode{},
 	}
 	for key, cfg := range testConfigs() {
 		out, err := r.Elect(key)

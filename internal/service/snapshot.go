@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
 	"runtime"
 	"sort"
 	"sync"
@@ -25,22 +26,21 @@ import (
 //
 //	manifest.json        — Manifest: version, shard count, artifact
 //	                       encoding, one entry per key
-//	NNNN.artifact.bin    — one wire.FrameArtifact frame (the default
-//	                       binary encoding; CRC-checked, several-fold
-//	                       smaller than the JSON form)
-//	NNNN.artifact.json   — election.Compiled under Options.
-//	                       SnapshotEncoding = EncodingJSON (the same JSON
-//	                       cmd/compile writes; each artifact is
-//	                       independently usable with `elect -compiled`)
+//	NNNN.artifact.bin    — one wire.FrameArtifact frame (CRC-checked,
+//	                       several-fold smaller than the JSON form; usable
+//	                       with `elect -compiled`)
 //	NNNN.config.txt      — the configuration in the text format of
 //	                       internal/config (usable with `elect -config`)
 //
 // Files are numbered in sorted key order, so a snapshot of a given
 // registry content is byte-stable; keys themselves live only inside the
 // manifest (they are arbitrary strings and do not make safe file names).
-// Restore auto-detects each artifact file's encoding from its leading
-// bytes (wire magic vs '{'), so JSON-era snapshot directories keep
-// restoring unchanged into binary-writing registries and vice versa.
+// Snapshot always writes binary frames. Older releases could also write
+// NNNN.artifact.json files (election.Compiled as the JSON cmd/compile
+// emits); Restore auto-detects each artifact file's encoding from its
+// leading bytes (wire magic vs '{'), so JSON-era snapshot directories keep
+// restoring unchanged, and the next Snapshot into such a directory
+// replaces their JSON files with binary ones.
 
 // ManifestVersion is the snapshot format version written by Snapshot.
 const ManifestVersion = 1
@@ -86,9 +86,10 @@ type Manifest struct {
 	// Shards is the shard count of the registry the snapshot was taken from
 	// (informational; a snapshot restores into any shard count).
 	Shards int `json:"shards"`
-	// Encoding records the artifact encoding the snapshot was written with
-	// ("binary" or "json"). Informational: restore auto-detects per file,
-	// and an absent value (pre-binary manifests) simply means "json".
+	// Encoding records the artifact encoding the snapshot was written with:
+	// "binary" for every snapshot this release writes, "json" (or absent,
+	// in pre-binary manifests) for JSON-era ones. Informational: restore
+	// auto-detects per file.
 	Encoding string `json:"encoding,omitempty"`
 	// Entries lists every persisted configuration, in sorted key order.
 	Entries []ManifestEntry `json:"entries"`
@@ -156,7 +157,9 @@ func (r *Registry) SnapshotEntries() ([]SnapshotEntry, error) {
 // renamed into place, and the new manifest is committed last via rename.
 // A crash therefore leaves either the old snapshot, or a directory whose
 // missing manifest makes Restore fail loudly — never a manifest pointing
-// at another snapshot's files.
+// at another snapshot's files. Once the manifest is committed, the data
+// files of earlier snapshots that it no longer lists are deleted (see
+// removeOrphans).
 func (r *Registry) Snapshot(dir string) (*Manifest, error) {
 	// Gathered artifacts alias live algorithm memory (lists, phase table),
 	// and a rebuild-in-place admission recycles exactly that memory once
@@ -173,24 +176,16 @@ func (r *Registry) Snapshot(dir string) (*Manifest, error) {
 	}
 	// Stage: write all data files under temporary names.
 	const stageSuffix = ".staged"
-	m := &Manifest{Version: ManifestVersion, Shards: len(r.shards), Encoding: r.snapshotEnc.String()}
+	m := &Manifest{Version: ManifestVersion, Shards: len(r.shards), Encoding: "binary"}
 	for i, e := range entries {
 		me := ManifestEntry{
 			Key:            e.Key,
 			ConfigFile:     fmt.Sprintf("%04d.config.txt", i),
+			ArtifactFile:   fmt.Sprintf("%04d.artifact.bin", i),
 			ArtifactDigest: e.Artifact.ArtifactDigest,
 			Nodes:          e.Config.N(),
 		}
-		var data []byte
-		var err error
-		if r.snapshotEnc == EncodingJSON {
-			me.ArtifactFile = fmt.Sprintf("%04d.artifact.json", i)
-			data, err = json.MarshalIndent(e.Artifact, "", "  ")
-			data = append(data, '\n')
-		} else {
-			me.ArtifactFile = fmt.Sprintf("%04d.artifact.bin", i)
-			data, err = wire.AppendArtifactFrame(nil, e.Artifact)
-		}
+		data, err := wire.AppendArtifactFrame(nil, e.Artifact)
 		if err != nil {
 			return nil, fmt.Errorf("service: encoding artifact for %q: %w", e.Key, err)
 		}
@@ -224,7 +219,34 @@ func (r *Registry) Snapshot(dir string) (*Manifest, error) {
 	if err := os.Rename(filepath.Join(dir, ManifestFile+stageSuffix), filepath.Join(dir, ManifestFile)); err != nil {
 		return nil, fmt.Errorf("service: committing manifest: %w", err)
 	}
+	removeOrphans(dir, m)
 	return m, nil
+}
+
+// snapshotDataFile matches the names of the data files a snapshot writes,
+// in either artifact encoding, committed or still staged.
+var snapshotDataFile = regexp.MustCompile(`^[0-9]{4,}\.(artifact\.bin|artifact\.json|config\.txt)(\.staged)?$`)
+
+// removeOrphans deletes the snapshot data files in dir that m does not
+// list: files of an earlier, larger snapshot, JSON artifacts a binary
+// snapshot superseded, and files an interrupted snapshot left staged. Any
+// other file in dir is left alone. Removal is best-effort: m is already
+// committed, and Restore never reads a file the manifest does not name.
+func removeOrphans(dir string, m *Manifest) {
+	listed := make(map[string]bool, 2*len(m.Entries))
+	for _, e := range m.Entries {
+		listed[e.ArtifactFile] = true
+		listed[e.ConfigFile] = true
+	}
+	files, err := os.ReadDir(dir)
+	if err != nil {
+		return
+	}
+	for _, f := range files {
+		if name := f.Name(); !f.IsDir() && !listed[name] && snapshotDataFile.MatchString(name) {
+			_ = os.Remove(filepath.Join(dir, name))
+		}
+	}
 }
 
 // ReadManifest reads and validates the manifest of a snapshot directory.

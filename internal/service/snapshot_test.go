@@ -17,7 +17,7 @@ import (
 // TestSnapshotRestoreRoundTrip is the snapshot acceptance check: snapshot a
 // populated registry, restore into a fresh one, and assert the key set, the
 // artifact digests, and the election outcomes survive bit-identically — the
-// latter checked against direct Dedicated elections on all four engines.
+// latter checked against direct Dedicated elections on both engines.
 func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	src := newTestRegistry(t, 3)
@@ -69,7 +69,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	// Served outcomes from the restored registry must match direct
 	// elections on every engine (engines are bit-identical; rounds and
 	// leader pin the whole execution).
-	engines := []radio.Engine{radio.Sequential{}, radio.Parallel{}, radio.Concurrent{}, radio.GoroutinePerNode{}}
+	engines := []radio.Engine{radio.Sequential{}, radio.Parallel{}}
 	for key, cfg := range testConfigs() {
 		restored, err := dst.Elect(key)
 		if err != nil {

@@ -60,8 +60,6 @@ func TestWorkStealingBitIdentical(t *testing.T) {
 		nil, // pooled sequential
 		radio.Sequential{},
 		radio.Parallel{},
-		radio.Concurrent{},
-		radio.GoroutinePerNode{},
 	}
 	want := make(map[string][2]int)
 	keys := make([]string, 0, len(testConfigs()))
