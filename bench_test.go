@@ -586,13 +586,47 @@ func BenchmarkElectionBuild(b *testing.B) {
 	}
 }
 
+// sparseConfig is a seeded connected configuration on n nodes: a random
+// spanning tree plus n/2 random extra edges, with tags drawn uniformly from
+// [0, maxTag] (the shape of the fleet benchmark's sparse serve-large keys).
+func sparseConfig(n, maxTag int, seed int64) *config.Config {
+	rng := rand.New(rand.NewSource(seed))
+	g := graph.New(n)
+	for v := 1; v < n; v++ {
+		g.AddEdge(v, rng.Intn(v))
+	}
+	for i := 0; i < n/2; i++ {
+		if u, v := rng.Intn(n), rng.Intn(n); u != v {
+			g.AddEdge(u, v)
+		}
+	}
+	tags := make([]int, n)
+	for v := range tags {
+		tags[v] = rng.Intn(maxTag + 1)
+	}
+	return config.MustNew(g, tags)
+}
+
 // BenchmarkElectionSteadyState measures the pooled election hot path: one
 // dedicated algorithm serving repeated elections through ElectInto. The
 // companion test TestElectSteadyStateAllocs pins the 0 allocs/op exactly.
+// The cases cover the three delivery regimes of the round loop: in the
+// staggered cliques every transmit round has a lone transmitter, the G_8
+// line has none and spends its time in the phase table's Act, and the
+// sparse graph mixes lone and colliding rounds.
 func BenchmarkElectionSteadyState(b *testing.B) {
-	for _, n := range []int{16, 64} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			d, err := election.BuildDedicated(config.StaggeredClique(n))
+	for _, c := range []struct {
+		name string
+		cfg  *config.Config
+	}{
+		{"n=16", config.StaggeredClique(16)},
+		{"n=64", config.StaggeredClique(64)},
+		{"clique96", config.StaggeredClique(96)},
+		{"G8", config.LineFamilyG(8)},
+		{"sparse64", sparseConfig(64, 24, 1)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			d, err := election.BuildDedicated(c.cfg)
 			if err != nil {
 				b.Fatal(err)
 			}

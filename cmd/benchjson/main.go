@@ -17,25 +17,37 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
 )
 
-// Result is one parsed benchmark line.
+// Result is one parsed benchmark line. BytesPerOp and AllocsPerOp are set
+// exactly when the line carries them (-benchmem), so a 0 allocs/op figure
+// is written as 0 rather than dropped.
 type Result struct {
 	Name        string  `json:"name"`
 	Package     string  `json:"package,omitempty"`
 	CPU         string  `json:"cpu,omitempty"`
 	Iterations  int64   `json:"iterations"`
 	NsPerOp     float64 `json:"ns_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op,omitempty"`
-	AllocsPerOp int64   `json:"allocs_per_op,omitempty"`
+	BytesPerOp  *int64  `json:"bytes_per_op,omitempty"`
+	AllocsPerOp *int64  `json:"allocs_per_op,omitempty"`
 	HasMem      bool    `json:"has_mem_stats"`
 }
 
 func main() {
-	sc := bufio.NewScanner(os.Stdin)
+	if err := convert(os.Stdin, os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "benchjson:", err)
+		os.Exit(1)
+	}
+}
+
+// convert reads `go test -bench` output from in and writes the JSON array
+// of its results to out.
+func convert(in io.Reader, out io.Writer) error {
+	sc := bufio.NewScanner(in)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	var (
 		results []Result
@@ -63,15 +75,11 @@ func main() {
 		results = append(results, r)
 	}
 	if err := sc.Err(); err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(1)
+		return err
 	}
-	enc := json.NewEncoder(os.Stdout)
+	enc := json.NewEncoder(out)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(results); err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(1)
-	}
+	return enc.Encode(results)
 }
 
 // parseLine parses one benchmark result, e.g.
@@ -103,14 +111,14 @@ func parseLine(line string) (Result, bool) {
 			if err != nil {
 				return Result{}, false
 			}
-			r.BytesPerOp = v
+			r.BytesPerOp = &v
 			r.HasMem = true
 		case "allocs/op":
 			v, err := strconv.ParseInt(value, 10, 64)
 			if err != nil {
 				return Result{}, false
 			}
-			r.AllocsPerOp = v
+			r.AllocsPerOp = &v
 			r.HasMem = true
 		}
 	}

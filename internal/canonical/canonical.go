@@ -24,6 +24,7 @@ package canonical
 
 import (
 	"fmt"
+	"slices"
 
 	"anonradio/internal/core"
 	"anonradio/internal/drip"
@@ -111,11 +112,29 @@ func (d *DRIP) Act(h history.Vector) drip.Action {
 }
 
 // ListenUntil returns the first local round r >= i in which Act may return
-// anything but Listen, whatever the history, from the compiled round plans
-// (see PhaseTable.ListenUntil). It lets the radio simulator skip the
-// protocol's unconditional listen rounds.
+// anything but Listen, whatever the history: the next transmit slot (the
+// σ+1 round of a block) or terminate round. It lets the radio simulator
+// skip the protocol's unconditional listen rounds. The answer is block
+// arithmetic inside the phase of round i, found by binary search over the
+// phase ends, so it agrees with a scan of the compiled round plans without
+// walking them. Histories always hold the wake-up entry, so r is at least 1.
 func (d *DRIP) ListenUntil(i int) int {
-	return d.table.ListenUntil(i)
+	i = max(i, 1)
+	j, _ := slices.BinarySearch(d.phaseEnds, i)
+	if j == len(d.phaseEnds) || d.Lists[j-1].Terminate {
+		// Every round past the final phase terminates too.
+		return i
+	}
+	blockLen := 2*d.Sigma + 1
+	start := d.phaseEnds[j-1]
+	if b := (i-start+d.Sigma-1)/blockLen + 1; b <= d.Lists[j-1].NumClasses() {
+		return start + (b-1)*blockLen + d.Sigma + 1
+	}
+	// Past the last slot: the next phase's first slot or terminate round.
+	if d.Lists[j].Terminate {
+		return d.phaseEnds[j] + 1
+	}
+	return d.phaseEnds[j] + d.Sigma + 1
 }
 
 // Table returns the compiled phase table of the protocol.

@@ -2,6 +2,7 @@ package canonical
 
 import (
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -121,6 +122,83 @@ func TestPropertyListenUntilSkipsOnlyListens(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatalf("ListenUntil skipped a round that may not listen: %v", err)
+	}
+}
+
+// planScanListenUntil is the reference answer to DRIP.ListenUntil: it walks
+// the compiled round plans from local round i to the first transmit slot
+// (Block > 0) or terminate round (Block < 0, and every round past the
+// plans).
+func planScanListenUntil(pt *PhaseTable, i int) int {
+	for i = max(i, 1); i <= len(pt.Plans); i++ {
+		if pt.Plans[i-1].Block != 0 {
+			return i
+		}
+	}
+	return i
+}
+
+// checkListenUntil compares ListenUntil with the plan scan over the
+// protocol's own table for every local round 0..TerminationRound()+2, on d
+// and on its rebuilds from a compiled artifact: FromCompiled's
+// digest-trusted and revalidated paths, and InstallTable.
+func checkListenUntil(t *testing.T, name string, d *DRIP) {
+	t.Helper()
+	digest := ArtifactDigest(d.Sigma, d.Lists, d.Table())
+	trusted, fast, err := FromCompiled(d.Sigma, d.Lists, d.Table(), digest)
+	if err != nil || !fast {
+		t.Fatalf("%s: trusted FromCompiled fast=%v err=%v", name, fast, err)
+	}
+	revalidated, fast, err := FromCompiled(d.Sigma, d.Lists, d.Table(), digest+1)
+	if err != nil || fast {
+		t.Fatalf("%s: revalidated FromCompiled fast=%v err=%v", name, fast, err)
+	}
+	installed, err := FromLists(d.Sigma, d.Lists)
+	if err == nil {
+		err = installed.InstallTable(d.Table())
+	}
+	if err != nil {
+		t.Fatalf("%s: InstallTable: %v", name, err)
+	}
+	for _, p := range []*DRIP{d, trusted, revalidated, installed} {
+		for i := 0; i <= p.TerminationRound()+2; i++ {
+			if got, want := p.ListenUntil(i), planScanListenUntil(p.Table(), i); got != want {
+				t.Fatalf("%s: ListenUntil(%d) = %d, plan scan %d", name, i, got, want)
+			}
+		}
+	}
+}
+
+// TestPropertyListenUntilMatchesPlanScan pins the phase arithmetic of
+// DRIP.ListenUntil against the plan scan on random configurations, on
+// staggered cliques (one class per node) and on G_m lines (many phases).
+func TestPropertyListenUntilMatchesPlanScan(t *testing.T) {
+	f := func(seed int64, sz, span uint8) bool {
+		d, _, _ := tableDRIP(t, seed, int(sz%10)+2, int(span%4)+1)
+		if d != nil {
+			checkListenUntil(t, fmt.Sprintf("random seed %d", seed), d)
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+	build := func(cfg *config.Config) *DRIP {
+		rep, err := core.Classify(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := New(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	for n := 2; n <= 96; n++ {
+		checkListenUntil(t, fmt.Sprintf("clique %d", n), build(config.StaggeredClique(n)))
+	}
+	for m := 2; m <= 8; m++ {
+		checkListenUntil(t, fmt.Sprintf("line G_%d", m), build(config.LineFamilyG(m)))
 	}
 }
 

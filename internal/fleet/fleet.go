@@ -328,12 +328,14 @@ func (f *Fleet) RemoveNode(node string) (*RebalanceReport, error) {
 	return f.Rebalance(next, "")
 }
 
-// DropNode handles node loss: the ring swaps immediately (the node is
-// gone; routing to it helps no one), and every key the dead node owned is
+// DropNode handles node loss: every key the dead node owned is
 // re-registered from the configuration cache onto its new owner — a full
-// rebuild, since the only compiled copy died with the node. Keys on
-// surviving nodes are untouched and keep serving identical outcomes
-// throughout.
+// rebuild, since the only compiled copy died with the node — and then the
+// ring swaps. Until the swap, the lost keys still route to the dead node
+// and fail with a transport error; they never reach a survivor that does
+// not hold them yet, which would answer a permanent-looking
+// service.ErrUnknownKey for a key that exists. Keys on surviving nodes are
+// untouched and keep serving identical outcomes throughout.
 func (f *Fleet) DropNode(node string) (*RebalanceReport, error) {
 	f.mu.RLock()
 	next := f.ring.Without(node)
@@ -346,16 +348,16 @@ func (f *Fleet) DropNode(node string) (*RebalanceReport, error) {
 
 // Rebalance migrates the fleet onto the next ring. lost optionally names a
 // node that is known dead: keys it owned skip the artifact fast path and
-// rebuild from the configuration cache, and the ring swaps before (not
-// after) their migration so nothing routes to the corpse.
+// rebuild from the configuration cache.
 //
-// For live migrations the order is ship → swap → evict: a moving key is
-// admitted on its new owner while the old owner still serves it, the ring
-// then flips routing over, and only then is the source copy evicted — at
-// every instant the node a key routes to holds it. A key that fails both
-// the ship and the rebuild is reported in the Moves list and left where it
-// was (for a live source that means still serving; for a lost one, gone
-// until re-registered).
+// The order is ship or rebuild → swap → evict: a moving key is admitted on
+// its new owner while routing still reaches the old one, the ring then
+// flips routing over, and only then is a live source's copy evicted — the
+// node a key routes to holds it, or (a lost source) is the dead node,
+// which fails the request with a transport error rather than an unknown
+// key. A key that fails both the ship and the rebuild is reported in the
+// Moves list and left where it was (for a live source that means still
+// serving; for a lost one, gone until re-registered).
 func (f *Fleet) Rebalance(next *Ring, lost string) (*RebalanceReport, error) {
 	if next.Len() == 0 {
 		return nil, fmt.Errorf("fleet: rebalance onto an empty ring")
@@ -365,10 +367,6 @@ func (f *Fleet) Rebalance(next *Ring, lost string) (*RebalanceReport, error) {
 	configs := make(map[string]string, len(f.configs))
 	for k, v := range f.configs {
 		configs[k] = v
-	}
-	if lost != "" {
-		// Swap first: the dead node must fall out of routing immediately.
-		f.ring = next
 	}
 	f.mu.Unlock()
 
@@ -416,15 +414,13 @@ func (f *Fleet) Rebalance(next *Ring, lost string) (*RebalanceReport, error) {
 		rep.Moves = append(rep.Moves, km)
 	}
 
-	if lost == "" {
-		f.mu.Lock()
-		f.ring = next
-		f.mu.Unlock()
-		// Evict the source copies now that routing no longer reaches them;
-		// best-effort — a leftover copy wastes memory, not correctness.
-		for _, m := range evictable {
-			_ = f.client(m.from).Evict(m.key)
-		}
+	f.mu.Lock()
+	f.ring = next
+	f.mu.Unlock()
+	// Evict the source copies now that routing no longer reaches them;
+	// best-effort — a leftover copy wastes memory, not correctness.
+	for _, m := range evictable {
+		_ = f.client(m.from).Evict(m.key)
 	}
 	return rep, nil
 }

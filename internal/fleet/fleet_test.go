@@ -1,8 +1,12 @@
 package fleet
 
 import (
+	"errors"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"anonradio/internal/config"
@@ -287,6 +291,74 @@ func TestFleetDropNodeRecovers(t *testing.T) {
 		t.Fatal("lost node still in the ring")
 	}
 
+	for _, key := range keys {
+		out, err := f.Elect(key)
+		if err != nil {
+			t.Fatalf("post-loss elect %s: %v", key, err)
+		}
+		if want := before[key]; out.Leader != want.Leader || out.Rounds != want.Rounds {
+			t.Fatalf("%s: outcome changed across node loss: (%d, %d) -> (%d, %d)",
+				key, want.Leader, want.Rounds, out.Leader, out.Rounds)
+		}
+	}
+}
+
+// registerGate is an http.RoundTripper that, once armed, holds every
+// POST /v1/register until release is closed; blocked is closed when the
+// first one is held.
+type registerGate struct {
+	armed   atomic.Bool
+	once    sync.Once
+	blocked chan struct{}
+	release chan struct{}
+}
+
+func (g *registerGate) RoundTrip(r *http.Request) (*http.Response, error) {
+	if g.armed.Load() && r.Method == http.MethodPost && r.URL.Path == "/v1/register" {
+		g.once.Do(func() { close(g.blocked) })
+		<-g.release
+	}
+	return http.DefaultTransport.RoundTrip(r)
+}
+
+// TestDropNodeRebuildsBeforeSwap holds the survivors' re-registrations of
+// a lost node's keys mid-DropNode: an elect of a lost key must not answer
+// ErrUnknownKey meanwhile (the key exists; its rebuild has not landed), and
+// once the rebuild is released every key elects its pre-loss outcome.
+func TestDropNodeRebuildsBeforeSwap(t *testing.T) {
+	urls, _, servers := newTestNodes(t, 3)
+	gate := &registerGate{blocked: make(chan struct{}), release: make(chan struct{})}
+	f, err := New(urls, ClientOptions{HTTP: &http.Client{Transport: gate}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := registerFleet(t, f, 12)
+	before := make(map[string]server.Outcome, len(keys))
+	for _, key := range keys {
+		if before[key], err = f.Elect(key); err != nil {
+			t.Fatalf("pre-loss elect %s: %v", key, err)
+		}
+	}
+
+	lost := f.Owner(keys[0])
+	servers[lost].Close()
+	release := sync.OnceFunc(func() { close(gate.release) })
+	t.Cleanup(release) // a failed check must not leave DropNode parked
+	gate.armed.Store(true)
+	done := make(chan error, 1)
+	go func() {
+		_, err := f.DropNode(lost)
+		done <- err
+	}()
+	<-gate.blocked
+
+	if _, err := f.Elect(keys[0]); err == nil || errors.Is(err, service.ErrUnknownKey) {
+		t.Fatalf("elect of a lost key during its rebuild: %v, want a transport error", err)
+	}
+	release()
+	if err := <-done; err != nil {
+		t.Fatalf("drop node: %v", err)
+	}
 	for _, key := range keys {
 		out, err := f.Elect(key)
 		if err != nil {

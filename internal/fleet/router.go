@@ -22,8 +22,10 @@ import (
 //
 // The router also owns failure detection: a background probe loop polls
 // every node's /healthz, and a node that misses ProbeFailures consecutive
-// probes is declared lost — Fleet.DropNode swaps it out of the ring and
-// re-registers its keys from the configuration cache onto the survivors.
+// probes is declared lost — Fleet.DropNode re-registers its keys from the
+// configuration cache onto the survivors, then swaps it out of the ring.
+// Until the swap a lost key answers 502 (the dead node is unreachable),
+// never a 404 for a key that exists.
 // Keys owned by surviving nodes are untouched: their placement does not
 // depend on the dead node (the rendezvous property), so their elections
 // continue bit-identically through the loss.

@@ -11,6 +11,7 @@ import (
 	"anonradio/internal/config"
 	"anonradio/internal/core"
 	"anonradio/internal/drip"
+	"anonradio/internal/graph"
 	"anonradio/internal/history"
 )
 
@@ -26,19 +27,28 @@ type canonicalCase struct {
 	proto *canonical.DRIP
 }
 
-// canonicalCases returns the canonical DRIPs of a clique, a G_m line and a
-// random sparse configuration.
+// canonicalCases returns canonical DRIPs on a clique, a G_m line, a random
+// sparse configuration, a star and a clique with one duplicated tag. A
+// canonical DRIP first transmits after every node of its own configuration
+// woke, so the star runs the DRIP of a star whose leaves wake in round 1 on
+// a star whose late leaves still sleep when the hub, lowest tag, transmits
+// alone: its lone rounds force-wake them. The duplicated tag puts two nodes
+// in one class, so their collision rounds interleave with lone ones.
 func canonicalCases(t *testing.T) []canonicalCase {
 	t.Helper()
 	sparse := config.Random(14, 0.2, config.UniformRandomTags{Span: 3}, rand.New(rand.NewSource(5)))
+	lateStar := config.MustNew(graph.Star(7), []int{0, 1, 1, 4, 9, 15, 30})
+	dupClique := config.MustNew(graph.Complete(6), []int{0, 1, 2, 2, 3, 4})
 	var cases []canonicalCase
 	for _, c := range []struct {
-		name string
-		cfg  *config.Config
+		name       string
+		cfg, runOn *config.Config // runOn: where to run cfg's DRIP, if not on cfg
 	}{
-		{"clique", config.StaggeredClique(7)},
-		{"line", config.LineFamilyG(3)},
-		{"sparse", sparse},
+		{"clique", config.StaggeredClique(7), nil},
+		{"line", config.LineFamilyG(3), nil},
+		{"sparse", sparse, nil},
+		{"star", config.EarlyCenterStar(7, 1), lateStar},
+		{"dup-clique", dupClique, nil},
 	} {
 		rep, err := core.Classify(c.cfg)
 		if err != nil {
@@ -48,9 +58,46 @@ func canonicalCases(t *testing.T) []canonicalCase {
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		cases = append(cases, canonicalCase{c.name, rep.Config, d})
+		cfg := rep.Config
+		if c.runOn != nil {
+			cfg = c.runOn
+		}
+		cases = append(cases, canonicalCase{c.name, cfg, d})
 	}
 	return cases
+}
+
+// TestCanonicalCasesCoverDeliveryRegimes checks that the star and the
+// duplicated-tag clique exercise what canonicalCases promises: forced
+// wake-ups in lone rounds, and lone rounds interleaved with collisions.
+func TestCanonicalCasesCoverDeliveryRegimes(t *testing.T) {
+	for _, c := range canonicalCases(t) {
+		res, err := GoroutinePerNode{}.Run(c.cfg, c.proto, Options{RecordTrace: true})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		lone, collisions, forced := 0, 0, 0
+		for _, rec := range res.Trace.Rounds {
+			switch len(rec.Transmitters) {
+			case 0:
+			case 1:
+				lone++
+				for _, v := range rec.Woke {
+					if res.Forced[v] {
+						forced++
+					}
+				}
+			default:
+				collisions++
+			}
+		}
+		switch {
+		case c.name == "star" && forced == 0:
+			t.Fatalf("star: no forced wake-up in %d lone rounds", lone)
+		case c.name == "dup-clique" && (lone == 0 || collisions == 0):
+			t.Fatalf("dup-clique: %d lone and %d collision rounds", lone, collisions)
+		}
+	}
 }
 
 // simulators returns an inline and a pool simulator for cfg; the caller

@@ -24,9 +24,13 @@
 //   - the history entry of the termination round is silence.
 //
 // Both engines are thin adapters over one simulation core, the reusable
-// zero-alloc, event-driven Simulator, whose protocol-consult step runs
-// through a pluggable Executor: Sequential (deterministic, single-threaded,
-// the reference) and Parallel (worker-pool executor). The tests hold both
+// zero-alloc, event-driven Simulator. It consults a node only when its
+// protocol can act, hands a lone transmitter's message in a clean medium
+// straight to its neighbours (a lone transmitter cannot collide), and
+// counts transmitting neighbours only when two or more nodes transmit or a
+// fault plan is active. Its protocol-consult step runs through a pluggable
+// Executor: Sequential (deterministic, single-threaded, the reference) and
+// Parallel (worker-pool executor). The tests hold both
 // to bit-identical histories against an independent goroutine-per-node
 // coordinator that lives only in the test files as a differential oracle.
 //

@@ -42,15 +42,20 @@ type ListenScheduler interface {
 //     listen rounds. The executor is handed only the round's due list.
 //   - A node that is awake but not due listens. It records only what it
 //     hears, and in a clean medium only the neighbours of transmitters hear
-//     anything: the transmitter medium (counts of transmitting neighbours,
-//     pending single messages) is reset through a dirty list of exactly
-//     those entries.
+//     anything.
+//   - A round with a clean medium and exactly one transmitter cannot
+//     collide: its message goes straight to each neighbour, waking sleepers
+//     and recorded by running listeners, in one walk of the neighbourhood.
+//   - Two or more transmitters, and any transmitter under a fault plan,
+//     resolve through the transmitter medium (counts of transmitting
+//     neighbours, pending single messages), which is reset through a dirty
+//     list of exactly the entries they wrote.
 //   - Silence is the zero history.Entry and is written lazily: a node's
 //     skipped silent entries are filled in before it consults its protocol,
 //     before it records a heard entry, and when a run is cut off by its
 //     round limit.
 //   - Spontaneous wake-ups come from a tag-ordered node list; forced ones
-//     from the dirty list.
+//     from the lone delivery or the dirty list.
 //   - Under a fault plan any node may perceive noise in any round, so one
 //     dense pass per round perceives for every sleeping node and every
 //     listener, making exactly the perception calls the model prescribes.
@@ -415,9 +420,12 @@ func (s *Simulator) run(opts Options) (*Result, error) {
 		// plan, an outaged transmitter delivers nothing, an outaged receiver
 		// counts nothing, and each surviving delivery is independently
 		// dropped; the decisions depend only on (seed, round, v, w), never
-		// on the schedule.
+		// on the schedule. A lone transmitter in a clean medium cannot
+		// collide: step 3 delivers its message straight to its neighbours,
+		// and the medium stays all-zero.
+		lone := fp == nil && len(tx) == 1
 		for _, v := range tx {
-			if fp != nil && down(depth, int(v)) {
+			if lone || (fp != nil && down(depth, int(v))) {
 				continue
 			}
 			msg := s.actions[v].Msg
@@ -457,11 +465,26 @@ func (s *Simulator) run(opts Options) (*Result, error) {
 		// collision (which never wakes, per the model's corner-case rules);
 		// spontaneous tag wake-ups always fire — the wake-up tag is a clock,
 		// not a radio event.
+		if lone {
+			// Every neighbour of the lone transmitter perceives exactly its
+			// message; the transmitter set lastActive in step 1.
+			msg := s.actions[tx[0]].Msg
+			for _, w := range s.csr.Neighbors(int(tx[0])) {
+				st := &s.states[w]
+				switch {
+				case !st.awake:
+					s.wake(int(w), round, 1, msg, rec)
+				case !st.terminated:
+					s.hear(int(w), round, 1, msg, rec)
+				}
+			}
+		}
 		if fp == nil {
-			// Clean medium: only touched nodes hear anything, so the
-			// touched list yields every forced wake-up and every non-silent
-			// listen entry, and the tag order yields the spontaneous
-			// wake-ups.
+			// Clean medium: only the transmitters' neighbours hear anything,
+			// so the lone delivery or the touched list yields every forced
+			// wake-up and every non-silent listen entry, and the tag order
+			// yields the spontaneous wake-ups, reading a zero count for
+			// every node the round did not reach.
 			for _, w := range s.touched {
 				st := &s.states[w]
 				cnt := int(s.counts[w])

@@ -227,8 +227,6 @@ const (
 	// the registry option (used by Restore, whose manifest cross-checks the
 	// digest before asking for trust).
 	trustDigest
-	// trustFull forces the full recompile-and-compare validation.
-	trustFull
 )
 
 // request is one operation handed to a shard worker. It travels by value
