@@ -7,15 +7,24 @@
 // Usage:
 //
 //	go test -run xxx -bench 'E8|Election' -benchtime 1x -benchmem . | benchjson > BENCH_engines.json
+//	go test -run xxx -bench 'E8|Election' -benchtime 1x -benchmem . | benchjson -compare BENCH_engines.json
 //
 // Lines that are not benchmark results (headers, PASS/ok trailers) are
 // skipped; context lines (goos, goarch, cpu, pkg) are captured into every
 // record.
+//
+// With -compare, benchjson checks the results against a baseline written by
+// an earlier conversion instead of printing JSON. A benchmark that appears
+// in both (same package and name) fails the comparison when it allocates
+// more per op than the baseline records; its ns/op delta is printed but
+// never gated, since time is noisy and allocation counts are not. Baseline
+// records without allocs_per_op are compared on time only.
 package main
 
 import (
 	"bufio"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -38,7 +47,15 @@ type Result struct {
 }
 
 func main() {
-	if err := convert(os.Stdin, os.Stdout); err != nil {
+	base := flag.String("compare", "", "compare the results against this baseline JSON instead of printing JSON; fail on any allocs/op increase")
+	flag.Parse()
+	var err error
+	if *base != "" {
+		err = compareFile(*base, os.Stdin, os.Stdout)
+	} else {
+		err = convert(os.Stdin, os.Stdout)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
@@ -47,6 +64,17 @@ func main() {
 // convert reads `go test -bench` output from in and writes the JSON array
 // of its results to out.
 func convert(in io.Reader, out io.Writer) error {
+	results, err := parse(in)
+	if err != nil {
+		return err
+	}
+	enc := json.NewEncoder(out)
+	enc.SetIndent("", "  ")
+	return enc.Encode(results)
+}
+
+// parse reads the benchmark results of `go test -bench` output.
+func parse(in io.Reader) ([]Result, error) {
 	sc := bufio.NewScanner(in)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	var (
@@ -74,12 +102,7 @@ func convert(in io.Reader, out io.Writer) error {
 		r.CPU = cpu
 		results = append(results, r)
 	}
-	if err := sc.Err(); err != nil {
-		return err
-	}
-	enc := json.NewEncoder(out)
-	enc.SetIndent("", "  ")
-	return enc.Encode(results)
+	return results, sc.Err()
 }
 
 // parseLine parses one benchmark result, e.g.

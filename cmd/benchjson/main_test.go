@@ -42,3 +42,66 @@ func TestConvertKeepsZeroAllocationFigures(t *testing.T) {
 		t.Fatalf("converted\n%s\nwant %v", out.String(), want)
 	}
 }
+
+// compareFixture is a baseline as the conversion writes it: a gated
+// benchmark, one whose allocation count is left out (compared on time
+// only), and one the run under test lacks.
+const compareFixture = `[
+  {"name": "BenchmarkElectionSteadyState/n=16-2", "package": "anonradio", "iterations": 100, "ns_per_op": 15000, "bytes_per_op": 0, "allocs_per_op": 0, "has_mem_stats": true},
+  {"name": "BenchmarkServiceElect-2", "package": "anonradio/internal/service", "iterations": 100, "ns_per_op": 8000, "has_mem_stats": false},
+  {"name": "BenchmarkGone-2", "package": "anonradio", "iterations": 100, "ns_per_op": 10, "bytes_per_op": 0, "allocs_per_op": 0, "has_mem_stats": true}
+]`
+
+// TestCompareGatesOnlyAllocations runs the compare on fixture text: a time
+// regression and an ungated allocation increase pass with their deltas
+// printed; one more alloc/op on a gated benchmark fails, naming it; a run
+// sharing no benchmark with the baseline fails too.
+func TestCompareGatesOnlyAllocations(t *testing.T) {
+	var base []Result
+	if err := json.Unmarshal([]byte(compareFixture), &base); err != nil {
+		t.Fatal(err)
+	}
+	run := func(lines ...string) (string, error) {
+		head, err := parse(strings.NewReader(strings.Join(lines, "\n")))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out strings.Builder
+		err = compare(base, head, &out)
+		return out.String(), err
+	}
+	out, err := run(
+		"pkg: anonradio",
+		"BenchmarkElectionSteadyState/n=16-2   100   30000 ns/op   0 B/op   0 allocs/op",
+		"pkg: anonradio/internal/service",
+		"BenchmarkServiceElect-2   100   4000 ns/op   16 B/op   3 allocs/op",
+		"BenchmarkNew-2   100   10 ns/op   0 B/op   0 allocs/op",
+	)
+	if err != nil {
+		t.Fatalf("time-only and ungated changes failed the compare: %v\n%s", err, out)
+	}
+	for _, want := range []string{
+		"anonradio BenchmarkElectionSteadyState/n=16-2: 15000 -> 30000 ns/op (+100.0%), 0 -> 0 allocs/op\n",
+		"anonradio/internal/service BenchmarkServiceElect-2: 8000 -> 4000 ns/op (-50.0%)\n",
+		"anonradio BenchmarkGone-2: missing from this run\n",
+	} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("compare output lacks %q:\n%s", want, out)
+		}
+	}
+	if strings.Contains(out, "BenchmarkNew") {
+		t.Fatalf("a benchmark the baseline lacks was compared:\n%s", out)
+	}
+
+	out, err = run(
+		"pkg: anonradio",
+		"BenchmarkElectionSteadyState/n=16-2   100   9000 ns/op   24 B/op   1 allocs/op",
+	)
+	if err == nil || !strings.Contains(err.Error(), "anonradio BenchmarkElectionSteadyState/n=16-2") || !strings.Contains(out, "0 -> 1 allocs/op REGRESSION") {
+		t.Fatalf("an alloc regression passed: %v\n%s", err, out)
+	}
+
+	if _, err = run("pkg: other", "BenchmarkElectionSteadyState/n=16-2   100   9000 ns/op   0 B/op   0 allocs/op"); err == nil {
+		t.Fatalf("a run matching no baseline benchmark passed")
+	}
+}

@@ -2,7 +2,9 @@ package canonical
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"math"
 
 	"anonradio/internal/core"
 	"anonradio/internal/fnv"
@@ -23,6 +25,11 @@ type Blueprint struct {
 	// Lists holds L_1 .. L_jterm.
 	Lists []core.List `json:"lists"`
 }
+
+// ErrRoundOverflow is returned (wrapped) when a span makes the protocol's
+// round arithmetic overflow int: the block length 2σ+1, a phase end, or an
+// election's round bound σ + TerminationRound + 1.
+var ErrRoundOverflow = errors.New("canonical: protocol rounds overflow int")
 
 // newSkeleton validates the span and the lists and builds the protocol with
 // its phase boundaries but without a compiled table; the callers decide
@@ -51,6 +58,9 @@ func newSkeletonInto(prev *DRIP, sigma int, lists []core.List) (*DRIP, error) {
 			return nil, fmt.Errorf("canonical: list L_%d has no entries", j+1)
 		}
 	}
+	if err := checkRounds(sigma, lists); err != nil {
+		return nil, err
+	}
 	d := prev
 	if d == nil {
 		d = &DRIP{}
@@ -72,6 +82,34 @@ func newSkeletonInto(prev *DRIP, sigma int, lists []core.List) (*DRIP, error) {
 		}
 	}
 	return d, nil
+}
+
+// checkRounds rejects a span whose phase arithmetic overflows int: every
+// build, artifact load, snapshot restore and journal replay derives its
+// phase ends in newSkeletonInto, after this check.
+func checkRounds(sigma int, lists []core.List) error {
+	if sigma > (math.MaxInt-1)/2 {
+		return fmt.Errorf("%w: block length 2σ+1 for span %d", ErrRoundOverflow, sigma)
+	}
+	blockLen := 2*sigma + 1
+	end := 0
+	for j, l := range lists {
+		step := 1
+		if !l.Terminate {
+			if l.NumClasses() > (math.MaxInt-sigma)/blockLen {
+				return fmt.Errorf("%w: phase %d of span %d", ErrRoundOverflow, j+1, sigma)
+			}
+			step = l.NumClasses()*blockLen + sigma
+		}
+		if end > math.MaxInt-step {
+			return fmt.Errorf("%w: phase %d of span %d", ErrRoundOverflow, j+1, sigma)
+		}
+		end += step
+	}
+	if end > math.MaxInt-sigma-1 {
+		return fmt.Errorf("%w: round bound of span %d", ErrRoundOverflow, sigma)
+	}
+	return nil
 }
 
 // FromLists builds an executable canonical DRIP directly from a span and the

@@ -111,6 +111,16 @@ func (d *DRIP) Act(h history.Vector) drip.Action {
 	return d.table.Act(h)
 }
 
+// ActCodes implements radio.CodedProtocol: Act on a coded history, through
+// the compiled phase table.
+func (d *DRIP) ActCodes(h []byte) drip.Action {
+	return d.table.ActCodes(h)
+}
+
+// CodedMessage implements radio.CodedProtocol: the protocol transmits only
+// Message.
+func (d *DRIP) CodedMessage() string { return Message }
+
 // ListenUntil returns the first local round r >= i in which Act may return
 // anything but Listen, whatever the history: the next transmit slot (the
 // σ+1 round of a block) or terminate round. It lets the radio simulator

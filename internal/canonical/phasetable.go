@@ -1,6 +1,7 @@
 package canonical
 
 import (
+	"bytes"
 	"fmt"
 
 	"anonradio/internal/drip"
@@ -28,15 +29,17 @@ import (
 // property tests check it is observationally identical to the reference
 // implementation on randomized configurations.
 
-// Expected-entry codes of a MatchRow, one per history position.
+// Expected-entry codes of a MatchRow, one per history position. They are
+// the entry codes of a coded history (history.CodeSilence and so on), so a
+// row matches a coded history by one byte comparison.
 const (
 	// ExpectSilence requires the ∅ entry.
-	ExpectSilence byte = iota
+	ExpectSilence = history.CodeSilence
 	// ExpectMessage requires the canonical message "1" from a single
 	// transmitter.
-	ExpectMessage
+	ExpectMessage = history.CodeMessage
 	// ExpectNoise requires a collision entry.
-	ExpectNoise
+	ExpectNoise = history.CodeNoise
 )
 
 // RoundPlan describes one local round i of the compiled protocol.
@@ -189,27 +192,57 @@ func (d *DRIP) compileTableInto(prev *PhaseTable) *PhaseTable {
 // Act executes the compiled protocol: the phase-table twin of the reference
 // (*DRIP).ActReference. It performs no heap allocations.
 func (pt *PhaseTable) Act(h history.Vector) drip.Action {
-	i := len(h) // current local round
-	if i == 0 {
-		// The protocol contract guarantees at least the wake-up entry H[0],
-		// but the reference matcher answers listen on an empty history and
-		// the compiled form must agree observationally.
-		return drip.ListenAction()
-	}
-	if i > len(pt.Plans) {
-		// Rounds beyond the final phase map to the final phase, which is
-		// always the terminate phase.
-		return drip.TerminateAction()
-	}
-	plan := &pt.Plans[i-1]
-	switch {
-	case plan.Block < 0:
-		return drip.TerminateAction()
-	case plan.Block == 0:
-		return drip.ListenAction()
+	plan := pt.plan(len(h))
+	if plan.Block <= 0 {
+		return planned(plan)
 	}
 	if pt.transmissionBlock(h, plan.Phase) == plan.Block {
 		return drip.TransmitAction(Message)
+	}
+	return drip.ListenAction()
+}
+
+// ActCodes is Act on a coded history (see CodedMessage): its rows match by
+// one byte comparison each.
+func (pt *PhaseTable) ActCodes(h []byte) drip.Action {
+	plan := pt.plan(len(h))
+	if plan.Block <= 0 {
+		return planned(plan)
+	}
+	tb := 1
+	for jj := 2; jj <= plan.Phase && tb != 0; jj++ {
+		tb = pt.Matches[jj-2].matchCodes(h, tb)
+	}
+	if tb == plan.Block {
+		return drip.TransmitAction(Message)
+	}
+	return drip.ListenAction()
+}
+
+// CodedMessage names the protocol's one message, Message: the entry code
+// history.CodeMessage stands for it in the histories ActCodes reads.
+func (pt *PhaseTable) CodedMessage() string { return Message }
+
+// plan returns the plan of local round i. The empty history has none: the
+// protocol contract guarantees at least the wake-up entry H[0], but the
+// reference matcher answers it with listen and the compiled form must agree
+// observationally. Rounds beyond the final phase map to the final phase,
+// which is always the terminate phase.
+func (pt *PhaseTable) plan(i int) RoundPlan {
+	switch {
+	case i == 0:
+		return RoundPlan{}
+	case i > len(pt.Plans):
+		return RoundPlan{Block: -1}
+	}
+	return pt.Plans[i-1]
+}
+
+// planned returns the action of a listen (Block 0) or terminate (Block -1)
+// plan.
+func planned(plan RoundPlan) drip.Action {
+	if plan.Block < 0 {
+		return drip.TerminateAction()
 	}
 	return drip.ListenAction()
 }
@@ -241,6 +274,20 @@ func (pm *PhaseMatch) match(h history.Vector, prevTB int) int {
 			continue
 		}
 		if pm.rowMatches(h, row) {
+			return k + 1
+		}
+	}
+	return 0
+}
+
+// matchCodes is match on a coded history.
+func (pm *PhaseMatch) matchCodes(h []byte, prevTB int) int {
+	for k := range pm.Rows {
+		row := &pm.Rows[k]
+		if row.OldClass != prevTB {
+			continue
+		}
+		if end := pm.Start + len(row.Expect); end <= len(h) && bytes.Equal(h[pm.Start:end], row.Expect) {
 			return k + 1
 		}
 	}

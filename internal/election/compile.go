@@ -167,6 +167,7 @@ func load(c *Compiled, cfg *config.Config, trustDigest bool) (*Dedicated, error)
 		ExpectedLeader: c.ExpectedLeader,
 		LocalRounds:    c.LocalRounds,
 		RoundBound:     c.RoundBound,
+		target:         c.LeaderHistory.AppendCodes(nil, canonical.Message),
 	}, nil
 }
 

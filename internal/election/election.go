@@ -18,8 +18,10 @@
 package election
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"strconv"
 
 	"anonradio/internal/canonical"
 	"anonradio/internal/config"
@@ -59,6 +61,10 @@ type Dedicated struct {
 	// elections on one Dedicated reuse all simulation buffers. Because of
 	// that pooling, a Dedicated is not safe for concurrent Elect calls.
 	sim *radio.Simulator
+	// target is the decision target in entry codes (history.CodeSilence
+	// and so on): the designated leader's history, which the pooled
+	// elections compare against their coded histories.
+	target []byte
 }
 
 // simulator returns the pooled simulator, creating it on first use (loaded
@@ -143,21 +149,10 @@ func buildOnSimulator(report *core.Report, provide func(*config.Config) (*radio.
 // Elect).
 func finishBuild(report *core.Report, dg *canonical.DRIP, runSim, keepSim *radio.Simulator) (*Dedicated, error) {
 	cfg := report.Config
-	res, err := runSim.Run(dg, radio.Options{})
+	codes, err := leaderCodes(report, dg, runSim)
 	if err != nil {
-		return nil, fmt.Errorf("election: canonical DRIP simulation failed: %w", err)
+		return nil, err
 	}
-	leader := report.Leader
-	target := res.Histories[leader].Clone()
-
-	// Sanity check (Lemma 3.11): the designated leader's history must be
-	// unique among all nodes.
-	for v := 0; v < cfg.N(); v++ {
-		if v != leader && res.Histories[v].Equal(target) {
-			return nil, fmt.Errorf("election: node %d shares the designated leader's history; classifier/DRIP mismatch", v)
-		}
-	}
-
 	d := &Dedicated{
 		Config: cfg,
 		Report: report,
@@ -165,14 +160,33 @@ func finishBuild(report *core.Report, dg *canonical.DRIP, runSim, keepSim *radio
 		Algorithm: drip.Algorithm{
 			Name:     "canonical-" + cfg.Name,
 			Protocol: dg,
-			Decision: drip.HistoryMatchDecision{Target: target},
+			Decision: drip.HistoryMatchDecision{Target: history.AppendDecoded(nil, codes, canonical.Message)},
 		},
-		ExpectedLeader: leader,
+		ExpectedLeader: report.Leader,
 		LocalRounds:    dg.TerminationRound(),
 		RoundBound:     cfg.Span() + dg.TerminationRound() + 1,
 		sim:            keepSim,
+		target:         bytes.Clone(codes),
 	}
 	return d, nil
+}
+
+// leaderCodes runs the canonical DRIP on sim and returns the designated
+// leader's coded history, which aliases sim until its next run.
+func leaderCodes(report *core.Report, dg *canonical.DRIP, sim *radio.Simulator) ([]byte, error) {
+	res, err := sim.RunCodes(dg, radio.Options{})
+	if err != nil {
+		return nil, fmt.Errorf("election: canonical DRIP simulation failed: %w", err)
+	}
+	leader := report.Leader
+	// Sanity check (Lemma 3.11): the designated leader's history must be
+	// unique among all nodes.
+	for v, codes := range res.Codes {
+		if v != leader && bytes.Equal(codes, res.Codes[leader]) {
+			return nil, fmt.Errorf("election: node %d shares the designated leader's history; classifier/DRIP mismatch", v)
+		}
+	}
+	return res.Codes[leader], nil
 }
 
 // finishBuildInto is finishBuild for the rebuild-in-place path: report and
@@ -183,23 +197,13 @@ func finishBuild(report *core.Report, dg *canonical.DRIP, runSim, keepSim *radio
 // simulator), exactly as in the fresh arena build.
 func finishBuildInto(prev *Dedicated, report *core.Report, dg *canonical.DRIP, runSim *radio.Simulator) (*Dedicated, error) {
 	cfg := report.Config
-	res, err := runSim.Run(dg, radio.Options{})
+	codes, err := leaderCodes(report, dg, runSim)
 	if err != nil {
-		return nil, fmt.Errorf("election: canonical DRIP simulation failed: %w", err)
+		return nil, err
 	}
-	leader := report.Leader
 	var targetBuf history.Vector
 	if match, ok := prev.Algorithm.Decision.(drip.HistoryMatchDecision); ok {
 		targetBuf = match.Target
-	}
-	target := append(targetBuf[:0], res.Histories[leader]...)
-
-	// Sanity check (Lemma 3.11): the designated leader's history must be
-	// unique among all nodes.
-	for v := 0; v < cfg.N(); v++ {
-		if v != leader && res.Histories[v].Equal(target) {
-			return nil, fmt.Errorf("election: node %d shares the designated leader's history; classifier/DRIP mismatch", v)
-		}
 	}
 
 	// Keep the previous algorithm name when it already spells the new one
@@ -226,12 +230,13 @@ func finishBuildInto(prev *Dedicated, report *core.Report, dg *canonical.DRIP, r
 		Algorithm: drip.Algorithm{
 			Name:     name,
 			Protocol: dg,
-			Decision: drip.HistoryMatchDecision{Target: target},
+			Decision: drip.HistoryMatchDecision{Target: history.AppendDecoded(targetBuf[:0], codes, canonical.Message)},
 		},
-		ExpectedLeader: leader,
+		ExpectedLeader: report.Leader,
 		LocalRounds:    dg.TerminationRound(),
 		RoundBound:     cfg.Span() + dg.TerminationRound() + 1,
 		sim:            sim,
+		target:         append(prev.target[:0], codes...),
 	}
 	return prev, nil
 }
@@ -251,7 +256,7 @@ func (d *Dedicated) Elect(engine radio.Engine, opts radio.Options) (*radio.Elect
 	}
 	if _, pooled := engine.(radio.Sequential); pooled && !opts.RecordTrace {
 		out := &radio.ElectionOutcome{}
-		if err := d.electInto(out, opts); err != nil {
+		if err := d.electInto(out, opts, true); err != nil {
 			return nil, err
 		}
 		return out, nil
@@ -263,9 +268,11 @@ func (d *Dedicated) Elect(engine radio.Engine, opts radio.Options) (*radio.Elect
 // pooled simulator and reuses out's buffers, so after a warm-up call the
 // whole round loop — canonical Act through the compiled phase table, the
 // dirty-list medium, the history-match decision — performs zero heap
-// allocations (TestElectSteadyStateAllocs pins this). The outcome's Result
-// aliases the pooled simulator and is valid until the next run on this
-// Dedicated.
+// allocations (TestElectSteadyStateAllocs pins this). The histories stay
+// in entry codes: the outcome's Result carries Codes, not Histories, and
+// the decision is one byte comparison per node against the code target.
+// The Result aliases the pooled simulator and is valid until the next run
+// on this Dedicated.
 func (d *Dedicated) ElectInto(out *radio.ElectionOutcome, opts radio.Options) error {
 	if out == nil {
 		return fmt.Errorf("election: nil outcome")
@@ -273,26 +280,33 @@ func (d *Dedicated) ElectInto(out *radio.ElectionOutcome, opts radio.Options) er
 	if opts.MaxRounds == 0 {
 		opts.MaxRounds = d.RoundBound + 1
 	}
-	return d.electInto(out, opts)
+	return d.electInto(out, opts, false)
 }
 
-func (d *Dedicated) electInto(out *radio.ElectionOutcome, opts radio.Options) error {
-	if d.Algorithm.Protocol == nil || d.Algorithm.Decision == nil {
+// electInto runs the election on the pooled simulator and decides on the
+// codes; materialize also decodes the histories into the Result.
+func (d *Dedicated) electInto(out *radio.ElectionOutcome, opts radio.Options, materialize bool) error {
+	if d.DRIP == nil || len(d.target) == 0 {
 		return fmt.Errorf("election: incomplete algorithm %q", d.Algorithm.Name)
 	}
 	sim, err := d.simulator()
 	if err != nil {
 		return err
 	}
-	res, err := sim.Run(d.Algorithm.Protocol, opts)
+	var res *radio.Result
+	if materialize {
+		res, err = sim.Run(d.DRIP, opts)
+	} else {
+		res, err = sim.RunCodes(d.DRIP, opts)
+	}
 	if err != nil {
 		return err
 	}
 	out.Result = res
 	out.Rounds = res.GlobalRounds
 	out.Leaders = out.Leaders[:0]
-	for v := 0; v < d.Config.N(); v++ {
-		if d.Algorithm.Decision.Decide(res.Histories[v]) == 1 {
+	for v, codes := range res.Codes {
+		if bytes.Equal(codes, d.target) {
 			out.Leaders = append(out.Leaders, v)
 		}
 	}
@@ -301,21 +315,67 @@ func (d *Dedicated) electInto(out *radio.ElectionOutcome, opts radio.Options) er
 
 // Verify checks that an election outcome is correct for this dedicated
 // algorithm: exactly one leader, equal to the expected one, within the round
-// bound.
+// bound. When the leader is missing or wrong, the error also names the first
+// local round in which the expected leader's history left the decision
+// target (see divergence).
 func (d *Dedicated) Verify(out *radio.ElectionOutcome) error {
 	if out == nil {
 		return fmt.Errorf("election: nil outcome")
 	}
 	if !out.Elected() {
-		return fmt.Errorf("election: expected exactly one leader, got %v", out.Leaders)
+		return fmt.Errorf("election: expected exactly one leader, got %v%s", out.Leaders, d.divergence(out.Result))
 	}
 	if out.Leader() != d.ExpectedLeader {
-		return fmt.Errorf("election: elected node %d, expected %d", out.Leader(), d.ExpectedLeader)
+		return fmt.Errorf("election: elected node %d, expected %d%s", out.Leader(), d.ExpectedLeader, d.divergence(out.Result))
 	}
 	if out.Rounds > d.RoundBound {
 		return fmt.Errorf("election: took %d rounds, bound is %d", out.Rounds, d.RoundBound)
 	}
 	return nil
+}
+
+// divergence explains a failed election in the paper's terms. The decision
+// is an exact history match, so the expected leader lost it in the first
+// local round whose entry differs from the target's, or where its history
+// ends short of the target's. It returns "" when res holds no history for
+// the leader, or one the target is a prefix of.
+func (d *Dedicated) divergence(res *radio.Result) string {
+	v := d.ExpectedLeader
+	var codes []byte
+	switch {
+	case res == nil:
+		return ""
+	case v < len(res.Codes):
+		codes = res.Codes[v]
+	case v < len(res.Histories):
+		codes = res.Histories[v].AppendCodes(nil, canonical.Message)
+	default:
+		return ""
+	}
+	i := 0
+	for i < len(codes) && i < len(d.target) && codes[i] == d.target[i] {
+		i++
+	}
+	switch {
+	case i < len(codes) && i < len(d.target):
+		return fmt.Sprintf(": leader %d diverged at local round %d: heard %s, target %s", v, i, codeSymbol(codes[i]), codeSymbol(d.target[i]))
+	case len(codes) < len(d.target):
+		return fmt.Sprintf(": leader %d's history ended at local round %d, target runs to %d", v, len(codes)-1, len(d.target)-1)
+	}
+	return ""
+}
+
+// codeSymbol renders an entry code in the paper's notation.
+func codeSymbol(c byte) string {
+	switch c {
+	case history.CodeSilence:
+		return "∅"
+	case history.CodeMessage:
+		return strconv.Quote(canonical.Message)
+	case history.CodeNoise:
+		return "∗"
+	}
+	return "a foreign entry"
 }
 
 // VerifyCorrespondence checks the executable content of Lemma 3.9 on a

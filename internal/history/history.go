@@ -18,6 +18,7 @@ package history
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"strings"
 )
 
@@ -88,6 +89,50 @@ func (e Entry) String() string {
 	default:
 		return fmt.Sprintf("(?%d)", uint8(e.Kind))
 	}
+}
+
+// Entry codes record a history in one byte per entry, for a run whose
+// protocol transmits a single message (the canonical DRIP's "1"). The codes
+// are the Kind values, with CodeMessage standing for that one message.
+const (
+	CodeSilence = byte(Silence)
+	CodeMessage = byte(Message)
+	CodeNoise   = byte(Noise)
+	// CodeOther encodes every other message and every entry of an unknown
+	// kind. A coded run never records it, so it matches no recorded entry.
+	CodeOther byte = 3
+)
+
+// AppendCodes appends the codes of h to dst, msg being the message coded
+// CodeMessage.
+func (h Vector) AppendCodes(dst []byte, msg string) []byte {
+	dst = slices.Grow(dst, len(h))
+	for _, e := range h {
+		c := CodeOther
+		switch {
+		case e.Kind == Silence || e.Kind == Noise:
+			c = byte(e.Kind)
+		case e.Kind == Message && e.Msg == msg:
+			c = CodeMessage
+		}
+		dst = append(dst, c)
+	}
+	return dst
+}
+
+// AppendDecoded appends to dst the entries a coded run recorded as codes,
+// msg being the message coded CodeMessage. Decoding the codes of a run
+// gives exactly the entries a vector run records.
+func AppendDecoded(dst Vector, codes []byte, msg string) Vector {
+	dst = slices.Grow(dst, len(codes))
+	for _, c := range codes {
+		e := Entry{Kind: Kind(c)}
+		if c == CodeMessage {
+			e.Msg = msg
+		}
+		dst = append(dst, e)
+	}
+	return dst
 }
 
 // Vector is a history vector H_v[0..len-1], indexed by local round.

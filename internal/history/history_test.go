@@ -282,3 +282,22 @@ func TestPropertyGroupConsistentWithEqual(t *testing.T) {
 		t.Fatalf("property failed: %v", err)
 	}
 }
+
+// TestCodesRoundTrip pins the entry codes: the three kinds code as their
+// Kind values with the coded message as CodeMessage, decoding restores the
+// entries a run records, and every other message or kind codes as
+// CodeOther, never as CodeMessage.
+func TestCodesRoundTrip(t *testing.T) {
+	h := Vector{Silent(), Received("1"), Collision(), Silent(), Received("1")}
+	codes := h.AppendCodes(nil, "1")
+	if string(codes) != string([]byte{CodeSilence, CodeMessage, CodeNoise, CodeSilence, CodeMessage}) {
+		t.Fatalf("codes %v", codes)
+	}
+	if back := AppendDecoded(nil, codes, "1"); !back.Equal(h) || back[1].Msg != "1" || back[0].Msg != "" {
+		t.Fatalf("decoded %s, want %s", back, h)
+	}
+	other := Vector{Received("2"), Received(""), Entry{Kind: Kind(7)}, Entry{Kind: Silence, Msg: "x"}}
+	if got := other.AppendCodes(nil, "1"); string(got) != string([]byte{CodeOther, CodeOther, CodeOther, CodeSilence}) {
+		t.Fatalf("foreign entries coded %v", got)
+	}
+}

@@ -107,8 +107,12 @@ func (f FaultStats) Total() int64 { return f.Drops + f.Noise + f.OutageRounds }
 // Result is the outcome of executing a protocol on a configuration.
 type Result struct {
 	// Histories[v] is the complete history vector of node v, indexed by
-	// local round, including the entry of the termination round.
+	// local round, including the entry of the termination round. It is
+	// empty in a result of Simulator.RunCodes.
 	Histories []history.Vector
+	// Codes[v] is the same history in one byte per entry (see
+	// CodedProtocol), for runs of a coded protocol; empty otherwise.
+	Codes [][]byte
 	// WakeRound[v] is the global round in which node v woke up.
 	WakeRound []int
 	// Forced[v] reports whether node v was woken up by a message.

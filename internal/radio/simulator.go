@@ -24,6 +24,19 @@ type ListenScheduler interface {
 	ListenUntil(i int) int
 }
 
+// CodedProtocol is the opt-in through which a protocol that transmits a
+// single message lets the Simulator record its histories in one byte per
+// entry: history.CodeSilence, CodeMessage (the message CodedMessage names)
+// and CodeNoise. ActCodes(h) must return what Act returns on the decoded
+// history. A coded protocol that transmits any other message fails the run:
+// its histories have no code for it.
+//
+// Run and RunCodes honour it; RunProtocols records vectors.
+type CodedProtocol interface {
+	CodedMessage() string
+	ActCodes(h []byte) drip.Action
+}
+
 // Simulator is a reusable sequential simulation engine bound to one
 // configuration. All per-node and per-round buffers — medium state, the
 // agenda, history backing arrays, the result itself — are allocated once
@@ -50,10 +63,12 @@ type ListenScheduler interface {
 //     resolve through the transmitter medium (counts of transmitting
 //     neighbours, pending single messages), which is reset through a dirty
 //     list of exactly the entries they wrote.
-//   - Silence is the zero history.Entry and is written lazily: a node's
-//     skipped silent entries are filled in before it consults its protocol,
-//     before it records a heard entry, and when a run is cut off by its
-//     round limit.
+//   - A CodedProtocol's histories are recorded as one byte code per entry;
+//     every other protocol's as history.Entry values.
+//   - Silence is the zero code (the zero history.Entry) and is written
+//     lazily: a node's skipped silent entries are filled in before it
+//     consults its protocol, before it records a heard entry, and when a
+//     run is cut off by its round limit.
 //   - Spontaneous wake-ups come from a tag-ordered node list; forced ones
 //     from the lone delivery or the dirty list.
 //   - Under a fault plan any node may perceive noise in any round, so one
@@ -103,21 +118,27 @@ type Simulator struct {
 	byTag []int32
 	// sched is the running protocol's ListenScheduler; nil when it has none
 	// or the nodes run different protocols.
-	sched     ListenScheduler
+	sched ListenScheduler
+	// coder is the running protocol when it is a CodedProtocol, and msg its
+	// coded message; coder is nil in a run that records vectors.
+	coder     CodedProtocol
+	msg       string
 	maxRounds int
 
 	res Result
 }
 
-// nodeState is the simulator's per-node bookkeeping. A running node's hist
-// may lag behind its local round: the missing tail is silence, written
-// lazily.
+// nodeState is the simulator's per-node bookkeeping. A running node's
+// history may lag behind its local round: the missing tail is silence,
+// written lazily. A coded run records codes, a vector run hist; Run
+// materializes hist from the codes at the end of a coded run.
 type nodeState struct {
 	awake      bool
 	terminated bool
 	wakeRound  int
 	forced     bool
 	doneLocal  int
+	codes      []byte
 	hist       history.Vector
 }
 
@@ -266,16 +287,38 @@ func (s *Simulator) Close() {
 }
 
 // Run executes proto identically on every node (the anonymous model) and
-// returns the result. See the Simulator doc comment for the lifetime of the
-// returned Result.
+// returns the result. A CodedProtocol runs on codes, which Run then decodes
+// into Result.Histories, so every protocol's result carries its history
+// vectors. See the Simulator doc comment for the lifetime of the returned
+// Result.
 func (s *Simulator) Run(proto drip.Protocol, opts Options) (*Result, error) {
 	if proto == nil {
 		return nil, fmt.Errorf("radio: nil protocol")
+	}
+	if coder, ok := proto.(CodedProtocol); ok {
+		res, err := s.RunCodes(coder, opts)
+		if res != nil {
+			s.materialize(res)
+		}
+		return res, err
 	}
 	for v := range s.protos {
 		s.protos[v] = proto
 	}
 	s.sched, _ = proto.(ListenScheduler)
+	s.coder = nil
+	return s.run(opts)
+}
+
+// RunCodes is Run for a coded protocol without the decoding: the result's
+// Codes hold the histories and its Histories is empty. It is the serving
+// path's run, which never builds a history vector.
+func (s *Simulator) RunCodes(proto CodedProtocol, opts Options) (*Result, error) {
+	if proto == nil {
+		return nil, fmt.Errorf("radio: nil protocol")
+	}
+	s.sched, _ = proto.(ListenScheduler)
+	s.coder, s.msg = proto, proto.CodedMessage()
 	return s.run(opts)
 }
 
@@ -296,7 +339,7 @@ func (s *Simulator) RunProtocols(protos []drip.Protocol, opts Options) (*Result,
 		}
 	}
 	copy(s.protos, protos)
-	s.sched = nil
+	s.sched, s.coder = nil, nil
 	return s.run(opts)
 }
 
@@ -326,7 +369,8 @@ func (s *Simulator) run(opts Options) (*Result, error) {
 	var fs FaultStats
 	downNow := 0
 	for v := range s.states {
-		s.states[v] = nodeState{wakeRound: -1, doneLocal: -1, hist: s.states[v].hist[:0]}
+		st := &s.states[v]
+		*st = nodeState{wakeRound: -1, doneLocal: -1, codes: st.codes[:0], hist: st.hist[:0]}
 	}
 
 	var trace *Trace
@@ -387,6 +431,11 @@ func (s *Simulator) run(opts Options) (*Result, error) {
 		for _, v := range due {
 			switch s.actions[v].Kind {
 			case drip.Transmit:
+				if s.coder != nil && s.actions[v].Msg != s.msg {
+					// A coded history has no code for this message.
+					bad = minBad(bad, v)
+					continue
+				}
 				s.transmitting[v] = true
 				tx = append(tx, v)
 				s.schedule(v, round)
@@ -396,20 +445,26 @@ func (s *Simulator) run(opts Options) (*Result, error) {
 			case drip.Terminate:
 				st := &s.states[v]
 				st.terminated = true
-				st.doneLocal = len(st.hist)
-				st.hist = append(st.hist, history.Silent())
+				if s.coder != nil {
+					st.doneLocal = len(st.codes)
+					st.codes = append(st.codes, history.CodeSilence)
+				} else {
+					st.doneLocal = len(st.hist)
+					st.hist = append(st.hist, history.Silent())
+				}
 				remaining--
 				if rec != nil {
 					rec.Terminated = append(rec.Terminated, int(v))
 				}
 				lastActive = round
 			default:
-				if bad < 0 || int(v) < bad {
-					bad = int(v)
-				}
+				bad = minBad(bad, v)
 			}
 		}
 		if bad >= 0 {
+			if s.actions[bad].Kind == drip.Transmit {
+				return nil, fmt.Errorf("radio: coded protocol transmitted %q for node %d; its histories code only %q", s.actions[bad].Msg, bad, s.msg)
+			}
 			return nil, fmt.Errorf("radio: protocol returned invalid action %v for node %d", s.actions[bad], bad)
 		}
 
@@ -552,11 +607,27 @@ func (s *Simulator) run(opts Options) (*Result, error) {
 	return s.buildResult(lastActive+1, trace, fs), nil
 }
 
+// minBad returns the lower of the node bad (-1: none) and v.
+func minBad(bad int, v int32) int {
+	if bad < 0 || int(v) < bad {
+		return int(v)
+	}
+	return bad
+}
+
 // actDue performs the consult step for the nodes of due: each node's
 // skipped silent entries are written, then its protocol's action for the
 // round is recorded. Every write is indexed by the node, so concurrent
 // actDue calls on disjoint parts of the due list are race-free.
 func (s *Simulator) actDue(round int, due []int32) {
+	if s.coder != nil {
+		for _, v := range due {
+			st := &s.states[v]
+			st.codes = padCodes(st.codes, round-st.wakeRound)
+			s.actions[v] = s.coder.ActCodes(st.codes)
+		}
+		return
+	}
 	for _, v := range due {
 		st := &s.states[v]
 		st.hist = padSilence(st.hist, round-st.wakeRound)
@@ -621,12 +692,16 @@ func (s *Simulator) wake(v, round, cnt int, msg string, rec *RoundRecord) {
 	st.awake = true
 	st.wakeRound = round
 	st.forced = cnt == 1
-	st.hist = append(st.hist, wakeEntry(cnt, msg))
+	if s.coder != nil {
+		st.codes = append(st.codes, entryCode(cnt))
+	} else {
+		st.hist = append(st.hist, wakeEntry(cnt, msg))
+	}
 	s.schedule(int32(v), round)
 	if rec != nil {
 		rec.Woke = append(rec.Woke, v)
 		if cnt > 0 {
-			rec.Heard[v] = st.hist[0]
+			rec.Heard[v] = wakeEntry(cnt, msg)
 		}
 	}
 }
@@ -635,10 +710,13 @@ func (s *Simulator) wake(v, round, cnt int, msg string, rec *RoundRecord) {
 // transmitting neighbours this round.
 func (s *Simulator) hear(v, round, cnt int, msg string, rec *RoundRecord) {
 	st := &s.states[v]
-	entry := listenEntry(cnt, msg)
-	st.hist = append(padSilence(st.hist, round-st.wakeRound), entry)
+	if s.coder != nil {
+		st.codes = append(padCodes(st.codes, round-st.wakeRound), entryCode(cnt))
+	} else {
+		st.hist = append(padSilence(st.hist, round-st.wakeRound), listenEntry(cnt, msg))
+	}
 	if rec != nil {
-		rec.Heard[v] = entry
+		rec.Heard[v] = listenEntry(cnt, msg)
 	}
 }
 
@@ -648,7 +726,11 @@ func (s *Simulator) hear(v, round, cnt int, msg string, rec *RoundRecord) {
 func (s *Simulator) padRunning(round int) {
 	for v := range s.states {
 		st := &s.states[v]
-		if st.awake && !st.terminated {
+		switch {
+		case !st.awake || st.terminated:
+		case s.coder != nil:
+			st.codes = padCodes(st.codes, round-st.wakeRound)
+		default:
 			st.hist = padSilence(st.hist, round-st.wakeRound)
 		}
 	}
@@ -665,11 +747,38 @@ func padSilence(h history.Vector, l int) history.Vector {
 	return h
 }
 
-// buildResult assembles the reusable Result from the final node states.
+// padCodes extends h with silent (zero) codes to length l, in one
+// zero-extend: a reslice and a clear, growing the buffer only when it is
+// too small.
+func padCodes(h []byte, l int) []byte {
+	n := len(h)
+	if l <= n {
+		return h
+	}
+	h = slices.Grow(h, l-n)[:l]
+	clear(h[n:])
+	return h
+}
+
+// entryCode returns the code of the entry of a node that perceived cnt
+// transmitting neighbours in a coded run, whose one message is the only
+// one that can reach it.
+func entryCode(cnt int) byte {
+	return byte(min(cnt, 2)) // CodeSilence, CodeMessage, CodeNoise
+}
+
+// buildResult assembles the reusable Result from the final node states:
+// Codes for a coded run, Histories for a vector run, the other one empty.
 func (s *Simulator) buildResult(rounds int, trace *Trace, fs FaultStats) *Result {
 	n := len(s.states)
 	res := &s.res
-	res.Histories = arena.Grow(res.Histories, n)
+	if s.coder != nil {
+		res.Codes = arena.Grow(res.Codes, n)
+		res.Histories = res.Histories[:0]
+	} else {
+		res.Histories = arena.Grow(res.Histories, n)
+		res.Codes = res.Codes[:0]
+	}
 	res.WakeRound = arena.Grow(res.WakeRound, n)
 	res.Forced = arena.Grow(res.Forced, n)
 	res.DoneLocal = arena.Grow(res.DoneLocal, n)
@@ -677,10 +786,25 @@ func (s *Simulator) buildResult(rounds int, trace *Trace, fs FaultStats) *Result
 	res.Trace = trace
 	res.Faults = fs
 	for v := range s.states {
-		res.Histories[v] = s.states[v].hist
+		if s.coder != nil {
+			res.Codes[v] = s.states[v].codes
+		} else {
+			res.Histories[v] = s.states[v].hist
+		}
 		res.WakeRound[v] = s.states[v].wakeRound
 		res.Forced[v] = s.states[v].forced
 		res.DoneLocal[v] = s.states[v].doneLocal
 	}
 	return res
+}
+
+// materialize decodes every node's codes into the node's history vector
+// buffer and points the result's Histories at them.
+func (s *Simulator) materialize(res *Result) {
+	res.Histories = arena.Grow(res.Histories, len(s.states))
+	for v := range s.states {
+		st := &s.states[v]
+		st.hist = history.AppendDecoded(st.hist[:0], st.codes, s.msg)
+		res.Histories[v] = st.hist
+	}
 }

@@ -61,6 +61,7 @@ import (
 	"sync"
 	"time"
 
+	"anonradio/internal/canonical"
 	"anonradio/internal/config"
 	"anonradio/internal/election"
 	"anonradio/internal/service"
@@ -489,7 +490,7 @@ func statusFor(err error) int {
 		return http.StatusTooManyRequests
 	case errors.Is(err, service.ErrClosed):
 		return http.StatusServiceUnavailable
-	case errors.Is(err, election.ErrInfeasible):
+	case errors.Is(err, election.ErrInfeasible), errors.Is(err, canonical.ErrRoundOverflow):
 		return http.StatusUnprocessableEntity
 	default:
 		return http.StatusInternalServerError
