@@ -699,43 +699,16 @@ type FaultPlan = radio.FaultPlan
 // radio event).
 type FaultOutage = radio.Outage
 
-// ServiceChurnSoak is a long-running dynamic-churn driver over a Service:
-// it cycles a fixed set of keys evict → re-admit (through the
-// rebuild-in-place admission pipeline) while elections keep serving, and
-// guarantees no lost admissions — every eviction is repaired before the
-// soak ends, admission backpressure is retried, and only a closed registry
-// stops it early. The HTTP server exposes it under /v1/soak; experiment
-// E19 and the CI churn-soak smoke are the worked examples.
-type ServiceChurnSoak = service.ChurnSoak
-
-// ServiceChurnEntry is one churned key: the registry key plus the
-// configuration re-admitted after each eviction.
-type ServiceChurnEntry = service.ChurnEntry
-
-// ServiceChurnOptions configure a churn soak (pause between cycles; zero
-// churns as fast as the admission pipeline allows).
-type ServiceChurnOptions = service.ChurnOptions
-
-// ServiceChurnStats is a snapshot of a soak's counters: completed cycles,
-// evictions, re-admissions, backpressure retries and terminal failures.
-type ServiceChurnStats = service.ChurnStats
-
-// StartServiceChurn starts a churn soak over s. Stop it with
-// (*ServiceChurnSoak).Stop, which waits for an in-flight eviction to be
-// repaired before returning.
-func StartServiceChurn(s *Service, entries []ServiceChurnEntry, opts ServiceChurnOptions) (*ServiceChurnSoak, error) {
-	return service.StartChurn(s, entries, opts)
-}
-
-// RunExperiments regenerates every experiment table (E1-E19, A1) and writes
-// them to w. With quick=true a reduced parameter sweep is used. The election
-// experiments run on the sequential engine; use RunExperimentsOn to choose.
+// RunExperiments regenerates every experiment table (E1-E11, E18, A1) and
+// writes them to w. With quick=true a reduced parameter sweep is used. The
+// election experiments run on the sequential engine; use RunExperimentsOn
+// to choose.
 func RunExperiments(w io.Writer, quick bool, seed int64) error {
 	return RunExperimentsOn(w, quick, seed, SequentialEngine)
 }
 
 // RunExperimentsOn is RunExperiments with an explicit simulation engine for
-// the election experiments (E2-E4, E9, E12). Tables are engine-independent;
+// the election experiments (E2-E4, E9). Tables are engine-independent;
 // only the wall-clock timings change.
 func RunExperimentsOn(w io.Writer, quick bool, seed int64, kind EngineKind) error {
 	eng, err := engineFor(kind)
@@ -745,8 +718,8 @@ func RunExperimentsOn(w io.Writer, quick bool, seed int64, kind EngineKind) erro
 	return harness.RunAll(harness.Options{Quick: quick, Seed: seed, Engine: eng}, w)
 }
 
-// RunExperiment runs a single experiment by ID ("E1".."E19", "A1") and returns its
-// table.
+// RunExperiment runs a single experiment by ID ("E1".."E11", "E18", "A1") and
+// returns its table.
 func RunExperiment(id string, quick bool, seed int64) (*ExperimentTable, error) {
 	return RunExperimentOn(id, quick, seed, SequentialEngine)
 }

@@ -648,31 +648,6 @@ func BenchmarkElectionSteadyState(b *testing.B) {
 	}
 }
 
-// BenchmarkMicroCanonicalActReference is the uncompiled matcher on the same
-// workload as BenchmarkMicroCanonicalAct, quantifying what the phase table
-// buys per call.
-func BenchmarkMicroCanonicalActReference(b *testing.B) {
-	cfg := config.LineFamilyG(4)
-	rep, err := core.Classify(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	dg, err := canonical.New(rep)
-	if err != nil {
-		b.Fatal(err)
-	}
-	res, err := radio.Sequential{}.Run(cfg, dg, radio.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	h := res.Histories[0]
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dg.ActReference(h[:len(h)*2/3])
-	}
-}
-
 // --- compiled-algorithm and metrics micro-benchmarks -------------------------------
 
 func BenchmarkMicroCompileLoadElect(b *testing.B) {

@@ -2,14 +2,9 @@
 // a feasible configuration, executes it on the radio-network simulator, and
 // prints the elected leader (optionally with the full round-by-round trace).
 //
-// With -serve N it switches to the steady-state service mode: the
-// configuration is admitted into a sharded election service and N elections
-// are served in batches, printing throughput and per-shard statistics.
-//
 // Usage:
 //
-//	elect -config cfg.txt [-engine sequential|parallel] [-trace] [-compiled alg.json|NNNN.artifact.bin]
-//	elect -config cfg.txt -serve 100000 [-shards 4] [-batch 64] [-compiled alg.json] [-trust-artifact]
+//	elect -config cfg.txt [-engine sequential|parallel] [-trace] [-compiled alg.json|NNNN.artifact.bin [-trust-artifact]]
 package main
 
 import (
@@ -17,7 +12,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	"anonradio"
 )
@@ -28,9 +22,6 @@ func main() {
 		engine   = flag.String("engine", "sequential", "simulation engine: "+anonradio.EngineList())
 		trace    = flag.Bool("trace", false, "print the round-by-round transcript of the election")
 		compiled = flag.String("compiled", "", "run a pre-compiled algorithm (JSON from cmd/compile, or a snapshot's binary .artifact.bin) instead of re-deriving it")
-		serve    = flag.Int("serve", 0, "service mode: admit the configuration into a sharded election service and serve N elections")
-		shards   = flag.Int("shards", 0, "shard workers for -serve (0 = GOMAXPROCS)")
-		batch    = flag.Int("batch", 64, "submission batch size for -serve")
 		trust    = flag.Bool("trust-artifact", false, "trust -compiled artifacts from your own pipeline: a verifying phase-table digest skips the recompile validation")
 	)
 	flag.Parse()
@@ -49,30 +40,6 @@ func main() {
 	cfg, err := readConfig(*path)
 	if err != nil {
 		fatal(err)
-	}
-
-	if *serve > 0 {
-		// The service serves on the pooled sequential path (all engines are
-		// bit-identical; the service's worker-ownership replaces per-run
-		// engine scheduling) and keeps no traces; reject flags that would
-		// otherwise be silently ignored.
-		if *trace {
-			fmt.Fprintln(os.Stderr, "elect: -trace is not available in -serve mode (the service keeps no per-round transcripts)")
-			os.Exit(2)
-		}
-		if *engine != "sequential" {
-			fmt.Fprintf(os.Stderr, "elect: -engine %s is not available in -serve mode (the service serves on the pooled sequential path; outcomes are engine-independent)\n", *engine)
-			os.Exit(2)
-		}
-		if err := runServe(cfg, *compiled, *serve, *shards, *batch, *trust); err != nil {
-			if errors.Is(err, anonradio.ErrInfeasible) {
-				fmt.Printf("configuration: %s\n", cfg)
-				fmt.Println("feasible:      false (no leader election algorithm exists)")
-				os.Exit(2)
-			}
-			fatal(err)
-		}
-		return
 	}
 
 	var (
@@ -107,68 +74,6 @@ func main() {
 		fmt.Println("\ntranscript:")
 		fmt.Print(res.Trace.String())
 	}
-}
-
-// runServe admits cfg into a sharded election service (building on the
-// shard, or loading a compiled artifact when one is given) and serves
-// `count` elections in batches of `batchSize`, printing throughput and
-// per-shard statistics.
-func runServe(cfg *anonradio.Config, compiledPath string, count, shards, batchSize int, trust bool) error {
-	if batchSize < 1 {
-		batchSize = 1
-	}
-	svc := anonradio.NewService(anonradio.ServiceOptions{Shards: shards, TrustCompiledDigests: trust})
-	defer svc.Close()
-
-	const key = "config"
-	if compiledPath != "" {
-		c, err := readCompiled(compiledPath)
-		if err != nil {
-			return err
-		}
-		if err := svc.RegisterCompiled(key, c, cfg); err != nil {
-			return err
-		}
-	} else if err := svc.Register(key, cfg); err != nil {
-		return err
-	}
-
-	keys := make([]string, batchSize)
-	for i := range keys {
-		keys[i] = key
-	}
-	var outs []anonradio.ServiceOutcome
-	leader, rounds := -1, 0
-	start := time.Now()
-	for done := 0; done < count; {
-		chunk := batchSize
-		if rest := count - done; rest < chunk {
-			chunk = rest
-		}
-		var err error
-		outs, err = svc.ElectBatch(keys[:chunk], outs)
-		if err != nil {
-			return err
-		}
-		leader, rounds = outs[0].Leader, outs[0].Rounds
-		done += chunk
-	}
-	elapsed := time.Since(start)
-
-	fmt.Printf("configuration:   %s\n", cfg)
-	fmt.Printf("leader:          node %d\n", leader)
-	fmt.Printf("global rounds:   %d per election\n", rounds)
-	fmt.Printf("elections:       %d in %s (%.0f elections/sec, batch %d)\n",
-		count, elapsed.Round(time.Millisecond), float64(count)/elapsed.Seconds(), batchSize)
-	stats, err := svc.Stats()
-	if err != nil {
-		return err
-	}
-	for _, s := range stats {
-		fmt.Printf("shard %d:         %d configs, %d elections, %d failures\n",
-			s.Shard, s.Configs, s.Elections, s.Failures)
-	}
-	return nil
 }
 
 // electCompiled loads a compiled algorithm artifact (fully validated, or

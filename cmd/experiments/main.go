@@ -1,7 +1,8 @@
-// Command experiments regenerates the evaluation tables of EXPERIMENTS.md:
+// Command experiments regenerates the evaluation tables of the reproduction:
 // the scaling measurements (E1, E2, E8), the replays of the paper's lower
-// bounds and impossibility results (E3-E6), the feasibility survey (E7) and
-// the baseline comparison (E9).
+// bounds and impossibility results (E3-E6), the feasibility survey (E7), the
+// baseline comparison (E9), the structural comparisons (E10, E11), the
+// faulted medium (E18) and the Refine ablation (A1).
 //
 // Usage:
 //
@@ -21,7 +22,7 @@ func main() {
 	var (
 		quick  = flag.Bool("quick", false, "run reduced parameter sweeps")
 		seed   = flag.Int64("seed", 1, "random seed for all workloads")
-		only   = flag.String("only", "", "run a single experiment (E1..E20, A1)")
+		only   = flag.String("only", "", "run a single experiment (E1..E11, E18, A1)")
 		engine = flag.String("engine", "sequential", "simulation engine for the election experiments: "+anonradio.EngineList())
 		out    = flag.String("o", "", "output file (default: standard output)")
 	)

@@ -247,13 +247,9 @@ func planned(plan RoundPlan) drip.Action {
 	return drip.ListenAction()
 }
 
-// TransmissionBlock returns the transmission block the node with history h
+// transmissionBlock returns the transmission block the node with history h
 // uses in phase j (0 when no entry matches); it is the compiled counterpart
-// of (*DRIP).TransmissionBlock.
-func (pt *PhaseTable) TransmissionBlock(h history.Vector, j int) int {
-	return pt.transmissionBlock(h, j)
-}
-
+// of the reference (*DRIP).TransmissionBlock.
 func (pt *PhaseTable) transmissionBlock(h history.Vector, j int) int {
 	tb := 1
 	for jj := 2; jj <= j; jj++ {

@@ -212,7 +212,7 @@ func TestPhaseTableTransmissionBlockMatchesReference(t *testing.T) {
 	for v := range res.Histories {
 		for j := 1; j <= d.Phases(); j++ {
 			want := d.TransmissionBlock(res.Histories[v], j)
-			if got := d.Table().TransmissionBlock(res.Histories[v], j); got != want {
+			if got := d.Table().transmissionBlock(res.Histories[v], j); got != want {
 				t.Fatalf("node %d phase %d: table block %d, reference %d", v, j, got, want)
 			}
 		}

@@ -19,8 +19,8 @@ type Options struct {
 	// Trials is the number of repetitions for randomized measurements; zero
 	// selects a per-experiment default.
 	Trials int
-	// Engine is the simulation engine the election experiments (E2-E4, E9,
-	// E12) run on; nil selects the sequential reference engine. Results are
+	// Engine is the simulation engine the election experiments (E2-E4, E9)
+	// run on; nil selects the sequential reference engine. Results are
 	// engine-independent (both engines produce bit-identical histories; E8
 	// verifies it), only the wall-clock changes.
 	Engine radio.Engine
@@ -55,7 +55,7 @@ func (o Options) trials(def, quick int) int {
 
 // Experiment is one runnable experiment.
 type Experiment struct {
-	// ID is the experiment identifier ("E1" .. "E16", "A1").
+	// ID is the experiment identifier ("E1" .. "E11", "E18", "A1").
 	ID string
 	// Name is a short description.
 	Name string
@@ -77,14 +77,7 @@ func All() []Experiment {
 		{ID: "E9", Name: "Baseline comparison (identifiers / randomness vs anonymity)", Run: E9Baselines},
 		{ID: "E10", Name: "Radio-model refinement vs colour refinement (structural comparison)", Run: E10Structure},
 		{ID: "E11", Name: "Automorphism certificate vs Classifier (structural comparison)", Run: E11Symmetry},
-		{ID: "E12", Name: "Sharded election service throughput (substrate validation)", Run: E12ServiceThroughput},
-		{ID: "E14", Name: "Admission isolation (election latency during same-shard builds)", Run: E14AdmissionIsolation},
-		{ID: "E15", Name: "Durability cost (admission throughput and recovery per fsync policy)", Run: E15DurabilityCost},
-		{ID: "E16", Name: "Wire encoding cost (binary frames vs JSON serving and snapshots)", Run: E16WireEncoding},
-		{ID: "E17", Name: "Hot-shard relief (work stealing under zipf skew; rebuild-in-place churn)", Run: E17HotShardRelief},
 		{ID: "E18", Name: "Faulted medium (outcome vs drop/noise rate, both engines)", Run: E18FaultedMedium},
-		{ID: "E19", Name: "HTTP churn soak (elections under evict/re-admit churn, WAL on)", Run: E19ChurnSoak},
-		{ID: "E20", Name: "Fleet serving, migration and recovery (router vs direct; artifact ship; node loss)", Run: E20FleetServing},
 		{ID: "A1", Name: "Ablation: Refine implementation (representative scan vs hashing)", Run: A1RefineAblation},
 	}
 }

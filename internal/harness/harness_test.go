@@ -30,8 +30,8 @@ func TestTableRendering(t *testing.T) {
 
 func TestAllAndLookup(t *testing.T) {
 	all := All()
-	if len(all) != 20 {
-		t.Fatalf("expected 20 experiments, got %d", len(all))
+	if len(all) != 13 {
+		t.Fatalf("expected 13 experiments, got %d", len(all))
 	}
 	seen := map[string]bool{}
 	for _, e := range all {
@@ -46,8 +46,10 @@ func TestAllAndLookup(t *testing.T) {
 	if _, ok := Lookup("E3"); !ok {
 		t.Fatalf("lookup of E3 failed")
 	}
-	if _, ok := Lookup("E42"); ok {
-		t.Fatalf("lookup of unknown experiment should fail")
+	for _, id := range []string{"E42", "E12", "E19", "E20"} {
+		if _, ok := Lookup(id); ok {
+			t.Fatalf("lookup of unknown experiment %s should fail", id)
+		}
 	}
 }
 
@@ -203,21 +205,6 @@ func TestE11Symmetry(t *testing.T) {
 	}
 }
 
-func TestE12ServiceThroughput(t *testing.T) {
-	table, err := E12ServiceThroughput(quickOpts())
-	if err != nil {
-		t.Fatalf("%v", err)
-	}
-	if len(table.Rows) != 2 {
-		t.Fatalf("expected 2 rows (shard counts), got %d", len(table.Rows))
-	}
-	for _, row := range table.Rows {
-		if row[len(row)-1] != "true" {
-			t.Fatalf("service outcomes disagreed with the engine: %v", row)
-		}
-	}
-}
-
 func TestA1RefineAblation(t *testing.T) {
 	table, err := A1RefineAblation(quickOpts())
 	if err != nil {
@@ -234,45 +221,9 @@ func TestRunAllQuick(t *testing.T) {
 		t.Fatalf("%v", err)
 	}
 	out := sb.String()
-	for _, id := range []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E14", "E15", "E16", "A1"} {
+	for _, id := range []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E18", "A1"} {
 		if !strings.Contains(out, "## "+id) {
 			t.Fatalf("RunAll output missing %s", id)
-		}
-	}
-}
-
-func TestE16WireEncoding(t *testing.T) {
-	table, err := E16WireEncoding(quickOpts())
-	if err != nil {
-		t.Fatalf("%v", err)
-	}
-	if len(table.Rows) != 5 {
-		t.Fatalf("expected 5 rows (in-process + 2 encodings x 2 batch sizes), got %d", len(table.Rows))
-	}
-	for _, row := range table.Rows {
-		if row[len(row)-1] != "true" {
-			t.Fatalf("served outcomes disagreed with in-process: %v", row)
-		}
-	}
-}
-
-func TestE14AdmissionIsolation(t *testing.T) {
-	table, err := E14AdmissionIsolation(quickOpts())
-	if err != nil {
-		t.Fatalf("%v", err)
-	}
-	if len(table.Rows) != 2 {
-		t.Fatalf("expected 2 rows (idle, pipeline), got %d", len(table.Rows))
-	}
-	// Timing distributions are noisy on shared runners, so the only hard
-	// expectation is that every mode actually served elections (and the
-	// admitting modes actually admitted).
-	for i, row := range table.Rows {
-		if row[1] == "0" {
-			t.Fatalf("row %d served no elections: %v", i, row)
-		}
-		if i > 0 && row[2] == "0" {
-			t.Fatalf("row %d performed no admissions: %v", i, row)
 		}
 	}
 }
@@ -298,40 +249,5 @@ func TestE18FaultedMedium(t *testing.T) {
 	harsh := table.Rows[len(table.Rows)-1]
 	if harsh[3] == table.Rows[0][3] {
 		t.Fatalf("harsh fault point matched the clean point exactly: %v", harsh)
-	}
-}
-
-func TestE19ChurnSoak(t *testing.T) {
-	table, err := E19ChurnSoak(quickOpts())
-	if err != nil {
-		t.Fatalf("%v", err)
-	}
-	if len(table.Rows) != 2 {
-		t.Fatalf("expected 2 rows (churn off, churn on), got %d", len(table.Rows))
-	}
-	on := table.Rows[1]
-	if on[1] == "0" {
-		t.Fatalf("churn-on row served no elections: %v", on)
-	}
-	if on[len(on)-1] != "0" {
-		t.Fatalf("churn soak lost admissions: %v", on)
-	}
-	if on[len(on)-3] == "0" {
-		t.Fatalf("churn loop never re-admitted: %v", on)
-	}
-}
-
-func TestE20FleetServing(t *testing.T) {
-	table, err := E20FleetServing(quickOpts())
-	if err != nil {
-		t.Fatalf("%v", err)
-	}
-	if len(table.Rows) != 4 {
-		t.Fatalf("expected 4 rows (2 serve, migrate, recover), got %d", len(table.Rows))
-	}
-	for i, row := range table.Rows {
-		if row[len(row)-1] != "true" {
-			t.Fatalf("row %d not bit-identical to the reference outcomes: %v", i, row)
-		}
 	}
 }

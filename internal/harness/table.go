@@ -1,9 +1,11 @@
 // Package harness implements the experiment harness of the reproduction: the
 // workload generators, parameter sweeps and result tables for the
-// experiments listed by All (E1-E12, E14-E20 and A1). Each experiment
-// validates one of the paper's quantitative claims (or provides baseline /
+// experiments listed by All (E1-E11, E18 and A1). Each experiment validates
+// one of the paper's quantitative claims (or provides baseline /
 // substrate-validation context) and renders its results as a plain-text
 // table so that `cmd/experiments` can regenerate the evaluation end to end.
+// The serving stack is measured by fleetbench and the package benchmarks,
+// not here.
 package harness
 
 import (

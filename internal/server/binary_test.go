@@ -345,7 +345,7 @@ func TestWireElectHandlerAllocs(t *testing.T) {
 
 // benchElectServer boots an in-process server with one registered key for
 // the wire benchmarks (no TCP — the benchmark isolates codec + handler +
-// registry, the quantity E16 compares against in-process Elect).
+// registry, the quantity compared against in-process Elect).
 func benchElectServer(b *testing.B, keys int) (*Server, []string) {
 	b.Helper()
 	reg := service.New(service.Options{Shards: 4})
@@ -386,7 +386,7 @@ func BenchmarkWireServedElect(b *testing.B) {
 }
 
 // BenchmarkJSONServedElect is the same request over the JSON encoding —
-// the baseline the wire path is measured against in E16.
+// the baseline the wire path is measured against.
 func BenchmarkJSONServedElect(b *testing.B) {
 	srv, names := benchElectServer(b, 1)
 	h := srv.Handler()
@@ -411,9 +411,9 @@ func BenchmarkJSONServedElect(b *testing.B) {
 }
 
 // BenchmarkWireServedElectBatch64 serves a 64-key binary batch per
-// iteration — the configuration the E16 "wire within 1.05x of in-process"
-// target is measured at (b.N counts batches; divide by 64 for per-election
-// cost).
+// iteration — the configuration the "wire within 1.05x of in-process"
+// target is measured at, against BenchmarkInProcessElectBatch64 (b.N counts
+// batches; divide by 64 for per-election cost).
 func BenchmarkWireServedElectBatch64(b *testing.B) {
 	srv, names := benchElectServer(b, 8)
 	h := srv.Handler()

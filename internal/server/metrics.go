@@ -16,9 +16,6 @@ const (
 	epEvict
 	epArtifactExport
 	epAdmitArtifact
-	epSoakStart
-	epSoakStop
-	epSoakStatus
 	epStats
 	epHealth
 	epCount
@@ -34,9 +31,6 @@ var endpointNames = [epCount]string{
 	epEvict:          "DELETE /v1/configs/{key}",
 	epArtifactExport: "GET /v1/artifact/{key}",
 	epAdmitArtifact:  "POST /v1/admit/artifact",
-	epSoakStart:      "POST /v1/soak/start",
-	epSoakStop:       "POST /v1/soak/stop",
-	epSoakStatus:     "GET /v1/soak/status",
 	epStats:          "GET /v1/stats",
 	epHealth:         "GET /healthz",
 }

@@ -58,7 +58,6 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
-	"sync"
 	"time"
 
 	"anonradio/internal/canonical"
@@ -92,11 +91,6 @@ type Server struct {
 	metrics [epCount]endpointMetrics
 	start   time.Time
 	opts    Options
-
-	// soak is the server's churn soak (soak.go); at most one runs at a
-	// time, and Shutdown stops it before draining.
-	soakMu sync.Mutex
-	soak   *service.ChurnSoak
 }
 
 // New builds a server over reg. The registry must outlive the server.
@@ -118,9 +112,6 @@ func New(reg *service.Registry, opts Options) *Server {
 	s.mux.HandleFunc("DELETE /v1/configs/{key...}", s.instrument(epEvict, s.handleEvict))
 	s.mux.HandleFunc("GET /v1/artifact/{key...}", s.instrument(epArtifactExport, s.handleArtifactExport))
 	s.mux.HandleFunc("POST /v1/admit/artifact", s.instrument(epAdmitArtifact, s.handleAdmitArtifact))
-	s.mux.HandleFunc("POST /v1/soak/start", s.instrument(epSoakStart, s.handleSoakStart))
-	s.mux.HandleFunc("POST /v1/soak/stop", s.instrument(epSoakStop, s.handleSoakStop))
-	s.mux.HandleFunc("GET /v1/soak/status", s.instrument(epSoakStatus, s.handleSoakStatus))
 	s.mux.HandleFunc("GET /v1/stats", s.instrument(epStats, s.handleStats))
 	s.mux.HandleFunc("GET /healthz", s.instrument(epHealth, s.handleHealth))
 	s.httpSrv = &http.Server{Handler: s.mux, ReadHeaderTimeout: opts.ReadHeaderTimeout}
@@ -144,14 +135,11 @@ func (s *Server) ListenAndServe(addr string) error {
 	return s.httpSrv.ListenAndServe()
 }
 
-// Shutdown gracefully stops the server: an active churn soak is stopped
-// first (waiting for its in-flight cycle, so every churned key ends up
-// admitted), then the listener closes, in-flight requests run to completion
-// (bounded by ctx), and new requests are refused. After Shutdown returns,
-// the registry is quiescent from the server's side — the natural moment for
-// Registry.Snapshot.
+// Shutdown gracefully stops the server: the listener closes, in-flight
+// requests run to completion (bounded by ctx), and new requests are
+// refused. After Shutdown returns, the registry is quiescent from the
+// server's side — the natural moment for Registry.Snapshot.
 func (s *Server) Shutdown(ctx context.Context) error {
-	s.stopSoak()
 	return s.httpSrv.Shutdown(ctx)
 }
 

@@ -69,6 +69,17 @@ func decodeBody(t *testing.T, resp *http.Response, v any) {
 	}
 }
 
+// getJSON fetches path and decodes the body into v.
+func getJSON(t *testing.T, ts *httptest.Server, path string, v any) *http.Response {
+	t.Helper()
+	resp, err := ts.Client().Get(ts.URL + path)
+	if err != nil {
+		t.Fatalf("GET %s: %v", path, err)
+	}
+	decodeBody(t, resp, v)
+	return resp
+}
+
 // TestServedElectMatchesInProcess is the tentpole acceptance check: the HTTP
 // elect and batch endpoints must produce outcomes bit-identical to the
 // in-process Registry.Elect (which is itself pinned against direct

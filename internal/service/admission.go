@@ -13,8 +13,7 @@ import (
 // configurations *off* the serve path, then hand the finished algorithm to
 // the owning shard as an O(1) install request. The pipeline is what keeps
 // elections on a shard from stalling behind a concurrent build on the same
-// shard (experiment E14 measures the difference against the retained
-// build-on-shard mode).
+// shard (TestElectNotBlockedByAdmission pins it).
 
 // ErrAdmissionBusy is returned (wrapped) by registrations when the bounded
 // admission queue is full. It is the service's backpressure signal: the

@@ -314,7 +314,8 @@ func TestSnapshotRemovesOrphanedFiles(t *testing.T) {
 
 // BenchmarkBinarySnapshotWrite measures writing the benchmark fleet's
 // snapshot (the checkpoint cost); BenchmarkSnapshotRestore measures the
-// boot cost. docs/PERFORMANCE.md (E16) carries the analysis.
+// boot cost. docs/PERFORMANCE.md ("Binary wire encoding") carries the
+// analysis.
 func BenchmarkBinarySnapshotWrite(b *testing.B) {
 	src := New(Options{Shards: 2})
 	defer src.Close()

@@ -36,7 +36,7 @@
 // on a shard therefore never wait behind a build. When the queue is full,
 // admissions fail fast with ErrAdmissionBusy (backpressure; the HTTP layer
 // maps it to 429), and every admission's progress is pollable through
-// AdmissionStatus. Experiment E14 measures what this isolation buys.
+// AdmissionStatus.
 //
 // The design trades large-result access for serve throughput: a served
 // Outcome carries the elected leader and the round count by value, not the

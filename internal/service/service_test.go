@@ -371,6 +371,72 @@ func TestServiceShardAffinity(t *testing.T) {
 	}
 }
 
+// TestServiceFaultModeMatchesDirect pins the served fault mode: a registry
+// built with Options.Fault serves every election bit-identically to the
+// direct Dedicated.ElectInto path under the same plan — same leader and
+// rounds on success, a verification failure (counted in Stats) when the
+// faults break the election — and repeated served elections are
+// deterministic.
+func TestServiceFaultModeMatchesDirect(t *testing.T) {
+	plans := []*radio.FaultPlan{
+		nil,
+		{Seed: 7},                         // empty plan == clean medium
+		{Seed: 7, Drop: 0.2, Noise: 0.05}, // lossy
+		{Seed: 7, Drop: 1},                // total loss
+		{Seed: 7, Outages: []radio.Outage{{Node: 0, From: 0, To: 50}}}, // node 0 dark
+	}
+	for pi, plan := range plans {
+		t.Run(fmt.Sprintf("plan-%d", pi), func(t *testing.T) {
+			r := New(Options{Shards: 2, Fault: plan})
+			t.Cleanup(r.Close)
+			wantFails := int64(0)
+			for key, cfg := range testConfigs() {
+				if err := r.Register(key, cfg); err != nil {
+					t.Fatal(err)
+				}
+				d, err := election.BuildDedicated(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var ref radio.ElectionOutcome
+				refErr := d.ElectInto(&ref, radio.Options{Fault: plan})
+				if refErr == nil {
+					refErr = d.Verify(&ref)
+				}
+				for trial := 0; trial < 3; trial++ { // faults are deterministic per key
+					out, err := r.Elect(key)
+					if (refErr == nil) != (err == nil) {
+						t.Fatalf("%s trial %d: served err %v, direct err %v", key, trial, err, refErr)
+					}
+					if refErr == nil && (out.Leader != ref.Leader() || out.Rounds != ref.Rounds) {
+						t.Fatalf("%s trial %d: served (%d, %d), direct (%d, %d)",
+							key, trial, out.Leader, out.Rounds, ref.Leader(), ref.Rounds)
+					}
+				}
+				if refErr != nil {
+					wantFails += 3
+				}
+			}
+			stats, err := r.Stats()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if total := Totals(stats); total.Failures != wantFails {
+				t.Fatalf("failures %d, want %d", total.Failures, wantFails)
+			}
+			if plan.Empty() {
+				return
+			}
+			// A live plan must actually break something somewhere: across
+			// the whole config set, at least one election fails under total
+			// loss (plans 3 and 4 silence entire neighbourhoods).
+			if pi >= 3 && wantFails == 0 {
+				t.Fatal("total-loss plan broke no election")
+			}
+		})
+	}
+}
+
 func BenchmarkServiceElect(b *testing.B) {
 	r := New(Options{Shards: 2})
 	defer r.Close()

@@ -113,8 +113,9 @@ func TestWorkStealingBitIdentical(t *testing.T) {
 
 // TestWorkStealingRelievesHotShard drives a single hot key hard enough to
 // queue work on its home shard and asserts a sibling worker actually
-// steals some of it (the mechanism E17 measures): Stolen lands on the
-// thief's row, StolenFrom on the home row, and the two totals agree.
+// steals some of it (the mechanism fleetbench's service.stolen_share
+// measures): Stolen lands on the thief's row, StolenFrom on the home row,
+// and the two totals agree.
 func TestWorkStealingRelievesHotShard(t *testing.T) {
 	// A thief needs scheduler slots of its own: under GOMAXPROCS=1 the home
 	// worker drains its queue in one time slice and the sibling never
