@@ -1,13 +1,16 @@
 package anonradio
 
 // This file is the benchmark harness: one benchmark (or benchmark group) per
-// experiment of EXPERIMENTS.md, plus micro-benchmarks for the hot paths of
-// the Classifier and the simulator. Run with:
+// experiment of cmd/experiments (the paper's E1–E11), plus micro-benchmarks
+// for the hot paths of the Classifier, the simulator and the election. Run
+// with:
 //
 //	go test -bench=. -benchmem
 //
-// The E-numbered benchmarks mirror the tables produced by cmd/experiments;
-// they measure the same code paths at benchmark-friendly sizes.
+// The E-numbered benchmarks measure the code paths behind the tables that
+// `go run ./cmd/experiments` prints, at benchmark-friendly sizes.
+// docs/PERFORMANCE.md records what they measured before and after each
+// change.
 
 import (
 	"encoding/json"

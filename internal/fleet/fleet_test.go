@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -368,5 +369,43 @@ func TestDropNodeRebuildsBeforeSwap(t *testing.T) {
 			t.Fatalf("%s: outcome changed across node loss: (%d, %d) -> (%d, %d)",
 				key, want.Leader, want.Rounds, out.Leader, out.Rounds)
 		}
+	}
+}
+
+// TestEvictOnClosedNodeKeepsCache pins that a node answering an evict with
+// 503 — its registry closed, the key still in its journal — leaves the key
+// in the router's recovery cache: dropping the node then rebuilds the key
+// on a survivor, where it elects as before.
+func TestEvictOnClosedNodeKeepsCache(t *testing.T) {
+	urls, regs, _ := newTestNodes(t, 3)
+	f, err := New(urls, ClientOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := registerFleet(t, f, 12)[0]
+	before, err := f.Elect(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	owner := f.Owner(key)
+	regs[owner].Close()
+
+	err = f.Evict(key)
+	var ae *APIError
+	if !errors.As(err, &ae) || ae.Status != http.StatusServiceUnavailable || !errors.Is(err, service.ErrClosed) {
+		t.Fatalf("evict on a closed node: %v, want a 503 ErrClosed", err)
+	}
+	if !slices.Contains(f.Keys(), key) {
+		t.Fatalf("a 503 evict dropped %s from the recovery cache", key)
+	}
+	if _, err := f.DropNode(owner); err != nil {
+		t.Fatalf("drop node: %v", err)
+	}
+	out, err := f.Elect(key)
+	if err != nil {
+		t.Fatalf("elect after the rebuild: %v", err)
+	}
+	if out.Leader != before.Leader || out.Rounds != before.Rounds {
+		t.Fatalf("%s: outcome changed across the rebuild: (%d, %d) -> (%d, %d)", key, before.Leader, before.Rounds, out.Leader, out.Rounds)
 	}
 }

@@ -63,12 +63,19 @@ type CodedProtocol interface {
 //     resolve through the transmitter medium (counts of transmitting
 //     neighbours, pending single messages), which is reset through a dirty
 //     list of exactly the entries they wrote.
-//   - A CodedProtocol's histories are recorded as one byte code per entry;
-//     every other protocol's as history.Entry values.
-//   - Silence is the zero code (the zero history.Entry) and is written
-//     lazily: a node's skipped silent entries are filled in before it
-//     consults its protocol, before it records a heard entry, and when a
-//     run is cut off by its round limit.
+//   - A CodedProtocol's histories are recorded as one byte code per entry,
+//     in one matrix: row v holds node v's codes, and its entry for global
+//     round r sits at base[v]+r. The matrix is cleared when the run starts,
+//     so silence, the zero code, is never written: a heard entry, a wake-up
+//     entry and each neighbour of a lone delivery cost one byte store, and
+//     a termination writes nothing. Rows are as long as the round limit; a
+//     run under the default limit starts with short rows and doubles them.
+//   - Every other protocol's histories are history.Entry vectors, whose
+//     silence (the zero Entry) is written lazily: a node's skipped silent
+//     entries are filled in before it consults its protocol, before it
+//     records a heard entry, and when a run is cut off by its round limit.
+//   - The delivery loops read a node's life cycle (asleep, running,
+//     terminated) from one byte per node.
 //   - Spontaneous wake-ups come from a tag-ordered node list; forced ones
 //     from the lone delivery or the dirty list.
 //   - Under a fault plan any node may perceive noise in any round, so one
@@ -93,6 +100,7 @@ type Simulator struct {
 	exec Executor
 
 	states       []nodeState
+	life         []lifeStage
 	protos       []drip.Protocol
 	actions      []drip.Action
 	transmitting []bool
@@ -124,23 +132,42 @@ type Simulator struct {
 	coder     CodedProtocol
 	msg       string
 	maxRounds int
+	// The code matrix of a coded run: row v is codes[v*stride:(v+1)*stride],
+	// and node v's entry for global round r is codes[base[v]+r], where
+	// base[v] = v*stride - wakeRound(v). Only rows of awake nodes have a
+	// base. Rows hold every local round before global round stride, so the
+	// round loop grows them before round stride starts.
+	codes  []byte
+	stride int
+	base   []int
 
 	res Result
 }
 
-// nodeState is the simulator's per-node bookkeeping. A running node's
-// history may lag behind its local round: the missing tail is silence,
-// written lazily. A coded run records codes, a vector run hist; Run
-// materializes hist from the codes at the end of a coded run.
+// lifeStage is where a node is in its life cycle; the delivery loops read
+// it for every neighbour they reach.
+type lifeStage uint8
+
+const (
+	asleep lifeStage = iota
+	running
+	terminated
+)
+
+// nodeState is the simulator's per-node bookkeeping. In a vector run a
+// running node's history may lag behind its local round: the missing tail
+// is silence, written lazily. A coded run records into the code matrix
+// instead; Run materializes hist from the codes at the end of a coded run.
 type nodeState struct {
-	awake      bool
-	terminated bool
-	wakeRound  int
-	forced     bool
-	doneLocal  int
-	codes      []byte
-	hist       history.Vector
+	wakeRound int
+	forced    bool
+	doneLocal int
+	hist      history.Vector
 }
+
+// rowStart is the row length a coded run under the default round limit
+// starts with; its rows double whenever the run outgrows them.
+const rowStart = 64
 
 // NewSimulator validates cfg and builds a reusable simulator for it, with
 // the inline (single-threaded) executor.
@@ -186,6 +213,8 @@ func NewSimulatorExecutor(cfg *config.Config, exec Executor) (*Simulator, error)
 		csr:          cfg.Graph().CSR(),
 		exec:         exec,
 		states:       make([]nodeState, n),
+		life:         make([]lifeStage, n),
+		base:         make([]int, n),
 		protos:       make([]drip.Protocol, n),
 		actions:      make([]drip.Action, n),
 		transmitting: make([]bool, n),
@@ -201,9 +230,10 @@ func NewSimulatorExecutor(cfg *config.Config, exec Executor) (*Simulator, error)
 
 // Reset rebinds the simulator to a different configuration, reusing every
 // internal buffer the new configuration fits in: the CSR adjacency, the
-// per-node state (including history backing arrays), the medium scratch,
-// the agenda and the result buffers are all retained, so re-binding a warm
-// simulator across a stream of same-sized configurations allocates nothing.
+// per-node state (including history backing arrays), the code matrix, the
+// medium scratch, the agenda and the result buffers are all retained, so
+// re-binding a warm simulator across a stream of same-sized configurations
+// allocates nothing.
 // The executor is kept as well. It is the build-path counterpart of the
 // zero-alloc round loop: services that admit configurations repeatedly (the
 // election registry's build arena) re-use one simulator instead of
@@ -231,6 +261,8 @@ func (s *Simulator) Reset(cfg *config.Config) error {
 	s.cfg = cfg
 	s.csr = cfg.Graph().CSRInto(s.csr)
 	s.states = growStates(s.states, n)
+	s.life = arena.Grow(s.life, n)
+	s.base = arena.Grow(s.base, n)
 	s.protos = arena.Grow(s.protos, n)
 	s.actions = arena.Grow(s.actions, n)
 	s.transmitting = arena.Grow(s.transmitting, n)
@@ -370,8 +402,9 @@ func (s *Simulator) run(opts Options) (*Result, error) {
 	downNow := 0
 	for v := range s.states {
 		st := &s.states[v]
-		*st = nodeState{wakeRound: -1, doneLocal: -1, codes: st.codes[:0], hist: st.hist[:0]}
+		*st = nodeState{wakeRound: -1, doneLocal: -1, hist: st.hist[:0]}
 	}
+	clear(s.life)
 
 	var trace *Trace
 	if opts.RecordTrace {
@@ -379,6 +412,18 @@ func (s *Simulator) run(opts Options) (*Result, error) {
 	}
 
 	s.maxRounds = opts.maxRounds()
+	if s.coder != nil {
+		// Rows as long as a given limit never grow: a bounded run
+		// (elections pass their round bound) sizes them once. Only this
+		// run's rows are cleared, so a simulator that once ran a long-span
+		// configuration does not clear its whole matrix for a short one.
+		s.stride = s.maxRounds
+		if opts.MaxRounds <= 0 {
+			s.stride = min(s.maxRounds, rowStart)
+		}
+		s.codes = arena.Grow(s.codes, n*s.stride)
+		clear(s.codes)
+	}
 	remaining := n // nodes that have not yet terminated
 	lastActive := 0
 	tagged := 0 // prefix of byTag whose tag round has been processed
@@ -397,8 +442,13 @@ func (s *Simulator) run(opts Options) (*Result, error) {
 
 	for round := 0; remaining > 0; round++ {
 		if round >= s.maxRounds {
-			s.padRunning(round)
+			if s.coder == nil {
+				s.padRunning(round)
+			}
 			return s.buildResult(round, trace, fs), fmt.Errorf("%w: %d rounds simulated, %d nodes still running", ErrRoundLimit, round, remaining)
+		}
+		if s.coder != nil && round >= s.stride {
+			s.growRows(round)
 		}
 
 		if depth != nil {
@@ -444,12 +494,9 @@ func (s *Simulator) run(opts Options) (*Result, error) {
 				s.schedule(v, round)
 			case drip.Terminate:
 				st := &s.states[v]
-				st.terminated = true
-				if s.coder != nil {
-					st.doneLocal = len(st.codes)
-					st.codes = append(st.codes, history.CodeSilence)
-				} else {
-					st.doneLocal = len(st.hist)
+				s.life[v] = terminated
+				st.doneLocal = round - st.wakeRound
+				if s.coder == nil {
 					st.hist = append(st.hist, history.Silent())
 				}
 				remaining--
@@ -522,15 +569,28 @@ func (s *Simulator) run(opts Options) (*Result, error) {
 		// not a radio event.
 		if lone {
 			// Every neighbour of the lone transmitter perceives exactly its
-			// message; the transmitter set lastActive in step 1.
+			// message; the transmitter set lastActive in step 1. An untraced
+			// coded run records it with one byte store per running
+			// neighbour.
 			msg := s.actions[tx[0]].Msg
-			for _, w := range s.csr.Neighbors(int(tx[0])) {
-				st := &s.states[w]
-				switch {
-				case !st.awake:
-					s.wake(int(w), round, 1, msg, rec)
-				case !st.terminated:
-					s.hear(int(w), round, 1, msg, rec)
+			nbrs := s.csr.Neighbors(int(tx[0]))
+			if s.coder != nil && rec == nil {
+				for _, w := range nbrs {
+					switch s.life[w] {
+					case running:
+						s.codes[s.base[w]+round] = history.CodeMessage
+					case asleep:
+						s.wake(int(w), round, 1, msg, nil)
+					}
+				}
+			} else {
+				for _, w := range nbrs {
+					switch s.life[w] {
+					case running:
+						s.hear(int(w), round, 1, msg, rec)
+					case asleep:
+						s.wake(int(w), round, 1, msg, rec)
+					}
 				}
 			}
 		}
@@ -541,15 +601,14 @@ func (s *Simulator) run(opts Options) (*Result, error) {
 			// yields the spontaneous wake-ups, reading a zero count for
 			// every node the round did not reach.
 			for _, w := range s.touched {
-				st := &s.states[w]
 				cnt := int(s.counts[w])
 				switch {
-				case !st.awake:
+				case s.life[w] == asleep:
 					if cnt == 1 {
 						s.wake(int(w), round, cnt, s.single[w], rec)
 						lastActive = round
 					}
-				case !st.terminated && !s.transmitting[w]:
+				case s.life[w] == running && !s.transmitting[w]:
 					s.hear(int(w), round, cnt, s.single[w], rec)
 					lastActive = round
 				}
@@ -559,7 +618,7 @@ func (s *Simulator) run(opts Options) (*Result, error) {
 				if s.cfg.Tag(v) != round {
 					break
 				}
-				if !s.states[v].awake {
+				if s.life[v] == asleep {
 					s.wake(v, round, int(s.counts[v]), s.single[v], rec)
 					lastActive = round
 				}
@@ -568,13 +627,13 @@ func (s *Simulator) run(opts Options) (*Result, error) {
 			// Faulted medium: noise may reach any node, so one dense pass
 			// perceives for every sleeping node and every listener.
 			for v := 0; v < n; v++ {
-				st := &s.states[v]
-				if st.awake && (st.terminated || s.transmitting[v]) {
+				life := s.life[v]
+				if life == terminated || (life == running && s.transmitting[v]) {
 					continue
 				}
 				cnt, msg := fp.perceive(int(s.counts[v]), s.single[v], round, v, depth, &fs)
 				switch {
-				case !st.awake:
+				case life == asleep:
 					if s.cfg.Tag(v) == round || cnt == 1 {
 						s.wake(v, round, cnt, msg, rec)
 						lastActive = round
@@ -615,16 +674,16 @@ func minBad(bad int, v int32) int {
 	return bad
 }
 
-// actDue performs the consult step for the nodes of due: each node's
-// skipped silent entries are written, then its protocol's action for the
+// actDue performs the consult step for the nodes of due: a coded node's
+// protocol reads the prefix of its row before the round, a vector node's
+// skipped silent entries are written first; then the node's action for the
 // round is recorded. Every write is indexed by the node, so concurrent
 // actDue calls on disjoint parts of the due list are race-free.
 func (s *Simulator) actDue(round int, due []int32) {
 	if s.coder != nil {
 		for _, v := range due {
-			st := &s.states[v]
-			st.codes = padCodes(st.codes, round-st.wakeRound)
-			s.actions[v] = s.coder.ActCodes(st.codes)
+			row, end := int(v)*s.stride, s.base[v]+round
+			s.actions[v] = s.coder.ActCodes(s.codes[row:end:end])
 		}
 		return
 	}
@@ -689,11 +748,12 @@ func (s *Simulator) growAgenda(r int) {
 // consult.
 func (s *Simulator) wake(v, round, cnt int, msg string, rec *RoundRecord) {
 	st := &s.states[v]
-	st.awake = true
+	s.life[v] = running
 	st.wakeRound = round
 	st.forced = cnt == 1
 	if s.coder != nil {
-		st.codes = append(st.codes, entryCode(cnt))
+		s.base[v] = v*s.stride - round
+		s.codes[v*s.stride] = entryCode(cnt)
 	} else {
 		st.hist = append(st.hist, wakeEntry(cnt, msg))
 	}
@@ -709,10 +769,10 @@ func (s *Simulator) wake(v, round, cnt int, msg string, rec *RoundRecord) {
 // hear records the entry of listening node v, which perceived cnt > 0
 // transmitting neighbours this round.
 func (s *Simulator) hear(v, round, cnt int, msg string, rec *RoundRecord) {
-	st := &s.states[v]
 	if s.coder != nil {
-		st.codes = append(padCodes(st.codes, round-st.wakeRound), entryCode(cnt))
+		s.codes[s.base[v]+round] = entryCode(cnt)
 	} else {
+		st := &s.states[v]
 		st.hist = append(padSilence(st.hist, round-st.wakeRound), listenEntry(cnt, msg))
 	}
 	if rec != nil {
@@ -720,18 +780,43 @@ func (s *Simulator) hear(v, round, cnt int, msg string, rec *RoundRecord) {
 	}
 }
 
-// padRunning writes the skipped silent entries of every running node up to
-// the given global round, exclusive: a run cut off there reports every
-// round a node was awake for.
+// padRunning writes the skipped silent entries of every running node's
+// history vector up to the given global round, exclusive: a vector run cut
+// off there reports every round a node was awake for.
 func (s *Simulator) padRunning(round int) {
 	for v := range s.states {
-		st := &s.states[v]
-		switch {
-		case !st.awake || st.terminated:
-		case s.coder != nil:
-			st.codes = padCodes(st.codes, round-st.wakeRound)
-		default:
+		if s.life[v] == running {
+			st := &s.states[v]
 			st.hist = padSilence(st.hist, round-st.wakeRound)
+		}
+	}
+}
+
+// growRows lengthens the code matrix's rows to hold global round round: at
+// least doubled, never past the round limit. The rows move inside the
+// matrix's capacity when it fits them, last row first, since each row's
+// new place starts at or after its old one.
+func (s *Simulator) growRows(round int) {
+	n := len(s.states)
+	old := s.stride
+	s.stride = min(max(round+1, 2*old), s.maxRounds)
+	if n*s.stride > cap(s.codes) {
+		grown := make([]byte, n*s.stride)
+		for v := 0; v < n; v++ {
+			copy(grown[v*s.stride:], s.codes[v*old:(v+1)*old])
+		}
+		s.codes = grown
+	} else {
+		s.codes = s.codes[:n*s.stride]
+		for v := n - 1; v > 0; v-- {
+			copy(s.codes[v*s.stride:], s.codes[v*old:(v+1)*old])
+			clear(s.codes[v*s.stride+old : (v+1)*s.stride])
+		}
+		clear(s.codes[old:s.stride])
+	}
+	for v := range s.base {
+		if s.life[v] != asleep {
+			s.base[v] = v*s.stride - s.states[v].wakeRound
 		}
 	}
 }
@@ -747,19 +832,6 @@ func padSilence(h history.Vector, l int) history.Vector {
 	return h
 }
 
-// padCodes extends h with silent (zero) codes to length l, in one
-// zero-extend: a reslice and a clear, growing the buffer only when it is
-// too small.
-func padCodes(h []byte, l int) []byte {
-	n := len(h)
-	if l <= n {
-		return h
-	}
-	h = slices.Grow(h, l-n)[:l]
-	clear(h[n:])
-	return h
-}
-
 // entryCode returns the code of the entry of a node that perceived cnt
 // transmitting neighbours in a coded run, whose one message is the only
 // one that can reach it.
@@ -769,6 +841,9 @@ func entryCode(cnt int) byte {
 
 // buildResult assembles the reusable Result from the final node states:
 // Codes for a coded run, Histories for a vector run, the other one empty.
+// A node's codes are its row's prefix up to its termination entry, or up to
+// the given round when the round limit cut the node off; the slice is
+// capped there, so appending to one row never writes into the next.
 func (s *Simulator) buildResult(rounds int, trace *Trace, fs FaultStats) *Result {
 	n := len(s.states)
 	res := &s.res
@@ -787,7 +862,15 @@ func (s *Simulator) buildResult(rounds int, trace *Trace, fs FaultStats) *Result
 	res.Faults = fs
 	for v := range s.states {
 		if s.coder != nil {
-			res.Codes[v] = s.states[v].codes
+			st := &s.states[v]
+			row, l := v*s.stride, 0
+			switch s.life[v] {
+			case running:
+				l = rounds - st.wakeRound
+			case terminated:
+				l = st.doneLocal + 1
+			}
+			res.Codes[v] = s.codes[row : row+l : row+l]
 		} else {
 			res.Histories[v] = s.states[v].hist
 		}
@@ -804,7 +887,7 @@ func (s *Simulator) materialize(res *Result) {
 	res.Histories = arena.Grow(res.Histories, len(s.states))
 	for v := range s.states {
 		st := &s.states[v]
-		st.hist = history.AppendDecoded(st.hist[:0], st.codes, s.msg)
+		st.hist = history.AppendDecoded(st.hist[:0], res.Codes[v], s.msg)
 		res.Histories[v] = st.hist
 	}
 }

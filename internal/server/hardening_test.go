@@ -291,6 +291,38 @@ func TestStatsAfterClose503(t *testing.T) {
 	}
 }
 
+// TestEvictAfterClose503 pins that a closed registry answers an evict with
+// 503, like an elect, and never with the 404 "no configuration registered"
+// that a router would take as proof the key is gone.
+func TestEvictAfterClose503(t *testing.T) {
+	reg := service.New(service.Options{Shards: 2})
+	ts := httptest.NewServer(New(reg, Options{}).Handler())
+	defer ts.Close()
+	if err := reg.Register("k", config.StaggeredClique(5)); err != nil {
+		t.Fatal(err)
+	}
+	reg.Close()
+
+	req, err := http.NewRequest(http.MethodDelete, ts.URL+"/v1/configs/k", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := ts.Client().Do(req)
+	if err != nil {
+		t.Fatalf("DELETE /v1/configs/k: %v", err)
+	}
+	var e ErrorResponse
+	decodeBody(t, resp, &e)
+	if resp.StatusCode != http.StatusServiceUnavailable || e.Error == "" {
+		t.Fatalf("evict after close: status %d (%s), want 503", resp.StatusCode, e.Error)
+	}
+	resp = postJSON(t, ts, "/v1/elect", ElectRequest{Key: "k"})
+	decodeBody(t, resp, &e)
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("elect after close: status %d (%s), want 503", resp.StatusCode, e.Error)
+	}
+}
+
 // TestHealthDuringSlowAdmission pins the liveness contract: with the only
 // builder deterministically parked mid-build, /healthz must still answer
 // from cached counters. (internal/service's TestLenDuringSlowAdmission

@@ -637,7 +637,12 @@ func (s *Server) handleEvict(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "missing key"})
 		return
 	}
-	if !s.reg.Evict(key) {
+	evicted, err := s.reg.Evict(key)
+	if err != nil {
+		s.writeError(w, err) // 503 on a closed registry: the key may still be journaled
+		return
+	}
+	if !evicted {
 		writeJSON(w, http.StatusNotFound, ErrorResponse{Error: fmt.Sprintf("no configuration registered under %q", key)})
 		return
 	}

@@ -364,7 +364,7 @@ func TestAdmissionRecordsBounded(t *testing.T) {
 	if st := r.AdmissionStatus("k"); st.State != AdmissionDone {
 		t.Fatalf("admission record for k: %s, want done", st.State)
 	}
-	if !r.Evict("k") {
+	if ok, err := r.Evict("k"); !ok || err != nil {
 		t.Fatal("evicting k should report true")
 	}
 	if st := r.AdmissionStatus("k"); st.State != AdmissionUnknown {

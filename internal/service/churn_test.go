@@ -46,7 +46,7 @@ func startChurn(r *Registry, entries []churnEntry) *churn {
 			default:
 			}
 			e := entries[i]
-			if r.Evict(e.key) {
+			if ok, _ := r.Evict(e.key); ok {
 				c.evictions.Add(1)
 			}
 			err := r.Register(e.key, e.cfg)

@@ -75,7 +75,7 @@ func TestOpenRoundTrip(t *testing.T) {
 			if err := r.Register("doomed", config.StaggeredClique(4)); err != nil {
 				t.Fatal(err)
 			}
-			if !r.Evict("doomed") {
+			if ok, err := r.Evict("doomed"); !ok || err != nil {
 				t.Fatal("evict of a registered key failed")
 			}
 			keys := make([]string, 0, len(testConfigs()))
@@ -122,7 +122,7 @@ func TestJournalCompaction(t *testing.T) {
 	if err := r.Register("b", config.StaggeredClique(9)); err != nil {
 		t.Fatal(err)
 	}
-	if !r.Evict("a") {
+	if ok, err := r.Evict("a"); !ok || err != nil {
 		t.Fatal("evict of a registered key failed")
 	}
 	// Re-admission under a different shape: the journal now reads
@@ -154,7 +154,7 @@ func TestJournalCompaction(t *testing.T) {
 	if err := r2.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if !r2.Evict("b") {
+	if ok, err := r2.Evict("b"); !ok || err != nil {
 		t.Fatal("evict after checkpoint failed")
 	}
 	r2.Close()

@@ -197,7 +197,7 @@ func TestMixedEncodingJournalReplay(t *testing.T) {
 	if err := era2.Register("era2-f", cfgs["era2-f"]); err != nil {
 		t.Fatal(err)
 	}
-	if !era2.Evict("era1-d") {
+	if ok, err := era2.Evict("era1-d"); !ok || err != nil {
 		t.Fatal("evicting the JSON-journaled era1-d failed")
 	}
 	delete(cfgs, "era1-d")

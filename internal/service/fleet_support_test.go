@@ -87,7 +87,7 @@ func TestRetiredPoolBuckets(t *testing.T) {
 	hitSameClass := func(seedKey, newKey string, admitN int) string {
 		key := seedKey
 		for attempt := 0; attempt < 64; attempt++ {
-			if !r.Evict(key) {
+			if ok, err := r.Evict(key); !ok || err != nil {
 				t.Fatalf("evict %s failed", key)
 			}
 			base := r.AdmissionStats().RebuildHits
@@ -258,7 +258,7 @@ func TestAutoCheckpointPacing(t *testing.T) {
 	// journals an evict + an admit, so ~24 cycles cross it. Run 60 for
 	// margin.
 	for i := 0; i < 60; i++ {
-		if !r.Evict(keyN("auto", 0)) {
+		if ok, err := r.Evict(keyN("auto", 0)); !ok || err != nil {
 			t.Fatalf("evict cycle %d failed", i)
 		}
 		if err := r.Register(keyN("auto", 0), config.StaggeredClique(4)); err != nil {

@@ -610,12 +610,15 @@ func (r *Registry) admitSync(key string, cfg *config.Config, c *election.Compile
 }
 
 // Evict removes the configuration registered under key and reports whether
-// it was present. Evicting a key also drops its terminal admission record
-// (an in-flight re-admission keeps its); eviction is the end of the key's
-// lifecycle, and the status map must not grow with historical keys.
-func (r *Registry) Evict(key string) bool {
+// it was present. A closed registry evicts nothing and returns ErrClosed:
+// the key may still be registered (and journaled), so "absent" would be a
+// wrong answer.
+// Evicting a key also drops its terminal admission record (an in-flight
+// re-admission keeps its); eviction is the end of the key's lifecycle, and
+// the status map must not grow with historical keys.
+func (r *Registry) Evict(key string) (bool, error) {
 	if !r.acquire() {
-		return false
+		return false, ErrClosed
 	}
 	defer r.release()
 	resp := r.do(r.shardFor(key), request{op: opEvict, key: key})
@@ -630,11 +633,11 @@ func (r *Registry) Evict(key string) bool {
 			// shard applied it (so a record in a frozen checkpoint segment
 			// always describes an applied mutation) and before the caller
 			// learns of it. Append failures only surface in WALStats: the
-			// eviction already happened and Evict's contract is a boolean.
+			// eviction already happened.
 			_ = r.walAppendEvict(key)
 		}
 	}
-	return resp.evicted
+	return resp.evicted, nil
 }
 
 // Elect serves one election for the configuration registered under key.

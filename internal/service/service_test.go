@@ -134,10 +134,10 @@ func TestServiceErrors(t *testing.T) {
 	if r.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", r.Len())
 	}
-	if !r.Evict("ok") {
+	if ok, err := r.Evict("ok"); !ok || err != nil {
 		t.Fatalf("evicting a present key should report true")
 	}
-	if r.Evict("ok") {
+	if ok, err := r.Evict("ok"); ok || err != nil {
 		t.Fatalf("evicting an absent key should report false")
 	}
 	stats, err := r.Stats()

@@ -115,7 +115,7 @@ func TestResnapshotSameDirectory(t *testing.T) {
 	if err != nil {
 		t.Fatalf("entries: %v", err)
 	}
-	if !src.Evict(first[0].Key) {
+	if ok, err := src.Evict(first[0].Key); !ok || err != nil {
 		t.Fatalf("evict %q failed", first[0].Key)
 	}
 	if err := src.Register("zz-new", config.StaggeredClique(9)); err != nil {
