@@ -21,9 +21,11 @@
 // its median beats the parent's by more than the parent's interquartile
 // range; a regression when it is worse by more than the metric's bound;
 // unresolved when either side's interquartile range is wider than the
-// bound; otherwise within bound. It also reports `failed` per side. The
-// exit status is 1 when any metric regressed or is unresolved, or any run
-// failed an operation.
+// bound, unless every change run beats every parent run; otherwise within
+// bound. A seed run more than once counts once per pair of runs, so a
+// replayed log judges every pair it holds. It also reports `failed` per
+// side. The exit status is 1 when any metric regressed or is unresolved, or
+// any run failed an operation.
 package main
 
 import (
@@ -34,6 +36,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"os"
 	"os/exec"
@@ -259,24 +262,24 @@ func report(w io.Writer, metrics []Metric, recs []record) bool {
 }
 
 // pairUp returns the parent and change runs of the complete pairs, ordered
-// by seed: both runs of a pair share its seed. A seed run again replaces
-// its earlier runs.
+// by seed: both runs of a pair share its seed, and the k-th parent run of a
+// seed pairs with its k-th change run. A seed run again adds pairs and
+// replaces none, so every pair in the log is judged.
 func pairUp(recs []record) (parent, change []record) {
-	bySide := map[string]map[int]record{"parent": {}, "change": {}}
-	var seeds []int
+	runs := map[int]map[string][]record{}
 	for _, r := range recs {
-		if m, ok := bySide[r.Side]; ok {
-			m[r.Seed] = r
-			seeds = append(seeds, r.Seed)
+		if r.Side != "parent" && r.Side != "change" {
+			continue
 		}
+		if runs[r.Seed] == nil {
+			runs[r.Seed] = map[string][]record{}
+		}
+		runs[r.Seed][r.Side] = append(runs[r.Seed][r.Side], r)
 	}
-	slices.Sort(seeds)
-	for _, seed := range slices.Compact(seeds) {
-		p, okP := bySide["parent"][seed]
-		c, okC := bySide["change"][seed]
-		if okP && okC {
-			parent, change = append(parent, p), append(change, c)
-		}
+	for _, seed := range slices.Sorted(maps.Keys(runs)) {
+		p, c := runs[seed]["parent"], runs[seed]["change"]
+		k := min(len(p), len(c))
+		parent, change = append(parent, p[:k]...), append(change, c[:k]...)
 	}
 	return parent, change
 }

@@ -30,7 +30,8 @@ const (
 	Regression Verdict = "regression"
 	// Unresolved: one side's interquartile range is wider than the bound
 	// (as a share of its median), so the runs cannot tell a change of the
-	// bound's size from noise.
+	// bound's size from noise — unless every change run is better than
+	// every parent run.
 	Unresolved Verdict = "unresolved"
 )
 
@@ -105,10 +106,14 @@ func Judge(m Metric, parent, change []float64) Summary {
 	if !higher {
 		gap = -gap
 	}
+	// apart is true when every change run is better than every parent run,
+	// which no spread can make noise.
+	apart := len(parent) > 0 && len(change) > 0 &&
+		(higher && slices.Min(change) > slices.Max(parent) || !higher && slices.Max(change) < slices.Min(parent))
 	switch {
 	case -gap > m.Bound*math.Abs(s.Parent.Median):
 		s.Verdict = Regression
-	case s.Parent.spread() > m.Bound || s.Change.spread() > m.Bound:
+	case (s.Parent.spread() > m.Bound || s.Change.spread() > m.Bound) && !apart:
 		s.Verdict = Unresolved
 	case s.Pairs > 0 && 10*s.Won >= 9*s.Pairs && gap > s.Parent.IQR():
 		s.Verdict = Gain

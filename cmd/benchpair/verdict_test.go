@@ -72,6 +72,24 @@ func TestJudgeVerdicts(t *testing.T) {
 			want:   Unresolved, won: 4,
 		},
 		{
+			// The same noisy parent, but every change run beats every
+			// parent run: no spread makes that noise.
+			name:   "noisy but apart",
+			m:      perCPU,
+			parent: []float64{60, 70, 100, 130, 140, 60, 70, 100, 130, 140},
+			change: []float64{200, 210, 190, 205, 195, 200, 210, 190, 205, 195},
+			want:   Gain, won: 10,
+		},
+		{
+			// A noisy lower-is-better parent, every change run below every
+			// parent run, by less than the parent's IQR: within bound.
+			name:   "noisy lower apart",
+			m:      cpuSec,
+			parent: []float64{0.10, 0.12, 0.15, 0.18, 0.20, 0.10, 0.12, 0.15, 0.18, 0.20},
+			change: []float64{0.09, 0.09, 0.09, 0.09, 0.09, 0.09, 0.09, 0.09, 0.09, 0.09},
+			want:   Within, won: 10,
+		},
+		{
 			// A lower-is-better gain: 10 of 10, gap above the IQR.
 			name:   "lower gain",
 			m:      cpuSec,
@@ -138,6 +156,44 @@ func TestReportPairsBySeed(t *testing.T) {
 	out.Reset()
 	if report(&out, []Metric{perCPU}, append(recs, run(3, "change", 150, 1))) {
 		t.Fatalf("a failed operation passed the report:\n%s", out.String())
+	}
+}
+
+// TestReportCountsRepeatedSeeds pins that a log holding a seed run twice
+// (a second invocation appending to the same log) is judged on every pair:
+// the first, lost pair of seed 1 still counts, so 2 of 3 pairs won is no
+// gain.
+func TestReportCountsRepeatedSeeds(t *testing.T) {
+	run := func(seed int, side string, v float64) record {
+		r := record{Workload: "serve-large", Seed: seed, Side: side}
+		r.Result.Correct = true
+		r.Result.Metrics = map[string]struct {
+			Value float64 `json:"value"`
+		}{"elect_per_cpu_s": {Value: v}}
+		return r
+	}
+	recs := []record{
+		run(1, "parent", 150), run(1, "change", 100),
+		run(2, "change", 160), run(2, "parent", 100),
+		run(1, "parent", 100), run(1, "change", 160),
+	}
+	parent, change := pairUp(recs)
+	if len(parent) != 3 || len(change) != 3 {
+		t.Fatalf("%d parent and %d change runs paired, want 3 pairs", len(parent), len(change))
+	}
+	for i, want := range [][2]float64{{150, 100}, {100, 160}, {100, 160}} {
+		p, c := parent[i].Result.Metrics["elect_per_cpu_s"].Value, change[i].Result.Metrics["elect_per_cpu_s"].Value
+		if parent[i].Seed != change[i].Seed || p != want[0] || c != want[1] {
+			t.Fatalf("pair %d: seeds %d/%d values %v/%v, want %v", i, parent[i].Seed, change[i].Seed, p, c, want)
+		}
+	}
+	var out bytes.Buffer
+	report(&out, []Metric{perCPU}, recs)
+	if want := "serve-large: 3 pairs, seeds [1 1 2]"; !strings.Contains(out.String(), want) {
+		t.Fatalf("report lacks %q:\n%s", want, out.String())
+	}
+	if strings.Contains(out.String(), "| gain |") || !strings.Contains(out.String(), "| 2/3 |") {
+		t.Fatalf("a lost repeated pair was dropped:\n%s", out.String())
 	}
 }
 

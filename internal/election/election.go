@@ -172,12 +172,9 @@ func finishBuild(report *core.Report, dg *canonical.DRIP, runSim, keepSim *radio
 }
 
 // leaderCodes runs the canonical DRIP on sim and returns the designated
-// leader's coded history, which aliases sim until its next run. The run is
-// limited to the election's round bound plus one, as elections are, but
-// never past the default limit, where a too-long canonical run has always
-// failed.
+// leader's coded history, which aliases sim until its next run.
 func leaderCodes(report *core.Report, dg *canonical.DRIP, sim *radio.Simulator) ([]byte, error) {
-	res, err := sim.RunCodes(dg, radio.Options{MaxRounds: min(report.Config.Span()+dg.TerminationRound()+2, radio.DefaultMaxRounds)})
+	res, err := sim.RunCodes(dg, radio.Options{})
 	if err != nil {
 		return nil, fmt.Errorf("election: canonical DRIP simulation failed: %w", err)
 	}

@@ -10,8 +10,8 @@ import (
 )
 
 // Tests of the code matrix that coded runs record into: one row per node,
-// cleared when the run starts, sized from the round limit or grown by
-// doubling under the default one.
+// cleared when the run starts, grown by doubling up to the round limit and
+// kept at that length until Reset.
 
 // longSpanCase builds the canonical DRIP of the line G_10: its 41 nodes
 // need ten phases, so its runs last 313 rounds, several times rowStart.
@@ -54,8 +54,9 @@ func TestCodesRowsAreCapped(t *testing.T) {
 // TestDefaultLimitGrowsRows runs a long-span configuration under the
 // default round limit, clean and faulted, on both executors: the rows start
 // at rowStart and must double mid-run, the first time into a new matrix and
-// on later runs inside the one the first run left, without allocating, and
-// every run must match the oracle bit for bit.
+// after a Reset inside the one the first run left, without allocating; a
+// run without Reset keeps the grown rows. Every run must match the oracle
+// bit for bit.
 func TestDefaultLimitGrowsRows(t *testing.T) {
 	c := longSpanCase(t)
 	for _, plan := range []*FaultPlan{nil, randomFaultPlan(0x5eed, c.cfg.N())} {
@@ -73,6 +74,14 @@ func TestDefaultLimitGrowsRows(t *testing.T) {
 				name += " faulted"
 			}
 			for run := 0; run < 3; run++ {
+				if run == 2 {
+					if err := sim.Reset(c.cfg); err != nil {
+						t.Fatal(err)
+					}
+					if sim.stride != 0 {
+						t.Fatalf("%s: Reset kept rows of %d entries", name, sim.stride)
+					}
+				}
 				got, err := sim.RunCodes(c.proto, opts)
 				if err != nil {
 					t.Fatalf("%s run %d: %v", name, run, err)
@@ -82,7 +91,11 @@ func TestDefaultLimitGrowsRows(t *testing.T) {
 				}
 				sameCodedOutcome(t, name, got, want)
 			}
-			if allocs := testing.AllocsPerRun(3, func() { sim.RunCodes(c.proto, opts) }); allocs != 0 {
+			grow := func() {
+				sim.Reset(c.cfg)
+				sim.RunCodes(c.proto, opts)
+			}
+			if allocs := testing.AllocsPerRun(3, grow); allocs != 0 {
 				t.Fatalf("%s: a warm run that grows its rows allocates %.1f times, want 0", name, allocs)
 			}
 			sim.Close()
@@ -91,9 +104,10 @@ func TestDefaultLimitGrowsRows(t *testing.T) {
 }
 
 // TestResetSizesRowsFromNewLimit runs a long-span configuration and then,
-// after Reset, a small one, each under its own round bound: the small run
-// must use rows as long as its own limit and clear only its own rows, not
-// the matrix the long run left behind, and both must match the oracle.
+// after Reset, a small one, each under its own round bound: the long run
+// must grow its rows up to its limit, the small run must keep its rows
+// within its own limit and clear only them, not the matrix the long run
+// left behind, and both must match the oracle.
 func TestResetSizesRowsFromNewLimit(t *testing.T) {
 	long, small := longSpanCase(t), canonicalCases(t)[0]
 	for _, sim := range simulators(t, long.cfg) {
@@ -111,8 +125,12 @@ func TestResetSizesRowsFromNewLimit(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s %s: %v", c.name, sim.ExecutorName(), err)
 			}
-			if n := c.cfg.N(); sim.stride != limit || len(sim.codes) != n*limit {
-				t.Fatalf("%s %s: rows of %d entries over %d bytes, want %d-entry rows for %d nodes", c.name, sim.ExecutorName(), sim.stride, len(sim.codes), limit, n)
+			want := min(limit, rowStart)
+			if c.name == long.name {
+				want = limit
+			}
+			if n := c.cfg.N(); sim.stride != want || len(sim.codes) != n*want {
+				t.Fatalf("%s %s: rows of %d entries over %d bytes, want %d-entry rows for %d nodes", c.name, sim.ExecutorName(), sim.stride, len(sim.codes), want, n)
 			}
 			sameCodedOutcome(t, c.name, got, full)
 		}
@@ -123,9 +141,9 @@ func TestResetSizesRowsFromNewLimit(t *testing.T) {
 	}
 }
 
-// TestTracedCodesMatchUntraced pins that recording a trace, which sends
-// lone deliveries through the general listener path, records the same
-// codes as the untraced fast path, clean and faulted, on both executors.
+// TestTracedCodesMatchUntraced pins that recording a trace changes no code:
+// a traced coded run records the same codes as an untraced one, clean and
+// faulted, on both executors.
 func TestTracedCodesMatchUntraced(t *testing.T) {
 	cases := append(canonicalCases(t), longSpanCase(t))
 	for i, c := range cases {

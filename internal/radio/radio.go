@@ -62,10 +62,7 @@ var ErrRoundLimit = errors.New("radio: round limit exceeded")
 // Options control a simulation run.
 type Options struct {
 	// MaxRounds is the maximum number of global rounds to simulate before
-	// giving up. Zero means DefaultMaxRounds. A run of a CodedProtocol
-	// reserves MaxRounds bytes of history per node when it starts, so pass
-	// a bound the run can reach (elections pass their round bound + 1),
-	// not a guess; under the default limit its rows start short and grow.
+	// giving up. Zero means DefaultMaxRounds.
 	MaxRounds int
 	// RecordTrace enables collection of a per-round Trace in the Result.
 	RecordTrace bool

@@ -68,8 +68,9 @@ type CodedProtocol interface {
 //     round r sits at base[v]+r. The matrix is cleared when the run starts,
 //     so silence, the zero code, is never written: a heard entry, a wake-up
 //     entry and each neighbour of a lone delivery cost one byte store, and
-//     a termination writes nothing. Rows are as long as the round limit; a
-//     run under the default limit starts with short rows and doubles them.
+//     a termination writes nothing. Rows start short and double whenever a
+//     run outgrows them, never past its round limit; they keep their length
+//     for the next run, and Reset starts them short again.
 //   - Every other protocol's histories are history.Entry vectors, whose
 //     silence (the zero Entry) is written lazily: a node's skipped silent
 //     entries are filled in before it consults its protocol, before it
@@ -136,7 +137,8 @@ type Simulator struct {
 	// and node v's entry for global round r is codes[base[v]+r], where
 	// base[v] = v*stride - wakeRound(v). Only rows of awake nodes have a
 	// base. Rows hold every local round before global round stride, so the
-	// round loop grows them before round stride starts.
+	// round loop grows them before round stride starts; stride carries over
+	// to the next run until Reset.
 	codes  []byte
 	stride int
 	base   []int
@@ -165,8 +167,8 @@ type nodeState struct {
 	hist      history.Vector
 }
 
-// rowStart is the row length a coded run under the default round limit
-// starts with; its rows double whenever the run outgrows them.
+// rowStart is the row length a simulator's first coded run starts with;
+// its rows double whenever a run outgrows them.
 const rowStart = 64
 
 // NewSimulator validates cfg and builds a reusable simulator for it, with
@@ -278,6 +280,9 @@ func (s *Simulator) Reset(cfg *config.Config) error {
 	s.link = arena.Grow(s.link, n)
 	s.due = arena.Grow(s.due, n)[:0]
 	s.byTag = tagOrder(s.byTag, cfg)
+	// Rows start short again, so a small configuration does not clear rows
+	// sized for a long-span one.
+	s.stride = 0
 	return nil
 }
 
@@ -413,14 +418,11 @@ func (s *Simulator) run(opts Options) (*Result, error) {
 
 	s.maxRounds = opts.maxRounds()
 	if s.coder != nil {
-		// Rows as long as a given limit never grow: a bounded run
-		// (elections pass their round bound) sizes them once. Only this
-		// run's rows are cleared, so a simulator that once ran a long-span
-		// configuration does not clear its whole matrix for a short one.
-		s.stride = s.maxRounds
-		if opts.MaxRounds <= 0 {
-			s.stride = min(s.maxRounds, rowStart)
-		}
+		// Rows keep the length earlier runs of this configuration grew them
+		// to, never past this run's round limit, and double when the run
+		// outgrows them, so repeated runs (a key's elections) size them
+		// once. Only this run's rows are cleared.
+		s.stride = min(max(s.stride, rowStart), s.maxRounds)
 		s.codes = arena.Grow(s.codes, n*s.stride)
 		clear(s.codes)
 	}
@@ -569,18 +571,27 @@ func (s *Simulator) run(opts Options) (*Result, error) {
 		// not a radio event.
 		if lone {
 			// Every neighbour of the lone transmitter perceives exactly its
-			// message; the transmitter set lastActive in step 1. An untraced
-			// coded run records it with one byte store per running
-			// neighbour.
+			// message; the transmitter set lastActive in step 1. A coded run
+			// records it with one byte store per running neighbour.
 			msg := s.actions[tx[0]].Msg
 			nbrs := s.csr.Neighbors(int(tx[0]))
-			if s.coder != nil && rec == nil {
+			if s.coder != nil {
 				for _, w := range nbrs {
 					switch s.life[w] {
 					case running:
 						s.codes[s.base[w]+round] = history.CodeMessage
 					case asleep:
-						s.wake(int(w), round, 1, msg, nil)
+						s.wake(int(w), round, 1, msg, rec)
+					}
+				}
+				if rec != nil {
+					// A pass of its own keeps the trace test out of the
+					// store loop. Every neighbour running now heard the
+					// message or woke with it; both entries read the same.
+					for _, w := range nbrs {
+						if s.life[w] == running {
+							rec.Heard[int(w)] = listenEntry(1, msg)
+						}
 					}
 				}
 			} else {
