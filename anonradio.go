@@ -57,10 +57,14 @@ type Report = core.Report
 // Dedicated is a dedicated leader election algorithm for one feasible
 // configuration: the canonical DRIP plus its decision function.
 //
-// A Dedicated owns a pooled reusable simulator: sequential elections reuse
-// its buffers, so a Dedicated is not safe for concurrent Elect calls (give
-// each goroutine its own), and an election outcome's Result aliases the
-// pool — it is valid until the next election on the same Dedicated. Callers
+// The algorithm itself is immutable once built: ElectOn runs an election on
+// a simulator the caller owns and only reads the Dedicated, so elections of
+// one Dedicated may run concurrently, each on its own simulator (that is
+// how the election service runs them, one simulator per shard worker).
+// The standalone Elect and ElectInto run on a convenience simulator the
+// Dedicated creates once and reuses, so those two are not safe for
+// concurrent use, and their outcome's Result aliases that simulator — it is
+// valid until the next standalone election on the same Dedicated. Callers
 // that retain histories across elections must Clone them.
 type Dedicated = election.Dedicated
 
@@ -219,8 +223,8 @@ var ErrInfeasible = election.ErrInfeasible
 // Elect classifies cfg, builds its dedicated algorithm, executes it on the
 // sequential engine and verifies the outcome (exactly one leader, the
 // designated node, within the round bound). The outcome's Result aliases
-// the returned Dedicated's pooled simulator; see Dedicated for the lifetime
-// and concurrency contract.
+// the returned Dedicated's convenience simulator; see Dedicated for the
+// lifetime and concurrency contract.
 func Elect(cfg *Config) (*ElectionOutcome, *Dedicated, error) {
 	return ElectWith(cfg, SequentialEngine)
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 
 	"anonradio/internal/core"
 	"anonradio/internal/fnv"
@@ -27,9 +26,19 @@ type Blueprint struct {
 }
 
 // ErrRoundOverflow is returned (wrapped) when a span makes the protocol's
-// round arithmetic overflow int: the block length 2σ+1, a phase end, or an
-// election's round bound σ + TerminationRound + 1.
-var ErrRoundOverflow = errors.New("canonical: protocol rounds overflow int")
+// election round bound σ + TerminationRound + 1 exceed MaxRoundBound.
+var ErrRoundOverflow = errors.New("canonical: protocol rounds overflow the round limit")
+
+// MaxRoundBound is the largest election round bound σ + TerminationRound + 1
+// a canonical DRIP may have. It equals radio.DefaultMaxRounds (package radio
+// is not imported here; a test in package election pins the two), the
+// limit under which builds used to run their canonical execution. That run
+// takes exactly the round bound's global rounds: the first transmit slot is
+// local round σ+1, so every node wakes at its own tag, and the node of tag
+// σ terminates in global round σ + TerminationRound. A longer protocol could
+// therefore never be built, and its round plans alone (16 bytes per local
+// round) would be allocated before the run could fail.
+const MaxRoundBound = 1_000_000
 
 // newSkeleton validates the span and the lists and builds the protocol with
 // its phase boundaries but without a compiled table; the callers decide
@@ -84,30 +93,29 @@ func newSkeletonInto(prev *DRIP, sigma int, lists []core.List) (*DRIP, error) {
 	return d, nil
 }
 
-// checkRounds rejects a span whose phase arithmetic overflows int: every
-// build, artifact load, snapshot restore and journal replay derives its
-// phase ends in newSkeletonInto, after this check.
+// checkRounds rejects a span whose election round bound exceeds
+// MaxRoundBound. Every build, artifact load, snapshot restore and journal
+// replay runs it in newSkeletonInto, before any phase end is derived or any
+// round plan allocated. The bound is summed phase by phase and checked
+// after each, so no intermediate value exceeds a few times MaxRoundBound
+// and the arithmetic cannot overflow, however large the span.
 func checkRounds(sigma int, lists []core.List) error {
-	if sigma > (math.MaxInt-1)/2 {
-		return fmt.Errorf("%w: block length 2σ+1 for span %d", ErrRoundOverflow, sigma)
+	if sigma >= MaxRoundBound {
+		return fmt.Errorf("%w: span %d alone reaches the round limit %d", ErrRoundOverflow, sigma, MaxRoundBound)
 	}
 	blockLen := 2*sigma + 1
-	end := 0
+	bound := sigma + 1 // σ + r_j + 1 after phase j
 	for j, l := range lists {
 		step := 1
 		if !l.Terminate {
-			if l.NumClasses() > (math.MaxInt-sigma)/blockLen {
+			if l.NumClasses() > MaxRoundBound/blockLen {
 				return fmt.Errorf("%w: phase %d of span %d", ErrRoundOverflow, j+1, sigma)
 			}
 			step = l.NumClasses()*blockLen + sigma
 		}
-		if end > math.MaxInt-step {
-			return fmt.Errorf("%w: phase %d of span %d", ErrRoundOverflow, j+1, sigma)
+		if bound += step; bound > MaxRoundBound {
+			return fmt.Errorf("%w: round bound of span %d passes %d in phase %d", ErrRoundOverflow, sigma, MaxRoundBound, j+1)
 		}
-		end += step
-	}
-	if end > math.MaxInt-sigma-1 {
-		return fmt.Errorf("%w: round bound of span %d", ErrRoundOverflow, sigma)
 	}
 	return nil
 }

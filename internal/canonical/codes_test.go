@@ -65,7 +65,7 @@ func TestPropertyActCodesMatchesAct(t *testing.T) {
 }
 
 // TestRoundOverflowRejected pins the huge-tag fix: spans whose block length,
-// phase ends or election round bound overflow int are rejected with
+// phase ends or election round bound would overflow int are rejected with
 // ErrRoundOverflow by every constructor, promptly, instead of panicking in
 // the table compile or wrapping around into a runaway simulation.
 func TestRoundOverflowRejected(t *testing.T) {
@@ -91,8 +91,43 @@ func TestRoundOverflowRejected(t *testing.T) {
 			t.Fatalf("tag %d: rejection took %v", tag, elapsed)
 		}
 	}
-	// A span whose arithmetic fits passes, however large.
-	if err := checkRounds(1<<40, []core.List{{Entries: make([]core.ListEntry, 2)}, {Terminate: true}}); err != nil {
-		t.Fatalf("span 2^40: %v", err)
+}
+
+// TestRoundLimitRejected pins the round guard: a 2-node path with tags
+// {0, σ} has the round bound 4σ+3, so σ = 10⁶ and σ = 10⁹ must be
+// rejected with ErrRoundOverflow by the pure check and then by every
+// constructor. The pure check runs first, and the test stops if it passes a
+// span: a constructor would go on to allocate 16 bytes per local round,
+// about 48 GB at σ = 10⁹. At the limit's edge, the largest span whose bound
+// fits passes and the next is rejected.
+func TestRoundLimitRejected(t *testing.T) {
+	for _, tag := range []int{1_000_000, 1_000_000_000} {
+		rep, err := core.Classify(config.MustNew(graph.Path(2), []int{0, tag}))
+		if err != nil {
+			t.Fatalf("tag %d: %v", tag, err)
+		}
+		if err := checkRounds(tag, rep.Lists); !errors.Is(err, ErrRoundOverflow) {
+			t.Fatalf("tag %d: the round check returned %v, want ErrRoundOverflow; no constructor is called", tag, err)
+		}
+		if _, err := New(rep); !errors.Is(err, ErrRoundOverflow) {
+			t.Fatalf("tag %d: New returned %v, want ErrRoundOverflow", tag, err)
+		}
+		if _, err := NewInto(&DRIP{}, rep); !errors.Is(err, ErrRoundOverflow) {
+			t.Fatalf("tag %d: NewInto returned %v, want ErrRoundOverflow", tag, err)
+		}
+		if _, err := FromLists(tag, rep.Lists); !errors.Is(err, ErrRoundOverflow) {
+			t.Fatalf("tag %d: FromLists returned %v, want ErrRoundOverflow", tag, err)
+		}
+		if _, _, err := FromCompiled(tag, rep.Lists, &PhaseTable{Sigma: tag}, 0); !errors.Is(err, ErrRoundOverflow) {
+			t.Fatalf("tag %d: FromCompiled returned %v, want ErrRoundOverflow", tag, err)
+		}
+	}
+	lists := []core.List{{Entries: make([]core.ListEntry, 1)}, {Terminate: true}}
+	edge := (MaxRoundBound - 3) / 4 // 4σ+3 <= MaxRoundBound
+	if err := checkRounds(edge, lists); err != nil {
+		t.Fatalf("span %d, round bound %d: %v", edge, 4*edge+3, err)
+	}
+	if err := checkRounds(edge+1, lists); !errors.Is(err, ErrRoundOverflow) {
+		t.Fatalf("span %d, round bound %d: %v, want ErrRoundOverflow", edge+1, 4*edge+7, err)
 	}
 }

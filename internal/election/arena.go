@@ -35,9 +35,10 @@ func NewBuildArena() *BuildArena {
 // arena: classification runs on the arena's turbo scratch and the canonical
 // execution that derives the leader history runs on the arena's rebindable
 // simulator instead of a freshly constructed one. The built Dedicated does
-// not retain the arena's simulator (it creates its own lazily on first
-// Elect), so the arena is immediately ready for the next build. A nil arena
-// behaves exactly like BuildDedicated.
+// not retain the arena's simulator (a standalone Elect creates one of its
+// own; a server elects it with ElectOn on its workers' simulators), so the
+// arena is immediately ready for the next build. A nil arena behaves
+// exactly like BuildDedicated.
 func BuildDedicatedInto(a *BuildArena, cfg *config.Config) (*Dedicated, error) {
 	if a == nil {
 		return BuildDedicated(cfg)
@@ -52,12 +53,13 @@ func BuildDedicatedInto(a *BuildArena, cfg *config.Config) (*Dedicated, error) {
 // RebuildInto is BuildDedicatedInto additionally recycling a previously
 // built algorithm's retained memory: the classifier report (lists, labels,
 // snapshots), the canonical protocol (phase ends, compiled phase table),
-// the decision function's leader history, the algorithm name and the pooled
-// serving simulator, plus the Dedicated struct itself. Re-admitting a
-// configuration of the same shape as prev's therefore approaches zero heap
-// allocations per build (TestRebuildIntoAllocs pins it), while the built
-// algorithm — verdict, lists, table, designated leader, round bounds — is
-// bit-identical to a fresh build's.
+// the decision function's leader history and the algorithm name, plus the
+// Dedicated struct itself. Like an arena-built algorithm, the rebuilt one
+// keeps no simulator. Re-admitting a configuration of the same shape as
+// prev's therefore approaches zero heap allocations per build
+// (TestRebuildIntoAllocs pins it), while the built algorithm — verdict,
+// lists, table, designated leader, round bounds — is bit-identical to a
+// fresh build's.
 //
 // prev must be exclusively owned by the caller (displaced or evicted, with
 // no outstanding aliases such as un-encoded snapshot artifacts) and must

@@ -8,13 +8,15 @@
 // The pipeline has a build side and a serve side. Building (BuildDedicated,
 // or BuildDedicatedInto on a reusable BuildArena) classifies with the turbo
 // engine of package core and derives the canonical DRIP of package
-// canonical; serving (Dedicated.Elect / ElectInto) replays the protocol on
-// a pooled radio.Simulator at zero allocations per election. A built
-// algorithm can be persisted as a Compiled artifact — exactly what the
-// paper installs on the anonymous nodes — and loaded back with Load (full
-// validation) or LoadTrusted (the digest fast path for artifacts from a
-// trusted pipeline). Package service serves fleets of these algorithms from
-// worker-owned shards, and internal/server exposes that registry over HTTP.
+// canonical; serving (Dedicated.ElectOn, and the convenience Elect /
+// ElectInto) replays the protocol on a reusable radio.Simulator at zero
+// allocations per election. A built algorithm can be persisted as a
+// Compiled artifact — exactly what the paper installs on the anonymous
+// nodes — and loaded back with Load (full validation) or LoadTrusted (the
+// digest fast path for artifacts from a trusted pipeline). Package service
+// serves fleets of these algorithms from worker-owned shards, each worker
+// electing every key on its own simulator, and internal/server exposes
+// that registry over HTTP.
 package election
 
 import (
@@ -56,19 +58,21 @@ type Dedicated struct {
 	// LocalRounds rounds later.
 	RoundBound int
 
-	// sim is the pooled reusable simulator bound to Config. It executes the
-	// build-time canonical run and every sequential Elect, so repeated
-	// elections on one Dedicated reuse all simulation buffers. Because of
-	// that pooling, a Dedicated is not safe for concurrent Elect calls.
+	// sim is the convenience simulator of the standalone Elect and
+	// ElectInto, bound to Config: repeated standalone elections reuse its
+	// buffers, which is why those two are not safe for concurrent use. It
+	// is the one-shot build's canonical-run simulator, or created on the
+	// first standalone election; algorithms built on a BuildArena, rebuilt
+	// in place or loaded from artifacts start without one, and a server
+	// that elects through ElectOn on its own simulators never creates it.
 	sim *radio.Simulator
 	// target is the decision target in entry codes (history.CodeSilence
-	// and so on): the designated leader's history, which the pooled
-	// elections compare against their coded histories.
+	// and so on): the designated leader's history, which the elections
+	// compare against their coded histories.
 	target []byte
 }
 
-// simulator returns the pooled simulator, creating it on first use (loaded
-// compiled artifacts start without one).
+// simulator returns the convenience simulator, creating it on first use.
 func (d *Dedicated) simulator() (*radio.Simulator, error) {
 	if d.sim == nil {
 		sim, err := radio.NewSimulator(d.Config)
@@ -84,8 +88,8 @@ func (d *Dedicated) simulator() (*radio.Simulator, error) {
 // dedicated leader election algorithm for it. The decision function is the
 // history-match function of Lemma 3.11: it elects exactly the node whose
 // complete history equals the designated leader's history in the canonical
-// execution, which is computed here on the dedicated algorithm's pooled
-// simulator.
+// execution, which is computed here on a fresh simulator that the algorithm
+// keeps for its standalone elections.
 //
 // The classification runs in the turbo engine's lean mode: building the
 // algorithm needs only the verdict, leader and lists, not the per-iteration
@@ -143,13 +147,13 @@ func buildOnSimulator(report *core.Report, provide func(*config.Config) (*radio.
 
 // finishBuild executes the canonical DRIP on runSim to derive the designated
 // leader's history and assembles the Dedicated. keepSim is the simulator the
-// Dedicated retains for its own elections: the one-shot build path passes
-// runSim itself, the arena path passes nil (the arena's simulator is reused
-// for the next build, and the Dedicated creates its own lazily on first
-// Elect).
+// Dedicated retains for its standalone elections: the one-shot build path
+// passes runSim itself, the arena path passes nil (the arena's simulator is
+// reused for the next build).
 func finishBuild(report *core.Report, dg *canonical.DRIP, runSim, keepSim *radio.Simulator) (*Dedicated, error) {
 	cfg := report.Config
-	codes, err := leaderCodes(report, dg, runSim)
+	bound := roundBound(cfg, dg)
+	codes, err := leaderCodes(report, dg, runSim, bound)
 	if err != nil {
 		return nil, err
 	}
@@ -164,17 +168,26 @@ func finishBuild(report *core.Report, dg *canonical.DRIP, runSim, keepSim *radio
 		},
 		ExpectedLeader: report.Leader,
 		LocalRounds:    dg.TerminationRound(),
-		RoundBound:     cfg.Span() + dg.TerminationRound() + 1,
+		RoundBound:     bound,
 		sim:            keepSim,
 		target:         bytes.Clone(codes),
 	}
 	return d, nil
 }
 
-// leaderCodes runs the canonical DRIP on sim and returns the designated
-// leader's coded history, which aliases sim until its next run.
-func leaderCodes(report *core.Report, dg *canonical.DRIP, sim *radio.Simulator) ([]byte, error) {
-	res, err := sim.RunCodes(dg, radio.Options{})
+// roundBound is the election's global-round bound: every node is awake by
+// round σ and terminates TerminationRound rounds later.
+func roundBound(cfg *config.Config, dg *canonical.DRIP) int {
+	return cfg.Span() + dg.TerminationRound() + 1
+}
+
+// leaderCodes runs the canonical DRIP on sim within the election's round
+// bound and returns the designated leader's coded history, which aliases
+// sim until its next run. The bound caps the rows of sim's code matrix,
+// which keep their length across rebinds: a build arena's simulator that
+// once ran a long-span configuration clears only a small one's own rows.
+func leaderCodes(report *core.Report, dg *canonical.DRIP, sim *radio.Simulator, bound int) ([]byte, error) {
+	res, err := sim.RunCodes(dg, radio.Options{MaxRounds: bound + 1})
 	if err != nil {
 		return nil, fmt.Errorf("election: canonical DRIP simulation failed: %w", err)
 	}
@@ -192,12 +205,14 @@ func leaderCodes(report *core.Report, dg *canonical.DRIP, sim *radio.Simulator) 
 // finishBuildInto is finishBuild for the rebuild-in-place path: report and
 // dg are already rebuilt from prev's recycled memory, and the remaining
 // retained pieces — the decision target's history buffer, the algorithm
-// name, the pooled serving simulator and the Dedicated struct itself — are
-// recycled here. The canonical run executes on runSim (the arena's
-// simulator), exactly as in the fresh arena build.
+// name and the Dedicated struct itself — are recycled here. The canonical
+// run executes on runSim (the arena's simulator), exactly as in the fresh
+// arena build, and the rebuilt algorithm, like an arena-built one, keeps
+// no simulator.
 func finishBuildInto(prev *Dedicated, report *core.Report, dg *canonical.DRIP, runSim *radio.Simulator) (*Dedicated, error) {
 	cfg := report.Config
-	codes, err := leaderCodes(report, dg, runSim)
+	bound := roundBound(cfg, dg)
+	codes, err := leaderCodes(report, dg, runSim, bound)
 	if err != nil {
 		return nil, err
 	}
@@ -215,14 +230,6 @@ func finishBuildInto(prev *Dedicated, report *core.Report, dg *canonical.DRIP, r
 		name = prefix + cfg.Name
 	}
 
-	// Rebind the previous pooled serving simulator to the new
-	// configuration; if it will not rebind, drop it (a fresh one is
-	// created lazily on first Elect).
-	sim := prev.sim
-	if sim != nil && sim.Reset(cfg) != nil {
-		sim = nil
-	}
-
 	*prev = Dedicated{
 		Config: cfg,
 		Report: report,
@@ -234,8 +241,7 @@ func finishBuildInto(prev *Dedicated, report *core.Report, dg *canonical.DRIP, r
 		},
 		ExpectedLeader: report.Leader,
 		LocalRounds:    dg.TerminationRound(),
-		RoundBound:     cfg.Span() + dg.TerminationRound() + 1,
-		sim:            sim,
+		RoundBound:     bound,
 		target:         append(prev.target[:0], codes...),
 	}
 	return prev, nil
@@ -243,10 +249,10 @@ func finishBuildInto(prev *Dedicated, report *core.Report, dg *canonical.DRIP, r
 
 // Elect executes the dedicated algorithm on its configuration with the given
 // engine and returns the outcome. A nil or Sequential engine runs on the
-// algorithm's pooled simulator, so repeated elections reuse every simulation
-// buffer; the outcome's Result then points into those buffers and is valid
-// until the next run on this Dedicated. The Parallel engine executes a
-// one-shot run on a fresh worker-pool simulator.
+// algorithm's convenience simulator, so repeated elections reuse every
+// simulation buffer; the outcome's Result then points into those buffers
+// and is valid until the next standalone election on this Dedicated. The
+// Parallel engine executes a one-shot run on a fresh worker-pool simulator.
 func (d *Dedicated) Elect(engine radio.Engine, opts radio.Options) (*radio.ElectionOutcome, error) {
 	if opts.MaxRounds == 0 {
 		opts.MaxRounds = d.RoundBound + 1
@@ -255,8 +261,12 @@ func (d *Dedicated) Elect(engine radio.Engine, opts radio.Options) (*radio.Elect
 		engine = radio.Sequential{}
 	}
 	if _, pooled := engine.(radio.Sequential); pooled && !opts.RecordTrace {
+		sim, err := d.simulator()
+		if err != nil {
+			return nil, err
+		}
 		out := &radio.ElectionOutcome{}
-		if err := d.electInto(out, opts, true); err != nil {
+		if err := d.electOn(sim, out, opts, true); err != nil {
 			return nil, err
 		}
 		return out, nil
@@ -264,36 +274,57 @@ func (d *Dedicated) Elect(engine radio.Engine, opts radio.Options) (*radio.Elect
 	return radio.RunElection(engine, d.Config, d.Algorithm, opts)
 }
 
-// ElectInto is the steady-state serving path: it runs the election on the
-// pooled simulator and reuses out's buffers, so after a warm-up call the
-// whole round loop — canonical Act through the compiled phase table, the
-// dirty-list medium, the history-match decision — performs zero heap
-// allocations (TestElectSteadyStateAllocs pins this). The histories stay
-// in entry codes: the outcome's Result carries Codes, not Histories, and
-// the decision is one byte comparison per node against the code target.
-// The Result aliases the pooled simulator and is valid until the next run
-// on this Dedicated.
+// ElectInto is ElectOn on the algorithm's convenience simulator, created on
+// first use: repeated calls reuse its buffers, so they are not safe for
+// concurrent use, and the Result is valid until the next standalone
+// election on this Dedicated.
 func (d *Dedicated) ElectInto(out *radio.ElectionOutcome, opts radio.Options) error {
-	if out == nil {
-		return fmt.Errorf("election: nil outcome")
-	}
-	if opts.MaxRounds == 0 {
-		opts.MaxRounds = d.RoundBound + 1
-	}
-	return d.electInto(out, opts, false)
-}
-
-// electInto runs the election on the pooled simulator and decides on the
-// codes; materialize also decodes the histories into the Result.
-func (d *Dedicated) electInto(out *radio.ElectionOutcome, opts radio.Options, materialize bool) error {
-	if d.DRIP == nil || len(d.target) == 0 {
-		return fmt.Errorf("election: incomplete algorithm %q", d.Algorithm.Name)
-	}
 	sim, err := d.simulator()
 	if err != nil {
 		return err
 	}
+	return d.ElectOn(sim, out, opts)
+}
+
+// ElectOn is the steady-state serving path: it runs the election on sim,
+// rebinding sim to the algorithm's configuration when it is bound to
+// another one, and reuses out's buffers, so once sim and out have grown to
+// the largest configuration they serve, the whole election — the rebind,
+// canonical Act through the compiled phase table, the dirty-list medium,
+// the history-match decision — performs zero heap allocations
+// (TestElectSteadyStateAllocs and TestElectOnSharedSimulator pin this).
+// The histories stay in entry codes: the outcome's Result carries Codes,
+// not Histories, and the decision is one byte comparison per node against
+// the code target. The Result aliases sim and is valid until sim's next
+// run or rebind.
+//
+// ElectOn only reads the Dedicated, so elections of one algorithm may run
+// concurrently as long as each has its own simulator and outcome; the
+// election registry elects on the executing shard worker's simulator.
+func (d *Dedicated) ElectOn(sim *radio.Simulator, out *radio.ElectionOutcome, opts radio.Options) error {
+	if sim == nil || out == nil {
+		return fmt.Errorf("election: nil simulator or outcome")
+	}
+	if opts.MaxRounds == 0 {
+		opts.MaxRounds = d.RoundBound + 1
+	}
+	return d.electOn(sim, out, opts, false)
+}
+
+// electOn runs the election on sim, rebound to the algorithm's
+// configuration if need be, and decides on the codes; materialize also
+// decodes the histories into the Result.
+func (d *Dedicated) electOn(sim *radio.Simulator, out *radio.ElectionOutcome, opts radio.Options, materialize bool) error {
+	if d.DRIP == nil || len(d.target) == 0 {
+		return fmt.Errorf("election: incomplete algorithm %q", d.Algorithm.Name)
+	}
+	if sim.Config() != d.Config {
+		if err := sim.Reset(d.Config); err != nil {
+			return err
+		}
+	}
 	var res *radio.Result
+	var err error
 	if materialize {
 		res, err = sim.Run(d.DRIP, opts)
 	} else {

@@ -12,7 +12,7 @@ import (
 // must not cost the clean path anything (a zero Options.Fault stays at zero
 // allocations per election), and a warm faulted election — drop, noise and
 // outage machinery all active — allocates nothing either, because the fault
-// state lives in the pooled simulator.
+// state lives in the reused simulator.
 func TestElectFaultedAllocs(t *testing.T) {
 	d := buildDedicated(t, config.StaggeredClique(16))
 	var out radio.ElectionOutcome
@@ -45,7 +45,7 @@ func TestElectFaultedAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(50, faulted); allocs != 0 {
 		t.Fatalf("warm faulted election allocates %.1f times, want 0", allocs)
 	}
-	// The pooled simulator must come back clean after faulted runs.
+	// The reused simulator must come back clean after faulted runs.
 	clean()
 	if err := d.Verify(&out); err != nil {
 		t.Fatalf("clean election after faulted runs: %v", err)

@@ -2,10 +2,10 @@ package graph
 
 // CSR is a compressed-sparse-row view of a graph's adjacency: the neighbour
 // lists of all nodes concatenated into one flat Targets array, delimited by
-// Offsets. It is the cache-friendly layout used by the hot paths (the turbo
-// classifier and the simulation engines): iterating a neighbourhood touches
-// one contiguous memory range instead of chasing a per-node slice header,
-// and the whole structure is two allocations regardless of graph size.
+// Offsets. It is the cache-friendly layout of the turbo classifier's
+// refinement loop: iterating a neighbourhood touches one contiguous memory
+// range instead of chasing a per-node slice header, and the whole structure
+// is two allocations regardless of graph size.
 //
 // A CSR is a snapshot: it does not observe later mutations of the graph it
 // was built from. Neighbour lists retain the sorted order of the source
@@ -19,15 +19,10 @@ type CSR struct {
 	Targets []int32
 }
 
-// CSR builds the compressed-sparse-row view of g.
-func (g *Graph) CSR() CSR {
-	return g.CSRInto(CSR{})
-}
-
-// CSRInto is CSR with caller-provided backing storage: the view is built
-// into scratch's slices (grown as needed) so that repeated conversions —
-// one per configuration in a batch classification — allocate nothing once
-// the slices have reached steady-state capacity.
+// CSRInto builds the compressed-sparse-row view of g into scratch's slices
+// (grown as needed; pass CSR{} for fresh ones), so that repeated
+// conversions — one per configuration in a batch classification —
+// allocate nothing once the slices have reached steady-state capacity.
 func (g *Graph) CSRInto(scratch CSR) CSR {
 	offsets := scratch.Offsets
 	if cap(offsets) < g.n+1 {

@@ -17,7 +17,7 @@ func TestCSRMatchesAdjacency(t *testing.T) {
 		RandomConnectedGNP(33, 0.2, rng),
 	}
 	for _, g := range graphs {
-		csr := g.CSR()
+		csr := g.CSRInto(CSR{})
 		if csr.N() != g.N() {
 			t.Fatalf("%s: CSR.N() = %d, want %d", g, csr.N(), g.N())
 		}
@@ -44,7 +44,7 @@ func TestCSRMatchesAdjacency(t *testing.T) {
 
 func TestCSRIsSnapshot(t *testing.T) {
 	g := Path(4)
-	csr := g.CSR()
+	csr := g.CSRInto(CSR{})
 	g.AddEdge(0, 3)
 	if csr.Degree(0) != 1 {
 		t.Fatalf("CSR observed a mutation of the source graph: degree(0) = %d", csr.Degree(0))

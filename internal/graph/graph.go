@@ -182,6 +182,12 @@ func (g *Graph) Neighbors(v int) []int {
 	return g.adj[v]
 }
 
+// Adjacency returns every node's sorted neighbour list, indexed by node:
+// Adjacency()[v] is Neighbors(v) without the range check. The lists are the
+// graph's own, so they follow later AddEdge and RemoveEdge calls; the
+// caller must not modify them.
+func (g *Graph) Adjacency() [][]int { return g.adj }
+
 // Degree returns the degree of node v.
 func (g *Graph) Degree(v int) int {
 	g.check(v)

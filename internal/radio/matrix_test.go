@@ -11,7 +11,7 @@ import (
 
 // Tests of the code matrix that coded runs record into: one row per node,
 // cleared when the run starts, grown by doubling up to the round limit and
-// kept at that length until Reset.
+// kept at that length for every later run, across Reset too.
 
 // longSpanCase builds the canonical DRIP of the line G_10: its 41 nodes
 // need ten phases, so its runs last 313 rounds, several times rowStart.
@@ -53,10 +53,10 @@ func TestCodesRowsAreCapped(t *testing.T) {
 
 // TestDefaultLimitGrowsRows runs a long-span configuration under the
 // default round limit, clean and faulted, on both executors: the rows start
-// at rowStart and must double mid-run, the first time into a new matrix and
-// after a Reset inside the one the first run left, without allocating; a
-// run without Reset keeps the grown rows. Every run must match the oracle
-// bit for bit.
+// at rowStart and must double mid-run into a new matrix; later runs, with
+// or without a Reset in between, keep the grown rows. Rows that start short
+// again inside that matrix must grow without allocating. Every run must
+// match the oracle bit for bit.
 func TestDefaultLimitGrowsRows(t *testing.T) {
 	c := longSpanCase(t)
 	for _, plan := range []*FaultPlan{nil, randomFaultPlan(0x5eed, c.cfg.N())} {
@@ -73,13 +73,14 @@ func TestDefaultLimitGrowsRows(t *testing.T) {
 			if plan != nil {
 				name += " faulted"
 			}
+			grown := 0
 			for run := 0; run < 3; run++ {
 				if run == 2 {
 					if err := sim.Reset(c.cfg); err != nil {
 						t.Fatal(err)
 					}
-					if sim.stride != 0 {
-						t.Fatalf("%s: Reset kept rows of %d entries", name, sim.stride)
+					if sim.rows != grown {
+						t.Fatalf("%s: Reset left rows of %d entries, the first run grew them to %d", name, sim.rows, grown)
 					}
 				}
 				got, err := sim.RunCodes(c.proto, opts)
@@ -89,10 +90,15 @@ func TestDefaultLimitGrowsRows(t *testing.T) {
 				if sim.stride < want.GlobalRounds || sim.stride >= 2*want.GlobalRounds {
 					t.Fatalf("%s run %d: rows of %d entries after %d rounds", name, run, sim.stride, want.GlobalRounds)
 				}
+				if run == 0 {
+					grown = sim.stride
+				} else if sim.stride != grown {
+					t.Fatalf("%s run %d: rows of %d entries, the first run grew them to %d", name, run, sim.stride, grown)
+				}
 				sameCodedOutcome(t, name, got, want)
 			}
 			grow := func() {
-				sim.Reset(c.cfg)
+				sim.rows = 0 // rows never grown, in the matrix the runs left
 				sim.RunCodes(c.proto, opts)
 			}
 			if allocs := testing.AllocsPerRun(3, grow); allocs != 0 {
@@ -103,15 +109,16 @@ func TestDefaultLimitGrowsRows(t *testing.T) {
 	}
 }
 
-// TestResetSizesRowsFromNewLimit runs a long-span configuration and then,
-// after Reset, a small one, each under its own round bound: the long run
-// must grow its rows up to its limit, the small run must keep its rows
-// within its own limit and clear only them, not the matrix the long run
-// left behind, and both must match the oracle.
+// TestResetSizesRowsFromNewLimit runs a long-span configuration, then a
+// small one and then the long one again, each after a Reset and under its
+// own round bound: the long run must grow its rows up to its limit, the
+// small run must cut the kept rows to its own limit and clear only them,
+// not the matrix the long run left behind, the rows must keep the long
+// run's length for the next long run, and every run must match the oracle.
 func TestResetSizesRowsFromNewLimit(t *testing.T) {
 	long, small := longSpanCase(t), canonicalCases(t)[0]
 	for _, sim := range simulators(t, long.cfg) {
-		for _, c := range []canonicalCase{long, small} {
+		for i, c := range []canonicalCase{long, small, long} {
 			if err := sim.Reset(c.cfg); err != nil {
 				t.Fatal(err)
 			}
@@ -120,22 +127,21 @@ func TestResetSizesRowsFromNewLimit(t *testing.T) {
 				t.Fatal(err)
 			}
 			limit := full.GlobalRounds + 1
+			if i == 2 && sim.rows < limit {
+				t.Fatalf("%s: rows of %d entries after the small run; the long run would regrow them to %d", sim.ExecutorName(), sim.rows, limit)
+			}
 			opts := Options{MaxRounds: limit}
 			got, err := sim.RunCodes(c.proto, opts)
 			if err != nil {
 				t.Fatalf("%s %s: %v", c.name, sim.ExecutorName(), err)
 			}
-			want := min(limit, rowStart)
-			if c.name == long.name {
-				want = limit
+			if n := c.cfg.N(); sim.stride != limit || len(sim.codes) != n*limit {
+				t.Fatalf("%s %s: rows of %d entries over %d bytes, want %d-entry rows for %d nodes", c.name, sim.ExecutorName(), sim.stride, len(sim.codes), limit, n)
 			}
-			if n := c.cfg.N(); sim.stride != want || len(sim.codes) != n*want {
-				t.Fatalf("%s %s: rows of %d entries over %d bytes, want %d-entry rows for %d nodes", c.name, sim.ExecutorName(), sim.stride, len(sim.codes), want, n)
+			if c.name == small.name && cap(sim.codes) <= len(sim.codes) {
+				t.Fatalf("%s: the small run's matrix holds the whole long-span capacity", sim.ExecutorName())
 			}
 			sameCodedOutcome(t, c.name, got, full)
-		}
-		if cap(sim.codes) <= len(sim.codes) {
-			t.Fatalf("%s: the small run's matrix holds the whole long-span capacity", sim.ExecutorName())
 		}
 		sim.Close()
 	}

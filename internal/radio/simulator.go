@@ -7,7 +7,6 @@ import (
 	"anonradio/internal/arena"
 	"anonradio/internal/config"
 	"anonradio/internal/drip"
-	"anonradio/internal/graph"
 	"anonradio/internal/history"
 )
 
@@ -69,8 +68,8 @@ type CodedProtocol interface {
 //     so silence, the zero code, is never written: a heard entry, a wake-up
 //     entry and each neighbour of a lone delivery cost one byte store, and
 //     a termination writes nothing. Rows start short and double whenever a
-//     run outgrows them, never past its round limit; they keep their length
-//     for the next run, and Reset starts them short again.
+//     run outgrows them; they keep their length for every later run, Reset
+//     included, and a run uses no more of them than its round limit.
 //   - Every other protocol's histories are history.Entry vectors, whose
 //     silence (the zero Entry) is written lazily: a node's skipped silent
 //     entries are filled in before it consults its protocol, before it
@@ -79,6 +78,9 @@ type CodedProtocol interface {
 //     terminated) from one byte per node.
 //   - Spontaneous wake-ups come from a tag-ordered node list; forced ones
 //     from the lone delivery or the dirty list.
+//   - Neighbourhoods are read in place from the configuration graph's
+//     adjacency lists, so rebinding the simulator to another configuration
+//     (Reset) copies no adjacency.
 //   - Under a fault plan any node may perceive noise in any round, so one
 //     dense pass per round perceives for every sleeping node and every
 //     listener, making exactly the perception calls the model prescribes.
@@ -97,7 +99,7 @@ type CodedProtocol interface {
 // A Simulator is not safe for concurrent use; give each goroutine its own.
 type Simulator struct {
 	cfg  *config.Config
-	csr  graph.CSR
+	adj  [][]int // cfg's adjacency lists, read in place
 	exec Executor
 
 	states       []nodeState
@@ -123,8 +125,10 @@ type Simulator struct {
 	// the round starts; within a round the due list is compacted in place
 	// to the round's transmitters after the consult step.
 	due []int32
-	// byTag lists the nodes in ascending wake-up tag order.
-	byTag []int32
+	// byTag lists the nodes in ascending wake-up tag order; tagCount is
+	// the counting pass's scratch.
+	byTag    []int32
+	tagCount []int32
 	// sched is the running protocol's ListenScheduler; nil when it has none
 	// or the nodes run different protocols.
 	sched ListenScheduler
@@ -137,10 +141,12 @@ type Simulator struct {
 	// and node v's entry for global round r is codes[base[v]+r], where
 	// base[v] = v*stride - wakeRound(v). Only rows of awake nodes have a
 	// base. Rows hold every local round before global round stride, so the
-	// round loop grows them before round stride starts; stride carries over
-	// to the next run until Reset.
+	// round loop grows them before round stride starts. rows is the longest
+	// stride any run has grown them to; a run starts at that length, capped
+	// at its round limit, so rows grown once are never grown again.
 	codes  []byte
 	stride int
+	rows   int
 	base   []int
 
 	res Result
@@ -209,39 +215,29 @@ func NewSimulatorExecutor(cfg *config.Config, exec Executor) (*Simulator, error)
 	if exec == nil {
 		exec = NewInlineExecutor()
 	}
-	n := cfg.N()
-	return &Simulator{
-		cfg:          cfg,
-		csr:          cfg.Graph().CSR(),
-		exec:         exec,
-		states:       make([]nodeState, n),
-		life:         make([]lifeStage, n),
-		base:         make([]int, n),
-		protos:       make([]drip.Protocol, n),
-		actions:      make([]drip.Action, n),
-		transmitting: make([]bool, n),
-		counts:       make([]int32, n),
-		single:       make([]string, n),
-		touched:      make([]int32, 0, n),
-		next:         make([]int32, 0, n),
-		link:         make([]int32, n),
-		due:          make([]int32, 0, n),
-		byTag:        tagOrder(nil, cfg),
-	}, nil
+	s := &Simulator{exec: exec}
+	if err := s.Reset(cfg); err != nil {
+		exec.Close()
+		return nil, err
+	}
+	return s, nil
 }
 
 // Reset rebinds the simulator to a different configuration, reusing every
-// internal buffer the new configuration fits in: the CSR adjacency, the
-// per-node state (including history backing arrays), the code matrix, the
-// medium scratch, the agenda and the result buffers are all retained, so
-// re-binding a warm simulator across a stream of same-sized configurations
-// allocates nothing.
-// The executor is kept as well. It is the build-path counterpart of the
-// zero-alloc round loop: services that admit configurations repeatedly (the
-// election registry's build arena) re-use one simulator instead of
-// constructing one per admission.
+// internal buffer the new configuration fits in: the per-node state
+// (including history backing arrays), the code matrix and its row length,
+// the medium scratch, the agenda and the result buffers are all retained,
+// so re-binding a warm simulator across a stream of configurations no
+// larger than the largest it has served allocates nothing. The executor is
+// kept as well. A rebind costs O(n): the adjacency is read in place from
+// the configuration's graph, and the tag order is a counting pass when the
+// span is at most a few times n (a sort otherwise). That makes it cheap
+// enough to run per election: the election registry gives each shard
+// worker one simulator and rebinds it to whichever key the worker elects,
+// and the build arena rebinds one per admission.
 //
-// Any Result returned by a previous Run is invalidated.
+// Any Result returned by a previous Run is invalidated. The simulator reads
+// cfg's graph until the next Reset, so the graph must not change meanwhile.
 //
 // Reset performs only allocation-free shape checks; unlike the constructors
 // it does not re-run the connectivity traversal of Config.Validate, so the
@@ -255,35 +251,44 @@ func (s *Simulator) Reset(cfg *config.Config) error {
 	if n == 0 {
 		return fmt.Errorf("radio: empty configuration")
 	}
+	lo, hi := cfg.Tag(0), cfg.Tag(0)
 	for v := 0; v < n; v++ {
-		if cfg.Tag(v) < 0 {
-			return fmt.Errorf("radio: node %d has negative tag %d", v, cfg.Tag(v))
+		t := cfg.Tag(v)
+		if t < 0 {
+			return fmt.Errorf("radio: node %d has negative tag %d", v, t)
 		}
+		lo, hi = min(lo, t), max(hi, t)
 	}
+	// The round loop relies on the medium being all-clean. Entries an
+	// aborted run left dirty are cleaned while the slices still span them;
+	// every other entry of the backing arrays is already zero.
+	s.cleanMedium()
 	s.cfg = cfg
-	s.csr = cfg.Graph().CSRInto(s.csr)
+	s.adj = cfg.Graph().Adjacency()
 	s.states = growStates(s.states, n)
 	s.life = arena.Grow(s.life, n)
 	s.base = arena.Grow(s.base, n)
 	s.protos = arena.Grow(s.protos, n)
 	s.actions = arena.Grow(s.actions, n)
 	s.transmitting = arena.Grow(s.transmitting, n)
-	// The round loop relies on the medium being all-clean; clearing here is
-	// simpler than reasoning about dirt left by aborted runs or by entries
-	// that fell outside a smaller intermediate configuration.
 	s.counts = arena.Grow(s.counts, n)
-	clear(s.counts)
 	s.single = arena.Grow(s.single, n)
-	clear(s.single)
-	s.touched = s.touched[:0]
+	s.touched = arena.Grow(s.touched, n)[:0]
 	s.next = arena.Grow(s.next, n)[:0]
 	s.link = arena.Grow(s.link, n)
 	s.due = arena.Grow(s.due, n)[:0]
-	s.byTag = tagOrder(s.byTag, cfg)
-	// Rows start short again, so a small configuration does not clear rows
-	// sized for a long-span one.
-	s.stride = 0
+	s.orderByTag(lo, hi)
 	return nil
+}
+
+// cleanMedium zeroes the medium entries on the touched list, which a run
+// that returned mid-round may have left dirty.
+func (s *Simulator) cleanMedium() {
+	for _, w := range s.touched {
+		s.counts[w] = 0
+		s.single[w] = ""
+	}
+	s.touched = s.touched[:0]
 }
 
 // growStates is arena.Grow for the node-state slice, preserving the history
@@ -297,15 +302,43 @@ func growStates(states []nodeState, n int) []nodeState {
 	return states[:n]
 }
 
-// tagOrder fills order with cfg's nodes in ascending wake-up tag order.
-func tagOrder(order []int32, cfg *config.Config) []int32 {
-	order = arena.Grow(order, cfg.N())
-	for v := range order {
-		order[v] = int32(v)
+// orderByTag fills byTag with the bound configuration's nodes in ascending
+// wake-up tag order; lo and hi are its smallest and largest tag. A span of
+// at most countingSpan times n is ordered by a counting pass over the tags,
+// ties by node index, and a larger one by a sort.
+func (s *Simulator) orderByTag(lo, hi int) {
+	cfg := s.cfg
+	n := cfg.N()
+	order := arena.Grow(s.byTag, n)
+	s.byTag = order
+	if hi-lo > countingSpan*n {
+		for v := range order {
+			order[v] = int32(v)
+		}
+		slices.SortFunc(order, func(a, b int32) int { return cfg.Tag(int(a)) - cfg.Tag(int(b)) })
+		return
 	}
-	slices.SortFunc(order, func(a, b int32) int { return cfg.Tag(int(a)) - cfg.Tag(int(b)) })
-	return order
+	// start[t-lo+1] counts the nodes with tag t; prefix-summed, start[t-lo]
+	// is where tag t's run of order begins, and the fill advances it.
+	start := arena.Grow(s.tagCount, hi-lo+2)
+	s.tagCount = start
+	clear(start)
+	for v := 0; v < n; v++ {
+		start[cfg.Tag(v)-lo+1]++
+	}
+	for t := 1; t < len(start); t++ {
+		start[t] += start[t-1]
+	}
+	for v := 0; v < n; v++ {
+		t := cfg.Tag(v) - lo
+		order[start[t]] = int32(v)
+		start[t]++
+	}
 }
+
+// countingSpan bounds, per node, the span orderByTag orders by counting: up
+// to it the counting array costs no more than a few passes over the nodes.
+const countingSpan = 4
 
 // Config returns the configuration the simulator is bound to.
 func (s *Simulator) Config() *config.Config { return s.cfg }
@@ -418,11 +451,12 @@ func (s *Simulator) run(opts Options) (*Result, error) {
 
 	s.maxRounds = opts.maxRounds()
 	if s.coder != nil {
-		// Rows keep the length earlier runs of this configuration grew them
-		// to, never past this run's round limit, and double when the run
-		// outgrows them, so repeated runs (a key's elections) size them
-		// once. Only this run's rows are cleared.
-		s.stride = min(max(s.stride, rowStart), s.maxRounds)
+		// Rows keep the length earlier runs grew them to, whatever
+		// configuration those runs had, never past this run's round limit,
+		// and double when the run outgrows them, so repeated runs (a
+		// worker's elections) size them once. Only this run's rows are
+		// cleared.
+		s.stride = min(max(s.rows, rowStart), s.maxRounds)
 		s.codes = arena.Grow(s.codes, n*s.stride)
 		clear(s.codes)
 	}
@@ -433,11 +467,7 @@ func (s *Simulator) run(opts Options) (*Result, error) {
 	// may have left medium entries on the touched list, transmit flags set
 	// and consults pending on the agenda; restore the all-clean state the
 	// round loop relies on.
-	for _, w := range s.touched {
-		s.counts[w] = 0
-		s.single[w] = ""
-	}
-	s.touched = s.touched[:0]
+	s.cleanMedium()
 	clear(s.transmitting)
 	s.next = s.next[:0]
 	s.heads = s.heads[:0]
@@ -533,18 +563,18 @@ func (s *Simulator) run(opts Options) (*Result, error) {
 				continue
 			}
 			msg := s.actions[v].Msg
-			for _, w := range s.csr.Neighbors(int(v)) {
+			for _, w := range s.adj[v] {
 				if fp != nil {
-					if down(depth, int(w)) {
+					if down(depth, w) {
 						continue
 					}
-					if fp.dropsDelivery(round, int(v), int(w)) {
+					if fp.dropsDelivery(round, int(v), w) {
 						fs.Drops++
 						continue
 					}
 				}
 				if s.counts[w] == 0 {
-					s.touched = append(s.touched, w)
+					s.touched = append(s.touched, int32(w))
 				}
 				s.counts[w]++
 				s.single[w] = msg
@@ -574,14 +604,17 @@ func (s *Simulator) run(opts Options) (*Result, error) {
 			// message; the transmitter set lastActive in step 1. A coded run
 			// records it with one byte store per running neighbour.
 			msg := s.actions[tx[0]].Msg
-			nbrs := s.csr.Neighbors(int(tx[0]))
+			nbrs := s.adj[tx[0]]
 			if s.coder != nil {
+				// The slice headers are loaded once: a wake-up writes into
+				// these arrays but never replaces them.
+				life, base, codes := s.life, s.base, s.codes
 				for _, w := range nbrs {
-					switch s.life[w] {
+					switch life[w] {
 					case running:
-						s.codes[s.base[w]+round] = history.CodeMessage
+						codes[base[w]+round] = history.CodeMessage
 					case asleep:
-						s.wake(int(w), round, 1, msg, rec)
+						s.wake(w, round, 1, msg, rec)
 					}
 				}
 				if rec != nil {
@@ -590,7 +623,7 @@ func (s *Simulator) run(opts Options) (*Result, error) {
 					// message or woke with it; both entries read the same.
 					for _, w := range nbrs {
 						if s.life[w] == running {
-							rec.Heard[int(w)] = listenEntry(1, msg)
+							rec.Heard[w] = listenEntry(1, msg)
 						}
 					}
 				}
@@ -598,9 +631,9 @@ func (s *Simulator) run(opts Options) (*Result, error) {
 				for _, w := range nbrs {
 					switch s.life[w] {
 					case running:
-						s.hear(int(w), round, 1, msg, rec)
+						s.hear(w, round, 1, msg, rec)
 					case asleep:
-						s.wake(int(w), round, 1, msg, rec)
+						s.wake(w, round, 1, msg, rec)
 					}
 				}
 			}
@@ -811,6 +844,7 @@ func (s *Simulator) growRows(round int) {
 	n := len(s.states)
 	old := s.stride
 	s.stride = min(max(round+1, 2*old), s.maxRounds)
+	s.rows = max(s.rows, s.stride)
 	if n*s.stride > cap(s.codes) {
 		grown := make([]byte, n*s.stride)
 		for v := 0; v < n; v++ {

@@ -2,6 +2,7 @@ package server
 
 import (
 	"net/http"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -24,5 +25,27 @@ func TestRegisterOverflowingTag422(t *testing.T) {
 	health.Body.Close()
 	if health.StatusCode != http.StatusOK {
 		t.Fatalf("healthz after the rejected register: status %d", health.StatusCode)
+	}
+}
+
+// TestRegisterHugeSpan422 registers a 2-node path with tags {0, 10⁶}: its
+// round bound passes the round limit, so no build can finish it. The
+// answer must be 422 naming the overflow, and the whole request — client,
+// handler and registry — must allocate under 1 MiB: the guard runs before
+// the protocol's round plans (about 48 MB here) are allocated.
+func TestRegisterHugeSpan422(t *testing.T) {
+	_, ts := newTestServer(t)
+	body := RegisterRequest{Key: "span", Config: "nodes 2\ntag 0 0\ntag 1 1000000\nedge 0 1\n"}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	resp := postJSON(t, ts, "/v1/register", body)
+	var e ErrorResponse
+	decodeBody(t, resp, &e)
+	runtime.ReadMemStats(&after)
+	if resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(e.Error, "overflow") {
+		t.Fatalf("status %d, error %q; want 422 naming the overflow", resp.StatusCode, e.Error)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Fatalf("the rejected register allocated %d bytes, want under 1 MiB", alloc)
 	}
 }

@@ -283,7 +283,7 @@ func TestStatsAfterClose(t *testing.T) {
 // /healthz: Len must answer from its cached counter even while the only
 // shard worker is parked and an admission waits on it to install, because
 // Len never enters a shard queue. The worker is parked on an election
-// whose entry mutex the test holds.
+// whose entry lock the test holds.
 func TestLenDuringSlowAdmission(t *testing.T) {
 	r := New(Options{Shards: 1})
 	defer r.Close()

@@ -3,6 +3,7 @@ package service
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"anonradio/internal/canonical"
@@ -36,5 +37,29 @@ func TestRegisterOverflowingTagsRejected(t *testing.T) {
 	out, err := r.Elect("clique")
 	if err != nil || !out.Elected() {
 		t.Fatalf("elect after the rejected admissions: %+v, %v", out, err)
+	}
+}
+
+// TestRegisterHugeSpanRejectedCheaply registers a 2-node path with tags
+// {0, 10⁶}, whose round bound passes the round limit: the registration must
+// fail with canonical.ErrRoundOverflow, having allocated under 1 MiB, where
+// a build that ran would allocate about 48 MB of round plans alone and then
+// fail on the round limit.
+func TestRegisterHugeSpanRejectedCheaply(t *testing.T) {
+	r := New(Options{Shards: 1, Builders: 1})
+	t.Cleanup(r.Close)
+	cfg, err := config.Unmarshal("nodes 2\ntag 0 0\ntag 1 1000000\nedge 0 1\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err = r.Register("span", cfg)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, canonical.ErrRoundOverflow) {
+		t.Fatalf("register returned %v, want ErrRoundOverflow", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Fatalf("the rejected registration allocated %d bytes, want under 1 MiB", alloc)
 	}
 }

@@ -5,27 +5,34 @@
 //
 // The Registry hashes configuration keys onto N shards. Each shard is owned
 // by exactly one worker goroutine that holds everything the shard needs —
-// its configurations (each an *election.Dedicated with its pooled
-// simulator), one reusable ElectionOutcome per configuration, and its own
-// statistics counters. Every mutation of a shard (install, eviction,
-// snapshot, stats) executes *on* the owning worker via its request queue,
-// so shard state needs no locks, shares no memory across shards, and the
+// its configurations (each an immutable *election.Dedicated: protocol and
+// decision target), one radio.Simulator and one ElectionOutcome that the
+// worker runs every election it executes on, and its own statistics
+// counters. A key keeps no simulator: the worker rebinds its one simulator
+// to the key it elects (election.Dedicated.ElectOn; a rebind is O(n) and
+// allocation-free), so the worker's buffers are sized by the largest key
+// it has served, not summed over its keys. Every mutation of a shard
+// (install, eviction, snapshot, stats) executes *on* the owning worker via
+// its request queue, so shard state shares no memory across shards, and the
 // steady-state serve path performs zero heap allocations: requests and
 // responses travel by value through buffered channels, reply channels are
 // drawn from a pool, and the election itself runs on the zero-alloc
-// Dedicated.ElectInto path.
+// ElectOn path.
 //
 // Elections — the read-only operation — additionally participate in work
 // stealing (Options.WorkStealing, default on): every shard queues its
 // elections on a dedicated channel, and a worker whose own queues are empty
-// serves a queued election from the most loaded sibling instead of idling.
-// Placement is unchanged (FNV still names every key's home shard, and
-// mutations never migrate, so entry ownership stays with one worker); a
-// stolen election resolves its entry through the home shard's copy-on-write
-// entry view and serializes with installs and evictions on a per-entry
-// mutex, so outcomes are bit-identical with stealing on or off. The effect
-// is that a handful of hot keys hashed onto one shard no longer pin one
-// core while the rest idle — exactly the skew a fleet router concentrates.
+// serves a queued election from the most loaded sibling instead of idling,
+// on its own simulator. Placement is unchanged (FNV still names every key's
+// home shard, and mutations never migrate, so entry ownership stays with
+// one worker); a stolen election resolves its entry through the home
+// shard's copy-on-write entry view. Elections hold the entry's read lock,
+// installs and evictions its write lock, so two elections of one hot key
+// run at once on two workers while an algorithm is never swapped or
+// recycled under a running election, and outcomes are bit-identical with
+// stealing on or off. The effect is that a handful of hot keys hashed onto
+// one shard no longer pin one core while the rest idle — exactly the skew a
+// fleet router concentrates.
 //
 // Admissions are pipelined, not served inline: Register, RegisterCompiled
 // and their Async variants enqueue onto a bounded admission queue drained
@@ -124,14 +131,15 @@ type Options struct {
 	// nil serves the clean medium at unchanged cost.
 	Fault *radio.FaultPlan
 	// WorkStealing lets an idle shard worker serve queued elections from
-	// the most loaded sibling's election queue, relieving hot-shard skew
-	// when a few hot keys hash onto one shard. Only read-only election
+	// the most loaded sibling's election queue, on its own simulator,
+	// relieving hot-shard skew when a few hot keys hash onto one shard; two
+	// elections of one key may then run at once. Only read-only election
 	// operations migrate — installs, evictions, snapshots and stats stay
 	// on the owning worker — and outcomes are bit-identical with stealing
-	// on or off (the per-entry mutex serializes elections on one
-	// configuration no matter which worker runs them). nil selects the
-	// default (enabled); set Bool(false) to pin every election to its home
-	// worker.
+	// on or off (an election only reads its algorithm, and the entry's
+	// read lock keeps installs and evictions from swapping it mid-run).
+	// nil selects the default (enabled); set Bool(false) to pin every
+	// election to its home worker.
 	WorkStealing *bool
 }
 
@@ -270,17 +278,31 @@ type KeyFaultStats struct {
 	OutageRounds int64
 }
 
-// entry is one registered configuration: the dedicated algorithm plus the
-// shard-owned reusable outcome its elections run into. The mutex serializes
-// elections (which may run on a stealing sibling worker) against each other
-// and against installs and evictions; d == nil under the lock marks an
-// evicted entry a thief may still reach through a stale view. The fault
-// counters accumulate under the same mutex, on the faulted path only.
+// entry is one registered configuration. Elections (which may run on a
+// stealing sibling worker) hold mu's read side for the whole run, installs
+// and evictions its write side, so an algorithm is never swapped, retired
+// or rebuilt in place under a running election while elections of one key
+// overlap. d == nil under the lock marks an evicted entry a thief may still
+// reach through a stale view. The fault counters are atomics because
+// overlapping elections add to them; a gather takes the write side to read
+// a consistent row.
 type entry struct {
-	mu     sync.Mutex
+	mu     sync.RWMutex
 	d      *election.Dedicated
-	out    radio.ElectionOutcome
-	faults KeyFaultStats // Key left empty; filled in at gather time
+	faults faultCounters
+}
+
+// faultCounters is an entry's injected-fault account; see KeyFaultStats.
+type faultCounters struct {
+	elections, drops, noise, outageRounds atomic.Int64
+}
+
+// add accounts one faulted election.
+func (c *faultCounters) add(f radio.FaultStats) {
+	c.elections.Add(1)
+	c.drops.Add(f.Drops)
+	c.noise.Add(f.Noise)
+	c.outageRounds.Add(f.OutageRounds)
 }
 
 // shard is the state owned by one worker goroutine. The entries map and
@@ -293,10 +315,17 @@ type shard struct {
 	entries  map[string]*entry
 	stats    ShardStats // worker-only counters (Builds, admission Failures)
 
+	// sim and out are the worker's election scratch: every election the
+	// worker executes, for its own shard or stolen, runs on them. sim is
+	// created by the worker's first election and rebound per election.
+	sim *radio.Simulator
+	out radio.ElectionOutcome
+
 	stealing bool
 	// view is a copy-on-write snapshot of entries for stealing siblings;
 	// the owner republishes it on entry add/remove (not on same-key
-	// replace, which swaps d under the entry mutex and keeps the pointer).
+	// replace, which swaps d under the entry's write lock and keeps the
+	// pointer).
 	view atomic.Pointer[map[string]*entry]
 	// load is the election-queue depth hint (incremented by submitters,
 	// decremented by whichever worker serves the op); siblings pick the
@@ -643,8 +672,8 @@ func (r *Registry) Evict(key string) (bool, error) {
 // Elect serves one election for the configuration registered under key.
 // This is the steady-state path: once the registry is warm it performs zero
 // heap allocations end to end (pooled rendezvous channel, value-typed
-// request/response, zero-alloc ElectInto on the shard), entering the
-// lifecycle with one uncontended CAS instead of an RWMutex read, and it
+// request/response, zero-alloc ElectOn on the worker's simulator), entering
+// the lifecycle with one uncontended CAS instead of an RWMutex read, and it
 // never waits behind an admission — builds run on the builder pool, not
 // the shard.
 func (r *Registry) Elect(key string) (Outcome, error) {
@@ -753,16 +782,20 @@ func (r *Registry) FaultKeyStats() ([]KeyFaultStats, error) {
 }
 
 // faultStats snapshots every entry's fault counters; it runs on the owning
-// worker, taking each entry's mutex so a concurrent (possibly stolen)
+// worker, taking each entry's write lock so a concurrent (possibly stolen)
 // election never tears a row.
 func (sh *shard) faultStats() []KeyFaultStats {
 	stats := make([]KeyFaultStats, 0, len(sh.entries))
 	for key, e := range sh.entries {
 		e.mu.Lock()
-		fs := e.faults
+		stats = append(stats, KeyFaultStats{
+			Key:          key,
+			Elections:    e.faults.elections.Load(),
+			Drops:        e.faults.drops.Load(),
+			Noise:        e.faults.noise.Load(),
+			OutageRounds: e.faults.outageRounds.Load(),
+		})
 		e.mu.Unlock()
-		fs.Key = key
-		stats = append(stats, fs)
 	}
 	return stats
 }
@@ -900,9 +933,9 @@ func (r *Registry) serve(sh *shard, req request) {
 		}
 	case opEvict:
 		if e, ok := sh.entries[req.key]; ok {
-			// Tombstone under the entry mutex so a thief holding a stale
-			// view observes the eviction, then drop the entry and publish
-			// the new view.
+			// Tombstone under the entry's write lock so a thief holding a
+			// stale view observes the eviction, then drop the entry and
+			// publish the new view.
 			e.mu.Lock()
 			d := e.d
 			e.d = nil
@@ -968,12 +1001,14 @@ func (r *Registry) steal(thief *shard) bool {
 // runElect executes one queued election for its home shard. thief is non-nil
 // when a sibling worker stole the op, in which case the entry resolves
 // through the home shard's copy-on-write view instead of the worker-owned
-// map. Outcomes and counters are identical either way: the per-entry mutex
-// serializes elections on one configuration no matter which worker runs
-// them, and every serving counter stays attributed to the home shard.
+// map, and the election runs on the thief's simulator. Outcomes and
+// counters are identical either way: an election only reads its algorithm,
+// and every serving counter stays attributed to the home shard.
 func (r *Registry) runElect(home *shard, req request, thief *shard) {
 	home.load.Add(-1)
+	w := home
 	if thief != nil {
+		w = thief
 		thief.stolen.Add(1)
 		home.stolenFrom.Add(1)
 	}
@@ -985,33 +1020,28 @@ func (r *Registry) runElect(home *shard, req request, thief *shard) {
 		e = (*m)[req.key]
 	}
 	if e != nil {
-		e.mu.Lock()
+		e.mu.RLock()
 		if d := e.d; d == nil {
 			// Evicted between the view read and the lock.
-			e.mu.Unlock()
+			e.mu.RUnlock()
 			e = nil
 		} else {
-			electErr := d.ElectInto(&e.out, radio.Options{Fault: r.fault})
+			electErr := w.elect(d, r.fault)
 			err := electErr
 			if err == nil {
-				err = d.Verify(&e.out)
+				err = d.Verify(&w.out)
 			}
-			if r.fault != nil && electErr == nil && e.out.Result != nil {
+			if r.fault != nil && electErr == nil {
 				// Accumulate the election's injected-fault account onto the
-				// entry, under the same mutex that owns the pooled result.
-				// Elections that ran but failed verification count too: they
-				// observed their faults. A run that errored out (electErr)
-				// left Result stale and is skipped; the clean path
-				// (r.fault == nil) never takes this branch and stays
+				// entry. Elections that ran but failed verification count
+				// too: they observed their faults. A run that errored out
+				// (electErr) left Result stale and is skipped; the clean
+				// path (r.fault == nil) never takes this branch and stays
 				// zero-cost.
-				f := e.out.Result.Faults
-				e.faults.Elections++
-				e.faults.Drops += f.Drops
-				e.faults.Noise += f.Noise
-				e.faults.OutageRounds += f.OutageRounds
+				e.faults.add(w.out.Result.Faults)
 			}
-			leader, rounds := e.out.Leader(), e.out.Rounds
-			e.mu.Unlock()
+			leader, rounds := w.out.Leader(), w.out.Rounds
+			e.mu.RUnlock()
 			if err != nil {
 				home.electFails.Add(1)
 				out.Err = err
@@ -1030,10 +1060,23 @@ func (r *Registry) runElect(home *shard, req request, thief *shard) {
 	req.reply <- response{out: out}
 }
 
+// elect runs one election of d on the worker's simulator and outcome,
+// creating the simulator on the worker's first election.
+func (sh *shard) elect(d *election.Dedicated, fault *radio.FaultPlan) error {
+	if sh.sim == nil {
+		sim, err := radio.NewSimulator(d.Config)
+		if err != nil {
+			return err
+		}
+		sh.sim = sim
+	}
+	return d.ElectOn(sh.sim, &sh.out, radio.Options{Fault: fault})
+}
+
 // publishView republishes the copy-on-write entry view stealing siblings
 // resolve keys through. It runs on the owning worker, only when the entry
 // set changes (add or remove — a same-key replacement keeps the entry
-// pointer and swaps the algorithm under the entry mutex instead).
+// pointer and swaps the algorithm under the entry's write lock instead).
 func (sh *shard) publishView() {
 	if !sh.stealing {
 		return
@@ -1097,7 +1140,7 @@ func (sh *shard) install(key string, d *election.Dedicated, configCount *atomic.
 	}
 	e.mu.Lock()
 	displaced := e.d
-	e.d = d // replacing a key keeps its reusable outcome buffers
+	e.d = d // replacing a key keeps its entry and fault account
 	e.mu.Unlock()
 	return displaced
 }

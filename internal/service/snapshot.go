@@ -406,14 +406,14 @@ func (r *Registry) restoreEntry(dir string, me ManifestEntry) (trusted bool, err
 }
 
 // snapshot compiles every entry of the shard; it runs on the owning worker.
-// The entry mutex is taken per entry so the compile never overlaps a stolen
-// election running on a sibling worker.
+// Compiling only reads the algorithm, so it takes each entry's read lock,
+// like the (possibly stolen) elections running beside it.
 func (sh *shard) snapshot() []SnapshotEntry {
 	entries := make([]SnapshotEntry, 0, len(sh.entries))
 	for key, e := range sh.entries {
-		e.mu.Lock()
+		e.mu.RLock()
 		entries = append(entries, SnapshotEntry{Key: key, Config: e.d.Config, Artifact: e.d.Compile()})
-		e.mu.Unlock()
+		e.mu.RUnlock()
 	}
 	return entries
 }
@@ -425,8 +425,8 @@ func (sh *shard) snapshotKey(key string) []SnapshotEntry {
 	if !ok {
 		return nil
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
+	e.mu.RLock()
+	defer e.mu.RUnlock()
 	return []SnapshotEntry{{Key: key, Config: e.d.Config, Artifact: e.d.Compile()}}
 }
 

@@ -223,28 +223,113 @@ func TestStealVsEvictStress(t *testing.T) {
 	}
 }
 
-// BenchmarkStealHotKey measures serving one hot key from parallel clients
-// with stealing on and off. On a multi-core host the stealing variant
-// spreads the hot shard's queue across idle sibling workers; on a single
-// core it must at least not regress (the steal path is the same ElectInto,
-// only the executing goroutine changes).
-func BenchmarkStealHotKey(b *testing.B) {
-	for _, stealing := range []bool{true, false} {
-		b.Run(fmt.Sprintf("stealing=%v", stealing), func(b *testing.B) {
-			r := New(Options{Shards: 4, WorkStealing: Bool(stealing)})
-			defer r.Close()
-			if err := r.Register("hot", config.StaggeredClique(16)); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					if out, err := r.Elect("hot"); err != nil || !out.Elected() {
-						b.Fatalf("elect: %+v, %v", out, err)
+// TestHotKeyFaultAccountConcurrent hammers one faulted key from parallel
+// clients on a stealing registry until some of its elections ran on a
+// thief, so elections of the key overlap on two workers. Every outcome
+// must equal a direct election under the same plan, and the key's fault
+// account must be exactly the number of elections times one election's
+// account: a lost update in the overlapping counters breaks the equality,
+// and under -race a non-atomic one is reported.
+func TestHotKeyFaultAccountConcurrent(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	plan := &radio.FaultPlan{Seed: 11, Drop: 0.1, Noise: 0.02, Outages: []radio.Outage{{Node: 2, From: 5, To: 40}}}
+	cfg := config.StaggeredClique(16)
+	d, err := election.BuildDedicated(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var direct radio.ElectionOutcome
+	if err := d.ElectInto(&direct, radio.Options{Fault: plan}); err != nil {
+		t.Fatal(err)
+	}
+	one, verifyErr := direct.Result.Faults, d.Verify(&direct)
+	if one.Drops+one.Noise+one.OutageRounds == 0 {
+		t.Fatal("the plan injected no fault into one election")
+	}
+	r := New(Options{Shards: 4, Fault: plan})
+	t.Cleanup(r.Close)
+	if err := r.Register("hot", cfg); err != nil {
+		t.Fatal(err)
+	}
+	const clients, iters = 16, 10
+	var elections int64
+	for attempt := 0; attempt < 50; attempt++ {
+		var wg sync.WaitGroup
+		errs := make(chan error, clients)
+		for c := 0; c < clients; c++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < iters; i++ {
+					out, err := r.Elect("hot")
+					switch {
+					case (err != nil) != (verifyErr != nil):
+						errs <- fmt.Errorf("elect: %v, a direct election's verdict is %v", err, verifyErr)
+						return
+					case err == nil && (out.Leader != direct.Leader() || out.Rounds != direct.Rounds):
+						errs <- fmt.Errorf("elect: leader %d in %d rounds, want %d in %d", out.Leader, out.Rounds, direct.Leader(), direct.Rounds)
+						return
 					}
 				}
-			})
-		})
+			}()
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Fatal(err)
+		}
+		elections += clients * iters
+		stats, err := r.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if Totals(stats).Stolen > 0 {
+			break
+		}
 	}
+	rows, err := r.FaultKeyStats()
+	if err != nil || len(rows) != 1 {
+		t.Fatalf("fault stats: %v, %v", rows, err)
+	}
+	want := KeyFaultStats{Key: "hot", Elections: elections, Drops: elections * one.Drops, Noise: elections * one.Noise, OutageRounds: elections * one.OutageRounds}
+	if rows[0] != want {
+		t.Fatalf("fault account %+v, want %+v", rows[0], want)
+	}
+}
+
+// BenchmarkStealHotKey measures serving one hot key from parallel clients
+// with stealing on and off. With stealing on, idle sibling workers take
+// elections from the hot shard's queue and run them on their own
+// simulators, beside the home worker's; on a single core it must at least
+// not regress (the steal path is the same ElectOn, only the executing
+// worker changes). Four clients per GOMAXPROCS keep the hot queue two or
+// more deep, the depth a thief needs; with one client per GOMAXPROCS, at
+// GOMAXPROCS 2 at most one election waits behind the running one, and a
+// thief rarely finds one to take. The top-level cases serve a 16-clique;
+// the clique96 cases serve a serve-large-sized key, whose elections last
+// long enough for two of them to overlap.
+func BenchmarkStealHotKey(b *testing.B) {
+	bench := func(b *testing.B, cfg *config.Config) {
+		for _, stealing := range []bool{true, false} {
+			b.Run(fmt.Sprintf("stealing=%v", stealing), func(b *testing.B) {
+				r := New(Options{Shards: 4, WorkStealing: Bool(stealing)})
+				defer r.Close()
+				if err := r.Register("hot", cfg); err != nil {
+					b.Fatal(err)
+				}
+				b.ReportAllocs()
+				b.SetParallelism(4)
+				b.ResetTimer()
+				b.RunParallel(func(pb *testing.PB) {
+					for pb.Next() {
+						if out, err := r.Elect("hot"); err != nil || !out.Elected() {
+							b.Fatalf("elect: %+v, %v", out, err)
+						}
+					}
+				})
+			})
+		}
+	}
+	bench(b, config.StaggeredClique(16))
+	b.Run("clique96", func(b *testing.B) { bench(b, config.StaggeredClique(96)) })
 }
