@@ -6,8 +6,8 @@
 // wake-up tags), decide their feasibility with the paper's Classifier
 // algorithm, derive the dedicated canonical leader-election protocol for
 // feasible configurations, execute it on a faithful simulator of the radio
-// model (one zero-alloc simulation core behind sequential and worker-pool
-// parallel engines), and regenerate the repository's experiment tables.
+// model (one zero-alloc, event-driven simulation core), and regenerate the
+// repository's experiment tables.
 //
 // A minimal end-to-end use:
 //
@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"strings"
 
 	"anonradio/internal/baseline"
 	"anonradio/internal/config"
@@ -94,55 +93,6 @@ const (
 	HistoryMessage = history.Message
 	HistoryNoise   = history.Noise
 )
-
-// EngineKind selects a simulation engine. Both engines produce bit-identical
-// histories (the property suite enforces it); they differ only in how the
-// per-round protocol computations are scheduled.
-type EngineKind string
-
-const (
-	// SequentialEngine is the deterministic single-threaded reference
-	// engine.
-	SequentialEngine EngineKind = "sequential"
-	// ParallelEngine shards the per-round protocol computations across a
-	// persistent worker pool on the zero-alloc simulator core.
-	ParallelEngine EngineKind = "parallel"
-)
-
-// EngineKinds lists every valid engine kind, in the order user-facing tools
-// present them.
-func EngineKinds() []EngineKind {
-	return []EngineKind{SequentialEngine, ParallelEngine}
-}
-
-// EngineList renders the valid engine kinds as a comma-separated string for
-// flag help and error messages.
-func EngineList() string {
-	kinds := EngineKinds()
-	parts := make([]string, len(kinds))
-	for i, k := range kinds {
-		parts[i] = string(k)
-	}
-	return strings.Join(parts, ", ")
-}
-
-// ValidateEngine checks that kind names a known engine ("" selects the
-// sequential default) and, if not, returns an error listing the valid kinds.
-func ValidateEngine(kind EngineKind) error {
-	_, err := engineFor(kind)
-	return err
-}
-
-func engineFor(kind EngineKind) (radio.Engine, error) {
-	switch kind {
-	case SequentialEngine, "":
-		return radio.Sequential{}, nil
-	case ParallelEngine:
-		return radio.Parallel{}, nil
-	default:
-		return nil, fmt.Errorf("anonradio: unknown engine %q (valid engines: %s)", kind, EngineList())
-	}
-}
 
 // NewConfig builds a configuration with n nodes (numbered 0..n-1), the given
 // undirected edges, and the given wake-up tags (one per node, non-negative).
@@ -220,25 +170,17 @@ func BuildElection(cfg *Config) (*Dedicated, error) { return election.BuildDedic
 // configuration admits no leader election algorithm.
 var ErrInfeasible = election.ErrInfeasible
 
-// Elect classifies cfg, builds its dedicated algorithm, executes it on the
-// sequential engine and verifies the outcome (exactly one leader, the
-// designated node, within the round bound). The outcome's Result aliases
-// the returned Dedicated's convenience simulator; see Dedicated for the
-// lifetime and concurrency contract.
+// Elect classifies cfg, builds its dedicated algorithm, executes it and
+// verifies the outcome (exactly one leader, the designated node, within the
+// round bound). The outcome's Result aliases the returned Dedicated's
+// convenience simulator; see Dedicated for the lifetime and concurrency
+// contract.
 func Elect(cfg *Config) (*ElectionOutcome, *Dedicated, error) {
-	return ElectWith(cfg, SequentialEngine)
-}
-
-// ElectWith is Elect with an explicit choice of simulation engine.
-func ElectWith(cfg *Config, kind EngineKind) (*ElectionOutcome, *Dedicated, error) {
-	if _, err := engineFor(kind); err != nil {
-		return nil, nil, err // fail on a bad engine before paying for the build
-	}
 	d, err := election.BuildDedicated(cfg)
 	if err != nil {
 		return nil, nil, err
 	}
-	out, err := ElectDedicated(d, kind)
+	out, err := ElectDedicated(d)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -246,15 +188,10 @@ func ElectWith(cfg *Config, kind EngineKind) (*ElectionOutcome, *Dedicated, erro
 }
 
 // ElectDedicated executes an already-built (or loaded) dedicated algorithm
-// on the chosen engine and verifies the outcome; it is the serving half of
-// ElectWith/ElectCompiled for callers that manage algorithm lifetimes
-// themselves.
-func ElectDedicated(d *Dedicated, kind EngineKind) (*ElectionOutcome, error) {
-	eng, err := engineFor(kind)
-	if err != nil {
-		return nil, err
-	}
-	out, err := d.Elect(eng, radio.Options{})
+// and verifies the outcome; it is the serving half of Elect/ElectCompiled
+// for callers that manage algorithm lifetimes themselves.
+func ElectDedicated(d *Dedicated) (*ElectionOutcome, error) {
+	out, err := d.Elect(radio.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -265,15 +202,11 @@ func ElectDedicated(d *Dedicated, kind EngineKind) (*ElectionOutcome, error) {
 }
 
 // Simulate executes the dedicated algorithm's protocol on its configuration
-// with the chosen engine and returns the raw per-node histories; it is the
-// entry point for users who want to inspect executions rather than just the
-// elected leader.
-func Simulate(d *Dedicated, kind EngineKind, recordTrace bool) (*SimulationResult, error) {
-	eng, err := engineFor(kind)
-	if err != nil {
-		return nil, err
-	}
-	return eng.Run(d.Config, d.DRIP, radio.Options{RecordTrace: recordTrace})
+// and returns the raw per-node histories; it is the entry point for users
+// who want to inspect executions rather than just the elected leader. The
+// result owns its memory.
+func Simulate(d *Dedicated, recordTrace bool) (*SimulationResult, error) {
+	return radio.Sequential{}.Run(d.Config, d.DRIP, radio.Options{RecordTrace: recordTrace})
 }
 
 // CrossCheckFeasibility classifies cfg with both the Classifier and the
@@ -328,19 +261,15 @@ func ParseCompiledElection(data []byte) (*CompiledElection, error) {
 	return wire.DecodeArtifactAuto(data)
 }
 
-// ElectCompiled executes a pre-compiled dedicated algorithm on cfg with the
-// chosen engine and verifies the outcome (full artifact validation; load
-// with LoadElectionTrusted and ElectDedicated to opt into the digest fast
-// path).
-func ElectCompiled(c *CompiledElection, cfg *Config, kind EngineKind) (*ElectionOutcome, *Dedicated, error) {
-	if _, err := engineFor(kind); err != nil {
-		return nil, nil, err // fail on a bad engine before paying for the load
-	}
+// ElectCompiled executes a pre-compiled dedicated algorithm on cfg and
+// verifies the outcome (full artifact validation; load with
+// LoadElectionTrusted and ElectDedicated to opt into the digest fast path).
+func ElectCompiled(c *CompiledElection, cfg *Config) (*ElectionOutcome, *Dedicated, error) {
 	d, err := election.Load(c, cfg)
 	if err != nil {
 		return nil, nil, err
 	}
-	out, err := ElectDedicated(d, kind)
+	out, err := ElectDedicated(d)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -664,27 +593,18 @@ func SurveyParallel(count, workers int, gen func(i int) *Config) (*FeasibilitySu
 	return core.SurveyParallel(count, workers, gen)
 }
 
-// SimulationOptions control a simulation run (round limit, tracing, worker
-// bound for the concurrent engine).
+// SimulationOptions control a simulation run (round limit, tracing, fault
+// plan).
 type SimulationOptions = radio.Options
 
 // Simulator is a reusable simulation engine bound to one configuration:
 // buffers (including the returned Result) are reused across runs, making
 // repeated simulations allocation-free in steady state. The Result of a Run
-// is valid until the next Run on the same Simulator. Its per-round protocol
-// step runs on a pluggable executor (inline, or a worker pool); all
-// executors produce bit-identical results.
+// is valid until the next Run on the same Simulator.
 type Simulator = radio.Simulator
 
 // NewSimulator builds a reusable single-threaded engine for cfg.
 func NewSimulator(cfg *Config) (*Simulator, error) { return radio.NewSimulator(cfg) }
-
-// NewParallelSimulator builds a reusable engine for cfg whose per-round
-// protocol computations are sharded across `workers` pool goroutines
-// (workers <= 0 selects GOMAXPROCS). Call Close when done to stop the pool.
-func NewParallelSimulator(cfg *Config, workers int) (*Simulator, error) {
-	return radio.NewParallelSimulator(cfg, workers)
-}
 
 // FaultPlan is a seeded description of a misbehaving radio medium: a
 // per-link per-round message-drop probability, a per-node per-round
@@ -692,9 +612,9 @@ func NewParallelSimulator(cfg *Config, workers int) (*Simulator, error) {
 // Set it on SimulationOptions.Fault (or ServiceOptions.Fault for a served
 // registry) to run elections over a lossy medium. Every fault decision is
 // a pure function of (Seed, round, node), so the same plan reproduces the
-// same faulted execution on every engine and every run; a nil or all-zero
-// plan leaves the medium untouched, bit-identically. See internal/radio's
-// fault seam and experiment E18.
+// same faulted execution on every run; a nil or all-zero plan leaves the
+// medium untouched, bit-identically. See internal/radio's fault seam and
+// experiment E18.
 type FaultPlan = radio.FaultPlan
 
 // FaultOutage is one per-node radio outage window [From, To) in global
@@ -703,42 +623,21 @@ type FaultPlan = radio.FaultPlan
 // radio event).
 type FaultOutage = radio.Outage
 
-// RunExperiments regenerates every experiment table (E1-E11, E18, A1) and
-// writes them to w. With quick=true a reduced parameter sweep is used. The
-// election experiments run on the sequential engine; use RunExperimentsOn
-// to choose.
+// RunExperiments regenerates every experiment table (E1-E7, E9-E11, E18,
+// A1) and writes them to w. With quick=true a reduced parameter sweep is
+// used.
 func RunExperiments(w io.Writer, quick bool, seed int64) error {
-	return RunExperimentsOn(w, quick, seed, SequentialEngine)
+	return harness.RunAll(harness.Options{Quick: quick, Seed: seed}, w)
 }
 
-// RunExperimentsOn is RunExperiments with an explicit simulation engine for
-// the election experiments (E2-E4, E9). Tables are engine-independent;
-// only the wall-clock timings change.
-func RunExperimentsOn(w io.Writer, quick bool, seed int64, kind EngineKind) error {
-	eng, err := engineFor(kind)
-	if err != nil {
-		return err
-	}
-	return harness.RunAll(harness.Options{Quick: quick, Seed: seed, Engine: eng}, w)
-}
-
-// RunExperiment runs a single experiment by ID ("E1".."E11", "E18", "A1") and
-// returns its table.
+// RunExperiment runs a single experiment by ID ("E1".."E7", "E9".."E11",
+// "E18", "A1") and returns its table.
 func RunExperiment(id string, quick bool, seed int64) (*ExperimentTable, error) {
-	return RunExperimentOn(id, quick, seed, SequentialEngine)
-}
-
-// RunExperimentOn is RunExperiment with an explicit simulation engine.
-func RunExperimentOn(id string, quick bool, seed int64, kind EngineKind) (*ExperimentTable, error) {
-	eng, err := engineFor(kind)
-	if err != nil {
-		return nil, err
-	}
 	exp, ok := harness.Lookup(id)
 	if !ok {
 		return nil, fmt.Errorf("anonradio: unknown experiment %q", id)
 	}
-	return exp.Run(harness.Options{Quick: quick, Seed: seed, Engine: eng})
+	return exp.Run(harness.Options{Quick: quick, Seed: seed})
 }
 
 // WireContentType is the Content-Type that selects the binary wire encoding

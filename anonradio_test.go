@@ -82,21 +82,32 @@ func TestElectEndToEnd(t *testing.T) {
 	}
 }
 
+// TestElectWithEngines checks that Elect, ElectDedicated on a fresh build
+// and the one-shot Simulate agree on the leader's history and the round
+// count.
 func TestElectWithEngines(t *testing.T) {
 	cfg := LineFamilyG(2)
-	seqOut, _, err := ElectWith(cfg, SequentialEngine)
+	out, _, err := Elect(cfg)
 	if err != nil {
-		t.Fatalf("sequential: %v", err)
+		t.Fatalf("Elect: %v", err)
 	}
-	parOut, _, err := ElectWith(cfg, ParallelEngine)
+	d, err := BuildElection(cfg)
 	if err != nil {
-		t.Fatalf("parallel: %v", err)
+		t.Fatal(err)
 	}
-	if seqOut.Leader() != parOut.Leader() || seqOut.Rounds != parOut.Rounds {
-		t.Fatalf("engines disagree: %v vs %v", seqOut, parOut)
+	direct, err := ElectDedicated(d)
+	if err != nil {
+		t.Fatalf("ElectDedicated: %v", err)
 	}
-	if _, _, err := ElectWith(cfg, "bogus"); err == nil {
-		t.Fatalf("unknown engine should error")
+	if out.Leader() != direct.Leader() || out.Rounds != direct.Rounds {
+		t.Fatalf("Elect and ElectDedicated disagree: %v vs %v", out, direct)
+	}
+	res, err := Simulate(d, false)
+	if err != nil {
+		t.Fatalf("Simulate: %v", err)
+	}
+	if res.GlobalRounds != out.Rounds || !res.Histories[out.Leader()].Equal(direct.Result.Histories[out.Leader()]) {
+		t.Fatalf("Simulate ran %d rounds, the election %d, or the leader's history diverged", res.GlobalRounds, out.Rounds)
 	}
 }
 
@@ -111,15 +122,12 @@ func TestSimulate(t *testing.T) {
 	if err != nil {
 		t.Fatalf("%v", err)
 	}
-	res, err := Simulate(d, SequentialEngine, true)
+	res, err := Simulate(d, true)
 	if err != nil {
 		t.Fatalf("%v", err)
 	}
 	if len(res.Histories) != 4 || res.Trace == nil {
 		t.Fatalf("simulation result incomplete")
-	}
-	if _, err := Simulate(d, "bogus", false); err == nil {
-		t.Fatalf("unknown engine should error")
 	}
 }
 
@@ -161,7 +169,7 @@ func TestRunExperimentSingle(t *testing.T) {
 
 func TestExperimentIDs(t *testing.T) {
 	ids := ExperimentIDs()
-	if len(ids) != 13 || ids[0] != "E1" || ids[11] != "E18" || ids[12] != "A1" {
+	if len(ids) != 12 || ids[0] != "E1" || ids[7] != "E9" || ids[10] != "E18" || ids[11] != "A1" {
 		t.Fatalf("experiment ids wrong: %v", ids)
 	}
 }
@@ -190,12 +198,12 @@ func TestFacadeFaultedSimulation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("%v", err)
 	}
-	clean, err := d.Elect(nil, SimulationOptions{})
+	clean, err := d.Elect(SimulationOptions{})
 	if err != nil {
 		t.Fatalf("%v", err)
 	}
 	leader, rounds := clean.Leader(), clean.Rounds
-	zero, err := d.Elect(nil, SimulationOptions{Fault: &FaultPlan{Seed: 3}})
+	zero, err := d.Elect(SimulationOptions{Fault: &FaultPlan{Seed: 3}})
 	if err != nil {
 		t.Fatalf("%v", err)
 	}
@@ -203,12 +211,12 @@ func TestFacadeFaultedSimulation(t *testing.T) {
 		t.Fatalf("all-zero fault plan diverged: %d/%d vs %d/%d", zero.Leader(), zero.Rounds, leader, rounds)
 	}
 	plan := &FaultPlan{Seed: 3, Drop: 0.4, Noise: 0.1, Outages: []FaultOutage{{Node: 0, From: 0, To: 2}}}
-	a, err := d.Elect(nil, SimulationOptions{Fault: plan})
+	a, err := d.Elect(SimulationOptions{Fault: plan})
 	if err != nil {
 		t.Fatalf("%v", err)
 	}
 	aLeaders := append([]int(nil), a.Leaders...)
-	b, err := d.Elect(nil, SimulationOptions{Fault: plan})
+	b, err := d.Elect(SimulationOptions{Fault: plan})
 	if err != nil {
 		t.Fatalf("%v", err)
 	}

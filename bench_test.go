@@ -108,7 +108,7 @@ func BenchmarkE2ElectionBuildAndRun(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					out, err := d.Elect(radio.Sequential{}, radio.Options{})
+					out, err := d.Elect(radio.Options{})
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -129,7 +129,7 @@ func BenchmarkE3LineFamilyElection(b *testing.B) {
 			cfg := config.LineFamilyG(m)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := election.MinimumElectionRounds(cfg, radio.Sequential{}); err != nil {
+				if _, _, err := election.MinimumElectionRounds(cfg); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -143,7 +143,7 @@ func BenchmarkE4SpanFamilyElection(b *testing.B) {
 			cfg := config.SpanFamilyH(m)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := election.MinimumElectionRounds(cfg, radio.Sequential{}); err != nil {
+				if _, _, err := election.MinimumElectionRounds(cfg); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -208,7 +208,7 @@ func BenchmarkE7SurveyCrossCheck(b *testing.B) {
 	}
 }
 
-// --- E8: engine comparison ----------------------------------------------------
+// --- E8: the simulation engine ------------------------------------------------
 
 func benchmarkEngine(b *testing.B, eng radio.Engine, n int) {
 	cfg := config.StaggeredClique(n)
@@ -234,40 +234,6 @@ func BenchmarkE8SequentialEngine(b *testing.B) {
 	}
 }
 
-// The worker-pool engine on the same workloads as the sequential one.
-func BenchmarkE8ParallelEngine(b *testing.B) {
-	for _, n := range []int{16, 32, 64, 128} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) { benchmarkEngine(b, radio.Parallel{}, n) })
-	}
-}
-
-// BenchmarkE8ParallelSimulatorSteadyState is the reusable-pool counterpart
-// of BenchmarkE8SimulatorSteadyState: one pooled simulator serving repeated
-// runs, no per-run construction cost.
-func BenchmarkE8ParallelSimulatorSteadyState(b *testing.B) {
-	for _, n := range []int{64, 256} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			cfg := config.StaggeredClique(n)
-			sim, err := radio.NewParallelSimulator(cfg, 0)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer sim.Close()
-			var proto drip.Protocol = drip.BeepAt{Round: 1, StopAfter: 4}
-			if _, err := sim.Run(proto, radio.Options{}); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := sim.Run(proto, radio.Options{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // --- E9: baselines -------------------------------------------------------------
 
 func BenchmarkE9CanonicalOnClique(b *testing.B) {
@@ -276,7 +242,7 @@ func BenchmarkE9CanonicalOnClique(b *testing.B) {
 			cfg := config.StaggeredClique(n)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := election.MinimumElectionRounds(cfg, radio.Sequential{}); err != nil {
+				if _, _, err := election.MinimumElectionRounds(cfg); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -674,7 +640,7 @@ func BenchmarkMicroCompileLoadElect(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		out, err := loaded.Elect(radio.Sequential{}, radio.Options{})
+		out, err := loaded.Elect(radio.Options{})
 		if err != nil || !out.Elected() {
 			b.Fatal(err)
 		}

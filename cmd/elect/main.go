@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	elect -config cfg.txt [-engine sequential|parallel] [-trace] [-compiled alg.json|NNNN.artifact.bin [-trust-artifact]]
+//	elect -config cfg.txt [-trace] [-compiled alg.json|NNNN.artifact.bin [-trust-artifact]]
 package main
 
 import (
@@ -19,19 +19,12 @@ import (
 func main() {
 	var (
 		path     = flag.String("config", "", "configuration file (default: read standard input)")
-		engine   = flag.String("engine", "sequential", "simulation engine: "+anonradio.EngineList())
 		trace    = flag.Bool("trace", false, "print the round-by-round transcript of the election")
 		compiled = flag.String("compiled", "", "run a pre-compiled algorithm (JSON from cmd/compile, or a snapshot's binary .artifact.bin) instead of re-deriving it")
 		trust    = flag.Bool("trust-artifact", false, "trust -compiled artifacts from your own pipeline: a verifying phase-table digest skips the recompile validation")
 	)
 	flag.Parse()
 
-	// Validate the engine up front so a typo fails with the list of valid
-	// engines instead of surfacing mid-run after the classification work.
-	if err := anonradio.ValidateEngine(anonradio.EngineKind(*engine)); err != nil {
-		fmt.Fprintln(os.Stderr, "elect:", err)
-		os.Exit(2)
-	}
 	if *trust && *compiled == "" {
 		fmt.Fprintln(os.Stderr, "elect: -trust-artifact only applies to -compiled artifacts (a freshly built algorithm has nothing to trust)")
 		os.Exit(2)
@@ -47,9 +40,9 @@ func main() {
 		dedicated *anonradio.Dedicated
 	)
 	if *compiled != "" {
-		out, dedicated, err = electCompiled(*compiled, cfg, anonradio.EngineKind(*engine), *trust)
+		out, dedicated, err = electCompiled(*compiled, cfg, *trust)
 	} else {
-		out, dedicated, err = anonradio.ElectWith(cfg, anonradio.EngineKind(*engine))
+		out, dedicated, err = anonradio.Elect(cfg)
 	}
 	if err != nil {
 		if errors.Is(err, anonradio.ErrInfeasible) {
@@ -67,7 +60,7 @@ func main() {
 	fmt.Printf("phases:          %d\n", dedicated.DRIP.Phases())
 
 	if *trace {
-		res, err := anonradio.Simulate(dedicated, anonradio.EngineKind(*engine), true)
+		res, err := anonradio.Simulate(dedicated, true)
 		if err != nil {
 			fatal(err)
 		}
@@ -78,7 +71,7 @@ func main() {
 
 // electCompiled loads a compiled algorithm artifact (fully validated, or
 // via the digest fast path with -trust-artifact) and runs it on cfg.
-func electCompiled(path string, cfg *anonradio.Config, engine anonradio.EngineKind, trust bool) (*anonradio.ElectionOutcome, *anonradio.Dedicated, error) {
+func electCompiled(path string, cfg *anonradio.Config, trust bool) (*anonradio.ElectionOutcome, *anonradio.Dedicated, error) {
 	compiled, err := readCompiled(path)
 	if err != nil {
 		return nil, nil, err
@@ -88,13 +81,13 @@ func electCompiled(path string, cfg *anonradio.Config, engine anonradio.EngineKi
 		if err != nil {
 			return nil, nil, err
 		}
-		out, err := anonradio.ElectDedicated(d, engine)
+		out, err := anonradio.ElectDedicated(d)
 		if err != nil {
 			return nil, nil, err
 		}
 		return out, d, nil
 	}
-	return anonradio.ElectCompiled(compiled, cfg, engine)
+	return anonradio.ElectCompiled(compiled, cfg)
 }
 
 // readCompiled reads and decodes a compiled algorithm artifact.

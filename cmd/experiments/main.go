@@ -1,12 +1,12 @@
 // Command experiments regenerates the evaluation tables of the reproduction:
-// the scaling measurements (E1, E2, E8), the replays of the paper's lower
-// bounds and impossibility results (E3-E6), the feasibility survey (E7), the
+// the scaling measurements (E1, E2), the replays of the paper's lower bounds
+// and impossibility results (E3-E6), the feasibility survey (E7), the
 // baseline comparison (E9), the structural comparisons (E10, E11), the
 // faulted medium (E18) and the Refine ablation (A1).
 //
 // Usage:
 //
-//	experiments [-quick] [-seed N] [-only E3] [-engine parallel] [-o results.txt]
+//	experiments [-quick] [-seed N] [-only E3] [-o results.txt]
 package main
 
 import (
@@ -20,19 +20,12 @@ import (
 
 func main() {
 	var (
-		quick  = flag.Bool("quick", false, "run reduced parameter sweeps")
-		seed   = flag.Int64("seed", 1, "random seed for all workloads")
-		only   = flag.String("only", "", "run a single experiment (E1..E11, E18, A1)")
-		engine = flag.String("engine", "sequential", "simulation engine for the election experiments: "+anonradio.EngineList())
-		out    = flag.String("o", "", "output file (default: standard output)")
+		quick = flag.Bool("quick", false, "run reduced parameter sweeps")
+		seed  = flag.Int64("seed", 1, "random seed for all workloads")
+		only  = flag.String("only", "", "run a single experiment (E1..E7, E9..E11, E18, A1)")
+		out   = flag.String("o", "", "output file (default: standard output)")
 	)
 	flag.Parse()
-
-	kind := anonradio.EngineKind(*engine)
-	if err := anonradio.ValidateEngine(kind); err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		os.Exit(2)
-	}
 
 	var w io.Writer = os.Stdout
 	if *out != "" {
@@ -45,14 +38,14 @@ func main() {
 	}
 
 	if *only != "" {
-		table, err := anonradio.RunExperimentOn(*only, *quick, *seed, kind)
+		table, err := anonradio.RunExperiment(*only, *quick, *seed)
 		if err != nil {
 			fatal(err)
 		}
 		fmt.Fprintln(w, table.String())
 		return
 	}
-	if err := anonradio.RunExperimentsOn(w, *quick, *seed, kind); err != nil {
+	if err := anonradio.RunExperiments(w, *quick, *seed); err != nil {
 		fatal(err)
 	}
 }

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	inspect -config cfg.txt [-engine sequential|parallel]
+//	inspect -config cfg.txt
 package main
 
 import (
@@ -18,10 +18,7 @@ import (
 )
 
 func main() {
-	var (
-		path   = flag.String("config", "", "configuration file (default: read standard input)")
-		engine = flag.String("engine", "sequential", "simulation engine: "+anonradio.EngineList())
-	)
+	path := flag.String("config", "", "configuration file (default: read standard input)")
 	flag.Parse()
 
 	cfg, err := readConfig(*path)
@@ -56,7 +53,7 @@ func main() {
 	fmt.Printf("round bound:       %d\n", dedicated.RoundBound)
 	fmt.Printf("designated leader: node %d\n", dedicated.ExpectedLeader)
 
-	res, err := anonradio.Simulate(dedicated, anonradio.EngineKind(*engine), true)
+	res, err := anonradio.Simulate(dedicated, true)
 	if err != nil {
 		fatal(err)
 	}

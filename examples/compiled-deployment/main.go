@@ -39,13 +39,12 @@ func main() {
 		dedicated.DRIP.Phases(), dedicated.LocalRounds, dedicated.ExpectedLeader)
 
 	// Phase 2 (online, distributed): the artifact is shipped to the nodes.
-	// Here we just decode it again and run it on the parallel engine, which
-	// computes the nodes' per-round actions on a worker pool.
+	// Here we just decode it again and run it.
 	decoded, err := anonradio.ParseCompiledElection(artifact)
 	if err != nil {
 		log.Fatal(err)
 	}
-	outcome, loaded, err := anonradio.ElectCompiled(decoded, cfg, anonradio.ParallelEngine)
+	outcome, loaded, err := anonradio.ElectCompiled(decoded, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -53,7 +52,7 @@ func main() {
 		outcome.Leader(), outcome.Rounds, loaded.RoundBound)
 
 	// Phase 3: inspect what actually happened on the air.
-	res, err := anonradio.Simulate(loaded, anonradio.SequentialEngine, true)
+	res, err := anonradio.Simulate(loaded, true)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -51,7 +51,7 @@ func main() {
 		outcome.Rounds, dedicated.RoundBound)
 
 	// Step 3: inspect the execution round by round.
-	res, err := anonradio.Simulate(dedicated, anonradio.SequentialEngine, true)
+	res, err := anonradio.Simulate(dedicated, true)
 	if err != nil {
 		log.Fatal(err)
 	}

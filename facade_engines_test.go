@@ -1,91 +1,62 @@
 package anonradio
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
-func TestEngineKindsAndValidation(t *testing.T) {
-	for _, kind := range EngineKinds() {
-		if err := ValidateEngine(kind); err != nil {
-			t.Fatalf("%s should be a valid engine: %v", kind, err)
-		}
-	}
-	if err := ValidateEngine(""); err != nil {
-		t.Fatalf("empty kind should select the default: %v", err)
-	}
-	err := ValidateEngine("warp-drive")
-	if err == nil {
-		t.Fatalf("unknown engine should be rejected")
-	}
-	for _, kind := range EngineKinds() {
-		if !strings.Contains(err.Error(), string(kind)) {
-			t.Fatalf("error should list %q: %v", kind, err)
-		}
-	}
-}
-
+// TestElectWithEveryEngineKind checks that the one-call Elect, a compiled
+// artifact's ElectCompiled and a loaded artifact's ElectDedicated elect the
+// designated leader in the same number of rounds.
 func TestElectWithEveryEngineKind(t *testing.T) {
 	cfg := SpanFamilyH(2)
-	want, _, err := Elect(cfg)
+	want, d, err := Elect(cfg)
 	if err != nil {
 		t.Fatalf("%v", err)
 	}
-	for _, kind := range EngineKinds() {
-		out, d, err := ElectWith(cfg, kind)
-		if err != nil {
-			t.Fatalf("%s: %v", kind, err)
-		}
-		if out.Leader() != want.Leader() || out.Rounds != want.Rounds {
-			t.Fatalf("%s: leader %d rounds %d, want %d/%d", kind, out.Leader(), out.Rounds, want.Leader(), want.Rounds)
-		}
-		if d.ExpectedLeader != out.Leader() {
-			t.Fatalf("%s: elected %d, designated %d", kind, out.Leader(), d.ExpectedLeader)
-		}
+	if d.ExpectedLeader != want.Leader() {
+		t.Fatalf("elected %d, designated %d", want.Leader(), d.ExpectedLeader)
 	}
-	if _, _, err := ElectWith(cfg, "warp-drive"); err == nil {
-		t.Fatalf("unknown engine should be rejected")
+	compiled, loaded, err := ElectCompiled(CompileElection(d), cfg)
+	if err != nil {
+		t.Fatalf("ElectCompiled: %v", err)
+	}
+	again, err := ElectDedicated(loaded)
+	if err != nil {
+		t.Fatalf("ElectDedicated: %v", err)
+	}
+	for _, out := range []*ElectionOutcome{compiled, again} {
+		if out.Leader() != want.Leader() || out.Rounds != want.Rounds {
+			t.Fatalf("leader %d rounds %d, want %d/%d", out.Leader(), out.Rounds, want.Leader(), want.Rounds)
+		}
 	}
 }
 
+// TestParallelSimulatorFacade checks that the facade's reusable Simulator,
+// run three times, reproduces the one-shot Simulate bit for bit.
 func TestParallelSimulatorFacade(t *testing.T) {
 	cfg := StaggeredClique(12)
 	_, d, err := Elect(cfg)
 	if err != nil {
 		t.Fatalf("%v", err)
 	}
-	seq, err := Simulate(d, SequentialEngine, false)
+	want, err := Simulate(d, false)
 	if err != nil {
 		t.Fatalf("%v", err)
 	}
-	sim, err := NewParallelSimulator(cfg, 2)
+	sim, err := NewSimulator(cfg)
 	if err != nil {
 		t.Fatalf("%v", err)
 	}
-	defer sim.Close()
-	res, err := sim.Run(d.DRIP, SimulationOptions{})
-	if err != nil {
-		t.Fatalf("%v", err)
-	}
-	if res.GlobalRounds != seq.GlobalRounds {
-		t.Fatalf("parallel simulator rounds %d, sequential %d", res.GlobalRounds, seq.GlobalRounds)
-	}
-	for v := 0; v < cfg.N(); v++ {
-		if !res.Histories[v].Equal(seq.Histories[v]) {
-			t.Fatalf("node %d diverged between executors", v)
+	for run := 0; run < 3; run++ {
+		res, err := sim.Run(d.DRIP, SimulationOptions{})
+		if err != nil {
+			t.Fatalf("%v", err)
 		}
-	}
-}
-
-func TestRunExperimentOnEngine(t *testing.T) {
-	table, err := RunExperimentOn("E4", true, 1, ParallelEngine)
-	if err != nil {
-		t.Fatalf("%v", err)
-	}
-	if len(table.Rows) == 0 {
-		t.Fatalf("E4 produced no rows")
-	}
-	if _, err := RunExperimentOn("E4", true, 1, "warp-drive"); err == nil {
-		t.Fatalf("unknown engine should be rejected")
+		if res.GlobalRounds != want.GlobalRounds {
+			t.Fatalf("run %d: reused simulator rounds %d, one-shot %d", run, res.GlobalRounds, want.GlobalRounds)
+		}
+		for v := 0; v < cfg.N(); v++ {
+			if !res.Histories[v].Equal(want.Histories[v]) {
+				t.Fatalf("run %d: node %d diverged from the one-shot run", run, v)
+			}
+		}
 	}
 }

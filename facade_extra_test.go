@@ -29,21 +29,18 @@ func TestCompileAndLoadElectionFacade(t *testing.T) {
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	out, loaded, err := ElectCompiled(parsed, cfg, SequentialEngine)
+	out, loaded, err := ElectCompiled(parsed, cfg)
 	if err != nil {
 		t.Fatalf("elect compiled: %v", err)
 	}
 	if out.Leader() != dedicated.ExpectedLeader || loaded.RoundBound != dedicated.RoundBound {
 		t.Fatalf("compiled election diverged: leader %d vs %d", out.Leader(), dedicated.ExpectedLeader)
 	}
-	if _, _, err := ElectCompiled(parsed, cfg, "bogus"); err == nil {
-		t.Fatalf("unknown engine should error")
-	}
 	if _, err := ParseCompiledElection([]byte("junk")); err == nil {
 		t.Fatalf("junk JSON should error")
 	}
 	// Loading against a configuration with a different span must fail.
-	if _, _, err := ElectCompiled(parsed, SpanFamilyH(7), SequentialEngine); err == nil {
+	if _, _, err := ElectCompiled(parsed, SpanFamilyH(7)); err == nil {
 		t.Fatalf("span mismatch should error")
 	}
 }
@@ -53,7 +50,7 @@ func TestComputeMetricsFacade(t *testing.T) {
 	if err != nil {
 		t.Fatalf("%v", err)
 	}
-	res, err := Simulate(dedicated, SequentialEngine, true)
+	res, err := Simulate(dedicated, true)
 	if err != nil {
 		t.Fatalf("%v", err)
 	}
@@ -72,7 +69,7 @@ func TestComputeMetricsFacade(t *testing.T) {
 		t.Fatalf("metrics string: %q", metrics.String())
 	}
 	// Metrics require a trace.
-	untraced, err := Simulate(dedicated, SequentialEngine, false)
+	untraced, err := Simulate(dedicated, false)
 	if err != nil {
 		t.Fatalf("%v", err)
 	}
@@ -86,7 +83,7 @@ func TestHistoryAliases(t *testing.T) {
 	if err != nil {
 		t.Fatalf("%v", err)
 	}
-	res, err := Simulate(dedicated, SequentialEngine, false)
+	res, err := Simulate(dedicated, false)
 	if err != nil {
 		t.Fatalf("%v", err)
 	}

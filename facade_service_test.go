@@ -52,15 +52,13 @@ func TestFacadeService(t *testing.T) {
 		if out.Leader != d.ExpectedLeader {
 			t.Fatalf("%s: service elected %d, want %d", key, out.Leader, d.ExpectedLeader)
 		}
-		for _, kind := range EngineKinds() {
-			direct, _, err := ElectWith(cfg, kind)
-			if err != nil {
-				t.Fatalf("%s engine %s: %v", key, kind, err)
-			}
-			if direct.Leader() != out.Leader || direct.Rounds != out.Rounds {
-				t.Fatalf("%s: engine %s (%d, %d rounds) disagrees with service (%d, %d rounds)",
-					key, kind, direct.Leader(), direct.Rounds, out.Leader, out.Rounds)
-			}
+		direct, _, err := Elect(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", key, err)
+		}
+		if direct.Leader() != out.Leader || direct.Rounds != out.Rounds {
+			t.Fatalf("%s: Elect (%d, %d rounds) disagrees with service (%d, %d rounds)",
+				key, direct.Leader(), direct.Rounds, out.Leader, out.Rounds)
 		}
 	}
 
@@ -159,7 +157,7 @@ func TestParseCompiledElectionReadsSnapshotArtifacts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, _, err := ElectCompiled(c, cfg, SequentialEngine)
+		out, _, err := ElectCompiled(c, cfg)
 		if err != nil {
 			t.Fatalf("electing from %s: %v", f.artifact, err)
 		}

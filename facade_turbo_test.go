@@ -74,7 +74,7 @@ func TestFacadeSimulatorReuse(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewSimulator: %v", err)
 	}
-	want, err := Simulate(d, SequentialEngine, false)
+	want, err := Simulate(d, false)
 	if err != nil {
 		t.Fatalf("Simulate: %v", err)
 	}

@@ -96,7 +96,7 @@ func TestLoadDigestFastPath(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := loaded.Elect(nil, radio.Options{})
+		out, err := loaded.Elect(radio.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -183,7 +183,7 @@ func TestVerifyNamesDivergence(t *testing.T) {
 		}
 		failed++
 		vectors := drip.Algorithm{Protocol: drip.Func(d.DRIP.Act), Decision: d.Algorithm.Decision}
-		one, err1 := radio.RunElection(radio.Parallel{}, d.Config, vectors, radio.Options{Fault: plan, MaxRounds: d.RoundBound + 1})
+		one, err1 := radio.RunElection(radio.Sequential{}, d.Config, vectors, radio.Options{Fault: plan, MaxRounds: d.RoundBound + 1})
 		if err1 != nil {
 			t.Fatal(err1)
 		}

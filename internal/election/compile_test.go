@@ -29,7 +29,7 @@ func TestCompileLoadRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: load: %v", cfg, err)
 		}
-		out, err := loaded.Elect(radio.Sequential{}, radio.Options{})
+		out, err := loaded.Elect(radio.Options{})
 		if err != nil {
 			t.Fatalf("%s: elect: %v", cfg, err)
 		}

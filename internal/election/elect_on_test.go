@@ -136,7 +136,7 @@ func TestElectOnSharedSimulator(t *testing.T) {
 					t.Fatalf("%s: %v", name, err)
 				}
 				want := copyOutcome(&ref)
-				standalone, err := d.Elect(nil, opts)
+				standalone, err := d.Elect(opts)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}

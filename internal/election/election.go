@@ -247,31 +247,28 @@ func finishBuildInto(prev *Dedicated, report *core.Report, dg *canonical.DRIP, r
 	return prev, nil
 }
 
-// Elect executes the dedicated algorithm on its configuration with the given
-// engine and returns the outcome. A nil or Sequential engine runs on the
-// algorithm's convenience simulator, so repeated elections reuse every
-// simulation buffer; the outcome's Result then points into those buffers
-// and is valid until the next standalone election on this Dedicated. The
-// Parallel engine executes a one-shot run on a fresh worker-pool simulator.
-func (d *Dedicated) Elect(engine radio.Engine, opts radio.Options) (*radio.ElectionOutcome, error) {
+// Elect executes the dedicated algorithm on its configuration and returns
+// the outcome. An untraced election runs on the algorithm's convenience
+// simulator, so repeated elections reuse every simulation buffer; the
+// outcome's Result then points into those buffers and is valid until the
+// next standalone election on this Dedicated. A traced election runs on a
+// fresh simulator, so its Result owns its memory.
+func (d *Dedicated) Elect(opts radio.Options) (*radio.ElectionOutcome, error) {
 	if opts.MaxRounds == 0 {
 		opts.MaxRounds = d.RoundBound + 1
 	}
-	if engine == nil {
-		engine = radio.Sequential{}
+	if opts.RecordTrace {
+		return radio.RunElection(radio.Sequential{}, d.Config, d.Algorithm, opts)
 	}
-	if _, pooled := engine.(radio.Sequential); pooled && !opts.RecordTrace {
-		sim, err := d.simulator()
-		if err != nil {
-			return nil, err
-		}
-		out := &radio.ElectionOutcome{}
-		if err := d.electOn(sim, out, opts, true); err != nil {
-			return nil, err
-		}
-		return out, nil
+	sim, err := d.simulator()
+	if err != nil {
+		return nil, err
 	}
-	return radio.RunElection(engine, d.Config, d.Algorithm, opts)
+	out := &radio.ElectionOutcome{}
+	if err := d.electOn(sim, out, opts, true); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // ElectInto is ElectOn on the algorithm's convenience simulator, created on

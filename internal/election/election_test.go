@@ -12,7 +12,15 @@ import (
 	"anonradio/internal/radio"
 )
 
-var engines = []radio.Engine{radio.Sequential{}, radio.Parallel{}}
+// electPaths are the two ways Elect runs: untraced on the convenience
+// simulator, traced on a one-shot Sequential engine.
+var electPaths = []struct {
+	name string
+	opts radio.Options
+}{
+	{"untraced", radio.Options{}},
+	{"traced", radio.Options{RecordTrace: true}},
+}
 
 func buildDedicated(t *testing.T, cfg *config.Config) *Dedicated {
 	t.Helper()
@@ -73,17 +81,17 @@ func TestDedicatedElectionOnKnownFamilies(t *testing.T) {
 	}
 	for _, cfg := range cases {
 		d := buildDedicated(t, cfg)
-		for _, e := range engines {
-			out, err := d.Elect(e, radio.Options{})
+		for _, p := range electPaths {
+			out, err := d.Elect(p.opts)
 			if err != nil {
-				t.Fatalf("%s on %s: %v", cfg, e.Name(), err)
+				t.Fatalf("%s %s: %v", cfg, p.name, err)
 			}
 			if err := d.Verify(out); err != nil {
-				t.Fatalf("%s on %s: %v", cfg, e.Name(), err)
+				t.Fatalf("%s %s: %v", cfg, p.name, err)
 			}
 			if out.Leader() != d.Report.Leader {
-				t.Fatalf("%s on %s: elected %d, classifier designated %d",
-					cfg, e.Name(), out.Leader(), d.Report.Leader)
+				t.Fatalf("%s %s: elected %d, classifier designated %d",
+					cfg, p.name, out.Leader(), d.Report.Leader)
 			}
 		}
 	}
@@ -93,7 +101,7 @@ func TestLineFamilyElectsCentre(t *testing.T) {
 	for _, m := range []int{2, 3, 4} {
 		cfg := config.LineFamilyG(m)
 		d := buildDedicated(t, cfg)
-		out, err := d.Elect(radio.Sequential{}, radio.Options{})
+		out, err := d.Elect(radio.Options{})
 		if err != nil {
 			t.Fatalf("G_%d: %v", m, err)
 		}
@@ -108,7 +116,7 @@ func TestElectionRoundLowerBoundSpanFamily(t *testing.T) {
 	// canonical algorithm must respect that bound (and stay within its own
 	// upper bound, checked by Verify inside MinimumElectionRounds).
 	for _, m := range []int{1, 2, 5, 10, 20} {
-		rounds, leader, err := MinimumElectionRounds(config.SpanFamilyH(m), radio.Sequential{})
+		rounds, leader, err := MinimumElectionRounds(config.SpanFamilyH(m))
 		if err != nil {
 			t.Fatalf("H_%d: %v", m, err)
 		}
@@ -126,7 +134,7 @@ func TestElectionRoundLowerBoundLineFamily(t *testing.T) {
 	// gives the concrete bound of at least m-1 rounds.
 	for _, m := range []int{2, 3, 5} {
 		cfg := config.LineFamilyG(m)
-		rounds, _, err := MinimumElectionRounds(cfg, radio.Sequential{})
+		rounds, _, err := MinimumElectionRounds(cfg)
 		if err != nil {
 			t.Fatalf("G_%d: %v", m, err)
 		}
@@ -153,7 +161,7 @@ func TestRoundBoundMatchesTheorem(t *testing.T) {
 		if d.RoundBound > bound {
 			t.Fatalf("%s: round bound %d exceeds closed-form bound %d", cfg, d.RoundBound, bound)
 		}
-		out, err := d.Elect(radio.Sequential{}, radio.Options{})
+		out, err := d.Elect(radio.Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", cfg, err)
 		}
@@ -168,7 +176,7 @@ func TestVerifyRejectsWrongOutcomes(t *testing.T) {
 	if err := d.Verify(nil); err == nil {
 		t.Fatalf("nil outcome should be rejected")
 	}
-	out, err := d.Elect(radio.Sequential{}, radio.Options{})
+	out, err := d.Elect(radio.Options{})
 	if err != nil {
 		t.Fatalf("%v", err)
 	}
@@ -353,7 +361,7 @@ func TestPropertyRandomFeasibleConfigsElectCorrectly(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		out, err := d.Elect(radio.Sequential{}, radio.Options{})
+		out, err := d.Elect(radio.Options{})
 		if err != nil {
 			return false
 		}
@@ -381,15 +389,15 @@ func TestPropertyEnginesAgreeOnElection(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		a, err1 := d.Elect(radio.Sequential{}, radio.Options{})
-		b, err2 := d.Elect(radio.Parallel{}, radio.Options{})
+		a, err1 := d.Elect(radio.Options{})
+		b, err2 := d.Elect(radio.Options{RecordTrace: true})
 		if err1 != nil || err2 != nil {
 			return false
 		}
 		return a.Leader() == b.Leader() && a.Rounds == b.Rounds
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatalf("engines disagree on election outcomes: %v", err)
+		t.Fatalf("traced and untraced elections disagree: %v", err)
 	}
 }
 
@@ -413,7 +421,7 @@ func TestBuildDedicatedLeanReportInterplay(t *testing.T) {
 	if d.Report.Leader != full.Leader || d.Report.Feasible() != full.Feasible() {
 		t.Fatalf("lean report disagrees with the full classification")
 	}
-	out, err := d.Elect(radio.Sequential{}, radio.Options{})
+	out, err := d.Elect(radio.Options{})
 	if err != nil {
 		t.Fatalf("%v", err)
 	}
@@ -450,17 +458,17 @@ func TestElectSteadyStateAllocs(t *testing.T) {
 }
 
 func TestElectPooledMatchesOneShotEngines(t *testing.T) {
-	// The pooled sequential path and every one-shot engine must agree on the
-	// leader and round count; the pooled outcome's Result must stay usable
-	// until the next run.
+	// The pooled path and the one-shot engine must agree on the leader and
+	// round count; the pooled outcome's Result must stay usable until the
+	// next run.
 	d := buildDedicated(t, config.LineFamilyG(3))
-	pooled, err := d.Elect(radio.Sequential{}, radio.Options{})
+	pooled, err := d.Elect(radio.Options{})
 	if err != nil {
 		t.Fatalf("%v", err)
 	}
 	leader, rounds := pooled.Leader(), pooled.Rounds
 	hist := pooled.Result.Histories[leader].Clone()
-	for _, e := range []radio.Engine{radio.Parallel{}} {
+	for _, e := range []radio.Engine{radio.Sequential{}} {
 		out, err := radio.RunElection(e, d.Config, d.Algorithm, radio.Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", e.Name(), err)

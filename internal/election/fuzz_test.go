@@ -47,8 +47,8 @@ func fuzzConfig(data []byte) *config.Config {
 // whose leader is the first singleton in its own class numbering, must
 // agree on the verdict and on the final partition, so the designated leader
 // is alone in its class there too. A feasible configuration's served
-// election (ElectInto, deciding on codes) and a one-shot Parallel election
-// of the same algorithm on a vector-recording protocol must agree on
+// election (ElectInto, deciding on codes) and a one-shot Sequential
+// election of the same algorithm on a vector-recording protocol must agree on
 // leaders and rounds, on a clean medium and under a fault plan drawn from
 // the input.
 func FuzzElectDifferential(f *testing.F) {
@@ -106,7 +106,7 @@ func FuzzElectDifferential(f *testing.F) {
 			if err := d.ElectInto(&served, opts); err != nil {
 				t.Fatal(err)
 			}
-			one, err := radio.RunElection(radio.Parallel{Workers: 2}, d.Config, vectors, opts)
+			one, err := radio.RunElection(radio.Sequential{}, d.Config, vectors, opts)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -156,12 +156,12 @@ func DecisionIndistinguishability(candidate drip.Protocol, maxRounds int) (m int
 // returns the number of global rounds the election took; it is the
 // measurement behind the lower-bound experiments on the families G_m
 // (Proposition 4.1) and H_m (Proposition 4.3).
-func MinimumElectionRounds(cfg *config.Config, engine radio.Engine) (rounds int, leader int, err error) {
+func MinimumElectionRounds(cfg *config.Config) (rounds int, leader int, err error) {
 	d, err := BuildDedicated(cfg)
 	if err != nil {
 		return 0, -1, err
 	}
-	out, err := d.Elect(engine, radio.Options{})
+	out, err := d.Elect(radio.Options{})
 	if err != nil {
 		return 0, -1, err
 	}

@@ -37,7 +37,7 @@ func E3LineFamily(opts Options) (*Table, error) {
 		if !rep.Feasible() {
 			return nil, fmt.Errorf("E3 m=%d: G_m must be feasible", m)
 		}
-		r, _, err := election.MinimumElectionRounds(cfg, opts.engine())
+		r, _, err := election.MinimumElectionRounds(cfg)
 		if err != nil {
 			return nil, fmt.Errorf("E3 m=%d: %w", m, err)
 		}
@@ -80,7 +80,7 @@ func E4SpanFamily(opts Options) (*Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("E4 m=%d: %w", m, err)
 		}
-		r, _, err := election.MinimumElectionRounds(cfg, opts.engine())
+		r, _, err := election.MinimumElectionRounds(cfg)
 		if err != nil {
 			return nil, fmt.Errorf("E4 m=%d: %w", m, err)
 		}
@@ -254,7 +254,7 @@ func E9Baselines(opts Options) (*Table, error) {
 		"n", "canonical (anonymous, staggered)", "flood-max TDMA (labeled)", "binary search (labeled, CD)", "randomized (anonymous, CD, mean)")
 	for _, n := range e9Sizes(opts) {
 		cfg := config.StaggeredClique(n)
-		canonicalRounds, _, err := election.MinimumElectionRounds(cfg, opts.engine())
+		canonicalRounds, _, err := election.MinimumElectionRounds(cfg)
 		if err != nil {
 			return nil, fmt.Errorf("E9 n=%d canonical: %w", n, err)
 		}

@@ -10,7 +10,7 @@ import (
 
 // This file implements the adversarial-airwaves experiment: E18 runs the
 // canonical dedicated algorithm over a seeded lossy medium (radio.FaultPlan)
-// and classifies the outcomes across every engine.
+// and classifies the outcomes.
 
 // e18Points are the lossy-medium operating points E18 sweeps. Drop is the
 // per-link per-round delivery-loss probability, Noise the per-node per-round
@@ -35,14 +35,9 @@ func e18Points(opts Options) []e18Point {
 // round bound and either still elects the expected leader or fails in one
 // of three observable ways (no leader, wrong leader, several leaders). For
 // each (drop, noise) point the experiment runs many independently seeded
-// fault plans and reports the outcome distribution.
-//
-// Every trial doubles as a cross-engine determinism check: the same fault
-// seed is replayed on both engines (sequential, parallel) and the outcomes
-// must match the sequential reference bit-for-bit — fault decisions are
-// pure functions of (seed, round, node), never of goroutine schedule. The
-// (0, 0) row additionally pins the clean path: an all-zero plan must
-// reproduce the fault-free outcome exactly.
+// fault plans and reports the outcome distribution. The (0, 0) row pins the
+// clean path: an all-zero plan must reproduce the fault-free outcome
+// exactly.
 func E18FaultedMedium(opts Options) (*Table, error) {
 	trials := opts.trials(100, 12)
 	cfg := config.StaggeredClique(12)
@@ -53,16 +48,8 @@ func E18FaultedMedium(opts Options) (*Table, error) {
 	if err != nil {
 		return nil, fmt.Errorf("E18 build: %w", err)
 	}
-	engines := []struct {
-		name string
-		eng  radio.Engine
-	}{
-		{"sequential", radio.Sequential{}},
-		{"parallel", radio.Parallel{}},
-	}
-
 	// Clean reference outcome, once.
-	clean, err := d.Elect(radio.Sequential{}, radio.Options{})
+	clean, err := d.Elect(radio.Options{})
 	if err != nil {
 		return nil, fmt.Errorf("E18 clean reference: %w", err)
 	}
@@ -71,26 +58,24 @@ func E18FaultedMedium(opts Options) (*Table, error) {
 	}
 	cleanLeader, cleanRounds := clean.Leader(), clean.Rounds
 
-	table := NewTable("E18: protocol outcome over a seeded lossy medium (canonical algorithm, both engines)",
-		"drop", "noise", "trials", "correct", "no leader", "wrong leader", "multi leader", "mean rounds", "engines agree")
+	table := NewTable("E18: protocol outcome over a seeded lossy medium (canonical algorithm)",
+		"drop", "noise", "trials", "correct", "no leader", "wrong leader", "multi leader", "mean rounds")
 	for _, pt := range e18Points(opts) {
 		var correct, none, wrong, multi int
 		var roundSum int
-		agree := true
 		for trial := 0; trial < trials; trial++ {
 			plan := &radio.FaultPlan{Seed: uint64(trial) + 1, Drop: pt.drop, Noise: pt.noise}
-			ref, err := d.Elect(radio.Sequential{}, radio.Options{Fault: plan})
+			ref, err := d.Elect(radio.Options{Fault: plan})
 			if err != nil {
 				return nil, fmt.Errorf("E18 drop=%g noise=%g seed=%d: %w", pt.drop, pt.noise, plan.Seed, err)
 			}
-			leaders := append([]int(nil), ref.Leaders...)
 			roundSum += ref.Rounds
 			switch {
 			case d.Verify(ref) == nil:
 				correct++
-			case len(leaders) == 0:
+			case len(ref.Leaders) == 0:
 				none++
-			case len(leaders) == 1:
+			case len(ref.Leaders) == 1:
 				wrong++
 			default:
 				multi++
@@ -100,26 +85,6 @@ func E18FaultedMedium(opts Options) (*Table, error) {
 					return nil, fmt.Errorf("E18 seed=%d: all-zero fault plan diverged from the clean medium", plan.Seed)
 				}
 			}
-			// Replay the same seed on the other engines; a schedule-dependent
-			// fault decision would show up here as a diverging outcome.
-			for _, e := range engines[1:] {
-				out, err := d.Elect(e.eng, radio.Options{Fault: plan})
-				if err != nil {
-					return nil, fmt.Errorf("E18 %s seed=%d: %w", e.name, plan.Seed, err)
-				}
-				if out.Rounds != ref.Rounds || len(out.Leaders) != len(leaders) {
-					agree = false
-					continue
-				}
-				for i := range leaders {
-					if out.Leaders[i] != leaders[i] {
-						agree = false
-					}
-				}
-			}
-		}
-		if !agree {
-			return nil, fmt.Errorf("E18 drop=%g noise=%g: engines diverged under the same fault seed", pt.drop, pt.noise)
 		}
 		pc := func(k int) string { return fmt.Sprintf("%d (%.0f%%)", k, 100*float64(k)/float64(trials)) }
 		table.AddRow(
@@ -128,10 +93,9 @@ func E18FaultedMedium(opts Options) (*Table, error) {
 			fmt.Sprintf("%d", trials),
 			pc(correct), pc(none), pc(wrong), pc(multi),
 			fmt.Sprintf("%.1f", float64(roundSum)/float64(trials)),
-			fmt.Sprintf("%v", agree),
 		)
 	}
-	table.AddNote("staggered clique (n=%d), %d independently seeded fault plans per point, every plan replayed on both engines", cfg.N(), trials)
+	table.AddNote("staggered clique (n=%d), %d independently seeded fault plans per point", cfg.N(), trials)
 	table.AddNote("the algorithm terminates at fixed local rounds, so a faulted election always finishes within the round bound — faults change the outcome class, never termination")
 	table.AddNote("drop=0 noise=0 doubles as the clean-path check: an all-zero plan reproduced the fault-free leader and round count on every seed")
 	return table, nil

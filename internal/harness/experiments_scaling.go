@@ -11,8 +11,8 @@ import (
 	"anonradio/internal/stats"
 )
 
-// This file implements the scaling experiments E1 (classifier time), E2
-// (election round counts vs the O(n²σ) bound) and E8 (engine comparison).
+// This file implements the scaling experiments E1 (classifier time) and E2
+// (election round counts vs the O(n²σ) bound).
 
 // classifierWorkload is one family of configurations for E1.
 type classifierWorkload struct {
@@ -122,7 +122,7 @@ func E2ElectionRounds(opts Options) (*Table, error) {
 				if err != nil {
 					return nil, fmt.Errorf("E2 n=%d σ=%d: %w", n, span, err)
 				}
-				out, err := d.Elect(opts.engine(), radio.Options{})
+				out, err := d.Elect(radio.Options{})
 				if err != nil {
 					return nil, fmt.Errorf("E2 n=%d σ=%d: %w", n, span, err)
 				}
@@ -152,76 +152,6 @@ func E2ElectionRounds(opts Options) (*Table, error) {
 		}
 	}
 	table.AddNote("every run is verified: exactly one leader, equal to the classifier's designated node, within the per-configuration bound")
-	return table, nil
-}
-
-func e8Sizes(opts Options) []int {
-	if opts.Quick {
-		return []int{8, 16}
-	}
-	return []int{16, 32, 64, 128}
-}
-
-// E8Engines compares the two engines — the sequential reference and the
-// worker-pool parallel executor — on identical canonical-DRIP workloads:
-// wall-clock time, speedup, and a strict check that both produced identical
-// histories.
-func E8Engines(opts Options) (*Table, error) {
-	rng := opts.rng()
-	table := NewTable("E8: Sequential vs worker-pool engine",
-		"n", "σ", "rounds", "seq time", "pool time", "pool/seq speedup", "identical")
-	for _, n := range e8Sizes(opts) {
-		cfg := config.Random(n, 4.0/float64(n), config.DistinctRandomTags{}, rng)
-		rep, err := core.Classify(cfg)
-		if err != nil {
-			return nil, fmt.Errorf("E8 n=%d: %w", n, err)
-		}
-		dg, err := election.BuildFromReport(rep)
-		if err != nil {
-			// Distinct tags occasionally still yield an infeasible
-			// configuration; retry with a staggered clique which is always
-			// feasible.
-			cfg = config.StaggeredClique(n)
-			rep, err = core.Classify(cfg)
-			if err != nil {
-				return nil, err
-			}
-			dg, err = election.BuildFromReport(rep)
-			if err != nil {
-				return nil, err
-			}
-		}
-		run := func(e radio.Engine) (*radio.Result, time.Duration, error) {
-			start := time.Now()
-			res, err := e.Run(dg.Config, dg.DRIP, radio.Options{})
-			return res, time.Since(start), err
-		}
-		seqRes, seqTime, err := run(radio.Sequential{})
-		if err != nil {
-			return nil, fmt.Errorf("E8 n=%d sequential: %w", n, err)
-		}
-		poolRes, poolTime, err := run(radio.Parallel{})
-		if err != nil {
-			return nil, fmt.Errorf("E8 n=%d parallel: %w", n, err)
-		}
-		identical := seqRes.GlobalRounds == poolRes.GlobalRounds
-		for v := 0; v < cfg.N() && identical; v++ {
-			identical = seqRes.Histories[v].Equal(poolRes.Histories[v])
-		}
-		table.AddRow(
-			fmt.Sprintf("%d", cfg.N()),
-			fmt.Sprintf("%d", cfg.Span()),
-			fmt.Sprintf("%d", seqRes.GlobalRounds),
-			seqTime.Round(time.Microsecond).String(),
-			poolTime.Round(time.Microsecond).String(),
-			fmt.Sprintf("%.2f", stats.Ratio(float64(seqTime.Nanoseconds()), float64(poolTime.Nanoseconds()))),
-			fmt.Sprintf("%v", identical),
-		)
-		if !identical {
-			return nil, fmt.Errorf("E8 n=%d: engines diverged", n)
-		}
-	}
-	table.AddNote("pool/seq speedup > 1 means the worker-pool executor beat the sequential reference; per-round protocol work is tiny, so the sequential engine usually still wins outright at these sizes")
 	return table, nil
 }
 

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-
-	"anonradio/internal/radio"
 )
 
 // Options control the scale of the experiment sweeps.
@@ -19,20 +17,6 @@ type Options struct {
 	// Trials is the number of repetitions for randomized measurements; zero
 	// selects a per-experiment default.
 	Trials int
-	// Engine is the simulation engine the election experiments (E2-E4, E9)
-	// run on; nil selects the sequential reference engine. Results are
-	// engine-independent (both engines produce bit-identical histories; E8
-	// verifies it), only the wall-clock changes.
-	Engine radio.Engine
-}
-
-// engine returns the configured simulation engine, defaulting to the
-// sequential reference.
-func (o Options) engine() radio.Engine {
-	if o.Engine != nil {
-		return o.Engine
-	}
-	return radio.Sequential{}
 }
 
 func (o Options) rng() *rand.Rand {
@@ -55,7 +39,8 @@ func (o Options) trials(def, quick int) int {
 
 // Experiment is one runnable experiment.
 type Experiment struct {
-	// ID is the experiment identifier ("E1" .. "E11", "E18", "A1").
+	// ID is the experiment identifier ("E1" .. "E7", "E9" .. "E11", "E18",
+	// "A1").
 	ID string
 	// Name is a short description.
 	Name string
@@ -73,11 +58,10 @@ func All() []Experiment {
 		{ID: "E5", Name: "No universal 4-node algorithm (Proposition 4.4)", Run: E5Universal},
 		{ID: "E6", Name: "No distributed feasibility decision (Proposition 4.5)", Run: E6Decision},
 		{ID: "E7", Name: "Feasibility survey and oracle agreement", Run: E7Survey},
-		{ID: "E8", Name: "Sequential vs parallel engine (substrate validation)", Run: E8Engines},
 		{ID: "E9", Name: "Baseline comparison (identifiers / randomness vs anonymity)", Run: E9Baselines},
 		{ID: "E10", Name: "Radio-model refinement vs colour refinement (structural comparison)", Run: E10Structure},
 		{ID: "E11", Name: "Automorphism certificate vs Classifier (structural comparison)", Run: E11Symmetry},
-		{ID: "E18", Name: "Faulted medium (outcome vs drop/noise rate, both engines)", Run: E18FaultedMedium},
+		{ID: "E18", Name: "Faulted medium (outcome vs drop/noise rate)", Run: E18FaultedMedium},
 		{ID: "A1", Name: "Ablation: Refine implementation (representative scan vs hashing)", Run: A1RefineAblation},
 	}
 }

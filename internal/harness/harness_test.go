@@ -30,8 +30,8 @@ func TestTableRendering(t *testing.T) {
 
 func TestAllAndLookup(t *testing.T) {
 	all := All()
-	if len(all) != 13 {
-		t.Fatalf("expected 13 experiments, got %d", len(all))
+	if len(all) != 12 {
+		t.Fatalf("expected 12 experiments, got %d", len(all))
 	}
 	seen := map[string]bool{}
 	for _, e := range all {
@@ -46,7 +46,7 @@ func TestAllAndLookup(t *testing.T) {
 	if _, ok := Lookup("E3"); !ok {
 		t.Fatalf("lookup of E3 failed")
 	}
-	for _, id := range []string{"E42", "E12", "E19", "E20"} {
+	for _, id := range []string{"E42", "E8", "E12", "E19", "E20"} {
 		if _, ok := Lookup(id); ok {
 			t.Fatalf("lookup of unknown experiment %s should fail", id)
 		}
@@ -158,18 +158,6 @@ func TestE7Survey(t *testing.T) {
 	}
 }
 
-func TestE8Engines(t *testing.T) {
-	table, err := E8Engines(quickOpts())
-	if err != nil {
-		t.Fatalf("%v", err)
-	}
-	for _, row := range table.Rows {
-		if row[len(row)-1] != "true" {
-			t.Fatalf("engines diverged: %v", row)
-		}
-	}
-}
-
 func TestE10Structure(t *testing.T) {
 	table, err := E10Structure(quickOpts())
 	if err != nil {
@@ -221,7 +209,7 @@ func TestRunAllQuick(t *testing.T) {
 		t.Fatalf("%v", err)
 	}
 	out := sb.String()
-	for _, id := range []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E18", "A1"} {
+	for _, id := range []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E9", "E10", "E11", "E18", "A1"} {
 		if !strings.Contains(out, "## "+id) {
 			t.Fatalf("RunAll output missing %s", id)
 		}
@@ -235,11 +223,6 @@ func TestE18FaultedMedium(t *testing.T) {
 	}
 	if len(table.Rows) != 4 {
 		t.Fatalf("expected 4 quick operating points, got %d", len(table.Rows))
-	}
-	for i, row := range table.Rows {
-		if row[len(row)-1] != "true" {
-			t.Fatalf("row %d: engines diverged under the same fault seed: %v", i, row)
-		}
 	}
 	// The clean point must be all-correct; the drop=0.5 noise=0.1 point must
 	// actually break something, otherwise the faults are not being applied.

@@ -100,19 +100,14 @@ func TestCanonicalCasesCoverDeliveryRegimes(t *testing.T) {
 	}
 }
 
-// simulators returns an inline and a pool simulator for cfg; the caller
-// closes them.
-func simulators(t *testing.T, cfg *config.Config) []*Simulator {
+// newSimulator returns a simulator bound to cfg.
+func newSimulator(t *testing.T, cfg *config.Config) *Simulator {
 	t.Helper()
-	inline, err := NewSimulator(cfg)
+	sim, err := NewSimulator(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool, err := NewParallelSimulator(cfg, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return []*Simulator{inline, pool}
+	return sim
 }
 
 // TestLazySilenceRoundLimitMatchesReference cuts canonical runs off at
@@ -126,46 +121,41 @@ func TestLazySilenceRoundLimitMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		sims := simulators(t, c.cfg)
+		sim := newSimulator(t, c.cfg)
 		for cut := 1; cut < full.GlobalRounds; cut += 1 + cut/4 {
 			opts := Options{MaxRounds: cut}
 			want, wantErr := GoroutinePerNode{}.Run(c.cfg, c.proto, opts)
 			if !errors.Is(wantErr, ErrRoundLimit) {
 				t.Fatalf("%s cut %d: reference error %v", c.name, cut, wantErr)
 			}
-			for _, sim := range sims {
-				got, err := sim.Run(c.proto, opts)
-				if err == nil || err.Error() != wantErr.Error() {
-					t.Fatalf("%s cut %d %s: error %v, want %v", c.name, cut, sim.ExecutorName(), err, wantErr)
+			got, err := sim.Run(c.proto, opts)
+			if err == nil || err.Error() != wantErr.Error() {
+				t.Fatalf("%s cut %d: error %v, want %v", c.name, cut, err, wantErr)
+			}
+			if got.GlobalRounds != want.GlobalRounds {
+				t.Fatalf("%s cut %d: %d rounds, want %d", c.name, cut, got.GlobalRounds, want.GlobalRounds)
+			}
+			for v := range got.Histories {
+				if got.WakeRound[v] != want.WakeRound[v] || got.Forced[v] != want.Forced[v] || got.DoneLocal[v] != want.DoneLocal[v] {
+					t.Fatalf("%s cut %d: node %d bookkeeping differs", c.name, cut, v)
 				}
-				if got.GlobalRounds != want.GlobalRounds {
-					t.Fatalf("%s cut %d %s: %d rounds, want %d", c.name, cut, sim.ExecutorName(), got.GlobalRounds, want.GlobalRounds)
-				}
-				for v := range got.Histories {
-					if got.WakeRound[v] != want.WakeRound[v] || got.Forced[v] != want.Forced[v] || got.DoneLocal[v] != want.DoneLocal[v] {
-						t.Fatalf("%s cut %d %s: node %d bookkeeping differs", c.name, cut, sim.ExecutorName(), v)
+				h := got.Histories[v]
+				switch {
+				case got.WakeRound[v] < 0:
+					if len(h) != 0 {
+						t.Fatalf("%s cut %d: sleeping node %d has history %s", c.name, cut, v, h)
 					}
-					h := got.Histories[v]
-					switch {
-					case got.WakeRound[v] < 0:
-						if len(h) != 0 {
-							t.Fatalf("%s cut %d %s: sleeping node %d has history %s", c.name, cut, sim.ExecutorName(), v, h)
-						}
-					case got.DoneLocal[v] >= 0:
-						if !h.Equal(want.Histories[v]) {
-							t.Fatalf("%s cut %d %s: terminated node %d history %s, want %s", c.name, cut, sim.ExecutorName(), v, h, want.Histories[v])
-						}
-					default:
-						if len(h) != cut-got.WakeRound[v] || !h.Equal(full.Histories[v][:len(h)]) {
-							t.Fatalf("%s cut %d %s: running node %d partial history %s, want %d rounds of %s",
-								c.name, cut, sim.ExecutorName(), v, h, cut-got.WakeRound[v], full.Histories[v])
-						}
+				case got.DoneLocal[v] >= 0:
+					if !h.Equal(want.Histories[v]) {
+						t.Fatalf("%s cut %d: terminated node %d history %s, want %s", c.name, cut, v, h, want.Histories[v])
+					}
+				default:
+					if len(h) != cut-got.WakeRound[v] || !h.Equal(full.Histories[v][:len(h)]) {
+						t.Fatalf("%s cut %d: running node %d partial history %s, want %d rounds of %s",
+							c.name, cut, v, h, cut-got.WakeRound[v], full.Histories[v])
 					}
 				}
 			}
-		}
-		for _, sim := range sims {
-			sim.Close()
 		}
 	}
 }
@@ -177,36 +167,31 @@ func TestLazySilenceRoundLimitMatchesReference(t *testing.T) {
 func TestLazySilenceTraceMatchesReference(t *testing.T) {
 	for _, c := range canonicalCases(t) {
 		plans := []*FaultPlan{nil, {Seed: 9, Drop: 0.2, Noise: 0.05, Outages: []Outage{{Node: 1, From: 2, To: 9}}}}
-		sims := simulators(t, c.cfg)
+		sim := newSimulator(t, c.cfg)
 		for _, plan := range plans {
 			opts := Options{RecordTrace: true, Fault: plan}
 			want, err := GoroutinePerNode{}.Run(c.cfg, c.proto, opts)
 			if err != nil {
 				t.Fatalf("%s: %v", c.name, err)
 			}
-			for _, sim := range sims {
-				got, err := sim.Run(c.proto, opts)
-				if err != nil {
-					t.Fatalf("%s %s: %v", c.name, sim.ExecutorName(), err)
+			got, err := sim.Run(c.proto, opts)
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			if !sameOutcome(got, want, c.cfg.N()) || got.Faults != want.Faults {
+				t.Fatalf("%s faulted=%v: outcome differs from the reference", c.name, plan != nil)
+			}
+			if len(got.Trace.Rounds) != len(want.Trace.Rounds) {
+				t.Fatalf("%s: %d traced rounds, want %d", c.name, len(got.Trace.Rounds), len(want.Trace.Rounds))
+			}
+			for i, rec := range got.Trace.Rounds {
+				if !slices.IsSorted(rec.Woke) || !slices.IsSorted(rec.Terminated) || !slices.IsSorted(rec.Transmitters) {
+					t.Fatalf("%s round %d: unsorted record %+v", c.name, i, rec)
 				}
-				if !sameOutcome(got, want, c.cfg.N()) || got.Faults != want.Faults {
-					t.Fatalf("%s %s faulted=%v: outcome differs from the reference", c.name, sim.ExecutorName(), plan != nil)
-				}
-				if len(got.Trace.Rounds) != len(want.Trace.Rounds) {
-					t.Fatalf("%s %s: %d traced rounds, want %d", c.name, sim.ExecutorName(), len(got.Trace.Rounds), len(want.Trace.Rounds))
-				}
-				for i, rec := range got.Trace.Rounds {
-					if !slices.IsSorted(rec.Woke) || !slices.IsSorted(rec.Terminated) || !slices.IsSorted(rec.Transmitters) {
-						t.Fatalf("%s %s round %d: unsorted record %+v", c.name, sim.ExecutorName(), i, rec)
-					}
-					if !reflect.DeepEqual(rec, want.Trace.Rounds[i]) {
-						t.Fatalf("%s %s round %d: record %+v, want %+v", c.name, sim.ExecutorName(), i, rec, want.Trace.Rounds[i])
-					}
+				if !reflect.DeepEqual(rec, want.Trace.Rounds[i]) {
+					t.Fatalf("%s round %d: record %+v, want %+v", c.name, i, rec, want.Trace.Rounds[i])
 				}
 			}
-		}
-		for _, sim := range sims {
-			sim.Close()
 		}
 	}
 }
@@ -223,40 +208,38 @@ func TestResetAfterAbortedRunMatchesFresh(t *testing.T) {
 		}
 		return drip.ListenAction()
 	})
-	for _, sim := range simulators(t, cases[0].cfg) {
-		for i := 0; i < 2*len(cases); i++ {
-			c := cases[i%len(cases)]
-			if err := sim.Reset(c.cfg); err != nil {
-				t.Fatal(err)
-			}
-			fresh, err := NewSimulator(c.cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := fresh.Run(c.proto, Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := sim.Run(c.proto, Options{})
-			if err != nil {
-				t.Fatalf("%s after Reset: %v", c.name, err)
-			}
-			sameResult(t, want, got)
-			// Abort this run with consults pending for the next Reset.
-			if i%2 == 0 {
-				_, err = sim.Run(c.proto, Options{MaxRounds: want.GlobalRounds / 2})
-			} else {
-				_, err = sim.Run(bad, Options{})
-			}
-			if err == nil {
-				t.Fatalf("%s: aborted run returned no error", c.name)
-			}
-			if got, err = sim.Run(c.proto, Options{}); err != nil {
-				t.Fatalf("%s after an aborted run: %v", c.name, err)
-			}
-			sameResult(t, want, got)
+	sim := newSimulator(t, cases[0].cfg)
+	for i := 0; i < 2*len(cases); i++ {
+		c := cases[i%len(cases)]
+		if err := sim.Reset(c.cfg); err != nil {
+			t.Fatal(err)
 		}
-		sim.Close()
+		fresh, err := NewSimulator(c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := fresh.Run(c.proto, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := sim.Run(c.proto, Options{})
+		if err != nil {
+			t.Fatalf("%s after Reset: %v", c.name, err)
+		}
+		sameResult(t, want, got)
+		// Abort this run with consults pending for the next Reset.
+		if i%2 == 0 {
+			_, err = sim.Run(c.proto, Options{MaxRounds: want.GlobalRounds / 2})
+		} else {
+			_, err = sim.Run(bad, Options{})
+		}
+		if err == nil {
+			t.Fatalf("%s: aborted run returned no error", c.name)
+		}
+		if got, err = sim.Run(c.proto, Options{}); err != nil {
+			t.Fatalf("%s after an aborted run: %v", c.name, err)
+		}
+		sameResult(t, want, got)
 	}
 }
 

@@ -61,9 +61,9 @@ func sameCodedOutcome(t *testing.T, name string, got, want *Result) {
 }
 
 // TestPropertyCodesMatchOracle runs the agenda's canonical cases and 200
-// random canonical configurations, clean and under a fault plan, on the
-// inline and the pool executor: RunCodes must record codes that decode to
-// exactly the oracle's histories, and never build a history vector.
+// random canonical configurations, clean and under a fault plan: RunCodes
+// must record codes that decode to exactly the oracle's histories, and
+// never build a history vector.
 func TestPropertyCodesMatchOracle(t *testing.T) {
 	cases := canonicalCases(t)
 	for seed := int64(0); seed < 200; seed++ {
@@ -71,32 +71,27 @@ func TestPropertyCodesMatchOracle(t *testing.T) {
 	}
 	for i, c := range cases {
 		plans := []*FaultPlan{nil, randomFaultPlan(uint64(i)*2654435761+17, c.cfg.N())}
-		sims := simulators(t, c.cfg)
+		sim := newSimulator(t, c.cfg)
 		for _, plan := range plans {
 			opts := Options{Fault: plan}
 			want, err := GoroutinePerNode{}.Run(c.cfg, c.proto, opts)
 			if err != nil {
 				t.Fatalf("%s: %v", c.name, err)
 			}
-			for _, sim := range sims {
-				name := c.name + " " + sim.ExecutorName()
-				if plan != nil {
-					name += " faulted"
-				}
-				got, err := sim.RunCodes(c.proto, opts)
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				sameCodedOutcome(t, name, got, want)
-				for v := range sim.states {
-					if cap(sim.states[v].hist) != 0 {
-						t.Fatalf("%s: node %d holds a history vector after coded runs", name, v)
-					}
+			name := c.name
+			if plan != nil {
+				name += " faulted"
+			}
+			got, err := sim.RunCodes(c.proto, opts)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			sameCodedOutcome(t, name, got, want)
+			for v := range sim.states {
+				if cap(sim.states[v].hist) != 0 {
+					t.Fatalf("%s: node %d holds a history vector after coded runs", name, v)
 				}
 			}
-		}
-		for _, sim := range sims {
-			sim.Close()
 		}
 	}
 }
@@ -146,35 +141,33 @@ func (foreignCoder) ActCodes(h []byte) drip.Action { return foreignCoder{}.Act(n
 func (foreignCoder) Act(history.Vector) drip.Action { return drip.TransmitAction("2") }
 
 // TestCodedRunRejectsForeignMessage pins that a message other than the coded
-// one is never recorded as CodeMessage: the run fails, on both executors,
-// through Run and RunCodes, and the simulator runs cleanly afterwards.
+// one is never recorded as CodeMessage: the run fails, through Run and
+// RunCodes, and the simulator runs cleanly afterwards.
 func TestCodedRunRejectsForeignMessage(t *testing.T) {
 	cfg := config.StaggeredClique(5)
 	c := canonicalCases(t)[0]
-	for _, sim := range simulators(t, cfg) {
-		for _, run := range []func() (*Result, error){
-			func() (*Result, error) { return sim.Run(foreignCoder{}, Options{}) },
-			func() (*Result, error) { return sim.RunCodes(foreignCoder{}, Options{}) },
-		} {
-			res, err := run()
-			if err == nil || !strings.Contains(err.Error(), `transmitted "2"`) || res != nil {
-				t.Fatalf("%s: foreign message gave %v, %v", sim.ExecutorName(), res, err)
-			}
+	sim := newSimulator(t, cfg)
+	for _, run := range []func() (*Result, error){
+		func() (*Result, error) { return sim.Run(foreignCoder{}, Options{}) },
+		func() (*Result, error) { return sim.RunCodes(foreignCoder{}, Options{}) },
+	} {
+		res, err := run()
+		if err == nil || !strings.Contains(err.Error(), `transmitted "2"`) || res != nil {
+			t.Fatalf("foreign message gave %v, %v", res, err)
 		}
-		if err := sim.Reset(c.cfg); err != nil {
-			t.Fatal(err)
-		}
-		want, err := GoroutinePerNode{}.Run(c.cfg, c.proto, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := sim.RunCodes(c.proto, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameCodedOutcome(t, "after a foreign message", got, want)
-		sim.Close()
 	}
+	if err := sim.Reset(c.cfg); err != nil {
+		t.Fatal(err)
+	}
+	want, err := GoroutinePerNode{}.Run(c.cfg, c.proto, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := sim.RunCodes(c.proto, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameCodedOutcome(t, "after a foreign message", got, want)
 }
 
 // TestCodedRunSteadyStateAllocs pins the serving path's run: once warm,

@@ -26,10 +26,10 @@ import (
 //
 // Every fault decision is a pure function of (Seed, round, node[, node]) —
 // a counter-based PRNG, not a stateful stream — so the injected faults are
-// independent of the execution schedule: inline and pool executors, repeated
-// runs, and runs after Simulator.Reset all produce byte-identical faulted
-// histories, and the two engine families (Simulator-based and
-// goroutine-per-node) agree bit-for-bit. The clean path pays one nil check:
+// independent of the execution schedule: repeated runs and runs after
+// Simulator.Reset produce byte-identical faulted histories, and the
+// Simulator agrees bit-for-bit with a goroutine-per-node coordinator, whose
+// schedule differs in every round. The clean path pays one nil check:
 // a nil or empty plan leaves the round loop untouched and allocation-free.
 type FaultPlan struct {
 	// Seed keys every fault decision. Two runs with the same plan (seed,

@@ -60,12 +60,11 @@ func TestFaultPlanEmptyAndValidate(t *testing.T) {
 
 // TestPropertyEmptyFaultPlanBitIdentical is the satellite property: an
 // all-zero FaultPlan — any seed, zero rates, no live outage windows — is
-// bit-identical to the clean Simulator on both engines and the
-// goroutine-per-node oracle, including the inline and pool executors at
-// randomized widths. A plan holding only empty windows (From >= To) takes
+// bit-identical to the clean Simulator on the Sequential engine and the
+// goroutine-per-node oracle. A plan holding only empty windows (From >= To) takes
 // the faulted code path and must still reproduce the clean medium exactly.
 func TestPropertyEmptyFaultPlanBitIdentical(t *testing.T) {
-	f := func(seed int64, fseed uint64, sz, span, workers uint8) bool {
+	f := func(seed int64, fseed uint64, sz, span uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := int(sz%12) + 2
 		cfg := config.Random(n, 0.3, config.UniformRandomTags{Span: int(span % 6)}, rng)
@@ -79,7 +78,7 @@ func TestPropertyEmptyFaultPlanBitIdentical(t *testing.T) {
 		}
 		for _, plan := range plans {
 			opts := Options{MaxRounds: 2000, Fault: plan}
-			for _, e := range []Engine{Sequential{}, Parallel{}, Parallel{Workers: int(workers%4) + 1}, GoroutinePerNode{}} {
+			for _, e := range engines {
 				res, err2 := e.Run(cfg, proto, opts)
 				if (err1 == nil) != (err2 == nil) {
 					return false
@@ -114,11 +113,11 @@ func randomFaultPlan(fseed uint64, n int) *FaultPlan {
 }
 
 // TestPropertyFaultSeedDeterminism is the determinism satellite: the same
-// fault seed produces byte-identical faulted histories across the inline
-// executor, pool executors of randomized widths, the independent
-// goroutine-per-node coordinator, and repeated runs on a reused simulator.
+// fault seed produces byte-identical faulted histories on the Sequential
+// engine, the independent goroutine-per-node coordinator (whose schedule
+// differs in every round), and repeated runs on a reused simulator.
 func TestPropertyFaultSeedDeterminism(t *testing.T) {
-	f := func(seed int64, fseed uint64, sz, span, workers uint8) bool {
+	f := func(seed int64, fseed uint64, sz, span uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := int(sz%12) + 2
 		cfg := config.Random(n, 0.3, config.UniformRandomTags{Span: int(span % 6)}, rng)
@@ -126,7 +125,7 @@ func TestPropertyFaultSeedDeterminism(t *testing.T) {
 		opts := Options{MaxRounds: 2000, Fault: randomFaultPlan(fseed, n)}
 
 		want, err1 := Sequential{}.Run(cfg, proto, opts)
-		for _, e := range []Engine{Sequential{}, Parallel{}, Parallel{Workers: int(workers%4) + 1}, GoroutinePerNode{}} {
+		for _, e := range engines {
 			res, err2 := e.Run(cfg, proto, opts)
 			if (err1 == nil) != (err2 == nil) {
 				return false
@@ -141,12 +140,11 @@ func TestPropertyFaultSeedDeterminism(t *testing.T) {
 		if err1 != nil {
 			return true
 		}
-		// Repeated runs on one reused pooled simulator are stable too.
-		sim, err := NewParallelSimulator(cfg, int(workers%4)+1)
+		// Repeated runs on one reused simulator are stable too.
+		sim, err := NewSimulator(cfg)
 		if err != nil {
 			return false
 		}
-		defer sim.Close()
 		for trial := 0; trial < 3; trial++ {
 			res, err2 := sim.Run(proto, opts)
 			if err2 != nil || !sameOutcome(want, res, n) {
@@ -178,7 +176,6 @@ func TestFaultDeterminismAcrossReset(t *testing.T) {
 	if err != nil {
 		t.Fatalf("%v", err)
 	}
-	defer sim.Close()
 	if _, err := sim.Run(proto, opts); err != nil {
 		t.Fatalf("faulted run on cfgA: %v", err)
 	}
@@ -348,8 +345,7 @@ func TestFaultOverlappingOutagesDepth(t *testing.T) {
 
 // TestFaultedRunSteadyStateAllocs is the radio half of the allocation
 // satellite: a warm simulator running with a live fault plan — drops, noise
-// and outage windows all active — allocates nothing, on both the inline and
-// the pool executor.
+// and outage windows all active — allocates nothing.
 func TestFaultedRunSteadyStateAllocs(t *testing.T) {
 	cfg := config.StaggeredClique(24)
 	var proto drip.Protocol = drip.BeepAt{Round: 1, StopAfter: 4}
@@ -359,30 +355,18 @@ func TestFaultedRunSteadyStateAllocs(t *testing.T) {
 		Noise:   0.1,
 		Outages: []Outage{{Node: 3, From: 0, To: 6}, {Node: 7, From: 2, To: 4}},
 	}}
-
-	sims := map[string]*Simulator{}
-	inline, err := NewSimulator(cfg)
+	sim, err := NewSimulator(cfg)
 	if err != nil {
 		t.Fatalf("%v", err)
 	}
-	sims["inline"] = inline
-	pool, err := NewParallelSimulator(cfg, 3)
-	if err != nil {
-		t.Fatalf("%v", err)
+	run := func() {
+		if _, err := sim.Run(proto, opts); err != nil {
+			t.Fatalf("%v", err)
+		}
 	}
-	sims["pool"] = pool
-
-	for name, sim := range sims {
-		run := func() {
-			if _, err := sim.Run(proto, opts); err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-		}
-		run() // warm buffers, including the outage-depth scratch
-		if allocs := testing.AllocsPerRun(30, run); allocs != 0 {
-			t.Errorf("%s: faulted steady-state run allocates %.1f times, want 0", name, allocs)
-		}
-		sim.Close()
+	run() // warm buffers, including the outage-depth scratch
+	if allocs := testing.AllocsPerRun(30, run); allocs != 0 {
+		t.Errorf("faulted steady-state run allocates %.1f times, want 0", allocs)
 	}
 }
 
@@ -407,7 +391,6 @@ func benchSim(b *testing.B, opts Options) (*Simulator, drip.Protocol) {
 func BenchmarkFaultCleanPath(b *testing.B) {
 	opts := Options{}
 	sim, proto := benchSim(b, opts)
-	defer sim.Close()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -422,7 +405,6 @@ func BenchmarkFaultCleanPath(b *testing.B) {
 func BenchmarkFaultDropNoise(b *testing.B) {
 	opts := Options{Fault: &FaultPlan{Seed: 11, Drop: 0.1, Noise: 0.05}}
 	sim, proto := benchSim(b, opts)
-	defer sim.Close()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -440,7 +422,6 @@ func BenchmarkFaultOutages(b *testing.B) {
 		{Node: 9, From: 2, To: 6},
 	}}}
 	sim, proto := benchSim(b, opts)
-	defer sim.Close()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

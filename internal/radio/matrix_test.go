@@ -32,31 +32,29 @@ func longSpanCase(t *testing.T) canonicalCase {
 // length: appending to one node's codes must not write into the next row.
 func TestCodesRowsAreCapped(t *testing.T) {
 	c := canonicalCases(t)[0]
-	for _, sim := range simulators(t, c.cfg) {
-		res, err := sim.RunCodes(c.proto, Options{MaxRounds: 1000})
-		if err != nil {
-			t.Fatal(err)
+	sim := newSimulator(t, c.cfg)
+	res, err := sim.RunCodes(c.proto, Options{MaxRounds: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v, codes := range res.Codes {
+		if cap(codes) != len(codes) {
+			t.Fatalf("node %d codes have length %d, capacity %d", v, len(codes), cap(codes))
 		}
-		for v, codes := range res.Codes {
-			if cap(codes) != len(codes) {
-				t.Fatalf("%s: node %d codes have length %d, capacity %d", sim.ExecutorName(), v, len(codes), cap(codes))
-			}
-		}
-		next := bytes.Clone(res.Codes[1])
-		res.Codes[0] = append(res.Codes[0], 2, 2, 2, 2)
-		if !bytes.Equal(res.Codes[1], next) {
-			t.Fatalf("%s: appending to node 0's codes changed node 1's to %v, was %v", sim.ExecutorName(), res.Codes[1], next)
-		}
-		sim.Close()
+	}
+	next := bytes.Clone(res.Codes[1])
+	res.Codes[0] = append(res.Codes[0], 2, 2, 2, 2)
+	if !bytes.Equal(res.Codes[1], next) {
+		t.Fatalf("appending to node 0's codes changed node 1's to %v, was %v", res.Codes[1], next)
 	}
 }
 
 // TestDefaultLimitGrowsRows runs a long-span configuration under the
-// default round limit, clean and faulted, on both executors: the rows start
-// at rowStart and must double mid-run into a new matrix; later runs, with
-// or without a Reset in between, keep the grown rows. Rows that start short
-// again inside that matrix must grow without allocating. Every run must
-// match the oracle bit for bit.
+// default round limit, clean and faulted: the rows start at rowStart and
+// must double mid-run into a new matrix; later runs, with or without a
+// Reset in between, keep the grown rows. Rows that start short again inside
+// that matrix must grow without allocating. Every run must match the oracle
+// bit for bit.
 func TestDefaultLimitGrowsRows(t *testing.T) {
 	c := longSpanCase(t)
 	for _, plan := range []*FaultPlan{nil, randomFaultPlan(0x5eed, c.cfg.N())} {
@@ -68,43 +66,41 @@ func TestDefaultLimitGrowsRows(t *testing.T) {
 		if want.GlobalRounds <= 4*rowStart {
 			t.Fatalf("the long-span run lasts %d rounds, too few to grow rows of %d twice", want.GlobalRounds, rowStart)
 		}
-		for _, sim := range simulators(t, c.cfg) {
-			name := sim.ExecutorName()
-			if plan != nil {
-				name += " faulted"
-			}
-			grown := 0
-			for run := 0; run < 3; run++ {
-				if run == 2 {
-					if err := sim.Reset(c.cfg); err != nil {
-						t.Fatal(err)
-					}
-					if sim.rows != grown {
-						t.Fatalf("%s: Reset left rows of %d entries, the first run grew them to %d", name, sim.rows, grown)
-					}
+		sim := newSimulator(t, c.cfg)
+		name := "clean"
+		if plan != nil {
+			name = "faulted"
+		}
+		grown := 0
+		for run := 0; run < 3; run++ {
+			if run == 2 {
+				if err := sim.Reset(c.cfg); err != nil {
+					t.Fatal(err)
 				}
-				got, err := sim.RunCodes(c.proto, opts)
-				if err != nil {
-					t.Fatalf("%s run %d: %v", name, run, err)
+				if sim.rows != grown {
+					t.Fatalf("%s: Reset left rows of %d entries, the first run grew them to %d", name, sim.rows, grown)
 				}
-				if sim.stride < want.GlobalRounds || sim.stride >= 2*want.GlobalRounds {
-					t.Fatalf("%s run %d: rows of %d entries after %d rounds", name, run, sim.stride, want.GlobalRounds)
-				}
-				if run == 0 {
-					grown = sim.stride
-				} else if sim.stride != grown {
-					t.Fatalf("%s run %d: rows of %d entries, the first run grew them to %d", name, run, sim.stride, grown)
-				}
-				sameCodedOutcome(t, name, got, want)
 			}
-			grow := func() {
-				sim.rows = 0 // rows never grown, in the matrix the runs left
-				sim.RunCodes(c.proto, opts)
+			got, err := sim.RunCodes(c.proto, opts)
+			if err != nil {
+				t.Fatalf("%s run %d: %v", name, run, err)
 			}
-			if allocs := testing.AllocsPerRun(3, grow); allocs != 0 {
-				t.Fatalf("%s: a warm run that grows its rows allocates %.1f times, want 0", name, allocs)
+			if sim.stride < want.GlobalRounds || sim.stride >= 2*want.GlobalRounds {
+				t.Fatalf("%s run %d: rows of %d entries after %d rounds", name, run, sim.stride, want.GlobalRounds)
 			}
-			sim.Close()
+			if run == 0 {
+				grown = sim.stride
+			} else if sim.stride != grown {
+				t.Fatalf("%s run %d: rows of %d entries, the first run grew them to %d", name, run, sim.stride, grown)
+			}
+			sameCodedOutcome(t, name, got, want)
+		}
+		grow := func() {
+			sim.rows = 0 // rows never grown, in the matrix the runs left
+			sim.RunCodes(c.proto, opts)
+		}
+		if allocs := testing.AllocsPerRun(3, grow); allocs != 0 {
+			t.Fatalf("%s: a warm run that grows its rows allocates %.1f times, want 0", name, allocs)
 		}
 	}
 }
@@ -117,65 +113,61 @@ func TestDefaultLimitGrowsRows(t *testing.T) {
 // run's length for the next long run, and every run must match the oracle.
 func TestResetSizesRowsFromNewLimit(t *testing.T) {
 	long, small := longSpanCase(t), canonicalCases(t)[0]
-	for _, sim := range simulators(t, long.cfg) {
-		for i, c := range []canonicalCase{long, small, long} {
-			if err := sim.Reset(c.cfg); err != nil {
-				t.Fatal(err)
-			}
-			full, err := GoroutinePerNode{}.Run(c.cfg, c.proto, Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			limit := full.GlobalRounds + 1
-			if i == 2 && sim.rows < limit {
-				t.Fatalf("%s: rows of %d entries after the small run; the long run would regrow them to %d", sim.ExecutorName(), sim.rows, limit)
-			}
-			opts := Options{MaxRounds: limit}
-			got, err := sim.RunCodes(c.proto, opts)
-			if err != nil {
-				t.Fatalf("%s %s: %v", c.name, sim.ExecutorName(), err)
-			}
-			if n := c.cfg.N(); sim.stride != limit || len(sim.codes) != n*limit {
-				t.Fatalf("%s %s: rows of %d entries over %d bytes, want %d-entry rows for %d nodes", c.name, sim.ExecutorName(), sim.stride, len(sim.codes), limit, n)
-			}
-			if c.name == small.name && cap(sim.codes) <= len(sim.codes) {
-				t.Fatalf("%s: the small run's matrix holds the whole long-span capacity", sim.ExecutorName())
-			}
-			sameCodedOutcome(t, c.name, got, full)
+	sim := newSimulator(t, long.cfg)
+	for i, c := range []canonicalCase{long, small, long} {
+		if err := sim.Reset(c.cfg); err != nil {
+			t.Fatal(err)
 		}
-		sim.Close()
+		full, err := GoroutinePerNode{}.Run(c.cfg, c.proto, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		limit := full.GlobalRounds + 1
+		if i == 2 && sim.rows < limit {
+			t.Fatalf("rows of %d entries after the small run; the long run would regrow them to %d", sim.rows, limit)
+		}
+		opts := Options{MaxRounds: limit}
+		got, err := sim.RunCodes(c.proto, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if n := c.cfg.N(); sim.stride != limit || len(sim.codes) != n*limit {
+			t.Fatalf("%s: rows of %d entries over %d bytes, want %d-entry rows for %d nodes", c.name, sim.stride, len(sim.codes), limit, n)
+		}
+		if c.name == small.name && cap(sim.codes) <= len(sim.codes) {
+			t.Fatalf("the small run's matrix holds the whole long-span capacity")
+		}
+		sameCodedOutcome(t, c.name, got, full)
 	}
 }
 
 // TestTracedCodesMatchUntraced pins that recording a trace changes no code:
 // a traced coded run records the same codes as an untraced one, clean and
-// faulted, on both executors.
+// faulted.
 func TestTracedCodesMatchUntraced(t *testing.T) {
 	cases := append(canonicalCases(t), longSpanCase(t))
 	for i, c := range cases {
 		for _, plan := range []*FaultPlan{nil, randomFaultPlan(uint64(i)+99, c.cfg.N())} {
-			for _, sim := range simulators(t, c.cfg) {
-				plain, err := sim.RunCodes(c.proto, Options{Fault: plan})
-				if err != nil {
-					t.Fatal(err)
+			sim := newSimulator(t, c.cfg)
+			plain, err := sim.RunCodes(c.proto, Options{Fault: plan})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := make([][]byte, len(plain.Codes))
+			for v, codes := range plain.Codes {
+				want[v] = bytes.Clone(codes)
+			}
+			traced, err := sim.RunCodes(c.proto, Options{Fault: plan, RecordTrace: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if traced.Trace == nil || len(traced.Codes) != len(want) {
+				t.Fatalf("%s: traced run has %d rows, trace %v", c.name, len(traced.Codes), traced.Trace != nil)
+			}
+			for v, codes := range traced.Codes {
+				if !bytes.Equal(codes, want[v]) {
+					t.Fatalf("%s faulted=%v: node %d traced codes %v, untraced %v", c.name, plan != nil, v, codes, want[v])
 				}
-				want := make([][]byte, len(plain.Codes))
-				for v, codes := range plain.Codes {
-					want[v] = bytes.Clone(codes)
-				}
-				traced, err := sim.RunCodes(c.proto, Options{Fault: plan, RecordTrace: true})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if traced.Trace == nil || len(traced.Codes) != len(want) {
-					t.Fatalf("%s %s: traced run has %d rows, trace %v", c.name, sim.ExecutorName(), len(traced.Codes), traced.Trace != nil)
-				}
-				for v, codes := range traced.Codes {
-					if !bytes.Equal(codes, want[v]) {
-						t.Fatalf("%s %s faulted=%v: node %d traced codes %v, untraced %v", c.name, sim.ExecutorName(), plan != nil, v, codes, want[v])
-					}
-				}
-				sim.Close()
 			}
 		}
 	}

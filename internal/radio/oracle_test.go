@@ -24,12 +24,11 @@ import (
 //  4. spawns goroutines for nodes that woke up this round.
 //
 // The per-round channel traffic (two operations per node per round) and the
-// per-node goroutine state make this engine allocate on every round, which
-// is why the worker-pool Parallel engine replaced it as the concurrent
-// execution path. It lives on in the tests as the differential oracle: it
-// exercises the model semantics through a completely independent mechanism,
-// and the test suite checks bit-identical histories against both
-// Simulator-based engines on randomized workloads.
+// per-node goroutine state make this engine allocate on every round, so it
+// serves no production path. It lives on in the tests as the differential
+// oracle: it exercises the model semantics through a completely independent
+// mechanism, and the test suite checks bit-identical histories against the
+// Simulator on randomized workloads.
 type GoroutinePerNode struct{}
 
 // Name implements Engine.

@@ -23,22 +23,20 @@
 //     neighbours transmit records noise as H[0];
 //   - the history entry of the termination round is silence.
 //
-// Both engines are thin adapters over one simulation core, the reusable
-// zero-alloc, event-driven Simulator. It consults a node only when its
-// protocol can act, hands a lone transmitter's message in a clean medium
-// straight to its neighbours (a lone transmitter cannot collide), and
-// counts transmitting neighbours only when two or more nodes transmit or a
-// fault plan is active. Its protocol-consult step runs through a pluggable
-// Executor: Sequential (deterministic, single-threaded, the reference) and
-// Parallel (worker-pool executor). The tests hold both
-// to bit-identical histories against an independent goroutine-per-node
+// Execution has one core, the reusable zero-alloc, event-driven Simulator;
+// the Sequential engine is a one-shot adapter over it. The simulator
+// consults a node only when its protocol can act, hands a lone
+// transmitter's message in a clean medium straight to its neighbours (a
+// lone transmitter cannot collide), and counts transmitting neighbours only
+// when two or more nodes transmit or a fault plan is active. The tests hold
+// it to bit-identical histories against an independent goroutine-per-node
 // coordinator that lives only in the test files as a differential oracle.
 //
 // In the repository's layering, radio is the execution substrate: package
 // election runs canonical DRIPs (package canonical) on it to build and
-// verify dedicated algorithms, and package service binds one reusable
-// Simulator per registered configuration for zero-alloc steady-state
-// serving.
+// verify dedicated algorithms, and package service gives each shard worker
+// one reusable Simulator, rebound to whichever registered configuration the
+// worker elects, for zero-alloc steady-state serving.
 package radio
 
 import (
@@ -70,8 +68,8 @@ type Options struct {
 	// spurious collisions, per-node outage windows — into the run; nil (or
 	// an empty plan) is the paper's clean medium and leaves the round loop
 	// untouched. Fault decisions are pure functions of (seed, round, node),
-	// so every engine and executor produces byte-identical faulted
-	// histories for the same plan. See FaultPlan.
+	// so every run of the same plan produces byte-identical faulted
+	// histories. See FaultPlan.
 	Fault *FaultPlan
 }
 
@@ -85,8 +83,8 @@ func (o Options) maxRounds() int {
 // FaultStats counts the faults a run actually injected (not the plan's
 // rates): deliveries lost to the drop rate, spurious collisions perceived,
 // and node-rounds spent inside an outage window. All zero on a clean medium.
-// The counts are schedule-independent, like the fault decisions themselves:
-// every engine and executor reports identical stats for the same plan.
+// The counts are pure functions of the plan, like the fault decisions
+// themselves: every run of the same plan reports identical stats.
 type FaultStats struct {
 	// Drops counts deliveries (one transmitter, one neighbour, one round)
 	// lost to the drop rate. Deliveries silenced by an outage are not drops.

@@ -13,10 +13,10 @@ import (
 	"anonradio/internal/history"
 )
 
-var engines = []Engine{Sequential{}, Parallel{}, GoroutinePerNode{}}
+var engines = []Engine{Sequential{}, GoroutinePerNode{}}
 
 func TestEngineNames(t *testing.T) {
-	if (Sequential{}).Name() != "sequential" || (Parallel{}).Name() != "parallel" || (GoroutinePerNode{}).Name() != "goroutine-per-node" {
+	if (Sequential{}).Name() != "sequential" || (GoroutinePerNode{}).Name() != "goroutine-per-node" {
 		t.Fatalf("engine names wrong")
 	}
 }
@@ -374,24 +374,6 @@ func TestTraceQuietCompression(t *testing.T) {
 	}
 }
 
-func TestConcurrentWorkerLimit(t *testing.T) {
-	cfg := config.StaggeredClique(8)
-	proto := drip.ListenForever{Rounds: 3}
-	res, err := Parallel{Workers: 2}.Run(cfg, proto, Options{})
-	if err != nil {
-		t.Fatalf("%v", err)
-	}
-	ref, err := Sequential{}.Run(cfg, proto, Options{})
-	if err != nil {
-		t.Fatalf("%v", err)
-	}
-	for v := 0; v < cfg.N(); v++ {
-		if !res.Histories[v].Equal(ref.Histories[v]) {
-			t.Fatalf("worker-limited run diverged at node %d", v)
-		}
-	}
-}
-
 // randomProtocol builds a deterministic but irregular protocol whose
 // behaviour depends on the history contents, for the engine-equivalence
 // property test.
@@ -440,35 +422,20 @@ func sameOutcome(a, b *Result, n int) bool {
 }
 
 func TestPropertyEnginesProduceIdenticalHistories(t *testing.T) {
-	// Every engine — the inline reference, the worker-pool executor (at the
-	// default and at a randomized worker count), and the goroutine-per-node
-	// oracle — must reproduce the sequential execution bit for bit on
-	// randomized configurations.
-	f := func(seed int64, sz, span, workers uint8) bool {
+	// The goroutine-per-node oracle must reproduce the sequential execution
+	// bit for bit on randomized configurations.
+	f := func(seed int64, sz, span uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := int(sz%12) + 2
 		cfg := config.Random(n, 0.3, config.UniformRandomTags{Span: int(span % 6)}, rng)
 		proto := randomProtocol(seed)
 		opts := Options{MaxRounds: 2000}
 		seqRes, err1 := Sequential{}.Run(cfg, proto, opts)
-		candidates := []Engine{
-			Parallel{},
-			Parallel{Workers: int(workers%4) + 1},
-			GoroutinePerNode{},
+		res, err2 := GoroutinePerNode{}.Run(cfg, proto, opts)
+		if (err1 == nil) != (err2 == nil) {
+			return false
 		}
-		for _, e := range candidates {
-			res, err2 := e.Run(cfg, proto, opts)
-			if (err1 == nil) != (err2 == nil) {
-				return false
-			}
-			if err1 != nil {
-				continue
-			}
-			if !sameOutcome(seqRes, res, n) {
-				return false
-			}
-		}
-		return true
+		return err1 != nil || sameOutcome(seqRes, res, n)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatalf("engine equivalence violated: %v", err)
@@ -485,30 +452,28 @@ func assignedProtocols(seed int64, n int) []drip.Protocol {
 	return protos
 }
 
-// TestPropertyRunProtocolsExecutorsAgree extends the equivalence property to
-// heterogeneous workloads: RunProtocols on the inline executor, on pooled
-// executors of randomized width, and with reused simulators must all produce
-// bit-identical results.
+// TestPropertyRunProtocolsExecutorsAgree checks heterogeneous workloads
+// under reuse: three RunProtocols runs on one reused simulator must each
+// reproduce a fresh simulator's run bit for bit.
 func TestPropertyRunProtocolsExecutorsAgree(t *testing.T) {
-	f := func(seed int64, sz, span, workers uint8) bool {
+	f := func(seed int64, sz, span uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := int(sz%10) + 2
 		cfg := config.Random(n, 0.3, config.UniformRandomTags{Span: int(span % 5)}, rng)
 		protos := assignedProtocols(seed, n)
 		opts := Options{MaxRounds: 2000}
 
-		seq, err := NewSimulator(cfg)
+		fresh, err := NewSimulator(cfg)
 		if err != nil {
 			return false
 		}
-		want, err1 := seq.RunProtocols(protos, opts)
-		pool, err := NewParallelSimulator(cfg, int(workers%4)+1)
+		want, err1 := fresh.RunProtocols(protos, opts)
+		reused, err := NewSimulator(cfg)
 		if err != nil {
 			return false
 		}
-		defer pool.Close()
 		for trial := 0; trial < 3; trial++ { // reuse across runs must be stable
-			got, err2 := pool.RunProtocols(protos, opts)
+			got, err2 := reused.RunProtocols(protos, opts)
 			if (err1 == nil) != (err2 == nil) {
 				return false
 			}
@@ -522,47 +487,7 @@ func TestPropertyRunProtocolsExecutorsAgree(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatalf("heterogeneous executor equivalence violated: %v", err)
-	}
-}
-
-// TestParallelSimulatorReuseAndSteadyStateAllocs checks the pooled executor
-// path end to end: a reused parallel simulator matches the one-shot
-// sequential engine, and its round loop performs no allocations once warm
-// (the pool's channel handshakes and wait-group operations are
-// allocation-free).
-func TestParallelSimulatorReuseAndSteadyStateAllocs(t *testing.T) {
-	cfg := config.StaggeredClique(24)
-	var proto drip.Protocol = drip.BeepAt{Round: 1, StopAfter: 4}
-	want, err := Sequential{}.Run(cfg, proto, Options{})
-	if err != nil {
-		t.Fatalf("%v", err)
-	}
-	sim, err := NewParallelSimulator(cfg, 3)
-	if err != nil {
-		t.Fatalf("%v", err)
-	}
-	defer sim.Close()
-	if sim.ExecutorName() != "pool-3" {
-		t.Fatalf("executor name %q", sim.ExecutorName())
-	}
-	run := func() {
-		got, err := sim.Run(proto, Options{})
-		if err != nil {
-			t.Fatalf("%v", err)
-		}
-		if got.GlobalRounds != want.GlobalRounds {
-			t.Fatalf("rounds %d, want %d", got.GlobalRounds, want.GlobalRounds)
-		}
-	}
-	run() // warm buffers
-	got, err := sim.Run(proto, Options{})
-	if err != nil {
-		t.Fatalf("%v", err)
-	}
-	sameResult(t, want, got)
-	if allocs := testing.AllocsPerRun(30, run); allocs != 0 {
-		t.Fatalf("steady-state parallel run allocates %.1f times, want 0", allocs)
+		t.Fatalf("reused simulator diverged on a heterogeneous workload: %v", err)
 	}
 }
 

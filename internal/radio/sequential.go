@@ -7,11 +7,11 @@ import (
 	"anonradio/internal/drip"
 )
 
-// Sequential is the deterministic single-threaded simulation engine. It is
-// the reference implementation of the model semantics; the Parallel engine
-// is validated against it. Each call dedicates a fresh Simulator to the run,
-// so the returned Result owns its memory; callers that execute many runs on
-// the same configuration should hold a Simulator directly and reuse it.
+// Sequential is the deterministic single-threaded simulation engine, the
+// one-shot form of the Simulator. Each call dedicates a fresh Simulator to
+// the run, so the returned Result owns its memory; callers that execute many
+// runs on the same configuration should hold a Simulator directly and reuse
+// it.
 type Sequential struct{}
 
 // Name implements Engine.

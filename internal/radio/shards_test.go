@@ -11,9 +11,7 @@ import (
 )
 
 // hubCluster builds a skewed-degree configuration: k hubs (nodes 0..k-1)
-// chained in a path, each hub carrying m private leaves. The hubs are
-// contiguously numbered, which is exactly the layout that defeats
-// equal-node-count sharding: the first shard swallows every hub.
+// chained in a path, each hub carrying m private leaves.
 func hubCluster(k, m int) *config.Config {
 	n := k + k*m
 	g := graph.New(n)
@@ -30,51 +28,6 @@ func hubCluster(k, m int) *config.Config {
 		tags[v] = v % 3
 	}
 	return config.MustNew(g, tags)
-}
-
-// TestPoolExecutorDegreeShardsMatchInline checks that the pool executor is
-// observationally identical to the inline executor on a skewed-degree graph,
-// at worker counts below, near and above the round's due-list length.
-func TestPoolExecutorDegreeShardsMatchInline(t *testing.T) {
-	cfg := hubCluster(3, 17)
-	ref, err := NewSimulator(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	proto := drip.Func(func(h history.Vector) drip.Action {
-		switch {
-		case len(h) >= 6:
-			return drip.TerminateAction()
-		case len(h)%2 == 1:
-			return drip.TransmitAction("m")
-		default:
-			return drip.ListenAction()
-		}
-	})
-	want, err := ref.Run(proto, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 3, 8, 64} {
-		sim, err := NewParallelSimulator(cfg, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := sim.Run(proto, Options{})
-		if err != nil {
-			sim.Close()
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if got.GlobalRounds != want.GlobalRounds {
-			t.Fatalf("workers=%d: %d rounds, want %d", workers, got.GlobalRounds, want.GlobalRounds)
-		}
-		for v := 0; v < cfg.N(); v++ {
-			if !got.Histories[v].Equal(want.Histories[v]) {
-				t.Fatalf("workers=%d: node %d history diverged", workers, v)
-			}
-		}
-		sim.Close()
-	}
 }
 
 // TestSimulatorReset checks that a Reset simulator behaves exactly like a
@@ -153,54 +106,6 @@ func TestSimulatorReset(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(30, run); allocs != 0 {
 		t.Fatalf("warm Reset+Run allocates %.1f times, want 0", allocs)
-	}
-}
-
-// weightedListener is a protocol whose per-call cost is tunable: it models
-// heterogeneous deployments where a node's per-round computation tracks the
-// size of its neighbourhood (hubs do more work than leaves). The burn loop's
-// result feeds a branch the compiler cannot remove, and the branch outcome is
-// deterministic, so histories stay schedule-independent.
-type weightedListener struct {
-	work int
-	stop int
-}
-
-func (p weightedListener) Act(h history.Vector) drip.Action {
-	x := uint64(len(h) + 1)
-	for i := 0; i < p.work; i++ {
-		x = x*6364136223846793005 + 1442695040888963407
-	}
-	if x == 42 { // never for these seeds; defeats dead-code elimination
-		return drip.TransmitAction("x")
-	}
-	if len(h) >= p.stop {
-		return drip.TerminateAction()
-	}
-	return drip.ListenAction()
-}
-
-// BenchmarkSkewedShardAct measures the pool executor on a hub-cluster graph
-// with per-node work proportional to the degree (heterogeneous protocols via
-// RunProtocols).
-func BenchmarkSkewedShardAct(b *testing.B) {
-	const k, m, workers = 8, 96, 8
-	cfg := hubCluster(k, m)
-	protos := make([]drip.Protocol, cfg.N())
-	for v := range protos {
-		protos[v] = weightedListener{work: 20 * cfg.Graph().Degree(v), stop: 12}
-	}
-	sim, err := NewParallelSimulator(cfg, workers)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer sim.Close()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sim.RunProtocols(protos, Options{}); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

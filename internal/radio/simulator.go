@@ -51,7 +51,7 @@ type CodedProtocol interface {
 //     their protocol; every awake node has exactly one pending consult. A
 //     node is due every round unless its protocol implements
 //     ListenScheduler, which lets the agenda skip the node's unconditional
-//     listen rounds. The executor is handed only the round's due list.
+//     listen rounds. Only the round's due list consults its protocol.
 //   - A node that is awake but not due listens. It records only what it
 //     hears, and in a clean medium only the neighbours of transmitters hear
 //     anything.
@@ -90,17 +90,10 @@ type CodedProtocol interface {
 // to retain results across runs must copy them (or use the one-shot
 // Sequential engine, which dedicates a fresh Simulator per call).
 //
-// The consult step of each round runs through a pluggable Executor:
-// NewSimulator installs the inline (single-threaded) executor and
-// NewParallelSimulator installs a persistent worker pool that shards the
-// due list across goroutines. Both produce bit-identical results; see the
-// Executor doc for why.
-//
 // A Simulator is not safe for concurrent use; give each goroutine its own.
 type Simulator struct {
-	cfg  *config.Config
-	adj  [][]int // cfg's adjacency lists, read in place
-	exec Executor
+	cfg *config.Config
+	adj [][]int // cfg's adjacency lists, read in place
 
 	states       []nodeState
 	life         []lifeStage
@@ -177,47 +170,16 @@ type nodeState struct {
 // its rows double whenever a run outgrows them.
 const rowStart = 64
 
-// NewSimulator validates cfg and builds a reusable simulator for it, with
-// the inline (single-threaded) executor.
+// NewSimulator validates cfg and builds a reusable simulator for it.
 func NewSimulator(cfg *config.Config) (*Simulator, error) {
-	return NewSimulatorExecutor(cfg, NewInlineExecutor())
-}
-
-// NewParallelSimulator builds a reusable simulator whose consult step is
-// sharded across a persistent pool of `workers` goroutines (workers <= 0
-// selects GOMAXPROCS). Call Close when done to stop the pool; the
-// simulator's buffers (and any Result pointing into them) stay valid after
-// Close.
-func NewParallelSimulator(cfg *config.Config, workers int) (*Simulator, error) {
-	sim, err := NewSimulatorExecutor(cfg, NewPoolExecutor(workers))
-	if err != nil {
-		return nil, err
-	}
-	return sim, nil
-}
-
-// NewSimulatorExecutor validates cfg and builds a reusable simulator that
-// runs its consult step on the given executor. The simulator takes
-// ownership of the executor: Close releases it.
-func NewSimulatorExecutor(cfg *config.Config, exec Executor) (*Simulator, error) {
 	if cfg == nil {
-		if exec != nil {
-			exec.Close()
-		}
 		return nil, fmt.Errorf("radio: nil configuration")
 	}
 	if err := cfg.Validate(); err != nil {
-		if exec != nil {
-			exec.Close()
-		}
 		return nil, fmt.Errorf("radio: invalid configuration: %w", err)
 	}
-	if exec == nil {
-		exec = NewInlineExecutor()
-	}
-	s := &Simulator{exec: exec}
+	s := &Simulator{}
 	if err := s.Reset(cfg); err != nil {
-		exec.Close()
 		return nil, err
 	}
 	return s, nil
@@ -228,19 +190,19 @@ func NewSimulatorExecutor(cfg *config.Config, exec Executor) (*Simulator, error)
 // (including history backing arrays), the code matrix and its row length,
 // the medium scratch, the agenda and the result buffers are all retained,
 // so re-binding a warm simulator across a stream of configurations no
-// larger than the largest it has served allocates nothing. The executor is
-// kept as well. A rebind costs O(n): the adjacency is read in place from
-// the configuration's graph, and the tag order is a counting pass when the
-// span is at most a few times n (a sort otherwise). That makes it cheap
-// enough to run per election: the election registry gives each shard
-// worker one simulator and rebinds it to whichever key the worker elects,
-// and the build arena rebinds one per admission.
+// larger than the largest it has served allocates nothing. A rebind costs
+// O(n): the adjacency is read in place from the configuration's graph, and
+// the tag order is a counting pass when the span is at most a few times n
+// (a sort otherwise). That makes it cheap enough to run per election: the
+// election registry gives each shard worker one simulator and rebinds it
+// to whichever key the worker elects, and the build arena rebinds one per
+// admission.
 //
 // Any Result returned by a previous Run is invalidated. The simulator reads
 // cfg's graph until the next Reset, so the graph must not change meanwhile.
 //
-// Reset performs only allocation-free shape checks; unlike the constructors
-// it does not re-run the connectivity traversal of Config.Validate, so the
+// Reset performs only allocation-free shape checks; unlike NewSimulator it
+// does not re-run the connectivity traversal of Config.Validate, so the
 // caller must pass a configuration that already passed full validation (the
 // build paths hand over configurations that came out of a Classifier run).
 func (s *Simulator) Reset(cfg *config.Config) error {
@@ -342,19 +304,6 @@ const countingSpan = 4
 
 // Config returns the configuration the simulator is bound to.
 func (s *Simulator) Config() *config.Config { return s.cfg }
-
-// ExecutorName identifies the executor the simulator schedules its consult
-// step on.
-func (s *Simulator) ExecutorName() string { return s.exec.Name() }
-
-// Close releases the simulator's executor (stopping pool workers, if any).
-// The buffers — including any Result returned by a previous Run — remain
-// valid; only further Runs are forbidden.
-func (s *Simulator) Close() {
-	if s.exec != nil {
-		s.exec.Close()
-	}
-}
 
 // Run executes proto identically on every node (the anonymous model) and
 // returns the result. A CodedProtocol runs on codes, which Run then decodes
@@ -493,10 +442,8 @@ func (s *Simulator) run(opts Options) (*Result, error) {
 			rec = &RoundRecord{Global: round, Heard: make(map[int]history.Entry)}
 		}
 
-		// Step 1: the nodes due this round consult their protocol. The
-		// executor decides the schedule of the Act calls (inline loop or
-		// worker-pool shards); the computed actions are identical either
-		// way. Every other awake node listens this round.
+		// Step 1: the nodes due this round consult their protocol. Every
+		// other awake node listens this round.
 		due := s.next
 		if round < len(s.heads) {
 			for v := s.heads[round]; v >= 0; v = s.link[v] {
@@ -505,7 +452,7 @@ func (s *Simulator) run(opts Options) (*Result, error) {
 		}
 		s.next, s.due = s.due[:0], due
 		if len(due) > 0 {
-			s.exec.act(s, round, due)
+			s.actDue(round, due)
 		}
 		// Apply the actions, compacting the due list to the transmitters.
 		tx := due[:0]
@@ -721,8 +668,7 @@ func minBad(bad int, v int32) int {
 // actDue performs the consult step for the nodes of due: a coded node's
 // protocol reads the prefix of its row before the round, a vector node's
 // skipped silent entries are written first; then the node's action for the
-// round is recorded. Every write is indexed by the node, so concurrent
-// actDue calls on disjoint parts of the due list are race-free.
+// round is recorded.
 func (s *Simulator) actDue(round int, due []int32) {
 	if s.coder != nil {
 		for _, v := range due {

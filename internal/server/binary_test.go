@@ -48,7 +48,7 @@ func readFrame(t *testing.T, resp *http.Response) (wire.FrameType, []byte) {
 // TestBinaryElectMatchesJSONAndEngines is the cross-encoding acceptance
 // check: keys registered over the binary endpoint serve elections whose
 // outcomes are identical over JSON, over binary, in process, and on direct
-// Dedicated elections on both engines.
+// Dedicated elections.
 func TestBinaryElectMatchesJSONAndEngines(t *testing.T) {
 	reg := service.New(service.Options{Shards: 3})
 	t.Cleanup(reg.Close)
@@ -76,7 +76,6 @@ func TestBinaryElectMatchesJSONAndEngines(t *testing.T) {
 		}
 	}
 
-	engines := []radio.Engine{radio.Sequential{}, radio.Parallel{}}
 	var keys []string
 	for key, cfg := range testConfigs() {
 		keys = append(keys, key)
@@ -108,15 +107,13 @@ func TestBinaryElectMatchesJSONAndEngines(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, eng := range engines {
-			out, err := d.Elect(eng, radio.Options{})
-			if err != nil {
-				t.Fatalf("%s on %s: %v", key, eng.Name(), err)
-			}
-			if out.Leader() != bin.Leader || out.Rounds != bin.Rounds {
-				t.Fatalf("%s: engine %s leader=%d rounds=%d, binary leader=%d rounds=%d",
-					key, eng.Name(), out.Leader(), out.Rounds, bin.Leader, bin.Rounds)
-			}
+		out, err := d.Elect(radio.Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", key, err)
+		}
+		if out.Leader() != bin.Leader || out.Rounds != bin.Rounds {
+			t.Fatalf("%s: direct leader=%d rounds=%d, binary leader=%d rounds=%d",
+				key, out.Leader(), out.Rounds, bin.Leader, bin.Rounds)
 		}
 	}
 

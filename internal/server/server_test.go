@@ -83,7 +83,7 @@ func getJSON(t *testing.T, ts *httptest.Server, path string, v any) *http.Respon
 // TestServedElectMatchesInProcess is the tentpole acceptance check: the HTTP
 // elect and batch endpoints must produce outcomes bit-identical to the
 // in-process Registry.Elect (which is itself pinned against direct
-// Dedicated.Elect across all engines by the service tests).
+// Dedicated.Elect by the service tests).
 func TestServedElectMatchesInProcess(t *testing.T) {
 	srv, ts := newTestServer(t)
 	var keys []string

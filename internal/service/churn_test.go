@@ -223,7 +223,7 @@ func directOutcome(t *testing.T, cfg *config.Config) [2]int {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := d.Elect(nil, radio.Options{})
+	direct, err := d.Elect(radio.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,15 +37,10 @@ func newTestRegistry(t *testing.T, shards int) *Registry {
 
 // TestServiceMatchesDirectElect is the correctness acceptance check: every
 // served election must produce the same leader and round count as the
-// direct Dedicated.Elect path, on every engine (the engines themselves are
-// bit-identical, so one agreement per engine pins the whole chain).
+// direct Dedicated.Elect path, untraced on the algorithm's convenience
+// simulator and traced on a one-shot engine.
 func TestServiceMatchesDirectElect(t *testing.T) {
 	r := newTestRegistry(t, 3)
-	engines := []radio.Engine{
-		nil, // pooled sequential
-		radio.Sequential{},
-		radio.Parallel{},
-	}
 	for key, cfg := range testConfigs() {
 		out, err := r.Elect(key)
 		if err != nil {
@@ -58,18 +53,14 @@ func TestServiceMatchesDirectElect(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, eng := range engines {
-			direct, err := d.Elect(eng, radio.Options{})
+		for _, traced := range []bool{false, true} {
+			direct, err := d.Elect(radio.Options{RecordTrace: traced})
 			if err != nil {
 				t.Fatalf("%s direct: %v", key, err)
 			}
-			name := "pooled"
-			if eng != nil {
-				name = eng.Name()
-			}
 			if direct.Leader() != out.Leader || direct.Rounds != out.Rounds {
-				t.Fatalf("%s: service (%d, %d rounds) != direct %s (%d, %d rounds)",
-					key, out.Leader, out.Rounds, name, direct.Leader(), direct.Rounds)
+				t.Fatalf("%s: service (%d, %d rounds) != direct traced=%v (%d, %d rounds)",
+					key, out.Leader, out.Rounds, traced, direct.Leader(), direct.Rounds)
 			}
 		}
 	}

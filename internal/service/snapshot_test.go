@@ -17,7 +17,7 @@ import (
 // TestSnapshotRestoreRoundTrip is the snapshot acceptance check: snapshot a
 // populated registry, restore into a fresh one, and assert the key set, the
 // artifact digests, and the election outcomes survive bit-identically — the
-// latter checked against direct Dedicated elections on both engines.
+// latter checked against direct Dedicated elections.
 func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	src := newTestRegistry(t, 3)
@@ -67,9 +67,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	}
 
 	// Served outcomes from the restored registry must match direct
-	// elections on every engine (engines are bit-identical; rounds and
-	// leader pin the whole execution).
-	engines := []radio.Engine{radio.Sequential{}, radio.Parallel{}}
+	// elections (rounds and leader pin the whole execution).
 	for key, cfg := range testConfigs() {
 		restored, err := dst.Elect(key)
 		if err != nil {
@@ -86,15 +84,13 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("build %s: %v", key, err)
 		}
-		for _, eng := range engines {
-			out, err := d.Elect(eng, radio.Options{})
-			if err != nil {
-				t.Fatalf("%s on %s: %v", key, eng.Name(), err)
-			}
-			if out.Leader() != restored.Leader || out.Rounds != restored.Rounds {
-				t.Fatalf("%s: engine %s leader=%d rounds=%d, restored leader=%d rounds=%d",
-					key, eng.Name(), out.Leader(), out.Rounds, restored.Leader, restored.Rounds)
-			}
+		out, err := d.Elect(radio.Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", key, err)
+		}
+		if out.Leader() != restored.Leader || out.Rounds != restored.Rounds {
+			t.Fatalf("%s: direct leader=%d rounds=%d, restored leader=%d rounds=%d",
+				key, out.Leader(), out.Rounds, restored.Leader, restored.Rounds)
 		}
 	}
 }

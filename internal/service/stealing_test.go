@@ -52,15 +52,10 @@ func hammerElect(t *testing.T, r *Registry, keys []string, want map[string][2]in
 
 // TestWorkStealingBitIdentical runs the same concurrent hot-key workload
 // against a stealing and a non-stealing registry and pins every served
-// outcome — stolen or home-served — to the direct Dedicated.Elect result
-// on every engine. Work stealing moves *where* an election executes, never
-// what it computes.
+// outcome — stolen or home-served — to the direct Dedicated.Elect result,
+// untraced and traced. Work stealing moves *where* an election executes,
+// never what it computes.
 func TestWorkStealingBitIdentical(t *testing.T) {
-	engines := []radio.Engine{
-		nil, // pooled sequential
-		radio.Sequential{},
-		radio.Parallel{},
-	}
 	want := make(map[string][2]int)
 	keys := make([]string, 0, len(testConfigs()))
 	for key, cfg := range testConfigs() {
@@ -70,15 +65,15 @@ func TestWorkStealingBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		var ref [2]int
-		for i, eng := range engines {
-			direct, err := d.Elect(eng, radio.Options{})
+		for i, traced := range []bool{false, true} {
+			direct, err := d.Elect(radio.Options{RecordTrace: traced})
 			if err != nil {
 				t.Fatalf("%s direct: %v", key, err)
 			}
 			if i == 0 {
 				ref = [2]int{direct.Leader(), direct.Rounds}
 			} else if direct.Leader() != ref[0] || direct.Rounds != ref[1] {
-				t.Fatalf("%s: engine %s disagrees with pooled", key, eng.Name())
+				t.Fatalf("%s: the traced election disagrees with the untraced one", key)
 			}
 		}
 		want[key] = ref
@@ -132,7 +127,7 @@ func TestWorkStealingRelievesHotShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := d.Elect(nil, radio.Options{})
+	direct, err := d.Elect(radio.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +180,7 @@ func TestStealVsEvictStress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := d.Elect(nil, radio.Options{})
+	direct, err := d.Elect(radio.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
