@@ -40,6 +40,32 @@ var ErrRoundOverflow = errors.New("canonical: protocol rounds overflow the round
 // round) would be allocated before the run could fail.
 const MaxRoundBound = 1_000_000
 
+// MaxCodeMatrix is the largest code matrix, in bytes, an election of a
+// canonical DRIP may record into: one byte per node per global round up to
+// the round bound, n·(RoundBound+1). A build's canonical run and every
+// election allocate it, and the build arena's and each shard worker's
+// simulator keep it after the run, so the round limit alone would let a
+// few hundred nodes hold hundreds of MiB. 16 MiB matches the largest plan
+// array MaxRoundBound allows (16 bytes per local round).
+const MaxCodeMatrix = 16 << 20
+
+// CheckCodeMatrix rejects, with ErrRoundOverflow, a canonical DRIP of span
+// sigma and the given lists whose election on n nodes would record into a
+// code matrix of more than MaxCodeMatrix bytes, or whose round bound
+// exceeds MaxRoundBound. It is pure arithmetic over the lists: every build,
+// rebuild and artifact load runs it before any round plan exists.
+func CheckCodeMatrix(n, sigma int, lists []core.List) error {
+	bound, err := roundBound(sigma, lists)
+	if err != nil {
+		return err
+	}
+	if n > MaxCodeMatrix/(bound+1) {
+		return fmt.Errorf("%w: %d nodes over a round bound of %d need a %d-byte code matrix, over the %d-byte budget",
+			ErrRoundOverflow, n, bound, n*(bound+1), MaxCodeMatrix)
+	}
+	return nil
+}
+
 // newSkeleton validates the span and the lists and builds the protocol with
 // its phase boundaries but without a compiled table; the callers decide
 // whether the table is compiled from the lists (FromLists) or adopted from a
@@ -67,7 +93,7 @@ func newSkeletonInto(prev *DRIP, sigma int, lists []core.List) (*DRIP, error) {
 			return nil, fmt.Errorf("canonical: list L_%d has no entries", j+1)
 		}
 	}
-	if err := checkRounds(sigma, lists); err != nil {
+	if _, err := roundBound(sigma, lists); err != nil {
 		return nil, err
 	}
 	d := prev
@@ -93,15 +119,16 @@ func newSkeletonInto(prev *DRIP, sigma int, lists []core.List) (*DRIP, error) {
 	return d, nil
 }
 
-// checkRounds rejects a span whose election round bound exceeds
-// MaxRoundBound. Every build, artifact load, snapshot restore and journal
-// replay runs it in newSkeletonInto, before any phase end is derived or any
-// round plan allocated. The bound is summed phase by phase and checked
-// after each, so no intermediate value exceeds a few times MaxRoundBound
-// and the arithmetic cannot overflow, however large the span.
-func checkRounds(sigma int, lists []core.List) error {
+// roundBound returns the election round bound σ + TerminationRound + 1 of
+// the canonical DRIP of span sigma and the given lists, and rejects one
+// that exceeds MaxRoundBound. Every build, artifact load, snapshot restore
+// and journal replay runs it in newSkeletonInto, before any phase end is
+// derived or any round plan allocated. The bound is summed phase by phase
+// and checked after each, so no intermediate value exceeds a few times
+// MaxRoundBound and the arithmetic cannot overflow, however large the span.
+func roundBound(sigma int, lists []core.List) (int, error) {
 	if sigma >= MaxRoundBound {
-		return fmt.Errorf("%w: span %d alone reaches the round limit %d", ErrRoundOverflow, sigma, MaxRoundBound)
+		return 0, fmt.Errorf("%w: span %d alone reaches the round limit %d", ErrRoundOverflow, sigma, MaxRoundBound)
 	}
 	blockLen := 2*sigma + 1
 	bound := sigma + 1 // σ + r_j + 1 after phase j
@@ -109,15 +136,15 @@ func checkRounds(sigma int, lists []core.List) error {
 		step := 1
 		if !l.Terminate {
 			if l.NumClasses() > MaxRoundBound/blockLen {
-				return fmt.Errorf("%w: phase %d of span %d", ErrRoundOverflow, j+1, sigma)
+				return 0, fmt.Errorf("%w: phase %d of span %d", ErrRoundOverflow, j+1, sigma)
 			}
 			step = l.NumClasses()*blockLen + sigma
 		}
 		if bound += step; bound > MaxRoundBound {
-			return fmt.Errorf("%w: round bound of span %d passes %d in phase %d", ErrRoundOverflow, sigma, MaxRoundBound, j+1)
+			return 0, fmt.Errorf("%w: round bound of span %d passes %d in phase %d", ErrRoundOverflow, sigma, MaxRoundBound, j+1)
 		}
 	}
-	return nil
+	return bound, nil
 }
 
 // FromLists builds an executable canonical DRIP directly from a span and the

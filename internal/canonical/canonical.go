@@ -74,6 +74,9 @@ func NewInto(prev *DRIP, report *core.Report) (*DRIP, error) {
 	if len(report.Lists) == 0 {
 		return nil, fmt.Errorf("canonical: report has no lists")
 	}
+	if err := CheckCodeMatrix(report.Config.N(), report.Config.Span(), report.Lists); err != nil {
+		return nil, err
+	}
 	d, err := newSkeletonInto(prev, report.Config.Span(), report.Lists)
 	if err != nil {
 		return nil, err

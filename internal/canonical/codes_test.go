@@ -106,7 +106,7 @@ func TestRoundLimitRejected(t *testing.T) {
 		if err != nil {
 			t.Fatalf("tag %d: %v", tag, err)
 		}
-		if err := checkRounds(tag, rep.Lists); !errors.Is(err, ErrRoundOverflow) {
+		if _, err := roundBound(tag, rep.Lists); !errors.Is(err, ErrRoundOverflow) {
 			t.Fatalf("tag %d: the round check returned %v, want ErrRoundOverflow; no constructor is called", tag, err)
 		}
 		if _, err := New(rep); !errors.Is(err, ErrRoundOverflow) {
@@ -124,10 +124,59 @@ func TestRoundLimitRejected(t *testing.T) {
 	}
 	lists := []core.List{{Entries: make([]core.ListEntry, 1)}, {Terminate: true}}
 	edge := (MaxRoundBound - 3) / 4 // 4σ+3 <= MaxRoundBound
-	if err := checkRounds(edge, lists); err != nil {
-		t.Fatalf("span %d, round bound %d: %v", edge, 4*edge+3, err)
+	if bound, err := roundBound(edge, lists); err != nil || bound != 4*edge+3 {
+		t.Fatalf("span %d: round bound %d, %v; want %d", edge, bound, err, 4*edge+3)
 	}
-	if err := checkRounds(edge+1, lists); !errors.Is(err, ErrRoundOverflow) {
+	if _, err := roundBound(edge+1, lists); !errors.Is(err, ErrRoundOverflow) {
 		t.Fatalf("span %d, round bound %d: %v, want ErrRoundOverflow", edge+1, 4*edge+7, err)
+	}
+}
+
+// TestCodeMatrixBudget pins the code-matrix guard at its edge: a protocol
+// whose n·(RoundBound+1) is exactly MaxCodeMatrix passes, one more node is
+// rejected with ErrRoundOverflow, and so is a span the round guard alone
+// rejects. New and NewInto reject a configuration over the budget before
+// touching the previous protocol.
+func TestCodeMatrixBudget(t *testing.T) {
+	lists := []core.List{{Entries: make([]core.ListEntry, 1)}, {Terminate: true}}
+	const sigma = 4095 // round bound 4σ+3, so RoundBound+1 = 2¹⁴
+	n := MaxCodeMatrix / (4*sigma + 4)
+	if err := CheckCodeMatrix(n, sigma, lists); err != nil {
+		t.Fatalf("%d nodes at the budget: %v", n, err)
+	}
+	if err := CheckCodeMatrix(n+1, sigma, lists); !errors.Is(err, ErrRoundOverflow) {
+		t.Fatalf("%d nodes over the budget: %v, want ErrRoundOverflow", n+1, err)
+	}
+	if err := CheckCodeMatrix(2, MaxRoundBound, lists); !errors.Is(err, ErrRoundOverflow) {
+		t.Fatalf("span past the round limit: %v, want ErrRoundOverflow", err)
+	}
+
+	// The 64-node path of span 25,200 the CI backpressure probe registers
+	// needs a 6.15 MiB matrix and is admitted.
+	ci, err := core.ClassifyTurbo(config.StaggeredPath(64, 400), core.ClassifyOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := CheckCodeMatrix(64, ci.Config.Span(), ci.Lists); err != nil {
+		t.Fatalf("the CI backpressure path: %v", err)
+	}
+	rep, err := core.ClassifyTurbo(config.StaggeredPath(400, 600), core.ClassifyOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(rep); !errors.Is(err, ErrRoundOverflow) {
+		t.Fatalf("a 400-node path of span %d: New returned %v, want ErrRoundOverflow", rep.Config.Span(), err)
+	}
+	small, err := core.Classify(config.StaggeredClique(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev, err := New(small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rounds := prev.TerminationRound()
+	if _, err := NewInto(prev, rep); !errors.Is(err, ErrRoundOverflow) || prev.TerminationRound() != rounds {
+		t.Fatalf("NewInto returned %v and left %d rounds, want ErrRoundOverflow and %d", err, prev.TerminationRound(), rounds)
 	}
 }

@@ -113,6 +113,9 @@ func load(c *Compiled, cfg *config.Config, trustDigest bool) (*Dedicated, error)
 		return nil, fmt.Errorf("election: invalid configuration: %w", err)
 	}
 	cfg = cfg.Normalized()
+	if err := canonical.CheckCodeMatrix(cfg.N(), c.Blueprint.Sigma, c.Blueprint.Lists); err != nil {
+		return nil, err
+	}
 	var (
 		dg  *canonical.DRIP
 		err error

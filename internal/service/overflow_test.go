@@ -4,10 +4,16 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 
 	"anonradio/internal/canonical"
 	"anonradio/internal/config"
+	"anonradio/internal/core"
+	"anonradio/internal/election"
+	"anonradio/internal/history"
+	"anonradio/internal/wal"
+	"anonradio/internal/wire"
 )
 
 // TestRegisterOverflowingTagsRejected registers 2-node configurations whose
@@ -61,5 +67,92 @@ func TestRegisterHugeSpanRejectedCheaply(t *testing.T) {
 	}
 	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
 		t.Fatalf("the rejected registration allocated %d bytes, want under 1 MiB", alloc)
+	}
+}
+
+// TestRegisterOverBudgetMatrixRejectedCheaply registers a 400-node path with
+// tags 600·i: its round bound 957,603 passes the round guard, but its code
+// matrix would take 400·957,604 bytes (365 MiB), over
+// canonical.MaxCodeMatrix. The registration must fail with
+// canonical.ErrRoundOverflow, having allocated under 1 MiB (an admitted
+// build used to leave about 400 MiB live), and the registry must go on
+// admitting.
+func TestRegisterOverBudgetMatrixRejectedCheaply(t *testing.T) {
+	r := New(Options{Shards: 2, Builders: 1})
+	t.Cleanup(r.Close)
+	cfg := config.StaggeredPath(400, 600)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := r.Register("big", cfg)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, canonical.ErrRoundOverflow) {
+		t.Fatalf("register returned %v, want ErrRoundOverflow", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Fatalf("the rejected registration allocated %d bytes, want under 1 MiB", alloc)
+	}
+	if err := r.Register("small", config.StaggeredPath(8, 3)); err != nil {
+		t.Fatalf("register after the rejection: %v", err)
+	}
+}
+
+// compiledFor builds cfg's artifact; one past the code-matrix budget gets
+// what a build without the guard would have journaled, as far as the load
+// reads it before the guard: the blueprint and a placeholder leader
+// history, with no phase table.
+func compiledFor(t *testing.T, cfg *config.Config) *election.Compiled {
+	t.Helper()
+	if d, err := election.BuildDedicated(cfg); err == nil {
+		return d.Compile()
+	}
+	rep, err := core.ClassifyTurbo(cfg, core.ClassifyOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &election.Compiled{
+		ConfigName:     cfg.Name,
+		Blueprint:      canonical.Blueprint{Sigma: cfg.Span(), Lists: rep.Lists},
+		LeaderHistory:  history.Vector{history.Silent()},
+		ExpectedLeader: rep.Leader,
+	}
+}
+
+// TestRecoverySkipsOverBudgetEntry boots a durable registry on a journal
+// that admits an over-budget configuration between two valid ones, as a
+// journal written before the guard could: recovery must skip that entry,
+// name it in the report, and serve the others.
+func TestRecoverySkipsOverBudgetEntry(t *testing.T) {
+	dir := t.TempDir()
+	log, err := wal.Open(dir, wal.Options{Sync: wal.SyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	big := config.StaggeredPath(400, 600)
+	for _, cfg := range []*config.Config{config.StaggeredClique(6), big, config.StaggeredPath(8, 3)} {
+		rec := wire.WALAdmit{Key: cfg.Name, Config: cfg.Marshal(), Artifact: compiledFor(t, cfg)}
+		frame, err := wire.AppendWALAdmitFrame(nil, &rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := log.Append(frame); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	r, report := openTestRegistry(t, dir, WALOptions{Sync: wal.SyncAlways})
+	if report.Admits != 2 || len(report.Skipped) != 1 || report.Skipped[0].Key != big.Name ||
+		!strings.Contains(report.Skipped[0].Reason, "code matrix") {
+		t.Fatalf("recovery report %+v, want 2 admits and %s skipped for its code matrix", report, big.Name)
+	}
+	for _, key := range []string{config.StaggeredClique(6).Name, config.StaggeredPath(8, 3).Name} {
+		if out, err := r.Elect(key); err != nil || !out.Elected() {
+			t.Fatalf("elect %s after recovery: %+v, %v", key, out, err)
+		}
+	}
+	if _, err := r.Elect(big.Name); !errors.Is(err, ErrUnknownKey) {
+		t.Fatalf("elect %s after recovery: %v, want ErrUnknownKey", big.Name, err)
 	}
 }

@@ -40,6 +40,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -197,6 +198,22 @@ type Log struct {
 // segmentName formats the file name of segment seq.
 func segmentName(seq uint64) string { return fmt.Sprintf("journal-%08d.wal", seq) }
 
+// segmentSeq parses the sequence number out of a segment file name; ok is
+// false for any other name. It avoids fmt.Sscanf, whose pooled scanner
+// state a garbage collection can drop, which made the allocations of a
+// replay vary with GC timing.
+func segmentSeq(name string) (seq uint64, ok bool) {
+	digits, ok := strings.CutPrefix(name, "journal-")
+	if !ok {
+		return 0, false
+	}
+	if digits, ok = strings.CutSuffix(digits, ".wal"); !ok {
+		return 0, false
+	}
+	seq, err := strconv.ParseUint(digits, 10, 64)
+	return seq, err == nil
+}
+
 // listSegments returns the journal segments in dir, ordered by sequence.
 func listSegments(dir string) (paths []string, seqs []uint64, err error) {
 	matches, err := filepath.Glob(filepath.Join(dir, "journal-*.wal"))
@@ -209,8 +226,8 @@ func listSegments(dir string) (paths []string, seqs []uint64, err error) {
 	}
 	var segs []seg
 	for _, p := range matches {
-		var seq uint64
-		if _, err := fmt.Sscanf(filepath.Base(p), "journal-%d.wal", &seq); err != nil {
+		seq, ok := segmentSeq(filepath.Base(p))
+		if !ok {
 			continue // not a segment; leave foreign files alone
 		}
 		segs = append(segs, seg{p, seq})

@@ -457,3 +457,36 @@ func BenchmarkWALReplay(b *testing.B) {
 		}
 	}
 }
+
+// TestForeignFilesIgnored puts files beside the journal whose names only
+// look like segments: listing, replay and a new boot must ignore them and
+// leave them in place.
+func TestForeignFilesIgnored(t *testing.T) {
+	dir := t.TempDir()
+	recs := payloads(3)
+	appendAll(t, dir, Options{Sync: SyncAlways}, recs)
+	foreign := []string{"journal-x.wal", "journal-.wal", "journal-12x.wal", "journal--1.wal", "journal-00000001.wal.bak", "notes.txt"}
+	for _, name := range foreign {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("not a segment"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	paths, seqs, err := listSegments(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(paths) != 1 || filepath.Base(paths[0]) != segmentName(seqs[0]) {
+		t.Fatalf("listed %v (seqs %v), want the one segment", paths, seqs)
+	}
+	got, _ := replayAll(t, dir)
+	checkRecords(t, got, recs)
+	appendAll(t, dir, Options{}, nil)
+	if paths, _, _ := listSegments(dir); len(paths) != 2 {
+		t.Fatalf("a new boot listed %v, want two segments", paths)
+	}
+	for _, name := range foreign {
+		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
+			t.Fatalf("foreign file %s: %v", name, err)
+		}
+	}
+}
