@@ -1,11 +1,12 @@
 package server
 
 import (
-	"fmt"
 	"net/http"
 	"runtime"
 	"strings"
 	"testing"
+
+	"anonradio/internal/config"
 )
 
 // TestRegisterOverflowingTag422 registers a 2-node configuration whose huge
@@ -29,61 +30,33 @@ func TestRegisterOverflowingTag422(t *testing.T) {
 	}
 }
 
-// TestRegisterHugeSpan422 registers a 2-node path with tags {0, 10⁶}: its
-// round bound passes the round limit, so no build can finish it. The
-// answer must be 422 naming the overflow, and the whole request — client,
-// handler and registry — must allocate under 1 MiB: the guard runs before
-// the protocol's round plans (about 48 MB here) are allocated.
+// TestRegisterHugeSpan422 registers two configurations no build may
+// admit: a 2-node path with tags {0, 10⁶}, whose round bound passes the
+// round limit, and a 400-node path with tags 600·i, whose round bound
+// 957,603 stays under it but whose election would record into a
+// 400·957,604-byte code matrix, over canonical.MaxCodeMatrix. Each
+// answer must be 422 naming the overflow, and each whole request — client,
+// handler and registry — must allocate under 1 MiB: the guards run before
+// the protocol's round plans (about 48 MB for the first) or a code matrix
+// exist. An admitted 400-node path used to leave about 400 MiB live.
 func TestRegisterHugeSpan422(t *testing.T) {
 	_, ts := newTestServer(t)
-	body := RegisterRequest{Key: "span", Config: "nodes 2\ntag 0 0\ntag 1 1000000\nedge 0 1\n"}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	resp := postJSON(t, ts, "/v1/register", body)
-	var e ErrorResponse
-	decodeBody(t, resp, &e)
-	runtime.ReadMemStats(&after)
-	if resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(e.Error, "overflow") {
-		t.Fatalf("status %d, error %q; want 422 naming the overflow", resp.StatusCode, e.Error)
-	}
-	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
-		t.Fatalf("the rejected register allocated %d bytes, want under 1 MiB", alloc)
-	}
-}
-
-// overBudgetPath is the text of a 400-node path with tags 600·i (10,681
-// bytes): its round bound 957,603 passes the round guard, but its election
-// would record into a 400·957,604-byte code matrix, over
-// canonical.MaxCodeMatrix.
-func overBudgetPath() string {
-	var sb strings.Builder
-	sb.WriteString("name over-budget\nnodes 400\n")
-	for i := 0; i < 400; i++ {
-		fmt.Fprintf(&sb, "tag %d %d\n", i, 600*i)
-	}
-	for i := 0; i+1 < 400; i++ {
-		fmt.Fprintf(&sb, "edge %d %d\n", i, i+1)
-	}
-	return sb.String()
-}
-
-// TestRegisterOverBudgetMatrix422 registers the 400-node path: the answer
-// must be 422 naming the code matrix, and the whole request must allocate
-// under 1 MiB, because the guard runs before any round plan or code matrix
-// exists. An admitted build used to leave about 400 MiB live.
-func TestRegisterOverBudgetMatrix422(t *testing.T) {
-	_, ts := newTestServer(t)
-	body := RegisterRequest{Key: "big", Config: overBudgetPath()}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	resp := postJSON(t, ts, "/v1/register", body)
-	var e ErrorResponse
-	decodeBody(t, resp, &e)
-	runtime.ReadMemStats(&after)
-	if resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(e.Error, "code matrix") {
-		t.Fatalf("status %d, error %q; want 422 naming the code matrix", resp.StatusCode, e.Error)
-	}
-	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
-		t.Fatalf("the rejected register allocated %d bytes, want under 1 MiB", alloc)
+	for _, cfg := range []string{
+		"nodes 2\ntag 0 0\ntag 1 1000000\nedge 0 1\n",
+		config.StaggeredPath(400, 600).Marshal(),
+	} {
+		body := RegisterRequest{Key: "span", Config: cfg}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		resp := postJSON(t, ts, "/v1/register", body)
+		var e ErrorResponse
+		decodeBody(t, resp, &e)
+		runtime.ReadMemStats(&after)
+		if resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(e.Error, "overflow") {
+			t.Fatalf("status %d, error %q; want 422 naming the overflow", resp.StatusCode, e.Error)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+			t.Fatalf("the rejected register allocated %d bytes, want under 1 MiB", alloc)
+		}
 	}
 }

@@ -47,52 +47,34 @@ func TestRegisterOverflowingTagsRejected(t *testing.T) {
 }
 
 // TestRegisterHugeSpanRejectedCheaply registers a 2-node path with tags
-// {0, 10⁶}, whose round bound passes the round limit: the registration must
-// fail with canonical.ErrRoundOverflow, having allocated under 1 MiB, where
-// a build that ran would allocate about 48 MB of round plans alone and then
-// fail on the round limit.
+// {0, 10⁶}, whose round bound passes the round limit, and a 400-node path
+// with tags 600·i, whose round bound 957,603 does not but whose code matrix
+// would take 400·957,604 bytes (365 MiB), over canonical.MaxCodeMatrix.
+// Each registration must fail with canonical.ErrRoundOverflow, having
+// allocated under 1 MiB, where a build that ran would allocate about 48 MB
+// of round plans for the first and leave about 400 MiB live for the
+// second; the registry must go on admitting.
 func TestRegisterHugeSpanRejectedCheaply(t *testing.T) {
 	r := New(Options{Shards: 1, Builders: 1})
 	t.Cleanup(r.Close)
-	cfg, err := config.Unmarshal("nodes 2\ntag 0 0\ntag 1 1000000\nedge 0 1\n")
+	span, err := config.Unmarshal("nodes 2\ntag 0 0\ntag 1 1000000\nedge 0 1\n")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	err = r.Register("span", cfg)
-	runtime.ReadMemStats(&after)
-	if !errors.Is(err, canonical.ErrRoundOverflow) {
-		t.Fatalf("register returned %v, want ErrRoundOverflow", err)
-	}
-	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
-		t.Fatalf("the rejected registration allocated %d bytes, want under 1 MiB", alloc)
-	}
-}
-
-// TestRegisterOverBudgetMatrixRejectedCheaply registers a 400-node path with
-// tags 600·i: its round bound 957,603 passes the round guard, but its code
-// matrix would take 400·957,604 bytes (365 MiB), over
-// canonical.MaxCodeMatrix. The registration must fail with
-// canonical.ErrRoundOverflow, having allocated under 1 MiB (an admitted
-// build used to leave about 400 MiB live), and the registry must go on
-// admitting.
-func TestRegisterOverBudgetMatrixRejectedCheaply(t *testing.T) {
-	r := New(Options{Shards: 2, Builders: 1})
-	t.Cleanup(r.Close)
-	cfg := config.StaggeredPath(400, 600)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	err := r.Register("big", cfg)
-	runtime.ReadMemStats(&after)
-	if !errors.Is(err, canonical.ErrRoundOverflow) {
-		t.Fatalf("register returned %v, want ErrRoundOverflow", err)
-	}
-	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
-		t.Fatalf("the rejected registration allocated %d bytes, want under 1 MiB", alloc)
+	for _, cfg := range []*config.Config{span, config.StaggeredPath(400, 600)} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err = r.Register("span", cfg)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, canonical.ErrRoundOverflow) {
+			t.Fatalf("%d nodes: register returned %v, want ErrRoundOverflow", cfg.N(), err)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+			t.Fatalf("%d nodes: the rejected registration allocated %d bytes, want under 1 MiB", cfg.N(), alloc)
+		}
 	}
 	if err := r.Register("small", config.StaggeredPath(8, 3)); err != nil {
-		t.Fatalf("register after the rejection: %v", err)
+		t.Fatalf("register after the rejections: %v", err)
 	}
 }
 
