@@ -127,6 +127,9 @@ func newSkeletonInto(prev *DRIP, sigma int, lists []core.List) (*DRIP, error) {
 // and checked after each, so no intermediate value exceeds a few times
 // MaxRoundBound and the arithmetic cannot overflow, however large the span.
 func roundBound(sigma int, lists []core.List) (int, error) {
+	if sigma < 0 {
+		return 0, fmt.Errorf("canonical: negative span %d", sigma)
+	}
 	if sigma >= MaxRoundBound {
 		return 0, fmt.Errorf("%w: span %d alone reaches the round limit %d", ErrRoundOverflow, sigma, MaxRoundBound)
 	}

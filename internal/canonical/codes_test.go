@@ -150,6 +150,11 @@ func TestCodeMatrixBudget(t *testing.T) {
 	if err := CheckCodeMatrix(2, MaxRoundBound, lists); !errors.Is(err, ErrRoundOverflow) {
 		t.Fatalf("span past the round limit: %v, want ErrRoundOverflow", err)
 	}
+	// An artifact's span is outside input: a negative one must be an
+	// error, not a round bound of -1 that divides the budget by zero.
+	if err := CheckCodeMatrix(2, -3, lists[1:]); err == nil {
+		t.Fatal("a negative span passed the code-matrix check")
+	}
 
 	// The 64-node path of span 25,200 the CI backpressure probe registers
 	// needs a 6.15 MiB matrix and is admitted.
