@@ -51,7 +51,8 @@ type CodedProtocol interface {
 //     their protocol; every awake node has exactly one pending consult. A
 //     node is due every round unless its protocol implements
 //     ListenScheduler, which lets the agenda skip the node's unconditional
-//     listen rounds. Only the round's due list consults its protocol.
+//     listen rounds. Only the nodes on the round's due list consult their
+//     protocol.
 //   - A node that is awake but not due listens. It records only what it
 //     hears, and in a clean medium only the neighbours of transmitters hear
 //     anything.
