@@ -19,11 +19,11 @@ import (
 // election of what it admits, may allocate, derived from the admission
 // guards rather than measured:
 //   - parsing, classification and the response: a fixed multiple of the
-//     body, since the parser bounds the node count by the text length;
+//     body plus 1 MiB, since the parser bounds the node count by the text
+//     length;
 //   - per local round of the protocol, at most canonical.MaxRoundBound of
-//     them: the 16-byte round plan, the leader's history as a 24-byte
-//     entry vector and a 1-byte code target, and the artifact digest's
-//     pass over the table;
+//     them: the 16-byte round plan, and the leader's history as a 24-byte
+//     entry vector and a 1-byte code target;
 //   - the code matrix, at most canonical.MaxCodeMatrix bytes, once for the
 //     build's canonical run and once for the election on a shard worker,
 //     each counted twice because rows grow by doubling.
