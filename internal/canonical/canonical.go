@@ -14,7 +14,7 @@
 // hard-coded into the protocol.
 //
 // The protocol is compiled once into a PhaseTable (per-round plans plus
-// flat expected-history rows), which is what DRIP.Act executes and what
+// flat expected-history rows), which is what DRIP.ActCodes executes and what
 // compiled election artifacts embed; ArtifactDigest binds a blueprint and
 // its table together so trusted loaders (election.LoadTrusted, the service
 // snapshot restore) can adopt an embedded table without recompiling. The
@@ -48,9 +48,10 @@ type DRIP struct {
 	// phaseEnds[0] = r_0 = 0.
 	phaseEnds []int
 
-	// table is the compiled phase table; Act executes through it. The
-	// property tests keep it observationally identical to the reference
-	// matching procedure ActReference.
+	// table is the compiled phase table; ActCodes executes it, and so does
+	// Act after coding its history. The property tests keep it
+	// observationally identical to the reference matching procedure
+	// ActReference.
 	table *PhaseTable
 }
 
@@ -107,15 +108,16 @@ func (d *DRIP) phaseOf(i int) int {
 	return len(d.phaseEnds) - 1
 }
 
-// Act implements drip.Protocol. It executes through the compiled phase
-// table: allocation-free array lookups instead of the reference matching
-// procedure.
+// Act implements drip.Protocol: it codes h and executes ActCodes. The
+// simulator records the protocol's histories in codes and calls ActCodes
+// directly; Act serves callers that hold a history vector.
 func (d *DRIP) Act(h history.Vector) drip.Action {
-	return d.table.Act(h)
+	return d.table.ActCodes(h.AppendCodes(nil, Message))
 }
 
-// ActCodes implements radio.CodedProtocol: Act on a coded history, through
-// the compiled phase table.
+// ActCodes implements radio.CodedProtocol: it executes the compiled phase
+// table on a coded history, allocation-free array lookups and byte
+// comparisons instead of the reference matching procedure.
 func (d *DRIP) ActCodes(h []byte) drip.Action {
 	return d.table.ActCodes(h)
 }

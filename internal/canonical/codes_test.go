@@ -12,10 +12,11 @@ import (
 	"anonradio/internal/history"
 )
 
-// TestPropertyActCodesMatchesAct checks the coded Act against the vector Act
-// on every prefix of every node's canonical history, across random feasible
-// configurations. It then edits each node's history at the first and the
-// last position of every phase-match window — to each other code, and to a
+// TestPropertyActCodesMatchesAct checks the coded Act against the reference
+// matcher on every prefix of every node's canonical history, across random
+// feasible configurations, and DRIP.Act, which codes its vector, against
+// both. It then edits each node's history at the first and the last
+// position of every phase-match window — to each other code, and to a
 // foreign message — and compares both at every transmit slot after the
 // window: a row compared one position short, or a foreign message read as
 // the canonical one, would change the coded answer only.
@@ -35,8 +36,8 @@ func TestPropertyActCodesMatchesAct(t *testing.T) {
 				t.Fatalf("seed %d node %d: codes do not round-trip", seed, v)
 			}
 			for i := 0; i <= len(h); i++ {
-				if got, want := d.ActCodes(codes[:i]), pt.Act(h[:i]); got != want || d.Act(h[:i]) != want {
-					t.Fatalf("seed %d node %d prefix %d: ActCodes %v, Act %v", seed, v, i, got, want)
+				if got, want := d.ActCodes(codes[:i]), d.ActReference(h[:i]); got != want || d.Act(h[:i]) != want {
+					t.Fatalf("seed %d node %d prefix %d: ActCodes %v, reference %v", seed, v, i, got, want)
 				}
 			}
 			for _, pm := range pt.Matches {
@@ -53,8 +54,8 @@ func TestPropertyActCodesMatchesAct(t *testing.T) {
 							if pt.plan(i).Block <= 0 {
 								continue
 							}
-							if got, want := pt.ActCodes(editedCodes[:i]), pt.Act(edited[:i]); got != want {
-								t.Fatalf("seed %d node %d, entry %d set to %s, prefix %d: ActCodes %v, Act %v", seed, v, pos, e, i, got, want)
+							if got, want := pt.ActCodes(editedCodes[:i]), d.ActReference(edited[:i]); got != want {
+								t.Fatalf("seed %d node %d, entry %d set to %s, prefix %d: ActCodes %v, reference %v", seed, v, pos, e, i, got, want)
 							}
 						}
 					}

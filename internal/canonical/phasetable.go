@@ -10,8 +10,8 @@ import (
 )
 
 // This file compiles a canonical DRIP into a PhaseTable: a flat, precomputed
-// execution plan that makes Act allocation-free and removes the per-call
-// triple searches of the reference matching procedure.
+// execution plan that makes ActCodes allocation-free and removes the
+// per-call triple searches of the reference matching procedure.
 //
 // The reference Act re-derives everything from the lists on every call: it
 // scans the phase ends to locate the current phase, divides the offset into
@@ -21,26 +21,14 @@ import (
 //   - one RoundPlan per local round (phase number, and whether the round is
 //     a listen round, a terminate round, or the σ+1 transmit slot of a
 //     specific block), and
-//   - one expected-history row per list entry (the exact Kind every history
-//     position of the previous phase must carry for the entry to match),
+//   - one expected-history row per list entry (the exact entry code every
+//     history position of the previous phase must carry for the entry to
+//     match),
 //
 // so executing the protocol is array indexing plus byte comparisons. The
-// table is built once in FromLists; Act consults it on every call and the
-// property tests check it is observationally identical to the reference
+// table is built once in FromLists; ActCodes consults it on every call and
+// the property tests check it is observationally identical to the reference
 // implementation on randomized configurations.
-
-// Expected-entry codes of a MatchRow, one per history position. They are
-// the entry codes of a coded history (history.CodeSilence and so on), so a
-// row matches a coded history by one byte comparison.
-const (
-	// ExpectSilence requires the ∅ entry.
-	ExpectSilence = history.CodeSilence
-	// ExpectMessage requires the canonical message "1" from a single
-	// transmitter.
-	ExpectMessage = history.CodeMessage
-	// ExpectNoise requires a collision entry.
-	ExpectNoise = history.CodeNoise
-)
 
 // RoundPlan describes one local round i of the compiled protocol.
 type RoundPlan struct {
@@ -60,8 +48,11 @@ type MatchRow struct {
 	// entry's class descended from; a row is only compared when the node
 	// transmitted in that block.
 	OldClass int `json:"old_class"`
-	// Expect[t] is the required entry kind at history position Start+t,
-	// where Start is the PhaseMatch's first compared position.
+	// Expect[t] is the required entry code (history.CodeSilence,
+	// CodeMessage for the canonical message "1" from a single transmitter,
+	// or CodeNoise) at history position Start+t, where Start is the
+	// PhaseMatch's first compared position, so a row matches a coded
+	// history by one byte comparison.
 	Expect []byte `json:"expect"`
 }
 
@@ -175,9 +166,9 @@ func (d *DRIP) compileTableInto(prev *PhaseTable) *PhaseTable {
 					pos := (a-1)*blockLen + b - 1
 					if triple, found := entry.Label.Find(a, b); found {
 						if triple.Multi {
-							expect[pos] = ExpectNoise
+							expect[pos] = history.CodeNoise
 						} else {
-							expect[pos] = ExpectMessage
+							expect[pos] = history.CodeMessage
 						}
 					}
 				}
@@ -189,31 +180,16 @@ func (d *DRIP) compileTableInto(prev *PhaseTable) *PhaseTable {
 	return pt
 }
 
-// Act executes the compiled protocol: the phase-table twin of the reference
-// (*DRIP).ActReference. It performs no heap allocations.
-func (pt *PhaseTable) Act(h history.Vector) drip.Action {
-	plan := pt.plan(len(h))
-	if plan.Block <= 0 {
-		return planned(plan)
-	}
-	if pt.transmissionBlock(h, plan.Phase) == plan.Block {
-		return drip.TransmitAction(Message)
-	}
-	return drip.ListenAction()
-}
-
-// ActCodes is Act on a coded history (see CodedMessage): its rows match by
-// one byte comparison each.
+// ActCodes executes the compiled protocol on a coded history (see
+// CodedMessage): the phase-table twin of the reference
+// (*DRIP).ActReference, whose rows match by one byte comparison each. It
+// performs no heap allocations.
 func (pt *PhaseTable) ActCodes(h []byte) drip.Action {
 	plan := pt.plan(len(h))
 	if plan.Block <= 0 {
 		return planned(plan)
 	}
-	tb := 1
-	for jj := 2; jj <= plan.Phase && tb != 0; jj++ {
-		tb = pt.Matches[jj-2].matchCodes(h, tb)
-	}
-	if tb == plan.Block {
+	if pt.transmissionBlock(h, plan.Phase) == plan.Block {
 		return drip.TransmitAction(Message)
 	}
 	return drip.ListenAction()
@@ -247,37 +223,23 @@ func planned(plan RoundPlan) drip.Action {
 	return drip.ListenAction()
 }
 
-// transmissionBlock returns the transmission block the node with history h
-// uses in phase j (0 when no entry matches); it is the compiled counterpart
-// of the reference (*DRIP).TransmissionBlock.
-func (pt *PhaseTable) transmissionBlock(h history.Vector, j int) int {
+// transmissionBlock returns the transmission block the node with coded
+// history h uses in phase j (0 when no entry matches); it is the compiled
+// counterpart of the reference (*DRIP).TransmissionBlock.
+func (pt *PhaseTable) transmissionBlock(h []byte, j int) int {
 	tb := 1
-	for jj := 2; jj <= j; jj++ {
+	for jj := 2; jj <= j && tb != 0; jj++ {
 		tb = pt.Matches[jj-2].match(h, tb)
-		if tb == 0 {
-			return 0
-		}
 	}
 	return tb
 }
 
 // match finds the 1-based row whose OldClass equals prevTB and whose
-// expectations the history satisfies, or 0.
-func (pm *PhaseMatch) match(h history.Vector, prevTB int) int {
-	for k := range pm.Rows {
-		row := &pm.Rows[k]
-		if row.OldClass != prevTB {
-			continue
-		}
-		if pm.rowMatches(h, row) {
-			return k + 1
-		}
-	}
-	return 0
-}
-
-// matchCodes is match on a coded history.
-func (pm *PhaseMatch) matchCodes(h []byte, prevTB int) int {
+// expectations the coded history satisfies, or 0. The reference procedure
+// fails a row as soon as a compared round lies beyond the history;
+// positions are contiguous, so one length check replaces the per-round
+// bound checks.
+func (pm *PhaseMatch) match(h []byte, prevTB int) int {
 	for k := range pm.Rows {
 		row := &pm.Rows[k]
 		if row.OldClass != prevTB {
@@ -288,33 +250,6 @@ func (pm *PhaseMatch) matchCodes(h []byte, prevTB int) int {
 		}
 	}
 	return 0
-}
-
-func (pm *PhaseMatch) rowMatches(h history.Vector, row *MatchRow) bool {
-	if pm.Start+len(row.Expect) > len(h) {
-		// The reference procedure fails a row as soon as a compared round
-		// lies beyond the history; positions are contiguous, so one length
-		// check replaces the per-round bound checks.
-		return false
-	}
-	for t, exp := range row.Expect {
-		e := &h[pm.Start+t]
-		switch exp {
-		case ExpectMessage:
-			if e.Kind != history.Message || e.Msg != Message {
-				return false
-			}
-		case ExpectNoise:
-			if e.Kind != history.Noise {
-				return false
-			}
-		default:
-			if e.Kind != history.Silence {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // Digest returns a 64-bit FNV-1a content hash over every field the execution
@@ -415,7 +350,7 @@ func (pt *PhaseTable) Validate() error {
 		}
 		for k, row := range pm.Rows {
 			for _, exp := range row.Expect {
-				if exp > ExpectNoise {
+				if exp > history.CodeNoise {
 					return fmt.Errorf("canonical: phase %d row %d has invalid expectation %d", j+2, k+1, exp)
 				}
 			}

@@ -58,7 +58,7 @@ func TestPropertyPhaseTableMatchesReference(t *testing.T) {
 			// From the empty history up: the protocol contract guarantees
 			// H[0], but the implementations must agree even below it.
 			for i := 0; i <= len(h); i++ {
-				if d.Table().Act(h[:i]) != d.ActReference(h[:i]) {
+				if d.Act(h[:i]) != d.ActReference(h[:i]) {
 					return false
 				}
 			}
@@ -69,7 +69,7 @@ func TestPropertyPhaseTableMatchesReference(t *testing.T) {
 		if other != nil && other != d {
 			h := otherRes.Histories[0]
 			for i := 1; i <= len(h); i++ {
-				if d.Table().Act(h[:i]) != d.ActReference(h[:i]) {
+				if d.Act(h[:i]) != d.ActReference(h[:i]) {
 					return false
 				}
 			}
@@ -96,7 +96,7 @@ func TestPropertyListenUntilSkipsOnlyListens(t *testing.T) {
 		}
 		rng := rand.New(rand.NewSource(seed))
 		listens := func(h history.Vector) bool {
-			return d.Table().Act(h).Kind == drip.Listen && d.ActReference(h).Kind == drip.Listen
+			return d.Act(h).Kind == drip.Listen && d.ActReference(h).Kind == drip.Listen
 		}
 		for i := 1; i <= d.TerminationRound()+1; i++ {
 			r := d.ListenUntil(i)
@@ -212,7 +212,7 @@ func TestPhaseTableTransmissionBlockMatchesReference(t *testing.T) {
 	for v := range res.Histories {
 		for j := 1; j <= d.Phases(); j++ {
 			want := d.TransmissionBlock(res.Histories[v], j)
-			if got := d.Table().transmissionBlock(res.Histories[v], j); got != want {
+			if got := d.Table().transmissionBlock(res.Histories[v].AppendCodes(nil, Message), j); got != want {
 				t.Fatalf("node %d phase %d: table block %d, reference %d", v, j, got, want)
 			}
 		}
@@ -220,7 +220,8 @@ func TestPhaseTableTransmissionBlockMatchesReference(t *testing.T) {
 }
 
 // TestPhaseTableActAllocFree is the acceptance check of the compile step:
-// once built, Act performs zero heap allocations for any history prefix.
+// once built, ActCodes performs zero heap allocations for any coded history
+// prefix.
 func TestPhaseTableActAllocFree(t *testing.T) {
 	cfg := config.StaggeredClique(8)
 	rep, err := core.Classify(cfg)
@@ -235,12 +236,12 @@ func TestPhaseTableActAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatalf("%v", err)
 	}
-	h := res.Histories[0]
-	var proto drip.Protocol = d // interface call, like the simulator makes
+	h := res.Histories[0].AppendCodes(nil, Message)
+	var proto radio.CodedProtocol = d // interface call, like the simulator makes
 	for _, cut := range []int{1, len(h) / 3, 2 * len(h) / 3, len(h)} {
 		prefix := h[:cut]
-		if allocs := testing.AllocsPerRun(100, func() { proto.Act(prefix) }); allocs != 0 {
-			t.Fatalf("Act on prefix %d/%d allocates %.1f times, want 0", cut, len(h), allocs)
+		if allocs := testing.AllocsPerRun(100, func() { proto.ActCodes(prefix) }); allocs != 0 {
+			t.Fatalf("ActCodes on prefix %d/%d allocates %.1f times, want 0", cut, len(h), allocs)
 		}
 	}
 }
@@ -340,12 +341,16 @@ func midExecutionPrefix(t testingT) (*DRIP, history.Vector) {
 	return d, h[:len(h)*2/3]
 }
 
+// BenchmarkPhaseTableAct times the compiled protocol as the simulator
+// calls it: ActCodes through radio.CodedProtocol on the coded prefix.
 func BenchmarkPhaseTableAct(b *testing.B) {
 	d, h := midExecutionPrefix(b)
+	var proto radio.CodedProtocol = d
+	codes := h.AppendCodes(nil, Message)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d.Act(h)
+		proto.ActCodes(codes)
 	}
 }
 

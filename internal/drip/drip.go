@@ -102,15 +102,25 @@ func (f DecisionFunc) Decide(h history.Vector) int { return f(h) }
 // from the Classifier designate their leader (Lemma 3.11): the leader is the
 // unique node with a designated history.
 type HistoryMatchDecision struct {
-	Target history.Vector
+	// Target is the designated history in entry codes (history.CodeSilence
+	// and so on), Message being the message coded history.CodeMessage. A
+	// history.CodeOther entry matches nothing.
+	Target  []byte
+	Message string
 }
 
-// Decide implements Decision.
+// Decide implements Decision: it codes each entry of h and compares it with
+// the target's.
 func (d HistoryMatchDecision) Decide(h history.Vector) int {
-	if h.Equal(d.Target) {
-		return 1
+	if len(h) != len(d.Target) {
+		return 0
 	}
-	return 0
+	for i, e := range h {
+		if c := e.Code(d.Message); c == history.CodeOther || c != d.Target[i] {
+			return 0
+		}
+	}
+	return 1
 }
 
 // Algorithm bundles a protocol and a decision function: a complete dedicated

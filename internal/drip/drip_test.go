@@ -54,13 +54,26 @@ func TestDecisionAdapters(t *testing.T) {
 	if d.Decide(history.Vector{history.Silent()}) != 1 {
 		t.Fatalf("DecisionFunc broken")
 	}
-	target := history.Vector{history.Silent(), history.Received("1")}
-	m := HistoryMatchDecision{Target: target}
+	target := history.Vector{history.Silent(), history.Received("1"), history.Collision()}
+	m := HistoryMatchDecision{Target: target.AppendCodes(nil, "1"), Message: "1"}
 	if m.Decide(target.Clone()) != 1 {
 		t.Fatalf("HistoryMatchDecision should match equal history")
 	}
-	if m.Decide(history.Vector{history.Silent()}) != 0 {
-		t.Fatalf("HistoryMatchDecision should reject different history")
+	for _, h := range []history.Vector{
+		{history.Silent()},
+		{history.Silent(), history.Received("1"), history.Collision(), history.Silent()},
+		{history.Silent(), history.Received("2"), history.Collision()},
+		{history.Silent(), history.Silent(), history.Collision()},
+	} {
+		if m.Decide(h) != 0 {
+			t.Fatalf("HistoryMatchDecision should reject %s", h)
+		}
+	}
+	// A foreign entry in the target codes as CodeOther, which matches
+	// nothing, not even the same foreign entry.
+	foreign := history.Vector{history.Silent(), history.Received("2")}
+	if (HistoryMatchDecision{Target: foreign.AppendCodes(nil, "1"), Message: "1"}).Decide(foreign) != 0 {
+		t.Fatalf("HistoryMatchDecision matched a foreign entry")
 	}
 }
 

@@ -1,9 +1,6 @@
 package election
 
 import (
-	"fmt"
-
-	"anonradio/internal/canonical"
 	"anonradio/internal/config"
 	"anonradio/internal/core"
 	"anonradio/internal/radio"
@@ -47,13 +44,17 @@ func BuildDedicatedInto(a *BuildArena, cfg *config.Config) (*Dedicated, error) {
 	if err != nil {
 		return nil, err
 	}
-	return buildOnSimulator(report, a.simulator, false)
+	sim, err := a.simulator(report.Config)
+	if err != nil {
+		return nil, err
+	}
+	return assemble(&Dedicated{}, report, sim)
 }
 
 // RebuildInto is BuildDedicatedInto additionally recycling a previously
 // built algorithm's retained memory: the classifier report (lists, labels,
 // snapshots), the canonical protocol (phase ends, compiled phase table),
-// the decision function's leader history and the algorithm name, plus the
+// the decision target and the algorithm name, plus the
 // Dedicated struct itself. Like an arena-built algorithm, the rebuilt one
 // keeps no simulator. Re-admitting a configuration of the same shape as
 // prev's therefore approaches zero heap allocations per build
@@ -74,18 +75,11 @@ func (a *BuildArena) RebuildInto(prev *Dedicated, cfg *config.Config) (*Dedicate
 	if err != nil {
 		return nil, err
 	}
-	if !report.Feasible() {
-		return nil, fmt.Errorf("%w: %s", ErrInfeasible, report.Config)
-	}
-	dg, err := canonical.NewInto(prev.DRIP, report)
-	if err != nil {
-		return nil, err
-	}
 	sim, err := a.simulator(report.Config)
 	if err != nil {
 		return nil, err
 	}
-	return finishBuildInto(prev, report, dg, sim)
+	return assemble(prev, report, sim)
 }
 
 // simulator returns the arena's canonical-run simulator rebound to cfg,

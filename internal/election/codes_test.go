@@ -48,7 +48,8 @@ func checkLoadedTarget(t *testing.T, name string, c *election.Compiled, cfg *con
 
 // TestCodeTargetFromArtifacts pins that an artifact's loaders derive the
 // same code target as the build, from JSON and binary artifacts alike, and
-// that the build's code target is the codes of its history target.
+// that the leader history Compile decodes from the code target codes back
+// to it.
 func TestCodeTargetFromArtifacts(t *testing.T) {
 	for _, cfg := range []*config.Config{
 		config.StaggeredClique(9),
@@ -82,6 +83,43 @@ func TestCodeTargetFromArtifacts(t *testing.T) {
 			t.Fatal(err)
 		}
 		checkLoadedTarget(t, cfg.String()+" binary", fromBin, d.Config, d)
+	}
+}
+
+// TestDecisionSharesCodeTarget pins that the decision target exists once:
+// on every build path and both loaders, the decision function's Target is
+// the algorithm's code target, the same bytes.
+func TestDecisionSharesCodeTarget(t *testing.T) {
+	cfg := config.StaggeredClique(7)
+	built, err := election.BuildDedicated(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	arena := election.NewBuildArena()
+	fromArena, err := election.BuildDedicatedInto(arena, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rebuilt, err := arena.RebuildInto(fromArena, config.LineFamilyG(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := election.Load(built.Compile(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trusted, err := election.LoadTrusted(built.Compile(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, d := range map[string]*election.Dedicated{"build": built, "rebuild": rebuilt, "Load": loaded, "LoadTrusted": trusted} {
+		match, ok := d.Algorithm.Decision.(drip.HistoryMatchDecision)
+		if !ok {
+			t.Fatalf("%s: decision is %T", name, d.Algorithm.Decision)
+		}
+		if len(match.Target) == 0 || &match.Target[0] != &d.CodeTarget()[0] || len(match.Target) != len(d.CodeTarget()) || match.Message != "1" {
+			t.Fatalf("%s: decision target %v (message %q) is not the code target %v", name, match.Target, match.Message, d.CodeTarget())
+		}
 	}
 }
 

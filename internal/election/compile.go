@@ -54,12 +54,11 @@ type Compiled struct {
 
 // Compile returns the serializable form of the dedicated algorithm.
 func (d *Dedicated) Compile() *Compiled {
-	match := d.Algorithm.Decision.(drip.HistoryMatchDecision)
 	table := d.DRIP.Table()
 	return &Compiled{
 		ConfigName:     d.Config.Name,
 		Blueprint:      d.DRIP.Blueprint(),
-		LeaderHistory:  match.Target.Clone(),
+		LeaderHistory:  history.AppendDecoded(nil, d.target, canonical.Message),
 		ExpectedLeader: d.ExpectedLeader,
 		LocalRounds:    d.LocalRounds,
 		RoundBound:     d.RoundBound,
@@ -158,6 +157,7 @@ func load(c *Compiled, cfg *config.Config, trustDigest bool) (*Dedicated, error)
 	if len(c.LeaderHistory) == 0 {
 		return nil, fmt.Errorf("election: compiled algorithm has an empty leader history")
 	}
+	target := c.LeaderHistory.AppendCodes(nil, canonical.Message)
 	return &Dedicated{
 		Config: cfg,
 		Report: nil,
@@ -165,12 +165,12 @@ func load(c *Compiled, cfg *config.Config, trustDigest bool) (*Dedicated, error)
 		Algorithm: drip.Algorithm{
 			Name:     "compiled-" + c.ConfigName,
 			Protocol: dg,
-			Decision: drip.HistoryMatchDecision{Target: c.LeaderHistory.Clone()},
+			Decision: drip.HistoryMatchDecision{Target: target, Message: canonical.Message},
 		},
 		ExpectedLeader: c.ExpectedLeader,
 		LocalRounds:    c.LocalRounds,
 		RoundBound:     c.RoundBound,
-		target:         c.LeaderHistory.AppendCodes(nil, canonical.Message),
+		target:         target,
 	}, nil
 }
 

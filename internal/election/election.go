@@ -68,7 +68,8 @@ type Dedicated struct {
 	sim *radio.Simulator
 	// target is the decision target in entry codes (history.CodeSilence
 	// and so on): the designated leader's history, which the elections
-	// compare against their coded histories.
+	// compare against their coded histories. The decision function's
+	// Target shares its bytes.
 	target []byte
 }
 
@@ -118,75 +119,38 @@ func BuildFromReport(report *core.Report) (*Dedicated, error) {
 // fresh simulator, which then stays attached to the Dedicated and serves
 // its Elect calls.
 func buildFromReport(report *core.Report) (*Dedicated, error) {
-	return buildOnSimulator(report, radio.NewSimulator, true)
-}
-
-// buildOnSimulator is the shared core of the one-shot and arena build
-// paths: check feasibility, derive the canonical DRIP, obtain the
-// canonical-run simulator through provide, and assemble the Dedicated
-// (retaining the simulator only when keep is set — the arena reuses its
-// simulator for the next build instead).
-func buildOnSimulator(report *core.Report, provide func(*config.Config) (*radio.Simulator, error), keep bool) (*Dedicated, error) {
-	if !report.Feasible() {
-		return nil, fmt.Errorf("%w: %s", ErrInfeasible, report.Config)
-	}
-	dg, err := canonical.New(report)
+	sim, err := radio.NewSimulator(report.Config)
 	if err != nil {
 		return nil, err
 	}
-	sim, err := provide(report.Config)
+	d, err := assemble(&Dedicated{}, report, sim)
 	if err != nil {
 		return nil, err
 	}
-	keepSim := sim
-	if !keep {
-		keepSim = nil
-	}
-	return finishBuild(report, dg, sim, keepSim)
-}
-
-// finishBuild executes the canonical DRIP on runSim to derive the designated
-// leader's history and assembles the Dedicated. keepSim is the simulator the
-// Dedicated retains for its standalone elections: the one-shot build path
-// passes runSim itself, the arena path passes nil (the arena's simulator is
-// reused for the next build).
-func finishBuild(report *core.Report, dg *canonical.DRIP, runSim, keepSim *radio.Simulator) (*Dedicated, error) {
-	cfg := report.Config
-	bound := roundBound(cfg, dg)
-	codes, err := leaderCodes(report, dg, runSim, bound)
-	if err != nil {
-		return nil, err
-	}
-	d := &Dedicated{
-		Config: cfg,
-		Report: report,
-		DRIP:   dg,
-		Algorithm: drip.Algorithm{
-			Name:     "canonical-" + cfg.Name,
-			Protocol: dg,
-			Decision: drip.HistoryMatchDecision{Target: history.AppendDecoded(nil, codes, canonical.Message)},
-		},
-		ExpectedLeader: report.Leader,
-		LocalRounds:    dg.TerminationRound(),
-		RoundBound:     bound,
-		sim:            keepSim,
-		target:         bytes.Clone(codes),
-	}
+	d.sim = sim
 	return d, nil
 }
 
-// roundBound is the election's global-round bound: every node is awake by
-// round σ and terminates TerminationRound rounds later.
-func roundBound(cfg *config.Config, dg *canonical.DRIP) int {
-	return cfg.Span() + dg.TerminationRound() + 1
-}
-
-// leaderCodes runs the canonical DRIP on sim within the election's round
-// bound and returns the designated leader's coded history, which aliases
-// sim until its next run. The bound caps the rows of sim's code matrix,
-// which keep their length across rebinds: a build arena's simulator that
-// once ran a long-span configuration clears only a small one's own rows.
-func leaderCodes(report *core.Report, dg *canonical.DRIP, sim *radio.Simulator, bound int) ([]byte, error) {
+// assemble is the one build of every path — one-shot, arena and
+// rebuild-in-place: it checks feasibility, derives the canonical DRIP into
+// d's protocol memory, executes it on sim to derive the designated leader's
+// coded history, and fills d in, recycling d's decision target and
+// algorithm name; it returns d. A fresh d (the one-shot and arena builds)
+// recycles nothing. The canonical run executes within the election's round bound,
+// which caps the rows of sim's code matrix: rows keep their length across
+// rebinds, so an arena simulator that once ran a long-span configuration
+// clears only a small one's own rows. The assembled algorithm keeps no
+// simulator.
+func assemble(d *Dedicated, report *core.Report, sim *radio.Simulator) (*Dedicated, error) {
+	cfg := report.Config
+	if !report.Feasible() {
+		return nil, fmt.Errorf("%w: %s", ErrInfeasible, cfg)
+	}
+	dg, err := canonical.NewInto(d.DRIP, report)
+	if err != nil {
+		return nil, err
+	}
+	bound := cfg.Span() + dg.TerminationRound() + 1
 	res, err := sim.RunCodes(dg, radio.Options{MaxRounds: bound + 1})
 	if err != nil {
 		return nil, fmt.Errorf("election: canonical DRIP simulation failed: %w", err)
@@ -199,52 +163,30 @@ func leaderCodes(report *core.Report, dg *canonical.DRIP, sim *radio.Simulator, 
 			return nil, fmt.Errorf("election: node %d shares the designated leader's history; classifier/DRIP mismatch", v)
 		}
 	}
-	return res.Codes[leader], nil
-}
-
-// finishBuildInto is finishBuild for the rebuild-in-place path: report and
-// dg are already rebuilt from prev's recycled memory, and the remaining
-// retained pieces — the decision target's history buffer, the algorithm
-// name and the Dedicated struct itself — are recycled here. The canonical
-// run executes on runSim (the arena's simulator), exactly as in the fresh
-// arena build, and the rebuilt algorithm, like an arena-built one, keeps
-// no simulator.
-func finishBuildInto(prev *Dedicated, report *core.Report, dg *canonical.DRIP, runSim *radio.Simulator) (*Dedicated, error) {
-	cfg := report.Config
-	bound := roundBound(cfg, dg)
-	codes, err := leaderCodes(report, dg, runSim, bound)
-	if err != nil {
-		return nil, err
-	}
-	var targetBuf history.Vector
-	if match, ok := prev.Algorithm.Decision.(drip.HistoryMatchDecision); ok {
-		targetBuf = match.Target
-	}
-
 	// Keep the previous algorithm name when it already spells the new one
 	// (the comparison is allocation-free; re-admitting the same key with a
 	// same-named configuration is the common churn).
-	name := prev.Algorithm.Name
+	name := d.Algorithm.Name
 	const prefix = "canonical-"
 	if len(name) != len(prefix)+len(cfg.Name) || name[:len(prefix)] != prefix || name[len(prefix):] != cfg.Name {
 		name = prefix + cfg.Name
 	}
-
-	*prev = Dedicated{
+	target := append(d.target[:0], res.Codes[leader]...)
+	*d = Dedicated{
 		Config: cfg,
 		Report: report,
 		DRIP:   dg,
 		Algorithm: drip.Algorithm{
 			Name:     name,
 			Protocol: dg,
-			Decision: drip.HistoryMatchDecision{Target: history.AppendDecoded(targetBuf[:0], codes, canonical.Message)},
+			Decision: drip.HistoryMatchDecision{Target: target, Message: canonical.Message},
 		},
-		ExpectedLeader: report.Leader,
+		ExpectedLeader: leader,
 		LocalRounds:    dg.TerminationRound(),
 		RoundBound:     bound,
-		target:         append(prev.target[:0], codes...),
+		target:         target,
 	}
-	return prev, nil
+	return d, nil
 }
 
 // Elect executes the dedicated algorithm on its configuration and returns
@@ -287,7 +229,7 @@ func (d *Dedicated) ElectInto(out *radio.ElectionOutcome, opts radio.Options) er
 // rebinding sim to the algorithm's configuration when it is bound to
 // another one, and reuses out's buffers, so once sim and out have grown to
 // the largest configuration they serve, the whole election — the rebind,
-// canonical Act through the compiled phase table, the dirty-list medium,
+// canonical ActCodes through the compiled phase table, the dirty-list medium,
 // the history-match decision — performs zero heap allocations
 // (TestElectSteadyStateAllocs and TestElectOnSharedSimulator pin this).
 // The histories stay in entry codes: the outcome's Result carries Codes,

@@ -103,19 +103,23 @@ const (
 	CodeOther byte = 3
 )
 
+// Code returns the entry's code, msg being the message coded CodeMessage.
+func (e Entry) Code(msg string) byte {
+	switch {
+	case e.Kind == Silence || e.Kind == Noise:
+		return byte(e.Kind)
+	case e.Kind == Message && e.Msg == msg:
+		return CodeMessage
+	}
+	return CodeOther
+}
+
 // AppendCodes appends the codes of h to dst, msg being the message coded
 // CodeMessage.
 func (h Vector) AppendCodes(dst []byte, msg string) []byte {
 	dst = slices.Grow(dst, len(h))
 	for _, e := range h {
-		c := CodeOther
-		switch {
-		case e.Kind == Silence || e.Kind == Noise:
-			c = byte(e.Kind)
-		case e.Kind == Message && e.Msg == msg:
-			c = CodeMessage
-		}
-		dst = append(dst, c)
+		dst = append(dst, e.Code(msg))
 	}
 	return dst
 }
