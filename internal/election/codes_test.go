@@ -3,15 +3,18 @@ package election_test
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"anonradio/internal/canonical"
 	"anonradio/internal/config"
 	"anonradio/internal/drip"
 	"anonradio/internal/election"
+	"anonradio/internal/graph"
 	"anonradio/internal/history"
 	"anonradio/internal/radio"
 	"anonradio/internal/wire"
@@ -157,9 +160,10 @@ func TestCodeTargetFromJSONEraArtifacts(t *testing.T) {
 }
 
 // TestCodeTargetRejectsForeignEntries loads an artifact whose leader history
-// carries a foreign message where the target has the canonical one: the
-// code target must not fold it into the canonical message's code, so no
-// node matches and Verify says where the leader diverged.
+// carries a foreign message where the target has the canonical one. No run
+// of the protocol records that entry, so no node could ever match the
+// target: both loaders reject the artifact, naming the entry and its round,
+// instead of admitting an algorithm that never elects.
 func TestCodeTargetRejectsForeignEntries(t *testing.T) {
 	d, err := election.BuildDedicated(config.StaggeredClique(6))
 	if err != nil {
@@ -171,19 +175,77 @@ func TestCodeTargetRejectsForeignEntries(t *testing.T) {
 		t.Fatalf("leader history %s has no message", c.LeaderHistory)
 	}
 	c.LeaderHistory[i] = history.Received("2")
-	loaded, err := election.Load(c, d.Config)
+	want := fmt.Sprintf(`leader history has ("2") in local round %d`, i)
+	for _, l := range loaders {
+		loaded, err := l.load(c, d.Config)
+		if loaded != nil || !errors.Is(err, election.ErrInvalidArtifact) || !strings.Contains(err.Error(), want) {
+			t.Fatalf("%s: loaded %v, error %v; want ErrInvalidArtifact naming %q", l.name, loaded != nil, err, want)
+		}
+	}
+}
+
+// TestLoadRejectsInconsistentArtifacts tampers with one field of a built
+// artifact at a time. Every tampered artifact is rejected by both loaders
+// with ErrInvalidArtifact, and an over-budget one also with
+// canonical.ErrRoundOverflow; the untouched artifact loads and elects.
+// The first four cases used to load and then fail every election.
+func TestLoadRejectsInconsistentArtifacts(t *testing.T) {
+	cfg := config.LineFamilyG(3)
+	d, err := election.BuildDedicated(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out radio.ElectionOutcome
-	if err := loaded.ElectInto(&out, radio.Options{}); err != nil {
-		t.Fatal(err)
+	huge := config.MustNew(graph.Path(2), []int{0, 1_000_000})
+	for _, tc := range []struct {
+		name   string
+		tamper func(c *election.Compiled) *config.Config
+		substr string
+	}{
+		{"round bound 3", func(c *election.Compiled) *config.Config { c.RoundBound = 3; return cfg }, "round bound 3"},
+		{"leader history one entry short", func(c *election.Compiled) *config.Config {
+			c.LeaderHistory = c.LeaderHistory[:len(c.LeaderHistory)-1]
+			return cfg
+		}, "leader history has"},
+		{"leader history message 2", func(c *election.Compiled) *config.Config {
+			c.LeaderHistory[1] = history.Received("2")
+			return cfg
+		}, "never records"},
+		{"leader history entry of unknown kind", func(c *election.Compiled) *config.Config {
+			c.LeaderHistory[0] = history.Entry{Kind: 7}
+			return cfg
+		}, "never records"},
+		{"local rounds", func(c *election.Compiled) *config.Config { c.LocalRounds++; return cfg }, "local rounds"},
+		{"empty leader history", func(c *election.Compiled) *config.Config { c.LeaderHistory = nil; return cfg }, "leader history has 0 entries"},
+		{"phase table disagrees with the lists", func(c *election.Compiled) *config.Config {
+			c.PhaseTable.Matches[0].Rows[0].Expect[0] ^= 1
+			return cfg
+		}, "phase table"},
+		{"leader out of range", func(c *election.Compiled) *config.Config { c.ExpectedLeader = cfg.N(); return cfg }, "out of range"},
+		{"span mismatch", func(c *election.Compiled) *config.Config { return config.SpanFamilyH(3) }, "span"},
+		{"over the round limit", func(c *election.Compiled) *config.Config {
+			c.Blueprint.Sigma = 1_000_000
+			return huge
+		}, "overflow"},
+	} {
+		for _, l := range loaders {
+			c := d.Compile()
+			data, err := json.Marshal(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c, err = election.UnmarshalCompiled(data); err != nil {
+				t.Fatal(err)
+			}
+			loaded, err := l.load(c, tc.tamper(c))
+			if loaded != nil || !errors.Is(err, election.ErrInvalidArtifact) || !strings.Contains(err.Error(), tc.substr) {
+				t.Fatalf("%s %s: loaded %v, error %v; want ErrInvalidArtifact naming %q", tc.name, l.name, loaded != nil, err, tc.substr)
+			}
+			if tc.substr == "overflow" && !errors.Is(err, canonical.ErrRoundOverflow) {
+				t.Fatalf("%s %s: %v does not wrap ErrRoundOverflow", tc.name, l.name, err)
+			}
+		}
 	}
-	err = loaded.Verify(&out)
-	want := fmt.Sprintf("leader %d diverged at local round %d: heard \"1\", target a foreign entry", d.ExpectedLeader, i)
-	if len(out.Leaders) != 0 || err == nil || !strings.Contains(err.Error(), want) {
-		t.Fatalf("leaders %v, verify %v; want no leader and %q", out.Leaders, err, want)
-	}
+	checkLoadedTarget(t, "untouched", d.Compile(), cfg, d)
 }
 
 func slicesIndexMessage(h history.Vector) int {

@@ -1,7 +1,9 @@
 package election
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"strconv"
 
@@ -101,7 +103,19 @@ func LoadTrusted(c *Compiled, cfg *config.Config) (*Dedicated, error) {
 	return load(c, cfg, true)
 }
 
-func load(c *Compiled, cfg *config.Config, trustDigest bool) (*Dedicated, error) {
+// ErrInvalidArtifact is returned (wrapped) by Load and LoadTrusted for every
+// artifact they reject: one that contradicts itself or its blueprint, or
+// does not fit the configuration it is loaded for. The artifact is at
+// fault, not the loader, so a server answers 422. A rejection with a more
+// specific cause, such as canonical.ErrRoundOverflow, wraps that too.
+var ErrInvalidArtifact = errors.New("election: invalid artifact")
+
+func load(c *Compiled, cfg *config.Config, trustDigest bool) (_ *Dedicated, err error) {
+	defer func() {
+		if err != nil {
+			err = fmt.Errorf("%w: %w", ErrInvalidArtifact, err)
+		}
+	}()
 	if c == nil {
 		return nil, fmt.Errorf("election: nil compiled algorithm")
 	}
@@ -115,10 +129,7 @@ func load(c *Compiled, cfg *config.Config, trustDigest bool) (*Dedicated, error)
 	if err := canonical.CheckCodeMatrix(cfg.N(), c.Blueprint.Sigma, c.Blueprint.Lists); err != nil {
 		return nil, err
 	}
-	var (
-		dg  *canonical.DRIP
-		err error
-	)
+	var dg *canonical.DRIP
 	digest, haveDigest := parseArtifactDigest(c.ArtifactDigest)
 	if trustDigest && haveDigest && c.PhaseTable != nil {
 		// Digest fast path: adopt the embedded table when the artifact
@@ -154,10 +165,24 @@ func load(c *Compiled, cfg *config.Config, trustDigest bool) (*Dedicated, error)
 	if c.ExpectedLeader < 0 || c.ExpectedLeader >= cfg.N() {
 		return nil, fmt.Errorf("election: designated leader %d out of range for %d nodes", c.ExpectedLeader, cfg.N())
 	}
-	if len(c.LeaderHistory) == 0 {
-		return nil, fmt.Errorf("election: compiled algorithm has an empty leader history")
+	// The decision data must be what the protocol records: an election runs
+	// within RoundBound and compares each node's TerminationRound+1 entries
+	// with the target, so an artifact that disagrees with its protocol here
+	// would be admitted and then never elect.
+	term := dg.TerminationRound()
+	if c.LocalRounds != term {
+		return nil, fmt.Errorf("election: compiled algorithm has %d local rounds, its protocol terminates in local round %d", c.LocalRounds, term)
+	}
+	if bound := c.Blueprint.Sigma + term + 1; c.RoundBound != bound {
+		return nil, fmt.Errorf("election: compiled algorithm has round bound %d, its protocol's is %d", c.RoundBound, bound)
+	}
+	if len(c.LeaderHistory) != term+1 {
+		return nil, fmt.Errorf("election: compiled algorithm's leader history has %d entries, its protocol records %d", len(c.LeaderHistory), term+1)
 	}
 	target := c.LeaderHistory.AppendCodes(nil, canonical.Message)
+	if i := bytes.IndexByte(target, history.CodeOther); i >= 0 {
+		return nil, fmt.Errorf("election: compiled algorithm's leader history has %s in local round %d, which its protocol never records", c.LeaderHistory[i], i)
+	}
 	return &Dedicated{
 		Config: cfg,
 		Report: nil,

@@ -1,11 +1,17 @@
 package server
 
 import (
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"strings"
 	"testing"
 
+	"anonradio/internal/canonical"
 	"anonradio/internal/config"
+	"anonradio/internal/election"
+	"anonradio/internal/history"
 	"anonradio/internal/radio"
 	"anonradio/internal/service"
 	"anonradio/internal/wire"
@@ -183,4 +189,113 @@ func TestStatsFaultKeys(t *testing.T) {
 	if cleanStats.FaultKeys != nil {
 		t.Fatalf("clean server reports fault_keys: %+v", cleanStats.FaultKeys)
 	}
+}
+
+// TestRegisterInvalidArtifact422 registers tampered artifacts on all three
+// paths that admit one: the JSON register, the binary register and
+// POST /v1/admit/artifact. Every one answers 422 naming the invalid
+// artifact, the daemon stays healthy, and the untouched artifact then
+// registers with 200 on each path and elects its leader. The first three
+// cases used to register with 200 and then fail every election with 500.
+func TestRegisterInvalidArtifact422(t *testing.T) {
+	_, ts := newTestServer(t)
+	cfg := config.LineFamilyG(3)
+	d, err := election.BuildDedicated(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tampered := []struct {
+		name   string
+		tamper func(c *election.Compiled)
+	}{
+		{"round bound 3", func(c *election.Compiled) { c.RoundBound = 3 }},
+		{"leader history one entry short", func(c *election.Compiled) { c.LeaderHistory = c.LeaderHistory[:len(c.LeaderHistory)-1] }},
+		{"leader history message 2", func(c *election.Compiled) { c.LeaderHistory[1] = history.Received("2") }},
+		{"local rounds", func(c *election.Compiled) { c.LocalRounds++ }},
+		{"empty leader history", func(c *election.Compiled) { c.LeaderHistory = nil }},
+		{"phase table disagrees with the lists", func(c *election.Compiled) { c.PhaseTable.Matches[0].Rows[0].Expect[0] ^= 1 }},
+		{"leader out of range", func(c *election.Compiled) { c.ExpectedLeader = cfg.N() }},
+		{"span mismatch", func(c *election.Compiled) { c.Blueprint.Sigma++ }},
+	}
+	register := []struct {
+		name string
+		post func(key string, c *election.Compiled) (int, string)
+	}{
+		{"json", func(key string, c *election.Compiled) (int, string) {
+			resp := postJSON(t, ts, "/v1/register", RegisterRequest{Key: key, Config: cfg.Marshal(), Artifact: c})
+			var e ErrorResponse
+			decodeBody(t, resp, &e)
+			return resp.StatusCode, e.Error
+		}},
+		{"binary", func(key string, c *election.Compiled) (int, string) {
+			return postFrame(t, ts, "/v1/register", mustRegisterFrame(t, &wire.RegisterRequest{Key: key, Config: cfg.Marshal(), Artifact: c}))
+		}},
+		{"admit", func(key string, c *election.Compiled) (int, string) {
+			frame, err := wire.AppendWALAdmitFrame(nil, &wire.WALAdmit{Key: key, Config: cfg.Marshal(), Artifact: c})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return postFrame(t, ts, "/v1/admit/artifact", frame)
+		}},
+	}
+	for _, tc := range tampered {
+		for _, r := range register {
+			c := d.Compile()
+			c.PhaseTable = cloneTable(t, c.PhaseTable)
+			c.LeaderHistory = slices.Clone(c.LeaderHistory)
+			tc.tamper(c)
+			status, msg := r.post("tampered", c)
+			if status != http.StatusUnprocessableEntity || !strings.Contains(msg, "invalid artifact") {
+				t.Fatalf("%s over %s: status %d, error %q; want 422 naming the invalid artifact", tc.name, r.name, status, msg)
+			}
+		}
+	}
+	health, err := ts.Client().Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	health.Body.Close()
+	if health.StatusCode != http.StatusOK {
+		t.Fatalf("healthz after the rejected registers: status %d", health.StatusCode)
+	}
+	for _, r := range register {
+		key := "clean-" + r.name
+		if status, msg := r.post(key, d.Compile()); status != http.StatusOK {
+			t.Fatalf("untouched artifact over %s: status %d, %q", r.name, status, msg)
+		}
+		resp := postJSON(t, ts, "/v1/elect", ElectRequest{Key: key})
+		var out Outcome
+		decodeBody(t, resp, &out)
+		if resp.StatusCode != http.StatusOK || !out.Elected || out.Leader != d.ExpectedLeader {
+			t.Fatalf("%s: elect status %d, %+v; want leader %d", key, resp.StatusCode, out, d.ExpectedLeader)
+		}
+	}
+}
+
+// postFrame posts a binary frame and returns the status with the error
+// frame's message, or "" for any other answer.
+func postFrame(t *testing.T, ts *httptest.Server, path string, frame []byte) (int, string) {
+	t.Helper()
+	resp := postBinary(t, ts, path, frame)
+	typ, payload := readFrame(t, resp)
+	var em wire.ErrorMessage
+	if typ == wire.FrameError && em.DecodeFrom(payload) == nil {
+		return resp.StatusCode, em.Error
+	}
+	return resp.StatusCode, ""
+}
+
+// cloneTable deep-copies a phase table through JSON, so a test can tamper
+// with it without touching the algorithm that compiled it.
+func cloneTable(t *testing.T, pt *canonical.PhaseTable) *canonical.PhaseTable {
+	t.Helper()
+	data, err := json.Marshal(pt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var c canonical.PhaseTable
+	if err := json.Unmarshal(data, &c); err != nil {
+		t.Fatal(err)
+	}
+	return &c
 }

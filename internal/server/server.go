@@ -468,8 +468,9 @@ func (s *Server) retryAfterSeconds() int {
 
 // statusFor maps service/election errors onto HTTP statuses: unknown keys
 // are 404, a full admission queue is 429 (backpressure; retry), a closed
-// registry is 503 (the daemon is shutting down), infeasible configurations
-// are 422 (well-formed but inadmissible), and anything else is 500.
+// registry is 503 (the daemon is shutting down), infeasible configurations,
+// protocols past the round or code-matrix limits and artifacts the loaders
+// reject are 422 (well-formed but inadmissible), and anything else is 500.
 func statusFor(err error) int {
 	switch {
 	case errors.Is(err, service.ErrUnknownKey):
@@ -478,7 +479,8 @@ func statusFor(err error) int {
 		return http.StatusTooManyRequests
 	case errors.Is(err, service.ErrClosed):
 		return http.StatusServiceUnavailable
-	case errors.Is(err, election.ErrInfeasible), errors.Is(err, canonical.ErrRoundOverflow):
+	case errors.Is(err, election.ErrInfeasible), errors.Is(err, canonical.ErrRoundOverflow),
+		errors.Is(err, election.ErrInvalidArtifact):
 		return http.StatusUnprocessableEntity
 	default:
 		return http.StatusInternalServerError

@@ -3,6 +3,8 @@ package service
 import (
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -136,5 +138,89 @@ func TestRecoverySkipsOverBudgetEntry(t *testing.T) {
 	}
 	if _, err := r.Elect(big.Name); !errors.Is(err, ErrUnknownKey) {
 		t.Fatalf("elect %s after recovery: %v, want ErrUnknownKey", big.Name, err)
+	}
+}
+
+// TestRecoverySkipsInvalidArtifacts boots a durable registry on a journal
+// whose admits carry artifacts that contradict their own blueprint, between
+// two valid ones, and restores a snapshot holding one: recovery and restore
+// must skip each such entry, name it in the report as an invalid artifact,
+// and serve the others. Each of these artifacts used to be admitted and then
+// fail every election, or elect while reporting wrong round figures.
+func TestRecoverySkipsInvalidArtifacts(t *testing.T) {
+	cfg := config.StaggeredPath(8, 3)
+	tampered := map[string]func(c *election.Compiled){
+		"round-bound-3": func(c *election.Compiled) { c.RoundBound = 3 },
+		"short-history": func(c *election.Compiled) { c.LeaderHistory = c.LeaderHistory[:len(c.LeaderHistory)-1] },
+		"message-2":     func(c *election.Compiled) { c.LeaderHistory[1] = history.Received("2") },
+		"local-rounds":  func(c *election.Compiled) { c.LocalRounds++ },
+	}
+	dir := t.TempDir()
+	log, err := wal.Open(dir, wal.Options{Sync: wal.SyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendAdmit := func(key string, c *election.Compiled) {
+		frame, err := wire.AppendWALAdmitFrame(nil, &wire.WALAdmit{Key: key, Config: cfg.Marshal(), Artifact: c})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := log.Append(frame); err != nil {
+			t.Fatal(err)
+		}
+	}
+	appendAdmit("valid-a", compiledFor(t, cfg))
+	for key, tamper := range tampered {
+		c := compiledFor(t, cfg)
+		tamper(c)
+		appendAdmit(key, c)
+	}
+	appendAdmit("valid-b", compiledFor(t, cfg))
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	r, report := openTestRegistry(t, dir, WALOptions{Sync: wal.SyncAlways})
+	if report.Admits != 2 || len(report.Skipped) != len(tampered) {
+		t.Fatalf("recovery report %+v, want 2 admits and %d skipped", report, len(tampered))
+	}
+	for _, s := range report.Skipped {
+		if _, ok := tampered[s.Key]; !ok || !strings.Contains(s.Reason, "invalid artifact") {
+			t.Fatalf("skipped %+v, want a tampered key skipped as an invalid artifact", s)
+		}
+		if _, err := r.Elect(s.Key); !errors.Is(err, ErrUnknownKey) {
+			t.Fatalf("elect %s after recovery: %v, want ErrUnknownKey", s.Key, err)
+		}
+	}
+	for _, key := range []string{"valid-a", "valid-b"} {
+		if out, err := r.Elect(key); err != nil || !out.Elected() {
+			t.Fatalf("elect %s after recovery: %+v, %v", key, out, err)
+		}
+	}
+
+	snap := t.TempDir()
+	manifest, err := r.Snapshot(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entry := manifest.Entries[0]
+	c := compiledFor(t, cfg)
+	c.RoundBound = 3
+	data, err := wire.AppendArtifactFrame(nil, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(snap, entry.ArtifactFile), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	dst := New(Options{Shards: 1})
+	t.Cleanup(dst.Close)
+	restored, err := dst.Restore(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if restored.Entries != 1 || len(restored.Skipped) != 1 || restored.Skipped[0].Key != entry.Key ||
+		!strings.Contains(restored.Skipped[0].Reason, "invalid artifact") {
+		t.Fatalf("restore report %+v, want %s skipped as an invalid artifact and one entry restored", restored, entry.Key)
 	}
 }
