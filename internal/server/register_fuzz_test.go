@@ -22,13 +22,12 @@ import (
 //     body plus 1 MiB, since the parser bounds the node count by the text
 //     length;
 //   - per local round of the protocol, at most canonical.MaxRoundBound of
-//     them: the 16-byte round plan, and the leader's history as a 24-byte
-//     entry vector and a 1-byte code target;
+//     them: the 16-byte round plan and the 1-byte decision target;
 //   - the code matrix, at most canonical.MaxCodeMatrix bytes, once for the
 //     build's canonical run and once for the election on a shard worker,
 //     each counted twice because rows grow by doubling.
 func registerBudget(bodyLen int) uint64 {
-	const perRound = 16 + 24 + 1
+	const perRound = 16 + 1
 	return uint64(64*bodyLen) + 1<<20 + perRound*canonical.MaxRoundBound + 4*canonical.MaxCodeMatrix
 }
 

@@ -224,3 +224,31 @@ func TestRecoverySkipsInvalidArtifacts(t *testing.T) {
 		t.Fatalf("restore report %+v, want %s skipped as an invalid artifact and one entry restored", restored, entry.Key)
 	}
 }
+
+// TestRegisterLongestSpanAllocs registers the longest span the round guard
+// admits, a 2-node path with tags {0, 249999} (750,000 local rounds), on a
+// fresh registry: the first admission must allocate under 30 MB. The build
+// keeps one 16-byte round plan and one 1-byte decision-target entry per
+// local round, and runs on one code matrix; a decision target that also
+// held the leader's history as 24-byte entries took 41.9 MB.
+func TestRegisterLongestSpanAllocs(t *testing.T) {
+	cfg, err := config.Unmarshal("nodes 2\ntag 0 0\ntag 1 249999\nedge 0 1\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := New(Options{Shards: 1, Builders: 1})
+	t.Cleanup(r.Close)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err = r.Register("longest", cfg)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 30<<20 {
+		t.Fatalf("the first admission allocated %d bytes, want under 30 MB", alloc)
+	}
+	if out, err := r.Elect("longest"); err != nil || !out.Elected() {
+		t.Fatalf("elect: %+v, %v", out, err)
+	}
+}
