@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -33,6 +34,42 @@ func newTestNodes(t *testing.T, n int) ([]string, map[string]*service.Registry, 
 		servers[ts.URL] = ts
 	}
 	return urls, regs, servers
+}
+
+// newNamedNodes is newTestNodes with the nodes named http://node-a,
+// http://node-b, ..., as fleetbench names its nodes, and the client options
+// that route those names to the listeners. Placement hashes the node URLs,
+// so with httptest's ephemeral ports a test that depends on where keys
+// land would pass or fail with the ports it drew; with fixed names every
+// run places every key alike. The registries are keyed by name.
+func newNamedNodes(t *testing.T, n int) ([]string, map[string]*service.Registry, ClientOptions) {
+	t.Helper()
+	urls, regs, _ := newTestNodes(t, n)
+	rt := &namedTransport{hosts: make(map[string]string, n), next: http.DefaultTransport.(*http.Transport).Clone()}
+	t.Cleanup(rt.next.CloseIdleConnections)
+	names := make([]string, n)
+	byName := make(map[string]*service.Registry, n)
+	for i, u := range urls {
+		host := fmt.Sprintf("node-%c", 'a'+i)
+		names[i] = "http://" + host
+		rt.hosts[host] = strings.TrimPrefix(u, "http://")
+		byName[names[i]] = regs[u]
+	}
+	return names, byName, ClientOptions{HTTP: &http.Client{Transport: rt}}
+}
+
+// namedTransport sends requests for a node name to its listener's address.
+type namedTransport struct {
+	hosts map[string]string
+	next  *http.Transport
+}
+
+func (n *namedTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	if addr, ok := n.hosts[r.URL.Host]; ok {
+		r = r.Clone(r.Context())
+		r.URL.Host = addr
+	}
+	return n.next.RoundTrip(r)
 }
 
 // cfgFor deals out a varied mix of configuration families so keys have
@@ -77,8 +114,8 @@ func registerFleet(t *testing.T, f *Fleet, n int) []string {
 // registry produce identical election outcomes, key by key, both for single
 // elections and through the split-and-reassemble batch path.
 func TestFleetBitIdenticalToSingleNode(t *testing.T) {
-	urls, _, _ := newTestNodes(t, 3)
-	f, err := New(urls, ClientOptions{})
+	urls, _, opts := newNamedNodes(t, 3)
+	f, err := New(urls, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,8 +229,8 @@ func TestFleetElectBatchReassembly(t *testing.T) {
 // (zero recompilation), sources are evicted, and every key's election
 // outcome survives the move bit-identically.
 func TestFleetAddNodeShipsArtifacts(t *testing.T) {
-	urls, regs, _ := newTestNodes(t, 3)
-	f, err := New(urls[:2], ClientOptions{})
+	urls, regs, opts := newNamedNodes(t, 3)
+	f, err := New(urls[:2], opts)
 	if err != nil {
 		t.Fatal(err)
 	}
