@@ -54,10 +54,10 @@ func BuildDedicatedInto(a *BuildArena, cfg *config.Config) (*Dedicated, error) {
 // RebuildInto is BuildDedicatedInto additionally recycling a previously
 // built algorithm's retained memory: the classifier report (lists, labels,
 // snapshots), the canonical protocol (phase ends, compiled phase table),
-// the decision target and the algorithm name, plus the
-// Dedicated struct itself. Like an arena-built algorithm, the rebuilt one
-// keeps no simulator. Re-admitting a configuration of the same shape as
-// prev's therefore approaches zero heap allocations per build
+// the decision target and the algorithm name, plus the Dedicated struct
+// itself. Like an arena-built algorithm, the rebuilt one keeps no
+// simulator. Re-admitting a configuration of the same shape as prev's
+// therefore approaches zero heap allocations per build
 // (TestRebuildIntoAllocs pins it), while the built algorithm — verdict,
 // lists, table, designated leader, round bounds — is bit-identical to a
 // fresh build's.
