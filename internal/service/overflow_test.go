@@ -142,10 +142,11 @@ func TestRecoverySkipsOverBudgetEntry(t *testing.T) {
 }
 
 // TestRecoverySkipsInvalidArtifacts boots a durable registry on a journal
-// whose admits carry artifacts that contradict their own blueprint, between
-// two valid ones, and restores a snapshot holding one: recovery and restore
-// must skip each such entry, name it in the report as an invalid artifact,
-// and serve the others. Each of these artifacts used to be admitted and then
+// whose admits carry artifacts the loaders reject, between two valid ones,
+// and restores a snapshot holding one: recovery and restore must skip each
+// such entry, name it in the report as an invalid artifact, and serve the
+// others. Four of them (round bound, short history, message "2", local
+// rounds) contradict their own protocol and used to be admitted and then
 // fail every election, or elect while reporting wrong round figures.
 func TestRecoverySkipsInvalidArtifacts(t *testing.T) {
 	cfg := config.StaggeredPath(8, 3)
@@ -154,6 +155,10 @@ func TestRecoverySkipsInvalidArtifacts(t *testing.T) {
 		"short-history": func(c *election.Compiled) { c.LeaderHistory = c.LeaderHistory[:len(c.LeaderHistory)-1] },
 		"message-2":     func(c *election.Compiled) { c.LeaderHistory[1] = history.Received("2") },
 		"local-rounds":  func(c *election.Compiled) { c.LocalRounds++ },
+		"empty-history": func(c *election.Compiled) { c.LeaderHistory = nil },
+		"table":         func(c *election.Compiled) { c.PhaseTable.Plans[0].Block = 1 },
+		"leader":        func(c *election.Compiled) { c.ExpectedLeader = cfg.N() },
+		"span":          func(c *election.Compiled) { c.Blueprint.Sigma++ },
 	}
 	dir := t.TempDir()
 	log, err := wal.Open(dir, wal.Options{Sync: wal.SyncAlways})
