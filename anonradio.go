@@ -238,19 +238,10 @@ type ExecutionMetrics = radio.Metrics
 func CompileElection(d *Dedicated) *CompiledElection { return d.Compile() }
 
 // LoadElection rebuilds an executable dedicated algorithm from its compiled
-// form and the configuration it is meant to run on, fully validating any
-// embedded phase table against a recompilation from the blueprint.
+// form and the configuration it is meant to run on, compiling the phase
+// table from the blueprint; see election.Load for the checks.
 func LoadElection(c *CompiledElection, cfg *Config) (*Dedicated, error) {
 	return election.Load(c, cfg)
-}
-
-// LoadElectionTrusted is LoadElection with the digest fast path: an
-// artifact whose phase-table digest verifies skips the recompile-and-
-// compare validation. The digest is a plain content hash, so only use this
-// for artifacts from a source the deployment already trusts; see
-// election.LoadTrusted.
-func LoadElectionTrusted(c *CompiledElection, cfg *Config) (*Dedicated, error) {
-	return election.LoadTrusted(c, cfg)
 }
 
 // ParseCompiledElection decodes a compiled algorithm in either encoding:
@@ -261,9 +252,8 @@ func ParseCompiledElection(data []byte) (*CompiledElection, error) {
 	return wire.DecodeArtifactAuto(data)
 }
 
-// ElectCompiled executes a pre-compiled dedicated algorithm on cfg and
-// verifies the outcome (full artifact validation; load with
-// LoadElectionTrusted and ElectDedicated to opt into the digest fast path).
+// ElectCompiled loads a pre-compiled dedicated algorithm (LoadElection),
+// executes it on cfg and verifies the outcome.
 func ElectCompiled(c *CompiledElection, cfg *Config) (*ElectionOutcome, *Dedicated, error) {
 	d, err := election.Load(c, cfg)
 	if err != nil {
@@ -336,38 +326,36 @@ type ServiceAdmissionStatus = service.AdmissionStatus
 type ServiceAdmissionStats = service.AdmissionStats
 
 // NewService starts a sharded election service. Admit configurations with
-// Register (build on the shard) or RegisterCompiled (load an artifact, with
-// the digest fast path), then serve steady-state elections with Elect /
-// ElectBatch and observe the per-shard counters with Stats.
+// Register (build on the builder pool) or RegisterCompiled (load an
+// artifact), then serve steady-state elections with Elect / ElectBatch and
+// observe the per-shard counters with Stats.
 func NewService(opts ServiceOptions) *Service { return service.New(opts) }
 
 // ServiceTotals folds per-shard snapshots into one aggregate.
 func ServiceTotals(stats []ServiceShardStats) ServiceShardStats { return service.Totals(stats) }
 
 // ServiceSnapshotManifest describes an on-disk registry snapshot: the
-// format version and one entry (key, artifact file, configuration file,
-// artifact digest) per persisted configuration.
+// format version and one entry (key, artifact file, configuration file)
+// per persisted configuration.
 type ServiceSnapshotManifest = service.Manifest
 
-// ServiceRestoreReport summarizes a snapshot restore: entries re-admitted,
-// and how many went through the digest-trusted fast path versus the full
-// recompile-and-compare revalidation.
+// ServiceRestoreReport summarizes a snapshot restore: entries re-admitted
+// and entries skipped.
 type ServiceRestoreReport = service.RestoreReport
 
 // SnapshotService persists every configuration admitted in the service into
-// dir: one compiled artifact (the JSON of cmd/compile) and one
-// configuration file per key, plus a manifest of keys and artifact digests,
-// written last. See docs/SERVER.md for the on-disk format.
+// dir: one compiled artifact (the binary frame of the cmd/compile artifact)
+// and one configuration file per key, plus a manifest of keys, written
+// last. See docs/SERVER.md for the on-disk format.
 func SnapshotService(s *Service, dir string) (*ServiceSnapshotManifest, error) {
 	return s.Snapshot(dir)
 }
 
-// RestoreService re-admits a snapshot directory into the service. Entries
-// whose artifact digest matches the manifest load through the
-// digest-trusted fast path (skipping recompilation — the cheap cold-start
-// path); mismatches fall back to the fully validated load. Damaged entries
-// are skipped and reported (ServiceRestoreReport.Skipped), never fatal;
-// only a manifest-level failure errors.
+// RestoreService re-admits a snapshot directory into the service, loading
+// each entry's artifact (LoadElection) instead of reclassifying. Damaged
+// or rejected entries are skipped and reported
+// (ServiceRestoreReport.Skipped), never fatal; only a manifest-level
+// failure errors.
 func RestoreService(s *Service, dir string) (*ServiceRestoreReport, error) {
 	return s.Restore(dir)
 }
@@ -441,7 +429,7 @@ type ServerOptions = server.Options
 func NewServer(svc *Service, opts ServerOptions) *Server { return server.New(svc, opts) }
 
 // ServerRegisterResponse is the answer to a registration (key, source —
-// "built", "trusted", "validated" or "artifact" — and admission status).
+// "built" or "artifact" — and admission status).
 type ServerRegisterResponse = server.RegisterResponse
 
 // ServerOutcome is one served election in its HTTP form.
@@ -494,9 +482,9 @@ func NewFleetClient(base string, opts FleetClientOptions) *FleetClient {
 // Fleet routes registry operations across a ring of anonradiod nodes:
 // registrations and elections go to each key's owning node, batch
 // elections are split per owner and reassembled in submission order, and
-// membership changes migrate keys by shipping their compiled artifacts
-// through the digest-trusted fast path — no recompilation on the receiving
-// node. cmd/anonradio-router is the deployable front door around it.
+// membership changes migrate keys by shipping their compiled artifacts,
+// which the receiving node loads instead of reclassifying.
+// cmd/anonradio-router is the deployable front door around it.
 type Fleet = fleet.Fleet
 
 // NewFleet builds a fleet over the node base URLs.

@@ -154,9 +154,7 @@ func (c *census) elect(t *testing.T, cfg *config.Config, rep *core.Report) int {
 		t.Fatalf("%s: %v", cfg, err)
 	}
 
-	if c.buf, err = wire.AppendArtifact(c.buf[:0], d.Compile()); err != nil {
-		t.Fatalf("%s: encode artifact: %v", cfg, err)
-	}
+	c.buf = wire.AppendArtifact(c.buf[:0], d.Compile())
 	art, err := wire.DecodeArtifact(c.buf)
 	if err != nil {
 		t.Fatalf("%s: decode artifact: %v", cfg, err)

@@ -7,12 +7,12 @@
 //   - with -wal-dir it runs durably: every acknowledged admission and
 //     eviction is journaled before the call returns (fsync policy per
 //     -wal-sync), a background checkpoint truncates the journal, and a
-//     restart replays checkpoint + journal through the digest-trusted
-//     fast path — crash recovery included (torn or corrupt records are
-//     truncated or skipped and reported, never a refused boot);
-//   - with -restore-on-boot it re-admits a snapshot directory through the
-//     digest-trusted artifact fast path before the listener opens, so a
-//     cold restart skips reclassifying and recompiling the fleet;
+//     restart replays checkpoint + journal by loading their artifacts —
+//     crash recovery included (torn or corrupt records are truncated or
+//     skipped and reported, never a refused boot);
+//   - with -restore-on-boot it re-admits a snapshot directory by loading
+//     its artifacts before the listener opens, so a cold restart skips
+//     reclassifying the fleet;
 //   - on SIGINT/SIGTERM it shuts the listener down gracefully (in-flight
 //     requests complete, bounded by -shutdown-timeout) and, with
 //     -snapshot-on-shutdown, persists the then-quiescent registry.
@@ -24,13 +24,13 @@
 // Usage:
 //
 //	anonradiod [-listen :8080] [-shards N] [-queue-depth N] [-builders N]
-//	           [-admission-queue N] [-trust-artifacts] [-snapshot-dir DIR]
+//	           [-admission-queue N] [-snapshot-dir DIR]
 //	           [-restore-on-boot] [-snapshot-on-shutdown]
 //	           [-shutdown-timeout 10s] [-wal-dir DIR]
 //	           [-wal-sync always|batch|off] [-checkpoint-every 1m]
-//	           [-checkpoint-records N] [-max-batch N]
-//	           [-work-stealing=false] [-fault-drop P] [-fault-noise P]
-//	           [-fault-seed N] [-fault-outages node:from:to,...]
+//	           [-checkpoint-records N] [-max-batch N] [-fault-drop P]
+//	           [-fault-noise P] [-fault-seed N]
+//	           [-fault-outages node:from:to,...]
 //
 // A minimal session against a running daemon:
 //
@@ -114,7 +114,6 @@ func run() int {
 		queueDepth      = flag.Int("queue-depth", 0, "per-shard request queue depth (0 = default)")
 		buildersN       = flag.Int("builders", 0, "admission builder goroutines; builds run here, off the serve path (0 = GOMAXPROCS)")
 		admissionQueue  = flag.Int("admission-queue", 0, "bounded admission queue ahead of the builders; a full queue answers 429 (0 = default 256)")
-		trust           = flag.Bool("trust-artifacts", false, "trust compiled artifacts registered over HTTP: a verifying phase-table digest skips the recompile validation (enable only when every client is your own pipeline)")
 		snapshotDir     = flag.String("snapshot-dir", "", "snapshot directory for -restore-on-boot / -snapshot-on-shutdown")
 		restoreOnBoot   = flag.Bool("restore-on-boot", false, "restore -snapshot-dir before the listener opens (missing manifest is not an error; the daemon starts empty)")
 		snapOnShutdown  = flag.Bool("snapshot-on-shutdown", false, "snapshot the registry into -snapshot-dir after the graceful shutdown")
@@ -124,7 +123,6 @@ func run() int {
 		walSync         = flag.String("wal-sync", "always", "journal fsync policy: always (fsync before acknowledging), batch (group fsync on a short timer), off (OS decides)")
 		checkpointEvery = flag.Duration("checkpoint-every", time.Minute, "background checkpoint interval: snapshot the registry and truncate the journal (0 disables the timer)")
 		checkpointRecs  = flag.Int64("checkpoint-records", 0, "checkpoint once this many journal records accumulate since the last one (0 = automatic pacing proportional to the registry size; negative disables the count trigger)")
-		workStealing    = flag.Bool("work-stealing", true, "let idle shard workers steal queued read-only elections from loaded siblings (hot-key relief); mutations always stay on the owning shard")
 		faultDrop       = flag.Float64("fault-drop", 0, "per-delivery message-drop probability injected into every served election, in [0,1] (robustness experiments; 0 = the paper's clean medium)")
 		faultNoise      = flag.Float64("fault-noise", 0, "per-node-per-round spurious-collision probability injected into every served election, in [0,1]")
 		faultSeed       = flag.Uint64("fault-seed", 0, "seed keying the injected faults; the same seed replays identical faults")
@@ -145,13 +143,11 @@ func run() int {
 		return 2
 	}
 	opts := service.Options{
-		Shards:               *shards,
-		QueueDepth:           *queueDepth,
-		Builders:             *buildersN,
-		AdmissionQueue:       *admissionQueue,
-		TrustCompiledDigests: *trust,
-		WorkStealing:         service.Bool(*workStealing),
-		Fault:                fault,
+		Shards:         *shards,
+		QueueDepth:     *queueDepth,
+		Builders:       *buildersN,
+		AdmissionQueue: *admissionQueue,
+		Fault:          fault,
 	}
 	if fault != nil {
 		log.Printf("serving over a faulted medium: seed=%d drop=%g noise=%g outages=%d (every election runs the fault plan)",
@@ -204,8 +200,8 @@ func run() int {
 			log.Printf("restoring %s: %v", *snapshotDir, err)
 			return 1
 		default:
-			log.Printf("restored %d configurations from %s in %s (%d digest-trusted, %d revalidated)",
-				report.Entries, *snapshotDir, time.Since(start).Round(time.Millisecond), report.Trusted, report.Revalidated)
+			log.Printf("restored %d configurations from %s in %s",
+				report.Entries, *snapshotDir, time.Since(start).Round(time.Millisecond))
 			for _, s := range report.Skipped {
 				log.Printf("restore: entry %q skipped: %s", s.Key, s.Reason)
 			}

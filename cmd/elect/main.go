@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	elect -config cfg.txt [-trace] [-compiled alg.json|NNNN.artifact.bin [-trust-artifact]]
+//	elect -config cfg.txt [-trace] [-compiled alg.json|NNNN.artifact.bin]
 package main
 
 import (
@@ -21,14 +21,8 @@ func main() {
 		path     = flag.String("config", "", "configuration file (default: read standard input)")
 		trace    = flag.Bool("trace", false, "print the round-by-round transcript of the election")
 		compiled = flag.String("compiled", "", "run a pre-compiled algorithm (JSON from cmd/compile, or a snapshot's binary .artifact.bin) instead of re-deriving it")
-		trust    = flag.Bool("trust-artifact", false, "trust -compiled artifacts from your own pipeline: a verifying phase-table digest skips the recompile validation")
 	)
 	flag.Parse()
-
-	if *trust && *compiled == "" {
-		fmt.Fprintln(os.Stderr, "elect: -trust-artifact only applies to -compiled artifacts (a freshly built algorithm has nothing to trust)")
-		os.Exit(2)
-	}
 
 	cfg, err := readConfig(*path)
 	if err != nil {
@@ -40,7 +34,7 @@ func main() {
 		dedicated *anonradio.Dedicated
 	)
 	if *compiled != "" {
-		out, dedicated, err = electCompiled(*compiled, cfg, *trust)
+		out, dedicated, err = electCompiled(*compiled, cfg)
 	} else {
 		out, dedicated, err = anonradio.Elect(cfg)
 	}
@@ -69,23 +63,11 @@ func main() {
 	}
 }
 
-// electCompiled loads a compiled algorithm artifact (fully validated, or
-// via the digest fast path with -trust-artifact) and runs it on cfg.
-func electCompiled(path string, cfg *anonradio.Config, trust bool) (*anonradio.ElectionOutcome, *anonradio.Dedicated, error) {
+// electCompiled loads a compiled algorithm artifact and runs it on cfg.
+func electCompiled(path string, cfg *anonradio.Config) (*anonradio.ElectionOutcome, *anonradio.Dedicated, error) {
 	compiled, err := readCompiled(path)
 	if err != nil {
 		return nil, nil, err
-	}
-	if trust {
-		d, err := anonradio.LoadElectionTrusted(compiled, cfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		out, err := anonradio.ElectDedicated(d)
-		if err != nil {
-			return nil, nil, err
-		}
-		return out, d, nil
 	}
 	return anonradio.ElectCompiled(compiled, cfg)
 }

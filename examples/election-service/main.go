@@ -23,9 +23,7 @@ import (
 )
 
 func main() {
-	// TrustCompiledDigests: artifacts we compile ourselves below are
-	// trusted, so verified digests skip the load-time recompilation.
-	svc := anonradio.NewService(anonradio.ServiceOptions{Shards: 4, TrustCompiledDigests: true})
+	svc := anonradio.NewService(anonradio.ServiceOptions{Shards: 4})
 	defer svc.Close()
 
 	// Admit a mixed fleet: paper families of several sizes. Register

@@ -154,8 +154,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("restore: %d entries (%d digest-trusted, %d revalidated)\n",
-		report.Entries, report.Trusted, report.Revalidated)
+	fmt.Printf("restore: %d entries (%d skipped)\n", report.Entries, len(report.Skipped))
 
 	base2, stop2, err := boot(restored)
 	if err != nil {
@@ -177,8 +176,8 @@ func main() {
 
 	// Ship one key's compiled artifact into a third, empty server over the
 	// migration endpoints — the primitive a fleet rebalance is built from.
-	// The receiver admits it through the digest-trusted load: zero
-	// recompilation, identical answers.
+	// The receiver loads the artifact instead of reclassifying: one
+	// artifact load, identical answers.
 	third := anonradio.NewService(anonradio.ServiceOptions{Shards: 1})
 	defer third.Close()
 	base3, stop3, err := boot(third)
@@ -201,8 +200,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("shipped %s (%d bytes) to a fresh server: leader=%d rounds=%d, trusted_loads=%d (agrees: %v)\n",
-		keys[0], len(frame), out3.Leader, out3.Rounds, shipStats.Admission.TrustedLoads,
+	fmt.Printf("shipped %s (%d bytes) to a fresh server: leader=%d rounds=%d, artifact_loads=%d (agrees: %v)\n",
+		keys[0], len(frame), out3.Leader, out3.Rounds, shipStats.Admission.ArtifactLoads,
 		out3.Leader == out.Leader && out3.Rounds == out.Rounds)
 	if out3.Leader != out.Leader || out3.Rounds != out.Rounds {
 		log.Fatal("shipped server diverged from the original")

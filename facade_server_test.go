@@ -62,7 +62,7 @@ func TestFacadeServerAndSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatalf("restore: %v", err)
 	}
-	if report.Entries != 1 || report.Trusted != 1 {
+	if report.Entries != 1 || len(report.Skipped) != 0 {
 		t.Fatalf("restore report: %+v", report)
 	}
 	again, err := restored.Elect("demo")

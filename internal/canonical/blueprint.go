@@ -6,7 +6,6 @@ import (
 	"fmt"
 
 	"anonradio/internal/core"
-	"anonradio/internal/fnv"
 )
 
 // This file provides a serializable form of the canonical DRIP. The paper's
@@ -66,18 +65,11 @@ func CheckCodeMatrix(n, sigma int, lists []core.List) error {
 	return nil
 }
 
-// newSkeleton validates the span and the lists and builds the protocol with
-// its phase boundaries but without a compiled table; the callers decide
-// whether the table is compiled from the lists (FromLists) or adopted from a
-// digest-verified artifact (FromCompiled).
-func newSkeleton(sigma int, lists []core.List) (*DRIP, error) {
-	return newSkeletonInto(nil, sigma, lists)
-}
-
-// newSkeletonInto is newSkeleton recycling prev's struct and phase-end
-// array; prev's compiled table (if any) is left in place for
-// compileTableInto to recycle in turn. Validation happens before prev is
-// touched, so a rejected rebuild leaves prev intact.
+// newSkeletonInto validates the span and the lists and builds the protocol
+// with its phase boundaries but without a compiled table, recycling prev's
+// struct and phase-end array; prev's compiled table (if any) is left in
+// place for compileTableInto to recycle in turn. Validation happens before
+// prev is touched, so a rejected rebuild leaves prev intact.
 func newSkeletonInto(prev *DRIP, sigma int, lists []core.List) (*DRIP, error) {
 	if sigma < 0 {
 		return nil, fmt.Errorf("canonical: negative span %d", sigma)
@@ -151,94 +143,16 @@ func roundBound(sigma int, lists []core.List) (int, error) {
 }
 
 // FromLists builds an executable canonical DRIP directly from a span and the
-// lists L_1..L_jterm (the last list must be the terminate list). It is the
-// deserialization counterpart of New.
+// lists L_1..L_jterm (the last list must be the terminate list), compiling
+// its phase table from the lists. It is the deserialization counterpart of
+// New, and the only way an artifact's protocol is rebuilt.
 func FromLists(sigma int, lists []core.List) (*DRIP, error) {
-	d, err := newSkeleton(sigma, lists)
+	d, err := newSkeletonInto(nil, sigma, lists)
 	if err != nil {
 		return nil, err
 	}
-	d.table = d.compileTable()
+	d.table = d.compileTableInto(nil)
 	return d, nil
-}
-
-// ArtifactDigest returns the 64-bit FNV-1a hash recorded in compiled
-// artifacts: it folds the span, the full content of the lists L_1..L_jterm
-// (terminate flags, entry old-classes and label triples) and the phase
-// table's own content digest. Binding the blueprint and the table into one
-// hash means a digest recorded at compile time — when the table was
-// genuinely compiled from those lists — can only verify against the same
-// (blueprint, table) pair: a table left stale while the lists were
-// regenerated fails the check even when the table alone is internally
-// consistent.
-func ArtifactDigest(sigma int, lists []core.List, pt *PhaseTable) uint64 {
-	h := uint64(fnv.Offset64)
-	h = fnv.Mix64(h, uint64(int64(sigma)))
-	h = fnv.Mix64(h, uint64(len(lists)))
-	for _, l := range lists {
-		if l.Terminate {
-			h = fnv.Mix64(h, 1)
-		} else {
-			h = fnv.Mix64(h, 2)
-		}
-		h = fnv.Mix64(h, uint64(len(l.Entries)))
-		for _, e := range l.Entries {
-			h = fnv.Mix64(h, uint64(int64(e.OldClass)))
-			h = fnv.Mix64(h, uint64(len(e.Label)))
-			for _, t := range e.Label {
-				h = fnv.Mix64(h, uint64(int64(t.Class)))
-				multi := uint64(0)
-				if t.Multi {
-					multi = 1
-				}
-				h = fnv.Mix64(h, uint64(int64(t.Round))<<1|multi)
-			}
-		}
-	}
-	return fnv.Mix64(h, pt.Digest())
-}
-
-// FromCompiled rebuilds an executable DRIP from its blueprint parts plus an
-// embedded compiled phase table carrying an artifact digest. When the
-// digest matches ArtifactDigest over the blueprint and the table (and the
-// table's shape matches the blueprint's phase structure), the table is
-// adopted directly and the recompilation from the lists — the dominant cost
-// of the cold artifact-load path — is skipped; the returned fast flag
-// reports that. On any mismatch (stale digest, stale table under
-// regenerated lists, wrong shape) it falls back to the full
-// recompile-and-compare validation of InstallTable, so a table that
-// disagrees with the lists is still rejected rather than silently executing
-// a different protocol.
-//
-// The digest is an integrity check for trusted deployment paths; the choice
-// to honor it belongs to the loader (election.LoadTrusted), never to the
-// artifact.
-func FromCompiled(sigma int, lists []core.List, pt *PhaseTable, digest uint64) (*DRIP, bool, error) {
-	if pt == nil {
-		return nil, false, fmt.Errorf("canonical: nil phase table")
-	}
-	// Blueprint problems surface as-is; only table-origin failures carry the
-	// "embedded phase table rejected" context, so operators debug the right
-	// part of the artifact.
-	d, err := newSkeleton(sigma, lists)
-	if err != nil {
-		return nil, false, err
-	}
-	if err := pt.Validate(); err != nil {
-		return nil, false, fmt.Errorf("canonical: embedded phase table rejected: %w", err)
-	}
-	if pt.Sigma == sigma &&
-		len(pt.Plans) == d.TerminationRound() &&
-		len(pt.Matches) == len(lists)-1 &&
-		ArtifactDigest(sigma, lists, pt) == digest {
-		d.table = pt.clone()
-		return d, true, nil
-	}
-	d.table = d.compileTable()
-	if err := d.InstallTable(pt); err != nil {
-		return nil, false, fmt.Errorf("canonical: embedded phase table rejected: %w", err)
-	}
-	return d, false, nil
 }
 
 // Blueprint returns the serializable description of the protocol.

@@ -14,12 +14,12 @@
 // hard-coded into the protocol.
 //
 // The protocol is compiled once into a PhaseTable (per-round plans plus
-// flat expected-history rows), which is what DRIP.ActCodes executes and what
-// compiled election artifacts embed; ArtifactDigest binds a blueprint and
-// its table together so trusted loaders (election.LoadTrusted, the service
-// snapshot restore) can adopt an embedded table without recompiling. The
-// paper-faithful matcher (ActReference, in reference_test.go) is the
-// specification the property tests hold the table to.
+// flat expected-history rows), which is what DRIP.ActCodes executes. The
+// table is derived from σ and the lists alone, so an installable artifact
+// (Blueprint) carries only those, and every load compiles the table from
+// them (FromLists). The paper-faithful matcher (ActReference, in
+// reference_test.go) is the specification the property tests hold the
+// table to.
 package canonical
 
 import (
@@ -154,26 +154,3 @@ func (d *DRIP) ListenUntil(i int) int {
 
 // Table returns the compiled phase table of the protocol.
 func (d *DRIP) Table() *PhaseTable { return d.table }
-
-// InstallTable installs a deserialized phase table as the protocol's
-// executing table, so artifacts that ship a table really execute it. The
-// table must validate structurally and be identical to the one compiled
-// from the protocol's own lists — a valid-but-different table would
-// silently execute a different protocol than the lists promise, breaking
-// the history-match decision derived from them.
-func (d *DRIP) InstallTable(pt *PhaseTable) error {
-	if pt == nil {
-		return fmt.Errorf("canonical: nil phase table")
-	}
-	if err := pt.Validate(); err != nil {
-		return err
-	}
-	if !pt.Equal(d.table) {
-		return fmt.Errorf("canonical: phase table does not match the protocol's lists")
-	}
-	// Install a private copy: the caller keeps ownership of pt (artifacts
-	// are routinely re-decoded or mutated), and post-install tampering must
-	// not flow into a validated, executing protocol.
-	d.table = pt.clone()
-	return nil
-}

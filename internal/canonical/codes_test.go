@@ -85,9 +85,6 @@ func TestRoundOverflowRejected(t *testing.T) {
 		if _, err := FromLists(tag, rep.Lists); !errors.Is(err, ErrRoundOverflow) {
 			t.Fatalf("tag %d: FromLists returned %v, want ErrRoundOverflow", tag, err)
 		}
-		if _, _, err := FromCompiled(tag, rep.Lists, &PhaseTable{Sigma: tag}, 0); !errors.Is(err, ErrRoundOverflow) {
-			t.Fatalf("tag %d: FromCompiled returned %v, want ErrRoundOverflow", tag, err)
-		}
 		if elapsed := time.Since(start); elapsed > 2*time.Second {
 			t.Fatalf("tag %d: rejection took %v", tag, elapsed)
 		}
@@ -118,9 +115,6 @@ func TestRoundLimitRejected(t *testing.T) {
 		}
 		if _, err := FromLists(tag, rep.Lists); !errors.Is(err, ErrRoundOverflow) {
 			t.Fatalf("tag %d: FromLists returned %v, want ErrRoundOverflow", tag, err)
-		}
-		if _, _, err := FromCompiled(tag, rep.Lists, &PhaseTable{Sigma: tag}, 0); !errors.Is(err, ErrRoundOverflow) {
-			t.Fatalf("tag %d: FromCompiled returned %v, want ErrRoundOverflow", tag, err)
 		}
 	}
 	lists := []core.List{{Entries: make([]core.ListEntry, 1)}, {Terminate: true}}

@@ -2,10 +2,8 @@ package canonical
 
 import (
 	"bytes"
-	"fmt"
 
 	"anonradio/internal/drip"
-	"anonradio/internal/fnv"
 	"anonradio/internal/history"
 )
 
@@ -70,9 +68,11 @@ type PhaseMatch struct {
 }
 
 // PhaseTable is the compiled execution plan of a canonical DRIP. It is a
-// pure lookup structure — safe for concurrent use by every node of a
-// simulation — and JSON-serializable, so compiled election artifacts can
-// embed it and deployed nodes can execute without recompiling.
+// pure lookup structure, safe for concurrent use by every node of a
+// simulation, derived from the lists alone: artifacts carry the lists, and
+// every loader compiles the table from them. Its JSON tags remain because
+// artifacts written by earlier releases embed a table, which a load reads
+// and compares (Equal) with the compiled one.
 type PhaseTable struct {
 	// Sigma is the span σ the protocol was built for.
 	Sigma int `json:"sigma"`
@@ -83,16 +83,10 @@ type PhaseTable struct {
 	Matches []PhaseMatch `json:"matches"`
 }
 
-// compileTable builds the phase table of a DRIP whose Lists and phaseEnds
-// are already validated by FromLists.
-func (d *DRIP) compileTable() *PhaseTable {
-	return d.compileTableInto(nil)
-}
-
-// compileTableInto is compileTable recycling a previous table's memory: the
+// compileTableInto builds the phase table of a DRIP whose Lists and
+// phaseEnds are already validated, recycling a previous table's memory: the
 // struct, the plan array, and every match row with its expectation bytes.
-// The compiled content is identical to a fresh compile; prev == nil is
-// exactly compileTable.
+// The compiled content is identical to a fresh compile (prev == nil).
 func (d *DRIP) compileTableInto(prev *PhaseTable) *PhaseTable {
 	blockLen := 2*d.Sigma + 1
 	pt := prev
@@ -252,39 +246,9 @@ func (pm *PhaseMatch) match(h []byte, prevTB int) int {
 	return 0
 }
 
-// Digest returns a 64-bit FNV-1a content hash over every field the execution
-// consults: span, round plans, match starts and expectation rows, with
-// section lengths folded in so element moves cannot cancel out. Two tables
-// are Equal exactly when their digests are computed over identical content.
-// It is an integrity check against corruption and drift — not a
-// cryptographic signature. Artifact validation uses ArtifactDigest, which
-// additionally binds the table to the blueprint it was compiled from.
-func (pt *PhaseTable) Digest() uint64 {
-	h := uint64(fnv.Offset64)
-	h = fnv.Mix64(h, uint64(int64(pt.Sigma)))
-	h = fnv.Mix64(h, uint64(len(pt.Plans)))
-	for _, plan := range pt.Plans {
-		h = fnv.Mix64(h, uint64(int64(plan.Phase)))
-		h = fnv.Mix64(h, uint64(int64(plan.Block)))
-	}
-	h = fnv.Mix64(h, uint64(len(pt.Matches)))
-	for _, pm := range pt.Matches {
-		h = fnv.Mix64(h, uint64(int64(pm.Start)))
-		h = fnv.Mix64(h, uint64(len(pm.Rows)))
-		for _, row := range pm.Rows {
-			h = fnv.Mix64(h, uint64(int64(row.OldClass)))
-			h = fnv.Mix64(h, uint64(len(row.Expect)))
-			for _, e := range row.Expect {
-				h = fnv.Mix64(h, uint64(e))
-			}
-		}
-	}
-	return h
-}
-
-// Equal reports whether two phase tables are identical. It is used to
-// validate embedded tables of compiled artifacts against a recompilation
-// from the artifact's lists.
+// Equal reports whether two phase tables are identical. A load uses it to
+// check the table an earlier release embedded in an artifact against the
+// one compiled from the artifact's lists.
 func (pt *PhaseTable) Equal(o *PhaseTable) bool {
 	if pt == nil || o == nil {
 		return pt == o
@@ -309,52 +273,4 @@ func (pt *PhaseTable) Equal(o *PhaseTable) bool {
 		}
 	}
 	return true
-}
-
-// clone returns a deep copy of the table.
-func (pt *PhaseTable) clone() *PhaseTable {
-	c := &PhaseTable{
-		Sigma: pt.Sigma,
-		Plans: append([]RoundPlan(nil), pt.Plans...),
-	}
-	c.Matches = make([]PhaseMatch, len(pt.Matches))
-	for i, pm := range pt.Matches {
-		cm := PhaseMatch{Start: pm.Start, Rows: make([]MatchRow, len(pm.Rows))}
-		for k, row := range pm.Rows {
-			cm.Rows[k] = MatchRow{OldClass: row.OldClass, Expect: append([]byte(nil), row.Expect...)}
-		}
-		c.Matches[i] = cm
-	}
-	return c
-}
-
-// Validate checks the structural invariants a deserialized table must hold
-// before it may drive executions: plan phases in range, transmit blocks
-// consistent with the matching rows, expectation codes valid.
-func (pt *PhaseTable) Validate() error {
-	if pt.Sigma < 0 {
-		return fmt.Errorf("canonical: phase table has negative span %d", pt.Sigma)
-	}
-	numPhases := len(pt.Matches) + 1
-	for i, plan := range pt.Plans {
-		if plan.Phase < 1 || plan.Phase > numPhases {
-			return fmt.Errorf("canonical: round %d plan names phase %d of %d", i+1, plan.Phase, numPhases)
-		}
-		if plan.Block < -1 {
-			return fmt.Errorf("canonical: round %d plan has invalid block %d", i+1, plan.Block)
-		}
-	}
-	for j, pm := range pt.Matches {
-		if pm.Start < 0 {
-			return fmt.Errorf("canonical: phase %d match starts at %d", j+2, pm.Start)
-		}
-		for k, row := range pm.Rows {
-			for _, exp := range row.Expect {
-				if exp > history.CodeNoise {
-					return fmt.Errorf("canonical: phase %d row %d has invalid expectation %d", j+2, k+1, exp)
-				}
-			}
-		}
-	}
-	return nil
 }

@@ -140,27 +140,14 @@ func planScanListenUntil(pt *PhaseTable, i int) int {
 
 // checkListenUntil compares ListenUntil with the plan scan over the
 // protocol's own table for every local round 0..TerminationRound()+2, on d
-// and on its rebuilds from a compiled artifact: FromCompiled's
-// digest-trusted and revalidated paths, and InstallTable.
+// and on its rebuild from a compiled artifact's blueprint (FromLists).
 func checkListenUntil(t *testing.T, name string, d *DRIP) {
 	t.Helper()
-	digest := ArtifactDigest(d.Sigma, d.Lists, d.Table())
-	trusted, fast, err := FromCompiled(d.Sigma, d.Lists, d.Table(), digest)
-	if err != nil || !fast {
-		t.Fatalf("%s: trusted FromCompiled fast=%v err=%v", name, fast, err)
-	}
-	revalidated, fast, err := FromCompiled(d.Sigma, d.Lists, d.Table(), digest+1)
-	if err != nil || fast {
-		t.Fatalf("%s: revalidated FromCompiled fast=%v err=%v", name, fast, err)
-	}
-	installed, err := FromLists(d.Sigma, d.Lists)
-	if err == nil {
-		err = installed.InstallTable(d.Table())
-	}
+	loaded, err := FromLists(d.Sigma, d.Lists)
 	if err != nil {
-		t.Fatalf("%s: InstallTable: %v", name, err)
+		t.Fatalf("%s: FromLists: %v", name, err)
 	}
-	for _, p := range []*DRIP{d, trusted, revalidated, installed} {
+	for _, p := range []*DRIP{d, loaded} {
 		for i := 0; i <= p.TerminationRound()+2; i++ {
 			if got, want := p.ListenUntil(i), planScanListenUntil(p.Table(), i); got != want {
 				t.Fatalf("%s: ListenUntil(%d) = %d, plan scan %d", name, i, got, want)
@@ -246,8 +233,8 @@ func TestPhaseTableActAllocFree(t *testing.T) {
 	}
 }
 
-// TestPhaseTableJSONRoundTrip checks that an embedded table survives
-// serialization and still validates and compares equal.
+// TestPhaseTableJSONRoundTrip checks that a table survives the JSON an
+// earlier release's artifacts embed it in and still compares equal.
 func TestPhaseTableJSONRoundTrip(t *testing.T) {
 	cfg := config.SpanFamilyH(3)
 	rep, err := core.Classify(cfg)
@@ -266,9 +253,6 @@ func TestPhaseTableJSONRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatalf("%v", err)
 	}
-	if err := back.Validate(); err != nil {
-		t.Fatalf("round-tripped table invalid: %v", err)
-	}
 	if !back.Equal(d.Table()) {
 		t.Fatalf("round-tripped table differs from the original")
 	}
@@ -279,44 +263,68 @@ func TestPhaseTableJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPhaseTableValidateRejectsCorruption covers the artifact-validation
-// error paths.
-func TestPhaseTableValidateRejectsCorruption(t *testing.T) {
+// TestPhaseTableEqual pins the check a load applies to the table an
+// earlier release embedded in an artifact: Equal accepts a faithful copy
+// (through JSON, as those artifacts carry it) and rejects another
+// protocol's table and every single-field corruption of what the execution
+// consults.
+func TestPhaseTableEqual(t *testing.T) {
 	// The line family needs several refinement phases, so the table has
 	// non-empty matching rows to corrupt.
-	cfg := config.LineFamilyG(3)
-	rep, err := core.Classify(cfg)
-	if err != nil {
-		t.Fatalf("%v", err)
+	table := func(cfg *config.Config) *PhaseTable {
+		t.Helper()
+		rep, err := core.Classify(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := New(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d.Table()
 	}
-	d, err := New(rep)
-	if err != nil {
-		t.Fatalf("%v", err)
-	}
-	if len(d.Table().Matches) == 0 || len(d.Table().Matches[0].Rows) == 0 {
+	pt := table(config.LineFamilyG(3))
+	if len(pt.Matches) == 0 || len(pt.Matches[0].Rows) < 2 {
 		t.Fatalf("test configuration compiled without matching rows")
 	}
 	fresh := func() *PhaseTable {
-		data, _ := json.Marshal(d.Table())
-		var pt PhaseTable
-		_ = json.Unmarshal(data, &pt)
-		return &pt
-	}
-	cases := []func(*PhaseTable){
-		func(pt *PhaseTable) { pt.Sigma = -1 },
-		func(pt *PhaseTable) { pt.Plans[0].Phase = 99 },
-		func(pt *PhaseTable) { pt.Plans[0].Block = -2 },
-		func(pt *PhaseTable) { pt.Matches[0].Start = -1 },
-		func(pt *PhaseTable) { pt.Matches[0].Rows[0].Expect[0] = 7 },
-	}
-	for i, corrupt := range cases {
-		pt := fresh()
-		if err := pt.Validate(); err != nil {
-			t.Fatalf("case %d: pristine table invalid: %v", i, err)
+		data, err := json.Marshal(pt)
+		if err != nil {
+			t.Fatal(err)
 		}
-		corrupt(pt)
-		if err := pt.Validate(); err == nil {
-			t.Fatalf("case %d: corruption not detected", i)
+		var back PhaseTable
+		if err := json.Unmarshal(data, &back); err != nil {
+			t.Fatal(err)
+		}
+		return &back
+	}
+	if !fresh().Equal(pt) {
+		t.Fatalf("a faithful copy does not compare equal")
+	}
+	if other := table(config.StaggeredPath(5, 2)); other.Equal(pt) || pt.Equal(other) {
+		t.Fatalf("two protocols' tables compare equal")
+	}
+	if pt.Equal(nil) || (*PhaseTable)(nil).Equal(pt) || !(*PhaseTable)(nil).Equal(nil) {
+		t.Fatalf("Equal mishandles a nil table")
+	}
+	for name, corrupt := range map[string]func(*PhaseTable){
+		"negative span":          func(c *PhaseTable) { c.Sigma = -1 },
+		"plan phase":             func(c *PhaseTable) { c.Plans[0].Phase = 99 },
+		"invalid plan block":     func(c *PhaseTable) { c.Plans[0].Block = -2 },
+		"plan block":             func(c *PhaseTable) { c.Plans[0].Block++ },
+		"plan dropped":           func(c *PhaseTable) { c.Plans = c.Plans[:len(c.Plans)-1] },
+		"match start":            func(c *PhaseTable) { c.Matches[0].Start = -1 },
+		"row old class":          func(c *PhaseTable) { c.Matches[0].Rows[0].OldClass++ },
+		"row dropped":            func(c *PhaseTable) { c.Matches[0].Rows = c.Matches[0].Rows[1:] },
+		"invalid expectation":    func(c *PhaseTable) { c.Matches[0].Rows[0].Expect[0] = 7 },
+		"expectation flipped":    func(c *PhaseTable) { c.Matches[0].Rows[0].Expect[0] ^= 1 },
+		"expectation shortened":  func(c *PhaseTable) { c.Matches[0].Rows[0].Expect = c.Matches[0].Rows[0].Expect[1:] },
+		"phase boundary dropped": func(c *PhaseTable) { c.Matches = c.Matches[:len(c.Matches)-1] },
+	} {
+		c := fresh()
+		corrupt(c)
+		if c.Equal(pt) || pt.Equal(c) {
+			t.Fatalf("%s: the corrupted table compares equal", name)
 		}
 	}
 }

@@ -2,6 +2,9 @@ package election
 
 import (
 	"encoding/json"
+	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"anonradio/internal/config"
@@ -95,6 +98,12 @@ func TestUnmarshalCompiledErrors(t *testing.T) {
 	}
 }
 
+// TestLoadInstallsEmbeddedPhaseTable pins what an artifact of an earlier
+// release, which embeds its phase table, executes: Compile writes no table,
+// so the test attaches the compiled one as such an artifact carries it. The
+// executing table equals the embedded one, but is compiled from the lists,
+// so editing the artifact after the load does not reach it, and the edited
+// table is rejected on the next load.
 func TestLoadInstallsEmbeddedPhaseTable(t *testing.T) {
 	cfg := config.LineFamilyG(2)
 	d, err := BuildDedicated(cfg)
@@ -105,28 +114,32 @@ func TestLoadInstallsEmbeddedPhaseTable(t *testing.T) {
 	if err != nil {
 		t.Fatalf("%v", err)
 	}
-	c, err := UnmarshalCompiled(data)
+	if strings.Contains(string(data), "phase_table") || strings.Contains(string(data), "artifact_digest") {
+		t.Fatalf("Compile wrote a phase table or a digest: %s", data)
+	}
+	table, err := json.Marshal(d.DRIP.Table())
+	if err != nil {
+		t.Fatalf("%v", err)
+	}
+	c, err := UnmarshalCompiled([]byte(fmt.Sprintf(`%s,"phase_table":%s}`, data[:len(data)-1], table)))
 	if err != nil {
 		t.Fatalf("%v", err)
 	}
 	if c.PhaseTable == nil {
-		t.Fatalf("compiled artifact should embed the phase table")
+		t.Fatalf("the artifact should embed the phase table")
 	}
 	loaded, err := Load(c, cfg)
 	if err != nil {
 		t.Fatalf("%v", err)
 	}
-	// The artifact's table must be the executing one (installed as a
-	// private copy, not a silent recompilation and not an alias).
 	if !loaded.DRIP.Table().Equal(c.PhaseTable) {
-		t.Fatalf("Load should install the embedded phase table")
+		t.Fatalf("the executing table differs from the embedded one")
 	}
 	c.PhaseTable.Plans[0].Phase = 42
 	if loaded.DRIP.Table().Plans[0].Phase == 42 {
-		t.Fatalf("post-load artifact mutation must not reach the installed table")
+		t.Fatalf("post-load artifact mutation must not reach the executing table")
 	}
-	// A tampered table is rejected on the next load.
-	if _, err := Load(c, cfg); err == nil {
-		t.Fatalf("tampered phase table should be rejected")
+	if _, err := Load(c, cfg); !errors.Is(err, ErrInvalidArtifact) {
+		t.Fatalf("tampered phase table: %v, want ErrInvalidArtifact", err)
 	}
 }

@@ -12,11 +12,11 @@
 // ElectInto) replays the protocol on a reusable radio.Simulator at zero
 // allocations per election. A built algorithm can be persisted as a
 // Compiled artifact — exactly what the paper installs on the anonymous
-// nodes — and loaded back with Load (full validation) or LoadTrusted (the
-// digest fast path for artifacts from a trusted pipeline). Package service
-// serves fleets of these algorithms from worker-owned shards, each worker
-// electing every key on its own simulator, and internal/server exposes
-// that registry over HTTP.
+// nodes: σ, the lists and the designated leader's history — and loaded
+// back with Load, which compiles the phase table from the lists. Package
+// service serves fleets of these algorithms from worker-owned shards, each
+// worker electing every key on its own simulator, and internal/server
+// exposes that registry over HTTP.
 package election
 
 import (

@@ -10,9 +10,9 @@ import (
 
 // TestRebuildIntoMatchesFreshBuild cycles one recycled Dedicated through a
 // stream of different configurations and checks each rebuild against a
-// fresh one-shot build: same leader, rounds and bound, equal phase table,
-// and a byte-identical compiled artifact (the strongest equality the
-// system has — it folds lists, labels, decision target, name and digest).
+// fresh one-shot build: same leader, rounds and bound, equal phase table
+// (DRIP.Table, which artifacts no longer carry), and a byte-identical
+// compiled artifact (it folds lists, labels, decision target and name).
 func TestRebuildIntoMatchesFreshBuild(t *testing.T) {
 	arena := NewBuildArena()
 	cfgs := []*config.Config{

@@ -8,8 +8,10 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
+	"strings"
 	"time"
 
+	"anonradio/internal/canonical"
 	"anonradio/internal/election"
 	"anonradio/internal/server"
 	"anonradio/internal/service"
@@ -79,9 +81,9 @@ func NewClient(base string, opts ClientOptions) *Client {
 func (c *Client) Base() string { return c.base }
 
 // APIError is the client-side form of a non-2xx server answer. It unwraps
-// to the service/election sentinel its status maps to (service.ErrUnknownKey,
-// service.ErrAdmissionBusy, service.ErrClosed, election.ErrInfeasible), so
-// errors.Is works across the network boundary.
+// to the service/election sentinels its status maps to (service.ErrUnknownKey,
+// service.ErrAdmissionBusy, service.ErrClosed, and for 422 the sentinels
+// of unprocessable), so errors.Is works across the network boundary.
 type APIError struct {
 	// Node is the base URL of the node that answered.
 	Node string
@@ -97,17 +99,29 @@ func (e *APIError) Error() string {
 	return fmt.Sprintf("node %s answered %d: %s", e.Node, e.Status, e.Message)
 }
 
-// Unwrap maps the HTTP status back onto the in-process sentinel error.
-func (e *APIError) Unwrap() error {
+// unprocessable lists the sentinels a node answers 422 for.
+var unprocessable = []error{election.ErrInfeasible, canonical.ErrRoundOverflow, election.ErrInvalidArtifact}
+
+// Unwrap maps the HTTP status back onto the in-process sentinel errors. A
+// 422 has several causes, and the node's message is the text of its error,
+// which contains the text of every sentinel it wraps: a 422 unwraps to each
+// sentinel of unprocessable whose text the message carries.
+func (e *APIError) Unwrap() []error {
 	switch e.Status {
 	case http.StatusNotFound:
-		return service.ErrUnknownKey
+		return []error{service.ErrUnknownKey}
 	case http.StatusTooManyRequests:
-		return service.ErrAdmissionBusy
+		return []error{service.ErrAdmissionBusy}
 	case http.StatusServiceUnavailable:
-		return service.ErrClosed
+		return []error{service.ErrClosed}
 	case http.StatusUnprocessableEntity:
-		return election.ErrInfeasible
+		var errs []error
+		for _, sentinel := range unprocessable {
+			if strings.Contains(e.Message, sentinel.Error()) {
+				errs = append(errs, sentinel)
+			}
+		}
+		return errs
 	}
 	return nil
 }
@@ -242,8 +256,9 @@ func (c *Client) Register(key, cfgText string) (server.RegisterResponse, error) 
 	return c.register(key, cfgText, nil, false)
 }
 
-// RegisterArtifact admits a pre-compiled artifact under key; validation
-// policy is the node's (its -trust-artifacts flag).
+// RegisterArtifact admits a pre-compiled artifact under key; the node loads
+// it (election.Load) and answers 422 for one that contradicts itself or
+// the configuration.
 func (c *Client) RegisterArtifact(key, cfgText string, artifact *election.Compiled) (server.RegisterResponse, error) {
 	return c.register(key, cfgText, artifact, false)
 }
@@ -256,12 +271,9 @@ func (c *Client) RegisterAsync(key, cfgText string) (server.RegisterResponse, er
 
 func (c *Client) register(key, cfgText string, artifact *election.Compiled, async bool) (server.RegisterResponse, error) {
 	if c.opts.Binary {
-		frame, err := wire.AppendRegisterRequestFrame(nil, &wire.RegisterRequest{
+		frame := wire.AppendRegisterRequestFrame(nil, &wire.RegisterRequest{
 			Key: key, Config: cfgText, Artifact: artifact, Async: async,
 		})
-		if err != nil {
-			return server.RegisterResponse{}, fmt.Errorf("fleet: encoding register frame: %w", err)
-		}
 		payload, err := c.callBinary("/v1/register", frame, wire.FrameRegisterResponse)
 		if err != nil {
 			return server.RegisterResponse{}, err
@@ -366,8 +378,7 @@ func (c *Client) FetchArtifact(key string) ([]byte, error) {
 }
 
 // AdmitArtifact admits a WAL-admit frame (as served by FetchArtifact) on
-// the node through the digest-trusted load fast path — no recompilation
-// when the digest verifies.
+// the node, which loads its artifact instead of reclassifying.
 func (c *Client) AdmitArtifact(frame []byte) (server.RegisterResponse, error) {
 	payload, err := c.callBinary("/v1/admit/artifact", frame, wire.FrameRegisterResponse)
 	if err != nil {

@@ -284,10 +284,10 @@ type KeyMove struct {
 	// From and To are the old and new owning nodes.
 	From string `json:"from"`
 	To   string `json:"to"`
-	// Shipped is true when the compiled artifact moved via the
-	// digest-trusted fast path (no recompilation on To); false means the
-	// key was re-registered from the configuration cache (full rebuild —
-	// the source was unreachable or refused the export).
+	// Shipped is true when the compiled artifact moved and To loaded it (no
+	// classifier run on To); false means the key was re-registered from the
+	// configuration cache (full rebuild — the source was unreachable or
+	// refused the export).
 	Shipped bool `json:"shipped"`
 	// Error carries the failure when the key could not be placed at all.
 	Error string `json:"error,omitempty"`

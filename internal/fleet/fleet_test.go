@@ -225,8 +225,8 @@ func TestFleetElectBatchReassembly(t *testing.T) {
 
 // TestFleetAddNodeShipsArtifacts is the migration acceptance criterion:
 // growing the ring moves every rehomed key by shipping its compiled
-// artifact — the receiver's trusted-load counter equals the move count
-// (zero recompilation), sources are evicted, and every key's election
+// artifact — the receiver's artifact-load counter equals the move count
+// (no classifier run), sources are evicted, and every key's election
 // outcome survives the move bit-identically.
 func TestFleetAddNodeShipsArtifacts(t *testing.T) {
 	urls, regs, opts := newNamedNodes(t, 3)
@@ -261,10 +261,10 @@ func TestFleetAddNodeShipsArtifacts(t *testing.T) {
 		}
 	}
 
-	// Zero recompilation on the receiver: every admission there was a
-	// digest-trusted load of a shipped artifact.
-	if got := regs[urls[2]].AdmissionStats().TrustedLoads; got != int64(len(report.Moves)) {
-		t.Fatalf("receiver TrustedLoads = %d, want %d (one per move)", got, len(report.Moves))
+	// No classifier run on the receiver: every admission there was an
+	// artifact load of a shipped artifact.
+	if got := regs[urls[2]].AdmissionStats().ArtifactLoads; got != int64(len(report.Moves)) {
+		t.Fatalf("receiver ArtifactLoads = %d, want %d (one per move)", got, len(report.Moves))
 	}
 	// Sources evicted: each key lives on exactly one node.
 	total := 0

@@ -16,12 +16,12 @@
 //
 // Key migration ships compiled artifacts, not work: Fleet.Rebalance pulls
 // a moving key's artifact from the old owner (GET /v1/artifact/{key}, one
-// binary frame with the digest attached) and admits it on the new owner
-// (POST /v1/admit/artifact) through the digest-trusted load fast path, so
-// the receiver adopts the phase tables without recompiling. Only when the
-// old owner is unreachable (crash, partition) does the fleet fall back to
-// re-registering the key from its configuration cache — a full rebuild on
-// the new owner, the unavoidable cost of losing the only copy.
+// binary frame) and admits it on the new owner (POST /v1/admit/artifact),
+// which loads it — compiling the phase table from the shipped lists —
+// instead of reclassifying. Only when the old owner is unreachable (crash,
+// partition) does the fleet fall back to re-registering the key from its
+// configuration cache — a full rebuild on the new owner, the unavoidable
+// cost of losing the only copy.
 package fleet
 
 import (

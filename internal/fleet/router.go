@@ -437,11 +437,7 @@ func (rt *Router) handleAdmitArtifact(w http.ResponseWriter, r *http.Request) {
 	}
 	// Re-encode the validated frame for the owning node and remember the
 	// configuration so a node loss can rebuild the key.
-	frame, err := wire.AppendWALAdmitFrame(nil, &rec)
-	if err != nil {
-		badRequest(w, true, fmt.Sprintf("re-encoding artifact frame: %v", err))
-		return
-	}
+	frame := wire.AppendWALAdmitFrame(nil, &rec)
 	resp, err := rt.fleet.ClientFor(rec.Key).AdmitArtifact(frame)
 	if err != nil {
 		relayError(w, true, err)

@@ -8,26 +8,22 @@ import (
 	"anonradio/internal/wire"
 )
 
-// This file is the artifact-shipping fast path of the fleet layer: the pair
-// of endpoints a key migration rides on (see internal/fleet.Fleet.Rebalance
+// This file is the artifact-shipping path of the fleet layer: the pair of
+// endpoints a key migration rides on (see internal/fleet.Fleet.Rebalance
 // and docs/SERVER.md).
 //
 //	GET  /v1/artifact/{key}   export one key's compiled artifact as a single
 //	                          binary WAL-admit frame: key, configuration
-//	                          text, and the compiled algorithm with its
-//	                          digest — exactly what the journal records for
-//	                          the admission, so the frame round-trips
-//	                          through every consumer the journal already
-//	                          has.
-//	POST /v1/admit/artifact   admit such a frame through the digest-trusted
-//	                          load fast path (service.RegisterShipped): the
-//	                          receiver adopts the shipped phase tables when
-//	                          the digest verifies instead of recompiling,
-//	                          which is what makes a fleet rebalance O(bytes
-//	                          moved) rather than O(rebuild). A frame whose
-//	                          digest does not verify falls back to the full
-//	                          recompile-and-compare validation — trust
-//	                          skips work, never safety.
+//	                          text, and the compiled algorithm — exactly
+//	                          what the journal records for the admission,
+//	                          so the frame round-trips through every
+//	                          consumer the journal already has.
+//	POST /v1/admit/artifact   admit such a frame (service.RegisterCompiled):
+//	                          the receiver loads the shipped artifact,
+//	                          compiling its phase table from the lists,
+//	                          instead of reclassifying the configuration.
+//	                          An artifact that contradicts itself or the
+//	                          configuration is refused with 422.
 //
 // The export body is always the binary encoding (an artifact *is* a wire
 // frame; there is no JSON variant), and the admit endpoint accepts only
@@ -81,7 +77,7 @@ func (s *Server) handleAdmitArtifact(w http.ResponseWriter, r *http.Request) {
 		s.binaryMessage(w, c, http.StatusBadRequest, fmt.Sprintf("parsing config: %v", err))
 		return
 	}
-	if err := s.reg.RegisterShipped(rec.Key, rec.Artifact, cfg); err != nil {
+	if err := s.reg.RegisterCompiled(rec.Key, rec.Artifact, cfg); err != nil {
 		s.binaryError(w, c, err)
 		return
 	}

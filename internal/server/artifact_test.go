@@ -28,9 +28,10 @@ func getRaw(t *testing.T, ts *httptest.Server, path string) *http.Response {
 }
 
 // TestArtifactShipBetweenServers is the HTTP half of the fleet migration
-// acceptance criterion: a compiled key exported from one server and admitted
-// on another via POST /v1/admit/artifact serves bit-identical elections, and
-// the receiver's trusted_loads counter proves no recompilation happened.
+// acceptance criterion: a compiled key exported from one server, with no
+// phase table and no digest, and admitted on another via
+// POST /v1/admit/artifact serves bit-identical elections, and the
+// receiver's artifact_loads counter proves no classifier run happened.
 func TestArtifactShipBetweenServers(t *testing.T) {
 	_, src := newTestServer(t)
 
@@ -53,14 +54,14 @@ func TestArtifactShipBetweenServers(t *testing.T) {
 		if err := rec.DecodeFrom(payload); err != nil {
 			t.Fatalf("export %s: decoding record: %v", key, err)
 		}
-		if rec.Key != key || rec.Artifact == nil || rec.Artifact.ArtifactDigest == "" {
+		if rec.Key != key || rec.Artifact == nil {
 			t.Fatalf("export %s: incomplete record %+v", key, rec.Key)
 		}
-
-		frame, err := wire.AppendWALAdmitFrame(nil, &rec)
-		if err != nil {
-			t.Fatal(err)
+		if rec.Artifact.PhaseTable != nil || rec.Artifact.ArtifactDigest != "" {
+			t.Fatalf("export %s: the artifact carries a phase table or a digest", key)
 		}
+
+		frame := wire.AppendWALAdmitFrame(nil, &rec)
 		admitResp := postBinary(t, dst, "/v1/admit/artifact", frame)
 		if admitResp.StatusCode != http.StatusOK {
 			t.Fatalf("admit %s: status %d", key, admitResp.StatusCode)
@@ -76,15 +77,15 @@ func TestArtifactShipBetweenServers(t *testing.T) {
 		shipped++
 	}
 
-	// Zero recompilation: every admission on the receiver went through the
-	// digest-trusted load.
+	// No classifier run: every admission on the receiver was an artifact
+	// load.
 	var stats StatsResponse
 	if resp := getJSON(t, dst, "/v1/stats", &stats); resp.StatusCode != http.StatusOK {
 		t.Fatalf("stats: status %d", resp.StatusCode)
 	}
-	if stats.Admission.TrustedLoads != int64(shipped) {
-		t.Fatalf("trusted_loads = %d after %d shipped admissions, want %d",
-			stats.Admission.TrustedLoads, shipped, shipped)
+	if stats.Admission.ArtifactLoads != int64(shipped) {
+		t.Fatalf("artifact_loads = %d after %d shipped admissions, want %d",
+			stats.Admission.ArtifactLoads, shipped, shipped)
 	}
 
 	// Bit-identical elections on both sides.
@@ -132,10 +133,7 @@ func TestArtifactEndpointErrors(t *testing.T) {
 	}
 
 	// A structurally valid frame of the wrong type is still a bad request.
-	frame, err := wire.AppendRegisterRequestFrame(nil, &wire.RegisterRequest{Key: "k", Config: config.StaggeredClique(4).Marshal()})
-	if err != nil {
-		t.Fatal(err)
-	}
+	frame := wire.AppendRegisterRequestFrame(nil, &wire.RegisterRequest{Key: "k", Config: config.StaggeredClique(4).Marshal()})
 	resp = postBinary(t, ts, "/v1/admit/artifact", frame)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
@@ -197,6 +195,9 @@ func TestStatsFaultKeys(t *testing.T) {
 // artifact, the daemon stays healthy, and the untouched artifact then
 // registers with 200 on each path and elects its leader. The first three
 // cases used to register with 200 and then fail every election with 500.
+// The phase-table case attaches an edited copy of the compiled table, as an
+// artifact of an earlier release carries one; it runs over JSON only,
+// because the binary encoder writes no table.
 func TestRegisterInvalidArtifact422(t *testing.T) {
 	_, ts := newTestServer(t)
 	cfg := config.LineFamilyG(3)
@@ -205,17 +206,21 @@ func TestRegisterInvalidArtifact422(t *testing.T) {
 		t.Fatal(err)
 	}
 	tampered := []struct {
-		name   string
-		tamper func(c *election.Compiled)
+		name     string
+		tamper   func(c *election.Compiled)
+		jsonOnly bool
 	}{
-		{"round bound 3", func(c *election.Compiled) { c.RoundBound = 3 }},
-		{"leader history one entry short", func(c *election.Compiled) { c.LeaderHistory = c.LeaderHistory[:len(c.LeaderHistory)-1] }},
-		{"leader history message 2", func(c *election.Compiled) { c.LeaderHistory[1] = history.Received("2") }},
-		{"local rounds", func(c *election.Compiled) { c.LocalRounds++ }},
-		{"empty leader history", func(c *election.Compiled) { c.LeaderHistory = nil }},
-		{"phase table disagrees with the lists", func(c *election.Compiled) { c.PhaseTable.Matches[0].Rows[0].Expect[0] ^= 1 }},
-		{"leader out of range", func(c *election.Compiled) { c.ExpectedLeader = cfg.N() }},
-		{"span mismatch", func(c *election.Compiled) { c.Blueprint.Sigma++ }},
+		{"round bound 3", func(c *election.Compiled) { c.RoundBound = 3 }, false},
+		{"leader history one entry short", func(c *election.Compiled) { c.LeaderHistory = c.LeaderHistory[:len(c.LeaderHistory)-1] }, false},
+		{"leader history message 2", func(c *election.Compiled) { c.LeaderHistory[1] = history.Received("2") }, false},
+		{"local rounds", func(c *election.Compiled) { c.LocalRounds++ }, false},
+		{"empty leader history", func(c *election.Compiled) { c.LeaderHistory = nil }, false},
+		{"phase table disagrees with the lists", func(c *election.Compiled) {
+			c.PhaseTable = cloneTable(t, d.DRIP.Table())
+			c.PhaseTable.Matches[0].Rows[0].Expect[0] ^= 1
+		}, true},
+		{"leader out of range", func(c *election.Compiled) { c.ExpectedLeader = cfg.N() }, false},
+		{"span mismatch", func(c *election.Compiled) { c.Blueprint.Sigma++ }, false},
 	}
 	register := []struct {
 		name string
@@ -228,20 +233,19 @@ func TestRegisterInvalidArtifact422(t *testing.T) {
 			return resp.StatusCode, e.Error
 		}},
 		{"binary", func(key string, c *election.Compiled) (int, string) {
-			return postFrame(t, ts, "/v1/register", mustRegisterFrame(t, &wire.RegisterRequest{Key: key, Config: cfg.Marshal(), Artifact: c}))
+			return postFrame(t, ts, "/v1/register", wire.AppendRegisterRequestFrame(nil, &wire.RegisterRequest{Key: key, Config: cfg.Marshal(), Artifact: c}))
 		}},
 		{"admit", func(key string, c *election.Compiled) (int, string) {
-			frame, err := wire.AppendWALAdmitFrame(nil, &wire.WALAdmit{Key: key, Config: cfg.Marshal(), Artifact: c})
-			if err != nil {
-				t.Fatal(err)
-			}
+			frame := wire.AppendWALAdmitFrame(nil, &wire.WALAdmit{Key: key, Config: cfg.Marshal(), Artifact: c})
 			return postFrame(t, ts, "/v1/admit/artifact", frame)
 		}},
 	}
 	for _, tc := range tampered {
 		for _, r := range register {
+			if tc.jsonOnly && r.name != "json" {
+				continue
+			}
 			c := d.Compile()
-			c.PhaseTable = cloneTable(t, c.PhaseTable)
 			c.LeaderHistory = slices.Clone(c.LeaderHistory)
 			tc.tamper(c)
 			status, msg := r.post("tampered", c)

@@ -58,10 +58,7 @@ func TestBinaryElectMatchesJSONAndEngines(t *testing.T) {
 
 	// Register the fleet over the binary endpoint.
 	for key, cfg := range testConfigs() {
-		frame, err := wire.AppendRegisterRequestFrame(nil, &wire.RegisterRequest{Key: key, Config: cfg.Marshal()})
-		if err != nil {
-			t.Fatal(err)
-		}
+		frame := wire.AppendRegisterRequestFrame(nil, &wire.RegisterRequest{Key: key, Config: cfg.Marshal()})
 		resp := postBinary(t, ts, "/v1/register", frame)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("binary register %s: status %d", key, resp.StatusCode)
@@ -156,12 +153,9 @@ func TestBinaryRegisterArtifact(t *testing.T) {
 		t.Fatal(err)
 	}
 	compiled := d.Compile()
-	frame, err := wire.AppendRegisterRequestFrame(nil, &wire.RegisterRequest{
+	frame := wire.AppendRegisterRequestFrame(nil, &wire.RegisterRequest{
 		Key: "from-artifact-bin", Config: cfg.Marshal(), Artifact: compiled,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	resp := postBinary(t, ts, "/v1/register", frame)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
@@ -214,7 +208,7 @@ func TestBinaryErrorFrames(t *testing.T) {
 			wire.AppendBatchRequestFrame(nil, &wire.BatchRequest{}),
 			http.StatusBadRequest, "missing keys"},
 		{"register without config", "/v1/register",
-			mustRegisterFrame(t, &wire.RegisterRequest{Key: "k"}),
+			wire.AppendRegisterRequestFrame(nil, &wire.RegisterRequest{Key: "k"}),
 			http.StatusBadRequest, "missing config"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -234,26 +228,14 @@ func TestBinaryErrorFrames(t *testing.T) {
 	}
 }
 
-func mustRegisterFrame(t *testing.T, m *wire.RegisterRequest) []byte {
-	t.Helper()
-	frame, err := wire.AppendRegisterRequestFrame(nil, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return frame
-}
-
 // TestBinaryRegisterAsync drives the 202 + poll flow over the binary
 // encoding (the status poll endpoint stays JSON — it is a control-plane
 // GET).
 func TestBinaryRegisterAsync(t *testing.T) {
 	_, ts := newTestServer(t)
-	frame, err := wire.AppendRegisterRequestFrame(nil, &wire.RegisterRequest{
+	frame := wire.AppendRegisterRequestFrame(nil, &wire.RegisterRequest{
 		Key: "async-bin", Config: config.StaggeredClique(7).Marshal(), Async: true,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	resp := postBinary(t, ts, "/v1/register", frame)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("status %d, want 202", resp.StatusCode)

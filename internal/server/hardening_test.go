@@ -73,7 +73,7 @@ func TestRegisterUnconnectableNodeCount400(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, "nodes 50000000") {
 		t.Fatalf("JSON register: status %d (%s), want 400 naming the node count", resp.StatusCode, e.Error)
 	}
-	resp = postBinary(t, ts, "/v1/register", mustRegisterFrame(t, &wire.RegisterRequest{Key: "big", Config: text}))
+	resp = postBinary(t, ts, "/v1/register", wire.AppendRegisterRequestFrame(nil, &wire.RegisterRequest{Key: "big", Config: text}))
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("binary register: status %d, want 400", resp.StatusCode)
 	}

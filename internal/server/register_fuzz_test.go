@@ -109,10 +109,7 @@ func FuzzRegisterHandler(f *testing.F) {
 // binary frame, with its Content-Type.
 func registerBody(t *testing.T, key, text string, binary bool) ([]byte, string) {
 	if binary {
-		frame, err := wire.AppendRegisterRequestFrame(nil, &wire.RegisterRequest{Key: key, Config: text})
-		if err != nil {
-			t.Fatal(err)
-		}
+		frame := wire.AppendRegisterRequestFrame(nil, &wire.RegisterRequest{Key: key, Config: text})
 		return frame, ContentTypeBinary
 	}
 	body, err := json.Marshal(RegisterRequest{Key: key, Config: text})

@@ -15,8 +15,8 @@
 //	DELETE /v1/configs/{key}         evict a key
 //	GET    /v1/artifact/{key}        export a key's compiled artifact as one
 //	                                 binary frame (the fleet migration unit)
-//	POST   /v1/admit/artifact        admit such a frame via the
-//	                                 digest-trusted load — no recompilation
+//	POST   /v1/admit/artifact        admit such a frame by loading its
+//	                                 artifact — no classifier run
 //	GET    /v1/stats                 per-shard registry counters, admission
 //	                                 pipeline counters, per-key fault
 //	                                 counters (under fault injection) and
@@ -43,8 +43,8 @@
 // encodings — the encoding is negotiated per request, never per deployment.
 //
 // The server also wires the snapshot layer to deployment: LoadSnapshot
-// re-admits a snapshot directory through the digest-trusted fast path
-// before the listener opens, and Shutdown drains in-flight requests so a
+// re-admits a snapshot directory by loading its artifacts before the
+// listener opens, and Shutdown drains in-flight requests so a
 // snapshot taken afterwards is consistent. See docs/SERVER.md for the full
 // API reference and the operations guide.
 package server
@@ -143,17 +143,16 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return s.httpSrv.Shutdown(ctx)
 }
 
-// LoadSnapshot restores the snapshot in dir into the server's registry via
-// the digest-trusted fast path (see service.Registry.Restore); call it
-// before Serve so the first request already sees the restored keys.
+// LoadSnapshot restores the snapshot in dir into the server's registry (see
+// service.Registry.Restore); call it before Serve so the first request
+// already sees the restored keys.
 func (s *Server) LoadSnapshot(dir string) (*service.RestoreReport, error) {
 	return LoadSnapshot(s.reg, dir)
 }
 
 // LoadSnapshot restores the snapshot in dir into reg: every manifest entry
-// whose artifact digest matches is re-admitted through the digest-trusted
-// load fast path, skipping recompilation on cold restarts; mismatches fall
-// back to the fully validated load.
+// is re-admitted by loading its artifact (election.Load), so a cold restart
+// skips the classifier.
 func LoadSnapshot(reg *service.Registry, dir string) (*service.RestoreReport, error) {
 	return reg.Restore(dir)
 }
@@ -168,9 +167,9 @@ type RegisterRequest struct {
 	// the network itself.
 	Config string `json:"config"`
 	// Artifact optionally carries a compiled algorithm (the JSON written by
-	// cmd/compile or a snapshot). When present the registry loads it instead
-	// of classifying and building; validation policy follows the registry's
-	// TrustCompiledDigests option.
+	// cmd/compile or a snapshot). When present the registry loads it
+	// (election.Load) instead of classifying and building; an artifact that
+	// contradicts itself or the configuration answers 422.
 	Artifact *election.Compiled `json:"artifact,omitempty"`
 	// Async selects the asynchronous admission flow: the server answers 202
 	// as soon as the registration is queued on the builder pool, and the
@@ -290,10 +289,10 @@ type AdmissionStats struct {
 	Failed int64 `json:"failed"`
 	// Rejected counts registrations refused with 429 (queue full).
 	Rejected int64 `json:"rejected"`
-	// TrustedLoads counts admissions adopted through the digest-trusted load
-	// fast path (shipped artifacts, snapshot restores, journal replays) —
-	// the zero-recompilation counter a fleet migration is asserted against.
-	TrustedLoads int64 `json:"trusted_loads"`
+	// ArtifactLoads counts admissions installed from an artifact (registered,
+	// shipped, restored or replayed) — the counter a fleet migration that
+	// ships instead of rebuilding is asserted against.
+	ArtifactLoads int64 `json:"artifact_loads"`
 	// RebuildHits counts builds that reused a retired algorithm's buffers
 	// from the size-bucketed retired pool instead of allocating fresh ones.
 	RebuildHits int64 `json:"rebuild_hits"`
@@ -671,7 +670,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			Completed:     ast.Completed,
 			Failed:        ast.Failed,
 			Rejected:      ast.Rejected,
-			TrustedLoads:  ast.TrustedLoads,
+			ArtifactLoads: ast.ArtifactLoads,
 			RebuildHits:   ast.RebuildHits,
 		},
 		WAL: WALStats{

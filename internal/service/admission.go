@@ -89,13 +89,12 @@ type AdmissionStats struct {
 	Failed int64
 	// Rejected counts registrations refused with ErrAdmissionBusy.
 	Rejected int64
-	// TrustedLoads counts admissions adopted through the digest-trusted
-	// load fast path (election.LoadTrusted with a verifying digest): shipped
-	// fleet artifacts (RegisterShipped), snapshot restores, journal replays,
-	// and RegisterCompiled under Options.TrustCompiledDigests. A migration
-	// with zero recompilation on the receiver shows up here as one trusted
-	// load and zero new builds.
-	TrustedLoads int64
+	// ArtifactLoads counts admissions installed from an artifact through
+	// election.Load: registered or shipped (RegisterCompiled), restored from
+	// a snapshot, or replayed from the journal. A key migration that ships
+	// its artifact instead of rebuilding shows up here as one artifact load
+	// on the receiver and no classifier run.
+	ArtifactLoads int64
 	// RebuildHits counts builds that reused a retired algorithm's buffers
 	// (rebuild-in-place) instead of allocating fresh ones; the retired pool
 	// is bucketed by configuration size class, so churn across several
@@ -118,7 +117,6 @@ type admission struct {
 	key      string
 	cfg      *config.Config
 	compiled *election.Compiled
-	trust    trustMode
 	rec      *admissionRecord
 	reply    chan response // non-nil for synchronous admissions
 }
@@ -136,9 +134,8 @@ func (r *Registry) RegisterAsync(key string, cfg *config.Config) error {
 	return r.admitAsync(key, cfg, nil)
 }
 
-// RegisterCompiledAsync is RegisterAsync for a pre-compiled artifact; the
-// validation policy follows Options.TrustCompiledDigests exactly like
-// RegisterCompiled.
+// RegisterCompiledAsync is RegisterAsync for a pre-compiled artifact,
+// loaded exactly like RegisterCompiled.
 func (r *Registry) RegisterCompiledAsync(key string, c *election.Compiled, cfg *config.Config) error {
 	if c == nil || cfg == nil {
 		return fmt.Errorf("service: nil compiled algorithm or configuration")
@@ -184,7 +181,7 @@ func (r *Registry) AdmissionStats() AdmissionStats {
 		Completed:     r.admCompleted.Load(),
 		Failed:        r.admFailed.Load(),
 		Rejected:      r.admRejected.Load(),
-		TrustedLoads:  r.trustedLoads.Load(),
+		ArtifactLoads: r.artLoads.Load(),
 		RebuildHits:   r.rebuildHits.Load(),
 	}
 }
@@ -272,25 +269,18 @@ func (r *Registry) admit(arena *election.BuildArena, job admission) {
 		d   *election.Dedicated
 		err error
 	)
-	switch {
-	case job.compiled != nil && (job.trust == trustDigest || (job.trust == trustRegistry && r.trustDigests)):
-		d, err = election.LoadTrusted(job.compiled, job.cfg)
-		if err == nil {
-			r.trustedLoads.Add(1)
-		}
-	case job.compiled != nil:
+	if job.compiled != nil {
 		d, err = election.Load(job.compiled, job.cfg)
-	default:
+	} else {
 		d, err = r.buildDedicated(arena, job.cfg)
 	}
 	// Encode the journal record now, while d is still builder-private: the
 	// moment the shard installs it the algorithm is live, and a concurrent
 	// evict → retire → rebuild on another builder may start recycling the
-	// very report and table memory Compile reads.
+	// very report and list memory Compile reads.
 	var walPayload []byte
-	var walErr error
 	if err == nil && r.wal != nil {
-		walPayload, walErr = r.walEncodeAdmit(job.key, d)
+		walPayload = r.walEncodeAdmit(job.key, d)
 	}
 	// Failures route through the shard too, so its Failures counter stays
 	// the authoritative per-shard account of failed admissions.
@@ -299,6 +289,9 @@ func (r *Registry) admit(arena *election.BuildArena, job admission) {
 	sh.requests <- request{op: opInstall, key: job.key, d: d, buildErr: err, reply: reply}
 	resp := <-reply
 	r.replies.Put(reply)
+	if resp.out.Err == nil && job.compiled != nil {
+		r.artLoads.Add(1)
+	}
 	if resp.out.Err == nil && r.wal != nil {
 		// Append the pre-encoded record on this builder goroutine — after
 		// the install (so checkpoint rotation can never freeze a record
@@ -307,10 +300,7 @@ func (r *Registry) admit(arena *election.BuildArena, job admission) {
 		// promises). A failed append fails the admission: the entry serves
 		// until the next reboot, but the caller is told its registration
 		// is not durable.
-		if walErr == nil {
-			walErr = r.walAppend(walPayload)
-		}
-		if walErr != nil {
+		if walErr := r.walAppend(walPayload); walErr != nil {
 			resp.out.Err = fmt.Errorf("service: admission installed but not journaled (will not survive a restart): %w", walErr)
 		}
 	}
@@ -321,8 +311,8 @@ func (r *Registry) admit(arena *election.BuildArena, job admission) {
 // algorithm's memory when the pool has one (rebuild-in-place): re-admission
 // churn then retains report lists, phase tables and decision targets across
 // generations instead of reallocating them per build. Rebuilds mutate
-// memory that snapshot artifacts alias (lists, phase table), so they are
-// fenced behind the snapshot's writer lock.
+// memory that snapshot artifacts alias (the lists), so they are fenced
+// behind the snapshot's writer lock.
 func (r *Registry) buildDedicated(arena *election.BuildArena, cfg *config.Config) (*election.Dedicated, error) {
 	prev := r.takeRetired(cfg)
 	if prev == nil {

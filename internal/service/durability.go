@@ -16,13 +16,13 @@ import (
 
 // This file makes the registry durable: every admission and eviction is
 // journaled to a write-ahead log (internal/wal) the moment it is
-// acknowledged, the journal is replayed at the next boot through the
-// digest-trusted load fast path, and a background checkpoint periodically
-// snapshots the registry and truncates the journal. The layering keeps
-// durability strictly off the election serve path:
+// acknowledged, the journal is replayed at the next boot through
+// election.Load, and a background checkpoint periodically snapshots the
+// registry and truncates the journal. The layering keeps durability
+// strictly off the election serve path:
 //
 //	admission:  builder builds → shard installs (O(1)) → builder appends
-//	            the compiled artifact + digest to the journal → acknowledge
+//	            the compiled artifact to the journal → acknowledge
 //	eviction:   shard evicts → caller appends the evict record → return
 //	election:   untouched — shard workers never see the journal, and the
 //	            steady-state Elect stays zero-alloc
@@ -88,9 +88,8 @@ type walRecord struct {
 	Key string `json:"key"`
 	// Config is the configuration text (admit only).
 	Config string `json:"config,omitempty"`
-	// Artifact is the compiled algorithm installed for the key, digest
-	// included, so replay goes through the digest-trusted load fast path
-	// (admit only).
+	// Artifact is the compiled algorithm installed for the key, which
+	// replay loads instead of rebuilding (admit only).
 	Artifact *election.Compiled `json:"artifact,omitempty"`
 }
 
@@ -180,8 +179,8 @@ type WALStats struct {
 }
 
 // Open starts a durable registry: it restores the checkpoint snapshot in
-// opts.WAL.Dir (if one exists), replays the admission journal through the
-// digest-trusted load fast path, opens a fresh journal segment for new
+// opts.WAL.Dir (if one exists), replays the admission journal through
+// election.Load, opens a fresh journal segment for new
 // appends, and starts the background checkpointer. Recovery tolerates
 // damage instead of refusing to boot — torn tails are truncated, corrupt
 // records and damaged checkpoint entries are skipped — and every such
@@ -388,8 +387,8 @@ func (r *Registry) applyRecord(payload []byte, report *RecoveryReport) {
 	}
 }
 
-// applyAdmit installs one replayed admit record (either encoding) through
-// the digest-trusted load fast path.
+// applyAdmit loads and installs one replayed admit record (either
+// encoding); an artifact Load rejects is skipped and reported.
 func (r *Registry) applyAdmit(key, cfgText string, artifact *election.Compiled, report *RecoveryReport, skip func(op, key, reason string)) {
 	if artifact == nil {
 		skip(walOpAdmit, key, "admit record without an artifact")
@@ -400,12 +399,7 @@ func (r *Registry) applyAdmit(key, cfgText string, artifact *election.Compiled, 
 		skip(walOpAdmit, key, fmt.Sprintf("parsing configuration: %v", err))
 		return
 	}
-	// The registry wrote this artifact itself, so the digest-trusted
-	// fast path applies; a record whose digest no longer verifies falls
-	// back to the full recompile-and-compare validation inside
-	// LoadTrusted, and only a genuinely inconsistent artifact is
-	// skipped.
-	d, err := election.LoadTrusted(artifact, cfg)
+	d, err := election.Load(artifact, cfg)
 	if err != nil {
 		skip(walOpAdmit, key, fmt.Sprintf("loading artifact: %v", err))
 		return
@@ -414,28 +408,24 @@ func (r *Registry) applyAdmit(key, cfgText string, artifact *election.Compiled, 
 		skip(walOpAdmit, key, fmt.Sprintf("installing: %v", resp.out.Err))
 		return
 	}
-	r.trustedLoads.Add(1)
+	r.artLoads.Add(1)
 	report.Admits++
 }
 
 // walEncodeAdmit encodes one admission's journal record: the key, the
-// (normalized) configuration text, and the compiled artifact with its
-// digest. It runs on the builder goroutine *before* the shard install —
-// Compile aliases the algorithm's live list and table memory, and once the
-// install lands a concurrent evict → retire → rebuild-in-place may recycle
-// exactly that memory. The pre-encoded payload is appended (walAppend)
-// after the install succeeds, preserving the checkpoint ordering invariant
-// documented at the top of this file.
-func (r *Registry) walEncodeAdmit(key string, d *election.Dedicated) ([]byte, error) {
-	payload, err := wire.AppendWALAdmitFrame(nil, &wire.WALAdmit{
+// (normalized) configuration text, and the compiled artifact. It runs on
+// the builder goroutine *before* the shard install — Compile aliases the
+// algorithm's live list memory, and once the install lands a concurrent
+// evict → retire → rebuild-in-place may recycle exactly that memory. The
+// pre-encoded payload is appended (walAppend) after the install succeeds,
+// preserving the checkpoint ordering invariant documented at the top of
+// this file.
+func (r *Registry) walEncodeAdmit(key string, d *election.Dedicated) []byte {
+	return wire.AppendWALAdmitFrame(nil, &wire.WALAdmit{
 		Key:      key,
 		Config:   d.Config.Marshal(),
 		Artifact: d.Compile(),
 	})
-	if err != nil {
-		return nil, fmt.Errorf("service: encoding journal record for %q: %w", key, err)
-	}
-	return payload, nil
 }
 
 // walAppendEvict journals one acknowledged eviction; it runs on the

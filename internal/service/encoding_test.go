@@ -89,7 +89,7 @@ func artifactBytes(t *testing.T, dir string, m *Manifest, frames bool) int64 {
 // TestRestoreReadsBothArtifactEncodings restores a snapshot of each
 // artifact encoding into a plain registry: the fixture's JSON-era
 // checkpoint and a binary snapshot of the same configurations. Both restore
-// digest-trusted and serve the outcomes of fresh builds, and the binary
+// every entry and serve the outcomes of fresh builds, and the binary
 // artifacts are several-fold smaller than the JSON ones.
 func TestRestoreReadsBothArtifactEncodings(t *testing.T) {
 	all := jsonEraConfigs(t)
@@ -132,8 +132,8 @@ func TestRestoreReadsBothArtifactEncodings(t *testing.T) {
 		if err != nil {
 			t.Fatalf("restore from %s: %v", dir, err)
 		}
-		if report.Trusted != len(cfgs) || report.Revalidated != 0 || len(report.Skipped) != 0 {
-			t.Fatalf("restore report %+v, want all %d digest-trusted", report, len(cfgs))
+		if report.Entries != len(cfgs) || len(report.Skipped) != 0 {
+			t.Fatalf("restore report %+v, want all %d entries", report, len(cfgs))
 		}
 		if got := electOutcomes(t, dst, jsonEraCheckpointKeys); fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Fatalf("outcomes diverged after restoring %s:\n got %v\nwant %v", dir, got, want)
@@ -142,18 +142,18 @@ func TestRestoreReadsBothArtifactEncodings(t *testing.T) {
 }
 
 // TestJSONEraSnapshotCheckpointsBinary is the upgrade path: Open boots the
-// JSON-era fixture (JSON checkpoint restored digest-trusted, JSON journal
-// tail replayed with its admit/evict pair compacted) into the outcomes of
-// fresh builds, and the next checkpoint rewrites the state as binary
-// frames, leaving no JSON artifact behind.
+// JSON-era fixture (JSON checkpoint restored, JSON journal tail replayed
+// with its admit/evict pair compacted) into the outcomes of fresh builds,
+// and the next checkpoint rewrites the state as binary frames, leaving no
+// JSON artifact behind.
 func TestJSONEraSnapshotCheckpointsBinary(t *testing.T) {
 	cfgs := jsonEraConfigs(t)
 	want := freshOutcomes(t, cfgs)
 	dir := copyJSONEra(t)
 
 	r, report := openTestRegistry(t, dir, WALOptions{Sync: wal.SyncAlways})
-	if !report.Clean() || !report.CheckpointRestored || report.Checkpoint.Trusted != len(jsonEraCheckpointKeys) {
-		t.Fatalf("JSON checkpoint not restored digest-trusted: %+v", report)
+	if !report.Clean() || !report.CheckpointRestored || report.Checkpoint.Entries != len(jsonEraCheckpointKeys) {
+		t.Fatalf("JSON checkpoint not restored: %+v", report)
 	}
 	if report.Admits != 2 || report.Evicts != 1 || report.Compacted != 1 {
 		t.Fatalf("JSON tail replay: %d admits / %d evicts / %d compacted, want 2 / 1 / 1",
@@ -181,6 +181,71 @@ func TestJSONEraSnapshotCheckpointsBinary(t *testing.T) {
 	artifactBytes(t, ckDir, m, true)
 	if left, _ := filepath.Glob(filepath.Join(ckDir, "*.artifact.json")); len(left) != 0 {
 		t.Fatalf("the binary checkpoint left JSON artifacts behind: %v", left)
+	}
+}
+
+// tableEraFixture is a -wal-dir written by a daemon whose artifacts still
+// carried a phase table and a digest (see its README.md): a binary
+// checkpoint holding tab-a..c and a binary journal tail that admits tab-d,
+// tab-e and tab-x, then evicts tab-x. Its configurations are the JSON-era
+// fixture's, key for key.
+const tableEraFixture = "testdata/table-era"
+
+// TestTableEraBoots is the upgrade path from artifacts with phase tables:
+// Open boots a copy of the table-era fixture — every checkpoint entry and
+// journal admit loaded, its embedded table checked against the lists —
+// into the outcomes of fresh builds, and the next checkpoint rewrites the
+// artifacts without tables or digests.
+func TestTableEraBoots(t *testing.T) {
+	cfgs := make(map[string]*config.Config)
+	for key, cfg := range jsonEraConfigs(t) {
+		cfgs["tab-"+strings.TrimPrefix(key, "era1-")] = cfg
+	}
+	want := freshOutcomes(t, cfgs)
+	dir := filepath.Join(t.TempDir(), "wal")
+	if err := os.CopyFS(dir, os.DirFS(tableEraFixture)); err != nil {
+		t.Fatalf("copying the table-era fixture: %v", err)
+	}
+
+	r, report := openTestRegistry(t, dir, WALOptions{Sync: wal.SyncAlways})
+	if !report.Clean() || !report.CheckpointRestored || report.Checkpoint.Entries != 3 ||
+		report.Admits != 2 || report.Evicts != 1 || report.Compacted != 1 {
+		t.Fatalf("table-era boot: %+v, want 3 checkpoint entries and 2 admits / 1 evict / 1 compacted", report)
+	}
+	if loads := r.AdmissionStats().ArtifactLoads; loads != 5 {
+		t.Fatalf("ArtifactLoads = %d, want 5 (3 restored, 2 replayed)", loads)
+	}
+	keys := make([]string, 0, len(cfgs))
+	for key := range cfgs {
+		keys = append(keys, key)
+	}
+	if got := electOutcomes(t, r, keys); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("table-era outcomes diverged from fresh builds:\n got %v\nwant %v", got, want)
+	}
+	if out, _ := r.Elect("tab-x"); out.Err == nil {
+		t.Fatal("the evicted tab-x was resurrected")
+	}
+
+	if err := r.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	ckDir := filepath.Join(dir, CheckpointDirName)
+	m, err := ReadManifest(ckDir)
+	if err != nil || len(m.Entries) != len(cfgs) {
+		t.Fatalf("checkpoint manifest after the upgrade: %+v, %v (want %d entries)", m, err, len(cfgs))
+	}
+	for _, e := range m.Entries {
+		data, err := os.ReadFile(filepath.Join(ckDir, e.ArtifactFile))
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := wire.DecodeArtifactAuto(data)
+		if err != nil {
+			t.Fatalf("%s after the checkpoint: %v", e.ArtifactFile, err)
+		}
+		if c.PhaseTable != nil || c.ArtifactDigest != "" {
+			t.Fatalf("%s after the checkpoint carries a phase table or the digest %q", e.ArtifactFile, c.ArtifactDigest)
+		}
 	}
 }
 

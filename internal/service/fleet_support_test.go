@@ -12,9 +12,9 @@ import (
 )
 
 // TestExportArtifactRoundTrip pins the fleet migration unit: ExportArtifact
-// serves one WAL-admit frame that RegisterShipped admits on another registry
-// through the digest-trusted fast path — zero recompilation on the receiver,
-// identical election outcomes on both sides.
+// serves one WAL-admit frame, with no phase table and no digest, that
+// RegisterCompiled admits on another registry — one artifact load and no
+// build on the receiver, identical election outcomes on both sides.
 func TestExportArtifactRoundTrip(t *testing.T) {
 	src := New(Options{Shards: 2})
 	defer src.Close()
@@ -34,8 +34,11 @@ func TestExportArtifactRoundTrip(t *testing.T) {
 	if err := rec.DecodeFrom(payload); err != nil {
 		t.Fatalf("decoding admit record: %v", err)
 	}
-	if rec.Key != "ship-me" || rec.Artifact == nil || rec.Artifact.ArtifactDigest == "" {
+	if rec.Key != "ship-me" || rec.Artifact == nil {
 		t.Fatalf("admit record incomplete: key=%q artifact=%v", rec.Key, rec.Artifact != nil)
+	}
+	if rec.Artifact.PhaseTable != nil || rec.Artifact.ArtifactDigest != "" {
+		t.Fatalf("the exported artifact carries a phase table or the digest %q", rec.Artifact.ArtifactDigest)
 	}
 
 	dst := New(Options{Shards: 2})
@@ -44,11 +47,14 @@ func TestExportArtifactRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("config round-trip: %v", err)
 	}
-	if err := dst.RegisterShipped(rec.Key, rec.Artifact, dstCfg); err != nil {
+	if err := dst.RegisterCompiled(rec.Key, rec.Artifact, dstCfg); err != nil {
 		t.Fatalf("register shipped: %v", err)
 	}
-	if got := dst.AdmissionStats().TrustedLoads; got != 1 {
-		t.Fatalf("TrustedLoads = %d after one shipped admission, want 1", got)
+	if got := dst.AdmissionStats().ArtifactLoads; got != 1 {
+		t.Fatalf("ArtifactLoads = %d after one shipped admission, want 1", got)
+	}
+	if stats, err := dst.Stats(); err != nil || Totals(stats).Builds != 1 {
+		t.Fatalf("receiver stats %+v, %v; want the one install", stats, err)
 	}
 	want, err := src.Elect("ship-me")
 	if err != nil {

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -114,11 +115,7 @@ func TestRecoverySkipsOverBudgetEntry(t *testing.T) {
 	big := config.StaggeredPath(400, 600)
 	for _, cfg := range []*config.Config{config.StaggeredClique(6), big, config.StaggeredPath(8, 3)} {
 		rec := wire.WALAdmit{Key: cfg.Name, Config: cfg.Marshal(), Artifact: compiledFor(t, cfg)}
-		frame, err := wire.AppendWALAdmitFrame(nil, &rec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := log.Append(frame); err != nil {
+		if err := log.Append(wire.AppendWALAdmitFrame(nil, &rec)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -142,12 +139,15 @@ func TestRecoverySkipsOverBudgetEntry(t *testing.T) {
 }
 
 // TestRecoverySkipsInvalidArtifacts boots a durable registry on a journal
-// whose admits carry artifacts the loaders reject, between two valid ones,
-// and restores a snapshot holding one: recovery and restore must skip each
-// such entry, name it in the report as an invalid artifact, and serve the
-// others. Four of them (round bound, short history, message "2", local
-// rounds) contradict their own protocol and used to be admitted and then
-// fail every election, or elect while reporting wrong round figures.
+// whose admits carry artifacts Load rejects, between two valid ones, and
+// restores a snapshot holding one and a JSON-era checkpoint whose embedded
+// phase table was edited: recovery and restore must skip each such entry,
+// name it in the report as an invalid artifact, and serve the others. Four
+// of them (round bound, short history, message "2", local rounds)
+// contradict their own protocol and used to be admitted and then fail
+// every election, or elect while reporting wrong round figures. The binary
+// encoder writes no phase table, so the table case is a JSON-era journal
+// record, as an earlier release wrote it.
 func TestRecoverySkipsInvalidArtifacts(t *testing.T) {
 	cfg := config.StaggeredPath(8, 3)
 	tampered := map[string]func(c *election.Compiled){
@@ -156,9 +156,16 @@ func TestRecoverySkipsInvalidArtifacts(t *testing.T) {
 		"message-2":     func(c *election.Compiled) { c.LeaderHistory[1] = history.Received("2") },
 		"local-rounds":  func(c *election.Compiled) { c.LocalRounds++ },
 		"empty-history": func(c *election.Compiled) { c.LeaderHistory = nil },
-		"table":         func(c *election.Compiled) { c.PhaseTable.Plans[0].Block = 1 },
-		"leader":        func(c *election.Compiled) { c.ExpectedLeader = cfg.N() },
-		"span":          func(c *election.Compiled) { c.Blueprint.Sigma++ },
+		"table": func(c *election.Compiled) {
+			d, err := election.BuildDedicated(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.PhaseTable = d.DRIP.Table()
+			c.PhaseTable.Plans[0].Block = 1
+		},
+		"leader": func(c *election.Compiled) { c.ExpectedLeader = cfg.N() },
+		"span":   func(c *election.Compiled) { c.Blueprint.Sigma++ },
 	}
 	dir := t.TempDir()
 	log, err := wal.Open(dir, wal.Options{Sync: wal.SyncAlways})
@@ -166,9 +173,13 @@ func TestRecoverySkipsInvalidArtifacts(t *testing.T) {
 		t.Fatal(err)
 	}
 	appendAdmit := func(key string, c *election.Compiled) {
-		frame, err := wire.AppendWALAdmitFrame(nil, &wire.WALAdmit{Key: key, Config: cfg.Marshal(), Artifact: c})
-		if err != nil {
-			t.Fatal(err)
+		frame := wire.AppendWALAdmitFrame(nil, &wire.WALAdmit{Key: key, Config: cfg.Marshal(), Artifact: c})
+		if c.PhaseTable != nil {
+			data, err := json.Marshal(walRecord{Op: walOpAdmit, Key: key, Config: cfg.Marshal(), Artifact: c})
+			if err != nil {
+				t.Fatal(err)
+			}
+			frame = data
 		}
 		if err := log.Append(frame); err != nil {
 			t.Fatal(err)
@@ -211,11 +222,7 @@ func TestRecoverySkipsInvalidArtifacts(t *testing.T) {
 	entry := manifest.Entries[0]
 	c := compiledFor(t, cfg)
 	c.RoundBound = 3
-	data, err := wire.AppendArtifactFrame(nil, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(snap, entry.ArtifactFile), data, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(snap, entry.ArtifactFile), wire.AppendArtifactFrame(nil, c), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	dst := New(Options{Shards: 1})
@@ -227,6 +234,38 @@ func TestRecoverySkipsInvalidArtifacts(t *testing.T) {
 	if restored.Entries != 1 || len(restored.Skipped) != 1 || restored.Skipped[0].Key != entry.Key ||
 		!strings.Contains(restored.Skipped[0].Reason, "invalid artifact") {
 		t.Fatalf("restore report %+v, want %s skipped as an invalid artifact and one entry restored", restored, entry.Key)
+	}
+
+	// JSON artifact files carry no CRC, so an edited table reaches Load.
+	jsonDir := filepath.Join(copyJSONEra(t), CheckpointDirName)
+	m, err := ReadManifest(jsonDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edited := m.Entries[0]
+	path := filepath.Join(jsonDir, edited.ArtifactFile)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c, err = election.UnmarshalCompiled(data); err != nil || c.PhaseTable == nil {
+		t.Fatalf("%s: %v (phase table %v)", path, err, c != nil && c.PhaseTable != nil)
+	}
+	c.PhaseTable.Plans[len(c.PhaseTable.Plans)-1].Block = 0
+	if data, err = json.Marshal(c); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	jsonDst := New(Options{Shards: 1})
+	t.Cleanup(jsonDst.Close)
+	if restored, err = jsonDst.Restore(jsonDir); err != nil {
+		t.Fatal(err)
+	}
+	if restored.Entries != len(m.Entries)-1 || len(restored.Skipped) != 1 || restored.Skipped[0].Key != edited.Key ||
+		!strings.Contains(restored.Skipped[0].Reason, "invalid artifact") || !strings.Contains(restored.Skipped[0].Reason, "phase table") {
+		t.Fatalf("restore report %+v, want %s skipped for its phase table and the other entries restored", restored, edited.Key)
 	}
 }
 

@@ -20,7 +20,7 @@
 // ElectOn path.
 //
 // Elections — the read-only operation — additionally participate in work
-// stealing (Options.WorkStealing, default on): every shard queues its
+// stealing whenever there are two or more shards: every shard queues its
 // elections on a dedicated channel, and a worker whose own queues are empty
 // serves a queued election from the most loaded sibling instead of idling,
 // on its own simulator. Placement is unchanged (FNV still names every key's
@@ -29,10 +29,10 @@
 // shard's copy-on-write entry view. Elections hold the entry's read lock,
 // installs and evictions its write lock, so two elections of one hot key
 // run at once on two workers while an algorithm is never swapped or
-// recycled under a running election, and outcomes are bit-identical with
-// stealing on or off. The effect is that a handful of hot keys hashed onto
-// one shard no longer pin one core while the rest idle — exactly the skew a
-// fleet router concentrates.
+// recycled under a running election, and outcomes are bit-identical to
+// elections on the home worker. The effect is that a handful of hot keys
+// hashed onto one shard no longer pin one core while the rest idle —
+// exactly the skew a fleet router concentrates.
 //
 // Admissions are pipelined, not served inline: Register, RegisterCompiled
 // and their Async variants enqueue onto a bounded admission queue drained
@@ -52,11 +52,11 @@
 // want to inspect full executions should build a Dedicated directly.
 //
 // A registry can be persisted and revived: Snapshot writes every admitted
-// configuration as a binary compiled-artifact frame plus a manifest of keys
-// and artifact digests, and Restore re-admits the set through the
-// digest-trusted load fast path, so a cold restart parses artifacts instead
-// of re-running the classifier and the DRIP compiler. Restore and journal
-// replay also read the JSON artifacts and records older releases wrote.
+// configuration as a binary compiled-artifact frame plus a manifest of
+// keys, and Restore re-admits the set through election.Load, so a cold
+// restart loads artifacts instead of re-running the classifier. Restore and
+// journal replay also read the JSON artifacts and records older releases
+// wrote, and the phase tables and digests their artifacts carry.
 // Package internal/server exposes a Registry over HTTP/JSON, and
 // cmd/anonradiod is the deployable daemon around both.
 package service
@@ -100,12 +100,6 @@ type Options struct {
 	// fail fast with ErrAdmissionBusy instead of piling up behind slow
 	// builds.
 	AdmissionQueue int
-	// TrustCompiledDigests selects election.LoadTrusted for RegisterCompiled
-	// admissions: artifacts whose phase-table digest verifies skip the
-	// recompile-and-compare validation. Enable it only when every admitted
-	// artifact comes from a source the deployment already trusts; the
-	// default (false) fully validates every artifact.
-	TrustCompiledDigests bool
 	// BuildHook, when non-nil, is invoked with the key being admitted, on
 	// the pool builder performing the build, immediately before the build
 	// or artifact validation starts. It exists for tests and
@@ -130,22 +124,7 @@ type Options struct {
 	// key: repeated elections on one configuration replay identical faults.
 	// nil serves the clean medium at unchanged cost.
 	Fault *radio.FaultPlan
-	// WorkStealing lets an idle shard worker serve queued elections from
-	// the most loaded sibling's election queue, on its own simulator,
-	// relieving hot-shard skew when a few hot keys hash onto one shard; two
-	// elections of one key may then run at once. Only read-only election
-	// operations migrate — installs, evictions, snapshots and stats stay
-	// on the owning worker — and outcomes are bit-identical with stealing
-	// on or off (an election only reads its algorithm, and the entry's
-	// read lock keeps installs and evictions from swapping it mid-run).
-	// nil selects the default (enabled); set Bool(false) to pin every
-	// election to its home worker.
-	WorkStealing *bool
 }
-
-// Bool returns a pointer to v, for Options fields (WorkStealing) whose
-// absence (nil) selects a non-zero default.
-func Bool(v bool) *bool { return &v }
 
 // Outcome is the value-typed result of one served election. It aliases no
 // worker-owned memory, so it stays valid indefinitely and travels through
@@ -223,18 +202,6 @@ const (
 	opStats
 	opSnapshot   // gather compiled artifacts (all entries, or request.key only)
 	opFaultStats // gather per-key injected-fault counters
-)
-
-// trustMode selects the artifact-validation path of one registration.
-type trustMode uint8
-
-const (
-	// trustRegistry follows the registry-wide Options.TrustCompiledDigests.
-	trustRegistry trustMode = iota
-	// trustDigest selects the digest fast path for this request regardless of
-	// the registry option (used by Restore, whose manifest cross-checks the
-	// digest before asking for trust).
-	trustDigest
 )
 
 // request is one operation handed to a shard worker. It travels by value
@@ -367,13 +334,12 @@ type Registry struct {
 	// Close calls wait on it so Close-returned implies fully closed.
 	closeDone chan struct{}
 
-	trustDigests bool
-	buildHook    func(key string)
-	fault        *radio.FaultPlan // immutable after construction; nil = clean medium
+	buildHook func(key string)
+	fault     *radio.FaultPlan // immutable after construction; nil = clean medium
 
 	// stealKick wakes blocked workers when an election queue grows beyond
-	// one pending op; nil when Options.WorkStealing is disabled (a nil
-	// channel never fires in the workers' select).
+	// one pending op; nil on a one-shard registry, which has no sibling to
+	// steal (a nil channel never fires in the workers' select).
 	stealKick chan struct{}
 
 	// retired pools displaced and evicted algorithms for rebuild-in-place
@@ -404,7 +370,7 @@ type Registry struct {
 	admFailed    atomic.Int64
 	admRejected  atomic.Int64
 	admPending   atomic.Int64
-	trustedLoads atomic.Int64 // admissions adopted via the digest-trusted load
+	artLoads     atomic.Int64 // admissions installed from an artifact
 	rebuildHits  atomic.Int64 // builds that reused a retired algorithm's buffers
 
 	// configCount caches the registered-configuration total so health
@@ -466,7 +432,6 @@ func newCore(opts Options) *Registry {
 		shards:       make([]*shard, shards),
 		drained:      make(chan struct{}),
 		closeDone:    make(chan struct{}),
-		trustDigests: opts.TrustCompiledDigests,
 		fault:        opts.Fault,
 		buildHook:    opts.BuildHook,
 		admissions:   make(chan admission, queue),
@@ -474,7 +439,7 @@ func newCore(opts Options) *Registry {
 		admitted:     make(map[string]*admissionRecord),
 	}
 	r.replies.New = func() any { return make(chan response, 1) }
-	stealing := (opts.WorkStealing == nil || *opts.WorkStealing) && shards > 1
+	stealing := shards > 1
 	if stealing {
 		r.stealKick = make(chan struct{}, shards)
 	}
@@ -589,47 +554,29 @@ func (r *Registry) Register(key string, cfg *config.Config) error {
 	if cfg == nil {
 		return fmt.Errorf("service: nil configuration")
 	}
-	return r.admitSync(key, cfg, nil, trustRegistry)
+	return r.admitSync(key, cfg, nil)
 }
 
 // RegisterCompiled admits a pre-compiled algorithm artifact for cfg under
-// key; the artifact is validated on the builder pool and installed on the
-// owning shard. The embedded phase table is fully validated unless the
-// registry was built with Options.TrustCompiledDigests, in which case
-// digest-verified artifacts skip the recompilation (see
-// election.LoadTrusted for the trust model).
+// key: the builder pool loads it (election.Load compiles the phase table
+// from the artifact's lists and checks the artifact against them and cfg)
+// and installs it on the owning shard. Fleet key migration admits shipped
+// artifacts through it too.
 func (r *Registry) RegisterCompiled(key string, c *election.Compiled, cfg *config.Config) error {
 	if c == nil || cfg == nil {
 		return fmt.Errorf("service: nil compiled algorithm or configuration")
 	}
-	return r.admitSync(key, cfg, c, trustRegistry)
-}
-
-// RegisterShipped admits a compiled artifact through the digest-trusted
-// fast path regardless of Options.TrustCompiledDigests: an artifact whose
-// embedded phase-table digest verifies is adopted without the
-// recompile-and-compare validation, exactly like Restore and journal
-// replay. It exists for fleet key migration (POST /v1/admit/artifact):
-// the shipping node compiled and digest-stamped the artifact itself, so
-// the receiving node pays for parsing and a digest check, never for a
-// rebuild. A tampered artifact whose digest no longer verifies falls back
-// to the full validation inside election.LoadTrusted and is rejected when
-// inconsistent — trust here skips work, not safety.
-func (r *Registry) RegisterShipped(key string, c *election.Compiled, cfg *config.Config) error {
-	if c == nil || cfg == nil {
-		return fmt.Errorf("service: nil compiled algorithm or configuration")
-	}
-	return r.admitSync(key, cfg, c, trustDigest)
+	return r.admitSync(key, cfg, c)
 }
 
 // admitSync runs one admission through the builder pipeline to completion.
-func (r *Registry) admitSync(key string, cfg *config.Config, c *election.Compiled, trust trustMode) error {
+func (r *Registry) admitSync(key string, cfg *config.Config, c *election.Compiled) error {
 	if !r.acquire() {
 		return ErrClosed
 	}
 	defer r.release()
 	reply := r.replies.Get().(chan response)
-	if err := r.enqueue(admission{key: key, cfg: cfg, compiled: c, trust: trust, reply: reply}); err != nil {
+	if err := r.enqueue(admission{key: key, cfg: cfg, compiled: c, reply: reply}); err != nil {
 		r.replies.Put(reply)
 		return err
 	}
@@ -870,8 +817,8 @@ func (r *Registry) Close() {
 // shard's entries and worker-only counters. The loop drains the
 // shard's own queues first (mutations before elections, both without
 // blocking), then — when idle — serves a queued election from the most
-// loaded sibling, and only then blocks. A nil stealKick (stealing disabled)
-// never fires, so a non-stealing worker blocks exactly as it did before.
+// loaded sibling, and only then blocks. A nil stealKick (one shard, no
+// sibling) never fires, so the lone worker blocks on its own queues.
 func (r *Registry) worker(sh *shard) {
 	defer r.workers.Done()
 	requests, elects := sh.requests, sh.elects

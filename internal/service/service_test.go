@@ -66,8 +66,10 @@ func TestServiceMatchesDirectElect(t *testing.T) {
 	}
 }
 
-// TestServiceRegisterCompiled checks the artifact admission path, including
-// the digest fast path, against the build path.
+// TestServiceRegisterCompiled checks the artifact admission path against
+// the build path, including an artifact of an earlier release that embeds
+// its phase table: it serves identically while the table equals the
+// compiled one, and is refused once the table is edited.
 func TestServiceRegisterCompiled(t *testing.T) {
 	r := New(Options{Shards: 2})
 	defer r.Close()
@@ -90,19 +92,30 @@ func TestServiceRegisterCompiled(t *testing.T) {
 		t.Fatalf("nil artifact should be rejected")
 	}
 
-	// A trusted registry takes the digest fast path for the same artifact
-	// and must serve identical outcomes.
-	trusted := New(Options{Shards: 2, TrustCompiledDigests: true})
-	defer trusted.Close()
-	if err := trusted.RegisterCompiled("compiled", d.Compile(), cfg); err != nil {
+	legacy := d.Compile()
+	legacy.PhaseTable, legacy.ArtifactDigest = d.DRIP.Table(), "54fd9a642a312481"
+	if err := r.RegisterCompiled("legacy", legacy, cfg); err != nil {
 		t.Fatal(err)
 	}
-	tout, err := trusted.Elect("compiled")
+	lout, err := r.Elect("legacy")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tout.Leader != out.Leader || tout.Rounds != out.Rounds {
-		t.Fatalf("trusted admission diverged: %+v vs %+v", tout, out)
+	if lout.Leader != out.Leader || lout.Rounds != out.Rounds {
+		t.Fatalf("the artifact with its table diverged: %+v vs %+v", lout, out)
+	}
+	edited, err := election.BuildDedicated(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy = edited.Compile()
+	legacy.PhaseTable = edited.DRIP.Table()
+	legacy.PhaseTable.Plans[0].Block = 1
+	if err := r.RegisterCompiled("edited", legacy, cfg); !errors.Is(err, election.ErrInvalidArtifact) {
+		t.Fatalf("an edited table registered with %v, want ErrInvalidArtifact", err)
+	}
+	if got := r.AdmissionStats().ArtifactLoads; got != 2 {
+		t.Fatalf("ArtifactLoads = %d after two artifact admissions and a refused one, want 2", got)
 	}
 }
 

@@ -19,8 +19,8 @@ import (
 // This file implements registry snapshot and restore: a warm registry is
 // persisted as one compiled artifact plus one configuration file per
 // admitted key, tied together by a manifest, and a cold registry re-admits
-// the whole set through the digest-trusted artifact fast path — a restart
-// pays for parsing and loading, never for reclassifying and recompiling.
+// the whole set through election.Load — a restart pays for parsing and
+// loading artifacts, never for reclassifying.
 //
 // On-disk layout of a snapshot directory:
 //
@@ -54,8 +54,8 @@ type SnapshotEntry struct {
 	// Config is the normalized configuration the entry's algorithm is
 	// dedicated to.
 	Config *config.Config
-	// Artifact is the compiled algorithm (blueprint, leader history, phase
-	// table, artifact digest), exactly as cmd/compile would emit it.
+	// Artifact is the compiled algorithm (blueprint and leader history),
+	// exactly as cmd/compile would emit it.
 	Artifact *election.Compiled
 }
 
@@ -69,11 +69,6 @@ type ManifestEntry struct {
 	// ArtifactFile is the compiled-artifact file, relative to the snapshot
 	// directory.
 	ArtifactFile string `json:"artifact_file"`
-	// ArtifactDigest is the artifact's content digest as recorded at
-	// snapshot time. Restore cross-checks it against the artifact file's own
-	// digest: a match selects the digest-trusted load fast path, a mismatch
-	// falls back to the full recompile-and-compare validation.
-	ArtifactDigest string `json:"artifact_digest"`
 	// Nodes is the configuration size (informational, for operators reading
 	// the manifest).
 	Nodes int `json:"nodes"`
@@ -111,12 +106,6 @@ type RestoreSkip struct {
 type RestoreReport struct {
 	// Entries is the number of configurations re-admitted.
 	Entries int
-	// Trusted counts entries admitted through the digest-trusted fast path
-	// (manifest digest and artifact digest agreed and verified).
-	Trusted int
-	// Revalidated counts entries that fell back to the full
-	// recompile-and-compare validation (missing or mismatched digest).
-	Revalidated int
 	// Skipped lists manifest entries the restore could not bring back
 	// (missing or corrupt files, artifacts rejected by validation), in
 	// manifest order. A partially-damaged snapshot boots the surviving
@@ -148,7 +137,7 @@ func (r *Registry) SnapshotEntries() ([]SnapshotEntry, error) {
 
 // Snapshot persists the registry's admitted configurations into dir (created
 // if needed): one compiled artifact and one configuration file per key, plus
-// a manifest recording keys and artifact digests.
+// a manifest recording the keys.
 //
 // The write is staged so an interrupted snapshot can never produce a
 // manifest that names the wrong data: every data file is first written
@@ -161,7 +150,7 @@ func (r *Registry) SnapshotEntries() ([]SnapshotEntry, error) {
 // files of earlier snapshots that it no longer lists are deleted (see
 // removeOrphans).
 func (r *Registry) Snapshot(dir string) (*Manifest, error) {
-	// Gathered artifacts alias live algorithm memory (lists, phase table),
+	// Gathered artifacts alias live algorithm memory (the lists),
 	// and a rebuild-in-place admission recycles exactly that memory once
 	// the algorithm is displaced. Hold the snapshot fence across gather and
 	// encode so no builder rebuilds into an artifact mid-write.
@@ -179,16 +168,12 @@ func (r *Registry) Snapshot(dir string) (*Manifest, error) {
 	m := &Manifest{Version: ManifestVersion, Shards: len(r.shards), Encoding: "binary"}
 	for i, e := range entries {
 		me := ManifestEntry{
-			Key:            e.Key,
-			ConfigFile:     fmt.Sprintf("%04d.config.txt", i),
-			ArtifactFile:   fmt.Sprintf("%04d.artifact.bin", i),
-			ArtifactDigest: e.Artifact.ArtifactDigest,
-			Nodes:          e.Config.N(),
+			Key:          e.Key,
+			ConfigFile:   fmt.Sprintf("%04d.config.txt", i),
+			ArtifactFile: fmt.Sprintf("%04d.artifact.bin", i),
+			Nodes:        e.Config.N(),
 		}
-		data, err := wire.AppendArtifactFrame(nil, e.Artifact)
-		if err != nil {
-			return nil, fmt.Errorf("service: encoding artifact for %q: %w", e.Key, err)
-		}
+		data := wire.AppendArtifactFrame(nil, e.Artifact)
 		if err := os.WriteFile(filepath.Join(dir, me.ArtifactFile+stageSuffix), data, 0o644); err != nil {
 			return nil, fmt.Errorf("service: writing artifact for %q: %w", e.Key, err)
 		}
@@ -281,13 +266,11 @@ func ReadManifest(dir string) (*Manifest, error) {
 }
 
 // Restore re-admits every configuration of the snapshot in dir into the
-// registry. Entries whose artifact digest matches the manifest's recorded
-// digest are loaded through the digest-trusted fast path
-// (election.LoadTrusted) regardless of the registry's
-// Options.TrustCompiledDigests — the manifest the operator points at is the
-// trust anchor; a mismatch (tampered or regenerated artifact under a stale
-// manifest) falls back to the full recompile-and-compare validation, which
-// still rejects artifacts that disagree with their own blueprint.
+// registry, loading each artifact with election.Load: the phase table is
+// compiled from the artifact's lists, and an artifact that disagrees with
+// its own blueprint or configuration is rejected. A manifest written by an
+// earlier release may record an artifact digest per entry; Restore
+// ignores it.
 //
 // Entries restore concurrently (one loader goroutine per core, each
 // parsing and validating its artifacts off the serve path, then installing
@@ -334,17 +317,12 @@ func (r *Registry) Restore(dir string) (*RestoreReport, error) {
 				if i >= len(m.Entries) {
 					return
 				}
-				trusted, err := r.restoreEntry(dir, m.Entries[i])
+				err := r.restoreEntry(dir, m.Entries[i])
 				mu.Lock()
 				if err != nil {
 					skipped[i] = RestoreSkip{Key: m.Entries[i].Key, Reason: err.Error()}
 				} else {
 					report.Entries++
-					if trusted {
-						report.Trusted++
-					} else {
-						report.Revalidated++
-					}
 				}
 				mu.Unlock()
 			}
@@ -365,44 +343,35 @@ func (r *Registry) Restore(dir string) (*RestoreReport, error) {
 	return &report, nil
 }
 
-// restoreEntry parses, validates and re-admits one manifest entry on the
-// calling restore goroutine (the shard only sees the O(1) install),
-// reporting whether it went through the digest-trusted fast path. The
+// restoreEntry parses, loads and re-admits one manifest entry on the
+// calling restore goroutine (the shard only sees the O(1) install). The
 // caller holds a lifecycle acquire slot.
-func (r *Registry) restoreEntry(dir string, me ManifestEntry) (trusted bool, err error) {
+func (r *Registry) restoreEntry(dir string, me ManifestEntry) error {
 	cfgData, err := os.ReadFile(filepath.Join(dir, me.ConfigFile))
 	if err != nil {
-		return false, fmt.Errorf("service: restoring %q: %w", me.Key, err)
+		return fmt.Errorf("service: restoring %q: %w", me.Key, err)
 	}
 	cfg, err := config.Unmarshal(string(cfgData))
 	if err != nil {
-		return false, fmt.Errorf("service: restoring %q: %w", me.Key, err)
+		return fmt.Errorf("service: restoring %q: %w", me.Key, err)
 	}
 	artData, err := os.ReadFile(filepath.Join(dir, me.ArtifactFile))
 	if err != nil {
-		return false, fmt.Errorf("service: restoring %q: %w", me.Key, err)
+		return fmt.Errorf("service: restoring %q: %w", me.Key, err)
 	}
 	// Auto-detect the artifact's encoding from its leading bytes: binary
 	// wire frames and JSON-era files restore interchangeably.
 	artifact, err := wire.DecodeArtifactAuto(artData)
 	if err != nil {
-		return false, fmt.Errorf("service: restoring %q: %w", me.Key, err)
+		return fmt.Errorf("service: restoring %q: %w", me.Key, err)
 	}
-	trusted = me.ArtifactDigest != "" && artifact.ArtifactDigest == me.ArtifactDigest
-	var d *election.Dedicated
-	if trusted {
-		d, err = election.LoadTrusted(artifact, cfg)
-	} else {
-		d, err = election.Load(artifact, cfg)
-	}
+	d, err := election.Load(artifact, cfg)
 	resp := r.do(r.shardFor(me.Key), request{op: opInstall, key: me.Key, d: d, buildErr: err})
 	if resp.out.Err != nil {
-		return false, fmt.Errorf("service: restoring %q: %w", me.Key, resp.out.Err)
+		return fmt.Errorf("service: restoring %q: %w", me.Key, resp.out.Err)
 	}
-	if trusted {
-		r.trustedLoads.Add(1)
-	}
-	return trusted, nil
+	r.artLoads.Add(1)
+	return nil
 }
 
 // snapshot compiles every entry of the shard; it runs on the owning worker.
@@ -432,10 +401,9 @@ func (sh *shard) snapshotKey(key string) []SnapshotEntry {
 
 // ExportArtifact compiles the configuration admitted under key and encodes
 // it as one wire.FrameWALAdmit frame — key, configuration text, compiled
-// artifact with its digest — the exact unit fleet key migration ships
-// between nodes (GET /v1/artifact/{key} serves it, POST /v1/admit/artifact
-// consumes it through RegisterShipped, and a journal replay would accept it
-// verbatim). The frame is encoded under the snapshot fence: the gathered
+// artifact — the exact unit fleet key migration ships between nodes (GET
+// /v1/artifact/{key} serves it, POST /v1/admit/artifact consumes it through
+// RegisterCompiled, and a journal replay would accept it verbatim). The frame is encoded under the snapshot fence: the gathered
 // artifact aliases live algorithm memory, and the fence keeps a concurrent
 // rebuild-in-place admission from recycling that memory mid-encode. It
 // returns ErrUnknownKey (wrapped) for an unregistered key.
@@ -451,13 +419,9 @@ func (r *Registry) ExportArtifact(key string) ([]byte, error) {
 		return nil, fmt.Errorf("%w: no configuration registered under %q", ErrUnknownKey, key)
 	}
 	e := resp.entries[0]
-	frame, err := wire.AppendWALAdmitFrame(nil, &wire.WALAdmit{
+	return wire.AppendWALAdmitFrame(nil, &wire.WALAdmit{
 		Key:      e.Key,
 		Config:   e.Config.Marshal(),
 		Artifact: e.Artifact,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("service: encoding artifact for %q: %w", key, err)
-	}
-	return frame, nil
+	}), nil
 }

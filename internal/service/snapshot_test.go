@@ -15,9 +15,10 @@ import (
 )
 
 // TestSnapshotRestoreRoundTrip is the snapshot acceptance check: snapshot a
-// populated registry, restore into a fresh one, and assert the key set, the
-// artifact digests, and the election outcomes survive bit-identically — the
-// latter checked against direct Dedicated elections.
+// populated registry, restore into a fresh one, and assert the key set and
+// the election outcomes survive bit-identically — the latter checked
+// against direct Dedicated elections. Artifacts and manifest carry neither
+// a phase table nor a digest.
 func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	src := newTestRegistry(t, 3)
@@ -28,8 +29,8 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	if len(manifest.Entries) != len(testConfigs()) {
 		t.Fatalf("manifest has %d entries, want %d", len(manifest.Entries), len(testConfigs()))
 	}
-	// The manifest is the trust anchor: every recorded digest must match the
-	// digest inside its artifact file, and keys must cover the registry.
+	// Keys must cover the registry, and no artifact file carries a table or
+	// a digest.
 	keys := map[string]bool{}
 	for _, e := range manifest.Entries {
 		keys[e.Key] = true
@@ -41,9 +42,12 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("decoding artifact %s: %v", e.ArtifactFile, err)
 		}
-		if artifact.ArtifactDigest == "" || artifact.ArtifactDigest != e.ArtifactDigest {
-			t.Fatalf("digest mismatch for %q: manifest %q, artifact %q", e.Key, e.ArtifactDigest, artifact.ArtifactDigest)
+		if artifact.PhaseTable != nil || artifact.ArtifactDigest != "" {
+			t.Fatalf("artifact %s carries a phase table or the digest %q", e.ArtifactFile, artifact.ArtifactDigest)
 		}
+	}
+	if raw, err := os.ReadFile(filepath.Join(dir, ManifestFile)); err != nil || strings.Contains(string(raw), "digest") {
+		t.Fatalf("manifest records a digest (%v):\n%s", err, raw)
 	}
 	for key := range testConfigs() {
 		if !keys[key] {
@@ -52,15 +56,18 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	}
 
 	// Restore into a fresh registry of a different shard count: the whole
-	// set must come back through the digest-trusted fast path.
+	// set must come back, each entry an artifact load.
 	dst := New(Options{Shards: 2})
 	t.Cleanup(dst.Close)
 	report, err := dst.Restore(dir)
 	if err != nil {
 		t.Fatalf("restore: %v", err)
 	}
-	if report.Entries != len(manifest.Entries) || report.Trusted != report.Entries || report.Revalidated != 0 {
-		t.Fatalf("restore report %+v, want all %d entries digest-trusted", report, len(manifest.Entries))
+	if report.Entries != len(manifest.Entries) || len(report.Skipped) != 0 {
+		t.Fatalf("restore report %+v, want all %d entries", report, len(manifest.Entries))
+	}
+	if loads := dst.AdmissionStats().ArtifactLoads; loads != int64(report.Entries) {
+		t.Fatalf("ArtifactLoads = %d after restoring %d entries", loads, report.Entries)
 	}
 	if dst.Len() != len(testConfigs()) {
 		t.Fatalf("restored registry has %d configs, want %d", dst.Len(), len(testConfigs()))
@@ -136,8 +143,8 @@ func TestResnapshotSameDirectory(t *testing.T) {
 	if err != nil {
 		t.Fatalf("restore: %v", err)
 	}
-	if report.Entries != len(m.Entries) || report.Trusted != report.Entries {
-		t.Fatalf("restore report %+v, want all %d trusted", report, len(m.Entries))
+	if report.Entries != len(m.Entries) || len(report.Skipped) != 0 {
+		t.Fatalf("restore report %+v, want all %d entries", report, len(m.Entries))
 	}
 	if out, err := dst.Elect("zz-new"); err != nil || !out.Elected() {
 		t.Fatalf("new key after re-snapshot: %v %+v", err, out)
@@ -147,19 +154,32 @@ func TestResnapshotSameDirectory(t *testing.T) {
 	}
 }
 
-// TestRestoreDigestMismatchFallsBack corrupts the manifest's recorded digest
-// for one entry: the restore must still succeed — through the full
-// recompile-and-compare validation — and serve identical outcomes.
-func TestRestoreDigestMismatchFallsBack(t *testing.T) {
+// TestRestoreIgnoresManifestDigest gives a snapshot's manifest the
+// per-entry artifact digests earlier releases recorded, one of them wrong:
+// Restore ignores them, restores every entry and serves identical outcomes.
+func TestRestoreIgnoresManifestDigest(t *testing.T) {
 	dir := t.TempDir()
 	src := newTestRegistry(t, 2)
 	manifest, err := src.Snapshot(dir)
 	if err != nil {
 		t.Fatalf("snapshot: %v", err)
 	}
-	manifest.Entries[0].ArtifactDigest = "deadbeefdeadbeef"
-	data, err := json.MarshalIndent(manifest, "", "  ")
+	var raw map[string]any
+	data, err := os.ReadFile(filepath.Join(dir, ManifestFile))
+	if err == nil {
+		err = json.Unmarshal(data, &raw)
+	}
 	if err != nil {
+		t.Fatalf("reading manifest: %v", err)
+	}
+	for i, e := range raw["entries"].([]any) {
+		digest := "54fd9a642a312481"
+		if i == 0 {
+			digest = "deadbeefdeadbeef"
+		}
+		e.(map[string]any)["artifact_digest"] = digest
+	}
+	if data, err = json.MarshalIndent(raw, "", "  "); err != nil {
 		t.Fatalf("re-encoding manifest: %v", err)
 	}
 	if err := os.WriteFile(filepath.Join(dir, ManifestFile), data, 0o644); err != nil {
@@ -170,30 +190,30 @@ func TestRestoreDigestMismatchFallsBack(t *testing.T) {
 	t.Cleanup(dst.Close)
 	report, err := dst.Restore(dir)
 	if err != nil {
-		t.Fatalf("restore with corrupted digest: %v", err)
+		t.Fatalf("restore with recorded digests: %v", err)
 	}
-	if report.Revalidated != 1 || report.Trusted != report.Entries-1 {
-		t.Fatalf("restore report %+v, want exactly 1 revalidated entry", report)
+	if report.Entries != len(manifest.Entries) || len(report.Skipped) != 0 {
+		t.Fatalf("restore report %+v, want all %d entries", report, len(manifest.Entries))
 	}
-	key := manifest.Entries[0].Key
-	restored, err := dst.Elect(key)
-	if err != nil {
-		t.Fatalf("elect %s: %v", key, err)
-	}
-	orig, err := src.Elect(key)
-	if err != nil {
-		t.Fatalf("source elect %s: %v", key, err)
-	}
-	if restored.Leader != orig.Leader || restored.Rounds != orig.Rounds {
-		t.Fatalf("revalidated entry diverged: %+v vs %+v", restored, orig)
+	for _, e := range manifest.Entries {
+		restored, err := dst.Elect(e.Key)
+		if err != nil {
+			t.Fatalf("elect %s: %v", e.Key, err)
+		}
+		orig, err := src.Elect(e.Key)
+		if err != nil {
+			t.Fatalf("source elect %s: %v", e.Key, err)
+		}
+		if restored.Leader != orig.Leader || restored.Rounds != orig.Rounds {
+			t.Fatalf("%s: restored entry diverged: %+v vs %+v", e.Key, restored, orig)
+		}
 	}
 }
 
-// TestRestoreRejectsTamperedArtifact rewrites an artifact's leader history
-// (recomputing nothing): the digest mismatch deselects the fast path and
-// the full validation layer must reject the inconsistent artifact — which,
-// under the graceful-restore contract, means the entry is skipped and
-// reported while every undamaged entry still boots.
+// TestRestoreRejectsTamperedArtifact rewrites an artifact's leader history:
+// Load must reject the inconsistent artifact — which, under the
+// graceful-restore contract, means the entry is skipped and reported while
+// every undamaged entry still boots.
 func TestRestoreRejectsTamperedArtifact(t *testing.T) {
 	dir := t.TempDir()
 	src := newTestRegistry(t, 1)
@@ -404,7 +424,7 @@ func snapBenchConfig(i int) *config.Config {
 }
 
 // BenchmarkSnapshotRestore measures a full cold restore (manifest + files +
-// digest-trusted loads, parsed concurrently) of the benchmark fleet.
+// artifact loads, parsed concurrently) of the benchmark fleet.
 func BenchmarkSnapshotRestore(b *testing.B) {
 	dir := b.TempDir()
 	src := New(Options{Shards: 2})
@@ -425,8 +445,8 @@ func BenchmarkSnapshotRestore(b *testing.B) {
 		if err != nil {
 			b.Fatalf("restore: %v", err)
 		}
-		if report.Trusted != snapBenchCfgs {
-			b.Fatalf("report %+v, want %d trusted", report, snapBenchCfgs)
+		if report.Entries != snapBenchCfgs {
+			b.Fatalf("report %+v, want %d entries", report, snapBenchCfgs)
 		}
 		dst.Close()
 	}

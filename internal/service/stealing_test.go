@@ -50,8 +50,8 @@ func hammerElect(t *testing.T, r *Registry, keys []string, want map[string][2]in
 	}
 }
 
-// TestWorkStealingBitIdentical runs the same concurrent hot-key workload
-// against a stealing and a non-stealing registry and pins every served
+// TestWorkStealingBitIdentical runs a concurrent hot-key workload against a
+// four-shard registry, whose idle workers steal, and pins every served
 // outcome — stolen or home-served — to the direct Dedicated.Elect result,
 // untraced and traced. Work stealing moves *where* an election executes,
 // never what it computes.
@@ -78,31 +78,24 @@ func TestWorkStealingBitIdentical(t *testing.T) {
 		}
 		want[key] = ref
 	}
-	for _, stealing := range []bool{true, false} {
-		t.Run(fmt.Sprintf("stealing=%v", stealing), func(t *testing.T) {
-			r := New(Options{Shards: 4, WorkStealing: Bool(stealing)})
-			t.Cleanup(r.Close)
-			for key, cfg := range testConfigs() {
-				if err := r.Register(key, cfg); err != nil {
-					t.Fatal(err)
-				}
-			}
-			hammerElect(t, r, keys, want, 16, 20, false)
-			stats, err := r.Stats()
-			if err != nil {
-				t.Fatal(err)
-			}
-			total := Totals(stats)
-			if got := int64(16 * 20 * len(keys)); total.Elections != got {
-				t.Fatalf("elections %d, want %d", total.Elections, got)
-			}
-			if total.Stolen != total.StolenFrom {
-				t.Fatalf("stolen %d != stolen-from %d", total.Stolen, total.StolenFrom)
-			}
-			if !stealing && total.Stolen != 0 {
-				t.Fatalf("stealing disabled but %d elections were stolen", total.Stolen)
-			}
-		})
+	r := New(Options{Shards: 4})
+	t.Cleanup(r.Close)
+	for key, cfg := range testConfigs() {
+		if err := r.Register(key, cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hammerElect(t, r, keys, want, 16, 20, false)
+	stats, err := r.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := Totals(stats)
+	if got := int64(16 * 20 * len(keys)); total.Elections != got {
+		t.Fatalf("elections %d, want %d", total.Elections, got)
+	}
+	if total.Stolen != total.StolenFrom {
+		t.Fatalf("stolen %d != stolen-from %d", total.Stolen, total.StolenFrom)
 	}
 }
 
@@ -293,37 +286,36 @@ func TestHotKeyFaultAccountConcurrent(t *testing.T) {
 }
 
 // BenchmarkStealHotKey measures serving one hot key from parallel clients
-// with stealing on and off. With stealing on, idle sibling workers take
-// elections from the hot shard's queue and run them on their own
-// simulators, beside the home worker's; on a single core it must at least
-// not regress (the steal path is the same ElectOn, only the executing
-// worker changes). Four clients per GOMAXPROCS keep the hot queue two or
-// more deep, the depth a thief needs; with one client per GOMAXPROCS, at
+// on a four-shard registry: idle sibling workers take elections from the
+// hot shard's queue and run them on their own simulators, beside the home
+// worker's (the steal path is the same ElectOn, only the executing worker
+// changes). Four clients per GOMAXPROCS keep the hot queue two or more
+// deep, the depth a thief needs; with one client per GOMAXPROCS, at
 // GOMAXPROCS 2 at most one election waits behind the running one, and a
-// thief rarely finds one to take. The top-level cases serve a 16-clique;
-// the clique96 cases serve a serve-large-sized key, whose elections last
-// long enough for two of them to overlap.
+// thief rarely finds one to take. The top-level case serves a 16-clique;
+// the clique96 case serves a serve-large-sized key, whose elections last
+// long enough for two of them to overlap. The cases keep the
+// "stealing=true" names of BENCH_engines.json's records, from when
+// stealing could be switched off.
 func BenchmarkStealHotKey(b *testing.B) {
 	bench := func(b *testing.B, cfg *config.Config) {
-		for _, stealing := range []bool{true, false} {
-			b.Run(fmt.Sprintf("stealing=%v", stealing), func(b *testing.B) {
-				r := New(Options{Shards: 4, WorkStealing: Bool(stealing)})
-				defer r.Close()
-				if err := r.Register("hot", cfg); err != nil {
-					b.Fatal(err)
-				}
-				b.ReportAllocs()
-				b.SetParallelism(4)
-				b.ResetTimer()
-				b.RunParallel(func(pb *testing.PB) {
-					for pb.Next() {
-						if out, err := r.Elect("hot"); err != nil || !out.Elected() {
-							b.Fatalf("elect: %+v, %v", out, err)
-						}
+		b.Run("stealing=true", func(b *testing.B) {
+			r := New(Options{Shards: 4})
+			defer r.Close()
+			if err := r.Register("hot", cfg); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.SetParallelism(4)
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				for pb.Next() {
+					if out, err := r.Elect("hot"); err != nil || !out.Elected() {
+						b.Fatalf("elect: %+v, %v", out, err)
 					}
-				})
+				}
 			})
-		}
+		})
 	}
 	bench(b, config.StaggeredClique(16))
 	b.Run("clique96", func(b *testing.B) { bench(b, config.StaggeredClique(96)) })

@@ -14,32 +14,22 @@ import (
 // payload of FrameArtifact (binary snapshot files), of the artifact section
 // of FrameRegisterRequest, and of FrameWALAdmit journal records.
 //
-// The variable-shape sections (blueprint lists, leader history, match rows)
-// are varint-packed; the fixed-shape phase-table round plans — by far the
-// widest section of large artifacts — encode as a flat []uint64, one row
-// per local round, phase in the high 32 bits and block in the low 32
-// (two's complement for the -1 terminate marker). That keeps the hot
-// restore loop a single 8-byte load per round with no varint branching.
-//
-// The encoding is lossless for every artifact the compiler produces:
-// ArtifactDigest is carried as the verbatim string (so even a malformed
-// digest survives a round trip and still deselects the trusted-load fast
-// path, exactly as it does in JSON), and history entries keep their Msg
-// regardless of kind.
+// An artifact is the blueprint (σ and the lists) plus the decision data
+// (leader history, designated leader, round counts); every section is
+// varint-packed. The encoder writes an empty digest string and a zero
+// phase-table flag. Artifacts of earlier releases carry a digest and a
+// phase table in those two places: the decoder still reads both, the
+// table's round plans as a flat []uint64 (one row per local round, phase
+// in the high 32 bits and block in the low 32, two's complement for the -1
+// terminate marker), so election.Load can check the table against the
+// lists. History entries keep their Msg regardless of kind.
 
 // artifactVersion is the current artifact payload version; readers accept
 // only versions they know.
 const artifactVersion = 1
 
-// plan row packing: phase<<32 | block, both int32 two's complement.
-
-func packPlan(p canonical.RoundPlan) (uint64, error) {
-	if int64(int32(p.Phase)) != int64(p.Phase) || int64(int32(p.Block)) != int64(p.Block) {
-		return 0, fmt.Errorf("%w: round plan {phase %d, block %d} exceeds int32", ErrRange, p.Phase, p.Block)
-	}
-	return uint64(uint32(int32(p.Phase)))<<32 | uint64(uint32(int32(p.Block))), nil
-}
-
+// unpackPlan decodes one round-plan row of an earlier release's phase
+// table: phase<<32 | block, both int32 two's complement.
 func unpackPlan(x uint64) canonical.RoundPlan {
 	return canonical.RoundPlan{
 		Phase: int(int32(uint32(x >> 32))),
@@ -47,14 +37,11 @@ func unpackPlan(x uint64) canonical.RoundPlan {
 	}
 }
 
-// ArtifactSize returns the exact payload size AppendArtifact will write, or
-// an error when the artifact cannot be encoded (a phase-table row outside
-// the fixed-width int32 range — impossible for compiler-produced tables,
-// possible for hand-edited JSON).
-func ArtifactSize(c *election.Compiled) (int, error) {
+// ArtifactSize returns the exact payload size AppendArtifact will write.
+func ArtifactSize(c *election.Compiled) int {
 	n := sizeUvarint(artifactVersion)
 	n += sizeString(c.ConfigName)
-	n += sizeString(c.ArtifactDigest)
+	n += sizeString("") // digest
 	n += sizeSvarint(int64(c.ExpectedLeader))
 	n += sizeSvarint(int64(c.LocalRounds))
 	n += sizeSvarint(int64(c.RoundBound))
@@ -74,35 +61,16 @@ func ArtifactSize(c *election.Compiled) (int, error) {
 			}
 		}
 	}
-	n += 1 // phase-table presence flag
-	if pt := c.PhaseTable; pt != nil {
-		n += sizeSvarint(int64(pt.Sigma))
-		n += sizeUvarint(uint64(len(pt.Plans)))
-		for _, p := range pt.Plans {
-			if _, err := packPlan(p); err != nil {
-				return 0, err
-			}
-		}
-		n += 8 * len(pt.Plans)
-		n += sizeUvarint(uint64(len(pt.Matches)))
-		for _, pm := range pt.Matches {
-			n += sizeSvarint(int64(pm.Start))
-			n += sizeUvarint(uint64(len(pm.Rows)))
-			for _, row := range pm.Rows {
-				n += sizeSvarint(int64(row.OldClass))
-				n += sizeUvarint(uint64(len(row.Expect))) + len(row.Expect)
-			}
-		}
-	}
-	return n, nil
+	return n + 1 // phase-table flag
 }
 
 // AppendArtifact appends the encoded artifact payload (no frame) to dst; it
-// writes exactly ArtifactSize bytes.
-func AppendArtifact(dst []byte, c *election.Compiled) ([]byte, error) {
+// writes exactly ArtifactSize bytes. It writes neither c.ArtifactDigest nor
+// c.PhaseTable.
+func AppendArtifact(dst []byte, c *election.Compiled) []byte {
 	dst = binary.AppendUvarint(dst, artifactVersion)
 	dst = appendString(dst, c.ConfigName)
-	dst = appendString(dst, c.ArtifactDigest)
+	dst = appendString(dst, "") // digest
 	dst = binary.AppendVarint(dst, int64(c.ExpectedLeader))
 	dst = binary.AppendVarint(dst, int64(c.LocalRounds))
 	dst = binary.AppendVarint(dst, int64(c.RoundBound))
@@ -134,31 +102,7 @@ func AppendArtifact(dst []byte, c *election.Compiled) ([]byte, error) {
 			}
 		}
 	}
-	if pt := c.PhaseTable; pt != nil {
-		dst = append(dst, 1)
-		dst = binary.AppendVarint(dst, int64(pt.Sigma))
-		dst = binary.AppendUvarint(dst, uint64(len(pt.Plans)))
-		for _, p := range pt.Plans {
-			row, err := packPlan(p)
-			if err != nil {
-				return nil, err
-			}
-			dst = binary.LittleEndian.AppendUint64(dst, row)
-		}
-		dst = binary.AppendUvarint(dst, uint64(len(pt.Matches)))
-		for _, pm := range pt.Matches {
-			dst = binary.AppendVarint(dst, int64(pm.Start))
-			dst = binary.AppendUvarint(dst, uint64(len(pm.Rows)))
-			for _, row := range pm.Rows {
-				dst = binary.AppendVarint(dst, int64(row.OldClass))
-				dst = binary.AppendUvarint(dst, uint64(len(row.Expect)))
-				dst = append(dst, row.Expect...)
-			}
-		}
-	} else {
-		dst = append(dst, 0)
-	}
-	return dst, nil
+	return append(dst, 0) // no phase table
 }
 
 // decodeArtifact decodes an artifact payload section from r. Every decoded
@@ -262,6 +206,7 @@ func decodeArtifact(r *reader) (*election.Compiled, error) {
 			}
 		}
 	}
+	// The phase table of an earlier release, if the artifact has one.
 	present, err := r.byte()
 	if err != nil {
 		return nil, err
@@ -347,13 +292,9 @@ func DecodeArtifact(p []byte) (*election.Compiled, error) {
 
 // AppendArtifactFrame appends the framed artifact to dst (the binary
 // snapshot file format: exactly one FrameArtifact per file).
-func AppendArtifactFrame(dst []byte, c *election.Compiled) ([]byte, error) {
+func AppendArtifactFrame(dst []byte, c *election.Compiled) []byte {
 	dst, mark := beginFrame(dst, FrameArtifact)
-	dst, err := AppendArtifact(dst, c)
-	if err != nil {
-		return nil, err
-	}
-	return endFrame(dst, mark), nil
+	return endFrame(AppendArtifact(dst, c), mark)
 }
 
 // DecodeArtifactFrame decodes a complete FrameArtifact buffer (header +

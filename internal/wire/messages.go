@@ -249,10 +249,8 @@ type RegisterRequest struct {
 	Artifact *election.Compiled
 }
 
-// AppendRegisterRequestFrame appends the framed request to dst. It can fail
-// when the embedded artifact's phase-table rows exceed the fixed-width
-// encoding range (see AppendArtifact).
-func AppendRegisterRequestFrame(dst []byte, m *RegisterRequest) ([]byte, error) {
+// AppendRegisterRequestFrame appends the framed request to dst.
+func AppendRegisterRequestFrame(dst []byte, m *RegisterRequest) []byte {
 	dst, mark := beginFrame(dst, FrameRegisterRequest)
 	var flags byte
 	if m.Async {
@@ -265,12 +263,9 @@ func AppendRegisterRequestFrame(dst []byte, m *RegisterRequest) ([]byte, error) 
 	dst = appendString(dst, m.Key)
 	dst = appendString(dst, m.Config)
 	if m.Artifact != nil {
-		var err error
-		if dst, err = AppendArtifact(dst, m.Artifact); err != nil {
-			return nil, err
-		}
+		dst = AppendArtifact(dst, m.Artifact)
 	}
-	return endFrame(dst, mark), nil
+	return endFrame(dst, mark)
 }
 
 // DecodeFrom decodes a payload produced by AppendRegisterRequestFrame.

@@ -10,8 +10,8 @@ import "anonradio/internal/election"
 // start with '{', wire frames with the magic).
 
 // WALAdmit journals one acknowledged admission: the key, the configuration
-// source it was admitted from, and the compiled artifact so replay can take
-// the digest-trusted load fast path.
+// source it was admitted from, and the compiled artifact replay loads
+// (election.Load) instead of rebuilding.
 type WALAdmit struct {
 	Key      string
 	Config   string
@@ -24,7 +24,7 @@ type WALEvict struct {
 }
 
 // AppendWALAdmitFrame appends the framed admit record to dst.
-func AppendWALAdmitFrame(dst []byte, m *WALAdmit) ([]byte, error) {
+func AppendWALAdmitFrame(dst []byte, m *WALAdmit) []byte {
 	dst, mark := beginFrame(dst, FrameWALAdmit)
 	var flags byte
 	if m.Artifact != nil {
@@ -34,12 +34,9 @@ func AppendWALAdmitFrame(dst []byte, m *WALAdmit) ([]byte, error) {
 	dst = appendString(dst, m.Key)
 	dst = appendString(dst, m.Config)
 	if m.Artifact != nil {
-		var err error
-		if dst, err = AppendArtifact(dst, m.Artifact); err != nil {
-			return nil, err
-		}
+		dst = AppendArtifact(dst, m.Artifact)
 	}
-	return endFrame(dst, mark), nil
+	return endFrame(dst, mark)
 }
 
 // DecodeFrom decodes a payload produced by AppendWALAdmitFrame.

@@ -1,8 +1,7 @@
 // Package wire implements the compact binary protocol shared by the HTTP
 // serve path, the snapshot store, and the admission journal: little-endian,
 // length-prefixed frames with a CRC-32C integrity check, carrying varint-
-// packed messages whose fixed-shape sections (phase-table round plans)
-// encode as flat []uint64 rows.
+// packed messages.
 //
 // The package exists because the serve path is allocation-free in process
 // but pays for JSON on the wire (docs/PERFORMANCE.md): every message type

@@ -2,8 +2,11 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -12,15 +15,18 @@ import (
 	"anonradio/internal/election"
 )
 
+// testConfigs are the configurations of testArtifacts, by name.
+var testConfigs = []*config.Config{
+	config.SpanFamilyH(2),
+	config.LineFamilyG(2),
+	config.StaggeredClique(8),
+	config.EarlyCenterStar(6, 2),
+}
+
 func testArtifacts(t testing.TB) []*election.Compiled {
 	t.Helper()
 	var out []*election.Compiled
-	for _, cfg := range []*config.Config{
-		config.SpanFamilyH(2),
-		config.LineFamilyG(2),
-		config.StaggeredClique(8),
-		config.EarlyCenterStar(6, 2),
-	} {
+	for _, cfg := range testConfigs {
 		d, err := election.BuildDedicated(cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", cfg, err)
@@ -28,6 +34,18 @@ func testArtifacts(t testing.TB) []*election.Compiled {
 		out = append(out, d.Compile())
 	}
 	return out
+}
+
+// configFor returns the test configuration named name.
+func configFor(t testing.TB, name string) *config.Config {
+	t.Helper()
+	for _, cfg := range testConfigs {
+		if cfg.Name == name {
+			return cfg
+		}
+	}
+	t.Fatalf("no test configuration named %q", name)
+	return nil
 }
 
 // TestFrameRoundTrip pins the frame layer: encode/decode identity, the
@@ -146,11 +164,7 @@ func TestMessageRoundTrips(t *testing.T) {
 	}, bres)
 
 	rreq := RegisterRequest{Key: "k", Config: "clique 3", Async: true, Artifact: artifact}
-	frame, err := AppendRegisterRequestFrame(nil, &rreq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	check("register-request", frame, -1, func(p []byte) (any, error) {
+	check("register-request", AppendRegisterRequestFrame(nil, &rreq), -1, func(p []byte) (any, error) {
 		var m RegisterRequest
 		err := m.DecodeFrom(p)
 		return m, err
@@ -164,11 +178,7 @@ func TestMessageRoundTrips(t *testing.T) {
 	}, rresp)
 
 	admit := WALAdmit{Key: "k", Config: "clique 3", Artifact: artifact}
-	frame, err = AppendWALAdmitFrame(nil, &admit)
-	if err != nil {
-		t.Fatal(err)
-	}
-	check("wal-admit", frame, -1, func(p []byte) (any, error) {
+	check("wal-admit", AppendWALAdmitFrame(nil, &admit), -1, func(p []byte) (any, error) {
 		var m WALAdmit
 		err := m.DecodeFrom(p)
 		return m, err
@@ -187,15 +197,8 @@ func TestMessageRoundTrips(t *testing.T) {
 // (re-encoding a decoded artifact is bit-identical).
 func TestArtifactRoundTrip(t *testing.T) {
 	for _, c := range testArtifacts(t) {
-		size, err := ArtifactSize(c)
-		if err != nil {
-			t.Fatalf("%s: size: %v", c.ConfigName, err)
-		}
-		payload, err := AppendArtifact(nil, c)
-		if err != nil {
-			t.Fatalf("%s: encode: %v", c.ConfigName, err)
-		}
-		if len(payload) != size {
+		payload := AppendArtifact(nil, c)
+		if size := ArtifactSize(c); len(payload) != size {
 			t.Fatalf("%s: ArtifactSize %d but encoded %d bytes", c.ConfigName, size, len(payload))
 		}
 		got, err := DecodeArtifact(payload)
@@ -205,20 +208,13 @@ func TestArtifactRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(got, c) {
 			t.Fatalf("%s: round trip diverged:\n got %+v\nwant %+v", c.ConfigName, got, c)
 		}
-		again, err := AppendArtifact(nil, got)
-		if err != nil {
-			t.Fatalf("%s: re-encode: %v", c.ConfigName, err)
-		}
-		if !bytes.Equal(payload, again) {
+		if again := AppendArtifact(nil, got); !bytes.Equal(payload, again) {
 			t.Fatalf("%s: re-encode not bit-identical", c.ConfigName)
 		}
 
 		// The framed form round-trips through the auto-detecting decoder,
 		// and so does the JSON era's file content.
-		framed, err := AppendArtifactFrame(nil, c)
-		if err != nil {
-			t.Fatal(err)
-		}
+		framed := AppendArtifactFrame(nil, c)
 		fromFrame, err := DecodeArtifactAuto(framed)
 		if err != nil || !reflect.DeepEqual(fromFrame, c) {
 			t.Fatalf("%s: auto decode of frame: %v", c.ConfigName, err)
@@ -231,7 +227,7 @@ func TestArtifactRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: auto decode of JSON: %v", c.ConfigName, err)
 		}
-		if fromJSON.ArtifactDigest != c.ArtifactDigest || !fromJSON.PhaseTable.Equal(c.PhaseTable) {
+		if !reflect.DeepEqual(fromJSON, c) {
 			t.Fatalf("%s: JSON auto decode diverged", c.ConfigName)
 		}
 
@@ -242,37 +238,124 @@ func TestArtifactRoundTrip(t *testing.T) {
 	}
 }
 
-// TestArtifactPlanRange: phase-table rows outside int32 cannot encode into
-// the fixed-width rows and must error instead of truncating.
+// withLegacyTable returns c as an earlier release compiled it: with the
+// phase table of its algorithm and an artifact digest.
+func withLegacyTable(t testing.TB, c *election.Compiled) *election.Compiled {
+	t.Helper()
+	d, err := election.BuildDedicated(configFor(t, c.ConfigName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy := *c
+	legacy.PhaseTable = d.DRIP.Table()
+	legacy.ArtifactDigest = "54fd9a642a312481"
+	return &legacy
+}
+
+// appendLegacyArtifact is the artifact encoder of earlier releases, which
+// also wrote c.ArtifactDigest and c.PhaseTable (round plans as fixed-width
+// rows, see packLegacyPlan).
+func appendLegacyArtifact(dst []byte, c *election.Compiled) []byte {
+	dst = binary.AppendUvarint(dst, artifactVersion)
+	dst = appendString(dst, c.ConfigName)
+	dst = appendString(dst, c.ArtifactDigest)
+	body := AppendArtifact(nil, c)
+	skip := sizeUvarint(artifactVersion) + sizeString(c.ConfigName) + sizeString("")
+	dst = append(dst, body[skip:len(body)-1]...) // up to the table flag
+	pt := c.PhaseTable
+	dst = append(dst, 1)
+	dst = binary.AppendVarint(dst, int64(pt.Sigma))
+	dst = binary.AppendUvarint(dst, uint64(len(pt.Plans)))
+	for _, p := range pt.Plans {
+		dst = binary.LittleEndian.AppendUint64(dst, packLegacyPlan(p))
+	}
+	dst = binary.AppendUvarint(dst, uint64(len(pt.Matches)))
+	for _, pm := range pt.Matches {
+		dst = binary.AppendVarint(dst, int64(pm.Start))
+		dst = binary.AppendUvarint(dst, uint64(len(pm.Rows)))
+		for _, row := range pm.Rows {
+			dst = binary.AppendVarint(dst, int64(row.OldClass))
+			dst = binary.AppendUvarint(dst, uint64(len(row.Expect)))
+			dst = append(dst, row.Expect...)
+		}
+	}
+	return dst
+}
+
+// packLegacyPlan is the round-plan row packing of earlier releases:
+// phase<<32 | block, both int32 two's complement.
+func packLegacyPlan(p canonical.RoundPlan) uint64 {
+	return uint64(uint32(int32(p.Phase)))<<32 | uint64(uint32(int32(p.Block)))
+}
+
+// TestLegacyArtifactTables pins the read-only half of the format: the
+// decoder still reads the digest and phase table of an earlier release's
+// artifact — the checked-in table-era checkpoint's files byte for byte as
+// that release wrote them — and the encoder writes neither back.
+func TestLegacyArtifactTables(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join("..", "service", "testdata", "table-era", "checkpoint", "*.artifact.bin"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no table-era artifacts: %v", err)
+	}
+	for _, path := range files {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := DecodeArtifactFrame(data)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		if c.PhaseTable == nil || c.ArtifactDigest == "" {
+			t.Fatalf("%s: decoded without its table or digest", path)
+		}
+		_, payload, _, err := DecodeFrame(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if legacy := appendLegacyArtifact(nil, c); !bytes.Equal(legacy, payload) {
+			t.Fatalf("%s: the reference encoder of earlier releases does not reproduce the file", path)
+		}
+		dropped := *c
+		dropped.PhaseTable, dropped.ArtifactDigest = nil, ""
+		again, err := DecodeArtifact(AppendArtifact(nil, c))
+		if err != nil || !reflect.DeepEqual(again, &dropped) {
+			t.Fatalf("%s: re-encoding kept the table or digest (%v): %+v", path, err, again)
+		}
+	}
+	for _, c := range testArtifacts(t) {
+		legacy := withLegacyTable(t, c)
+		got, err := DecodeArtifact(appendLegacyArtifact(nil, legacy))
+		if err != nil || !reflect.DeepEqual(got, legacy) {
+			t.Fatalf("%s: legacy decode (%v):\n got %+v\nwant %+v", c.ConfigName, err, got, legacy)
+		}
+	}
+}
+
+// TestArtifactPlanRange: the encoder writes no phase table, so a table with
+// rows outside the int32 range of the legacy row packing still encodes, and
+// decodes without a table.
 func TestArtifactPlanRange(t *testing.T) {
-	c := testArtifacts(t)[0]
+	c := withLegacyTable(t, testArtifacts(t)[0])
 	c.PhaseTable.Plans[0].Phase = 1 << 40
-	if _, err := ArtifactSize(c); !errors.Is(err, ErrRange) {
-		t.Fatalf("size: got %v, want ErrRange", err)
-	}
-	if _, err := AppendArtifact(nil, c); !errors.Is(err, ErrRange) {
-		t.Fatalf("encode: got %v, want ErrRange", err)
-	}
-	if _, err := AppendArtifactFrame(nil, c); !errors.Is(err, ErrRange) {
-		t.Fatalf("frame: got %v, want ErrRange", err)
+	got, err := DecodeArtifactFrame(AppendArtifactFrame(nil, c))
+	if err != nil || got.PhaseTable != nil || got.ArtifactDigest != "" {
+		t.Fatalf("decoded %+v, %v; want no table and no digest", got, err)
 	}
 }
 
 // TestArtifactVersionGate: a future version byte is refused, not misparsed.
 func TestArtifactVersionGate(t *testing.T) {
-	c := testArtifacts(t)[0]
-	payload, err := AppendArtifact(nil, c)
-	if err != nil {
-		t.Fatal(err)
-	}
+	payload := AppendArtifact(nil, testArtifacts(t)[0])
 	payload[0] = artifactVersion + 1
 	if _, err := DecodeArtifact(payload); err == nil {
 		t.Fatal("future artifact version decoded")
 	}
 }
 
-// TestPlanPacking pins the int32 two's-complement row packing, including
-// the -1 terminate marker.
+// TestPlanPacking pins the decoder's reading of the int32 two's-complement
+// row packing of earlier releases' tables, including the -1 terminate
+// marker.
 func TestPlanPacking(t *testing.T) {
 	for _, p := range []canonical.RoundPlan{
 		{Phase: 1, Block: -1},
@@ -280,10 +363,7 @@ func TestPlanPacking(t *testing.T) {
 		{Phase: 7, Block: 12},
 		{Phase: 1 << 30, Block: -(1 << 30)},
 	} {
-		x, err := packPlan(p)
-		if err != nil {
-			t.Fatalf("%+v: %v", p, err)
-		}
+		x := packLegacyPlan(p)
 		if got := unpackPlan(x); got != p {
 			t.Fatalf("plan %+v packed to %x unpacked to %+v", p, x, got)
 		}
@@ -296,21 +376,14 @@ func BenchmarkWireEncodeArtifact(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var err error
-		buf, err = AppendArtifactFrame(buf[:0], c)
-		if err != nil {
-			b.Fatal(err)
-		}
+		buf = AppendArtifactFrame(buf[:0], c)
 	}
 	b.SetBytes(int64(len(buf)))
 }
 
 func BenchmarkWireDecodeArtifact(b *testing.B) {
 	c := testArtifacts(b)[2]
-	buf, err := AppendArtifactFrame(nil, c)
-	if err != nil {
-		b.Fatal(err)
-	}
+	buf := AppendArtifactFrame(nil, c)
 	jsonData, _ := json.MarshalIndent(c, "", "  ")
 	b.Logf("binary %d bytes, indented JSON %d bytes", len(buf), len(jsonData))
 	b.ReportAllocs()
