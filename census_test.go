@@ -14,6 +14,7 @@ import (
 	"anonradio/internal/fnv"
 	"anonradio/internal/graph"
 	"anonradio/internal/radio"
+	"anonradio/internal/symmetry"
 	"anonradio/internal/wire"
 )
 
@@ -23,16 +24,20 @@ import (
 //
 //   - the turbo classifier, the reference Classify and the naive oracle
 //     agree on the verdict, and turbo and Classify on the designated leader;
+//   - symmetry.CertifiesInfeasible, which proves infeasibility from the
+//     automorphism group alone (no node fixed by every automorphism),
+//     certifies no feasible configuration;
 //   - every feasible configuration builds, elects exactly its designated
 //     leader within the round bound (Verify), its histories correspond to
 //     the classifier's partitions phase by phase (VerifyCorrespondence,
 //     Lemma 3.9), and its binary artifact, decoded and loaded, elects the
 //     same leader in the same number of global rounds.
 //
-// testdata/census.golden holds the feasible and infeasible counts per
-// (n, σ) and a 64-bit digest over every configuration's (configuration,
-// verdict, leader, global rounds), so a change to the classifier, the
-// canonical DRIP or the simulator that moves one outcome changes the file.
+// testdata/census.golden holds the feasible, infeasible and
+// symmetry-certified counts per (n, σ) and a 64-bit digest over every
+// configuration's (configuration, verdict, leader, global rounds), so a
+// change to the classifier, the canonical DRIP or the simulator that moves
+// one outcome changes the file.
 const (
 	censusNodes = 5
 	censusSpan  = 2
@@ -45,22 +50,28 @@ func TestCensus(t *testing.T) {
 	var sb strings.Builder
 	sb.WriteString("# Every labelled connected configuration with n <= 5 nodes, span <= 2 and\n")
 	sb.WriteString("# minimum tag 0 (TestCensus, census_test.go).\n")
-	sb.WriteString("# n sigma configurations feasible infeasible\n")
+	sb.WriteString("# certified: infeasible configurations symmetry.CertifiesInfeasible proves\n")
+	sb.WriteString("# infeasible from the automorphism group alone.\n")
+	sb.WriteString("# n sigma configurations feasible infeasible certified\n")
 	c := newCensus()
 	for n := 1; n <= censusNodes; n++ {
 		graphs := connectedGraphs(n)
 		for sigma := 0; sigma <= censusSpan; sigma++ {
-			total, infeasible := 0, 0
+			total, infeasible, certified := 0, 0, 0
 			for _, g := range graphs {
 				forEachTagVector(n, sigma, func(tags []int) {
 					total++
-					if !c.check(t, config.MustNew(g, tags)) {
+					feasible, cert := c.check(t, config.MustNew(g, tags))
+					if !feasible {
 						infeasible++
+					}
+					if cert {
+						certified++
 					}
 				})
 			}
 			if total > 0 {
-				fmt.Fprintf(&sb, "%d %d %d %d %d\n", n, sigma, total, total-infeasible, infeasible)
+				fmt.Fprintf(&sb, "%d %d %d %d %d %d\n", n, sigma, total, total-infeasible, infeasible, certified)
 			}
 		}
 	}
@@ -91,8 +102,9 @@ func newCensus() *census {
 }
 
 // check runs every census check on cfg, folds its outcome into the digest
-// and reports whether cfg is feasible.
-func (c *census) check(t *testing.T, cfg *config.Config) bool {
+// and reports whether cfg is feasible and whether symmetry certifies it
+// infeasible.
+func (c *census) check(t *testing.T, cfg *config.Config) (feasible, certified bool) {
 	t.Helper()
 	rep, err := c.turbo.Classify(cfg, core.ClassifyOptions{RecordSnapshots: true})
 	if err != nil {
@@ -111,6 +123,13 @@ func (c *census) check(t *testing.T, cfg *config.Config) bool {
 	}
 	if rep.Leader != ref.Leader {
 		t.Fatalf("%s: turbo designates node %d, Classify node %d", cfg, rep.Leader, ref.Leader)
+	}
+	certified, err = symmetry.CertifiesInfeasible(cfg, 0)
+	if err != nil {
+		t.Fatalf("%s: CertifiesInfeasible: %v", cfg, err)
+	}
+	if certified && rep.Feasible() {
+		t.Fatalf("%s: symmetry certifies a feasible configuration infeasible", cfg)
 	}
 	rounds := 0
 	if rep.Feasible() {
@@ -131,7 +150,7 @@ func (c *census) check(t *testing.T, cfg *config.Config) bool {
 	h = fnv.Mix64(h, verdict)
 	h = fnv.Mix64(h, uint64(int64(rep.Leader)))
 	c.digest = fnv.Mix64(h, uint64(rounds))
-	return rep.Feasible()
+	return rep.Feasible(), certified
 }
 
 // elect builds the feasible cfg's algorithm from the turbo report, elects,

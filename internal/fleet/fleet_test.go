@@ -11,7 +11,9 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"anonradio/internal/canonical"
 	"anonradio/internal/config"
+	"anonradio/internal/election"
 	"anonradio/internal/server"
 	"anonradio/internal/service"
 )
@@ -444,5 +446,59 @@ func TestEvictOnClosedNodeKeepsCache(t *testing.T) {
 	}
 	if out.Leader != before.Leader || out.Rounds != before.Rounds {
 		t.Fatalf("%s: outcome changed across the rebuild: (%d, %d) -> (%d, %d)", key, before.Leader, before.Rounds, out.Leader, out.Rounds)
+	}
+}
+
+// TestAPIErrorUnwraps422Causes registers three configurations a node
+// answers 422 for, in both encodings, and pins that the client's error
+// unwraps to exactly the sentinel of each cause: an infeasible
+// configuration (election.ErrInfeasible), tags {0, 10⁶}, whose round bound
+// passes the round limit (canonical.ErrRoundOverflow), and a tampered
+// artifact (election.ErrInvalidArtifact). A 404 still unwraps to
+// service.ErrUnknownKey.
+func TestAPIErrorUnwraps422Causes(t *testing.T) {
+	urls, _, _ := newTestNodes(t, 1)
+	cfg := config.StaggeredClique(5)
+	d, err := election.BuildDedicated(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tampered := d.Compile()
+	tampered.RoundBound = 3
+	sentinels := []error{election.ErrInfeasible, canonical.ErrRoundOverflow, election.ErrInvalidArtifact}
+	for _, binary := range []bool{false, true} {
+		c := NewClient(urls[0], ClientOptions{Binary: binary})
+		for _, tc := range []struct {
+			name     string
+			register func() error
+			want     error
+		}{
+			{"infeasible", func() error {
+				_, err := c.Register("infeasible", config.SymmetricPair().Marshal())
+				return err
+			}, election.ErrInfeasible},
+			{"tags {0, 10^6}", func() error {
+				_, err := c.Register("huge", "nodes 2\ntag 0 0\ntag 1 1000000\nedge 0 1\n")
+				return err
+			}, canonical.ErrRoundOverflow},
+			{"tampered artifact", func() error {
+				_, err := c.RegisterArtifact("tampered", cfg.Marshal(), tampered)
+				return err
+			}, election.ErrInvalidArtifact},
+		} {
+			err := tc.register()
+			var ae *APIError
+			if !errors.As(err, &ae) || ae.Status != http.StatusUnprocessableEntity {
+				t.Fatalf("%s (binary %v): %v, want a 422", tc.name, binary, err)
+			}
+			for _, s := range sentinels {
+				if errors.Is(err, s) != (s == tc.want) {
+					t.Fatalf("%s (binary %v): errors.Is(err, %q) = %v; err %v", tc.name, binary, s, !(s == tc.want), err)
+				}
+			}
+		}
+		if _, err := c.Elect("absent"); !errors.Is(err, service.ErrUnknownKey) {
+			t.Fatalf("elect of an unknown key (binary %v): %v, want ErrUnknownKey", binary, err)
+		}
 	}
 }
