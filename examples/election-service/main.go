@@ -5,9 +5,8 @@
 // of building one dedicated algorithm and electing once, a registry admits a
 // whole fleet of configurations (classified and compiled by a builder pool
 // off the serve path — synchronously, or in the background with
-// RegisterAsync — or loaded from compiled artifacts with the digest fast
-// path) and serves elections with zero allocations per call and no
-// cross-shard contention.
+// RegisterAsync — or loaded from compiled artifacts) and serves elections
+// with zero allocations per call and no cross-shard contention.
 //
 // Run with:
 //
@@ -66,9 +65,9 @@ func main() {
 	fmt.Println("async admission of clique-20 landed in the background")
 	keys = append(keys, "async-clique")
 
-	// Compiled artifacts are admitted without rebuilding: compile once
-	// (centrally, in the paper's story), then load — the embedded phase
-	// table's digest lets the load skip the recompilation.
+	// Compiled artifacts are admitted without reclassifying: compile once
+	// (centrally, in the paper's story), then load — the load compiles the
+	// phase table from the artifact's lists.
 	cfg := anonradio.StaggeredPath(9, 2)
 	d, err := anonradio.BuildElection(cfg)
 	if err != nil {

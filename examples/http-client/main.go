@@ -134,9 +134,8 @@ func main() {
 	}
 
 	// Snapshot the live registry, restore into a fresh service, and serve
-	// from a second server: the cold start skips every recompilation (the
-	// restore report says how many entries the digest fast path admitted)
-	// and answers bit-identically.
+	// from a second server: the cold start loads every artifact instead of
+	// reclassifying, and answers bit-identically.
 	dir, err := os.MkdirTemp("", "anonradio-snapshot-")
 	if err != nil {
 		log.Fatal(err)

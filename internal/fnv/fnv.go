@@ -1,12 +1,11 @@
 // Package fnv provides the FNV-1a hashing primitives shared by the
 // performance-engineered paths: the turbo classifier's refinement keys, the
-// phase-table content digest and the election service's shard placement all
+// election service's shard placement and the fleet's key placement all
 // hash through these constants, so the magic numbers exist exactly once.
 //
 // FNV-1a is used for speed and statistical quality, not security: every user
 // either verifies full keys after a hash match (the classifier's refine
-// table) or treats the hash as an integrity check on a trusted path (the
-// phase-table digest).
+// table) or only spreads keys with it (placement).
 package fnv
 
 // The 64-bit FNV-1a parameters.

@@ -262,7 +262,7 @@ type ShardStats struct {
 	// Rounds accumulates the global rounds of all served elections.
 	Rounds int64 `json:"rounds"`
 	// Stolen counts elections this shard's worker served from a loaded
-	// sibling's queue (see service.Options.WorkStealing).
+	// sibling's queue (work stealing, with two or more shards).
 	Stolen int64 `json:"stolen"`
 	// StolenFrom counts this shard's elections that were served by an idle
 	// sibling's worker.
