@@ -36,7 +36,7 @@ type Compiled struct {
 	LocalRounds int `json:"local_rounds"`
 	// RoundBound is the global-round upper bound of the election.
 	RoundBound int `json:"round_bound"`
-	// PhaseTable and ArtifactDigest are read, never written: artifacts of
+	// PhaseTable and ArtifactDigest are never set by Compile: artifacts of
 	// earlier releases embed the phase table compiled from the lists and a
 	// digest over both. Load compiles the table from the blueprint and
 	// refuses an artifact whose embedded table differs from it; the digest

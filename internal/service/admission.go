@@ -181,7 +181,7 @@ func (r *Registry) AdmissionStats() AdmissionStats {
 		Completed:     r.admCompleted.Load(),
 		Failed:        r.admFailed.Load(),
 		Rejected:      r.admRejected.Load(),
-		ArtifactLoads: r.artLoads.Load(),
+		ArtifactLoads: r.artifactLoads.Load(),
 		RebuildHits:   r.rebuildHits.Load(),
 	}
 }
@@ -290,7 +290,7 @@ func (r *Registry) admit(arena *election.BuildArena, job admission) {
 	resp := <-reply
 	r.replies.Put(reply)
 	if resp.out.Err == nil && job.compiled != nil {
-		r.artLoads.Add(1)
+		r.artifactLoads.Add(1)
 	}
 	if resp.out.Err == nil && r.wal != nil {
 		// Append the pre-encoded record on this builder goroutine — after

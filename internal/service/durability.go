@@ -408,7 +408,7 @@ func (r *Registry) applyAdmit(key, cfgText string, artifact *election.Compiled, 
 		skip(walOpAdmit, key, fmt.Sprintf("installing: %v", resp.out.Err))
 		return
 	}
-	r.artLoads.Add(1)
+	r.artifactLoads.Add(1)
 	report.Admits++
 }
 

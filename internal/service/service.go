@@ -360,18 +360,18 @@ type Registry struct {
 	snapMu sync.RWMutex
 
 	// Admission pipeline state (admission.go).
-	admissions   chan admission
-	builders     sync.WaitGroup
-	builderCount int
-	admitMu      sync.Mutex
-	admitted     map[string]*admissionRecord
-	admSubmitted atomic.Int64
-	admCompleted atomic.Int64
-	admFailed    atomic.Int64
-	admRejected  atomic.Int64
-	admPending   atomic.Int64
-	artLoads     atomic.Int64 // admissions installed from an artifact
-	rebuildHits  atomic.Int64 // builds that reused a retired algorithm's buffers
+	admissions    chan admission
+	builders      sync.WaitGroup
+	builderCount  int
+	admitMu       sync.Mutex
+	admitted      map[string]*admissionRecord
+	admSubmitted  atomic.Int64
+	admCompleted  atomic.Int64
+	admFailed     atomic.Int64
+	admRejected   atomic.Int64
+	admPending    atomic.Int64
+	artifactLoads atomic.Int64 // admissions installed from an artifact
+	rebuildHits   atomic.Int64 // builds that reused a retired algorithm's buffers
 
 	// configCount caches the registered-configuration total so health
 	// probes (Len) never enter a shard queue. Only shard workers update it.

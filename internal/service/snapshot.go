@@ -370,7 +370,7 @@ func (r *Registry) restoreEntry(dir string, me ManifestEntry) error {
 	if resp.out.Err != nil {
 		return fmt.Errorf("service: restoring %q: %w", me.Key, resp.out.Err)
 	}
-	r.artLoads.Add(1)
+	r.artifactLoads.Add(1)
 	return nil
 }
 
