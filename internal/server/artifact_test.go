@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -302,4 +304,53 @@ func cloneTable(t *testing.T, pt *canonical.PhaseTable) *canonical.PhaseTable {
 		t.Fatal(err)
 	}
 	return &c
+}
+
+// TestRegisterJSONEraArtifact registers an artifact an earlier release
+// wrote, with its phase table and digest (the JSON-era checkpoint of
+// internal/service/testdata): as written it answers 200 and elects leader 0
+// in 15 rounds, as its fixture's README records; with one plan of its
+// table edited it answers 422, although its digest is untouched.
+func TestRegisterJSONEraArtifact(t *testing.T) {
+	_, ts := newTestServer(t)
+	dir := filepath.Join("..", "service", "testdata", "json-era", "checkpoint")
+	text, err := os.ReadFile(filepath.Join(dir, "0000.config.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, "0000.artifact.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, edit := range []bool{false, true} {
+		c, err := election.UnmarshalCompiled(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.PhaseTable == nil || c.ArtifactDigest == "" {
+			t.Fatal("the JSON-era artifact has no phase table or no digest")
+		}
+		if edit {
+			c.PhaseTable.Plans[0].Block++
+		}
+		resp := postJSON(t, ts, "/v1/register", RegisterRequest{Key: "era", Config: string(text), Artifact: c})
+		if edit {
+			var e ErrorResponse
+			decodeBody(t, resp, &e)
+			if resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(e.Error, "phase table") {
+				t.Fatalf("edited table: status %d, %q; want 422 naming the phase table", resp.StatusCode, e.Error)
+			}
+			continue
+		}
+		var rr RegisterResponse
+		decodeBody(t, resp, &rr)
+		if resp.StatusCode != http.StatusOK || rr.Source != "artifact" {
+			t.Fatalf("register: status %d, %+v", resp.StatusCode, rr)
+		}
+		var out Outcome
+		decodeBody(t, postJSON(t, ts, "/v1/elect", ElectRequest{Key: "era"}), &out)
+		if !out.Elected || out.Leader != 0 || out.Rounds != 15 {
+			t.Fatalf("elect: %+v, want leader 0 in 15 rounds", out)
+		}
+	}
 }

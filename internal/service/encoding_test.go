@@ -194,8 +194,8 @@ const tableEraFixture = "testdata/table-era"
 // TestTableEraBoots is the upgrade path from artifacts with phase tables:
 // Open boots a copy of the table-era fixture — every checkpoint entry and
 // journal admit loaded, its embedded table checked against the lists —
-// into the outcomes of fresh builds, and the next checkpoint rewrites the
-// artifacts without tables or digests.
+// into the outcomes of fresh builds, and the next checkpoint and journal
+// record write artifacts without tables or digests.
 func TestTableEraBoots(t *testing.T) {
 	cfgs := make(map[string]*config.Config)
 	for key, cfg := range jsonEraConfigs(t) {
@@ -246,6 +246,30 @@ func TestTableEraBoots(t *testing.T) {
 		if c.PhaseTable != nil || c.ArtifactDigest != "" {
 			t.Fatalf("%s after the checkpoint carries a phase table or the digest %q", e.ArtifactFile, c.ArtifactDigest)
 		}
+	}
+
+	// A new admission's journal record carries no table or digest either.
+	if err := r.Register("tab-f", config.StaggeredPath(6, 1)); err != nil {
+		t.Fatal(err)
+	}
+	r.Close()
+	admits := 0
+	if _, err := wal.Replay(dir, func(payload []byte) error {
+		typ, body, _, err := wire.DecodeFrame(payload)
+		if err != nil || typ != wire.FrameWALAdmit {
+			return err
+		}
+		var rec wire.WALAdmit
+		if err := rec.DecodeFrom(body); err != nil {
+			return err
+		}
+		if rec.Artifact.PhaseTable != nil || rec.Artifact.ArtifactDigest != "" {
+			t.Errorf("the journal's %s admit carries a phase table or the digest %q", rec.Key, rec.Artifact.ArtifactDigest)
+		}
+		admits++
+		return nil
+	}); err != nil || admits != 1 {
+		t.Fatalf("replaying the journal: %d admits, %v; want the one of tab-f", admits, err)
 	}
 }
 
