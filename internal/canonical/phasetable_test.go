@@ -263,49 +263,89 @@ func TestPhaseTableJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPhaseTableEqual pins the check a load applies to the table an
-// earlier release embedded in an artifact: Equal accepts a faithful copy
-// (through JSON, as those artifacts carry it) and rejects another
-// protocol's table and every single-field corruption of what the execution
-// consults.
-func TestPhaseTableEqual(t *testing.T) {
-	// The line family needs several refinement phases, so the table has
-	// non-empty matching rows to corrupt.
-	table := func(cfg *config.Config) *PhaseTable {
-		t.Helper()
-		rep, err := core.Classify(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		d, err := New(rep)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return d.Table()
+// compiledTable classifies cfg and returns its canonical DRIP's table.
+func compiledTable(t *testing.T, cfg *config.Config) *PhaseTable {
+	t.Helper()
+	rep, err := core.Classify(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	pt := table(config.LineFamilyG(3))
-	if len(pt.Matches) == 0 || len(pt.Matches[0].Rows) < 2 {
-		t.Fatalf("test configuration compiled without matching rows")
+	d, err := New(rep)
+	if err != nil {
+		t.Fatal(err)
 	}
-	fresh := func() *PhaseTable {
-		data, err := json.Marshal(pt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var back PhaseTable
-		if err := json.Unmarshal(data, &back); err != nil {
-			t.Fatal(err)
-		}
-		return &back
+	return d.Table()
+}
+
+// jsonCopy returns pt after a trip through the JSON an earlier release's
+// artifacts embed a table in.
+func jsonCopy(t *testing.T, pt *PhaseTable) *PhaseTable {
+	t.Helper()
+	data, err := json.Marshal(pt)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !fresh().Equal(pt) {
-		t.Fatalf("a faithful copy does not compare equal")
+	var back PhaseTable
+	if err := json.Unmarshal(data, &back); err != nil {
+		t.Fatal(err)
 	}
-	if other := table(config.StaggeredPath(5, 2)); other.Equal(pt) || pt.Equal(other) {
+	return &back
+}
+
+// TestPhaseTableDigest pins table identity. Tables carry no digest any
+// more, so Equal is the one table comparison: it is deterministic, accepts
+// a faithful copy, tells two protocols' tables apart, handles nil, and
+// sees a change to a plan or to an expectation row.
+func TestPhaseTableDigest(t *testing.T) {
+	pt := compiledTable(t, config.StaggeredClique(6))
+	if !pt.Equal(pt) || !jsonCopy(t, pt).Equal(pt) {
+		t.Fatalf("a table does not compare equal to itself or its copy")
+	}
+	if other := compiledTable(t, config.StaggeredPath(5, 2)); other.Equal(pt) || pt.Equal(other) {
 		t.Fatalf("two protocols' tables compare equal")
 	}
 	if pt.Equal(nil) || (*PhaseTable)(nil).Equal(pt) || !(*PhaseTable)(nil).Equal(nil) {
 		t.Fatalf("Equal mishandles a nil table")
+	}
+	mutated := jsonCopy(t, pt)
+	mutated.Plans[0].Block++
+	if mutated.Equal(pt) || pt.Equal(mutated) {
+		t.Fatalf("plan mutation not seen")
+	}
+	// The line family needs several refinement iterations, so its table has
+	// non-trivial matching rows.
+	lt := compiledTable(t, config.LineFamilyG(2))
+	mutated = jsonCopy(t, lt)
+	found := false
+	for i := range mutated.Matches {
+		if len(mutated.Matches[i].Rows) > 0 && len(mutated.Matches[i].Rows[0].Expect) > 0 {
+			mutated.Matches[i].Rows[0].Expect[0] ^= 1
+			found = true
+			break
+		}
+	}
+	if !found {
+		t.Fatalf("line-family table has no match rows")
+	}
+	if mutated.Equal(lt) || lt.Equal(mutated) {
+		t.Fatalf("expectation mutation not seen")
+	}
+}
+
+// TestPhaseTableValidateRejectsCorruption pins the check a load applies to
+// the table an earlier release embedded in an artifact: Equal with the
+// table compiled from the artifact's lists accepts a faithful copy
+// (through JSON, as those artifacts carry it) and rejects every
+// single-field corruption of what the execution consults.
+func TestPhaseTableValidateRejectsCorruption(t *testing.T) {
+	// The line family needs several refinement phases, so the table has
+	// non-empty matching rows to corrupt.
+	pt := compiledTable(t, config.LineFamilyG(3))
+	if len(pt.Matches) == 0 || len(pt.Matches[0].Rows) < 2 {
+		t.Fatalf("test configuration compiled without matching rows")
+	}
+	if !jsonCopy(t, pt).Equal(pt) {
+		t.Fatalf("a faithful copy does not compare equal")
 	}
 	for name, corrupt := range map[string]func(*PhaseTable){
 		"negative span":          func(c *PhaseTable) { c.Sigma = -1 },
@@ -321,7 +361,7 @@ func TestPhaseTableEqual(t *testing.T) {
 		"expectation shortened":  func(c *PhaseTable) { c.Matches[0].Rows[0].Expect = c.Matches[0].Rows[0].Expect[1:] },
 		"phase boundary dropped": func(c *PhaseTable) { c.Matches = c.Matches[:len(c.Matches)-1] },
 	} {
-		c := fresh()
+		c := jsonCopy(t, pt)
 		corrupt(c)
 		if c.Equal(pt) || pt.Equal(c) {
 			t.Fatalf("%s: the corrupted table compares equal", name)

@@ -50,11 +50,13 @@ func hammerElect(t *testing.T, r *Registry, keys []string, want map[string][2]in
 	}
 }
 
-// TestWorkStealingBitIdentical runs a concurrent hot-key workload against a
-// four-shard registry, whose idle workers steal, and pins every served
+// TestWorkStealingBitIdentical runs the same concurrent hot-key workload
+// against a stealing and a non-stealing registry and pins every served
 // outcome — stolen or home-served — to the direct Dedicated.Elect result,
 // untraced and traced. Work stealing moves *where* an election executes,
-// never what it computes.
+// never what it computes. A registry steals whenever it has two or more
+// shards, so the stealing case runs four shards and the other one shard,
+// which has no sibling to steal from.
 func TestWorkStealingBitIdentical(t *testing.T) {
 	want := make(map[string][2]int)
 	keys := make([]string, 0, len(testConfigs()))
@@ -78,24 +80,35 @@ func TestWorkStealingBitIdentical(t *testing.T) {
 		}
 		want[key] = ref
 	}
-	r := New(Options{Shards: 4})
-	t.Cleanup(r.Close)
-	for key, cfg := range testConfigs() {
-		if err := r.Register(key, cfg); err != nil {
-			t.Fatal(err)
-		}
-	}
-	hammerElect(t, r, keys, want, 16, 20, false)
-	stats, err := r.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := Totals(stats)
-	if got := int64(16 * 20 * len(keys)); total.Elections != got {
-		t.Fatalf("elections %d, want %d", total.Elections, got)
-	}
-	if total.Stolen != total.StolenFrom {
-		t.Fatalf("stolen %d != stolen-from %d", total.Stolen, total.StolenFrom)
+	for _, stealing := range []bool{true, false} {
+		t.Run(fmt.Sprintf("stealing=%v", stealing), func(t *testing.T) {
+			shards := 1
+			if stealing {
+				shards = 4
+			}
+			r := New(Options{Shards: shards})
+			t.Cleanup(r.Close)
+			for key, cfg := range testConfigs() {
+				if err := r.Register(key, cfg); err != nil {
+					t.Fatal(err)
+				}
+			}
+			hammerElect(t, r, keys, want, 16, 20, false)
+			stats, err := r.Stats()
+			if err != nil {
+				t.Fatal(err)
+			}
+			total := Totals(stats)
+			if got := int64(16 * 20 * len(keys)); total.Elections != got {
+				t.Fatalf("elections %d, want %d", total.Elections, got)
+			}
+			if total.Stolen != total.StolenFrom {
+				t.Fatalf("stolen %d != stolen-from %d", total.Stolen, total.StolenFrom)
+			}
+			if !stealing && total.Stolen != 0 {
+				t.Fatalf("a one-shard registry stole %d elections", total.Stolen)
+			}
+		})
 	}
 }
 
