@@ -4,11 +4,13 @@
 //
 // The router holds no election state. It decides which node owns each key
 // (a pure function of the node list, so every router replica routes
-// identically), forwards the request in the client's own encoding (JSON or
-// the binary wire protocol), splits batch elections per owning node and
-// reassembles the outcomes in submission order, and aggregates /v1/stats
-// across the fleet. Registrations refused with 429 by a node's admission
-// queue are retried per -busy-retries, honoring the node's Retry-After.
+// identically), serves the /v1/* routes through anonradiod's own handlers
+// in the client's own encoding (JSON or the binary wire protocol; the
+// router speaks JSON to the nodes, or binary with -binary), splits batch
+// elections per owning node and reassembles the outcomes in submission
+// order, and aggregates /v1/stats across the fleet. Registrations refused
+// with 429 by a node's admission queue are retried per -busy-retries,
+// honoring the node's Retry-After.
 //
 // A background probe loop polls every node's /healthz; a node that misses
 // -probe-failures consecutive probes is dropped from the ring and its keys

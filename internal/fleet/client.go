@@ -8,13 +8,10 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
-	"strings"
 	"time"
 
-	"anonradio/internal/canonical"
 	"anonradio/internal/election"
 	"anonradio/internal/server"
-	"anonradio/internal/service"
 	"anonradio/internal/wire"
 )
 
@@ -82,8 +79,9 @@ func (c *Client) Base() string { return c.base }
 
 // APIError is the client-side form of a non-2xx server answer. It unwraps
 // to the service/election sentinels its status maps to (service.ErrUnknownKey,
-// service.ErrAdmissionBusy, service.ErrClosed, and for 422 the sentinels
-// of unprocessable), so errors.Is works across the network boundary.
+// service.ErrAdmissionBusy, service.ErrClosed, service.ErrInvalidConfig,
+// and for 422 the ErrInfeasible, ErrRoundOverflow or ErrInvalidArtifact it
+// names), so errors.Is works across the network boundary.
 type APIError struct {
 	// Node is the base URL of the node that answered.
 	Node string
@@ -99,32 +97,15 @@ func (e *APIError) Error() string {
 	return fmt.Sprintf("node %s answered %d: %s", e.Node, e.Status, e.Message)
 }
 
-// unprocessable lists the sentinels a node answers 422 for.
-var unprocessable = []error{election.ErrInfeasible, canonical.ErrRoundOverflow, election.ErrInvalidArtifact}
+// Answer returns the node's status and Retry-After hint, which a front
+// door that made the call relays as they are (server.Backend).
+func (e *APIError) Answer() (status int, retryAfter time.Duration) { return e.Status, e.RetryAfter }
 
-// Unwrap maps the HTTP status back onto the in-process sentinel errors. A
-// 422 has several causes, and the node's message is the text of its error,
-// which contains the text of every sentinel it wraps: a 422 unwraps to each
-// sentinel of unprocessable whose text the message carries.
-func (e *APIError) Unwrap() []error {
-	switch e.Status {
-	case http.StatusNotFound:
-		return []error{service.ErrUnknownKey}
-	case http.StatusTooManyRequests:
-		return []error{service.ErrAdmissionBusy}
-	case http.StatusServiceUnavailable:
-		return []error{service.ErrClosed}
-	case http.StatusUnprocessableEntity:
-		var errs []error
-		for _, sentinel := range unprocessable {
-			if strings.Contains(e.Message, sentinel.Error()) {
-				errs = append(errs, sentinel)
-			}
-		}
-		return errs
-	}
-	return nil
-}
+// Unwrap maps the HTTP status back onto the in-process sentinel errors
+// through the server's status table (server.Sentinels): to each sentinel
+// paired with the status whose text the node's message carries, so a 422,
+// which has several causes, unwraps to the ones it names.
+func (e *APIError) Unwrap() []error { return server.Sentinels(e.Status, e.Message) }
 
 // retryAfter parses a Retry-After header (the server only emits the
 // delta-seconds form).

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"sync"
 
-	"anonradio/internal/election"
 	"anonradio/internal/server"
 	"anonradio/internal/service"
 )
@@ -93,10 +92,8 @@ func (f *Fleet) Keys() []string {
 	return keys
 }
 
-// NoteConfig records a key's configuration text in the recovery cache
-// without registering it (used when an admission reached a node through a
-// side channel, e.g. a shipped artifact).
-func (f *Fleet) NoteConfig(key, cfgText string) {
+// noteConfig records a key's configuration text in the recovery cache.
+func (f *Fleet) noteConfig(key, cfgText string) {
 	f.mu.Lock()
 	f.configs[key] = cfgText
 	f.mu.Unlock()
@@ -105,50 +102,85 @@ func (f *Fleet) NoteConfig(key, cfgText string) {
 // Register admits cfgText under key on the owning node and records the
 // configuration in the recovery cache.
 func (f *Fleet) Register(key, cfgText string) (server.RegisterResponse, error) {
-	return f.RegisterFull(key, cfgText, nil, false)
-}
-
-// RegisterFull is Register with the server's full option surface: an
-// optional pre-compiled artifact and the async admission flow. The
-// configuration is cached on acceptance (sync success or async 202 — an
-// async admission that later fails is simply re-registered at the next
-// rebalance, which is idempotent).
-func (f *Fleet) RegisterFull(key, cfgText string, artifact *election.Compiled, async bool) (server.RegisterResponse, error) {
-	c := f.ClientFor(key)
-	var resp server.RegisterResponse
-	var err error
-	switch {
-	case async:
-		resp, err = c.RegisterAsync(key, cfgText)
-	case artifact != nil:
-		resp, err = c.RegisterArtifact(key, cfgText, artifact)
-	default:
-		resp, err = c.Register(key, cfgText)
-	}
+	resp, err := f.ClientFor(key).Register(key, cfgText)
 	if err == nil {
-		f.NoteConfig(key, cfgText)
+		f.noteConfig(key, cfgText)
 	}
 	return resp, err
 }
 
-// AdmissionStatus polls the owning node for an async admission's state.
-func (f *Fleet) AdmissionStatus(key string) (server.AdmissionStatusResponse, error) {
-	return f.ClientFor(key).AdmissionStatus(key)
+// Admit admits a on the node that owns its key: the WAL-admit frame it
+// arrived in, verbatim, when it came as one (POST /v1/admit/artifact), else
+// a register request carrying its configuration text, artifact and async
+// flag. The node parses the text. The text is cached on acceptance (sync
+// success or async 202 — an async admission that later fails is simply
+// re-registered at the next rebalance, which is idempotent).
+func (f *Fleet) Admit(a service.Admission) error {
+	c := f.ClientFor(a.Key)
+	var err error
+	if a.Frame != nil {
+		_, err = c.AdmitArtifact(a.Frame)
+	} else {
+		_, err = c.register(a.Key, a.Config, a.Artifact, a.Async)
+	}
+	if err == nil {
+		f.noteConfig(a.Key, a.Config)
+	}
+	return err
+}
+
+// AdmissionStatus polls the owning node for key's admission. When the node
+// records none, or cannot be asked, State is AdmissionUnknown and Err holds
+// the failed call (a node's 404 included), which a front door relays.
+func (f *Fleet) AdmissionStatus(key string) service.AdmissionStatus {
+	resp, err := f.ClientFor(key).AdmissionStatus(key)
+	st := service.AdmissionStatus{Key: key, Err: err}
+	if err != nil {
+		return st
+	}
+	for s := service.AdmissionQueued; s <= service.AdmissionFailed; s++ {
+		if s.String() == resp.State {
+			st.State = s
+		}
+	}
+	if resp.Error != "" {
+		st.Err = errors.New(resp.Error)
+	}
+	return st
 }
 
 // Elect serves one election for key on its owning node.
-func (f *Fleet) Elect(key string) (server.Outcome, error) {
-	return f.ClientFor(key).Elect(key)
+func (f *Fleet) Elect(key string) (service.Outcome, error) {
+	o, err := f.ClientFor(key).Elect(key)
+	if err != nil {
+		return service.Outcome{Key: key, Leader: -1, Err: err}, err
+	}
+	return outcome(o), nil
 }
 
-// ElectBatch serves one election per key across the fleet: the batch is
-// split by owning node, the per-node sub-batches run concurrently, and the
-// outcomes are reassembled so outcome i always corresponds to keys[i] —
-// exactly the contract of a single node's /v1/elect/batch. A node-level
-// failure (dead node, closed registry) lands in its keys' outcome slots
-// rather than failing the whole batch, mirroring how a single server
-// reports per-key failures.
-func (f *Fleet) ElectBatch(keys []string) (server.BatchResponse, error) {
+// outcome is a node's outcome as its registry served it.
+func outcome(o server.Outcome) service.Outcome {
+	out := service.Outcome{Key: o.Key, Leader: o.Leader, Rounds: o.Rounds}
+	if o.Error != "" {
+		out.Err = errors.New(o.Error)
+	}
+	return out
+}
+
+// ElectBatch serves one election per key across the fleet, writing the
+// outcome for keys[i] into slot i of the returned slice (outs is reused
+// when it has capacity): the batch is split by owning node, the per-node
+// sub-batches run concurrently, and the outcomes are reassembled in
+// submission order, exactly the contract of a single node's
+// /v1/elect/batch. A node-level failure (dead node, closed registry) lands
+// in its keys' outcome slots rather than failing the whole batch, so the
+// returned error is always nil.
+func (f *Fleet) ElectBatch(keys []string, outs []service.Outcome) ([]service.Outcome, error) {
+	if cap(outs) < len(keys) {
+		outs = make([]service.Outcome, len(keys))
+	} else {
+		outs = outs[:len(keys)]
+	}
 	ring := f.Ring()
 	type group struct {
 		keys    []string
@@ -165,53 +197,50 @@ func (f *Fleet) ElectBatch(keys []string) (server.BatchResponse, error) {
 		g.keys = append(g.keys, key)
 		g.indices = append(g.indices, i)
 	}
-	resp := server.BatchResponse{Outcomes: make([]server.Outcome, len(keys))}
 	var wg sync.WaitGroup
-	var mu sync.Mutex // guards resp.Failures (outcome slots are disjoint)
 	for node, g := range groups {
 		wg.Add(1)
-		go func(node string, g *group) {
+		go func(node string, g *group) { // the groups' outcome slots are disjoint
 			defer wg.Done()
 			sub, err := f.client(node).ElectBatch(g.keys)
-			if err != nil || len(sub.Outcomes) != len(g.keys) {
-				if err == nil {
-					err = fmt.Errorf("fleet: node %s answered %d outcomes for %d keys", node, len(sub.Outcomes), len(g.keys))
-				}
-				mu.Lock()
-				for _, idx := range g.indices {
-					resp.Outcomes[idx] = server.Outcome{Key: keys[idx], Leader: -1, Error: err.Error()}
-					resp.Failures++
-				}
-				mu.Unlock()
-				return
+			if err == nil && len(sub.Outcomes) != len(g.keys) {
+				err = fmt.Errorf("fleet: node %s answered %d outcomes for %d keys", node, len(sub.Outcomes), len(g.keys))
 			}
-			failures := 0
 			for j, idx := range g.indices {
-				resp.Outcomes[idx] = sub.Outcomes[j]
-				if sub.Outcomes[j].Error != "" {
-					failures++
+				if err != nil {
+					outs[idx] = service.Outcome{Key: keys[idx], Leader: -1, Err: err}
+				} else {
+					outs[idx] = outcome(sub.Outcomes[j])
 				}
-			}
-			if failures > 0 {
-				mu.Lock()
-				resp.Failures += failures
-				mu.Unlock()
+				outs[idx].Index = idx
 			}
 		}(node, g)
 	}
 	wg.Wait()
-	return resp, nil
+	return outs, nil
 }
 
-// Evict removes key from its owning node and from the recovery cache.
-func (f *Fleet) Evict(key string) error {
+// Evict removes key from its owning node and from the recovery cache. Like
+// Registry.Evict, it reports false, not an error, when the node holds no
+// such key.
+func (f *Fleet) Evict(key string) (bool, error) {
 	err := f.ClientFor(key).Evict(key)
-	if err == nil || errors.Is(err, service.ErrUnknownKey) {
+	absent := errors.Is(err, service.ErrUnknownKey)
+	if err == nil || absent {
 		f.mu.Lock()
 		delete(f.configs, key)
 		f.mu.Unlock()
 	}
-	return err
+	if absent {
+		return false, nil
+	}
+	return err == nil, err
+}
+
+// ExportArtifact fetches key's compiled artifact from its owning node, as
+// one WAL-admit frame.
+func (f *Fleet) ExportArtifact(key string) ([]byte, error) {
+	return f.ClientFor(key).FetchArtifact(key)
 }
 
 // NodeStats is one node's slice of a fleet stats aggregation.

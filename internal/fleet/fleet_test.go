@@ -97,6 +97,17 @@ func fleetKeys(n int) []string {
 	return keys
 }
 
+// failures counts the outcomes that carry an error.
+func failures(outs []service.Outcome) int {
+	n := 0
+	for _, o := range outs {
+		if o.Err != nil {
+			n++
+		}
+	}
+	return n
+}
+
 // registerFleet admits keys through the fleet and returns them.
 func registerFleet(t *testing.T, f *Fleet, n int) []string {
 	t.Helper()
@@ -151,15 +162,15 @@ func TestFleetBitIdenticalToSingleNode(t *testing.T) {
 		t.Fatalf("12 keys all landed on one node of three: %v", owners)
 	}
 
-	batch, err := f.ElectBatch(keys)
+	batch, err := f.ElectBatch(keys, nil)
 	if err != nil {
 		t.Fatalf("fleet batch: %v", err)
 	}
-	if len(batch.Outcomes) != len(keys) || batch.Failures != 0 {
-		t.Fatalf("batch: %d outcomes, %d failures", len(batch.Outcomes), batch.Failures)
+	if len(batch) != len(keys) || failures(batch) != 0 {
+		t.Fatalf("batch: %d outcomes, %d failures", len(batch), failures(batch))
 	}
 	for i, key := range keys {
-		out := batch.Outcomes[i]
+		out := batch[i]
 		if out.Key != key {
 			t.Fatalf("batch slot %d holds %q, want %q", i, out.Key, key)
 		}
@@ -189,28 +200,28 @@ func TestFleetElectBatchReassembly(t *testing.T) {
 		keys[8], keys[0], keys[4], keys[0], "ghost-key",
 		keys[7], keys[4], keys[1], keys[8], keys[2],
 	}
-	batch, err := f.ElectBatch(submit)
+	batch, err := f.ElectBatch(submit, nil)
 	if err != nil {
 		t.Fatalf("batch: %v", err)
 	}
-	if len(batch.Outcomes) != len(submit) {
-		t.Fatalf("batch returned %d outcomes for %d keys", len(batch.Outcomes), len(submit))
+	if len(batch) != len(submit) {
+		t.Fatalf("batch returned %d outcomes for %d keys", len(batch), len(submit))
 	}
-	if batch.Failures != 1 {
-		t.Fatalf("batch failures = %d, want 1 (the ghost key)", batch.Failures)
+	if failures(batch) != 1 {
+		t.Fatalf("batch failures = %d, want 1 (the ghost key)", failures(batch))
 	}
 	for i, key := range submit {
-		out := batch.Outcomes[i]
+		out := batch[i]
 		if out.Key != key {
 			t.Fatalf("slot %d holds %q, want %q — reassembly broke submission order", i, out.Key, key)
 		}
 		if key == "ghost-key" {
-			if out.Error == "" || out.Elected {
+			if out.Err == nil || out.Elected() {
 				t.Fatalf("ghost slot lacks its failure: %+v", out)
 			}
 			continue
 		}
-		if out.Error != "" || !out.Elected {
+		if out.Err != nil || !out.Elected() {
 			t.Fatalf("%s failed in batch: %+v", key, out)
 		}
 		// Duplicates and singletons alike must match a direct election.
@@ -238,7 +249,7 @@ func TestFleetAddNodeShipsArtifacts(t *testing.T) {
 	}
 	keys := registerFleet(t, f, 30)
 
-	before := make(map[string]server.Outcome, len(keys))
+	before := make(map[string]service.Outcome, len(keys))
 	for _, key := range keys {
 		out, err := f.Elect(key)
 		if err != nil {
@@ -301,7 +312,7 @@ func TestFleetDropNodeRecovers(t *testing.T) {
 	}
 	keys := registerFleet(t, f, 30)
 
-	before := make(map[string]server.Outcome, len(keys))
+	before := make(map[string]service.Outcome, len(keys))
 	ownedByLost := 0
 	lost := f.Owner(keys[0])
 	for _, key := range keys {
@@ -373,7 +384,7 @@ func TestDropNodeRebuildsBeforeSwap(t *testing.T) {
 		t.Fatal(err)
 	}
 	keys := registerFleet(t, f, 12)
-	before := make(map[string]server.Outcome, len(keys))
+	before := make(map[string]service.Outcome, len(keys))
 	for _, key := range keys {
 		if before[key], err = f.Elect(key); err != nil {
 			t.Fatalf("pre-loss elect %s: %v", key, err)
@@ -429,7 +440,7 @@ func TestEvictOnClosedNodeKeepsCache(t *testing.T) {
 	owner := f.Owner(key)
 	regs[owner].Close()
 
-	err = f.Evict(key)
+	_, err = f.Evict(key)
 	var ae *APIError
 	if !errors.As(err, &ae) || ae.Status != http.StatusServiceUnavailable || !errors.Is(err, service.ErrClosed) {
 		t.Fatalf("evict on a closed node: %v, want a 503 ErrClosed", err)

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"anonradio/internal/server"
+	"anonradio/internal/service"
 	"anonradio/internal/wire"
 )
 
@@ -196,7 +197,7 @@ func TestRouterProbeDropsDeadNode(t *testing.T) {
 			t.Fatalf("register %s: status %d", key, resp.StatusCode)
 		}
 	}
-	before := make(map[string]server.Outcome, len(keys))
+	before := make(map[string]service.Outcome, len(keys))
 	for _, key := range keys {
 		out, err := f.Elect(key)
 		if err != nil {

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"net/http"
 
-	"anonradio/internal/config"
+	"anonradio/internal/service"
 	"anonradio/internal/wire"
 )
 
@@ -18,7 +18,7 @@ import (
 //	                          what the journal records for the admission,
 //	                          so the frame round-trips through every
 //	                          consumer the journal already has.
-//	POST /v1/admit/artifact   admit such a frame (service.RegisterCompiled):
+//	POST /v1/admit/artifact   admit such a frame (as RegisterCompiled does):
 //	                          the receiver loads the shipped artifact,
 //	                          compiling its phase table from the lists,
 //	                          instead of reclassifying the configuration.
@@ -32,56 +32,50 @@ import (
 // on the export (its request has no body to negotiate with), error frames
 // on the admit path, mirroring the other binary handlers.
 
-func (s *Server) handleArtifactExport(w http.ResponseWriter, r *http.Request) {
+func (d *frontDoor) exportArtifact(w http.ResponseWriter, r *http.Request) {
+	c := getCodec(false)
+	defer codecs.Put(c)
 	key := r.PathValue("key")
 	if key == "" {
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "missing key"})
+		c.message(w, http.StatusBadRequest, "missing key")
 		return
 	}
-	frame, err := s.reg.ExportArtifact(key)
+	frame, err := d.b.ExportArtifact(key)
 	if err != nil {
-		s.writeError(w, err)
+		d.fail(c, w, err)
 		return
 	}
-	writeBinary(w, http.StatusOK, frame)
+	writeFrame(w, http.StatusOK, frame)
 }
 
-func (s *Server) handleAdmitArtifact(w http.ResponseWriter, r *http.Request) {
-	if !binaryRequest(r) {
-		writeJSON(w, http.StatusUnsupportedMediaType, ErrorResponse{
-			Error: fmt.Sprintf("artifact admission requires Content-Type %q (one WAL-admit wire frame, as served by GET /v1/artifact/{key})", ContentTypeBinary),
-		})
-		return
-	}
-	c := codecs.Get().(*codec)
+func (d *frontDoor) admitArtifact(w http.ResponseWriter, r *http.Request) {
+	c := getCodec(binaryRequest(r))
 	defer codecs.Put(c)
-	payload, ok := s.decodeBinary(w, r, c, wire.FrameWALAdmit)
-	if !ok {
+	if !c.binary {
+		c.message(w, http.StatusUnsupportedMediaType,
+			fmt.Sprintf("artifact admission requires Content-Type %q (one WAL-admit wire frame, as served by GET /v1/artifact/{key})", ContentTypeBinary))
 		return
 	}
-	var rec wire.WALAdmit
-	if err := rec.DecodeFrom(payload); err != nil {
-		s.binaryMessage(w, c, http.StatusBadRequest, fmt.Sprintf("decoding artifact frame: %v", err))
+	var rec admitRequest
+	if !c.decode(w, r, &rec, wire.FrameWALAdmit) {
 		return
 	}
 	if rec.Key == "" {
-		s.binaryMessage(w, c, http.StatusBadRequest, "missing key")
+		c.message(w, http.StatusBadRequest, "missing key")
 		return
 	}
 	if rec.Artifact == nil {
-		s.binaryMessage(w, c, http.StatusBadRequest, "artifact frame carries no compiled artifact")
+		c.message(w, http.StatusBadRequest, "artifact frame carries no compiled artifact")
 		return
 	}
-	cfg, err := config.Unmarshal(rec.Config)
-	if err != nil {
-		s.binaryMessage(w, c, http.StatusBadRequest, fmt.Sprintf("parsing config: %v", err))
+	// The validated frame is handed on as it arrived (a router forwards it,
+	// so an earlier release's phase table still reaches the node's check);
+	// the backend may keep it, so the codec lets go of the buffer.
+	frame := c.in
+	c.in = nil
+	if err := d.b.Admit(service.Admission{Key: rec.Key, Config: rec.Config, Artifact: rec.Artifact, Frame: frame}); err != nil {
+		d.fail(c, w, err)
 		return
 	}
-	if err := s.reg.RegisterCompiled(rec.Key, rec.Artifact, cfg); err != nil {
-		s.binaryError(w, c, err)
-		return
-	}
-	resp := wire.RegisterResponse{Key: rec.Key, Source: "artifact", Status: "admitted"}
-	c.out = wire.AppendRegisterResponseFrame(c.out[:0], &resp)
-	writeBinary(w, http.StatusOK, c.out)
+	c.registered(w, http.StatusOK, RegisterResponse{Key: rec.Key, Source: "artifact", Status: "admitted"})
 }

@@ -3,42 +3,23 @@ package server
 import (
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
-	"net/url"
 	"strconv"
 	"strings"
-	"sync"
 
-	"anonradio/internal/config"
-	"anonradio/internal/service"
 	"anonradio/internal/wire"
 )
 
-// This file is the binary wire path of the serve endpoints. The JSON and
-// binary encodings share one handler per route: a request whose
-// Content-Type is ContentTypeBinary is decoded as a length-prefixed,
-// CRC-checked wire frame (internal/wire) and answered in kind — same
-// registry call, same status mapping, bit-identical outcome values — so a
-// fleet can migrate client by client with no second port or path. Codec
-// state (request body, response frame, batch scratch) is pooled and reused
-// across requests, which is what keeps the unbatched elect request inside
-// its per-op allocation budget (pinned by TestWireElectHandlerAllocs).
+// This file is the binary half of the pooled codec (codec.go): a request
+// whose Content-Type is ContentTypeBinary carries one length-prefixed,
+// CRC-checked wire frame (internal/wire) and is answered in kind. A
+// route's JSON request and response types convert to their wire twins
+// directly — the structs have the same fields in the same order — so the
+// two encodings cannot drift apart field by field.
 
 // ContentTypeBinary is the media type of the binary wire encoding; see
 // docs/SERVER.md for the frame layout.
 const ContentTypeBinary = "application/x-anonradio-bin"
-
-// codec is the reusable per-request state of the binary path.
-type codec struct {
-	in   []byte            // request body
-	out  []byte            // response frame
-	breq wire.BatchRequest // batch key scratch (slice capacity reused)
-	outs []service.Outcome // batch outcome scratch
-	wos  []wire.Outcome    // batch wire-outcome scratch
-}
-
-var codecs = sync.Pool{New: func() any { return new(codec) }}
 
 // binaryRequest reports whether the request declares the binary encoding.
 func binaryRequest(r *http.Request) bool {
@@ -46,218 +27,45 @@ func binaryRequest(r *http.Request) bool {
 	return ct == ContentTypeBinary || strings.HasPrefix(ct, ContentTypeBinary+";")
 }
 
-// readBody reads the whole request body into buf, reusing its capacity.
-func readBody(r *http.Request, buf []byte) ([]byte, error) {
-	buf = buf[:0]
-	if n := r.ContentLength; n > 0 && int64(cap(buf)) < n {
-		buf = make([]byte, 0, n)
+// decodeFrame unwraps the single frame of type want that body must be and
+// decodes its payload into v.
+func decodeFrame(body []byte, v request, want wire.FrameType) error {
+	typ, payload, rest, err := wire.DecodeFrame(body)
+	switch {
+	case err != nil:
+		return fmt.Errorf("decoding request frame: %w", err)
+	case typ != want:
+		return fmt.Errorf("request frame is %v, want %v", typ, want)
+	case len(rest) != 0:
+		return errors.New("request body carries trailing data after the frame")
 	}
-	for {
-		if len(buf) == cap(buf) {
-			buf = append(buf, 0)[:len(buf)]
-		}
-		n, err := r.Body.Read(buf[len(buf):cap(buf)])
-		buf = buf[:len(buf)+n]
-		if err == io.EOF {
-			return buf, nil
-		}
-		if err != nil {
-			return buf, err
-		}
+	if err := v.fromFrame(payload); err != nil {
+		return fmt.Errorf("decoding %v payload: %w", want, err)
 	}
+	return nil
 }
 
-// writeBinary writes one wire frame as the response body.
-func writeBinary(w http.ResponseWriter, status int, frame []byte) {
+func (q *ElectRequest) fromFrame(p []byte) error    { return (*wire.ElectRequest)(q).DecodeFrom(p) }
+func (q *BatchRequest) fromFrame(p []byte) error    { return (*wire.BatchRequest)(q).DecodeFrom(p) }
+func (q *RegisterRequest) fromFrame(p []byte) error { return (*wire.RegisterRequest)(q).DecodeFrom(p) }
+
+// admitRequest is the body of POST /v1/admit/artifact, which has no JSON
+// form.
+type admitRequest wire.WALAdmit
+
+func (q *admitRequest) fromFrame(p []byte) error { return (*wire.WALAdmit)(q).DecodeFrom(p) }
+
+// sendFrame writes frame as the response body, keeping its buffer for the
+// next request.
+func (c *codec) sendFrame(w http.ResponseWriter, status int, frame []byte) {
+	c.out = frame
+	writeFrame(w, status, frame)
+}
+
+// writeFrame writes one wire frame as the response body.
+func writeFrame(w http.ResponseWriter, status int, frame []byte) {
 	w.Header().Set("Content-Type", ContentTypeBinary)
 	w.Header().Set("Content-Length", strconv.Itoa(len(frame)))
 	w.WriteHeader(status)
 	_, _ = w.Write(frame)
-}
-
-// binaryMessage answers a binary request with an error frame, mirroring
-// writeJSON(status, ErrorResponse{...}) on the JSON path.
-func (s *Server) binaryMessage(w http.ResponseWriter, c *codec, status int, msg string) {
-	if status == http.StatusTooManyRequests {
-		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
-	}
-	c.out = wire.AppendErrorFrame(c.out[:0], msg)
-	writeBinary(w, status, c.out)
-}
-
-// binaryError maps a registry error onto its HTTP status (the same mapping
-// as the JSON path's writeError) and answers with an error frame.
-func (s *Server) binaryError(w http.ResponseWriter, c *codec, err error) {
-	s.binaryMessage(w, c, statusFor(err), err.Error())
-}
-
-// decodeBinary reads the body and unwraps the single frame of type want,
-// answering the error itself (400/413 with an error frame) on failure.
-func (s *Server) decodeBinary(w http.ResponseWriter, r *http.Request, c *codec, want wire.FrameType) ([]byte, bool) {
-	body, err := readBody(r, c.in)
-	c.in = body
-	if err != nil {
-		var maxErr *http.MaxBytesError
-		if errors.As(err, &maxErr) {
-			s.binaryMessage(w, c, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("request body exceeds the %d-byte limit", maxErr.Limit))
-		} else {
-			s.binaryMessage(w, c, http.StatusBadRequest, fmt.Sprintf("reading request body: %v", err))
-		}
-		return nil, false
-	}
-	typ, payload, rest, err := wire.DecodeFrame(body)
-	if err != nil {
-		s.binaryMessage(w, c, http.StatusBadRequest, fmt.Sprintf("decoding request frame: %v", err))
-		return nil, false
-	}
-	if typ != want {
-		s.binaryMessage(w, c, http.StatusBadRequest,
-			fmt.Sprintf("request frame is %v, want %v", typ, want))
-		return nil, false
-	}
-	if len(rest) != 0 {
-		s.binaryMessage(w, c, http.StatusBadRequest, "request body carries trailing data after the frame")
-		return nil, false
-	}
-	return payload, true
-}
-
-// wireOutcome converts a served outcome to its binary wire form; the fields
-// carry exactly what outcomeJSON puts on the JSON path.
-func wireOutcome(o service.Outcome) wire.Outcome {
-	out := wire.Outcome{Key: o.Key, Elected: o.Elected(), Leader: o.Leader, Rounds: o.Rounds}
-	if o.Err != nil {
-		out.Error = o.Err.Error()
-	}
-	return out
-}
-
-func (s *Server) handleElectBinary(w http.ResponseWriter, r *http.Request) {
-	c := codecs.Get().(*codec)
-	defer codecs.Put(c)
-	payload, ok := s.decodeBinary(w, r, c, wire.FrameElectRequest)
-	if !ok {
-		return
-	}
-	var req wire.ElectRequest
-	if err := req.DecodeFrom(payload); err != nil {
-		s.binaryMessage(w, c, http.StatusBadRequest, fmt.Sprintf("decoding elect request: %v", err))
-		return
-	}
-	if req.Key == "" {
-		s.binaryMessage(w, c, http.StatusBadRequest, "missing key")
-		return
-	}
-	out, err := s.reg.Elect(req.Key)
-	if err != nil {
-		s.binaryError(w, c, err)
-		return
-	}
-	s.metrics[epElect].elections.Add(1)
-	o := wireOutcome(out)
-	c.out = wire.AppendOutcomeFrame(c.out[:0], &o)
-	writeBinary(w, http.StatusOK, c.out)
-}
-
-func (s *Server) handleElectBatchBinary(w http.ResponseWriter, r *http.Request) {
-	c := codecs.Get().(*codec)
-	defer codecs.Put(c)
-	payload, ok := s.decodeBinary(w, r, c, wire.FrameBatchRequest)
-	if !ok {
-		return
-	}
-	if err := c.breq.DecodeFrom(payload); err != nil {
-		s.binaryMessage(w, c, http.StatusBadRequest, fmt.Sprintf("decoding batch request: %v", err))
-		return
-	}
-	if len(c.breq.Keys) == 0 {
-		s.binaryMessage(w, c, http.StatusBadRequest, "missing keys")
-		return
-	}
-	if len(c.breq.Keys) > s.opts.MaxBatchKeys {
-		s.binaryMessage(w, c, http.StatusBadRequest,
-			fmt.Sprintf("batch of %d keys exceeds the limit of %d", len(c.breq.Keys), s.opts.MaxBatchKeys))
-		return
-	}
-	outs, err := s.reg.ElectBatch(c.breq.Keys, c.outs[:0])
-	c.outs = outs
-	// Per-key failures ride in their outcome slot (same as the JSON path);
-	// only a closed registry fails the request itself.
-	if err != nil && errors.Is(err, service.ErrClosed) {
-		s.binaryError(w, c, err)
-		return
-	}
-	resp := wire.BatchResponse{Outcomes: c.wos[:0]}
-	for _, o := range outs {
-		resp.Outcomes = append(resp.Outcomes, wireOutcome(o))
-		if o.Err != nil {
-			resp.Failures++
-		}
-	}
-	c.wos = resp.Outcomes
-	s.metrics[epElectBatch].elections.Add(int64(len(outs) - resp.Failures))
-	c.out = wire.AppendBatchResponseFrame(c.out[:0], &resp)
-	writeBinary(w, http.StatusOK, c.out)
-}
-
-func (s *Server) handleRegisterBinary(w http.ResponseWriter, r *http.Request) {
-	c := codecs.Get().(*codec)
-	defer codecs.Put(c)
-	payload, ok := s.decodeBinary(w, r, c, wire.FrameRegisterRequest)
-	if !ok {
-		return
-	}
-	var req wire.RegisterRequest
-	if err := req.DecodeFrom(payload); err != nil {
-		s.binaryMessage(w, c, http.StatusBadRequest, fmt.Sprintf("decoding register request: %v", err))
-		return
-	}
-	if req.Key == "" {
-		s.binaryMessage(w, c, http.StatusBadRequest, "missing key")
-		return
-	}
-	if req.Config == "" {
-		s.binaryMessage(w, c, http.StatusBadRequest, "missing config (the text format of internal/config; required even with an artifact)")
-		return
-	}
-	cfg, err := config.Unmarshal(req.Config)
-	if err != nil {
-		s.binaryMessage(w, c, http.StatusBadRequest, fmt.Sprintf("parsing config: %v", err))
-		return
-	}
-	source := "built"
-	if req.Artifact != nil {
-		source = "artifact"
-	}
-	if req.Async {
-		if req.Artifact != nil {
-			err = s.reg.RegisterCompiledAsync(req.Key, req.Artifact, cfg)
-		} else {
-			err = s.reg.RegisterAsync(req.Key, cfg)
-		}
-		if err != nil {
-			s.binaryError(w, c, err)
-			return
-		}
-		resp := wire.RegisterResponse{
-			Key: req.Key, Source: source, Status: "pending",
-			StatusURL: "/v1/register/status/" + url.PathEscape(req.Key),
-		}
-		c.out = wire.AppendRegisterResponseFrame(c.out[:0], &resp)
-		writeBinary(w, http.StatusAccepted, c.out)
-		return
-	}
-	if req.Artifact != nil {
-		err = s.reg.RegisterCompiled(req.Key, req.Artifact, cfg)
-	} else {
-		err = s.reg.Register(req.Key, cfg)
-	}
-	if err != nil {
-		s.binaryError(w, c, err)
-		return
-	}
-	resp := wire.RegisterResponse{Key: req.Key, Source: source, Status: "admitted"}
-	c.out = wire.AppendRegisterResponseFrame(c.out[:0], &resp)
-	writeBinary(w, http.StatusOK, c.out)
 }

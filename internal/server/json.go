@@ -1,111 +1,54 @@
 package server
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"strconv"
-	"sync"
-
-	"anonradio/internal/service"
 )
 
-// This file is the pooled JSON serve path, the encoding twin of binary.go:
-// the serve endpoints (elect, elect/batch, register) run their JSON
-// requests through a pooled jsonCodec instead of allocating fresh body
-// buffers, encoders and batch scratch per request. The output is
-// byte-identical to the plain writeJSON path — same indentation, same
-// trailing newline — with an exact Content-Length on top; only the
-// provenance of the working memory changes. Admin endpoints (stats,
-// health, metrics) stay on writeJSON: they are off the serve path and
-// their responses are dominated by the snapshot they report, not codec
-// state. TestJSONElectHandlerAllocs pins the budget.
+// This file is the JSON half of the pooled codec (codec.go). Answers are
+// encoded through the codec's persistent indented encoder into its pooled
+// buffer: the bytes are WriteJSON's exactly — same indentation, same
+// trailing newline — with an exact Content-Length on top. Admin endpoints
+// (stats, health) stay on WriteJSON: they are off the serve path and their
+// responses are dominated by the snapshot they report, not codec state.
 
-// jsonCodec is the reusable per-request state of the JSON serve path.
-type jsonCodec struct {
-	in   []byte            // request body
-	rd   bytes.Reader      // decoder source over in
-	buf  bytes.Buffer      // response body
-	enc  *json.Encoder     // persistent encoder writing into buf
-	outs []service.Outcome // batch outcome scratch
-	jout []Outcome         // batch wire-outcome scratch
+// decodeJSON parses body into v strictly: unknown fields (a typo'd
+// "artifcat" would otherwise silently trigger a server-side build) and
+// trailing data are refused.
+func (c *codec) decodeJSON(body []byte, v any) error {
+	c.rd.Reset(body)
+	dec := json.NewDecoder(&c.rd)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return fmt.Errorf("decoding request body: %w", err)
+	}
+	var trailing json.RawMessage
+	switch err := dec.Decode(&trailing); err {
+	case io.EOF:
+		return nil
+	case nil:
+		return errors.New("request body carries trailing data after the JSON object")
+	default:
+		return fmt.Errorf("decoding request body: %w", err)
+	}
 }
 
-var jsonCodecs = sync.Pool{New: func() any {
-	c := &jsonCodec{}
-	c.enc = json.NewEncoder(&c.buf)
-	c.enc.SetIndent("", "  ")
-	return c
-}}
-
-// write encodes v into the codec's pooled buffer and writes it with the
-// given status. Body bytes match writeJSON exactly; buffering additionally
-// yields an exact Content-Length (the unpooled path leaves net/http to
-// chunk or sniff the length).
-func (c *jsonCodec) write(w http.ResponseWriter, status int, v any) {
+// sendJSON encodes v into the codec's pooled buffer and writes it with the
+// given status.
+func (c *codec) sendJSON(w http.ResponseWriter, status int, v any) {
 	c.buf.Reset()
 	if err := c.enc.Encode(v); err != nil {
 		// Unreachable for the server's own response types; fall back to the
 		// unpooled path rather than emit a half-written buffer.
-		writeJSON(w, status, v)
+		WriteJSON(w, status, v)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Content-Length", strconv.Itoa(c.buf.Len()))
 	w.WriteHeader(status)
 	_, _ = w.Write(c.buf.Bytes())
-}
-
-// writeErrorTo is writeError through the pooled codec.
-func (s *Server) writeErrorTo(c *jsonCodec, w http.ResponseWriter, err error) {
-	status := statusFor(err)
-	if status == http.StatusTooManyRequests {
-		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
-	}
-	c.write(w, status, ErrorResponse{Error: err.Error()})
-}
-
-// decodeInto parses the request body into v strictly — unknown fields (a
-// typo'd "artifcat" would otherwise silently trigger a server-side build)
-// and trailing data are rejected — answering 400 itself on failure, or 413
-// when the body blew the MaxBodyBytes cap. The body is read through the
-// codec's pooled buffer, so repeat requests reuse its capacity.
-func decodeInto(c *jsonCodec, w http.ResponseWriter, r *http.Request, v any) bool {
-	body, err := readBody(r, c.in)
-	c.in = body
-	if err != nil {
-		writeDecodeErrorTo(c, w, err)
-		return false
-	}
-	c.rd.Reset(body)
-	dec := json.NewDecoder(&c.rd)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		writeDecodeErrorTo(c, w, err)
-		return false
-	}
-	var trailing json.RawMessage
-	switch err := dec.Decode(&trailing); err {
-	case io.EOF:
-		return true
-	case nil:
-		c.write(w, http.StatusBadRequest, ErrorResponse{Error: "request body carries trailing data after the JSON object"})
-	default:
-		writeDecodeErrorTo(c, w, err)
-	}
-	return false
-}
-
-// writeDecodeErrorTo is writeDecodeError through the pooled codec.
-func writeDecodeErrorTo(c *jsonCodec, w http.ResponseWriter, err error) {
-	var maxErr *http.MaxBytesError
-	if errors.As(err, &maxErr) {
-		c.write(w, http.StatusRequestEntityTooLarge,
-			ErrorResponse{Error: fmt.Sprintf("request body exceeds the %d-byte limit", maxErr.Limit)})
-		return
-	}
-	c.write(w, http.StatusBadRequest, ErrorResponse{Error: fmt.Sprintf("decoding request body: %v", err)})
 }

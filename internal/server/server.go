@@ -25,22 +25,24 @@
 //	GET    /healthz                  liveness from cached atomic counters —
 //	                                 never enters a shard queue
 //
-// Handlers do no election work themselves: they decode JSON (strictly:
-// unknown fields and trailing data are 400s, oversized bodies 413), hand
-// the request to the registry (whose worker-owned shards serve the
-// zero-alloc election path while the builder pool absorbs admissions), and
-// encode the value-typed outcome. Served outcomes are therefore
-// bit-identical to in-process Registry.Elect — the HTTP layer adds
+// Handlers do no election work themselves: they decode the request
+// strictly (unknown fields and trailing data are 400s, oversized bodies
+// 413), hand it to a Backend — here the registry, whose worker-owned shards
+// serve the zero-alloc election path while the builder pool absorbs
+// admissions — and encode the value-typed outcome. Served outcomes are
+// therefore bit-identical to in-process Registry.Elect: the HTTP layer adds
 // transport and accounting, never semantics. When the registry's bounded
 // admission queue is full, registrations answer 429 with a Retry-After
-// header — the server's backpressure signal.
+// header, the server's backpressure signal. The fleet router
+// (internal/fleet) serves the same routes through the same handlers over
+// its Fleet (see Relay and frontdoor.go).
 //
 // The register, elect and batch endpoints also speak a binary wire
 // encoding: a request with Content-Type "application/x-anonradio-bin"
 // carries one internal/wire frame and is answered in kind, through pooled
 // codec state that keeps the hot elect path nearly allocation-free (see
-// binary.go and docs/SERVER.md). Outcomes are bit-identical across the two
-// encodings — the encoding is negotiated per request, never per deployment.
+// codec.go and docs/SERVER.md). Outcomes are bit-identical across the two
+// encodings: the encoding is negotiated per request, never per deployment.
 //
 // The server also wires the snapshot layer to deployment: LoadSnapshot
 // re-admits a snapshot directory by loading its artifacts before the
@@ -53,20 +55,18 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net"
 	"net/http"
-	"net/url"
-	"strconv"
+	"strings"
 	"time"
 
 	"anonradio/internal/canonical"
-	"anonradio/internal/config"
 	"anonradio/internal/election"
 	"anonradio/internal/service"
 )
 
-// Options configure a Server. The zero value is ready to use.
+// Options configure a Server (Relay reads the two caps). The zero value is
+// ready to use.
 type Options struct {
 	// MaxBodyBytes caps the request body size; <= 0 selects 32 MiB
 	// (compiled artifacts for large configurations are megabytes of JSON).
@@ -95,27 +95,28 @@ type Server struct {
 
 // New builds a server over reg. The registry must outlive the server.
 func New(reg *service.Registry, opts Options) *Server {
-	if opts.MaxBodyBytes <= 0 {
-		opts.MaxBodyBytes = 32 << 20
-	}
-	if opts.MaxBatchKeys <= 0 {
-		opts.MaxBatchKeys = 8192
-	}
-	if opts.ReadHeaderTimeout <= 0 {
-		opts.ReadHeaderTimeout = 5 * time.Second
-	}
+	opts = opts.withDefaults()
 	s := &Server{reg: reg, mux: http.NewServeMux(), start: time.Now(), opts: opts}
-	s.mux.HandleFunc("POST /v1/register", s.instrument(epRegister, s.handleRegister))
-	s.mux.HandleFunc("GET /v1/register/status/{key...}", s.instrument(epRegisterStatus, s.handleRegisterStatus))
-	s.mux.HandleFunc("POST /v1/elect", s.instrument(epElect, s.handleElect))
-	s.mux.HandleFunc("POST /v1/elect/batch", s.instrument(epElectBatch, s.handleElectBatch))
-	s.mux.HandleFunc("DELETE /v1/configs/{key...}", s.instrument(epEvict, s.handleEvict))
-	s.mux.HandleFunc("GET /v1/artifact/{key...}", s.instrument(epArtifactExport, s.handleArtifactExport))
-	s.mux.HandleFunc("POST /v1/admit/artifact", s.instrument(epAdmitArtifact, s.handleAdmitArtifact))
-	s.mux.HandleFunc("GET /v1/stats", s.instrument(epStats, s.handleStats))
-	s.mux.HandleFunc("GET /healthz", s.instrument(epHealth, s.handleHealth))
+	d := &frontDoor{b: reg, opts: opts, metrics: &s.metrics, retryAfter: s.retryAfterSeconds, fallback: http.StatusInternalServerError}
+	d.route(s.mux)
+	s.mux.HandleFunc("GET /v1/stats", d.instrument(epStats, s.handleStats))
+	s.mux.HandleFunc("GET /healthz", d.instrument(epHealth, s.handleHealth))
 	s.httpSrv = &http.Server{Handler: s.mux, ReadHeaderTimeout: opts.ReadHeaderTimeout}
 	return s
+}
+
+// withDefaults fills in the zero fields of o.
+func (o Options) withDefaults() Options {
+	if o.MaxBodyBytes <= 0 {
+		o.MaxBodyBytes = 32 << 20
+	}
+	if o.MaxBatchKeys <= 0 {
+		o.MaxBatchKeys = 8192
+	}
+	if o.ReadHeaderTimeout <= 0 {
+		o.ReadHeaderTimeout = 5 * time.Second
+	}
+	return o
 }
 
 // Registry returns the registry the server serves.
@@ -409,39 +410,15 @@ func (r *statusRecorder) WriteHeader(status int) {
 	r.ResponseWriter.WriteHeader(status)
 }
 
-// instrument wraps a handler with the endpoint's latency/outcome counters
-// and the request-body cap.
-func (s *Server) instrument(ep endpoint, h http.HandlerFunc) http.HandlerFunc {
-	m := &s.metrics[ep]
-	return func(w http.ResponseWriter, r *http.Request) {
-		if r.Body != nil {
-			r.Body = http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
-		}
-		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
-		start := time.Now()
-		h(rec, r)
-		m.observe(time.Since(start), rec.status >= 400)
-	}
-}
-
-// writeJSON encodes v as the response body with the given status.
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON answers v as indented JSON with the given status: the encoding
+// of every JSON body a front door writes (the pooled serve path writes the
+// same bytes).
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(v) // the status is already on the wire; nothing to do on error
-}
-
-// writeError encodes err with the status its kind maps to. A 429 carries a
-// Retry-After header: the admission queue drains at build speed, so a
-// short client-side backoff is the intended reaction.
-func (s *Server) writeError(w http.ResponseWriter, err error) {
-	status := statusFor(err)
-	if status == http.StatusTooManyRequests {
-		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
-	}
-	writeJSON(w, status, ErrorResponse{Error: err.Error()})
 }
 
 // retryAfterSeconds derives the 429 Retry-After value from the pipeline's
@@ -465,195 +442,58 @@ func (s *Server) retryAfterSeconds() int {
 	return secs
 }
 
-// statusFor maps service/election errors onto HTTP statuses: unknown keys
-// are 404, a full admission queue is 429 (backpressure; retry), a closed
-// registry is 503 (the daemon is shutting down), infeasible configurations,
-// protocols past the round or code-matrix limits and artifacts the loaders
-// reject are 422 (well-formed but inadmissible), and anything else is 500.
-func statusFor(err error) int {
-	switch {
-	case errors.Is(err, service.ErrUnknownKey):
-		return http.StatusNotFound
-	case errors.Is(err, service.ErrAdmissionBusy):
-		return http.StatusTooManyRequests
-	case errors.Is(err, service.ErrClosed):
-		return http.StatusServiceUnavailable
-	case errors.Is(err, election.ErrInfeasible), errors.Is(err, canonical.ErrRoundOverflow),
-		errors.Is(err, election.ErrInvalidArtifact):
-		return http.StatusUnprocessableEntity
-	default:
-		return http.StatusInternalServerError
-	}
+// statuses pairs each sentinel error of the service and election layers
+// with the HTTP status a front door answers it with: configuration text
+// that does not parse is 400, unknown keys are 404, a full admission queue
+// is 429 (backpressure; retry), a closed registry is 503 (the daemon is
+// shutting down), and infeasible configurations, protocols past the round
+// or code-matrix limits and artifacts the loaders reject are 422
+// (well-formed but inadmissible). statusFor reads it from error to status,
+// Sentinels from status back to error.
+var statuses = [...]struct {
+	err    error
+	status int
+}{
+	{service.ErrInvalidConfig, http.StatusBadRequest},
+	{service.ErrUnknownKey, http.StatusNotFound},
+	{service.ErrAdmissionBusy, http.StatusTooManyRequests},
+	{service.ErrClosed, http.StatusServiceUnavailable},
+	{election.ErrInfeasible, http.StatusUnprocessableEntity},
+	{canonical.ErrRoundOverflow, http.StatusUnprocessableEntity},
+	{election.ErrInvalidArtifact, http.StatusUnprocessableEntity},
 }
 
-func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
-	if binaryRequest(r) {
-		s.handleRegisterBinary(w, r)
-		return
-	}
-	c := jsonCodecs.Get().(*jsonCodec)
-	defer jsonCodecs.Put(c)
-	var req RegisterRequest
-	if !decodeInto(c, w, r, &req) {
-		return
-	}
-	if req.Key == "" {
-		c.write(w, http.StatusBadRequest, ErrorResponse{Error: "missing key"})
-		return
-	}
-	if req.Config == "" {
-		c.write(w, http.StatusBadRequest, ErrorResponse{Error: "missing config (the text format of internal/config; required even with an artifact)"})
-		return
-	}
-	cfg, err := config.Unmarshal(req.Config)
-	if err != nil {
-		c.write(w, http.StatusBadRequest, ErrorResponse{Error: fmt.Sprintf("parsing config: %v", err)})
-		return
-	}
-	source := "built"
-	if req.Artifact != nil {
-		source = "artifact"
-	}
-	if req.Async {
-		if req.Artifact != nil {
-			err = s.reg.RegisterCompiledAsync(req.Key, req.Artifact, cfg)
-		} else {
-			err = s.reg.RegisterAsync(req.Key, cfg)
-		}
-		if err != nil {
-			s.writeErrorTo(c, w, err)
-			return
-		}
-		c.write(w, http.StatusAccepted, RegisterResponse{
-			Key: req.Key, Source: source, Status: "pending",
-			// PathEscape keeps keys with reserved characters ('?', '#', '%',
-			// spaces) pollable; the mux unescapes the wildcard back to the key.
-			StatusURL: "/v1/register/status/" + url.PathEscape(req.Key),
-		})
-		return
-	}
-	if req.Artifact != nil {
-		err = s.reg.RegisterCompiled(req.Key, req.Artifact, cfg)
-	} else {
-		err = s.reg.Register(req.Key, cfg)
-	}
-	if err != nil {
-		s.writeErrorTo(c, w, err)
-		return
-	}
-	c.write(w, http.StatusOK, RegisterResponse{Key: req.Key, Source: source, Status: "admitted"})
-}
-
-func (s *Server) handleRegisterStatus(w http.ResponseWriter, r *http.Request) {
-	key := r.PathValue("key")
-	if key == "" {
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "missing key"})
-		return
-	}
-	st := s.reg.AdmissionStatus(key)
-	if st.State == service.AdmissionUnknown {
-		writeJSON(w, http.StatusNotFound, ErrorResponse{Error: fmt.Sprintf("no admission recorded for %q", key)})
-		return
-	}
-	resp := AdmissionStatusResponse{Key: key, State: st.State.String()}
-	if st.Err != nil {
-		resp.Error = st.Err.Error()
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// outcomeJSON converts a served outcome to its wire form.
-func outcomeJSON(o service.Outcome) Outcome {
-	out := Outcome{Key: o.Key, Elected: o.Elected(), Leader: o.Leader, Rounds: o.Rounds}
-	if o.Err != nil {
-		out.Error = o.Err.Error()
-	}
-	return out
-}
-
-func (s *Server) handleElect(w http.ResponseWriter, r *http.Request) {
-	if binaryRequest(r) {
-		s.handleElectBinary(w, r)
-		return
-	}
-	c := jsonCodecs.Get().(*jsonCodec)
-	defer jsonCodecs.Put(c)
-	var req ElectRequest
-	if !decodeInto(c, w, r, &req) {
-		return
-	}
-	if req.Key == "" {
-		c.write(w, http.StatusBadRequest, ErrorResponse{Error: "missing key"})
-		return
-	}
-	out, err := s.reg.Elect(req.Key)
-	if err != nil {
-		s.writeErrorTo(c, w, err)
-		return
-	}
-	s.metrics[epElect].elections.Add(1)
-	c.write(w, http.StatusOK, outcomeJSON(out))
-}
-
-func (s *Server) handleElectBatch(w http.ResponseWriter, r *http.Request) {
-	if binaryRequest(r) {
-		s.handleElectBatchBinary(w, r)
-		return
-	}
-	c := jsonCodecs.Get().(*jsonCodec)
-	defer jsonCodecs.Put(c)
-	var req BatchRequest
-	if !decodeInto(c, w, r, &req) {
-		return
-	}
-	if len(req.Keys) == 0 {
-		c.write(w, http.StatusBadRequest, ErrorResponse{Error: "missing keys"})
-		return
-	}
-	if len(req.Keys) > s.opts.MaxBatchKeys {
-		c.write(w, http.StatusBadRequest, ErrorResponse{Error: fmt.Sprintf("batch of %d keys exceeds the limit of %d", len(req.Keys), s.opts.MaxBatchKeys)})
-		return
-	}
-	outs, err := s.reg.ElectBatch(req.Keys, c.outs[:0])
-	c.outs = outs
-	if err != nil && errors.Is(err, service.ErrClosed) {
-		s.writeErrorTo(c, w, err)
-		return
-	}
-	resp := BatchResponse{Outcomes: c.jout[:0]}
-	for _, o := range outs {
-		resp.Outcomes = append(resp.Outcomes, outcomeJSON(o))
-		if o.Err != nil {
-			resp.Failures++
+// statusFor maps err onto the status of the first sentinel it wraps, or
+// onto fallback when it wraps none.
+func statusFor(err error, fallback int) int {
+	for _, row := range statuses {
+		if errors.Is(err, row.err) {
+			return row.status
 		}
 	}
-	c.jout = resp.Outcomes
-	s.metrics[epElectBatch].elections.Add(int64(len(outs) - resp.Failures))
-	c.write(w, http.StatusOK, resp)
+	return fallback
 }
 
-func (s *Server) handleEvict(w http.ResponseWriter, r *http.Request) {
-	key := r.PathValue("key")
-	if key == "" {
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "missing key"})
-		return
+// Sentinels returns the sentinel errors an answer with status and message
+// stands for, read from the status table the other way: each sentinel
+// paired with status whose text the message carries. A front door's
+// message is the text of its error, which contains the text of every
+// sentinel it wraps. fleet.APIError unwraps through it.
+func Sentinels(status int, message string) []error {
+	var errs []error
+	for _, row := range statuses {
+		if row.status == status && strings.Contains(message, row.err.Error()) {
+			errs = append(errs, row.err)
+		}
 	}
-	evicted, err := s.reg.Evict(key)
-	if err != nil {
-		s.writeError(w, err) // 503 on a closed registry: the key may still be journaled
-		return
-	}
-	if !evicted {
-		writeJSON(w, http.StatusNotFound, ErrorResponse{Error: fmt.Sprintf("no configuration registered under %q", key)})
-		return
-	}
-	writeJSON(w, http.StatusOK, EvictResponse{Key: key, Evicted: true})
+	return errs
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	stats, err := s.reg.Stats()
 	if err != nil {
-		s.writeError(w, err) // 503 on a closed registry, not a healthy-looking all-zero table
+		// 503 on a closed registry, not a healthy-looking all-zero table.
+		WriteJSON(w, statusFor(err, http.StatusInternalServerError), ErrorResponse{Error: err.Error()})
 		return
 	}
 	ast := s.reg.AdmissionStats()
@@ -706,7 +546,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	for ep := endpoint(0); ep < epCount; ep++ {
 		resp.Endpoints = append(resp.Endpoints, s.metrics[ep].snapshot(ep))
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 func shardStatsJSON(s service.ShardStats) ShardStats {
@@ -729,7 +569,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	// (pre-PR-5, Len issued a synchronous request per shard and a single
 	// mid-build shard failed the probe).
 	wst := s.reg.WALStats()
-	writeJSON(w, http.StatusOK, HealthResponse{
+	WriteJSON(w, http.StatusOK, HealthResponse{
 		Status:            "ok",
 		Configs:           s.reg.Len(),
 		Shards:            s.reg.Shards(),

@@ -21,6 +21,11 @@ import (
 // 429 with a Retry-After header).
 var ErrAdmissionBusy = errors.New("service: admission queue is full")
 
+// ErrInvalidConfig is returned (wrapped) by Admit for configuration text
+// that does not parse into a valid configuration (the HTTP layer answers
+// it with 400).
+var ErrInvalidConfig = errors.New("service: invalid configuration")
+
 // AdmissionState is the lifecycle of one admission.
 type AdmissionState uint8
 
@@ -68,8 +73,42 @@ type AdmissionStatus struct {
 	Key string
 	// State is the admission's lifecycle state.
 	State AdmissionState
-	// Err carries the failure when State is AdmissionFailed.
+	// Err carries the failure when State is AdmissionFailed. With
+	// AdmissionUnknown it is nil from a registry; a front end that asks
+	// another process for the status (internal/fleet) sets it when that
+	// call failed.
 	Err error
+}
+
+// Admission is one registration as a front end hands it to Admit: the key,
+// the configuration in the text format of internal/config, an optional
+// compiled artifact to load instead of classifying and building, and
+// whether to queue it (Async) instead of waiting for it. Frame is the
+// WAL-admit frame the admission arrived in, when it came as one (POST
+// /v1/admit/artifact); a front end that forwards admissions instead of
+// performing them (internal/fleet) passes it on as it is, and the registry
+// does not read it.
+type Admission struct {
+	Key      string
+	Config   string
+	Artifact *election.Compiled
+	Async    bool
+	Frame    []byte
+}
+
+// Admit parses a's configuration text and admits it as Register,
+// RegisterAsync, RegisterCompiled or RegisterCompiledAsync would, as its
+// Artifact and Async select. Text that does not parse into a valid
+// configuration returns ErrInvalidConfig (wrapped).
+func (r *Registry) Admit(a Admission) error {
+	cfg, err := config.Unmarshal(a.Config)
+	if err != nil {
+		return fmt.Errorf("%w: %w", ErrInvalidConfig, err)
+	}
+	if a.Async {
+		return r.admitAsync(a.Key, cfg, a.Artifact)
+	}
+	return r.admitSync(a.Key, cfg, a.Artifact)
 }
 
 // AdmissionStats is a snapshot of the pipeline's counters.

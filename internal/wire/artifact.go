@@ -37,36 +37,8 @@ func unpackPlan(x uint64) canonical.RoundPlan {
 	}
 }
 
-// ArtifactSize returns the exact payload size AppendArtifact will write.
-func ArtifactSize(c *election.Compiled) int {
-	n := sizeUvarint(artifactVersion)
-	n += sizeString(c.ConfigName)
-	n += sizeString("") // digest
-	n += sizeSvarint(int64(c.ExpectedLeader))
-	n += sizeSvarint(int64(c.LocalRounds))
-	n += sizeSvarint(int64(c.RoundBound))
-	n += sizeUvarint(uint64(len(c.LeaderHistory)))
-	for i := range c.LeaderHistory {
-		n += 1 + sizeString(c.LeaderHistory[i].Msg)
-	}
-	n += sizeSvarint(int64(c.Blueprint.Sigma))
-	n += sizeUvarint(uint64(len(c.Blueprint.Lists)))
-	for _, l := range c.Blueprint.Lists {
-		n += 1 + sizeUvarint(uint64(len(l.Entries)))
-		for _, e := range l.Entries {
-			n += sizeSvarint(int64(e.OldClass))
-			n += sizeUvarint(uint64(len(e.Label)))
-			for _, t := range e.Label {
-				n += sizeSvarint(int64(t.Class)) + sizeSvarint(int64(t.Round)) + 1
-			}
-		}
-	}
-	return n + 1 // phase-table flag
-}
-
-// AppendArtifact appends the encoded artifact payload (no frame) to dst; it
-// writes exactly ArtifactSize bytes. It writes neither c.ArtifactDigest nor
-// c.PhaseTable.
+// AppendArtifact appends the encoded artifact payload (no frame) to dst. It
+// writes neither c.ArtifactDigest nor c.PhaseTable.
 func AppendArtifact(dst []byte, c *election.Compiled) []byte {
 	dst = binary.AppendUvarint(dst, artifactVersion)
 	dst = appendString(dst, c.ConfigName)

@@ -97,8 +97,8 @@ func reencode(t *testing.T, _, frame []byte) {
 // FuzzArtifactRoundTrip: any byte string the artifact decoder accepts
 // round-trips losslessly up to the digest and phase table of earlier
 // releases, which the encoder drops by design — encoding the decoded value
-// is exact-size, decodes to a deeply-equal value once those two are
-// cleared, and re-encodes bit-identically.
+// decodes to a deeply-equal value once those two are cleared, and
+// re-encodes bit-identically.
 func FuzzArtifactRoundTrip(f *testing.F) {
 	// Seed with a tiny hand-rolled artifact payload (version + empty
 	// strings + zero ints + empty sections + no phase table).
@@ -113,11 +113,7 @@ func FuzzArtifactRoundTrip(f *testing.F) {
 			return
 		}
 		c.PhaseTable, c.ArtifactDigest = nil, ""
-		size := ArtifactSize(c)
 		enc1 := AppendArtifact(nil, c)
-		if len(enc1) != size {
-			t.Fatalf("ArtifactSize %d but encoded %d bytes", size, len(enc1))
-		}
 		c2, err := DecodeArtifact(enc1)
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)

@@ -7,17 +7,15 @@ import (
 )
 
 // This file holds the serve-path messages: the binary twins of the server's
-// JSON request/response types. Field order is the encoding order; every
-// message has an exact EncodedSize, an AppendTo writing exactly that many
-// bytes, and a DecodeFrom that must consume the payload exactly.
+// JSON request/response types, with the same fields in the same order, so
+// the server converts between the two directly. Every message has an
+// AppendTo that appends its payload to a growing buffer and a DecodeFrom
+// that must consume the payload exactly.
 
 // ElectRequest asks for one election on a registered configuration key.
 type ElectRequest struct {
 	Key string
 }
-
-// EncodedSize returns the exact payload size AppendTo will write.
-func (m *ElectRequest) EncodedSize() int { return sizeString(m.Key) }
 
 // AppendTo appends the encoded payload (no frame) to dst.
 func (m *ElectRequest) AppendTo(dst []byte) []byte { return appendString(dst, m.Key) }
@@ -52,15 +50,6 @@ type Outcome struct {
 	Leader  int
 	Rounds  int
 	Error   string
-}
-
-// EncodedSize returns the exact payload size AppendTo will write.
-func (m *Outcome) EncodedSize() int {
-	n := sizeString(m.Key) + 1 + sizeSvarint(int64(m.Leader)) + sizeSvarint(int64(m.Rounds))
-	if m.Error != "" {
-		n += sizeString(m.Error)
-	}
-	return n
 }
 
 // AppendTo appends the encoded payload (no frame) to dst.
@@ -128,15 +117,6 @@ type BatchRequest struct {
 	Keys []string
 }
 
-// EncodedSize returns the exact payload size AppendTo will write.
-func (m *BatchRequest) EncodedSize() int {
-	n := sizeUvarint(uint64(len(m.Keys)))
-	for _, k := range m.Keys {
-		n += sizeString(k)
-	}
-	return n
-}
-
 // AppendTo appends the encoded payload (no frame) to dst.
 func (m *BatchRequest) AppendTo(dst []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(m.Keys)))
@@ -179,15 +159,6 @@ func AppendBatchRequestFrame(dst []byte, m *BatchRequest) []byte {
 type BatchResponse struct {
 	Outcomes []Outcome
 	Failures int
-}
-
-// EncodedSize returns the exact payload size AppendTo will write.
-func (m *BatchResponse) EncodedSize() int {
-	n := sizeSvarint(int64(m.Failures)) + sizeUvarint(uint64(len(m.Outcomes)))
-	for i := range m.Outcomes {
-		n += m.Outcomes[i].EncodedSize()
-	}
-	return n
 }
 
 // AppendTo appends the encoded payload (no frame) to dst.
@@ -240,13 +211,14 @@ const (
 )
 
 // RegisterRequest admits a configuration; the binary twin of
-// server.RegisterRequest. Exactly one of Config (source text) or Artifact
-// (precompiled algorithm) should be set, mirroring the JSON contract.
+// server.RegisterRequest. Config (source text) is always required;
+// Artifact (a precompiled algorithm) is optional, mirroring the JSON
+// contract.
 type RegisterRequest struct {
 	Key      string
 	Config   string
-	Async    bool
 	Artifact *election.Compiled
+	Async    bool
 }
 
 // AppendRegisterRequestFrame appends the framed request to dst.
@@ -299,11 +271,6 @@ type RegisterResponse struct {
 	StatusURL string
 }
 
-// EncodedSize returns the exact payload size AppendTo will write.
-func (m *RegisterResponse) EncodedSize() int {
-	return sizeString(m.Key) + sizeString(m.Source) + sizeString(m.Status) + sizeString(m.StatusURL)
-}
-
 // AppendTo appends the encoded payload (no frame) to dst.
 func (m *RegisterResponse) AppendTo(dst []byte) []byte {
 	dst = appendString(dst, m.Key)
@@ -343,9 +310,6 @@ func AppendRegisterResponseFrame(dst []byte, m *RegisterResponse) []byte {
 type ErrorMessage struct {
 	Error string
 }
-
-// EncodedSize returns the exact payload size AppendTo will write.
-func (m *ErrorMessage) EncodedSize() int { return sizeString(m.Error) }
 
 // AppendTo appends the encoded payload (no frame) to dst.
 func (m *ErrorMessage) AppendTo(dst []byte) []byte { return appendString(dst, m.Error) }

@@ -5,10 +5,10 @@
 //
 // The package exists because the serve path is allocation-free in process
 // but pays for JSON on the wire (docs/PERFORMANCE.md): every message type
-// therefore exposes an exact-size EncodedSize plus an AppendTo that writes
-// into a caller-owned (typically pooled) buffer, and DecodeFrom reads from a
-// borrowed byte slice without retaining it — decoded messages own their
-// memory, buffers can go straight back to a sync.Pool.
+// therefore exposes an AppendTo that appends into a caller-owned
+// (typically pooled) buffer, growing it as needed, and DecodeFrom reads
+// from a borrowed byte slice without retaining it — decoded messages own
+// their memory, buffers can go straight back to a sync.Pool.
 //
 // Frame layout (all integers little-endian):
 //
@@ -31,7 +31,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"math/bits"
 )
 
 // Magic identifies a wire frame; the little-endian bytes spell "ARW1".
@@ -179,20 +178,7 @@ func DecodeFrame(b []byte) (typ FrameType, payload, rest []byte, err error) {
 // Varint / string primitives.
 //
 // Unsigned values use LEB128 (encoding/binary's uvarint); signed values use
-// the zig-zag varint. The size functions are exact so EncodedSize can
-// preallocate pooled buffers to the byte.
-
-func sizeUvarint(x uint64) int {
-	return (bits.Len64(x|1) + 6) / 7
-}
-
-func sizeSvarint(x int64) int {
-	return sizeUvarint(uint64(x)<<1 ^ uint64(x>>63))
-}
-
-func sizeString(s string) int {
-	return sizeUvarint(uint64(len(s))) + len(s)
-}
+// the zig-zag varint.
 
 func appendString(dst []byte, s string) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(s)))

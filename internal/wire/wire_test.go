@@ -53,9 +53,6 @@ func configFor(t testing.TB, name string) *config.Config {
 func TestFrameRoundTrip(t *testing.T) {
 	m := ElectRequest{Key: "demo"}
 	buf := AppendElectRequestFrame(nil, &m)
-	if len(buf) != HeaderSize+m.EncodedSize() {
-		t.Fatalf("frame length %d, want header %d + payload %d", len(buf), HeaderSize, m.EncodedSize())
-	}
 	// A second frame appended to the same buffer decodes as rest.
 	buf = AppendErrorFrame(buf, "boom")
 
@@ -100,7 +97,7 @@ func TestFrameRoundTrip(t *testing.T) {
 }
 
 // TestMessageRoundTrips checks, for every serve-path message, that
-// EncodedSize is exact and DecodeFrom restores the value.
+// DecodeFrom restores the value.
 func TestMessageRoundTrips(t *testing.T) {
 	artifact := testArtifacts(t)[0]
 	outcomes := []Outcome{
@@ -109,14 +106,11 @@ func TestMessageRoundTrips(t *testing.T) {
 		{Key: "", Elected: false, Leader: -1, Rounds: -7, Error: ""},
 	}
 
-	check := func(name string, frame []byte, size int, decode func(p []byte) (any, error), want any) {
+	check := func(name string, frame []byte, decode func(p []byte) (any, error), want any) {
 		t.Helper()
 		typ, payload, rest, err := DecodeFrame(frame)
 		if err != nil || len(rest) != 0 {
 			t.Fatalf("%s: frame: %v rest %d", name, err, len(rest))
-		}
-		if size >= 0 && len(payload) != size {
-			t.Fatalf("%s: EncodedSize %d but payload is %d bytes", name, size, len(payload))
 		}
 		got, err := decode(payload)
 		if err != nil {
@@ -134,7 +128,7 @@ func TestMessageRoundTrips(t *testing.T) {
 	}
 
 	er := ElectRequest{Key: "demo"}
-	check("elect-request", AppendElectRequestFrame(nil, &er), er.EncodedSize(), func(p []byte) (any, error) {
+	check("elect-request", AppendElectRequestFrame(nil, &er), func(p []byte) (any, error) {
 		var m ElectRequest
 		err := m.DecodeFrom(p)
 		return m, err
@@ -142,7 +136,7 @@ func TestMessageRoundTrips(t *testing.T) {
 
 	for i := range outcomes {
 		o := outcomes[i]
-		check("outcome", AppendOutcomeFrame(nil, &o), o.EncodedSize(), func(p []byte) (any, error) {
+		check("outcome", AppendOutcomeFrame(nil, &o), func(p []byte) (any, error) {
 			var m Outcome
 			err := m.DecodeFrom(p)
 			return m, err
@@ -150,42 +144,42 @@ func TestMessageRoundTrips(t *testing.T) {
 	}
 
 	br := BatchRequest{Keys: []string{"a", "b", "c", ""}}
-	check("batch-request", AppendBatchRequestFrame(nil, &br), br.EncodedSize(), func(p []byte) (any, error) {
+	check("batch-request", AppendBatchRequestFrame(nil, &br), func(p []byte) (any, error) {
 		var m BatchRequest
 		err := m.DecodeFrom(p)
 		return m, err
 	}, br)
 
 	bres := BatchResponse{Outcomes: outcomes, Failures: 2}
-	check("batch-response", AppendBatchResponseFrame(nil, &bres), bres.EncodedSize(), func(p []byte) (any, error) {
+	check("batch-response", AppendBatchResponseFrame(nil, &bres), func(p []byte) (any, error) {
 		var m BatchResponse
 		err := m.DecodeFrom(p)
 		return m, err
 	}, bres)
 
 	rreq := RegisterRequest{Key: "k", Config: "clique 3", Async: true, Artifact: artifact}
-	check("register-request", AppendRegisterRequestFrame(nil, &rreq), -1, func(p []byte) (any, error) {
+	check("register-request", AppendRegisterRequestFrame(nil, &rreq), func(p []byte) (any, error) {
 		var m RegisterRequest
 		err := m.DecodeFrom(p)
 		return m, err
 	}, rreq)
 
 	rresp := RegisterResponse{Key: "k", Source: "artifact", Status: "pending", StatusURL: "/v1/admissions/k"}
-	check("register-response", AppendRegisterResponseFrame(nil, &rresp), rresp.EncodedSize(), func(p []byte) (any, error) {
+	check("register-response", AppendRegisterResponseFrame(nil, &rresp), func(p []byte) (any, error) {
 		var m RegisterResponse
 		err := m.DecodeFrom(p)
 		return m, err
 	}, rresp)
 
 	admit := WALAdmit{Key: "k", Config: "clique 3", Artifact: artifact}
-	check("wal-admit", AppendWALAdmitFrame(nil, &admit), -1, func(p []byte) (any, error) {
+	check("wal-admit", AppendWALAdmitFrame(nil, &admit), func(p []byte) (any, error) {
 		var m WALAdmit
 		err := m.DecodeFrom(p)
 		return m, err
 	}, admit)
 
 	evict := WALEvict{Key: "k"}
-	check("wal-evict", AppendWALEvictFrame(nil, &evict), -1, func(p []byte) (any, error) {
+	check("wal-evict", AppendWALEvictFrame(nil, &evict), func(p []byte) (any, error) {
 		var m WALEvict
 		err := m.DecodeFrom(p)
 		return m, err
@@ -193,14 +187,11 @@ func TestMessageRoundTrips(t *testing.T) {
 }
 
 // TestArtifactRoundTrip is the heart of the binary snapshot format: for
-// real compiled artifacts, the encoding is exact-size, lossless, and stable
-// (re-encoding a decoded artifact is bit-identical).
+// real compiled artifacts, the encoding is lossless and stable (re-encoding
+// a decoded artifact is bit-identical).
 func TestArtifactRoundTrip(t *testing.T) {
 	for _, c := range testArtifacts(t) {
 		payload := AppendArtifact(nil, c)
-		if size := ArtifactSize(c); len(payload) != size {
-			t.Fatalf("%s: ArtifactSize %d but encoded %d bytes", c.ConfigName, size, len(payload))
-		}
 		got, err := DecodeArtifact(payload)
 		if err != nil {
 			t.Fatalf("%s: decode: %v", c.ConfigName, err)
@@ -260,7 +251,7 @@ func appendLegacyArtifact(dst []byte, c *election.Compiled) []byte {
 	dst = appendString(dst, c.ConfigName)
 	dst = appendString(dst, c.ArtifactDigest)
 	body := AppendArtifact(nil, c)
-	skip := sizeUvarint(artifactVersion) + sizeString(c.ConfigName) + sizeString("")
+	skip := len(appendString(binary.AppendUvarint(nil, artifactVersion), c.ConfigName)) + len(appendString(nil, ""))
 	dst = append(dst, body[skip:len(body)-1]...) // up to the table flag
 	pt := c.PhaseTable
 	dst = append(dst, 1)
