@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -28,9 +29,10 @@ func TestFrontDoorCaseTable(t *testing.T) {
 	const maxBody, maxBatch = 4096, 4
 	reg := service.New(service.Options{Shards: 2})
 	t.Cleanup(reg.Close)
-	daemon := httptest.NewServer(server.New(reg, server.Options{MaxBodyBytes: maxBody, MaxBatchKeys: maxBatch}).Handler())
+	daemonHandler := server.New(reg, server.Options{MaxBodyBytes: maxBody, MaxBatchKeys: maxBatch}).Handler()
+	daemon := httptest.NewServer(daemonHandler)
 	t.Cleanup(daemon.Close)
-	_, _, router, _ := newTestRouter(t, 2, RouterOptions{MaxBodyBytes: maxBody, MaxBatchKeys: maxBatch})
+	rt, _, router, _ := newTestRouter(t, 2, RouterOptions{MaxBodyBytes: maxBody, MaxBatchKeys: maxBatch})
 
 	const jsonType = "application/json"
 	cfg := config.StaggeredClique(5).Marshal()
@@ -93,6 +95,43 @@ func TestFrontDoorCaseTable(t *testing.T) {
 				bodies[i] = body
 			}
 			if !tc.relayed && !bytes.Equal(bodies[0], bodies[1]) {
+				t.Fatalf("the doors' answers differ:\ndaemon %q\nrouter %q", bodies[0], bodies[1])
+			}
+		})
+	}
+
+	// A declared Content-Length is not a body: a request that claims 2⁶²
+	// bytes and carries a short elect is served like any other, without a
+	// buffer sized to the claim. No client sends such a request, so the
+	// handlers are called directly.
+	for _, enc := range []struct {
+		contentType string
+		body        []byte
+	}{
+		{jsonType, []byte(`{"key":"k"}`)},
+		{server.ContentTypeBinary, wire.AppendElectRequestFrame(nil, &wire.ElectRequest{Key: "k"})},
+	} {
+		t.Run("declared length past the cap, "+enc.contentType, func(t *testing.T) {
+			var bodies [2][]byte
+			for i, h := range []http.Handler{daemonHandler, rt.Handler()} {
+				req := httptest.NewRequest(http.MethodPost, "/v1/elect", bytes.NewReader(enc.body))
+				req.Header.Set("Content-Type", enc.contentType)
+				req.ContentLength = 1 << 62
+				rec := httptest.NewRecorder()
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				h.ServeHTTP(rec, req)
+				runtime.ReadMemStats(&after)
+				name := [2]string{"daemon", "router"}[i]
+				if rec.Code != http.StatusOK {
+					t.Fatalf("%s answered %d (%s), want 200", name, rec.Code, rec.Body)
+				}
+				if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
+					t.Fatalf("%s allocated %d bytes for a %d-byte request", name, n, len(enc.body))
+				}
+				bodies[i] = rec.Body.Bytes()
+			}
+			if !bytes.Equal(bodies[0], bodies[1]) {
 				t.Fatalf("the doors' answers differ:\ndaemon %q\nrouter %q", bodies[0], bodies[1])
 			}
 		})

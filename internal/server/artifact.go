@@ -57,7 +57,7 @@ func (d *frontDoor) admitArtifact(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var rec admitRequest
-	if !c.decode(w, r, &rec, wire.FrameWALAdmit) {
+	if !c.decode(w, r, d.opts.MaxBodyBytes, &rec, wire.FrameWALAdmit) {
 		return
 	}
 	if rec.Key == "" {

@@ -62,11 +62,12 @@ type request interface {
 	fromFrame(payload []byte) error
 }
 
-// decode reads the request body into v in the negotiated encoding: JSON
-// strictly, or the payload of one frame of type typ. It answers 413 (the
-// body passed the MaxBodyBytes cap) or 400 itself when it cannot.
-func (c *codec) decode(w http.ResponseWriter, r *http.Request, v request, typ wire.FrameType) bool {
-	body, err := readBody(r, c.in)
+// decode reads the request body, which instrument capped at limit bytes,
+// into v in the negotiated encoding: JSON strictly, or the payload of one
+// frame of type typ. It answers 413 (the body passed the cap) or 400
+// itself when it cannot.
+func (c *codec) decode(w http.ResponseWriter, r *http.Request, limit int64, v request, typ wire.FrameType) bool {
+	body, err := readBody(r, c.in, limit)
 	c.in = body
 	switch {
 	case err != nil:
@@ -89,9 +90,13 @@ func (c *codec) decode(w http.ResponseWriter, r *http.Request, v request, typ wi
 }
 
 // readBody reads the whole request body into buf, reusing its capacity.
-func readBody(r *http.Request, buf []byte) ([]byte, error) {
+// A body capped at limit bytes is read at most one byte past the cap
+// (http.MaxBytesReader), so a declared Content-Length sizes the buffer only
+// up to limit+1: a client that declares a terabyte and sends a few bytes
+// gets no terabyte.
+func readBody(r *http.Request, buf []byte, limit int64) ([]byte, error) {
 	buf = buf[:0]
-	if n := r.ContentLength; n > 0 && int64(cap(buf)) < n {
+	if n := min(r.ContentLength, limit+1); n > 0 && int64(cap(buf)) < n {
 		buf = make([]byte, 0, n)
 	}
 	for {

@@ -79,24 +79,18 @@ func (d *frontDoor) route(mux *http.ServeMux) {
 // instrument wraps a handler with the request-body cap and, in a daemon,
 // the endpoint's latency/outcome counters.
 func (d *frontDoor) instrument(ep endpoint, h http.HandlerFunc) http.HandlerFunc {
-	limit := d.opts.MaxBodyBytes
-	if d.metrics == nil {
-		return func(w http.ResponseWriter, r *http.Request) {
-			if r.Body != nil {
-				r.Body = http.MaxBytesReader(w, r.Body, limit)
-			}
-			h(w, r)
-		}
-	}
-	m := &d.metrics[ep]
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Body != nil {
-			r.Body = http.MaxBytesReader(w, r.Body, limit)
+			r.Body = http.MaxBytesReader(w, r.Body, d.opts.MaxBodyBytes)
+		}
+		if d.metrics == nil {
+			h(w, r)
+			return
 		}
 		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
 		start := time.Now()
 		h(rec, r)
-		m.observe(time.Since(start), rec.status >= 400)
+		d.metrics[ep].observe(time.Since(start), rec.status >= 400)
 	}
 }
 
@@ -143,7 +137,7 @@ func (d *frontDoor) register(w http.ResponseWriter, r *http.Request) {
 	c := getCodec(binaryRequest(r))
 	defer codecs.Put(c)
 	var req RegisterRequest
-	if !c.decode(w, r, &req, wire.FrameRegisterRequest) {
+	if !c.decode(w, r, d.opts.MaxBodyBytes, &req, wire.FrameRegisterRequest) {
 		return
 	}
 	if req.Key == "" {
@@ -199,7 +193,7 @@ func (d *frontDoor) elect(w http.ResponseWriter, r *http.Request) {
 	c := getCodec(binaryRequest(r))
 	defer codecs.Put(c)
 	c.elect = ElectRequest{}
-	if !c.decode(w, r, &c.elect, wire.FrameElectRequest) {
+	if !c.decode(w, r, d.opts.MaxBodyBytes, &c.elect, wire.FrameElectRequest) {
 		return
 	}
 	if c.elect.Key == "" {
@@ -224,7 +218,7 @@ func (d *frontDoor) electBatch(w http.ResponseWriter, r *http.Request) {
 	c := getCodec(binaryRequest(r))
 	defer codecs.Put(c)
 	c.batch.Keys = c.batch.Keys[:0]
-	if !c.decode(w, r, &c.batch, wire.FrameBatchRequest) {
+	if !c.decode(w, r, d.opts.MaxBodyBytes, &c.batch, wire.FrameBatchRequest) {
 		return
 	}
 	keys := c.batch.Keys
