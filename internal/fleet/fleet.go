@@ -3,6 +3,7 @@ package fleet
 import (
 	"errors"
 	"fmt"
+	"net/http"
 	"sort"
 	"sync"
 
@@ -97,16 +98,6 @@ func (f *Fleet) noteConfig(key, cfgText string) {
 	f.mu.Lock()
 	f.configs[key] = cfgText
 	f.mu.Unlock()
-}
-
-// Register admits cfgText under key on the owning node and records the
-// configuration in the recovery cache.
-func (f *Fleet) Register(key, cfgText string) (server.RegisterResponse, error) {
-	resp, err := f.ClientFor(key).Register(key, cfgText)
-	if err == nil {
-		f.noteConfig(key, cfgText)
-	}
-	return resp, err
 }
 
 // Admit admits a on the node that owns its key: the WAL-admit frame it
@@ -222,10 +213,12 @@ func (f *Fleet) ElectBatch(keys []string, outs []service.Outcome) ([]service.Out
 
 // Evict removes key from its owning node and from the recovery cache. Like
 // Registry.Evict, it reports false, not an error, when the node holds no
-// such key.
+// such key: when it answers 404, whatever its message (an earlier release
+// words it without the unknown-key sentinel's text).
 func (f *Fleet) Evict(key string) (bool, error) {
 	err := f.ClientFor(key).Evict(key)
-	absent := errors.Is(err, service.ErrUnknownKey)
+	var ae *APIError
+	absent := errors.As(err, &ae) && ae.Status == http.StatusNotFound
 	if err == nil || absent {
 		f.mu.Lock()
 		delete(f.configs, key)

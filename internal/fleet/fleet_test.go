@@ -113,10 +113,8 @@ func registerFleet(t *testing.T, f *Fleet, n int) []string {
 	t.Helper()
 	keys := fleetKeys(n)
 	for i, key := range keys {
-		if rr, err := f.Register(key, cfgFor(i).Marshal()); err != nil {
+		if err := f.Admit(service.Admission{Key: key, Config: cfgFor(i).Marshal()}); err != nil {
 			t.Fatalf("register %s: %v", key, err)
-		} else if rr.Status != "admitted" {
-			t.Fatalf("register %s: %+v", key, rr)
 		}
 	}
 	return keys
@@ -457,6 +455,29 @@ func TestEvictOnClosedNodeKeepsCache(t *testing.T) {
 	}
 	if out.Leader != before.Leader || out.Rounds != before.Rounds {
 		t.Fatalf("%s: outcome changed across the rebuild: (%d, %d) -> (%d, %d)", key, before.Leader, before.Rounds, out.Leader, out.Rounds)
+	}
+}
+
+// TestEvictEarlierReleaseNotFound evicts a key from a node that words its
+// evict 404 as an earlier release did, without the unknown-key sentinel's
+// text. The key is absent all the same: Evict reports (false, nil) and
+// drops it from the recovery cache, so no later rebalance re-registers a
+// key the client evicted.
+func TestEvictEarlierReleaseNotFound(t *testing.T) {
+	node := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		server.WriteJSON(w, http.StatusNotFound, server.ErrorResponse{Error: `no configuration registered under "gone"`})
+	}))
+	t.Cleanup(node.Close)
+	f, err := New([]string{node.URL}, ClientOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.noteConfig("gone", config.StaggeredClique(4).Marshal())
+	if evicted, err := f.Evict("gone"); evicted || err != nil {
+		t.Fatalf("evict answered by an earlier release's 404: (%v, %v), want (false, nil)", evicted, err)
+	}
+	if slices.Contains(f.Keys(), "gone") {
+		t.Fatal("the evicted key stayed in the recovery cache")
 	}
 }
 
