@@ -428,17 +428,6 @@ type ServerOptions = server.Options
 // caller's job, typically after a final SnapshotService).
 func NewServer(svc *Service, opts ServerOptions) *Server { return server.New(svc, opts) }
 
-// ServerRegisterResponse is the answer to a registration (key, source —
-// "built" or "artifact" — and admission status).
-type ServerRegisterResponse = server.RegisterResponse
-
-// ServerOutcome is one served election in its HTTP form.
-type ServerOutcome = server.Outcome
-
-// ServerBatchResponse is the answer to a batch election: one outcome per
-// submitted key, in submission order, plus a failure count.
-type ServerBatchResponse = server.BatchResponse
-
 // ServerStatsResponse is the body of GET /v1/stats: shard counters,
 // admission pipeline counters, WAL counters, per-key fault counters (under
 // a fault plan) and per-endpoint request/latency rows.
@@ -461,16 +450,18 @@ type FleetRing = fleet.Ring
 // NewFleetRing builds a placement ring over the given node names.
 func NewFleetRing(nodes ...string) *FleetRing { return fleet.NewRing(nodes...) }
 
-// FleetClient talks to one anonradiod over HTTP: register (sync, async,
-// with artifact), elect, batch elect, evict, stats, health, and the
-// artifact-shipping endpoints, in JSON or the binary wire encoding, with
-// the server's status codes mapped back onto the sentinel errors (so
-// errors.Is(err, ErrUnknownKey) works across the network). It is the one
-// client implementation shared by the router daemon, the examples and the
-// CI smokes.
+// FleetClient talks to one anonradiod over HTTP: register (sync or async),
+// elect, batch elect, evict, stats, health, and the artifact-shipping
+// endpoints, with the server's status codes mapped back onto the sentinel
+// errors (so errors.Is(err, ErrUnknownKey) works across the network).
+// Register, elect and batch travel as binary wire frames and answer the
+// Wire* messages; the router's register of an artifact that embeds an
+// earlier release's phase table travels as JSON, the one encoding that
+// carries the table. It is the one client implementation shared by the
+// router daemon, the examples and the CI smokes.
 type FleetClient = fleet.Client
 
-// FleetClientOptions configure a FleetClient (encoding, HTTP transport,
+// FleetClientOptions configure a FleetClient (HTTP transport,
 // retry-on-busy policy); the zero value is ready to use.
 type FleetClientOptions = fleet.ClientOptions
 
@@ -648,9 +639,10 @@ const (
 	WireFrameError            = wire.FrameError
 )
 
-// The binary wire messages (each with AppendTo/DecodeFrom; see
+// The serve-path messages, one type each for both encodings (see
 // internal/wire): elect request, election outcome, batch request/response,
-// register request/response, and the error frame body.
+// register request/response, and the body of an error answer. Their JSON
+// tags give the JSON bodies; AppendTo/DecodeFrom give the frame payloads.
 type (
 	WireElectRequest     = wire.ElectRequest
 	WireOutcome          = wire.Outcome
@@ -662,8 +654,8 @@ type (
 )
 
 // The frame constructors and the frame decoder of the binary wire encoding,
-// re-exported for clients that speak it over HTTP (examples/http-client
-// -binary is the worked example).
+// re-exported for clients that speak it over HTTP (FleetClient is the
+// worked example).
 var (
 	AppendWireElectRequestFrame    = wire.AppendElectRequestFrame
 	AppendWireBatchRequestFrame    = wire.AppendBatchRequestFrame

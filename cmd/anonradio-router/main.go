@@ -5,12 +5,15 @@
 // The router holds no election state. It decides which node owns each key
 // (a pure function of the node list, so every router replica routes
 // identically), serves the /v1/* routes through anonradiod's own handlers
-// in the client's own encoding (JSON or the binary wire protocol; the
-// router speaks JSON to the nodes, or binary with -binary), splits batch
-// elections per owning node and reassembles the outcomes in submission
-// order, and aggregates /v1/stats across the fleet. Registrations refused
-// with 429 by a node's admission queue are retried per -busy-retries,
-// honoring the node's Retry-After.
+// in the client's own encoding (JSON or the binary wire protocol), splits
+// batch elections per owning node and reassembles the outcomes in
+// submission order, and aggregates /v1/stats across the fleet. It sends
+// register, elect and batch to the nodes as binary wire frames; a register
+// whose artifact embeds an earlier release's phase table goes as JSON, the
+// one encoding that carries the table the node checks. A node's error
+// answer is relayed with the node's status and message. Registrations
+// refused with 429 by a node's admission queue are retried per
+// -busy-retries, honoring the node's Retry-After.
 //
 // A background probe loop polls every node's /healthz; a node that misses
 // -probe-failures consecutive probes is dropped from the ring and its keys
@@ -21,7 +24,7 @@
 // Usage:
 //
 //	anonradio-router -nodes http://h1:8080,http://h2:8080,http://h3:8080
-//	                 [-listen :8090] [-binary] [-busy-retries 3]
+//	                 [-listen :8090] [-busy-retries 3]
 //	                 [-probe-interval 1s] [-probe-failures 3]
 //	                 [-max-batch 8192] [-shutdown-timeout 10s]
 //
@@ -48,7 +51,6 @@ func run() int {
 	var (
 		listen          = flag.String("listen", ":8090", "listen address")
 		nodes           = flag.String("nodes", "", "comma-separated node base URLs (e.g. http://h1:8080,http://h2:8080); required")
-		binary          = flag.Bool("binary", false, "speak the binary wire encoding to the nodes for register/elect/batch (front-door clients still negotiate their own encoding per request)")
 		busyRetries     = flag.Int("busy-retries", 3, "extra attempts for requests a node refuses with 429 (admission queue full), each honoring the node's Retry-After")
 		maxRetryAfter   = flag.Duration("max-retry-after", 2*time.Second, "cap on the per-attempt Retry-After sleep")
 		probeInterval   = flag.Duration("probe-interval", time.Second, "node /healthz polling cadence")
@@ -72,7 +74,6 @@ func run() int {
 	}
 
 	f, err := fleet.New(nodeList, fleet.ClientOptions{
-		Binary:        *binary,
 		BusyRetries:   *busyRetries,
 		MaxRetryAfter: *maxRetryAfter,
 	})
@@ -91,8 +92,8 @@ func run() int {
 	srv := &http.Server{Addr: *listen, Handler: rt.Handler(), ReadHeaderTimeout: 5 * time.Second}
 	done := make(chan error, 1)
 	go func() { done <- srv.ListenAndServe() }()
-	log.Printf("routing %d nodes on %s (binary=%v, probe every %s, drop after %d misses)",
-		len(nodeList), *listen, *binary, *probeInterval, *probeFailures)
+	log.Printf("routing %d nodes on %s (probe every %s, drop after %d misses)",
+		len(nodeList), *listen, *probeInterval, *probeFailures)
 
 	sigs := make(chan os.Signal, 1)
 	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)

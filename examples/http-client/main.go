@@ -13,19 +13,20 @@
 // (GET /v1/artifact/{key} → POST /v1/admit/artifact) into a third, empty
 // server — the primitive a fleet rebalance is built from.
 //
+// The client sends registrations, elections and batches as the binary wire
+// encoding (application/x-anonradio-bin, length-prefixed CRC-checked
+// frames); the restored server's cross-check posts the same election as
+// JSON by hand, and the two encodings answer bit-identically.
+//
 // Run with:
 //
 //	go run ./examples/http-client
-//
-// With -binary the registrations, elections and batches travel as the binary
-// wire encoding (application/x-anonradio-bin, length-prefixed CRC-checked
-// frames) over the same routes, and the final cross-check elects over JSON
-// against a binary-restored server — the two encodings answer bit-identically.
 package main
 
 import (
+	"bytes"
 	"context"
-	"flag"
+	"encoding/json"
 	"fmt"
 	"log"
 	"net"
@@ -35,8 +36,6 @@ import (
 
 	"anonradio"
 )
-
-var binaryFlag = flag.Bool("binary", false, "speak the binary wire encoding (frames) instead of JSON on register/elect/batch")
 
 // boot starts an election server on a loopback listener and returns its
 // base URL plus a stop function.
@@ -55,27 +54,40 @@ func boot(svc *anonradio.Service) (string, func(), error) {
 	return "http://" + l.Addr().String(), stop, nil
 }
 
+// electJSON posts an elect request for key to base as JSON, by hand.
+func electJSON(base, key string) (anonradio.WireOutcome, error) {
+	var out anonradio.WireOutcome
+	body, err := json.Marshal(anonradio.WireElectRequest{Key: key})
+	if err != nil {
+		return out, err
+	}
+	resp, err := http.Post(base+"/v1/elect", "application/json", bytes.NewReader(body))
+	if err != nil {
+		return out, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return out, fmt.Errorf("JSON elect of %s answered %s", key, resp.Status)
+	}
+	return out, json.NewDecoder(resp.Body).Decode(&out)
+}
+
 func main() {
-	flag.Parse()
 	svc := anonradio.NewService(anonradio.ServiceOptions{Shards: 2})
 	defer svc.Close()
 	base, stop, err := boot(svc)
 	if err != nil {
 		log.Fatal(err)
 	}
-	encoding := "json"
-	if *binaryFlag {
-		encoding = "binary (" + anonradio.WireContentType + ")"
-	}
-	fmt.Printf("server: %s (encoding: %s)\n", base, encoding)
+	fmt.Printf("server: %s (encoding: %s)\n", base, anonradio.WireContentType)
 
-	// One client, one encoding; every call below goes through it. The
-	// client retries 429 (admission queue full) honoring Retry-After.
-	client := anonradio.NewFleetClient(base, anonradio.FleetClientOptions{Binary: *binaryFlag})
+	// One client; every call below goes through it. The client retries 429
+	// (admission queue full) honoring Retry-After.
+	client := anonradio.NewFleetClient(base, anonradio.FleetClientOptions{})
 
 	// Register a fleet over HTTP: the configuration travels in its text
-	// encoding (the same format cmd/genconfig writes and cmd/elect reads) —
-	// inside a JSON object or a binary register frame, per -binary.
+	// encoding (the same format cmd/genconfig writes and cmd/elect reads)
+	// inside a binary register frame.
 	keys := []string{}
 	for n := 6; n <= 12; n += 3 {
 		key := fmt.Sprintf("clique-%d", n)
@@ -159,14 +171,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// The cross-check deliberately uses the *other* encoding than the rest
-	// of the run: the two wire formats carry the same outcome bit for bit.
-	cross := anonradio.NewFleetClient(base2, anonradio.FleetClientOptions{Binary: !*binaryFlag})
-	out2, err := cross.Elect(keys[0])
+	// The cross-check deliberately uses JSON, the other encoding than the
+	// client's frames: the two carry the same outcome bit for bit.
+	out2, err := electJSON(base2, keys[0])
 	if err != nil {
 		log.Fatal(err)
 	}
-	agree := out2.Leader == out.Leader && out2.Rounds == out.Rounds
+	agree := out2 == out
 	fmt.Printf("restored server elects %s (cross-encoding): leader=%d rounds=%d (agrees with original: %v)\n",
 		keys[0], out2.Leader, out2.Rounds, agree)
 	if !agree {

@@ -17,20 +17,19 @@ import (
 
 // This file is the one client implementation everything that talks to an
 // anonradiod shares: the Fleet router, the anonradio-router daemon, the
-// http-client example and the CI smokes. It speaks both encodings the
-// server negotiates per request — JSON, and the binary wire protocol for
-// the serve path (register/elect/batch) plus the artifact-shipping frames
-// — and maps the server's status codes back onto the service/election
+// http-client example and the CI smokes. It sends register, elect and batch
+// as binary wire frames, the one exception being a register whose artifact
+// embeds an earlier release's phase table: frames carry no table
+// (wire.AppendArtifact), so that register goes as JSON, the one encoding
+// that still carries the table the node must compare with the one it
+// compiles. Stats, health, admission status and evict are JSON-only routes.
+// The client maps the server's status codes back onto the service/election
 // sentinel errors, so callers keep using errors.Is(err,
-// service.ErrUnknownKey) across the network boundary exactly as they
-// would in process.
+// service.ErrUnknownKey) across the network boundary exactly as they would
+// in process.
 
 // ClientOptions configure a node client; the zero value is ready to use.
 type ClientOptions struct {
-	// Binary selects the binary wire encoding for the serve-path calls
-	// (register, elect, batch). Stats, health and admission-status are
-	// JSON-only on the server and stay JSON regardless.
-	Binary bool
 	// HTTP is the underlying HTTP client; nil selects http.DefaultClient.
 	HTTP *http.Client
 	// BusyRetries is how many extra attempts a request refused with 429
@@ -74,9 +73,6 @@ func NewClient(base string, opts ClientOptions) *Client {
 	return &Client{base: base, opts: opts}
 }
 
-// Base returns the node's base URL.
-func (c *Client) Base() string { return c.base }
-
 // APIError is the client-side form of a non-2xx server answer. It unwraps
 // to the service/election sentinels its status maps to (service.ErrUnknownKey,
 // service.ErrAdmissionBusy, service.ErrClosed, service.ErrInvalidConfig,
@@ -97,9 +93,11 @@ func (e *APIError) Error() string {
 	return fmt.Sprintf("node %s answered %d: %s", e.Node, e.Status, e.Message)
 }
 
-// Answer returns the node's status and Retry-After hint, which a front
-// door that made the call relays as they are (server.Backend).
-func (e *APIError) Answer() (status int, retryAfter time.Duration) { return e.Status, e.RetryAfter }
+// Answer returns the node's status, message and Retry-After hint, which a
+// front door that made the call relays as they are (server.Backend).
+func (e *APIError) Answer() (status int, message string, retryAfter time.Duration) {
+	return e.Status, e.Message, e.RetryAfter
+}
 
 // Unwrap maps the HTTP status back onto the in-process sentinel errors
 // through the server's status table (server.Sentinels): to each sentinel
@@ -159,7 +157,7 @@ func (c *Client) roundTrip(method, path, contentType string, body []byte) ([]byt
 
 // apiErr decodes a non-2xx JSON body into an APIError.
 func (c *Client) apiErr(data []byte, status int, ra time.Duration) error {
-	var er server.ErrorResponse
+	var er wire.ErrorMessage
 	msg := string(data)
 	if err := json.Unmarshal(data, &er); err == nil && er.Error != "" {
 		msg = er.Error
@@ -193,13 +191,13 @@ func (c *Client) callJSON(method, path string, in, out any) error {
 	return nil
 }
 
-// callBinary posts one wire frame and returns the payload of the response
-// frame of type want; error frames (and non-frame bodies) become errors
-// with the status mapping applied.
-func (c *Client) callBinary(path string, frame []byte, want wire.FrameType) ([]byte, error) {
+// callFrame posts one wire frame and decodes the payload of the response
+// frame, which must be of type want, into out; error frames (and non-frame
+// bodies) become errors with the status mapping applied.
+func (c *Client) callFrame(path string, frame []byte, want wire.FrameType, out interface{ DecodeFrom([]byte) error }) error {
 	data, status, ra, err := c.roundTrip(http.MethodPost, path, server.ContentTypeBinary, frame)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	typ, payload, rest, derr := wire.DecodeFrame(data)
 	if status < 200 || status >= 300 {
@@ -210,18 +208,20 @@ func (c *Client) callBinary(path string, frame []byte, want wire.FrameType) ([]b
 				msg = em.Error
 			}
 		}
-		return nil, &APIError{Node: c.base, Status: status, Message: msg, RetryAfter: ra}
+		return &APIError{Node: c.base, Status: status, Message: msg, RetryAfter: ra}
 	}
-	if derr != nil {
-		return nil, fmt.Errorf("fleet: decoding %s response frame: %w", path, derr)
+	switch {
+	case derr != nil:
+		return fmt.Errorf("fleet: decoding %s response frame: %w", path, derr)
+	case len(rest) != 0:
+		return fmt.Errorf("fleet: %s response carries trailing data after the frame", path)
+	case typ != want:
+		return fmt.Errorf("fleet: %s answered a %v frame, want %v", path, typ, want)
 	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("fleet: %s response carries trailing data after the frame", path)
+	if err := out.DecodeFrom(payload); err != nil {
+		return fmt.Errorf("fleet: decoding %s response: %w", path, err)
 	}
-	if typ != want {
-		return nil, fmt.Errorf("fleet: %s answered a %v frame, want %v", path, typ, want)
-	}
-	return payload, nil
+	return nil
 }
 
 // Healthz probes GET /healthz.
@@ -232,43 +232,30 @@ func (c *Client) Healthz() (server.HealthResponse, error) {
 }
 
 // Register admits cfgText (the internal/config text format) under key,
-// synchronously, in the configured encoding.
-func (c *Client) Register(key, cfgText string) (server.RegisterResponse, error) {
+// synchronously.
+func (c *Client) Register(key, cfgText string) (wire.RegisterResponse, error) {
 	return c.register(key, cfgText, nil, false)
-}
-
-// RegisterArtifact admits a pre-compiled artifact under key; the node loads
-// it (election.Load) and answers 422 for one that contradicts itself or
-// the configuration.
-func (c *Client) RegisterArtifact(key, cfgText string, artifact *election.Compiled) (server.RegisterResponse, error) {
-	return c.register(key, cfgText, artifact, false)
 }
 
 // RegisterAsync queues the admission and returns the 202 response; poll
 // AdmissionStatus for the outcome.
-func (c *Client) RegisterAsync(key, cfgText string) (server.RegisterResponse, error) {
+func (c *Client) RegisterAsync(key, cfgText string) (wire.RegisterResponse, error) {
 	return c.register(key, cfgText, nil, true)
 }
 
-func (c *Client) register(key, cfgText string, artifact *election.Compiled, async bool) (server.RegisterResponse, error) {
-	if c.opts.Binary {
-		frame := wire.AppendRegisterRequestFrame(nil, &wire.RegisterRequest{
-			Key: key, Config: cfgText, Artifact: artifact, Async: async,
-		})
-		payload, err := c.callBinary("/v1/register", frame, wire.FrameRegisterResponse)
-		if err != nil {
-			return server.RegisterResponse{}, err
-		}
-		var wr wire.RegisterResponse
-		if err := wr.DecodeFrom(payload); err != nil {
-			return server.RegisterResponse{}, fmt.Errorf("fleet: decoding register response: %w", err)
-		}
-		return server.RegisterResponse{Key: wr.Key, Source: wr.Source, Status: wr.Status, StatusURL: wr.StatusURL}, nil
+// register admits cfgText under key, loading artifact when there is one
+// (the node answers 422 for an artifact that contradicts itself or the
+// configuration).
+func (c *Client) register(key, cfgText string, artifact *election.Compiled, async bool) (wire.RegisterResponse, error) {
+	req := wire.RegisterRequest{Key: key, Config: cfgText, Artifact: artifact, Async: async}
+	var resp wire.RegisterResponse
+	var err error
+	if artifact != nil && artifact.PhaseTable != nil {
+		// A frame would drop the earlier release's table the node checks.
+		err = c.callJSON(http.MethodPost, "/v1/register", &req, &resp)
+	} else {
+		err = c.callFrame("/v1/register", wire.AppendRegisterRequestFrame(nil, &req), wire.FrameRegisterResponse, &resp)
 	}
-	var resp server.RegisterResponse
-	err := c.callJSON(http.MethodPost, "/v1/register", server.RegisterRequest{
-		Key: key, Config: cfgText, Artifact: artifact, Async: async,
-	}, &resp)
 	return resp, err
 }
 
@@ -279,51 +266,19 @@ func (c *Client) AdmissionStatus(key string) (server.AdmissionStatusResponse, er
 	return resp, err
 }
 
-// Elect serves one election for key in the configured encoding.
-func (c *Client) Elect(key string) (server.Outcome, error) {
-	if c.opts.Binary {
-		frame := wire.AppendElectRequestFrame(nil, &wire.ElectRequest{Key: key})
-		payload, err := c.callBinary("/v1/elect", frame, wire.FrameOutcome)
-		if err != nil {
-			return server.Outcome{}, err
-		}
-		var wo wire.Outcome
-		if err := wo.DecodeFrom(payload); err != nil {
-			return server.Outcome{}, fmt.Errorf("fleet: decoding outcome: %w", err)
-		}
-		return outcomeFromWire(wo), nil
-	}
-	var out server.Outcome
-	err := c.callJSON(http.MethodPost, "/v1/elect", server.ElectRequest{Key: key}, &out)
+// Elect serves one election for key.
+func (c *Client) Elect(key string) (wire.Outcome, error) {
+	var out wire.Outcome
+	err := c.callFrame("/v1/elect", wire.AppendElectRequestFrame(nil, &wire.ElectRequest{Key: key}), wire.FrameOutcome, &out)
 	return out, err
 }
 
 // ElectBatch serves one election per key; outcome i corresponds to
 // keys[i], with per-key failures in their outcome slot (as on the server).
-func (c *Client) ElectBatch(keys []string) (server.BatchResponse, error) {
-	if c.opts.Binary {
-		frame := wire.AppendBatchRequestFrame(nil, &wire.BatchRequest{Keys: keys})
-		payload, err := c.callBinary("/v1/elect/batch", frame, wire.FrameBatchResponse)
-		if err != nil {
-			return server.BatchResponse{}, err
-		}
-		var wb wire.BatchResponse
-		if err := wb.DecodeFrom(payload); err != nil {
-			return server.BatchResponse{}, fmt.Errorf("fleet: decoding batch response: %w", err)
-		}
-		resp := server.BatchResponse{Outcomes: make([]server.Outcome, len(wb.Outcomes)), Failures: wb.Failures}
-		for i, wo := range wb.Outcomes {
-			resp.Outcomes[i] = outcomeFromWire(wo)
-		}
-		return resp, nil
-	}
-	var resp server.BatchResponse
-	err := c.callJSON(http.MethodPost, "/v1/elect/batch", server.BatchRequest{Keys: keys}, &resp)
+func (c *Client) ElectBatch(keys []string) (wire.BatchResponse, error) {
+	var resp wire.BatchResponse
+	err := c.callFrame("/v1/elect/batch", wire.AppendBatchRequestFrame(nil, &wire.BatchRequest{Keys: keys}), wire.FrameBatchResponse, &resp)
 	return resp, err
-}
-
-func outcomeFromWire(wo wire.Outcome) server.Outcome {
-	return server.Outcome{Key: wo.Key, Elected: wo.Elected, Leader: wo.Leader, Rounds: wo.Rounds, Error: wo.Error}
 }
 
 // Evict removes key from the node.
@@ -360,14 +315,8 @@ func (c *Client) FetchArtifact(key string) ([]byte, error) {
 
 // AdmitArtifact admits a WAL-admit frame (as served by FetchArtifact) on
 // the node, which loads its artifact instead of reclassifying.
-func (c *Client) AdmitArtifact(frame []byte) (server.RegisterResponse, error) {
-	payload, err := c.callBinary("/v1/admit/artifact", frame, wire.FrameRegisterResponse)
-	if err != nil {
-		return server.RegisterResponse{}, err
-	}
-	var wr wire.RegisterResponse
-	if err := wr.DecodeFrom(payload); err != nil {
-		return server.RegisterResponse{}, fmt.Errorf("fleet: decoding admit response: %w", err)
-	}
-	return server.RegisterResponse{Key: wr.Key, Source: wr.Source, Status: wr.Status}, nil
+func (c *Client) AdmitArtifact(frame []byte) (wire.RegisterResponse, error) {
+	var resp wire.RegisterResponse
+	err := c.callFrame("/v1/admit/artifact", frame, wire.FrameRegisterResponse, &resp)
+	return resp, err
 }

@@ -9,6 +9,7 @@ import (
 
 	"anonradio/internal/server"
 	"anonradio/internal/service"
+	"anonradio/internal/wire"
 )
 
 // Fleet routes registry operations across a ring of anonradiod nodes: every
@@ -149,8 +150,9 @@ func (f *Fleet) Elect(key string) (service.Outcome, error) {
 	return outcome(o), nil
 }
 
-// outcome is a node's outcome as its registry served it.
-func outcome(o server.Outcome) service.Outcome {
+// outcome is a node's outcome as its registry served it: the one place a
+// node's wire.Outcome becomes a service.Outcome.
+func outcome(o wire.Outcome) service.Outcome {
 	out := service.Outcome{Key: o.Key, Leader: o.Leader, Rounds: o.Rounds}
 	if o.Error != "" {
 		out.Err = errors.New(o.Error)
@@ -252,7 +254,7 @@ type StatsResponse struct {
 	// Nodes holds one entry per ring member, in ring order.
 	Nodes []NodeStats `json:"nodes"`
 	// Totals folds every reachable node's totals row into one (Shard=-1).
-	Totals server.ShardStats `json:"totals"`
+	Totals service.ShardStats `json:"totals"`
 	// CachedKeys is the size of the fleet's configuration cache.
 	CachedKeys int `json:"cached_keys"`
 }
@@ -278,21 +280,13 @@ func (f *Fleet) Stats() StatsResponse {
 		}(i, node)
 	}
 	wg.Wait()
-	resp.Totals.Shard = -1
+	var totals []service.ShardStats
 	for _, ns := range resp.Nodes {
-		if ns.Stats == nil {
-			continue
+		if ns.Stats != nil {
+			totals = append(totals, ns.Stats.Totals)
 		}
-		t := ns.Stats.Totals
-		resp.Totals.Configs += t.Configs
-		resp.Totals.Builds += t.Builds
-		resp.Totals.Elections += t.Elections
-		resp.Totals.Failures += t.Failures
-		resp.Totals.Rounds += t.Rounds
-		resp.Totals.Stolen += t.Stolen
-		resp.Totals.StolenFrom += t.StolenFrom
-		resp.Totals.Queued += t.Queued
 	}
+	resp.Totals = service.Totals(totals)
 	f.mu.RLock()
 	resp.CachedKeys = len(f.configs)
 	f.mu.RUnlock()

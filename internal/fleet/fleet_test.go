@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"sync"
@@ -16,6 +18,7 @@ import (
 	"anonradio/internal/election"
 	"anonradio/internal/server"
 	"anonradio/internal/service"
+	"anonradio/internal/wire"
 )
 
 // newTestNodes boots n single-node daemons (registry + HTTP server) and
@@ -465,7 +468,7 @@ func TestEvictOnClosedNodeKeepsCache(t *testing.T) {
 // key the client evicted.
 func TestEvictEarlierReleaseNotFound(t *testing.T) {
 	node := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		server.WriteJSON(w, http.StatusNotFound, server.ErrorResponse{Error: `no configuration registered under "gone"`})
+		server.WriteJSON(w, http.StatusNotFound, wire.ErrorMessage{Error: `no configuration registered under "gone"`})
 	}))
 	t.Cleanup(node.Close)
 	f, err := New([]string{node.URL}, ClientOptions{})
@@ -481,12 +484,14 @@ func TestEvictEarlierReleaseNotFound(t *testing.T) {
 	}
 }
 
-// TestAPIErrorUnwraps422Causes registers three configurations a node
-// answers 422 for, in both encodings, and pins that the client's error
-// unwraps to exactly the sentinel of each cause: an infeasible
-// configuration (election.ErrInfeasible), tags {0, 10⁶}, whose round bound
-// passes the round limit (canonical.ErrRoundOverflow), and a tampered
-// artifact (election.ErrInvalidArtifact). A 404 still unwraps to
+// TestAPIErrorUnwraps422Causes registers four configurations a node
+// answers 422 for and pins that the client's error unwraps to exactly the
+// sentinel of each cause: an infeasible configuration
+// (election.ErrInfeasible), tags {0, 10⁶}, whose round bound passes the
+// round limit (canonical.ErrRoundOverflow), and two invalid artifacts
+// (election.ErrInvalidArtifact): one with its round bound edited, sent as a
+// frame, and an earlier release's with its phase table edited, sent as
+// JSON, the one encoding that carries the table. A 404 still unwraps to
 // service.ErrUnknownKey.
 func TestAPIErrorUnwraps422Causes(t *testing.T) {
 	urls, _, _ := newTestNodes(t, 1)
@@ -497,40 +502,68 @@ func TestAPIErrorUnwraps422Causes(t *testing.T) {
 	}
 	tampered := d.Compile()
 	tampered.RoundBound = 3
+	eraText, era := jsonEraArtifact(t)
+	era.PhaseTable.Plans[0].Block++
+	c := NewClient(urls[0], ClientOptions{})
 	sentinels := []error{election.ErrInfeasible, canonical.ErrRoundOverflow, election.ErrInvalidArtifact}
-	for _, binary := range []bool{false, true} {
-		c := NewClient(urls[0], ClientOptions{Binary: binary})
-		for _, tc := range []struct {
-			name     string
-			register func() error
-			want     error
-		}{
-			{"infeasible", func() error {
-				_, err := c.Register("infeasible", config.SymmetricPair().Marshal())
-				return err
-			}, election.ErrInfeasible},
-			{"tags {0, 10^6}", func() error {
-				_, err := c.Register("huge", "nodes 2\ntag 0 0\ntag 1 1000000\nedge 0 1\n")
-				return err
-			}, canonical.ErrRoundOverflow},
-			{"tampered artifact", func() error {
-				_, err := c.RegisterArtifact("tampered", cfg.Marshal(), tampered)
-				return err
-			}, election.ErrInvalidArtifact},
-		} {
-			err := tc.register()
-			var ae *APIError
-			if !errors.As(err, &ae) || ae.Status != http.StatusUnprocessableEntity {
-				t.Fatalf("%s (binary %v): %v, want a 422", tc.name, binary, err)
-			}
-			for _, s := range sentinels {
-				if errors.Is(err, s) != (s == tc.want) {
-					t.Fatalf("%s (binary %v): errors.Is(err, %q) = %v; err %v", tc.name, binary, s, !(s == tc.want), err)
-				}
-			}
+	for _, tc := range []struct {
+		name     string
+		register func() error
+		want     error
+	}{
+		{"infeasible", func() error {
+			_, err := c.Register("infeasible", config.SymmetricPair().Marshal())
+			return err
+		}, election.ErrInfeasible},
+		{"tags {0, 10^6}", func() error {
+			_, err := c.Register("huge", "nodes 2\ntag 0 0\ntag 1 1000000\nedge 0 1\n")
+			return err
+		}, canonical.ErrRoundOverflow},
+		{"tampered artifact", func() error {
+			_, err := c.register("tampered", cfg.Marshal(), tampered, false)
+			return err
+		}, election.ErrInvalidArtifact},
+		{"edited phase table", func() error {
+			_, err := c.register("edited-table", eraText, era, false)
+			return err
+		}, election.ErrInvalidArtifact},
+	} {
+		err := tc.register()
+		var ae *APIError
+		if !errors.As(err, &ae) || ae.Status != http.StatusUnprocessableEntity {
+			t.Fatalf("%s: %v, want a 422", tc.name, err)
 		}
-		if _, err := c.Elect("absent"); !errors.Is(err, service.ErrUnknownKey) {
-			t.Fatalf("elect of an unknown key (binary %v): %v, want ErrUnknownKey", binary, err)
+		for _, s := range sentinels {
+			if errors.Is(err, s) != (s == tc.want) {
+				t.Fatalf("%s: errors.Is(err, %q) = %v; err %v", tc.name, s, !(s == tc.want), err)
+			}
 		}
 	}
+	if _, err := c.Elect("absent"); !errors.Is(err, service.ErrUnknownKey) {
+		t.Fatalf("elect of an unknown key: %v, want ErrUnknownKey", err)
+	}
+}
+
+// jsonEraArtifact reads the first entry of the JSON-era checkpoint: the
+// configuration text and an artifact an earlier release wrote, its phase
+// table embedded.
+func jsonEraArtifact(t *testing.T) (string, *election.Compiled) {
+	t.Helper()
+	dir := filepath.Join("..", "service", "testdata", "json-era", "checkpoint")
+	text, err := os.ReadFile(filepath.Join(dir, "0000.config.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, "0000.artifact.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := election.UnmarshalCompiled(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.PhaseTable == nil {
+		t.Fatal("the JSON-era artifact carries no phase table")
+	}
+	return string(text), c
 }

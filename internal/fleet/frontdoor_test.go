@@ -2,10 +2,13 @@ package fleet
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
@@ -22,9 +25,12 @@ import (
 
 // TestFrontDoorCaseTable runs one table of front-door cases against a
 // daemon and against a router in front of two nodes. Both serve /v1/*
-// through the same handlers, so every case answers the same status in the
-// request's own encoding, and, where the answer is the front door's own
-// (not a node's, relayed), the same bytes.
+// through the same handlers, and a router relays a node's answer with the
+// node's own message, so every case answers the same status and the same
+// bytes in the request's own encoding. The two phase-table cases register
+// an earlier release's artifact, its table embedded, as written (200) and
+// with one plan edited (422): the router's hop must carry the table to the
+// node that checks it.
 func TestFrontDoorCaseTable(t *testing.T) {
 	const maxBody, maxBatch = 4096, 4
 	reg := service.New(service.Options{Shards: 2})
@@ -40,31 +46,43 @@ func TestFrontDoorCaseTable(t *testing.T) {
 		return fmt.Sprintf(`{"key":%q,"config":%q%s}`, key, cfg, extra)
 	}
 	huge := strings.Repeat("#", maxBody)
+	eraText, era := jsonEraArtifact(t)
+	eraJSON, err := os.ReadFile(filepath.Join("..", "service", "testdata", "json-era", "checkpoint", "0000.artifact.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	era.PhaseTable.Plans[0].Block++
+	edited, err := json.Marshal(wire.RegisterRequest{Key: "edited-table", Config: eraText, Artifact: era})
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name        string
 		path        string
 		contentType string
 		body        []byte
 		status      int
-		relayed     bool // the answer is a node's, relayed by the router
 	}{
-		{"register", "/v1/register", jsonType, []byte(register("k", "")), http.StatusOK, false},
-		{"typo'd field", "/v1/register", jsonType, []byte(register("typo", `,"artifcat":{}`)), http.StatusBadRequest, false},
-		{"trailing object", "/v1/elect", jsonType, []byte(`{"key":"k"} {"key":"k"}`), http.StatusBadRequest, false},
-		{"trailing garbage", "/v1/elect", jsonType, []byte(`{"key":"k"} x`), http.StatusBadRequest, false},
-		{"trailing whitespace", "/v1/elect", jsonType, []byte("{\"key\":\"k\"} \n\t "), http.StatusOK, false},
-		{"over-cap JSON", "/v1/register", jsonType, []byte(register("big", `,"async":false`+strings.Repeat(" ", maxBody))), http.StatusRequestEntityTooLarge, false},
+		{"register", "/v1/register", jsonType, []byte(register("k", "")), http.StatusOK},
+		{"typo'd field", "/v1/register", jsonType, []byte(register("typo", `,"artifcat":{}`)), http.StatusBadRequest},
+		{"trailing object", "/v1/elect", jsonType, []byte(`{"key":"k"} {"key":"k"}`), http.StatusBadRequest},
+		{"trailing garbage", "/v1/elect", jsonType, []byte(`{"key":"k"} x`), http.StatusBadRequest},
+		{"trailing whitespace", "/v1/elect", jsonType, []byte("{\"key\":\"k\"} \n\t "), http.StatusOK},
+		{"over-cap JSON", "/v1/register", jsonType, []byte(register("big", `,"async":false`+strings.Repeat(" ", maxBody))), http.StatusRequestEntityTooLarge},
 		{"over-cap binary", "/v1/register", server.ContentTypeBinary,
-			wire.AppendRegisterRequestFrame(nil, &wire.RegisterRequest{Key: "big", Config: cfg + huge}), http.StatusRequestEntityTooLarge, false},
-		{"missing key", "/v1/elect", jsonType, []byte(`{}`), http.StatusBadRequest, false},
+			wire.AppendRegisterRequestFrame(nil, &wire.RegisterRequest{Key: "big", Config: cfg + huge}), http.StatusRequestEntityTooLarge},
+		{"missing key", "/v1/elect", jsonType, []byte(`{}`), http.StatusBadRequest},
 		{"missing key, binary", "/v1/elect", server.ContentTypeBinary,
-			wire.AppendElectRequestFrame(nil, &wire.ElectRequest{}), http.StatusBadRequest, false},
-		{"missing config", "/v1/register", jsonType, []byte(`{"key":"m"}`), http.StatusBadRequest, false},
-		{"batch over MaxBatchKeys", "/v1/elect/batch", jsonType, []byte(`{"keys":["k","k","k","k","k"]}`), http.StatusBadRequest, false},
-		{"JSON artifact admission", "/v1/admit/artifact", jsonType, []byte(`{}`), http.StatusUnsupportedMediaType, false},
-		{"unknown key", "/v1/elect", jsonType, []byte(`{"key":"nope"}`), http.StatusNotFound, true},
+			wire.AppendElectRequestFrame(nil, &wire.ElectRequest{}), http.StatusBadRequest},
+		{"missing config", "/v1/register", jsonType, []byte(`{"key":"m"}`), http.StatusBadRequest},
+		{"batch over MaxBatchKeys", "/v1/elect/batch", jsonType, []byte(`{"keys":["k","k","k","k","k"]}`), http.StatusBadRequest},
+		{"JSON artifact admission", "/v1/admit/artifact", jsonType, []byte(`{}`), http.StatusUnsupportedMediaType},
+		{"unknown key", "/v1/elect", jsonType, []byte(`{"key":"nope"}`), http.StatusNotFound},
 		{"unknown key, binary", "/v1/elect", server.ContentTypeBinary,
-			wire.AppendElectRequestFrame(nil, &wire.ElectRequest{Key: "nope"}), http.StatusNotFound, true},
+			wire.AppendElectRequestFrame(nil, &wire.ElectRequest{Key: "nope"}), http.StatusNotFound},
+		{"earlier release's phase table", "/v1/register", jsonType,
+			[]byte(fmt.Sprintf(`{"key":"table-era","config":%q,"artifact":%s}`, eraText, eraJSON)), http.StatusOK},
+		{"earlier release's phase table, edited", "/v1/register", jsonType, edited, http.StatusUnprocessableEntity},
 	}
 
 	post := func(ts *httptest.Server, path, contentType string, body []byte) (int, string, []byte) {
@@ -94,7 +112,7 @@ func TestFrontDoorCaseTable(t *testing.T) {
 				}
 				bodies[i] = body
 			}
-			if !tc.relayed && !bytes.Equal(bodies[0], bodies[1]) {
+			if !bytes.Equal(bodies[0], bodies[1]) {
 				t.Fatalf("the doors' answers differ:\ndaemon %q\nrouter %q", bodies[0], bodies[1])
 			}
 		})
@@ -153,14 +171,14 @@ func TestRouterAsyncRegisterKeepsArtifact(t *testing.T) {
 	tampered := d.Compile()
 	tampered.RoundBound++
 
-	resp := routerPostJSON(t, ts, "/v1/register", server.RegisterRequest{
+	resp := routerPostJSON(t, ts, "/v1/register", wire.RegisterRequest{
 		Key: "tampered", Config: cfg.Marshal(), Artifact: tampered, Async: true,
 	})
 	if resp.StatusCode != http.StatusAccepted {
 		resp.Body.Close()
 		t.Fatalf("async register: status %d, want 202", resp.StatusCode)
 	}
-	var rr server.RegisterResponse
+	var rr wire.RegisterResponse
 	routerDecode(t, resp, &rr)
 	if rr.Source != "artifact" || rr.Status != "pending" {
 		t.Fatalf("async register answered %+v, want source artifact, status pending", rr)

@@ -67,8 +67,8 @@ func TestRouterFrontDoorParity(t *testing.T) {
 
 	keys := fleetKeys(8)
 	for i, key := range keys {
-		var rr server.RegisterResponse
-		resp := routerPostJSON(t, ts, "/v1/register", server.RegisterRequest{Key: key, Config: cfgFor(i).Marshal()})
+		var rr wire.RegisterResponse
+		resp := routerPostJSON(t, ts, "/v1/register", wire.RegisterRequest{Key: key, Config: cfgFor(i).Marshal()})
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("register %s via router: status %d", key, resp.StatusCode)
 		}
@@ -84,8 +84,8 @@ func TestRouterFrontDoorParity(t *testing.T) {
 			t.Fatalf("direct elect %s: %v", key, err)
 		}
 
-		var routed server.Outcome
-		resp := routerPostJSON(t, ts, "/v1/elect", server.ElectRequest{Key: key})
+		var routed wire.Outcome
+		resp := routerPostJSON(t, ts, "/v1/elect", wire.ElectRequest{Key: key})
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("routed elect %s: status %d", key, resp.StatusCode)
 		}
@@ -125,8 +125,8 @@ func TestRouterFrontDoorParity(t *testing.T) {
 	}
 
 	// Batch through the router preserves submission order.
-	var batch server.BatchResponse
-	resp := routerPostJSON(t, ts, "/v1/elect/batch", server.BatchRequest{Keys: keys})
+	var batch wire.BatchResponse
+	resp := routerPostJSON(t, ts, "/v1/elect/batch", wire.BatchRequest{Keys: keys})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("routed batch: status %d", resp.StatusCode)
 	}
@@ -171,7 +171,7 @@ func TestRouterFrontDoorParity(t *testing.T) {
 	if dresp.StatusCode != http.StatusOK {
 		t.Fatalf("routed evict: status %d", dresp.StatusCode)
 	}
-	eresp := routerPostJSON(t, ts, "/v1/elect", server.ElectRequest{Key: keys[0]})
+	eresp := routerPostJSON(t, ts, "/v1/elect", wire.ElectRequest{Key: keys[0]})
 	eresp.Body.Close()
 	if eresp.StatusCode != http.StatusNotFound {
 		t.Fatalf("elect after evict: status %d, want 404", eresp.StatusCode)
@@ -191,7 +191,7 @@ func TestRouterProbeDropsDeadNode(t *testing.T) {
 
 	keys := fleetKeys(12)
 	for i, key := range keys {
-		resp := routerPostJSON(t, ts, "/v1/register", server.RegisterRequest{Key: key, Config: cfgFor(i).Marshal()})
+		resp := routerPostJSON(t, ts, "/v1/register", wire.RegisterRequest{Key: key, Config: cfgFor(i).Marshal()})
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("register %s: status %d", key, resp.StatusCode)
@@ -230,8 +230,8 @@ func TestRouterProbeDropsDeadNode(t *testing.T) {
 	}
 
 	for _, key := range keys {
-		var out server.Outcome
-		resp := routerPostJSON(t, ts, "/v1/elect", server.ElectRequest{Key: key})
+		var out wire.Outcome
+		resp := routerPostJSON(t, ts, "/v1/elect", wire.ElectRequest{Key: key})
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("post-loss routed elect %s: status %d", key, resp.StatusCode)
 		}

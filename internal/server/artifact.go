@@ -56,7 +56,7 @@ func (d *frontDoor) admitArtifact(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("artifact admission requires Content-Type %q (one WAL-admit wire frame, as served by GET /v1/artifact/{key})", ContentTypeBinary))
 		return
 	}
-	var rec admitRequest
+	var rec wire.WALAdmit // the body of POST /v1/admit/artifact has no JSON form
 	if !c.decode(w, r, d.opts.MaxBodyBytes, &rec, wire.FrameWALAdmit) {
 		return
 	}
@@ -77,5 +77,5 @@ func (d *frontDoor) admitArtifact(w http.ResponseWriter, r *http.Request) {
 		d.fail(c, w, err)
 		return
 	}
-	c.registered(w, http.StatusOK, RegisterResponse{Key: rec.Key, Source: "artifact", Status: "admitted"})
+	c.registered(w, http.StatusOK, wire.RegisterResponse{Key: rec.Key, Source: "artifact", Status: "admitted"})
 }

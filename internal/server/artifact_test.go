@@ -92,13 +92,13 @@ func TestArtifactShipBetweenServers(t *testing.T) {
 
 	// Bit-identical elections on both sides.
 	for key := range testConfigs() {
-		var want, got Outcome
-		if resp := postJSON(t, src, "/v1/elect", ElectRequest{Key: key}); resp.StatusCode != http.StatusOK {
+		var want, got wire.Outcome
+		if resp := postJSON(t, src, "/v1/elect", wire.ElectRequest{Key: key}); resp.StatusCode != http.StatusOK {
 			t.Fatalf("source elect %s: status %d", key, resp.StatusCode)
 		} else {
 			decodeBody(t, resp, &want)
 		}
-		if resp := postJSON(t, dst, "/v1/elect", ElectRequest{Key: key}); resp.StatusCode != http.StatusOK {
+		if resp := postJSON(t, dst, "/v1/elect", wire.ElectRequest{Key: key}); resp.StatusCode != http.StatusOK {
 			t.Fatalf("dest elect %s: status %d", key, resp.StatusCode)
 		} else {
 			decodeBody(t, resp, &got)
@@ -162,7 +162,7 @@ func TestStatsFaultKeys(t *testing.T) {
 	}
 	for i := 0; i < 2; i++ {
 		for _, key := range []string{"fa", "fb"} {
-			resp := postJSON(t, ts, "/v1/elect", ElectRequest{Key: key})
+			resp := postJSON(t, ts, "/v1/elect", wire.ElectRequest{Key: key})
 			resp.Body.Close() // a faulted election may fail; counters still move
 		}
 	}
@@ -229,8 +229,8 @@ func TestRegisterInvalidArtifact422(t *testing.T) {
 		post func(key string, c *election.Compiled) (int, string)
 	}{
 		{"json", func(key string, c *election.Compiled) (int, string) {
-			resp := postJSON(t, ts, "/v1/register", RegisterRequest{Key: key, Config: cfg.Marshal(), Artifact: c})
-			var e ErrorResponse
+			resp := postJSON(t, ts, "/v1/register", wire.RegisterRequest{Key: key, Config: cfg.Marshal(), Artifact: c})
+			var e wire.ErrorMessage
 			decodeBody(t, resp, &e)
 			return resp.StatusCode, e.Error
 		}},
@@ -269,8 +269,8 @@ func TestRegisterInvalidArtifact422(t *testing.T) {
 		if status, msg := r.post(key, d.Compile()); status != http.StatusOK {
 			t.Fatalf("untouched artifact over %s: status %d, %q", r.name, status, msg)
 		}
-		resp := postJSON(t, ts, "/v1/elect", ElectRequest{Key: key})
-		var out Outcome
+		resp := postJSON(t, ts, "/v1/elect", wire.ElectRequest{Key: key})
+		var out wire.Outcome
 		decodeBody(t, resp, &out)
 		if resp.StatusCode != http.StatusOK || !out.Elected || out.Leader != d.ExpectedLeader {
 			t.Fatalf("%s: elect status %d, %+v; want leader %d", key, resp.StatusCode, out, d.ExpectedLeader)
@@ -333,22 +333,22 @@ func TestRegisterJSONEraArtifact(t *testing.T) {
 		if edit {
 			c.PhaseTable.Plans[0].Block++
 		}
-		resp := postJSON(t, ts, "/v1/register", RegisterRequest{Key: "era", Config: string(text), Artifact: c})
+		resp := postJSON(t, ts, "/v1/register", wire.RegisterRequest{Key: "era", Config: string(text), Artifact: c})
 		if edit {
-			var e ErrorResponse
+			var e wire.ErrorMessage
 			decodeBody(t, resp, &e)
 			if resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(e.Error, "phase table") {
 				t.Fatalf("edited table: status %d, %q; want 422 naming the phase table", resp.StatusCode, e.Error)
 			}
 			continue
 		}
-		var rr RegisterResponse
+		var rr wire.RegisterResponse
 		decodeBody(t, resp, &rr)
 		if resp.StatusCode != http.StatusOK || rr.Source != "artifact" {
 			t.Fatalf("register: status %d, %+v", resp.StatusCode, rr)
 		}
-		var out Outcome
-		decodeBody(t, postJSON(t, ts, "/v1/elect", ElectRequest{Key: "era"}), &out)
+		var out wire.Outcome
+		decodeBody(t, postJSON(t, ts, "/v1/elect", wire.ElectRequest{Key: "era"}), &out)
 		if !out.Elected || out.Leader != 0 || out.Rounds != 15 {
 			t.Fatalf("elect: %+v, want leader 0 in 15 rounds", out)
 		}

@@ -13,9 +13,8 @@ import (
 // This file is the binary half of the pooled codec (codec.go): a request
 // whose Content-Type is ContentTypeBinary carries one length-prefixed,
 // CRC-checked wire frame (internal/wire) and is answered in kind. A
-// route's JSON request and response types convert to their wire twins
-// directly — the structs have the same fields in the same order — so the
-// two encodings cannot drift apart field by field.
+// route's request and answer are internal/wire messages in both
+// encodings, so the two cannot drift apart field by field.
 
 // ContentTypeBinary is the media type of the binary wire encoding; see
 // docs/SERVER.md for the frame layout.
@@ -39,21 +38,11 @@ func decodeFrame(body []byte, v request, want wire.FrameType) error {
 	case len(rest) != 0:
 		return errors.New("request body carries trailing data after the frame")
 	}
-	if err := v.fromFrame(payload); err != nil {
+	if err := v.DecodeFrom(payload); err != nil {
 		return fmt.Errorf("decoding %v payload: %w", want, err)
 	}
 	return nil
 }
-
-func (q *ElectRequest) fromFrame(p []byte) error    { return (*wire.ElectRequest)(q).DecodeFrom(p) }
-func (q *BatchRequest) fromFrame(p []byte) error    { return (*wire.BatchRequest)(q).DecodeFrom(p) }
-func (q *RegisterRequest) fromFrame(p []byte) error { return (*wire.RegisterRequest)(q).DecodeFrom(p) }
-
-// admitRequest is the body of POST /v1/admit/artifact, which has no JSON
-// form.
-type admitRequest wire.WALAdmit
-
-func (q *admitRequest) fromFrame(p []byte) error { return (*wire.WALAdmit)(q).DecodeFrom(p) }
 
 // sendFrame writes frame as the response body, keeping its buffer for the
 // next request.

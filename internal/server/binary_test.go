@@ -90,11 +90,11 @@ func TestBinaryElectMatchesJSONAndEngines(t *testing.T) {
 		}
 
 		// JSON elect on the same handler.
-		jresp := postJSON(t, ts, "/v1/elect", ElectRequest{Key: key})
+		jresp := postJSON(t, ts, "/v1/elect", wire.ElectRequest{Key: key})
 		if jresp.StatusCode != http.StatusOK {
 			t.Fatalf("json elect %s: status %d", key, jresp.StatusCode)
 		}
-		var js Outcome
+		var js wire.Outcome
 		decodeBody(t, jresp, &js)
 
 		if !bin.Elected || bin.Key != key || bin.Leader != js.Leader || bin.Rounds != js.Rounds || js.Error != bin.Error {
@@ -127,8 +127,8 @@ func TestBinaryElectMatchesJSONAndEngines(t *testing.T) {
 	if typ != wire.FrameBatchResponse || bbatch.DecodeFrom(payload) != nil {
 		t.Fatalf("binary batch: frame %v", typ)
 	}
-	jresp := postJSON(t, ts, "/v1/elect/batch", BatchRequest{Keys: keys})
-	var jbatch BatchResponse
+	jresp := postJSON(t, ts, "/v1/elect/batch", wire.BatchRequest{Keys: keys})
+	var jbatch wire.BatchResponse
 	decodeBody(t, jresp, &jbatch)
 	if len(bbatch.Outcomes) != len(jbatch.Outcomes) || bbatch.Failures != jbatch.Failures || bbatch.Failures != 1 {
 		t.Fatalf("batch shapes diverge: binary %d/%d, json %d/%d",

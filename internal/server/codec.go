@@ -34,11 +34,10 @@ type codec struct {
 	enc *json.Encoder // persistent encoder writing into buf
 	out []byte        // response frame
 
-	elect ElectRequest      // decoded elect request
-	batch BatchRequest      // decoded batch request (key capacity reused)
+	elect wire.ElectRequest // decoded elect request
+	batch wire.BatchRequest // decoded batch request (key capacity reused)
 	outs  []service.Outcome // batch outcome scratch
-	jout  []Outcome         // batch JSON-outcome scratch
-	wos   []wire.Outcome    // batch wire-outcome scratch
+	wouts []wire.Outcome    // batch answer scratch, in both encodings
 }
 
 var codecs = sync.Pool{New: func() any {
@@ -56,10 +55,11 @@ func getCodec(binary bool) *codec {
 	return c
 }
 
-// A request is a route's decoded request value: JSON decodes into it
-// directly, a frame's payload through fromFrame.
+// A request is a route's decoded request value, an internal/wire message:
+// JSON decodes into it through its tags, a frame's payload through its
+// DecodeFrom.
 type request interface {
-	fromFrame(payload []byte) error
+	DecodeFrom(payload []byte) error
 }
 
 // decode reads the request body, which instrument capped at limit bytes,
@@ -114,20 +114,20 @@ func readBody(r *http.Request, buf []byte, limit int64) ([]byte, error) {
 	}
 }
 
-// message answers a failure in the request's encoding: an ErrorResponse,
-// or an error frame.
+// message answers a failure in the request's encoding: a JSON
+// wire.ErrorMessage, or an error frame.
 func (c *codec) message(w http.ResponseWriter, status int, msg string) {
 	if c.binary {
 		c.sendFrame(w, status, wire.AppendErrorFrame(c.out[:0], msg))
 		return
 	}
-	c.sendJSON(w, status, ErrorResponse{Error: msg})
+	c.sendJSON(w, status, wire.ErrorMessage{Error: msg})
 }
 
 // registered answers a successful admission in the request's encoding.
-func (c *codec) registered(w http.ResponseWriter, status int, resp RegisterResponse) {
+func (c *codec) registered(w http.ResponseWriter, status int, resp wire.RegisterResponse) {
 	if c.binary {
-		c.sendFrame(w, status, wire.AppendRegisterResponseFrame(c.out[:0], (*wire.RegisterResponse)(&resp)))
+		c.sendFrame(w, status, wire.AppendRegisterResponseFrame(c.out[:0], &resp))
 		return
 	}
 	c.sendJSON(w, status, resp)

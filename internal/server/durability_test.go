@@ -10,6 +10,7 @@ import (
 	"anonradio/internal/config"
 	"anonradio/internal/service"
 	"anonradio/internal/wal"
+	"anonradio/internal/wire"
 )
 
 // TestRetryAfterDerivedFromBacklog pins the backpressure satellite: the 429
@@ -24,7 +25,7 @@ func TestRetryAfterDerivedFromBacklog(t *testing.T) {
 	cfg := config.StaggeredClique(6).Marshal()
 
 	// Park one admission mid-build, then fill the queue behind it.
-	resp := postJSON(t, ts, "/v1/register", RegisterRequest{Key: "held", Config: cfg, Async: true})
+	resp := postJSON(t, ts, "/v1/register", wire.RegisterRequest{Key: "held", Config: cfg, Async: true})
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("held register: status %d, want 202", resp.StatusCode)
 	}
@@ -46,7 +47,7 @@ func TestRetryAfterDerivedFromBacklog(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	for i := 0; i < queued; i++ {
-		r := postJSON(t, ts, "/v1/register", RegisterRequest{Key: "q" + strconv.Itoa(i), Config: cfg, Async: true})
+		r := postJSON(t, ts, "/v1/register", wire.RegisterRequest{Key: "q" + strconv.Itoa(i), Config: cfg, Async: true})
 		if r.StatusCode != http.StatusAccepted {
 			t.Fatalf("queue fill %d: status %d, want 202", i, r.StatusCode)
 		}
@@ -55,7 +56,7 @@ func TestRetryAfterDerivedFromBacklog(t *testing.T) {
 
 	// Pending is now 1 building + queued in the queue, one builder:
 	// Retry-After must say the whole backlog, not "1".
-	busy := postJSON(t, ts, "/v1/register", RegisterRequest{Key: "bounced", Config: cfg})
+	busy := postJSON(t, ts, "/v1/register", wire.RegisterRequest{Key: "bounced", Config: cfg})
 	defer busy.Body.Close()
 	if busy.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("overfull queue: status %d, want 429", busy.StatusCode)
@@ -85,7 +86,7 @@ func TestRetryAfterClamped(t *testing.T) {
 		func(string) bool { return true })
 	defer release()
 	cfg := config.StaggeredClique(4).Marshal()
-	r := postJSON(t, ts, "/v1/register", RegisterRequest{Key: "held", Config: cfg, Async: true})
+	r := postJSON(t, ts, "/v1/register", wire.RegisterRequest{Key: "held", Config: cfg, Async: true})
 	r.Body.Close()
 	deadline := time.Now().Add(30 * time.Second)
 	for {
@@ -104,10 +105,10 @@ func TestRetryAfterClamped(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	for i := 0; i < 128; i++ {
-		r := postJSON(t, ts, "/v1/register", RegisterRequest{Key: "k" + strconv.Itoa(i), Config: cfg, Async: true})
+		r := postJSON(t, ts, "/v1/register", wire.RegisterRequest{Key: "k" + strconv.Itoa(i), Config: cfg, Async: true})
 		r.Body.Close()
 	}
-	busy := postJSON(t, ts, "/v1/register", RegisterRequest{Key: "last", Config: cfg})
+	busy := postJSON(t, ts, "/v1/register", wire.RegisterRequest{Key: "last", Config: cfg})
 	defer busy.Body.Close()
 	if busy.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("overfull queue: status %d, want 429", busy.StatusCode)
@@ -134,7 +135,7 @@ func TestStatsAndHealthSurfaceWAL(t *testing.T) {
 	t.Cleanup(ts.Close)
 
 	cfg := config.StaggeredClique(6).Marshal()
-	if resp := postJSON(t, ts, "/v1/register", RegisterRequest{Key: "k", Config: cfg}); resp.StatusCode != http.StatusOK {
+	if resp := postJSON(t, ts, "/v1/register", wire.RegisterRequest{Key: "k", Config: cfg}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("register: status %d", resp.StatusCode)
 	} else {
 		resp.Body.Close()

@@ -36,11 +36,11 @@ type Backend interface {
 }
 
 // An answered error carries the answer a node gave a routing tier
-// (fleet.APIError); the front door relays its status and Retry-After as
-// they are.
+// (fleet.APIError); the front door relays its status, message and
+// Retry-After as they are.
 type answered interface {
 	error
-	Answer() (status int, retryAfter time.Duration)
+	Answer() (status int, message string, retryAfter time.Duration)
 }
 
 // Relay registers the /v1/* routes on mux, served over b, a backend that
@@ -101,19 +101,21 @@ func (d *frontDoor) served(ep endpoint, elections int) {
 	}
 }
 
-// fail answers a backend error: with the node's own status and
-// Retry-After when err carries a node's answer, else with the status the
-// table maps it to, or d.fallback. A 429 carries a Retry-After header: the
-// admission queue drains at build speed, so a short client-side backoff is
-// the intended reaction.
+// fail answers a backend error: with the node's own status, message and
+// Retry-After when err carries a node's answer, so a router answers what
+// the node did, else with the status the table maps it to, or d.fallback.
+// A 429 carries a Retry-After header: the admission queue drains at build
+// speed, so a short client-side backoff is the intended reaction.
 func (d *frontDoor) fail(c *codec, w http.ResponseWriter, err error) {
 	var status, retry int
+	var msg string
 	var a answered
 	if errors.As(err, &a) {
-		s, ra := a.Answer()
-		status, retry = s, int(ra/time.Second)
+		var ra time.Duration
+		status, msg, ra = a.Answer()
+		retry = int(ra / time.Second)
 	} else {
-		status = statusFor(err, d.fallback)
+		status, msg = statusFor(err, d.fallback), err.Error()
 		if status == http.StatusTooManyRequests && d.retryAfter != nil {
 			retry = d.retryAfter()
 		}
@@ -121,12 +123,12 @@ func (d *frontDoor) fail(c *codec, w http.ResponseWriter, err error) {
 	if retry > 0 {
 		w.Header().Set("Retry-After", strconv.Itoa(retry))
 	}
-	c.message(w, status, err.Error())
+	c.message(w, status, msg)
 }
 
 // outcomeJSON converts a served outcome to its wire form.
-func outcomeJSON(o service.Outcome) Outcome {
-	out := Outcome{Key: o.Key, Elected: o.Elected(), Leader: o.Leader, Rounds: o.Rounds}
+func outcomeJSON(o service.Outcome) wire.Outcome {
+	out := wire.Outcome{Key: o.Key, Elected: o.Elected(), Leader: o.Leader, Rounds: o.Rounds}
 	if o.Err != nil {
 		out.Error = o.Err.Error()
 	}
@@ -136,7 +138,7 @@ func outcomeJSON(o service.Outcome) Outcome {
 func (d *frontDoor) register(w http.ResponseWriter, r *http.Request) {
 	c := getCodec(binaryRequest(r))
 	defer codecs.Put(c)
-	var req RegisterRequest
+	var req wire.RegisterRequest
 	if !c.decode(w, r, d.opts.MaxBodyBytes, &req, wire.FrameRegisterRequest) {
 		return
 	}
@@ -152,7 +154,7 @@ func (d *frontDoor) register(w http.ResponseWriter, r *http.Request) {
 		d.fail(c, w, err)
 		return
 	}
-	resp := RegisterResponse{Key: req.Key, Source: "built", Status: "admitted"}
+	resp := wire.RegisterResponse{Key: req.Key, Source: "built", Status: "admitted"}
 	if req.Artifact != nil {
 		resp.Source = "artifact"
 	}
@@ -192,7 +194,7 @@ func (d *frontDoor) admissionStatus(w http.ResponseWriter, r *http.Request) {
 func (d *frontDoor) elect(w http.ResponseWriter, r *http.Request) {
 	c := getCodec(binaryRequest(r))
 	defer codecs.Put(c)
-	c.elect = ElectRequest{}
+	c.elect = wire.ElectRequest{}
 	if !c.decode(w, r, d.opts.MaxBodyBytes, &c.elect, wire.FrameElectRequest) {
 		return
 	}
@@ -208,7 +210,7 @@ func (d *frontDoor) elect(w http.ResponseWriter, r *http.Request) {
 	d.served(epElect, 1)
 	out := outcomeJSON(o)
 	if c.binary {
-		c.sendFrame(w, http.StatusOK, wire.AppendOutcomeFrame(c.out[:0], (*wire.Outcome)(&out)))
+		c.sendFrame(w, http.StatusOK, wire.AppendOutcomeFrame(c.out[:0], &out))
 		return
 	}
 	c.sendJSON(w, http.StatusOK, out)
@@ -239,25 +241,20 @@ func (d *frontDoor) electBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	failures := 0
+	c.wouts = c.wouts[:0]
 	for _, o := range outs {
 		if o.Err != nil {
 			failures++
 		}
+		c.wouts = append(c.wouts, outcomeJSON(o))
 	}
 	d.served(epElectBatch, len(outs)-failures)
+	resp := wire.BatchResponse{Outcomes: c.wouts, Failures: failures}
 	if c.binary {
-		c.wos = c.wos[:0]
-		for _, o := range outs {
-			c.wos = append(c.wos, wire.Outcome(outcomeJSON(o)))
-		}
-		c.sendFrame(w, http.StatusOK, wire.AppendBatchResponseFrame(c.out[:0], &wire.BatchResponse{Outcomes: c.wos, Failures: failures}))
+		c.sendFrame(w, http.StatusOK, wire.AppendBatchResponseFrame(c.out[:0], &resp))
 		return
 	}
-	c.jout = c.jout[:0]
-	for _, o := range outs {
-		c.jout = append(c.jout, outcomeJSON(o))
-	}
-	c.sendJSON(w, http.StatusOK, BatchResponse{Outcomes: c.jout, Failures: failures})
+	c.sendJSON(w, http.StatusOK, resp)
 }
 
 func (d *frontDoor) evict(w http.ResponseWriter, r *http.Request) {

@@ -43,8 +43,8 @@ func TestOversizedBody413(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	resp := postJSON(t, ts, "/v1/register", RegisterRequest{Key: "big", Config: strings.Repeat("x", 1024)})
-	var e ErrorResponse
+	resp := postJSON(t, ts, "/v1/register", wire.RegisterRequest{Key: "big", Config: strings.Repeat("x", 1024)})
+	var e wire.ErrorMessage
 	decodeBody(t, resp, &e)
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized body: status %d (%s), want 413", resp.StatusCode, e.Error)
@@ -53,7 +53,7 @@ func TestOversizedBody413(t *testing.T) {
 		t.Fatalf("oversized body error does not name the limit: %q", e.Error)
 	}
 	// A body under the cap still works end to end.
-	if resp := postJSON(t, ts, "/v1/elect", ElectRequest{Key: "nope"}); resp.StatusCode != http.StatusNotFound {
+	if resp := postJSON(t, ts, "/v1/elect", wire.ElectRequest{Key: "nope"}); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("under-cap request: status %d, want 404", resp.StatusCode)
 	} else {
 		resp.Body.Close()
@@ -67,8 +67,8 @@ func TestOversizedBody413(t *testing.T) {
 func TestRegisterUnconnectableNodeCount400(t *testing.T) {
 	_, ts := newTestServer(t)
 	text := "name big\nnodes 50000000\n"
-	resp := postJSON(t, ts, "/v1/register", RegisterRequest{Key: "big", Config: text})
-	var e ErrorResponse
+	resp := postJSON(t, ts, "/v1/register", wire.RegisterRequest{Key: "big", Config: text})
+	var e wire.ErrorMessage
 	decodeBody(t, resp, &e)
 	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, "nodes 50000000") {
 		t.Fatalf("JSON register: status %d (%s), want 400 naming the node count", resp.StatusCode, e.Error)
@@ -148,11 +148,11 @@ func TestAsyncRegisterAndBackpressure(t *testing.T) {
 	cfg := config.StaggeredClique(6).Marshal()
 
 	// First async admission: accepted, pollable, held mid-build.
-	resp := postJSON(t, ts, "/v1/register", RegisterRequest{Key: "a", Config: cfg, Async: true})
+	resp := postJSON(t, ts, "/v1/register", wire.RegisterRequest{Key: "a", Config: cfg, Async: true})
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("async register: status %d, want 202", resp.StatusCode)
 	}
-	var rr RegisterResponse
+	var rr wire.RegisterResponse
 	decodeBody(t, resp, &rr)
 	if rr.Status != "pending" || rr.StatusURL != "/v1/register/status/a" {
 		t.Fatalf("async register response: %+v", rr)
@@ -176,13 +176,13 @@ func TestAsyncRegisterAndBackpressure(t *testing.T) {
 	}
 
 	// Second fills the queue; third must bounce with 429 + Retry-After.
-	if resp := postJSON(t, ts, "/v1/register", RegisterRequest{Key: "b", Config: cfg, Async: true}); resp.StatusCode != http.StatusAccepted {
+	if resp := postJSON(t, ts, "/v1/register", wire.RegisterRequest{Key: "b", Config: cfg, Async: true}); resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("queue-filling register: status %d, want 202", resp.StatusCode)
 	} else {
 		resp.Body.Close()
 	}
-	busy := postJSON(t, ts, "/v1/register", RegisterRequest{Key: "c", Config: cfg})
-	var e ErrorResponse
+	busy := postJSON(t, ts, "/v1/register", wire.RegisterRequest{Key: "c", Config: cfg})
+	var e wire.ErrorMessage
 	decodeBody(t, busy, &e)
 	if busy.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("overfull queue: status %d (%s), want 429", busy.StatusCode, e.Error)
@@ -208,15 +208,15 @@ func TestAsyncRegisterAndBackpressure(t *testing.T) {
 		if st := pollAdmission(t, ts, key); st.State != "done" || st.Error != "" {
 			t.Fatalf("admission of %q ended %+v", key, st)
 		}
-		resp := postJSON(t, ts, "/v1/elect", ElectRequest{Key: key})
-		var out Outcome
+		resp := postJSON(t, ts, "/v1/elect", wire.ElectRequest{Key: key})
+		var out wire.Outcome
 		decodeBody(t, resp, &out)
 		if resp.StatusCode != http.StatusOK || !out.Elected {
 			t.Fatalf("elect %q after drain: status %d, %+v", key, resp.StatusCode, out)
 		}
 	}
 	// The rejected key re-registers fine once the queue drained.
-	again := postJSON(t, ts, "/v1/register", RegisterRequest{Key: "c", Config: cfg})
+	again := postJSON(t, ts, "/v1/register", wire.RegisterRequest{Key: "c", Config: cfg})
 	decodeBody(t, again, &rr)
 	if again.StatusCode != http.StatusOK || rr.Status != "admitted" {
 		t.Fatalf("register after drain: status %d, %+v", again.StatusCode, rr)
@@ -238,7 +238,7 @@ func TestAsyncRegisterAndBackpressure(t *testing.T) {
 // key is a 404.
 func TestAsyncRegisterFailureStatus(t *testing.T) {
 	_, ts := newTestServer(t)
-	resp := postJSON(t, ts, "/v1/register", RegisterRequest{Key: "sym", Config: config.SymmetricPair().Marshal(), Async: true})
+	resp := postJSON(t, ts, "/v1/register", wire.RegisterRequest{Key: "sym", Config: config.SymmetricPair().Marshal(), Async: true})
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("async register: status %d, want 202", resp.StatusCode)
 	}
@@ -274,7 +274,7 @@ func TestStatsAfterClose503(t *testing.T) {
 	if err != nil {
 		t.Fatalf("GET /v1/stats: %v", err)
 	}
-	var e ErrorResponse
+	var e wire.ErrorMessage
 	decodeBody(t, sr, &e)
 	if sr.StatusCode != http.StatusServiceUnavailable || e.Error == "" {
 		t.Fatalf("stats after close: status %d (%s), want 503", sr.StatusCode, e.Error)
@@ -311,12 +311,12 @@ func TestEvictAfterClose503(t *testing.T) {
 	if err != nil {
 		t.Fatalf("DELETE /v1/configs/k: %v", err)
 	}
-	var e ErrorResponse
+	var e wire.ErrorMessage
 	decodeBody(t, resp, &e)
 	if resp.StatusCode != http.StatusServiceUnavailable || e.Error == "" {
 		t.Fatalf("evict after close: status %d (%s), want 503", resp.StatusCode, e.Error)
 	}
-	resp = postJSON(t, ts, "/v1/elect", ElectRequest{Key: "k"})
+	resp = postJSON(t, ts, "/v1/elect", wire.ElectRequest{Key: "k"})
 	decodeBody(t, resp, &e)
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("elect after close: status %d (%s), want 503", resp.StatusCode, e.Error)
@@ -340,14 +340,14 @@ func TestHealthDuringSlowAdmission(t *testing.T) {
 			return true
 		})
 
-	if resp := postJSON(t, ts, "/v1/register", RegisterRequest{Key: "fast", Config: config.StaggeredClique(5).Marshal()}); resp.StatusCode != http.StatusOK {
+	if resp := postJSON(t, ts, "/v1/register", wire.RegisterRequest{Key: "fast", Config: config.StaggeredClique(5).Marshal()}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("register fast: status %d", resp.StatusCode)
 	} else {
 		resp.Body.Close()
 	}
 	slowDone := make(chan int, 1)
 	go func() {
-		resp := postJSON(t, ts, "/v1/register", RegisterRequest{Key: "slow", Config: config.StaggeredClique(6).Marshal()})
+		resp := postJSON(t, ts, "/v1/register", wire.RegisterRequest{Key: "slow", Config: config.StaggeredClique(6).Marshal()})
 		resp.Body.Close()
 		slowDone <- resp.StatusCode
 	}()
@@ -386,11 +386,11 @@ func TestHealthDuringSlowAdmission(t *testing.T) {
 func TestAsyncStatusURLEscaping(t *testing.T) {
 	_, ts := newTestServer(t)
 	key := "weird key?v=2/with#stuff and %2F"
-	resp := postJSON(t, ts, "/v1/register", RegisterRequest{Key: key, Config: config.SingleNode().Marshal(), Async: true})
+	resp := postJSON(t, ts, "/v1/register", wire.RegisterRequest{Key: key, Config: config.SingleNode().Marshal(), Async: true})
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("async register: status %d, want 202", resp.StatusCode)
 	}
-	var rr RegisterResponse
+	var rr wire.RegisterResponse
 	decodeBody(t, resp, &rr)
 	deadline := time.Now().Add(30 * time.Second)
 	for {
@@ -415,8 +415,8 @@ func TestAsyncStatusURLEscaping(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	elect := postJSON(t, ts, "/v1/elect", ElectRequest{Key: key})
-	var out Outcome
+	elect := postJSON(t, ts, "/v1/elect", wire.ElectRequest{Key: key})
+	var out wire.Outcome
 	decodeBody(t, elect, &out)
 	if !out.Elected {
 		t.Fatalf("elect on the escaped key: %+v", out)

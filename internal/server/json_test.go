@@ -12,6 +12,7 @@ import (
 
 	"anonradio/internal/config"
 	"anonradio/internal/service"
+	"anonradio/internal/wire"
 )
 
 // TestJSONElectHandlerAllocs pins the pooled JSON elect path to its budget:
@@ -95,7 +96,7 @@ func TestPooledJSONByteStability(t *testing.T) {
 		if i == 0 {
 			first = rec.Body.String()
 			// The pooled encoder must match the unpooled encoding exactly.
-			var out Outcome
+			var out wire.Outcome
 			if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
 				t.Fatal(err)
 			}
@@ -115,12 +116,12 @@ func TestPooledJSONByteStability(t *testing.T) {
 		for i := range keys {
 			keys[i] = "k"
 		}
-		body, _ := json.Marshal(BatchRequest{Keys: keys})
+		body, _ := json.Marshal(wire.BatchRequest{Keys: keys})
 		rec := serve("/v1/elect/batch", string(body))
 		if rec.Code != http.StatusOK {
 			t.Fatalf("batch of %d: status %d, body %q", n, rec.Code, rec.Body.String())
 		}
-		var resp BatchResponse
+		var resp wire.BatchResponse
 		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 			t.Fatal(err)
 		}

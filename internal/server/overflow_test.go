@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"anonradio/internal/config"
+	"anonradio/internal/wire"
 )
 
 // TestRegisterOverflowingTag422 registers a 2-node configuration whose huge
@@ -14,8 +15,8 @@ import (
 // with an error body, and the daemon goes on serving.
 func TestRegisterOverflowingTag422(t *testing.T) {
 	_, ts := newTestServer(t)
-	resp := postJSON(t, ts, "/v1/register", RegisterRequest{Key: "huge", Config: "nodes 2\ntag 0 0\ntag 1 4611686018427387904\nedge 0 1\n"})
-	var e ErrorResponse
+	resp := postJSON(t, ts, "/v1/register", wire.RegisterRequest{Key: "huge", Config: "nodes 2\ntag 0 0\ntag 1 4611686018427387904\nedge 0 1\n"})
+	var e wire.ErrorMessage
 	decodeBody(t, resp, &e)
 	if resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(e.Error, "overflow") {
 		t.Fatalf("status %d, error %q; want 422 naming the overflow", resp.StatusCode, e.Error)
@@ -45,11 +46,11 @@ func TestRegisterHugeSpan422(t *testing.T) {
 		"nodes 2\ntag 0 0\ntag 1 1000000\nedge 0 1\n",
 		config.StaggeredPath(400, 600).Marshal(),
 	} {
-		body := RegisterRequest{Key: "span", Config: cfg}
+		body := wire.RegisterRequest{Key: "span", Config: cfg}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		resp := postJSON(t, ts, "/v1/register", body)
-		var e ErrorResponse
+		var e wire.ErrorMessage
 		decodeBody(t, resp, &e)
 		runtime.ReadMemStats(&after)
 		if resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(e.Error, "overflow") {

@@ -79,7 +79,7 @@ func FuzzRegisterHandler(f *testing.F) {
 		elected := true
 		if rec.Code == http.StatusOK {
 			elect := serve(http.MethodPost, "/v1/elect", "application/json", []byte(fmt.Sprintf(`{"key":%q}`, key)))
-			var out Outcome
+			var out wire.Outcome
 			if err := json.Unmarshal(elect.Body.Bytes(), &out); err != nil || elect.Code != http.StatusOK {
 				t.Fatalf("elect after a 200 register: status %d, %v, body %q", elect.Code, err, elect.Body.Bytes())
 			}
@@ -112,7 +112,7 @@ func registerBody(t *testing.T, key, text string, binary bool) ([]byte, string) 
 		frame := wire.AppendRegisterRequestFrame(nil, &wire.RegisterRequest{Key: key, Config: text})
 		return frame, ContentTypeBinary
 	}
-	body, err := json.Marshal(RegisterRequest{Key: key, Config: text})
+	body, err := json.Marshal(wire.RegisterRequest{Key: key, Config: text})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,8 +41,10 @@
 // encoding: a request with Content-Type "application/x-anonradio-bin"
 // carries one internal/wire frame and is answered in kind, through pooled
 // codec state that keeps the hot elect path nearly allocation-free (see
-// codec.go and docs/SERVER.md). Outcomes are bit-identical across the two
-// encodings: the encoding is negotiated per request, never per deployment.
+// codec.go and docs/SERVER.md). Each request and answer of those routes is
+// one internal/wire message in both encodings (its JSON tags and its frame
+// codec), so outcomes are bit-identical across the two: the encoding is
+// negotiated per request, never per deployment.
 //
 // The server also wires the snapshot layer to deployment: LoadSnapshot
 // re-admits a snapshot directory by loading its artifacts before the
@@ -63,6 +65,7 @@ import (
 	"anonradio/internal/canonical"
 	"anonradio/internal/election"
 	"anonradio/internal/service"
+	"anonradio/internal/wire"
 )
 
 // Options configure a Server (Relay reads the two caps). The zero value is
@@ -144,52 +147,12 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return s.httpSrv.Shutdown(ctx)
 }
 
-// LoadSnapshot restores the snapshot in dir into the server's registry (see
-// service.Registry.Restore); call it before Serve so the first request
-// already sees the restored keys.
-func (s *Server) LoadSnapshot(dir string) (*service.RestoreReport, error) {
-	return LoadSnapshot(s.reg, dir)
-}
-
 // LoadSnapshot restores the snapshot in dir into reg: every manifest entry
 // is re-admitted by loading its artifact (election.Load), so a cold restart
-// skips the classifier.
+// skips the classifier. Call it before Serve so the first request already
+// sees the restored keys.
 func LoadSnapshot(reg *service.Registry, dir string) (*service.RestoreReport, error) {
 	return reg.Restore(dir)
-}
-
-// RegisterRequest is the body of POST /v1/register.
-type RegisterRequest struct {
-	// Key is the registry key to admit the configuration under.
-	Key string `json:"key"`
-	// Config is the configuration in the text format of internal/config
-	// ("nodes N / tag v t / edge u v" lines). Always required: a compiled
-	// artifact deliberately carries only what the anonymous nodes need, not
-	// the network itself.
-	Config string `json:"config"`
-	// Artifact optionally carries a compiled algorithm (the JSON written by
-	// cmd/compile or a snapshot). When present the registry loads it
-	// (election.Load) instead of classifying and building; an artifact that
-	// contradicts itself or the configuration answers 422.
-	Artifact *election.Compiled `json:"artifact,omitempty"`
-	// Async selects the asynchronous admission flow: the server answers 202
-	// as soon as the registration is queued on the builder pool, and the
-	// client polls GET /v1/register/status/{key} for the outcome.
-	Async bool `json:"async,omitempty"`
-}
-
-// RegisterResponse is the body of a successful POST /v1/register.
-type RegisterResponse struct {
-	// Key is the admitted key.
-	Key string `json:"key"`
-	// Source is "built" (classified and compiled server-side) or "artifact"
-	// (loaded from the request's compiled artifact).
-	Source string `json:"source"`
-	// Status is "admitted" (synchronous admission completed, 200) or
-	// "pending" (async admission accepted, 202 — poll StatusURL).
-	Status string `json:"status"`
-	// StatusURL is the admission-status endpoint for the key (async only).
-	StatusURL string `json:"status_url,omitempty"`
 }
 
 // AdmissionStatusResponse is the body of GET /v1/register/status/{key}.
@@ -203,43 +166,6 @@ type AdmissionStatusResponse struct {
 	Error string `json:"error,omitempty"`
 }
 
-// ElectRequest is the body of POST /v1/elect.
-type ElectRequest struct {
-	// Key is the registry key to elect on.
-	Key string `json:"key"`
-}
-
-// Outcome is the JSON form of one served election.
-type Outcome struct {
-	// Key is the configuration key the election ran for.
-	Key string `json:"key"`
-	// Elected reports whether the election succeeded.
-	Elected bool `json:"elected"`
-	// Leader is the elected node (-1 when the election failed).
-	Leader int `json:"leader"`
-	// Rounds is the number of global rounds of the election.
-	Rounds int `json:"rounds"`
-	// Error carries the per-key failure, when there is one.
-	Error string `json:"error,omitempty"`
-}
-
-// BatchRequest is the body of POST /v1/elect/batch.
-type BatchRequest struct {
-	// Keys are the registry keys to elect on; outcome i corresponds to
-	// keys[i].
-	Keys []string `json:"keys"`
-}
-
-// BatchResponse is the body of POST /v1/elect/batch. The request itself
-// succeeds (200) whenever it was well-formed; per-key failures are reported
-// in their outcome slot and counted in Failures.
-type BatchResponse struct {
-	// Outcomes has one entry per submitted key, in submission order.
-	Outcomes []Outcome `json:"outcomes"`
-	// Failures counts outcomes whose Error is set.
-	Failures int `json:"failures"`
-}
-
 // EvictResponse is the body of a successful DELETE /v1/configs/{key}.
 type EvictResponse struct {
 	// Key is the evicted key.
@@ -248,125 +174,23 @@ type EvictResponse struct {
 	Evicted bool `json:"evicted"`
 }
 
-// ShardStats mirrors service.ShardStats with JSON tags.
-type ShardStats struct {
-	// Shard is the shard index (-1 in the totals row).
-	Shard int `json:"shard"`
-	// Configs is the number of registered configurations.
-	Configs int `json:"configs"`
-	// Builds counts successful admissions.
-	Builds int64 `json:"builds"`
-	// Elections counts successfully served elections.
-	Elections int64 `json:"elections"`
-	// Failures counts failed operations.
-	Failures int64 `json:"failures"`
-	// Rounds accumulates the global rounds of all served elections.
-	Rounds int64 `json:"rounds"`
-	// Stolen counts elections this shard's worker served from a loaded
-	// sibling's queue (work stealing, with two or more shards).
-	Stolen int64 `json:"stolen"`
-	// StolenFrom counts this shard's elections that were served by an idle
-	// sibling's worker.
-	StolenFrom int64 `json:"stolen_from"`
-	// Queued is the shard's queue depth — requests plus stealable
-	// elections — at the instant the stats were gathered.
-	Queued int `json:"queued"`
-}
-
-// AdmissionStats mirrors service.AdmissionStats with JSON tags: the
-// admission pipeline's counters as served by GET /v1/stats.
-type AdmissionStats struct {
-	// Builders is the size of the builder pool.
-	Builders int `json:"builders"`
-	// QueueCapacity is the bound of the admission queue.
-	QueueCapacity int `json:"queue_capacity"`
-	// Pending counts admissions submitted but not yet terminal.
-	Pending int64 `json:"pending"`
-	// Submitted counts admissions accepted into the queue.
-	Submitted int64 `json:"submitted"`
-	// Completed counts admissions that installed successfully.
-	Completed int64 `json:"completed"`
-	// Failed counts admissions that ended in failure.
-	Failed int64 `json:"failed"`
-	// Rejected counts registrations refused with 429 (queue full).
-	Rejected int64 `json:"rejected"`
-	// ArtifactLoads counts admissions installed from an artifact (registered,
-	// shipped, restored or replayed) — the counter a fleet migration that
-	// ships instead of rebuilding is asserted against.
-	ArtifactLoads int64 `json:"artifact_loads"`
-	// RebuildHits counts builds that reused a retired algorithm's buffers
-	// from the size-bucketed retired pool instead of allocating fresh ones.
-	RebuildHits int64 `json:"rebuild_hits"`
-}
-
-// KeyFaultStats mirrors service.KeyFaultStats with JSON tags: one key's
-// accumulated injected-fault observations, served by GET /v1/stats when the
-// registry runs under a fault plan.
-type KeyFaultStats struct {
-	// Key is the registry key.
-	Key string `json:"key"`
-	// Elections counts fault-accounted elections served for the key.
-	Elections int64 `json:"elections"`
-	// Drops counts message deliveries the fault plan suppressed.
-	Drops int64 `json:"drops"`
-	// Noise counts perceptions the fault plan corrupted into collisions.
-	Noise int64 `json:"noise"`
-	// OutageRounds accumulates, per round, the number of nodes held down by
-	// an outage window.
-	OutageRounds int64 `json:"outage_rounds"`
-}
-
-// WALStats mirrors service.WALStats with JSON tags: the admission
-// journal's counters as served by GET /v1/stats.
-type WALStats struct {
-	// Enabled reports whether the registry journals admissions at all;
-	// every other field is zero when false.
-	Enabled bool `json:"enabled"`
-	// Dir is the journal directory.
-	Dir string `json:"dir,omitempty"`
-	// Policy is the fsync policy ("always", "batch", "off").
-	Policy string `json:"policy,omitempty"`
-	// Appends counts records journaled since boot.
-	Appends uint64 `json:"appends"`
-	// Unsynced is the WAL lag: records acknowledged but not yet on stable
-	// storage.
-	Unsynced uint64 `json:"unsynced"`
-	// Syncs counts fsync calls.
-	Syncs uint64 `json:"syncs"`
-	// AppendFailures counts admissions that installed but could not be
-	// journaled.
-	AppendFailures int64 `json:"append_failures"`
-	// JournalBytes is the journal size across all segments.
-	JournalBytes int64 `json:"journal_bytes"`
-	// Segments is the number of segment files, including the active one.
-	Segments int `json:"segments"`
-	// RecordsSinceCheckpoint counts journal records a crash would replay.
-	RecordsSinceCheckpoint int64 `json:"records_since_checkpoint"`
-	// Checkpoints counts completed checkpoints since boot.
-	Checkpoints int64 `json:"checkpoints"`
-	// CheckpointFailures counts background checkpoints that failed.
-	CheckpointFailures int64 `json:"checkpoint_failures"`
-	// LastCheckpointSeconds is the duration of the most recent checkpoint.
-	LastCheckpointSeconds float64 `json:"last_checkpoint_seconds"`
-}
-
 // StatsResponse is the body of GET /v1/stats.
 type StatsResponse struct {
 	// UptimeSeconds is the time since the server was created.
 	UptimeSeconds float64 `json:"uptime_seconds"`
 	// Shards holds one row of registry counters per shard.
-	Shards []ShardStats `json:"shards"`
+	Shards []service.ShardStats `json:"shards"`
 	// Totals folds the shard rows into one aggregate (Shard is -1).
-	Totals ShardStats `json:"totals"`
+	Totals service.ShardStats `json:"totals"`
 	// Admission holds the admission pipeline counters.
-	Admission AdmissionStats `json:"admission"`
+	Admission service.AdmissionStats `json:"admission"`
 	// WAL holds the admission journal counters (Enabled is false on a
 	// non-durable registry).
-	WAL WALStats `json:"wal"`
+	WAL service.WALStats `json:"wal"`
 	// FaultKeys holds per-key injected-fault counters, one row per
 	// registered key; present only when the registry runs under a fault
 	// plan (see service.Options.Fault).
-	FaultKeys []KeyFaultStats `json:"fault_keys,omitempty"`
+	FaultKeys []service.KeyFaultStats `json:"fault_keys,omitempty"`
 	// Endpoints holds the per-endpoint request/latency/outcome counters.
 	Endpoints []EndpointStats `json:"endpoints"`
 }
@@ -390,12 +214,6 @@ type HealthResponse struct {
 	// other field here it reads cached atomics — probing it never touches
 	// the journal file.
 	WALUnsynced uint64 `json:"wal_unsynced"`
-}
-
-// ErrorResponse is the body of every non-2xx answer.
-type ErrorResponse struct {
-	// Error is the human-readable failure.
-	Error string `json:"error"`
 }
 
 // statusRecorder captures the status a handler wrote so the endpoint
@@ -493,74 +311,23 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	stats, err := s.reg.Stats()
 	if err != nil {
 		// 503 on a closed registry, not a healthy-looking all-zero table.
-		WriteJSON(w, statusFor(err, http.StatusInternalServerError), ErrorResponse{Error: err.Error()})
+		WriteJSON(w, statusFor(err, http.StatusInternalServerError), wire.ErrorMessage{Error: err.Error()})
 		return
 	}
-	ast := s.reg.AdmissionStats()
-	wst := s.reg.WALStats()
 	resp := StatsResponse{
 		UptimeSeconds: time.Since(s.start).Seconds(),
-		Shards:        make([]ShardStats, len(stats)),
-		Totals:        shardStatsJSON(service.Totals(stats)),
-		Admission: AdmissionStats{
-			Builders:      ast.Builders,
-			QueueCapacity: ast.QueueCapacity,
-			Pending:       ast.Pending,
-			Submitted:     ast.Submitted,
-			Completed:     ast.Completed,
-			Failed:        ast.Failed,
-			Rejected:      ast.Rejected,
-			ArtifactLoads: ast.ArtifactLoads,
-			RebuildHits:   ast.RebuildHits,
-		},
-		WAL: WALStats{
-			Enabled:                wst.Enabled,
-			Dir:                    wst.Dir,
-			Policy:                 wst.Policy,
-			Appends:                wst.Appends,
-			Unsynced:               wst.Unsynced,
-			Syncs:                  wst.Syncs,
-			AppendFailures:         wst.AppendFailures,
-			JournalBytes:           wst.JournalBytes,
-			Segments:               wst.Segments,
-			RecordsSinceCheckpoint: wst.RecordsSinceCheckpoint,
-			Checkpoints:            wst.Checkpoints,
-			CheckpointFailures:     wst.CheckpointFailures,
-			LastCheckpointSeconds:  wst.LastCheckpoint.Seconds(),
-		},
-	}
-	for i, st := range stats {
-		resp.Shards[i] = shardStatsJSON(st)
+		Shards:        stats,
+		Totals:        service.Totals(stats),
+		Admission:     s.reg.AdmissionStats(),
+		WAL:           s.reg.WALStats(),
 	}
 	if fks, err := s.reg.FaultKeyStats(); err == nil {
-		for _, fk := range fks {
-			resp.FaultKeys = append(resp.FaultKeys, KeyFaultStats{
-				Key:          fk.Key,
-				Elections:    fk.Elections,
-				Drops:        fk.Drops,
-				Noise:        fk.Noise,
-				OutageRounds: fk.OutageRounds,
-			})
-		}
+		resp.FaultKeys = fks
 	}
 	for ep := endpoint(0); ep < epCount; ep++ {
 		resp.Endpoints = append(resp.Endpoints, s.metrics[ep].snapshot(ep))
 	}
 	WriteJSON(w, http.StatusOK, resp)
-}
-
-func shardStatsJSON(s service.ShardStats) ShardStats {
-	return ShardStats{
-		Shard:      s.Shard,
-		Configs:    s.Configs,
-		Builds:     s.Builds,
-		Elections:  s.Elections,
-		Failures:   s.Failures,
-		Rounds:     s.Rounds,
-		Stolen:     s.Stolen,
-		StolenFrom: s.StolenFrom,
-		Queued:     s.Queued,
-	}
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {

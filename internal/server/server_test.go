@@ -14,6 +14,7 @@ import (
 	"anonradio/internal/config"
 	"anonradio/internal/election"
 	"anonradio/internal/service"
+	"anonradio/internal/wire"
 )
 
 func testConfigs() map[string]*config.Config {
@@ -35,11 +36,11 @@ func newTestServer(t *testing.T) (*Server, *httptest.Server) {
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	for key, cfg := range testConfigs() {
-		resp := postJSON(t, ts, "/v1/register", RegisterRequest{Key: key, Config: cfg.Marshal()})
+		resp := postJSON(t, ts, "/v1/register", wire.RegisterRequest{Key: key, Config: cfg.Marshal()})
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("register %s: status %d", key, resp.StatusCode)
 		}
-		var reg RegisterResponse
+		var reg wire.RegisterResponse
 		decodeBody(t, resp, &reg)
 		if reg.Key != key || reg.Source != "built" {
 			t.Fatalf("register %s: unexpected response %+v", key, reg)
@@ -94,11 +95,11 @@ func TestServedElectMatchesInProcess(t *testing.T) {
 		if err != nil {
 			t.Fatalf("in-process elect %s: %v", key, err)
 		}
-		resp := postJSON(t, ts, "/v1/elect", ElectRequest{Key: key})
+		resp := postJSON(t, ts, "/v1/elect", wire.ElectRequest{Key: key})
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("elect %s: status %d", key, resp.StatusCode)
 		}
-		var out Outcome
+		var out wire.Outcome
 		decodeBody(t, resp, &out)
 		if !out.Elected || out.Leader != direct.Leader || out.Rounds != direct.Rounds || out.Key != key {
 			t.Fatalf("elect %s: served %+v, in-process leader=%d rounds=%d", key, out, direct.Leader, direct.Rounds)
@@ -107,11 +108,11 @@ func TestServedElectMatchesInProcess(t *testing.T) {
 
 	// Batch: same outcomes, submission order preserved, repeated keys fine.
 	keys = append(keys, keys[0], keys[1])
-	resp := postJSON(t, ts, "/v1/elect/batch", BatchRequest{Keys: keys})
+	resp := postJSON(t, ts, "/v1/elect/batch", wire.BatchRequest{Keys: keys})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("batch: status %d", resp.StatusCode)
 	}
-	var batch BatchResponse
+	var batch wire.BatchResponse
 	decodeBody(t, resp, &batch)
 	if len(batch.Outcomes) != len(keys) || batch.Failures != 0 {
 		t.Fatalf("batch: %d outcomes (%d failures), want %d/0", len(batch.Outcomes), batch.Failures, len(keys))
@@ -136,17 +137,17 @@ func TestRegisterArtifact(t *testing.T) {
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}
-	resp := postJSON(t, ts, "/v1/register", RegisterRequest{Key: "artifact-6", Config: cfg.Marshal(), Artifact: d.Compile()})
+	resp := postJSON(t, ts, "/v1/register", wire.RegisterRequest{Key: "artifact-6", Config: cfg.Marshal(), Artifact: d.Compile()})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("register artifact: status %d", resp.StatusCode)
 	}
-	var reg RegisterResponse
+	var reg wire.RegisterResponse
 	decodeBody(t, resp, &reg)
 	if reg.Source != "artifact" {
 		t.Fatalf("register artifact: source %q, want artifact", reg.Source)
 	}
-	resp = postJSON(t, ts, "/v1/elect", ElectRequest{Key: "artifact-6"})
-	var out Outcome
+	resp = postJSON(t, ts, "/v1/elect", wire.ElectRequest{Key: "artifact-6"})
+	var out wire.Outcome
 	decodeBody(t, resp, &out)
 	if !out.Elected || out.Leader != d.ExpectedLeader {
 		t.Fatalf("artifact elect: %+v, want leader %d", out, d.ExpectedLeader)
@@ -164,10 +165,10 @@ func TestErrorStatuses(t *testing.T) {
 		status int
 	}{
 		{"elect unknown key", func() *http.Response {
-			return postJSON(t, ts, "/v1/elect", ElectRequest{Key: "nope"})
+			return postJSON(t, ts, "/v1/elect", wire.ElectRequest{Key: "nope"})
 		}, http.StatusNotFound},
 		{"elect missing key", func() *http.Response {
-			return postJSON(t, ts, "/v1/elect", ElectRequest{})
+			return postJSON(t, ts, "/v1/elect", wire.ElectRequest{})
 		}, http.StatusBadRequest},
 		{"malformed body", func() *http.Response {
 			resp, err := ts.Client().Post(ts.URL+"/v1/elect", "application/json", strings.NewReader("{nope"))
@@ -177,13 +178,13 @@ func TestErrorStatuses(t *testing.T) {
 			return resp
 		}, http.StatusBadRequest},
 		{"register infeasible", func() *http.Response {
-			return postJSON(t, ts, "/v1/register", RegisterRequest{Key: "sym", Config: infeasible.Marshal()})
+			return postJSON(t, ts, "/v1/register", wire.RegisterRequest{Key: "sym", Config: infeasible.Marshal()})
 		}, http.StatusUnprocessableEntity},
 		{"register bad config", func() *http.Response {
-			return postJSON(t, ts, "/v1/register", RegisterRequest{Key: "bad", Config: "nodes x"})
+			return postJSON(t, ts, "/v1/register", wire.RegisterRequest{Key: "bad", Config: "nodes x"})
 		}, http.StatusBadRequest},
 		{"register missing config", func() *http.Response {
-			return postJSON(t, ts, "/v1/register", RegisterRequest{Key: "bad"})
+			return postJSON(t, ts, "/v1/register", wire.RegisterRequest{Key: "bad"})
 		}, http.StatusBadRequest},
 		{"evict unknown key", func() *http.Response {
 			req, err := http.NewRequest(http.MethodDelete, ts.URL+"/v1/configs/nope", nil)
@@ -197,12 +198,12 @@ func TestErrorStatuses(t *testing.T) {
 			return resp
 		}, http.StatusNotFound},
 		{"batch empty", func() *http.Response {
-			return postJSON(t, ts, "/v1/elect/batch", BatchRequest{})
+			return postJSON(t, ts, "/v1/elect/batch", wire.BatchRequest{})
 		}, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		resp := tc.do()
-		var e ErrorResponse
+		var e wire.ErrorMessage
 		decodeBody(t, resp, &e)
 		if resp.StatusCode != tc.status {
 			t.Errorf("%s: status %d (%s), want %d", tc.name, resp.StatusCode, e.Error, tc.status)
@@ -216,11 +217,11 @@ func TestErrorStatuses(t *testing.T) {
 // failures confined to their slots.
 func TestBatchPerKeyFailures(t *testing.T) {
 	_, ts := newTestServer(t)
-	resp := postJSON(t, ts, "/v1/elect/batch", BatchRequest{Keys: []string{"clique-8", "nope", "path-7"}})
+	resp := postJSON(t, ts, "/v1/elect/batch", wire.BatchRequest{Keys: []string{"clique-8", "nope", "path-7"}})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("batch: status %d", resp.StatusCode)
 	}
-	var batch BatchResponse
+	var batch wire.BatchResponse
 	decodeBody(t, resp, &batch)
 	if batch.Failures != 1 || len(batch.Outcomes) != 3 {
 		t.Fatalf("batch: %+v, want 3 outcomes / 1 failure", batch)
@@ -249,7 +250,7 @@ func TestEvictAndHealth(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || !ev.Evicted {
 		t.Fatalf("evict: status %d body %+v", resp.StatusCode, ev)
 	}
-	if resp := postJSON(t, ts, "/v1/elect", ElectRequest{Key: "clique-8"}); resp.StatusCode != http.StatusNotFound {
+	if resp := postJSON(t, ts, "/v1/elect", wire.ElectRequest{Key: "clique-8"}); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("elect after evict: status %d, want 404", resp.StatusCode)
 	} else {
 		resp.Body.Close()
@@ -271,10 +272,10 @@ func TestEvictAndHealth(t *testing.T) {
 func TestStatsCounters(t *testing.T) {
 	_, ts := newTestServer(t)
 	for i := 0; i < 5; i++ {
-		resp := postJSON(t, ts, "/v1/elect", ElectRequest{Key: "path-7"})
+		resp := postJSON(t, ts, "/v1/elect", wire.ElectRequest{Key: "path-7"})
 		resp.Body.Close()
 	}
-	resp := postJSON(t, ts, "/v1/elect", ElectRequest{Key: "nope"})
+	resp := postJSON(t, ts, "/v1/elect", wire.ElectRequest{Key: "nope"})
 	resp.Body.Close()
 
 	sr, err := ts.Client().Get(ts.URL + "/v1/stats")
@@ -358,7 +359,7 @@ func TestBatchLimit(t *testing.T) {
 	srv := New(reg, Options{MaxBatchKeys: 4})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-	resp := postJSON(t, ts, "/v1/elect/batch", BatchRequest{Keys: make([]string, 5)})
+	resp := postJSON(t, ts, "/v1/elect/batch", wire.BatchRequest{Keys: make([]string, 5)})
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("oversized batch: status %d, want 400", resp.StatusCode)
@@ -377,7 +378,7 @@ func BenchmarkServedElect(b *testing.B) {
 	srv := New(reg, Options{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-	body, _ := json.Marshal(ElectRequest{Key: "k"})
+	body, _ := json.Marshal(wire.ElectRequest{Key: "k"})
 	client := ts.Client()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -386,7 +387,7 @@ func BenchmarkServedElect(b *testing.B) {
 		if err != nil {
 			b.Fatalf("POST: %v", err)
 		}
-		var out Outcome
+		var out wire.Outcome
 		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 			b.Fatalf("decode: %v", err)
 		}
@@ -415,7 +416,7 @@ func BenchmarkServedElectBatch(b *testing.B) {
 			for i := range keys {
 				keys[i] = "k"
 			}
-			body, _ := json.Marshal(BatchRequest{Keys: keys})
+			body, _ := json.Marshal(wire.BatchRequest{Keys: keys})
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i += size {
@@ -423,7 +424,7 @@ func BenchmarkServedElectBatch(b *testing.B) {
 				if err != nil {
 					b.Fatalf("POST: %v", err)
 				}
-				var out BatchResponse
+				var out wire.BatchResponse
 				if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 					b.Fatalf("decode: %v", err)
 				}

@@ -97,9 +97,9 @@ type Admission struct {
 }
 
 // Admit parses a's configuration text and admits it as Register,
-// RegisterAsync, RegisterCompiled or RegisterCompiledAsync would, as its
-// Artifact and Async select. Text that does not parse into a valid
-// configuration returns ErrInvalidConfig (wrapped).
+// RegisterAsync or RegisterCompiled would, or asynchronously from its
+// artifact, as its Artifact and Async select. Text that does not parse
+// into a valid configuration returns ErrInvalidConfig (wrapped).
 func (r *Registry) Admit(a Admission) error {
 	cfg, err := config.Unmarshal(a.Config)
 	if err != nil {
@@ -114,31 +114,32 @@ func (r *Registry) Admit(a Admission) error {
 // AdmissionStats is a snapshot of the pipeline's counters.
 type AdmissionStats struct {
 	// Builders is the size of the builder pool.
-	Builders int
+	Builders int `json:"builders"`
 	// QueueCapacity is the bound of the admission queue.
-	QueueCapacity int
+	QueueCapacity int `json:"queue_capacity"`
 	// Pending counts admissions submitted but not yet terminal (queued or
 	// building).
-	Pending int64
+	Pending int64 `json:"pending"`
 	// Submitted counts admissions accepted into the queue.
-	Submitted int64
+	Submitted int64 `json:"submitted"`
 	// Completed counts admissions that installed successfully.
-	Completed int64
+	Completed int64 `json:"completed"`
 	// Failed counts admissions that ended in AdmissionFailed.
-	Failed int64
-	// Rejected counts registrations refused with ErrAdmissionBusy.
-	Rejected int64
+	Failed int64 `json:"failed"`
+	// Rejected counts registrations refused with ErrAdmissionBusy (429 over
+	// HTTP).
+	Rejected int64 `json:"rejected"`
 	// ArtifactLoads counts admissions installed from an artifact through
 	// election.Load: registered or shipped (RegisterCompiled), restored from
 	// a snapshot, or replayed from the journal. A key migration that ships
 	// its artifact instead of rebuilding shows up here as one artifact load
 	// on the receiver and no classifier run.
-	ArtifactLoads int64
+	ArtifactLoads int64 `json:"artifact_loads"`
 	// RebuildHits counts builds that reused a retired algorithm's buffers
 	// (rebuild-in-place) instead of allocating fresh ones; the retired pool
 	// is bucketed by configuration size class, so churn across several
 	// shapes still hits.
-	RebuildHits int64
+	RebuildHits int64 `json:"rebuild_hits"`
 }
 
 // admissionRecord tracks one admission's progress. The submitting call
@@ -171,15 +172,6 @@ func (r *Registry) RegisterAsync(key string, cfg *config.Config) error {
 		return fmt.Errorf("service: nil configuration")
 	}
 	return r.admitAsync(key, cfg, nil)
-}
-
-// RegisterCompiledAsync is RegisterAsync for a pre-compiled artifact,
-// loaded exactly like RegisterCompiled.
-func (r *Registry) RegisterCompiledAsync(key string, c *election.Compiled, cfg *config.Config) error {
-	if c == nil || cfg == nil {
-		return fmt.Errorf("service: nil compiled algorithm or configuration")
-	}
-	return r.admitAsync(key, cfg, c)
 }
 
 // admitAsync enqueues an admission onto the builder pool without a reply

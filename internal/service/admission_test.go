@@ -81,7 +81,7 @@ func TestRegisterAsyncStatus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.RegisterCompiledAsync("artifact", d.Compile(), cfg); err != nil {
+	if err := r.Admit(Admission{Key: "artifact", Config: cfg.Marshal(), Artifact: d.Compile(), Async: true}); err != nil {
 		t.Fatal(err)
 	}
 	if st := waitAdmission(t, r, "artifact"); st.State != AdmissionDone {

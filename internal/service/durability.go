@@ -147,35 +147,35 @@ func (r *RecoveryReport) Clean() bool {
 type WALStats struct {
 	// Enabled reports whether the registry journals at all; every other
 	// field is zero when false.
-	Enabled bool
+	Enabled bool `json:"enabled"`
 	// Dir is the journal directory.
-	Dir string
+	Dir string `json:"dir,omitempty"`
 	// Policy is the fsync policy ("always", "batch", "off").
-	Policy string
+	Policy string `json:"policy,omitempty"`
 	// Appends counts records journaled since boot.
-	Appends uint64
+	Appends uint64 `json:"appends"`
 	// Unsynced is the WAL lag: records acknowledged but not yet on stable
 	// storage (always 0 under "always"; bounded by the batch interval under
 	// "batch"; unbounded under "off").
-	Unsynced uint64
+	Unsynced uint64 `json:"unsynced"`
 	// Syncs counts fsync calls.
-	Syncs uint64
+	Syncs uint64 `json:"syncs"`
 	// AppendFailures counts admissions that installed but could not be
 	// journaled (reported to the caller as failed admissions).
-	AppendFailures int64
+	AppendFailures int64 `json:"append_failures"`
 	// JournalBytes is the journal size across all segments.
-	JournalBytes int64
+	JournalBytes int64 `json:"journal_bytes"`
 	// Segments is the number of segment files, including the active one.
-	Segments int
+	Segments int `json:"segments"`
 	// RecordsSinceCheckpoint counts journal records not yet covered by a
 	// checkpoint (what a crash would replay).
-	RecordsSinceCheckpoint int64
+	RecordsSinceCheckpoint int64 `json:"records_since_checkpoint"`
 	// Checkpoints counts completed checkpoints since boot.
-	Checkpoints int64
+	Checkpoints int64 `json:"checkpoints"`
 	// CheckpointFailures counts background checkpoints that failed.
-	CheckpointFailures int64
-	// LastCheckpoint is the duration of the most recent checkpoint.
-	LastCheckpoint time.Duration
+	CheckpointFailures int64 `json:"checkpoint_failures"`
+	// LastCheckpointSeconds is the duration of the most recent checkpoint.
+	LastCheckpointSeconds float64 `json:"last_checkpoint_seconds"`
 }
 
 // Open starts a durable registry: it restores the checkpoint snapshot in
@@ -562,6 +562,6 @@ func (r *Registry) WALStats() WALStats {
 		RecordsSinceCheckpoint: r.walRecords.Load(),
 		Checkpoints:            r.checkpoints.Load(),
 		CheckpointFailures:     r.checkpointErrs.Load(),
-		LastCheckpoint:         time.Duration(r.lastCheckpointNanos.Load()),
+		LastCheckpointSeconds:  time.Duration(r.lastCheckpointNanos.Load()).Seconds(),
 	}
 }

@@ -414,7 +414,7 @@ func TestCheckpointRecordTrigger(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	st := r.WALStats()
-	if st.LastCheckpoint <= 0 {
+	if st.LastCheckpointSeconds <= 0 {
 		t.Fatalf("checkpoint duration not recorded: %+v", st)
 	}
 }

@@ -146,34 +146,35 @@ type Outcome struct {
 // Elected reports whether the election succeeded.
 func (o Outcome) Elected() bool { return o.Err == nil && o.Leader >= 0 }
 
-// ShardStats is a snapshot of one shard's counters.
+// ShardStats is a snapshot of one shard's counters, served as a row of
+// GET /v1/stats.
 type ShardStats struct {
-	// Shard is the shard index.
-	Shard int
+	// Shard is the shard index (-1 in a totals row).
+	Shard int `json:"shard"`
 	// Configs is the number of configurations currently registered.
-	Configs int
+	Configs int `json:"configs"`
 	// Builds counts successful admissions (installs of built or loaded
 	// algorithms).
-	Builds int64
+	Builds int64 `json:"builds"`
 	// Elections counts successfully served elections.
-	Elections int64
+	Elections int64 `json:"elections"`
 	// Failures counts failed operations (infeasible admissions, unknown
 	// keys, failed elections).
-	Failures int64
+	Failures int64 `json:"failures"`
 	// Rounds accumulates the global rounds of all served elections.
-	Rounds int64
+	Rounds int64 `json:"rounds"`
 	// Stolen counts elections this shard's worker executed on behalf of
 	// other shards (this worker was the thief). Those elections are
 	// counted in the home shard's Elections, not this one's.
-	Stolen int64
+	Stolen int64 `json:"stolen"`
 	// StolenFrom counts this shard's elections that sibling workers
 	// executed (this shard was the victim); they are still counted in this
 	// shard's Elections and Rounds.
-	StolenFrom int64
+	StolenFrom int64 `json:"stolen_from"`
 	// Queued is the instantaneous depth of the shard's queues (pending
 	// elections plus pending mutations) when the snapshot was taken —
 	// the direct observable for hot-shard skew.
-	Queued int
+	Queued int `json:"queued"`
 }
 
 // Totals folds per-shard snapshots into one aggregate (Shard is -1,
@@ -232,17 +233,17 @@ type response struct {
 // when the registry runs a fault plan (Options.Fault); see FaultKeyStats.
 type KeyFaultStats struct {
 	// Key is the registry key.
-	Key string
+	Key string `json:"key"`
 	// Elections counts the faulted elections the counters cover (successful
 	// or not — a faulted election that fails verification still observed its
 	// injected faults).
-	Elections int64
+	Elections int64 `json:"elections"`
 	// Drops counts deliveries lost to the drop rate.
-	Drops int64
+	Drops int64 `json:"drops"`
 	// Noise counts spurious collisions perceived.
-	Noise int64
+	Noise int64 `json:"noise"`
 	// OutageRounds counts node-rounds spent with the radio off.
-	OutageRounds int64
+	OutageRounds int64 `json:"outage_rounds"`
 }
 
 // entry is one registered configuration. Elections (which may run on a
@@ -702,10 +703,6 @@ func (r *Registry) Stats() ([]ShardStats, error) {
 	}
 	return stats, nil
 }
-
-// Faulted reports whether the registry serves its elections over a faulted
-// medium (Options.Fault was a non-nil plan).
-func (r *Registry) Faulted() bool { return r.fault != nil }
 
 // FaultKeyStats gathers the accumulated injected-fault counters of every
 // registered key, in sorted key order. On a registry without a fault plan it

@@ -6,15 +6,18 @@ import (
 	"anonradio/internal/election"
 )
 
-// This file holds the serve-path messages: the binary twins of the server's
-// JSON request/response types, with the same fields in the same order, so
-// the server converts between the two directly. Every message has an
-// AppendTo that appends its payload to a growing buffer and a DecodeFrom
-// that must consume the payload exactly.
+// This file holds the serve-path messages: the one declaration of each
+// request and answer of POST /v1/register, /v1/elect and /v1/elect/batch
+// and of an error answer. Each type is both encodings' form: its JSON tags
+// give the body of a JSON request or answer, and its AppendTo (or Append*
+// frame constructor) and DecodeFrom give the payload of a binary frame;
+// DecodeFrom must consume the payload exactly.
 
-// ElectRequest asks for one election on a registered configuration key.
+// ElectRequest is the body of POST /v1/elect: one election on a registered
+// configuration key.
 type ElectRequest struct {
-	Key string
+	// Key is the registry key to elect on.
+	Key string `json:"key"`
 }
 
 // AppendTo appends the encoded payload (no frame) to dst.
@@ -43,13 +46,19 @@ const (
 	outcomeHasError = 1 << 1
 )
 
-// Outcome is one election result; the binary twin of server.Outcome.
+// Outcome is one served election: the answer of POST /v1/elect and one
+// slot of a BatchResponse.
 type Outcome struct {
-	Key     string
-	Elected bool
-	Leader  int
-	Rounds  int
-	Error   string
+	// Key is the configuration key the election ran for.
+	Key string `json:"key"`
+	// Elected reports whether the election succeeded.
+	Elected bool `json:"elected"`
+	// Leader is the elected node (-1 when the election failed).
+	Leader int `json:"leader"`
+	// Rounds is the number of global rounds of the election.
+	Rounds int `json:"rounds"`
+	// Error carries the per-key failure, when there is one.
+	Error string `json:"error,omitempty"`
 }
 
 // AppendTo appends the encoded payload (no frame) to dst.
@@ -112,9 +121,11 @@ func AppendOutcomeFrame(dst []byte, m *Outcome) []byte {
 	return endFrame(dst, mark)
 }
 
-// BatchRequest asks for one election per key.
+// BatchRequest is the body of POST /v1/elect/batch: one election per key.
 type BatchRequest struct {
-	Keys []string
+	// Keys are the registry keys to elect on; outcome i corresponds to
+	// keys[i].
+	Keys []string `json:"keys"`
 }
 
 // AppendTo appends the encoded payload (no frame) to dst.
@@ -155,10 +166,14 @@ func AppendBatchRequestFrame(dst []byte, m *BatchRequest) []byte {
 	return endFrame(dst, mark)
 }
 
-// BatchResponse carries one Outcome per requested key, in request order.
+// BatchResponse is the answer of POST /v1/elect/batch. The request itself
+// succeeds (200) whenever it was well-formed; per-key failures are reported
+// in their outcome slot and counted in Failures.
 type BatchResponse struct {
-	Outcomes []Outcome
-	Failures int
+	// Outcomes has one entry per submitted key, in submission order.
+	Outcomes []Outcome `json:"outcomes"`
+	// Failures counts outcomes whose Error is set.
+	Failures int `json:"failures"`
 }
 
 // AppendTo appends the encoded payload (no frame) to dst.
@@ -210,15 +225,27 @@ const (
 	registerHasArtifact = 1 << 1
 )
 
-// RegisterRequest admits a configuration; the binary twin of
-// server.RegisterRequest. Config (source text) is always required;
-// Artifact (a precompiled algorithm) is optional, mirroring the JSON
-// contract.
+// RegisterRequest is the body of POST /v1/register: admit a configuration
+// under a key, built from its text or loaded from a compiled artifact.
 type RegisterRequest struct {
-	Key      string
-	Config   string
-	Artifact *election.Compiled
-	Async    bool
+	// Key is the registry key to admit the configuration under.
+	Key string `json:"key"`
+	// Config is the configuration in the text format of internal/config
+	// ("nodes N / tag v t / edge u v" lines). Always required: a compiled
+	// artifact deliberately carries only what the anonymous nodes need, not
+	// the network itself.
+	Config string `json:"config"`
+	// Artifact optionally carries a compiled algorithm (the JSON written by
+	// cmd/compile or a snapshot). When present the registry loads it
+	// (election.Load) instead of classifying and building; an artifact that
+	// contradicts itself or the configuration answers 422. A frame carries
+	// no phase table (AppendArtifact), so an earlier release's artifact
+	// whose table must be checked travels as JSON.
+	Artifact *election.Compiled `json:"artifact,omitempty"`
+	// Async selects the asynchronous admission flow: the server answers 202
+	// as soon as the registration is queued on the builder pool, and the
+	// client polls GET /v1/register/status/{key} for the outcome.
+	Async bool `json:"async,omitempty"`
 }
 
 // AppendRegisterRequestFrame appends the framed request to dst.
@@ -263,12 +290,19 @@ func (m *RegisterRequest) DecodeFrom(p []byte) error {
 	return r.finish()
 }
 
-// RegisterResponse is the binary twin of server.RegisterResponse.
+// RegisterResponse is the answer of a successful POST /v1/register or
+// POST /v1/admit/artifact.
 type RegisterResponse struct {
-	Key       string
-	Source    string
-	Status    string
-	StatusURL string
+	// Key is the admitted key.
+	Key string `json:"key"`
+	// Source is "built" (classified and compiled server-side) or "artifact"
+	// (loaded from the request's compiled artifact).
+	Source string `json:"source"`
+	// Status is "admitted" (synchronous admission completed, 200) or
+	// "pending" (async admission accepted, 202 — poll StatusURL).
+	Status string `json:"status"`
+	// StatusURL is the admission-status endpoint for the key (async only).
+	StatusURL string `json:"status_url,omitempty"`
 }
 
 // AppendTo appends the encoded payload (no frame) to dst.
@@ -305,10 +339,11 @@ func AppendRegisterResponseFrame(dst []byte, m *RegisterResponse) []byte {
 	return endFrame(dst, mark)
 }
 
-// ErrorMessage is the binary twin of server.ErrorResponse: the body of any
-// non-2xx binary-negotiated response (the HTTP status carries the code).
+// ErrorMessage is the body of every non-2xx answer of a /v1/* route, in
+// either encoding (the HTTP status carries the code).
 type ErrorMessage struct {
-	Error string
+	// Error is the human-readable failure.
+	Error string `json:"error"`
 }
 
 // AppendTo appends the encoded payload (no frame) to dst.
