@@ -111,7 +111,7 @@ func run() int {
 	var (
 		listen          = flag.String("listen", ":8080", "listen address")
 		shards          = flag.Int("shards", 0, "worker-owned shards (0 = GOMAXPROCS)")
-		queueDepth      = flag.Int("queue-depth", 0, "per-shard request queue depth (0 = default)")
+		queueDepth      = flag.Int("queue-depth", 0, "per-shard election queue depth (0 = default)")
 		buildersN       = flag.Int("builders", 0, "admission builder goroutines; builds run here, off the serve path (0 = GOMAXPROCS)")
 		admissionQueue  = flag.Int("admission-queue", 0, "bounded admission queue ahead of the builders; a full queue answers 429 (0 = default 256)")
 		snapshotDir     = flag.String("snapshot-dir", "", "snapshot directory for -restore-on-boot / -snapshot-on-shutdown")

@@ -89,8 +89,11 @@ type APIError struct {
 	RetryAfter time.Duration
 }
 
+// Error names the status and message but not the node: a front door may
+// hand the error to its clients (a routed batch puts it in the node's
+// outcome slots), and they are not told node addresses.
 func (e *APIError) Error() string {
-	return fmt.Sprintf("node %s answered %d: %s", e.Node, e.Status, e.Message)
+	return fmt.Sprintf("node answered %d: %s", e.Status, e.Message)
 }
 
 // Answer returns the node's status, message and Retry-After hint, which a
@@ -105,6 +108,27 @@ func (e *APIError) Answer() (status int, message string, retryAfter time.Duratio
 // which has several causes, unwraps to the ones it names.
 func (e *APIError) Unwrap() []error { return server.Sentinels(e.Status, e.Message) }
 
+// TransportError is a call that got no answer from a node: the request
+// could not be sent, or the response could not be read. Its message names
+// the call but not the node, since a front door relays it to clients (a
+// routed request answers 502 with it, a routed batch puts it in the node's
+// outcome slots); Node and Err keep the address and the cause.
+type TransportError struct {
+	// Node is the base URL of the node that was called.
+	Node string
+	// Method and Path name the call.
+	Method, Path string
+	// Err is the transport failure, which names the node.
+	Err error
+}
+
+func (e *TransportError) Error() string {
+	return fmt.Sprintf("fleet: %s %s: no answer from the node", e.Method, e.Path)
+}
+
+// Unwrap returns the transport failure.
+func (e *TransportError) Unwrap() error { return e.Err }
+
 // retryAfter parses a Retry-After header (the server only emits the
 // delta-seconds form).
 func retryAfter(resp *http.Response) time.Duration {
@@ -117,10 +141,13 @@ func retryAfter(resp *http.Response) time.Duration {
 
 // roundTrip posts body (or issues a bodiless method) and returns the
 // response body, status and Retry-After hint, retrying 429s per the
-// options. The returned error is non-nil only for transport failures;
-// HTTP-level failures come back as a body + status for the caller to
-// decode in its encoding.
+// options. The returned error is non-nil only for transport failures, as a
+// *TransportError; HTTP-level failures come back as a body + status for
+// the caller to decode in its encoding.
 func (c *Client) roundTrip(method, path, contentType string, body []byte) ([]byte, int, time.Duration, error) {
+	noAnswer := func(err error) ([]byte, int, time.Duration, error) {
+		return nil, 0, 0, &TransportError{Node: c.base, Method: method, Path: path, Err: err}
+	}
 	for attempt := 0; ; attempt++ {
 		var rd io.Reader
 		if body != nil {
@@ -128,19 +155,19 @@ func (c *Client) roundTrip(method, path, contentType string, body []byte) ([]byt
 		}
 		req, err := http.NewRequest(method, c.base+path, rd)
 		if err != nil {
-			return nil, 0, 0, fmt.Errorf("fleet: building %s %s: %w", method, path, err)
+			return noAnswer(err)
 		}
 		if contentType != "" {
 			req.Header.Set("Content-Type", contentType)
 		}
 		resp, err := c.opts.httpClient().Do(req)
 		if err != nil {
-			return nil, 0, 0, fmt.Errorf("fleet: %s %s%s: %w", method, c.base, path, err)
+			return noAnswer(err)
 		}
 		data, err := io.ReadAll(resp.Body)
 		resp.Body.Close()
 		if err != nil {
-			return nil, 0, 0, fmt.Errorf("fleet: reading %s%s response: %w", c.base, path, err)
+			return noAnswer(err)
 		}
 		ra := retryAfter(resp)
 		if resp.StatusCode == http.StatusTooManyRequests && attempt < c.opts.BusyRetries {
@@ -308,7 +335,7 @@ func (c *Client) FetchArtifact(key string) ([]byte, error) {
 	// receiving node would fail there with a less attributable error.
 	typ, _, rest, derr := wire.DecodeFrame(data)
 	if derr != nil || typ != wire.FrameWALAdmit || len(rest) != 0 {
-		return nil, fmt.Errorf("fleet: node %s served an invalid artifact frame for %q", c.base, key)
+		return nil, fmt.Errorf("fleet: the node served an invalid artifact frame for %q", key)
 	}
 	return data, nil
 }

@@ -197,7 +197,7 @@ func (f *Fleet) ElectBatch(keys []string, outs []service.Outcome) ([]service.Out
 			defer wg.Done()
 			sub, err := f.client(node).ElectBatch(g.keys)
 			if err == nil && len(sub.Outcomes) != len(g.keys) {
-				err = fmt.Errorf("fleet: node %s answered %d outcomes for %d keys", node, len(sub.Outcomes), len(g.keys))
+				err = fmt.Errorf("fleet: the owning node answered %d outcomes for %d keys", len(sub.Outcomes), len(g.keys))
 			}
 			for j, idx := range g.indices {
 				if err != nil {

@@ -3,8 +3,10 @@ package fleet
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -239,6 +241,78 @@ func TestRouterProbeDropsDeadNode(t *testing.T) {
 		if want := before[key]; out.Leader != want.Leader || out.Rounds != want.Rounds {
 			t.Fatalf("%s: outcome changed across node loss: (%d, %d) -> (%d, %d)",
 				key, want.Leader, want.Rounds, out.Leader, out.Rounds)
+		}
+	}
+}
+
+// TestRouterUnreachableNodeNamesNoAddress closes one of two nodes and pins
+// that what the router answers for the keys it owns names no node address:
+// a routed elect answers 502 in either encoding, and a routed batch puts an
+// error in the lost node's slots while the survivor's keys elect.
+func TestRouterUnreachableNodeNamesNoAddress(t *testing.T) {
+	_, f, ts, servers := newTestRouter(t, 2, RouterOptions{})
+	keys := fleetKeys(16)
+	for i, key := range keys {
+		resp := routerPostJSON(t, ts, "/v1/register", wire.RegisterRequest{Key: key, Config: cfgFor(i).Marshal()})
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("register %s: status %d", key, resp.StatusCode)
+		}
+	}
+	lost := f.Owner(keys[0])
+	servers[lost].Close()
+	host := strings.TrimPrefix(lost, "http://")
+	named := func(what, text string) {
+		t.Helper()
+		if text == "" || strings.Contains(text, host) {
+			t.Fatalf("%s: %q is empty or names the node %s", what, text, host)
+		}
+	}
+
+	var er wire.ErrorMessage
+	resp := routerPostJSON(t, ts, "/v1/elect", wire.ElectRequest{Key: keys[0]})
+	if resp.StatusCode != http.StatusBadGateway {
+		t.Fatalf("JSON elect on the lost node: status %d, want 502", resp.StatusCode)
+	}
+	routerDecode(t, resp, &er)
+	named("JSON elect", er.Error)
+
+	frame := wire.AppendElectRequestFrame(nil, &wire.ElectRequest{Key: keys[0]})
+	bresp, err := ts.Client().Post(ts.URL+"/v1/elect", server.ContentTypeBinary, bytes.NewReader(frame))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(bresp.Body)
+	bresp.Body.Close()
+	if err != nil || bresp.StatusCode != http.StatusBadGateway {
+		t.Fatalf("binary elect on the lost node: status %d, %v, want 502", bresp.StatusCode, err)
+	}
+	typ, payload, _, err := wire.DecodeFrame(body)
+	if err != nil || typ != wire.FrameError {
+		t.Fatalf("binary elect on the lost node: frame %v, %v", typ, err)
+	}
+	if err := er.DecodeFrom(payload); err != nil {
+		t.Fatal(err)
+	}
+	named("binary elect", er.Error)
+
+	var batch wire.BatchResponse
+	resp = routerPostJSON(t, ts, "/v1/elect/batch", wire.BatchRequest{Keys: keys})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch: status %d", resp.StatusCode)
+	}
+	routerDecode(t, resp, &batch)
+	if len(batch.Outcomes) != len(keys) {
+		t.Fatalf("batch answered %d outcomes for %d keys", len(batch.Outcomes), len(keys))
+	}
+	for i, out := range batch.Outcomes {
+		if f.Owner(keys[i]) == lost {
+			if out.Elected {
+				t.Fatalf("%s on the lost node elected: %+v", keys[i], out)
+			}
+			named("batch slot "+keys[i], out.Error)
+		} else if !out.Elected {
+			t.Fatalf("%s on the surviving node: %+v", keys[i], out)
 		}
 	}
 }

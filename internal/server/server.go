@@ -78,10 +78,11 @@ type Options struct {
 	// <= 0 selects 8192. Larger batches are rejected with 400 rather than
 	// letting one request monopolize every shard queue.
 	MaxBatchKeys int
-	// ReadHeaderTimeout bounds how long a connection may take to send its
-	// request header; <= 0 selects 5s.
-	ReadHeaderTimeout time.Duration
 }
+
+// readHeaderTimeout bounds how long a connection may take to send its
+// request header.
+const readHeaderTimeout = 5 * time.Second
 
 // Server serves a service.Registry over HTTP. Create it with New, start it
 // with Serve or ListenAndServe, and stop it with Shutdown (which drains
@@ -104,7 +105,7 @@ func New(reg *service.Registry, opts Options) *Server {
 	d.route(s.mux)
 	s.mux.HandleFunc("GET /v1/stats", d.instrument(epStats, s.handleStats))
 	s.mux.HandleFunc("GET /healthz", d.instrument(epHealth, s.handleHealth))
-	s.httpSrv = &http.Server{Handler: s.mux, ReadHeaderTimeout: opts.ReadHeaderTimeout}
+	s.httpSrv = &http.Server{Handler: s.mux, ReadHeaderTimeout: readHeaderTimeout}
 	return s
 }
 
@@ -115,9 +116,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxBatchKeys <= 0 {
 		o.MaxBatchKeys = 8192
-	}
-	if o.ReadHeaderTimeout <= 0 {
-		o.ReadHeaderTimeout = 5 * time.Second
 	}
 	return o
 }

@@ -10,10 +10,11 @@ import (
 
 // This file implements the admission pipeline: a bounded queue in front of
 // a pool of builder goroutines that classify, compile and validate
-// configurations *off* the serve path, then hand the finished algorithm to
-// the owning shard as an O(1) install request. The pipeline is what keeps
-// elections on a shard from stalling behind a concurrent build on the same
-// shard (TestElectNotBlockedByAdmission pins it).
+// configurations *off* the serve path, then install the finished algorithm
+// on the owning shard under its mutex, never through its worker. The
+// pipeline is what keeps elections on a shard from stalling behind a
+// concurrent build on the same shard (TestElectNotBlockedByAdmission pins
+// it).
 
 // ErrAdmissionBusy is returned (wrapped) by registrations when the bounded
 // admission queue is full. It is the service's backpressure signal: the
@@ -158,7 +159,7 @@ type admission struct {
 	cfg      *config.Config
 	compiled *election.Compiled
 	rec      *admissionRecord
-	reply    chan response // non-nil for synchronous admissions
+	reply    chan Outcome // non-nil for synchronous admissions
 }
 
 // RegisterAsync enqueues an admission of cfg under key and returns without
@@ -202,7 +203,7 @@ func (r *Registry) AdmissionStatus(key string) AdmissionStatus {
 }
 
 // AdmissionStats snapshots the pipeline counters. It reads atomics only —
-// like Len, it never enters a shard queue and stays responsive under load.
+// like Len, it stays responsive under load.
 func (r *Registry) AdmissionStats() AdmissionStats {
 	return AdmissionStats{
 		Builders:      r.builderCount,
@@ -281,15 +282,15 @@ func (r *Registry) builder() {
 }
 
 // admit runs one admission end to end on the builder goroutine: build (or
-// validate) off the serve path, then install on the owning shard as an O(1)
-// request, then publish the terminal state and wake a synchronous waiter.
+// validate) off the serve path, install on the owning shard, journal, then
+// publish the terminal state and wake a synchronous waiter.
 func (r *Registry) admit(arena *election.BuildArena, job admission) {
 	if job.reply == nil && r.isClosed() {
 		// Close has begun: fail queued asynchronous jobs fast instead of
 		// building into a tearing-down registry. Synchronous waiters hold
 		// a lifecycle slot — Close's drain waits for them — so their
 		// builds still run against live shards and complete normally.
-		r.finish(job, response{out: Outcome{Key: job.key, Leader: -1, Err: ErrClosed}})
+		r.finish(job, ErrClosed)
 		return
 	}
 	r.setRecord(job.rec, AdmissionBuilding, nil)
@@ -306,24 +307,20 @@ func (r *Registry) admit(arena *election.BuildArena, job admission) {
 		d, err = r.buildDedicated(arena, job.cfg)
 	}
 	// Encode the journal record now, while d is still builder-private: the
-	// moment the shard installs it the algorithm is live, and a concurrent
+	// moment it is installed the algorithm is live, and a concurrent
 	// evict → retire → rebuild on another builder may start recycling the
 	// very report and list memory Compile reads.
 	var walPayload []byte
 	if err == nil && r.wal != nil {
 		walPayload = r.walEncodeAdmit(job.key, d)
 	}
-	// Failures route through the shard too, so its Failures counter stays
-	// the authoritative per-shard account of failed admissions.
-	reply := r.replies.Get().(chan response)
-	sh := r.shardFor(job.key)
-	sh.requests <- request{op: opInstall, key: job.key, d: d, buildErr: err, reply: reply}
-	resp := <-reply
-	r.replies.Put(reply)
-	if resp.out.Err == nil && job.compiled != nil {
+	// Failures go through install too, so the shard's Failures counter
+	// stays the authoritative per-shard account of failed admissions.
+	err = r.install(job.key, d, err)
+	if err == nil && job.compiled != nil {
 		r.artifactLoads.Add(1)
 	}
-	if resp.out.Err == nil && r.wal != nil {
+	if err == nil && r.wal != nil {
 		// Append the pre-encoded record on this builder goroutine — after
 		// the install (so checkpoint rotation can never freeze a record
 		// whose install hasn't happened) and before the acknowledgment (so
@@ -332,10 +329,10 @@ func (r *Registry) admit(arena *election.BuildArena, job admission) {
 		// until the next reboot, but the caller is told its registration
 		// is not durable.
 		if walErr := r.walAppend(walPayload); walErr != nil {
-			resp.out.Err = fmt.Errorf("service: admission installed but not journaled (will not survive a restart): %w", walErr)
+			err = fmt.Errorf("service: admission installed but not journaled (will not survive a restart): %w", walErr)
 		}
 	}
-	r.finish(job, resp)
+	r.finish(job, err)
 }
 
 // buildDedicated builds cfg on the builder's arena, recycling a retired
@@ -357,9 +354,9 @@ func (r *Registry) buildDedicated(arena *election.BuildArena, cfg *config.Config
 
 // finish publishes the terminal admission state and releases a synchronous
 // waiter.
-func (r *Registry) finish(job admission, resp response) {
-	if resp.out.Err != nil {
-		r.setRecord(job.rec, AdmissionFailed, resp.out.Err)
+func (r *Registry) finish(job admission, err error) {
+	if err != nil {
+		r.setRecord(job.rec, AdmissionFailed, err)
 		r.admFailed.Add(1)
 	} else {
 		r.setRecord(job.rec, AdmissionDone, nil)
@@ -367,6 +364,6 @@ func (r *Registry) finish(job admission, resp response) {
 	}
 	r.admPending.Add(-1)
 	if job.reply != nil {
-		job.reply <- resp
+		job.reply <- Outcome{Key: job.key, Leader: -1, Err: err}
 	}
 }

@@ -280,75 +280,74 @@ func TestStatsAfterClose(t *testing.T) {
 }
 
 // TestLenDuringSlowAdmission pins the liveness-probe contract behind
-// /healthz: Len must answer from its cached counter even while the only
-// shard worker is parked and an admission waits on it to install, because
-// Len never enters a shard queue. The worker is parked on an election
-// whose entry lock the test holds.
+// /healthz, and that admissions never wait for a shard worker: while the
+// only shard worker is parked on an election whose entry lock the test
+// holds, Len answers from its cached counter, and a Register of another key
+// on the same shard installs and returns.
 func TestLenDuringSlowAdmission(t *testing.T) {
 	r := New(Options{Shards: 1})
 	defer r.Close()
 	if err := r.Register("held", config.StaggeredClique(5)); err != nil {
 		t.Fatal(err)
 	}
-	// Register returned, so no mutation is in flight: reading the worker's
-	// entry map here is ordered after the install and races with nothing.
-	e := r.shards[0].entries["held"]
+	sh := r.shards[0]
+	e := sh.current()["held"]
 	e.mu.Lock()
 	release := sync.OnceFunc(e.mu.Unlock)
 	defer release()
 
-	electDone := make(chan error, 1)
-	go func() {
-		_, err := r.Elect("held")
-		electDone <- err
-	}()
-	// Stats runs on the same worker: once a probe stops answering, the
-	// worker has taken the election and is parked on the held mutex. An
-	// answered probe only means the election was not dequeued yet.
-	parked := false
-	for deadline := time.Now().Add(5 * time.Second); !parked && time.Now().Before(deadline); {
-		statsDone := make(chan struct{})
-		go func() {
-			_, _ = r.Stats()
-			close(statsDone)
-		}()
-		select {
-		case <-statsDone:
-		case <-time.After(100 * time.Millisecond):
-			parked = true
-		}
+	// Queue the election as Elect does, so the test knows when it was
+	// queued: sendElect raises the load hint before it returns, and the
+	// worker lowers it when it takes the election, which then waits on the
+	// held entry lock.
+	if !r.acquire() {
+		t.Fatal("registry closed")
 	}
-	if !parked {
-		t.Fatal("the shard worker never parked on the held entry")
+	done := sync.OnceFunc(r.release)
+	defer done()
+	reply := make(chan Outcome, 1)
+	r.sendElect(sh, request{key: "held", reply: reply})
+	for deadline := time.Now().Add(5 * time.Second); sh.load.Load() != 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("the shard worker never took the held election")
+		}
+		time.Sleep(time.Millisecond)
 	}
 
 	slowDone := make(chan error, 1)
 	go func() { slowDone <- r.Register("slow", config.StaggeredClique(6)) }()
+	select {
+	case err := <-slowDone:
+		if err != nil {
+			t.Fatalf("register while the worker is parked: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("register waited for a parked shard worker")
+	}
 	lenDone := make(chan int, 1)
 	go func() { lenDone <- r.Len() }()
 	select {
 	case n := <-lenDone:
-		if n != 1 {
-			t.Fatalf("Len while the worker is parked = %d, want 1", n)
+		if n != 2 {
+			t.Fatalf("Len while the worker is parked = %d, want 2", n)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("Len blocked behind a parked shard worker")
 	}
 	select {
-	case err := <-electDone:
-		t.Fatalf("elect on the held entry returned early: %v", err)
+	case out := <-reply:
+		t.Fatalf("elect on the held entry returned early: %+v", out)
 	default:
 	}
 
 	release()
-	if err := <-electDone; err != nil {
-		t.Fatalf("elect after release: %v", err)
+	out := <-reply
+	done()
+	if out.Err != nil || !out.Elected() {
+		t.Fatalf("elect after release: %+v", out)
 	}
-	if err := <-slowDone; err != nil {
-		t.Fatalf("slow register: %v", err)
-	}
-	if r.Len() != 2 {
-		t.Fatalf("Len after the admission = %d, want 2", r.Len())
+	if out, err := r.Elect("slow"); err != nil || !out.Elected() {
+		t.Fatalf("elect slow: %+v, %v", out, err)
 	}
 }
 

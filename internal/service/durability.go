@@ -21,9 +21,10 @@ import (
 // registry and truncates the journal. The layering keeps durability
 // strictly off the election serve path:
 //
-//	admission:  builder builds → shard installs (O(1)) → builder appends
-//	            the compiled artifact to the journal → acknowledge
-//	eviction:   shard evicts → caller appends the evict record → return
+//	admission:  builder builds → builder installs on the shard → builder
+//	            appends the compiled artifact to the journal → acknowledge
+//	eviction:   caller evicts from the shard → caller appends the evict
+//	            record → return
 //	election:   untouched — shard workers never see the journal, and the
 //	            steady-state Elect stays zero-alloc
 //	checkpoint: rotate the journal, Snapshot the registry (staged, manifest
@@ -32,7 +33,7 @@ import (
 //	            the journal (tolerating torn/corrupt records), then open a
 //	            fresh segment for new appends
 //
-// Appending *after* the shard install (write-behind-before-acknowledge)
+// Appending *after* the install (write-behind-before-acknowledge)
 // rather than before it is what makes checkpointing race-free: a record in
 // a frozen segment implies its install happened before the rotation, hence
 // before the snapshot gather — so deleting frozen segments after the
@@ -59,9 +60,6 @@ type WALOptions struct {
 	// Sync is the append durability policy (see wal.SyncPolicy); the zero
 	// value is wal.SyncAlways.
 	Sync wal.SyncPolicy
-	// BatchInterval is the fsync cadence under wal.SyncBatch; <= 0 selects
-	// the wal package default (5ms).
-	BatchInterval time.Duration
 	// CheckpointEvery triggers a background checkpoint on a timer; 0
 	// disables the timer (the journal then only truncates on record-count
 	// triggers or explicit Checkpoint calls).
@@ -229,7 +227,7 @@ func Open(opts Options) (*Registry, *RecoveryReport, error) {
 		r.Close()
 		return nil, nil, fmt.Errorf("service: replaying journal: %w", err)
 	}
-	log, err := wal.Open(w.Dir, wal.Options{Sync: w.Sync, BatchInterval: w.BatchInterval})
+	log, err := wal.Open(w.Dir, wal.Options{Sync: w.Sync})
 	if err != nil {
 		r.Close()
 		return nil, nil, err
@@ -332,7 +330,7 @@ func peekRecord(payload []byte) (op, key string, ok bool) {
 
 // applyRecord applies one replayed journal record; failures are recorded,
 // never fatal. It runs during Open, before the registry escapes, so the
-// direct shard requests need no public-API locking. The record's encoding
+// installs and evictions need no public-API locking. The record's encoding
 // is sniffed per payload (wire frames start with the wire magic, JSON
 // records with '{'), so a journal with mixed-era records replays whole.
 func (r *Registry) applyRecord(payload []byte, report *RecoveryReport) {
@@ -364,7 +362,7 @@ func (r *Registry) applyRecord(payload []byte, report *RecoveryReport) {
 				skip(walOpEvict, "", fmt.Sprintf("undecodable evict record: %v", err))
 				return
 			}
-			r.do(r.shardFor(rec.Key), request{op: opEvict, key: rec.Key})
+			r.evict(rec.Key)
 			report.Evicts++
 		default:
 			skip("", "", fmt.Sprintf("unexpected record frame type %v", typ))
@@ -380,7 +378,7 @@ func (r *Registry) applyRecord(payload []byte, report *RecoveryReport) {
 	case walOpAdmit:
 		r.applyAdmit(rec.Key, rec.Config, rec.Artifact, report, skip)
 	case walOpEvict:
-		r.do(r.shardFor(rec.Key), request{op: opEvict, key: rec.Key})
+		r.evict(rec.Key)
 		report.Evicts++
 	default:
 		skip(rec.Op, rec.Key, fmt.Sprintf("unknown op %q", rec.Op))
@@ -404,17 +402,14 @@ func (r *Registry) applyAdmit(key, cfgText string, artifact *election.Compiled, 
 		skip(walOpAdmit, key, fmt.Sprintf("loading artifact: %v", err))
 		return
 	}
-	if resp := r.do(r.shardFor(key), request{op: opInstall, key: key, d: d}); resp.out.Err != nil {
-		skip(walOpAdmit, key, fmt.Sprintf("installing: %v", resp.out.Err))
-		return
-	}
+	_ = r.install(key, d, nil) // with no build error the install cannot fail
 	r.artifactLoads.Add(1)
 	report.Admits++
 }
 
 // walEncodeAdmit encodes one admission's journal record: the key, the
 // (normalized) configuration text, and the compiled artifact. It runs on
-// the builder goroutine *before* the shard install — Compile aliases the
+// the builder goroutine *before* the install — Compile aliases the
 // algorithm's live list memory, and once the install lands a concurrent
 // evict → retire → rebuild-in-place may recycle exactly that memory. The
 // pre-encoded payload is appended (walAppend) after the install succeeds,

@@ -3,47 +3,49 @@
 // shards, with admissions built off the serve path by a bounded builder
 // pool.
 //
-// The Registry hashes configuration keys onto N shards. Each shard is owned
-// by exactly one worker goroutine that holds everything the shard needs —
-// its configurations (each an immutable *election.Dedicated: protocol and
-// decision target), one radio.Simulator and one ElectionOutcome that the
-// worker runs every election it executes on, and its own statistics
-// counters. A key keeps no simulator: the worker rebinds its one simulator
-// to the key it elects (election.Dedicated.ElectOn; a rebind is O(n) and
-// allocation-free), so the worker's buffers are sized by the largest key
-// it has served, not summed over its keys. Every mutation of a shard
-// (install, eviction, snapshot, stats) executes *on* the owning worker via
-// its request queue, so shard state shares no memory across shards, and the
-// steady-state serve path performs zero heap allocations: requests and
-// responses travel by value through buffered channels, reply channels are
-// drawn from a pool, and the election itself runs on the zero-alloc
-// ElectOn path.
+// The Registry hashes configuration keys onto N shards. A shard keeps its
+// configurations (each an immutable *election.Dedicated: protocol and
+// decision target) in one copy-on-write entry map, its view, and owns one
+// worker goroutine that runs elections on one radio.Simulator and one
+// ElectionOutcome. A key keeps no simulator: the worker rebinds its one
+// simulator to the key it elects (election.Dedicated.ElectOn; a rebind is
+// O(n) and allocation-free), so the worker's buffers are sized by the
+// largest key it has served, not summed over its keys. Installs and
+// evictions run on their caller's goroutine (a builder, a restore loader,
+// journal replay, Evict) under the shard's mutex, which keeps them in one
+// total order per shard; one that adds or removes a key publishes a new
+// view. Every election, and every gather behind Stats, FaultKeyStats and
+// snapshots, resolves keys with one atomic load of the view, so no reader
+// enters a worker or waits for a mutation except on the one entry both
+// touch. The steady-state serve path performs zero heap allocations:
+// requests travel by value through buffered channels, reply channels are
+// drawn from a pool, and the election itself runs on the zero-alloc ElectOn
+// path.
 //
-// Elections — the read-only operation — additionally participate in work
-// stealing whenever there are two or more shards: every shard queues its
-// elections on a dedicated channel, and a worker whose own queues are empty
-// serves a queued election from the most loaded sibling instead of idling,
-// on its own simulator. Placement is unchanged (FNV still names every key's
-// home shard, and mutations never migrate, so entry ownership stays with
-// one worker); a stolen election resolves its entry through the home
-// shard's copy-on-write entry view. Elections hold the entry's read lock,
-// installs and evictions its write lock, so two elections of one hot key
-// run at once on two workers while an algorithm is never swapped or
-// recycled under a running election, and outcomes are bit-identical to
-// elections on the home worker. The effect is that a handful of hot keys
-// hashed onto one shard no longer pin one core while the rest idle —
-// exactly the skew a fleet router concentrates.
+// Elections participate in work stealing whenever there are two or more
+// shards: a worker whose own election queue is empty serves a queued
+// election from the most loaded sibling instead of idling, on its own
+// simulator. Placement is unchanged: FNV names every key's home shard, and
+// an election resolves its key through the home shard's view wherever it
+// runs. Elections hold the entry's read lock, installs and evictions its
+// write lock, so two elections of one hot key run at once on two workers
+// while an algorithm is never swapped or recycled under a running election,
+// and outcomes are bit-identical to elections on the home worker. An
+// eviction tombstones its entry (a nil algorithm) under the write lock, so
+// an election or gather that read the view before the eviction finds the
+// key gone. The effect of stealing is that a handful of hot keys hashed
+// onto one shard no longer pin one core while the rest idle — exactly the
+// skew a fleet router concentrates.
 //
 // Admissions are pipelined, not served inline: Register, RegisterCompiled
 // and their Async variants enqueue onto a bounded admission queue drained
 // by a pool of builder goroutines. A builder classifies and compiles the
 // configuration (or validates its compiled artifact) on its own reusable
-// build arena — outside every shard worker — and hands the finished
-// algorithm to the owning shard as a cheap O(1) install request. Elections
-// on a shard therefore never wait behind a build. When the queue is full,
-// admissions fail fast with ErrAdmissionBusy (backpressure; the HTTP layer
-// maps it to 429), and every admission's progress is pollable through
-// AdmissionStatus.
+// build arena — outside every shard worker — and installs the finished
+// algorithm on the owning shard itself. Elections on a shard therefore
+// never wait behind a build. When the queue is full, admissions fail fast
+// with ErrAdmissionBusy (backpressure; the HTTP layer maps it to 429), and
+// every admission's progress is pollable through AdmissionStatus.
 //
 // The design trades large-result access for serve throughput: a served
 // Outcome carries the elected leader and the round count by value, not the
@@ -64,6 +66,7 @@ package service
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math/bits"
 	"runtime"
 	"sort"
@@ -88,8 +91,8 @@ var ErrUnknownKey = errors.New("service: unknown key")
 type Options struct {
 	// Shards is the number of worker-owned shards; <= 0 selects GOMAXPROCS.
 	Shards int
-	// QueueDepth is the per-shard request buffer; <= 0 selects 64. A deeper
-	// queue lets batch submitters run further ahead of a busy shard.
+	// QueueDepth is the per-shard election queue buffer; <= 0 selects 64. A
+	// deeper queue lets batch submitters run further ahead of a busy shard.
 	QueueDepth int
 	// Builders is the number of builder-pool goroutines that classify,
 	// compile and validate admissions off the serve path; <= 0 selects
@@ -171,9 +174,9 @@ type ShardStats struct {
 	// executed (this shard was the victim); they are still counted in this
 	// shard's Elections and Rounds.
 	StolenFrom int64 `json:"stolen_from"`
-	// Queued is the instantaneous depth of the shard's queues (pending
-	// elections plus pending mutations) when the snapshot was taken —
-	// the direct observable for hot-shard skew.
+	// Queued is the shard's election backlog, the elections waiting in its
+	// queue when the snapshot was taken — the direct observable for
+	// hot-shard skew.
 	Queued int `json:"queued"`
 }
 
@@ -194,35 +197,13 @@ func Totals(stats []ShardStats) ShardStats {
 	return total
 }
 
-type opKind uint8
-
-const (
-	opElect   opKind = iota
-	opInstall        // O(1) hand-off of a pipeline-built algorithm to its shard
-	opEvict
-	opStats
-	opSnapshot   // gather compiled artifacts (all entries, or request.key only)
-	opFaultStats // gather per-key injected-fault counters
-)
-
-// request is one operation handed to a shard worker. It travels by value
-// through the shard's buffered queue.
+// request is one election handed to a shard worker. It travels by value
+// through the shard's buffered queue, and the outcome comes back by value
+// on reply.
 type request struct {
-	op       opKind
-	key      string
-	index    int
-	d        *election.Dedicated // opInstall: the pipeline-built algorithm
-	buildErr error               // opInstall: the build failure to account
-	reply    chan response
-}
-
-// response is the worker's answer, also by value.
-type response struct {
-	out     Outcome
-	stats   ShardStats
-	evicted bool
-	entries []SnapshotEntry
-	faults  []KeyFaultStats
+	key   string
+	index int
+	reply chan Outcome
 }
 
 // KeyFaultStats is the accumulated injected-fault account of one registered
@@ -246,14 +227,14 @@ type KeyFaultStats struct {
 	OutageRounds int64 `json:"outage_rounds"`
 }
 
-// entry is one registered configuration. Elections (which may run on a
-// stealing sibling worker) hold mu's read side for the whole run, installs
-// and evictions its write side, so an algorithm is never swapped, retired
-// or rebuilt in place under a running election while elections of one key
-// overlap. d == nil under the lock marks an evicted entry a thief may still
-// reach through a stale view. The fault counters are atomics because
-// overlapping elections add to them; a gather takes the write side to read
-// a consistent row.
+// entry is one registered configuration. Elections (home or stolen) and
+// snapshot gathers hold mu's read side, installs and evictions its write
+// side, so an algorithm is never swapped, retired or rebuilt in place under
+// a running election while elections of one key overlap. d == nil under the
+// lock marks an evicted entry that a reader holding an earlier view may
+// still reach; every reader skips it. The fault counters are atomics
+// because overlapping elections add to them; a gather takes the write side
+// to read a consistent row.
 type entry struct {
 	mu     sync.RWMutex
 	d      *election.Dedicated
@@ -273,15 +254,11 @@ func (c *faultCounters) add(f radio.FaultStats) {
 	c.outageRounds.Add(f.OutageRounds)
 }
 
-// shard is the state owned by one worker goroutine. The entries map and
-// stats are only ever touched by the owning worker; the atomics and the
-// view are the shard's cross-worker surface for work stealing.
+// shard is one shard's entries, election queue and counters, and the
+// election scratch of the worker goroutine that owns the queue.
 type shard struct {
-	id       int
-	requests chan request // mutations, stats, snapshots — home-worker only
-	elects   chan request // queued elections — stealable by idle siblings
-	entries  map[string]*entry
-	stats    ShardStats // worker-only counters (Builds, admission Failures)
+	id     int
+	elects chan request // queued elections — stealable by idle siblings
 
 	// sim and out are the worker's election scratch: every election the
 	// worker executes, for its own shard or stolen, runs on them. sim is
@@ -289,17 +266,22 @@ type shard struct {
 	sim *radio.Simulator
 	out radio.ElectionOutcome
 
-	stealing bool
-	// view is a copy-on-write snapshot of entries for stealing siblings;
-	// the owner republishes it on entry add/remove (not on same-key
-	// replace, which swaps d under the entry's write lock and keeps the
-	// pointer).
+	// mu orders the shard's installs and evictions. Each runs on its
+	// caller's goroutine with mu held, and one that adds or removes a key
+	// publishes a new view before it unlocks.
+	mu sync.Mutex
+	// view is the shard's one entry map, copy-on-write: it is never written
+	// once published (a same-key replace swaps d under the entry's write
+	// lock and keeps the map). Readers load it without a lock.
 	view atomic.Pointer[map[string]*entry]
 	// load is the election-queue depth hint (incremented by submitters,
 	// decremented by whichever worker serves the op); siblings pick the
 	// highest-load victim.
 	load atomic.Int64
-	// Serving counters, atomics because a thief updates its victim's.
+	// Counters, atomics because installs and elections update them from
+	// any goroutine (a thief updates its victim's).
+	builds     atomic.Int64 // admissions installed
+	buildFails atomic.Int64 // admissions that failed to build or load
 	elections  atomic.Int64
 	rounds     atomic.Int64
 	electFails atomic.Int64
@@ -307,12 +289,15 @@ type shard struct {
 	stolenFrom atomic.Int64 // this shard's elections run by siblings
 }
 
+// current returns the shard's view.
+func (sh *shard) current() map[string]*entry { return *sh.view.Load() }
+
 // Registry is the sharded election service. All methods, including Close,
 // are safe for concurrent use.
 type Registry struct {
 	shards  []*shard
-	replies sync.Pool      // chan response, cap 1 — single-request rendezvous
-	batches sync.Pool      // chan response, batch-sized — ElectBatch gather
+	replies sync.Pool      // chan Outcome, cap 1 — single-request rendezvous
+	batches sync.Pool      // chan Outcome, batch-sized — ElectBatch gather
 	workers sync.WaitGroup // shard workers
 
 	// lifecycle serializes Close against every other public operation
@@ -375,7 +360,7 @@ type Registry struct {
 	rebuildHits   atomic.Int64 // builds that reused a retired algorithm's buffers
 
 	// configCount caches the registered-configuration total so health
-	// probes (Len) never enter a shard queue. Only shard workers update it.
+	// probes (Len) read one counter. Installs and evictions update it.
 	configCount atomic.Int64
 
 	// Durability state (durability.go); wal is nil on a non-durable
@@ -439,22 +424,15 @@ func newCore(opts Options) *Registry {
 		builderCount: builders,
 		admitted:     make(map[string]*admissionRecord),
 	}
-	r.replies.New = func() any { return make(chan response, 1) }
-	stealing := shards > 1
-	if stealing {
+	r.replies.New = func() any { return make(chan Outcome, 1) }
+	if shards > 1 {
 		r.stealKick = make(chan struct{}, shards)
 	}
 	// Fill the shard table completely before starting any worker: a
 	// stealing worker scans every sibling's load hint.
 	for i := range r.shards {
-		sh := &shard{
-			id:       i,
-			requests: make(chan request, depth),
-			elects:   make(chan request, depth),
-			entries:  make(map[string]*entry),
-			stealing: stealing,
-		}
-		sh.publishView()
+		sh := &shard{id: i, elects: make(chan request, depth)}
+		sh.view.Store(&map[string]*entry{})
 		r.shards[i] = sh
 	}
 	for _, sh := range r.shards {
@@ -510,30 +488,17 @@ func (r *Registry) isClosed() bool {
 }
 
 // shardFor hashes the key (FNV-1a) onto its owning shard; a key always maps
-// to the same shard, so per-key operations are totally ordered by the
-// owning worker.
+// to the same shard, so its installs and evictions are totally ordered by
+// the shard's mutex.
 func (r *Registry) shardFor(key string) *shard {
 	return r.shards[fnv.String64(key)%uint64(len(r.shards))]
-}
-
-// do executes one request on the shard and waits for the answer through a
-// pooled rendezvous channel; the round trip is allocation-free once the
-// pool is warm. Callers must hold a lifecycle acquire slot (or run inside
-// the pipeline before Close's drain completes) so the shard worker cannot
-// be torn down mid-request.
-func (r *Registry) do(sh *shard, req request) response {
-	reply := r.replies.Get().(chan response)
-	req.reply = reply
-	sh.requests <- req
-	resp := <-reply
-	r.replies.Put(reply)
-	return resp
 }
 
 // sendElect queues one election on the shard's election channel, maintains
 // the load hint, and — when the shard has more than one election pending —
 // kicks an idle sibling so stealing starts without waiting for a poll.
-// Callers must hold a lifecycle acquire slot, like do.
+// Callers must hold a lifecycle acquire slot, so the channel cannot be
+// closed underneath the send.
 func (r *Registry) sendElect(sh *shard, req request) {
 	sh.load.Add(1)
 	sh.elects <- req
@@ -576,14 +541,14 @@ func (r *Registry) admitSync(key string, cfg *config.Config, c *election.Compile
 		return ErrClosed
 	}
 	defer r.release()
-	reply := r.replies.Get().(chan response)
+	reply := r.replies.Get().(chan Outcome)
 	if err := r.enqueue(admission{key: key, cfg: cfg, compiled: c, reply: reply}); err != nil {
 		r.replies.Put(reply)
 		return err
 	}
-	resp := <-reply
+	out := <-reply
 	r.replies.Put(reply)
-	return resp.out.Err
+	return out.Err
 }
 
 // Evict removes the configuration registered under key and reports whether
@@ -598,29 +563,28 @@ func (r *Registry) Evict(key string) (bool, error) {
 		return false, ErrClosed
 	}
 	defer r.release()
-	resp := r.do(r.shardFor(key), request{op: opEvict, key: key})
-	if resp.evicted {
-		r.admitMu.Lock()
-		if rec := r.admitted[key]; rec != nil && rec.state.Terminal() {
-			delete(r.admitted, key)
-		}
-		r.admitMu.Unlock()
-		if r.wal != nil {
-			// Journal the eviction on the caller's goroutine — after the
-			// shard applied it (so a record in a frozen checkpoint segment
-			// always describes an applied mutation) and before the caller
-			// learns of it. Append failures only surface in WALStats: the
-			// eviction already happened.
-			_ = r.walAppendEvict(key)
-		}
+	if !r.evict(key) {
+		return false, nil
 	}
-	return resp.evicted, nil
+	r.admitMu.Lock()
+	if rec := r.admitted[key]; rec != nil && rec.state.Terminal() {
+		delete(r.admitted, key)
+	}
+	r.admitMu.Unlock()
+	if r.wal != nil {
+		// Journal the eviction after it was applied (so a record in a
+		// frozen checkpoint segment always describes an applied mutation)
+		// and before the caller learns of it. Append failures only surface
+		// in WALStats: the eviction already happened.
+		_ = r.walAppendEvict(key)
+	}
+	return true, nil
 }
 
 // Elect serves one election for the configuration registered under key.
 // This is the steady-state path: once the registry is warm it performs zero
 // heap allocations end to end (pooled rendezvous channel, value-typed
-// request/response, zero-alloc ElectOn on the worker's simulator), entering
+// request and outcome, zero-alloc ElectOn on the worker's simulator), entering
 // the lifecycle with one uncontended CAS instead of an RWMutex read, and it
 // never waits behind an admission — builds run on the builder pool, not
 // the shard.
@@ -629,11 +593,11 @@ func (r *Registry) Elect(key string) (Outcome, error) {
 		return Outcome{Key: key, Leader: -1, Err: ErrClosed}, ErrClosed
 	}
 	defer r.release()
-	reply := r.replies.Get().(chan response)
-	r.sendElect(r.shardFor(key), request{op: opElect, key: key, reply: reply})
-	resp := <-reply
+	reply := r.replies.Get().(chan Outcome)
+	r.sendElect(r.shardFor(key), request{key: key, reply: reply})
+	out := <-reply
 	r.replies.Put(reply)
-	return resp.out, resp.out.Err
+	return out, out.Err
 }
 
 // ElectBatch serves one election per key, writing the outcome for keys[i]
@@ -662,11 +626,11 @@ func (r *Registry) ElectBatch(keys []string, outs []Outcome) ([]Outcome, error) 
 	}
 	reply := r.batchReply(len(keys))
 	for i, key := range keys {
-		r.sendElect(r.shardFor(key), request{op: opElect, key: key, index: i, reply: reply})
+		r.sendElect(r.shardFor(key), request{key: key, index: i, reply: reply})
 	}
 	for range keys {
-		resp := <-reply
-		outs[resp.out.Index] = resp.out
+		out := <-reply
+		outs[out.Index] = out
 	}
 	r.batches.Put(reply)
 	for i := range outs {
@@ -677,21 +641,23 @@ func (r *Registry) ElectBatch(keys []string, outs []Outcome) ([]Outcome, error) 
 	return outs, nil
 }
 
-// batchReply returns a pooled gather channel with room for n responses, so
+// batchReply returns a pooled gather channel with room for n outcomes, so
 // workers never block on the reply side and a steady batch workload reuses
 // one channel. A pooled channel that is too small is dropped for a larger
 // one.
-func (r *Registry) batchReply(n int) chan response {
-	if ch, ok := r.batches.Get().(chan response); ok && cap(ch) >= n {
+func (r *Registry) batchReply(n int) chan Outcome {
+	if ch, ok := r.batches.Get().(chan Outcome); ok && cap(ch) >= n {
 		return ch
 	}
-	return make(chan response, n)
+	return make(chan Outcome, n)
 }
 
-// Stats snapshots every shard's counters (one synchronous request per
-// shard, so each snapshot is internally consistent). On a closed registry
-// it returns ErrClosed rather than all-zero rows that would read as a
-// healthy empty server.
+// Stats reads every shard's counters and view. It reads atomics and never
+// enters a shard worker, so it answers at once however busy the shards
+// are; a row is therefore not one instant's cut, as elections and
+// admissions land while it is read. On a closed registry it returns
+// ErrClosed rather than all-zero rows that would read as a healthy empty
+// server.
 func (r *Registry) Stats() ([]ShardStats, error) {
 	if !r.acquire() {
 		return nil, ErrClosed
@@ -699,7 +665,17 @@ func (r *Registry) Stats() ([]ShardStats, error) {
 	defer r.release()
 	stats := make([]ShardStats, len(r.shards))
 	for i, sh := range r.shards {
-		stats[i] = r.do(sh, request{op: opStats}).stats
+		stats[i] = ShardStats{
+			Shard:      sh.id,
+			Configs:    len(sh.current()),
+			Builds:     sh.builds.Load(),
+			Elections:  sh.elections.Load(),
+			Failures:   sh.buildFails.Load() + sh.electFails.Load(),
+			Rounds:     sh.rounds.Load(),
+			Stolen:     sh.stolen.Load(),
+			StolenFrom: sh.stolenFrom.Load(),
+			Queued:     len(sh.elects),
+		}
 	}
 	return stats, nil
 }
@@ -707,8 +683,9 @@ func (r *Registry) Stats() ([]ShardStats, error) {
 // FaultKeyStats gathers the accumulated injected-fault counters of every
 // registered key, in sorted key order. On a registry without a fault plan it
 // returns (nil, nil) — the counters exist only on the faulted path — and on
-// a closed one ErrClosed. Each shard is visited with one synchronous request
-// on its worker, so each shard's rows are internally consistent.
+// a closed one ErrClosed. It reads each shard's view and takes each entry's
+// write lock, so a concurrent (possibly stolen) election never tears a row,
+// and a key evicted after the view was read has no row.
 func (r *Registry) FaultKeyStats() ([]KeyFaultStats, error) {
 	if r.fault == nil {
 		return nil, nil
@@ -719,35 +696,37 @@ func (r *Registry) FaultKeyStats() ([]KeyFaultStats, error) {
 	defer r.release()
 	var stats []KeyFaultStats
 	for _, sh := range r.shards {
-		stats = append(stats, r.do(sh, request{op: opFaultStats}).faults...)
+		for key, e := range sh.current() {
+			if row, ok := e.faultRow(key); ok {
+				stats = append(stats, row)
+			}
+		}
 	}
 	sort.Slice(stats, func(i, j int) bool { return stats[i].Key < stats[j].Key })
 	return stats, nil
 }
 
-// faultStats snapshots every entry's fault counters; it runs on the owning
-// worker, taking each entry's write lock so a concurrent (possibly stolen)
-// election never tears a row.
-func (sh *shard) faultStats() []KeyFaultStats {
-	stats := make([]KeyFaultStats, 0, len(sh.entries))
-	for key, e := range sh.entries {
-		e.mu.Lock()
-		stats = append(stats, KeyFaultStats{
-			Key:          key,
-			Elections:    e.faults.elections.Load(),
-			Drops:        e.faults.drops.Load(),
-			Noise:        e.faults.noise.Load(),
-			OutageRounds: e.faults.outageRounds.Load(),
-		})
-		e.mu.Unlock()
+// faultRow reads the entry's fault account under its write lock; ok is
+// false for an entry an eviction tombstoned.
+func (e *entry) faultRow(key string) (KeyFaultStats, bool) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.d == nil {
+		return KeyFaultStats{}, false
 	}
-	return stats
+	return KeyFaultStats{
+		Key:          key,
+		Elections:    e.faults.elections.Load(),
+		Drops:        e.faults.drops.Load(),
+		Noise:        e.faults.noise.Load(),
+		OutageRounds: e.faults.outageRounds.Load(),
+	}, true
 }
 
 // Len returns the number of registered configurations across all shards.
-// It reads a cached counter maintained by the shard workers — it never
-// enters a shard queue, so liveness probes stay responsive no matter how
-// busy the shards are. After Close it keeps reporting the final count.
+// It reads a cached counter that installs and evictions maintain, so
+// liveness probes stay responsive no matter how busy the shards are. After
+// Close it keeps reporting the final count.
 func (r *Registry) Len() int {
 	return int(r.configCount.Load())
 }
@@ -789,15 +768,14 @@ func (r *Registry) Close() {
 	}
 	// No public operation is in flight (the count drained) and none can
 	// start (the closed bit is set), so the pipeline tears down cleanly:
-	// first the builders (which may still be installing onto live shards),
-	// then the shard workers.
+	// first the builders (which may still be installing), then the shard
+	// workers.
 	close(r.admissions)
 	r.builders.Wait()
 	for _, sh := range r.shards {
 		// Election queues are empty (every queued election had a waiter
-		// counted by the lifecycle drain), so closing both channels only
-		// releases blocked workers.
-		close(sh.requests)
+		// counted by the lifecycle drain), so closing them only releases
+		// blocked workers.
 		close(sh.elects)
 	}
 	r.workers.Wait()
@@ -810,106 +788,35 @@ func (r *Registry) Close() {
 	close(r.closeDone)
 }
 
-// worker owns one shard: it is the only goroutine that ever mutates the
-// shard's entries and worker-only counters. The loop drains the
-// shard's own queues first (mutations before elections, both without
-// blocking), then — when idle — serves a queued election from the most
-// loaded sibling, and only then blocks. A nil stealKick (one shard, no
-// sibling) never fires, so the lone worker blocks on its own queues.
+// worker runs one shard's elections: it drains its own queue first, then —
+// when idle — serves a queued election from the most loaded sibling, and
+// only then blocks on its queue and the steal kick. A nil stealKick (one
+// shard, no sibling) never fires, so the lone worker blocks on its queue.
 func (r *Registry) worker(sh *shard) {
 	defer r.workers.Done()
-	requests, elects := sh.requests, sh.elects
-	for requests != nil || elects != nil {
+	for {
 		select {
-		case req, ok := <-requests:
+		case req, ok := <-sh.elects:
 			if !ok {
-				requests = nil
-				continue
-			}
-			r.serve(sh, req)
-			continue
-		default:
-		}
-		select {
-		case req, ok := <-elects:
-			if !ok {
-				elects = nil
-				continue
+				return
 			}
 			r.runElect(sh, req, nil)
 			continue
 		default:
 		}
-		if sh.stealing && r.steal(sh) {
+		if r.steal(sh) {
 			continue
 		}
 		select {
-		case req, ok := <-requests:
+		case req, ok := <-sh.elects:
 			if !ok {
-				requests = nil
-				continue
-			}
-			r.serve(sh, req)
-		case req, ok := <-elects:
-			if !ok {
-				elects = nil
-				continue
+				return
 			}
 			r.runElect(sh, req, nil)
 		case <-r.stealKick:
 			// A sibling's election queue grew; loop around and steal.
 		}
 	}
-}
-
-// serve executes one mutation-side request on the owning worker.
-func (r *Registry) serve(sh *shard, req request) {
-	var resp response
-	switch req.op {
-	case opInstall:
-		resp.out = Outcome{Key: req.key, Index: req.index, Leader: -1}
-		if req.buildErr != nil {
-			sh.stats.Failures++
-			resp.out.Err = req.buildErr
-		} else {
-			sh.stats.Builds++
-			r.retire(sh.install(req.key, req.d, &r.configCount))
-		}
-	case opEvict:
-		if e, ok := sh.entries[req.key]; ok {
-			// Tombstone under the entry's write lock so a thief holding a
-			// stale view observes the eviction, then drop the entry and
-			// publish the new view.
-			e.mu.Lock()
-			d := e.d
-			e.d = nil
-			e.mu.Unlock()
-			delete(sh.entries, req.key)
-			sh.publishView()
-			r.configCount.Add(-1)
-			r.retire(d)
-			resp.evicted = true
-		}
-	case opStats:
-		resp.stats = sh.stats
-		resp.stats.Shard = sh.id
-		resp.stats.Configs = len(sh.entries)
-		resp.stats.Elections = sh.elections.Load()
-		resp.stats.Rounds = sh.rounds.Load()
-		resp.stats.Failures += sh.electFails.Load()
-		resp.stats.Stolen = sh.stolen.Load()
-		resp.stats.StolenFrom = sh.stolenFrom.Load()
-		resp.stats.Queued = len(sh.requests) + len(sh.elects)
-	case opSnapshot:
-		if req.key != "" {
-			resp.entries = sh.snapshotKey(req.key)
-		} else {
-			resp.entries = sh.snapshot()
-		}
-	case opFaultStats:
-		resp.faults = sh.faultStats()
-	}
-	req.reply <- resp
 }
 
 // steal serves one queued election from the most loaded sibling. The victim
@@ -943,11 +850,10 @@ func (r *Registry) steal(thief *shard) bool {
 }
 
 // runElect executes one queued election for its home shard. thief is non-nil
-// when a sibling worker stole the op, in which case the entry resolves
-// through the home shard's copy-on-write view instead of the worker-owned
-// map, and the election runs on the thief's simulator. Outcomes and
-// counters are identical either way: an election only reads its algorithm,
-// and every serving counter stays attributed to the home shard.
+// when a sibling worker stole the op, in which case the election runs on the
+// thief's simulator. Either way the entry resolves through the home shard's
+// view, and outcomes and counters are identical: an election only reads its
+// algorithm, and every serving counter stays attributed to the home shard.
 func (r *Registry) runElect(home *shard, req request, thief *shard) {
 	home.load.Add(-1)
 	w := home
@@ -957,18 +863,11 @@ func (r *Registry) runElect(home *shard, req request, thief *shard) {
 		home.stolenFrom.Add(1)
 	}
 	out := Outcome{Key: req.key, Index: req.index, Leader: -1}
-	var e *entry
-	if thief == nil {
-		e = home.entries[req.key]
-	} else if m := home.view.Load(); m != nil {
-		e = (*m)[req.key]
-	}
-	if e != nil {
+	if e := home.current()[req.key]; e != nil {
 		e.mu.RLock()
 		if d := e.d; d == nil {
 			// Evicted between the view read and the lock.
 			e.mu.RUnlock()
-			e = nil
 		} else {
 			electErr := w.elect(d, r.fault)
 			err := electErr
@@ -995,13 +894,13 @@ func (r *Registry) runElect(home *shard, req request, thief *shard) {
 				home.elections.Add(1)
 				home.rounds.Add(int64(rounds))
 			}
-			req.reply <- response{out: out}
+			req.reply <- out
 			return
 		}
 	}
 	home.electFails.Add(1)
 	out.Err = fmt.Errorf("%w: no configuration registered under %q", ErrUnknownKey, req.key)
-	req.reply <- response{out: out}
+	req.reply <- out
 }
 
 // elect runs one election of d on the worker's simulator and outcome,
@@ -1015,21 +914,6 @@ func (sh *shard) elect(d *election.Dedicated, fault *radio.FaultPlan) error {
 		sh.sim = sim
 	}
 	return d.ElectOn(sh.sim, &sh.out, radio.Options{Fault: fault})
-}
-
-// publishView republishes the copy-on-write entry view stealing siblings
-// resolve keys through. It runs on the owning worker, only when the entry
-// set changes (add or remove — a same-key replacement keeps the entry
-// pointer and swaps the algorithm under the entry's write lock instead).
-func (sh *shard) publishView() {
-	if !sh.stealing {
-		return
-	}
-	m := make(map[string]*entry, len(sh.entries))
-	for k, e := range sh.entries {
-		m[k] = e
-	}
-	sh.view.Store(&m)
 }
 
 // retiredBuckets is the number of size classes of the retired pool; class
@@ -1070,21 +954,65 @@ func (r *Registry) takeRetired(cfg *config.Config) *election.Dedicated {
 	return d
 }
 
-// install admits a finished algorithm under key; it runs on the owning
-// worker and is O(1) — the build already happened elsewhere. It returns the
-// displaced algorithm (nil for a first admission), which no goroutine can
-// reach once the swap completed.
-func (sh *shard) install(key string, d *election.Dedicated, configCount *atomic.Int64) *election.Dedicated {
-	e := sh.entries[key]
+// install hands one admission's result to key's shard on the calling
+// goroutine (a builder, a restore loader, journal replay). A build error is
+// counted in the shard's Failures and returned. A built algorithm replaces
+// the one key's entry holds — keeping the entry and its fault account — or
+// enters a new view under a new entry. The displaced algorithm, which no
+// election holds once the swap is done, goes to the rebuild pool.
+func (r *Registry) install(key string, d *election.Dedicated, buildErr error) error {
+	sh := r.shardFor(key)
+	if buildErr != nil {
+		sh.buildFails.Add(1)
+		return buildErr
+	}
+	sh.mu.Lock()
+	if e := sh.current()[key]; e != nil {
+		e.mu.Lock()
+		d, e.d = e.d, d
+		e.mu.Unlock()
+	} else {
+		sh.publish(key, &entry{d: d})
+		r.configCount.Add(1)
+		d = nil
+	}
+	sh.builds.Add(1)
+	sh.mu.Unlock()
+	r.retire(d)
+	return nil
+}
+
+// evict removes key's entry on the calling goroutine and reports whether
+// it was present. The entry is tombstoned under its write lock, so a reader
+// that reached it through an earlier view skips it, and the evicted
+// algorithm goes to the rebuild pool.
+func (r *Registry) evict(key string) bool {
+	sh := r.shardFor(key)
+	sh.mu.Lock()
+	e := sh.current()[key]
 	if e == nil {
-		e = &entry{}
-		sh.entries[key] = e
-		sh.publishView()
-		configCount.Add(1)
+		sh.mu.Unlock()
+		return false
 	}
 	e.mu.Lock()
-	displaced := e.d
-	e.d = d // replacing a key keeps its entry and fault account
+	d := e.d
+	e.d = nil
 	e.mu.Unlock()
-	return displaced
+	sh.publish(key, nil)
+	r.configCount.Add(-1)
+	sh.mu.Unlock()
+	r.retire(d)
+	return true
+}
+
+// publish replaces the view with a copy that maps key to e, or lacks key
+// when e is nil. Callers hold sh.mu.
+func (sh *shard) publish(key string, e *entry) {
+	m := maps.Clone(sh.current())
+	if e != nil {
+		m[key] = e
+	} else {
+		delete(m, key)
+	}
+	sh.view.Store(&m)
 }

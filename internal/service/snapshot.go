@@ -114,11 +114,12 @@ type RestoreReport struct {
 	Skipped []RestoreSkip
 }
 
-// SnapshotEntries walks every shard and gathers the admitted configurations
-// with their compiled artifacts, in sorted key order. Each shard is visited
-// with one synchronous request on its worker, so every per-shard slice is
-// internally consistent (concurrent admissions land in the snapshot iff
-// they reached their shard first). The returned artifacts alias live
+// SnapshotEntries gathers the admitted configurations with their compiled
+// artifacts, in sorted key order. It reads each shard's view once, without
+// entering its worker, and compiles each entry under the entry's read lock:
+// a concurrent admission of a new key lands in the snapshot iff its shard
+// published it before the gather read the view, and a key evicted after
+// the view was read is left out. The returned artifacts alias live
 // algorithm memory; callers that consume them while admissions continue
 // should encode them promptly (Snapshot additionally fences them against
 // rebuild-in-place re-admissions).
@@ -129,7 +130,11 @@ func (r *Registry) SnapshotEntries() ([]SnapshotEntry, error) {
 	defer r.release()
 	var entries []SnapshotEntry
 	for _, sh := range r.shards {
-		entries = append(entries, r.do(sh, request{op: opSnapshot}).entries...)
+		for key, e := range sh.current() {
+			if se, ok := e.snapshot(key); ok {
+				entries = append(entries, se)
+			}
+		}
 	}
 	sort.Slice(entries, func(i, j int) bool { return entries[i].Key < entries[j].Key })
 	return entries, nil
@@ -274,9 +279,9 @@ func ReadManifest(dir string) (*Manifest, error) {
 //
 // Entries restore concurrently (one loader goroutine per core, each
 // parsing and validating its artifacts off the serve path, then installing
-// onto the owning shard as an O(1) request), so a cold boot uses the whole
-// machine without queueing through the bounded admission pipeline — a
-// restore is operator-initiated and should never see ErrAdmissionBusy.
+// them on the owning shard itself), so a cold boot uses the whole machine
+// without queueing through the bounded admission pipeline — a restore is
+// operator-initiated and should never see ErrAdmissionBusy.
 //
 // Restore degrades gracefully on a partially-damaged snapshot: an entry
 // whose files are missing or corrupt, or whose artifact fails validation,
@@ -343,9 +348,8 @@ func (r *Registry) Restore(dir string) (*RestoreReport, error) {
 	return &report, nil
 }
 
-// restoreEntry parses, loads and re-admits one manifest entry on the
-// calling restore goroutine (the shard only sees the O(1) install). The
-// caller holds a lifecycle acquire slot.
+// restoreEntry parses, loads and installs one manifest entry on the
+// calling restore goroutine. The caller holds a lifecycle acquire slot.
 func (r *Registry) restoreEntry(dir string, me ManifestEntry) error {
 	cfgData, err := os.ReadFile(filepath.Join(dir, me.ConfigFile))
 	if err != nil {
@@ -366,37 +370,23 @@ func (r *Registry) restoreEntry(dir string, me ManifestEntry) error {
 		return fmt.Errorf("service: restoring %q: %w", me.Key, err)
 	}
 	d, err := election.Load(artifact, cfg)
-	resp := r.do(r.shardFor(me.Key), request{op: opInstall, key: me.Key, d: d, buildErr: err})
-	if resp.out.Err != nil {
-		return fmt.Errorf("service: restoring %q: %w", me.Key, resp.out.Err)
+	if err := r.install(me.Key, d, err); err != nil {
+		return fmt.Errorf("service: restoring %q: %w", me.Key, err)
 	}
 	r.artifactLoads.Add(1)
 	return nil
 }
 
-// snapshot compiles every entry of the shard; it runs on the owning worker.
-// Compiling only reads the algorithm, so it takes each entry's read lock,
-// like the (possibly stolen) elections running beside it.
-func (sh *shard) snapshot() []SnapshotEntry {
-	entries := make([]SnapshotEntry, 0, len(sh.entries))
-	for key, e := range sh.entries {
-		e.mu.RLock()
-		entries = append(entries, SnapshotEntry{Key: key, Config: e.d.Config, Artifact: e.d.Compile()})
-		e.mu.RUnlock()
-	}
-	return entries
-}
-
-// snapshotKey compiles the single entry registered under key (empty result
-// when the key is unknown); it runs on the owning worker, like snapshot.
-func (sh *shard) snapshotKey(key string) []SnapshotEntry {
-	e, ok := sh.entries[key]
-	if !ok {
-		return nil
-	}
+// snapshot compiles the entry's algorithm under its read lock, like the
+// (possibly stolen) elections running beside it; ok is false for an entry
+// an eviction tombstoned.
+func (e *entry) snapshot(key string) (SnapshotEntry, bool) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return []SnapshotEntry{{Key: key, Config: e.d.Config, Artifact: e.d.Compile()}}
+	if e.d == nil {
+		return SnapshotEntry{}, false
+	}
+	return SnapshotEntry{Key: key, Config: e.d.Config, Artifact: e.d.Compile()}, true
 }
 
 // ExportArtifact compiles the configuration admitted under key and encodes
@@ -414,11 +404,14 @@ func (r *Registry) ExportArtifact(key string) ([]byte, error) {
 	defer r.release()
 	r.snapMu.Lock()
 	defer r.snapMu.Unlock()
-	resp := r.do(r.shardFor(key), request{op: opSnapshot, key: key})
-	if len(resp.entries) == 0 {
+	var e SnapshotEntry
+	ok := false
+	if en := r.shardFor(key).current()[key]; en != nil {
+		e, ok = en.snapshot(key)
+	}
+	if !ok {
 		return nil, fmt.Errorf("%w: no configuration registered under %q", ErrUnknownKey, key)
 	}
-	e := resp.entries[0]
 	return wire.AppendWALAdmitFrame(nil, &wire.WALAdmit{
 		Key:      e.Key,
 		Config:   e.Config.Marshal(),

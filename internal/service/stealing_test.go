@@ -4,8 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"anonradio/internal/config"
 	"anonradio/internal/election"
@@ -222,6 +224,94 @@ func TestStealVsEvictStress(t *testing.T) {
 	if err != nil || out.Leader != direct.Leader() || out.Rounds != direct.Rounds {
 		t.Fatalf("post-stress elect: %+v, %v", out, err)
 	}
+}
+
+// TestGatherSkipsEvictedEntry pins the stale-view hazard of the gathers:
+// Snapshot, ExportArtifact and FaultKeyStats read a shard's view and only
+// then lock each entry, so an eviction can tombstone an entry in between.
+// The test holds the entry's read lock while Evict waits for the write
+// side; a gather that reads the view then queues behind the pending
+// eviction and takes the entry lock only after the tombstone. It must leave
+// the key out, not compile a nil algorithm.
+func TestGatherSkipsEvictedEntry(t *testing.T) {
+	gathers := []struct {
+		name, frame string // frame: the gather's function in a goroutine dump
+		run         func(t *testing.T, r *Registry)
+	}{
+		{"Snapshot", "(*Registry).SnapshotEntries", func(t *testing.T, r *Registry) {
+			m, err := r.Snapshot(t.TempDir())
+			if err != nil {
+				t.Errorf("snapshot: %v", err)
+				return
+			}
+			if len(m.Entries) != 1 || m.Entries[0].Key != "kept" {
+				t.Errorf("snapshot entries %+v, want only kept", m.Entries)
+			}
+		}},
+		{"ExportArtifact", "(*Registry).ExportArtifact", func(t *testing.T, r *Registry) {
+			if _, err := r.ExportArtifact("gone"); !errors.Is(err, ErrUnknownKey) {
+				t.Errorf("export of the evicted key: %v, want ErrUnknownKey", err)
+			}
+		}},
+		{"FaultKeyStats", "(*Registry).FaultKeyStats", func(t *testing.T, r *Registry) {
+			rows, err := r.FaultKeyStats()
+			if err != nil {
+				t.Errorf("fault stats: %v", err)
+				return
+			}
+			if len(rows) != 1 || rows[0].Key != "kept" {
+				t.Errorf("fault stats rows %+v, want only kept", rows)
+			}
+		}},
+	}
+	for _, g := range gathers {
+		t.Run(g.name, func(t *testing.T) {
+			r := New(Options{Shards: 1, Fault: &radio.FaultPlan{Seed: 1}})
+			defer r.Close()
+			for _, key := range []string{"gone", "kept"} {
+				if err := r.Register(key, config.StaggeredClique(5)); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := r.Elect(key); err != nil {
+					t.Fatal(err)
+				}
+			}
+			e := r.shards[0].current()["gone"]
+			e.mu.RLock()
+			evicted := make(chan bool, 1)
+			go func() {
+				ok, _ := r.Evict("gone")
+				evicted <- ok
+			}()
+			waitBlockedIn(t, "(*Registry).Evict")
+			gathered := make(chan struct{})
+			go func() {
+				defer close(gathered)
+				g.run(t, r)
+			}()
+			waitBlockedIn(t, g.frame)
+			e.mu.RUnlock()
+			if !<-evicted {
+				t.Error("evict reported the key absent")
+			}
+			<-gathered
+		})
+	}
+}
+
+// waitBlockedIn waits until a goroutine whose stack holds fn waits on a
+// sync lock.
+func waitBlockedIn(t *testing.T, fn string) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+			if head, _, _ := strings.Cut(g, "\n"); strings.Contains(head, "[sync.") && strings.Contains(g, fn) {
+				return
+			}
+		}
+	}
+	t.Fatalf("no goroutine in %s waits on a lock", fn)
 }
 
 // TestHotKeyFaultAccountConcurrent hammers one faulted key from parallel

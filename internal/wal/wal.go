@@ -137,9 +137,10 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 type Options struct {
 	// Sync is the append durability policy; the zero value is SyncAlways.
 	Sync SyncPolicy
-	// BatchInterval is the fsync cadence under SyncBatch; <= 0 selects 5ms.
-	BatchInterval time.Duration
 }
+
+// batchInterval is the fsync cadence under SyncBatch.
+const batchInterval = 5 * time.Millisecond
 
 // Stats is a point-in-time snapshot of the log's counters. Every field is
 // served from atomics, so reading stats never contends with appends or
@@ -245,9 +246,6 @@ func listSegments(dir string) (paths []string, seqs []uint64, err error) {
 // from a previous boot: the old segments stay frozen exactly as replay left
 // them, so a recovery that was interrupted mid-way changes nothing.
 func Open(dir string, opts Options) (*Log, error) {
-	if opts.BatchInterval <= 0 {
-		opts.BatchInterval = 5 * time.Millisecond
-	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: creating %s: %w", dir, err)
 	}
@@ -410,7 +408,7 @@ func (l *Log) Sync() error {
 // whenever records are flushed but not yet durable.
 func (l *Log) syncer() {
 	defer l.syncerWG.Done()
-	t := time.NewTicker(l.opts.BatchInterval)
+	t := time.NewTicker(batchInterval)
 	defer t.Stop()
 	for {
 		select {
