@@ -12,7 +12,8 @@
 //     skipped and reported, never a refused boot);
 //   - with -restore-on-boot it re-admits a snapshot directory by loading
 //     its artifacts before the listener opens, so a cold restart skips
-//     reclassifying the fleet;
+//     reclassifying the fleet (a durable daemon boots from its journal
+//     instead, and refuses the two flags together);
 //   - on SIGINT/SIGTERM it shuts the listener down gracefully (in-flight
 //     requests complete, bounded by -shutdown-timeout) and, with
 //     -snapshot-on-shutdown, persists the then-quiescent registry.
@@ -23,7 +24,7 @@
 //
 // Usage:
 //
-//	anonradiod [-listen :8080] [-shards N] [-queue-depth N] [-builders N]
+//	anonradiod [-listen :8080] [-shards N] [-builders N]
 //	           [-admission-queue N] [-snapshot-dir DIR]
 //	           [-restore-on-boot] [-snapshot-on-shutdown]
 //	           [-shutdown-timeout 10s] [-wal-dir DIR]
@@ -111,11 +112,10 @@ func run() int {
 	var (
 		listen          = flag.String("listen", ":8080", "listen address")
 		shards          = flag.Int("shards", 0, "worker-owned shards (0 = GOMAXPROCS)")
-		queueDepth      = flag.Int("queue-depth", 0, "per-shard election queue depth (0 = default)")
 		buildersN       = flag.Int("builders", 0, "admission builder goroutines; builds run here, off the serve path (0 = GOMAXPROCS)")
 		admissionQueue  = flag.Int("admission-queue", 0, "bounded admission queue ahead of the builders; a full queue answers 429 (0 = default 256)")
 		snapshotDir     = flag.String("snapshot-dir", "", "snapshot directory for -restore-on-boot / -snapshot-on-shutdown")
-		restoreOnBoot   = flag.Bool("restore-on-boot", false, "restore -snapshot-dir before the listener opens (missing manifest is not an error; the daemon starts empty)")
+		restoreOnBoot   = flag.Bool("restore-on-boot", false, "restore -snapshot-dir before the listener opens (missing manifest is not an error; the daemon starts empty); not with -wal-dir")
 		snapOnShutdown  = flag.Bool("snapshot-on-shutdown", false, "snapshot the registry into -snapshot-dir after the graceful shutdown")
 		shutdownTimeout = flag.Duration("shutdown-timeout", 10*time.Second, "how long a graceful shutdown may wait for in-flight requests")
 		maxBatch        = flag.Int("max-batch", 0, "largest accepted /v1/elect/batch key count (0 = default 8192)")
@@ -136,6 +136,12 @@ func run() int {
 		log.Print("-restore-on-boot and -snapshot-on-shutdown require -snapshot-dir")
 		return 2
 	}
+	if *restoreOnBoot && *walDir != "" {
+		// The snapshot would be restored over the replayed journal, reverting
+		// every acknowledged mutation made since it was taken.
+		log.Print("-restore-on-boot cannot be combined with -wal-dir: a durable daemon boots from its journal")
+		return 2
+	}
 
 	fault, err := buildFaultPlan(*faultSeed, *faultDrop, *faultNoise, *faultOutages)
 	if err != nil {
@@ -144,7 +150,6 @@ func run() int {
 	}
 	opts := service.Options{
 		Shards:         *shards,
-		QueueDepth:     *queueDepth,
 		Builders:       *buildersN,
 		AdmissionQueue: *admissionQueue,
 		Fault:          fault,

@@ -27,16 +27,18 @@ func compareFile(path string, in io.Reader, out io.Writer) error {
 }
 
 // compare prints the ns/op and allocs/op of every head result that base
-// also holds, and the base results head lacks. It returns an error naming
-// every benchmark that allocates more per op than base records, or when no
-// benchmark matched at all.
+// also holds, and the base results head lacks, then every result that
+// allocates less per op than base records (a stale record, which would let
+// the figure grow back unnoticed) and their count. It returns an error
+// naming every benchmark that allocates more per op than base records, or
+// when no benchmark matched at all; stale records do not fail it.
 func compare(base, head []Result, out io.Writer) error {
 	type key struct{ pkg, name string }
 	byKey := make(map[key]Result, len(base))
 	for _, r := range base {
 		byKey[key{r.Package, r.Name}] = r
 	}
-	var regressed []string
+	var regressed, stale []string
 	seen := make(map[key]bool, len(head))
 	for _, h := range head {
 		k := key{h.Package, h.Name}
@@ -51,9 +53,12 @@ func compare(base, head []Result, out io.Writer) error {
 		}
 		if b.AllocsPerOp != nil && h.AllocsPerOp != nil {
 			line += fmt.Sprintf(", %d -> %d allocs/op", *b.AllocsPerOp, *h.AllocsPerOp)
-			if *h.AllocsPerOp > *b.AllocsPerOp {
+			switch {
+			case *h.AllocsPerOp > *b.AllocsPerOp:
 				line += " REGRESSION"
 				regressed = append(regressed, h.Package+" "+h.Name)
+			case *h.AllocsPerOp < *b.AllocsPerOp:
+				stale = append(stale, fmt.Sprintf("%s %s: record %d, this run %d allocs/op", h.Package, h.Name, *b.AllocsPerOp, *h.AllocsPerOp))
 			}
 		}
 		fmt.Fprintln(out, line)
@@ -63,6 +68,10 @@ func compare(base, head []Result, out io.Writer) error {
 			fmt.Fprintf(out, "%s %s: missing from this run\n", b.Package, b.Name)
 		}
 	}
+	for _, s := range stale {
+		fmt.Fprintln(out, "stale record:", s)
+	}
+	fmt.Fprintf(out, "%d stale records (allocs/op below the record)\n", len(stale))
 	switch {
 	case len(regressed) > 0:
 		return fmt.Errorf("%d benchmarks allocate more per op than the baseline: %s", len(regressed), strings.Join(regressed, ", "))

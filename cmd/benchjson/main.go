@@ -18,7 +18,9 @@
 // in both (same package and name) fails the comparison when it allocates
 // more per op than the baseline records; its ns/op delta is printed but
 // never gated, since time is noisy and allocation counts are not. Baseline
-// records without allocs_per_op are compared on time only.
+// records without allocs_per_op are compared on time only. A benchmark that
+// allocates less than its record is listed as a stale record, with their
+// count, and does not fail the comparison.
 package main
 
 import (

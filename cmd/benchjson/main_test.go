@@ -92,6 +92,9 @@ func TestCompareGatesOnlyAllocations(t *testing.T) {
 	if strings.Contains(out, "BenchmarkNew") {
 		t.Fatalf("a benchmark the baseline lacks was compared:\n%s", out)
 	}
+	if !strings.HasSuffix(out, "0 stale records (allocs/op below the record)\n") {
+		t.Fatalf("compare output lacks the stale-record count:\n%s", out)
+	}
 
 	out, err = run(
 		"pkg: anonradio",
@@ -103,5 +106,39 @@ func TestCompareGatesOnlyAllocations(t *testing.T) {
 
 	if _, err = run("pkg: other", "BenchmarkElectionSteadyState/n=16-2   100   9000 ns/op   0 B/op   0 allocs/op"); err == nil {
 		t.Fatalf("a run matching no baseline benchmark passed")
+	}
+}
+
+// TestCompareNamesStaleRecords runs the compare with two gated benchmarks
+// that allocate less than their records and one that matches its record:
+// both stale records are named, then counted, and the compare passes.
+func TestCompareNamesStaleRecords(t *testing.T) {
+	base := []Result{}
+	if err := json.Unmarshal([]byte(`[
+  {"name": "BenchmarkSnapshotRestore-2", "package": "anonradio/internal/service", "iterations": 10, "ns_per_op": 900000, "bytes_per_op": 0, "allocs_per_op": 782, "has_mem_stats": true},
+  {"name": "BenchmarkServiceElect-2", "package": "anonradio/internal/service", "iterations": 100, "ns_per_op": 8000, "bytes_per_op": 0, "allocs_per_op": 0, "has_mem_stats": true},
+  {"name": "BenchmarkWALReplay-2", "package": "anonradio/internal/wal", "iterations": 100, "ns_per_op": 8000, "bytes_per_op": 0, "allocs_per_op": 30, "has_mem_stats": true}
+]`), &base); err != nil {
+		t.Fatal(err)
+	}
+	head, err := parse(strings.NewReader(strings.Join([]string{
+		"pkg: anonradio/internal/service",
+		"BenchmarkSnapshotRestore-2   10   800000 ns/op   0 B/op   578 allocs/op",
+		"BenchmarkServiceElect-2   100   8000 ns/op   0 B/op   0 allocs/op",
+		"pkg: anonradio/internal/wal",
+		"BenchmarkWALReplay-2   100   8000 ns/op   0 B/op   29 allocs/op",
+	}, "\n")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	if err := compare(base, head, &out); err != nil {
+		t.Fatalf("stale records failed the compare: %v\n%s", err, out.String())
+	}
+	want := "stale record: anonradio/internal/service BenchmarkSnapshotRestore-2: record 782, this run 578 allocs/op\n" +
+		"stale record: anonradio/internal/wal BenchmarkWALReplay-2: record 30, this run 29 allocs/op\n" +
+		"2 stale records (allocs/op below the record)\n"
+	if !strings.HasSuffix(out.String(), want) {
+		t.Fatalf("compare output does not end with\n%s\ngot:\n%s", want, out.String())
 	}
 }

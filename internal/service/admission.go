@@ -282,8 +282,9 @@ func (r *Registry) builder() {
 }
 
 // admit runs one admission end to end on the builder goroutine: build (or
-// validate) off the serve path, install on the owning shard, journal, then
-// publish the terminal state and wake a synchronous waiter.
+// validate) off the serve path, install on the owning shard and journal,
+// wait for durability, then publish the terminal state and wake a
+// synchronous waiter.
 func (r *Registry) admit(arena *election.BuildArena, job admission) {
 	if job.reply == nil && r.isClosed() {
 		// Close has begun: fail queued asynchronous jobs fast instead of
@@ -306,31 +307,37 @@ func (r *Registry) admit(arena *election.BuildArena, job admission) {
 	} else {
 		d, err = r.buildDedicated(arena, job.cfg)
 	}
+	if err != nil {
+		// The shard's Failures counter is the per-shard account of failed
+		// admissions.
+		r.shardFor(job.key).buildFails.Add(1)
+		r.finish(job, err)
+		return
+	}
 	// Encode the journal record now, while d is still builder-private: the
 	// moment it is installed the algorithm is live, and a concurrent
 	// evict → retire → rebuild on another builder may start recycling the
 	// very report and list memory Compile reads.
-	var walPayload []byte
-	if err == nil && r.wal != nil {
-		walPayload = r.walEncodeAdmit(job.key, d)
+	var record []byte
+	if r.wal != nil {
+		record = r.walEncodeAdmit(job.key, d)
 	}
-	// Failures go through install too, so the shard's Failures counter
-	// stays the authoritative per-shard account of failed admissions.
-	err = r.install(job.key, d, err)
-	if err == nil && job.compiled != nil {
+	// The install journals the record under the shard's mutex — after the
+	// swap, so checkpoint rotation can never freeze a record whose install
+	// hasn't happened, and in the shard's install order. The wait for
+	// durability runs after the mutex is released and before the
+	// acknowledgment. A failed append fails the admission: the entry
+	// serves until the next reboot, but the caller is told its
+	// registration is not durable.
+	seq, err := r.install(job.key, d, record)
+	if job.compiled != nil {
 		r.artifactLoads.Add(1)
 	}
-	if err == nil && r.wal != nil {
-		// Append the pre-encoded record on this builder goroutine — after
-		// the install (so checkpoint rotation can never freeze a record
-		// whose install hasn't happened) and before the acknowledgment (so
-		// an acknowledged admission is as durable as the sync policy
-		// promises). A failed append fails the admission: the entry serves
-		// until the next reboot, but the caller is told its registration
-		// is not durable.
-		if walErr := r.walAppend(walPayload); walErr != nil {
-			err = fmt.Errorf("service: admission installed but not journaled (will not survive a restart): %w", walErr)
-		}
+	if err == nil && record != nil {
+		err = r.walWait(seq)
+	}
+	if err != nil {
+		err = fmt.Errorf("service: admission installed but not journaled (will not survive a restart): %w", err)
 	}
 	r.finish(job, err)
 }

@@ -204,7 +204,7 @@ func TestElectCloseRace(t *testing.T) {
 		rounds = 5
 	}
 	for round := 0; round < rounds; round++ {
-		r := New(Options{Shards: 2, QueueDepth: 4})
+		r := New(Options{Shards: 2})
 		if err := r.Register("k", config.StaggeredClique(5)); err != nil {
 			t.Fatal(err)
 		}
@@ -297,17 +297,17 @@ func TestLenDuringSlowAdmission(t *testing.T) {
 	defer release()
 
 	// Queue the election as Elect does, so the test knows when it was
-	// queued: sendElect raises the load hint before it returns, and the
-	// worker lowers it when it takes the election, which then waits on the
-	// held entry lock.
+	// queued: submit raises the shard's queued count before it returns, and
+	// the worker lowers it when it takes the election, which then waits on
+	// the held entry lock.
 	if !r.acquire() {
 		t.Fatal("registry closed")
 	}
 	done := sync.OnceFunc(r.release)
 	defer done()
 	reply := make(chan Outcome, 1)
-	r.sendElect(sh, request{key: "held", reply: reply})
-	for deadline := time.Now().Add(5 * time.Second); sh.load.Load() != 0; {
+	r.submit("held", 0, reply)
+	for deadline := time.Now().Add(5 * time.Second); sh.queued.Load() != 0; {
 		if time.Now().After(deadline) {
 			t.Fatal("the shard worker never took the held election")
 		}

@@ -131,7 +131,7 @@ func TestChurnSoakNoLostAdmissions(t *testing.T) {
 }
 
 // TestChurnSoakRaceStress is the -race satellite: a durable registry with
-// aggressive background checkpointing, work-stealing elections hammering
+// aggressive background checkpointing, elections on every worker hammering
 // both stable and churned keys, and a churn cycling keys through the
 // retired pool and the rebuild-in-place admission path — all at once.
 // Every served election must be the correct outcome or a clean unknown-key

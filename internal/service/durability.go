@@ -21,10 +21,12 @@ import (
 // registry and truncates the journal. The layering keeps durability
 // strictly off the election serve path:
 //
-//	admission:  builder builds → builder installs on the shard → builder
-//	            appends the compiled artifact to the journal → acknowledge
-//	eviction:   caller evicts from the shard → caller appends the evict
-//	            record → return
+//	admission:  builder builds → builder installs on the shard and writes
+//	            the compiled artifact to the journal under the shard's
+//	            mutex → waits for the sync policy → acknowledge
+//	eviction:   caller evicts from the shard and writes the evict record
+//	            under the shard's mutex → waits for the sync policy →
+//	            return
 //	election:   untouched — shard workers never see the journal, and the
 //	            steady-state Elect stays zero-alloc
 //	checkpoint: rotate the journal, Snapshot the registry (staged, manifest
@@ -37,10 +39,13 @@ import (
 // rather than before it is what makes checkpointing race-free: a record in
 // a frozen segment implies its install happened before the rotation, hence
 // before the snapshot gather — so deleting frozen segments after the
-// snapshot commits can never drop an un-snapshotted mutation. A crash
-// between install and append loses only un-acknowledged work, and replay
-// is idempotent (an install is a replace), so the crash windows around
-// checkpointing all converge to the acknowledged state.
+// snapshot commits can never drop an un-snapshotted mutation. Writing the
+// record before the shard's mutex is released makes the journal order of
+// two mutations of one key their install order, so replay ends where the
+// live registry did. A crash between install and append loses only
+// un-acknowledged work, and replay is idempotent (an install is a
+// replace), so the crash windows around checkpointing all converge to the
+// acknowledged state.
 //
 // Journal records and checkpoint artifacts are written as binary wire
 // frames. Replay and restore sniff each record and artifact file, so a
@@ -362,7 +367,7 @@ func (r *Registry) applyRecord(payload []byte, report *RecoveryReport) {
 				skip(walOpEvict, "", fmt.Sprintf("undecodable evict record: %v", err))
 				return
 			}
-			r.evict(rec.Key)
+			r.evict(rec.Key, nil)
 			report.Evicts++
 		default:
 			skip("", "", fmt.Sprintf("unexpected record frame type %v", typ))
@@ -378,7 +383,7 @@ func (r *Registry) applyRecord(payload []byte, report *RecoveryReport) {
 	case walOpAdmit:
 		r.applyAdmit(rec.Key, rec.Config, rec.Artifact, report, skip)
 	case walOpEvict:
-		r.evict(rec.Key)
+		r.evict(rec.Key, nil)
 		report.Evicts++
 	default:
 		skip(rec.Op, rec.Key, fmt.Sprintf("unknown op %q", rec.Op))
@@ -402,7 +407,7 @@ func (r *Registry) applyAdmit(key, cfgText string, artifact *election.Compiled, 
 		skip(walOpAdmit, key, fmt.Sprintf("loading artifact: %v", err))
 		return
 	}
-	_ = r.install(key, d, nil) // with no build error the install cannot fail
+	_, _ = r.install(key, d, nil) // installs journal nothing without a record
 	r.artifactLoads.Add(1)
 	report.Admits++
 }
@@ -412,9 +417,8 @@ func (r *Registry) applyAdmit(key, cfgText string, artifact *election.Compiled, 
 // the builder goroutine *before* the install — Compile aliases the
 // algorithm's live list memory, and once the install lands a concurrent
 // evict → retire → rebuild-in-place may recycle exactly that memory. The
-// pre-encoded payload is appended (walAppend) after the install succeeds,
-// preserving the checkpoint ordering invariant documented at the top of
-// this file.
+// install journals the pre-encoded record after the swap, preserving the
+// checkpoint ordering invariant documented at the top of this file.
 func (r *Registry) walEncodeAdmit(key string, d *election.Dedicated) []byte {
 	return wire.AppendWALAdmitFrame(nil, &wire.WALAdmit{
 		Key:      key,
@@ -423,15 +427,34 @@ func (r *Registry) walEncodeAdmit(key string, d *election.Dedicated) []byte {
 	})
 }
 
-// walAppendEvict journals one acknowledged eviction; it runs on the
-// evicting caller's goroutine.
-func (r *Registry) walAppendEvict(key string) error {
-	return r.walAppend(wire.AppendWALEvictFrame(nil, &wire.WALEvict{Key: key}))
+// walEvictRecord encodes one eviction's journal record.
+func walEvictRecord(key string) []byte {
+	return wire.AppendWALEvictFrame(nil, &wire.WALEvict{Key: key})
 }
 
-// walAppend writes one record and advances the checkpoint record counter.
-func (r *Registry) walAppend(payload []byte) error {
-	if err := r.wal.Append(payload); err != nil {
+// journal writes record, when non-nil, to the journal and returns its
+// sequence number. install and evict call it with the shard's mutex held,
+// so the journal holds each shard's mutations in the order they were
+// applied; the wait for durability (walWait) runs after the mutex is
+// released, so concurrent admissions still share one fsync.
+func (r *Registry) journal(key string, record []byte) (uint64, error) {
+	if record == nil {
+		return 0, nil
+	}
+	if r.beforeJournal != nil {
+		r.beforeJournal(key)
+	}
+	seq, err := r.wal.Write(record)
+	if err != nil {
+		r.walAppendErrs.Add(1)
+	}
+	return seq, err
+}
+
+// walWait waits until journal record seq is as durable as the sync policy
+// asks and counts it toward the next checkpoint.
+func (r *Registry) walWait(seq uint64) error {
+	if err := r.wal.Wait(seq); err != nil {
 		r.walAppendErrs.Add(1)
 		return err
 	}

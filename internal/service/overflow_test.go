@@ -115,7 +115,7 @@ func TestRecoverySkipsOverBudgetEntry(t *testing.T) {
 	big := config.StaggeredPath(400, 600)
 	for _, cfg := range []*config.Config{config.StaggeredClique(6), big, config.StaggeredPath(8, 3)} {
 		rec := wire.WALAdmit{Key: cfg.Name, Config: cfg.Marshal(), Artifact: compiledFor(t, cfg)}
-		if err := log.Append(wire.AppendWALAdmitFrame(nil, &rec)); err != nil {
+		if _, err := log.Write(wire.AppendWALAdmitFrame(nil, &rec)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -181,7 +181,7 @@ func TestRecoverySkipsInvalidArtifacts(t *testing.T) {
 			}
 			frame = data
 		}
-		if err := log.Append(frame); err != nil {
+		if _, err := log.Write(frame); err != nil {
 			t.Fatal(err)
 		}
 	}

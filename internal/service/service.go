@@ -13,29 +13,30 @@
 // largest key it has served, not summed over its keys. Installs and
 // evictions run on their caller's goroutine (a builder, a restore loader,
 // journal replay, Evict) under the shard's mutex, which keeps them in one
-// total order per shard; one that adds or removes a key publishes a new
-// view. Every election, and every gather behind Stats, FaultKeyStats and
-// snapshots, resolves keys with one atomic load of the view, so no reader
-// enters a worker or waits for a mutation except on the one entry both
-// touch. The steady-state serve path performs zero heap allocations:
-// requests travel by value through buffered channels, reply channels are
-// drawn from a pool, and the election itself runs on the zero-alloc ElectOn
-// path.
+// total order per shard, and journal their record before it is released;
+// one that adds or removes a key publishes a new view. Every election, and
+// every gather behind Stats, FaultKeyStats and snapshots, resolves keys
+// with one atomic load of the view, so no reader enters a worker or waits
+// for a mutation except on the one entry both touch. The steady-state
+// serve path performs zero heap allocations: requests travel by value
+// through buffered channels, reply channels are drawn from a pool, and the
+// election itself runs on the zero-alloc ElectOn path.
 //
-// Elections participate in work stealing whenever there are two or more
-// shards: a worker whose own election queue is empty serves a queued
-// election from the most loaded sibling instead of idling, on its own
-// simulator. Placement is unchanged: FNV names every key's home shard, and
-// an election resolves its key through the home shard's view wherever it
-// runs. Elections hold the entry's read lock, installs and evictions its
-// write lock, so two elections of one hot key run at once on two workers
-// while an algorithm is never swapped or recycled under a running election,
-// and outcomes are bit-identical to elections on the home worker. An
-// eviction tombstones its entry (a nil algorithm) under the write lock, so
-// an election or gather that read the view before the eviction finds the
-// key gone. The effect of stealing is that a handful of hot keys hashed
-// onto one shard no longer pin one core while the rest idle — exactly the
-// skew a fleet router concentrates.
+// All workers drain one election queue: whichever worker is free takes the
+// next election, whatever its key's home shard, and runs it on its own
+// simulator. Placement is unchanged: FNV names every key's home shard,
+// whose view resolves the key and whose counters record the outcome
+// wherever the election runs. Elections hold the entry's read lock,
+// installs and evictions its write lock, so two elections of one hot key
+// run at once on two workers while an algorithm is never swapped or
+// recycled under a running election, and outcomes do not depend on the
+// worker. An eviction tombstones its entry (a nil algorithm) under the
+// write lock, so an election or gather that read the view before the
+// eviction finds the key gone. Elections of different keys differ in
+// length by orders of magnitude (the dedicated algorithm runs in O(n²σ)
+// rounds), and with one queue a short election never waits behind a long
+// one while another worker idles, nor do a handful of hot keys hashed onto
+// one shard pin one core — the skew a fleet router concentrates.
 //
 // Admissions are pipelined, not served inline: Register, RegisterCompiled
 // and their Async variants enqueue onto a bounded admission queue drained
@@ -89,11 +90,10 @@ var ErrUnknownKey = errors.New("service: unknown key")
 
 // Options configure a Registry.
 type Options struct {
-	// Shards is the number of worker-owned shards; <= 0 selects GOMAXPROCS.
+	// Shards is the number of shards, each with one election worker; <= 0
+	// selects GOMAXPROCS. The election queue all workers drain holds 64
+	// elections per shard.
 	Shards int
-	// QueueDepth is the per-shard election queue buffer; <= 0 selects 64. A
-	// deeper queue lets batch submitters run further ahead of a busy shard.
-	QueueDepth int
 	// Builders is the number of builder-pool goroutines that classify,
 	// compile and validate admissions off the serve path; <= 0 selects
 	// GOMAXPROCS.
@@ -166,17 +166,17 @@ type ShardStats struct {
 	Failures int64 `json:"failures"`
 	// Rounds accumulates the global rounds of all served elections.
 	Rounds int64 `json:"rounds"`
-	// Stolen counts elections this shard's worker executed on behalf of
-	// other shards (this worker was the thief). Those elections are
-	// counted in the home shard's Elections, not this one's.
+	// Stolen counts elections of other shards' keys that this shard's
+	// worker ran. Those elections are counted in their home shard's
+	// Elections, not this one's.
 	Stolen int64 `json:"stolen"`
-	// StolenFrom counts this shard's elections that sibling workers
-	// executed (this shard was the victim); they are still counted in this
-	// shard's Elections and Rounds.
+	// StolenFrom counts elections of this shard's keys that other shards'
+	// workers ran; they are still counted in this shard's Elections and
+	// Rounds.
 	StolenFrom int64 `json:"stolen_from"`
-	// Queued is the shard's election backlog, the elections waiting in its
-	// queue when the snapshot was taken — the direct observable for
-	// hot-shard skew.
+	// Queued is the shard's election backlog, the elections of its keys
+	// waiting in the election queue when the snapshot was taken — the direct
+	// observable for hot-shard skew.
 	Queued int `json:"queued"`
 }
 
@@ -197,10 +197,11 @@ func Totals(stats []ShardStats) ShardStats {
 	return total
 }
 
-// request is one election handed to a shard worker. It travels by value
-// through the shard's buffered queue, and the outcome comes back by value
-// on reply.
+// request is one election handed to the workers. It travels by value
+// through the election queue, names its key's home shard, and the outcome
+// comes back by value on reply.
 type request struct {
+	home  *shard
 	key   string
 	index int
 	reply chan Outcome
@@ -227,7 +228,7 @@ type KeyFaultStats struct {
 	OutageRounds int64 `json:"outage_rounds"`
 }
 
-// entry is one registered configuration. Elections (home or stolen) and
+// entry is one registered configuration. Elections (on any worker) and
 // snapshot gathers hold mu's read side, installs and evictions its write
 // side, so an algorithm is never swapped, retired or rebuilt in place under
 // a running election while elections of one key overlap. d == nil under the
@@ -254,15 +255,14 @@ func (c *faultCounters) add(f radio.FaultStats) {
 	c.outageRounds.Add(f.OutageRounds)
 }
 
-// shard is one shard's entries, election queue and counters, and the
-// election scratch of the worker goroutine that owns the queue.
+// shard is one shard's entries and counters, and the election scratch of
+// the worker goroutine it starts.
 type shard struct {
-	id     int
-	elects chan request // queued elections — stealable by idle siblings
+	id int
 
 	// sim and out are the worker's election scratch: every election the
-	// worker executes, for its own shard or stolen, runs on them. sim is
-	// created by the worker's first election and rebound per election.
+	// worker executes, of any shard's key, runs on them. sim is created by
+	// the worker's first election and rebound per election.
 	sim *radio.Simulator
 	out radio.ElectionOutcome
 
@@ -274,19 +274,18 @@ type shard struct {
 	// once published (a same-key replace swaps d under the entry's write
 	// lock and keeps the map). Readers load it without a lock.
 	view atomic.Pointer[map[string]*entry]
-	// load is the election-queue depth hint (incremented by submitters,
-	// decremented by whichever worker serves the op); siblings pick the
-	// highest-load victim.
-	load atomic.Int64
+	// queued counts the shard's elections in the election queue: raised by
+	// submitters before the send, lowered by the worker that takes one.
+	queued atomic.Int64
 	// Counters, atomics because installs and elections update them from
-	// any goroutine (a thief updates its victim's).
+	// any goroutine (a worker updates the home shard's of what it runs).
 	builds     atomic.Int64 // admissions installed
 	buildFails atomic.Int64 // admissions that failed to build or load
 	elections  atomic.Int64
 	rounds     atomic.Int64
 	electFails atomic.Int64
-	stolen     atomic.Int64 // elections this worker ran for siblings
-	stolenFrom atomic.Int64 // this shard's elections run by siblings
+	stolen     atomic.Int64 // other shards' elections this worker ran
+	stolenFrom atomic.Int64 // this shard's elections other workers ran
 }
 
 // current returns the shard's view.
@@ -295,7 +294,11 @@ func (sh *shard) current() map[string]*entry { return *sh.view.Load() }
 // Registry is the sharded election service. All methods, including Close,
 // are safe for concurrent use.
 type Registry struct {
-	shards  []*shard
+	shards []*shard
+	// elects is the election queue every worker drains. It holds 64
+	// elections per shard, so batch submitters run ahead of busy workers;
+	// past that, submitters block until a worker takes one.
+	elects  chan request
 	replies sync.Pool      // chan Outcome, cap 1 — single-request rendezvous
 	batches sync.Pool      // chan Outcome, batch-sized — ElectBatch gather
 	workers sync.WaitGroup // shard workers
@@ -322,11 +325,6 @@ type Registry struct {
 
 	buildHook func(key string)
 	fault     *radio.FaultPlan // immutable after construction; nil = clean medium
-
-	// stealKick wakes blocked workers when an election queue grows beyond
-	// one pending op; nil on a one-shard registry, which has no sibling to
-	// steal (a nil channel never fires in the workers' select).
-	stealKick chan struct{}
 
 	// retired pools displaced and evicted algorithms for rebuild-in-place
 	// admissions (election.RebuildInto): a builder re-admitting a key
@@ -377,6 +375,11 @@ type Registry struct {
 	checkpointStop      chan struct{}
 	checkpointOnce      sync.Once
 	checkpointWG        sync.WaitGroup
+
+	// beforeJournal, when non-nil, runs between a mutation and the write
+	// of its journal record, with the shard's mutex held. Tests set it to
+	// widen that gap; it stays nil otherwise.
+	beforeJournal func(key string)
 }
 
 // New starts a registry with opts.Shards worker-owned shards and
@@ -402,10 +405,6 @@ func newCore(opts Options) *Registry {
 	if shards <= 0 {
 		shards = runtime.GOMAXPROCS(0)
 	}
-	depth := opts.QueueDepth
-	if depth <= 0 {
-		depth = 64
-	}
 	builders := opts.Builders
 	if builders <= 0 {
 		builders = runtime.GOMAXPROCS(0)
@@ -416,6 +415,7 @@ func newCore(opts Options) *Registry {
 	}
 	r := &Registry{
 		shards:       make([]*shard, shards),
+		elects:       make(chan request, 64*shards),
 		drained:      make(chan struct{}),
 		closeDone:    make(chan struct{}),
 		fault:        opts.Fault,
@@ -425,17 +425,10 @@ func newCore(opts Options) *Registry {
 		admitted:     make(map[string]*admissionRecord),
 	}
 	r.replies.New = func() any { return make(chan Outcome, 1) }
-	if shards > 1 {
-		r.stealKick = make(chan struct{}, shards)
-	}
-	// Fill the shard table completely before starting any worker: a
-	// stealing worker scans every sibling's load hint.
 	for i := range r.shards {
-		sh := &shard{id: i, elects: make(chan request, depth)}
+		sh := &shard{id: i}
 		sh.view.Store(&map[string]*entry{})
 		r.shards[i] = sh
-	}
-	for _, sh := range r.shards {
 		r.workers.Add(1)
 		go r.worker(sh)
 	}
@@ -494,20 +487,13 @@ func (r *Registry) shardFor(key string) *shard {
 	return r.shards[fnv.String64(key)%uint64(len(r.shards))]
 }
 
-// sendElect queues one election on the shard's election channel, maintains
-// the load hint, and — when the shard has more than one election pending —
-// kicks an idle sibling so stealing starts without waiting for a poll.
-// Callers must hold a lifecycle acquire slot, so the channel cannot be
-// closed underneath the send.
-func (r *Registry) sendElect(sh *shard, req request) {
-	sh.load.Add(1)
-	sh.elects <- req
-	if r.stealKick != nil && sh.load.Load() >= 2 {
-		select {
-		case r.stealKick <- struct{}{}:
-		default: // a wake-up is already pending; one is enough
-		}
-	}
+// submit queues one election for key on the election queue. Callers must
+// hold a lifecycle acquire slot, so the queue cannot be closed underneath
+// the send.
+func (r *Registry) submit(key string, index int, reply chan Outcome) {
+	home := r.shardFor(key)
+	home.queued.Add(1)
+	r.elects <- request{home: home, key: key, index: index, reply: reply}
 }
 
 // Register classifies cfg, builds its dedicated algorithm on the builder
@@ -563,7 +549,12 @@ func (r *Registry) Evict(key string) (bool, error) {
 		return false, ErrClosed
 	}
 	defer r.release()
-	if !r.evict(key) {
+	var record []byte
+	if r.wal != nil {
+		record = walEvictRecord(key)
+	}
+	present, seq, err := r.evict(key, record)
+	if !present {
 		return false, nil
 	}
 	r.admitMu.Lock()
@@ -571,12 +562,11 @@ func (r *Registry) Evict(key string) (bool, error) {
 		delete(r.admitted, key)
 	}
 	r.admitMu.Unlock()
-	if r.wal != nil {
-		// Journal the eviction after it was applied (so a record in a
-		// frozen checkpoint segment always describes an applied mutation)
-		// and before the caller learns of it. Append failures only surface
-		// in WALStats: the eviction already happened.
-		_ = r.walAppendEvict(key)
+	if record != nil && err == nil {
+		// The eviction is journaled; wait for the durability the sync
+		// policy asks for before the caller learns of it. Journal failures
+		// only surface in WALStats: the eviction already happened.
+		_ = r.walWait(seq)
 	}
 	return true, nil
 }
@@ -594,7 +584,7 @@ func (r *Registry) Elect(key string) (Outcome, error) {
 	}
 	defer r.release()
 	reply := r.replies.Get().(chan Outcome)
-	r.sendElect(r.shardFor(key), request{key: key, reply: reply})
+	r.submit(key, 0, reply)
 	out := <-reply
 	r.replies.Put(reply)
 	return out, out.Err
@@ -602,9 +592,9 @@ func (r *Registry) Elect(key string) (Outcome, error) {
 
 // ElectBatch serves one election per key, writing the outcome for keys[i]
 // into slot i of the returned slice (outs is reused when it has capacity;
-// pass nil to allocate). Requests fan out to their owning shards up front
-// and execute concurrently across shards; the returned error is the first
-// per-key error in submission order (inspect the outcomes for the rest).
+// pass nil to allocate). Every request is queued up front and the workers
+// run them concurrently; the returned error is the first per-key error in
+// submission order (inspect the outcomes for the rest).
 func (r *Registry) ElectBatch(keys []string, outs []Outcome) ([]Outcome, error) {
 	if cap(outs) < len(keys) {
 		outs = make([]Outcome, len(keys))
@@ -626,7 +616,7 @@ func (r *Registry) ElectBatch(keys []string, outs []Outcome) ([]Outcome, error) 
 	}
 	reply := r.batchReply(len(keys))
 	for i, key := range keys {
-		r.sendElect(r.shardFor(key), request{key: key, index: i, reply: reply})
+		r.submit(key, i, reply)
 	}
 	for range keys {
 		out := <-reply
@@ -674,7 +664,7 @@ func (r *Registry) Stats() ([]ShardStats, error) {
 			Rounds:     sh.rounds.Load(),
 			Stolen:     sh.stolen.Load(),
 			StolenFrom: sh.stolenFrom.Load(),
-			Queued:     len(sh.elects),
+			Queued:     int(sh.queued.Load()),
 		}
 	}
 	return stats, nil
@@ -684,7 +674,7 @@ func (r *Registry) Stats() ([]ShardStats, error) {
 // registered key, in sorted key order. On a registry without a fault plan it
 // returns (nil, nil) — the counters exist only on the faulted path — and on
 // a closed one ErrClosed. It reads each shard's view and takes each entry's
-// write lock, so a concurrent (possibly stolen) election never tears a row,
+// write lock, so a concurrent election never tears a row,
 // and a key evicted after the view was read has no row.
 func (r *Registry) FaultKeyStats() ([]KeyFaultStats, error) {
 	if r.fault == nil {
@@ -772,12 +762,10 @@ func (r *Registry) Close() {
 	// workers.
 	close(r.admissions)
 	r.builders.Wait()
-	for _, sh := range r.shards {
-		// Election queues are empty (every queued election had a waiter
-		// counted by the lifecycle drain), so closing them only releases
-		// blocked workers.
-		close(sh.elects)
-	}
+	// The election queue is empty (every queued election had a waiter
+	// counted by the lifecycle drain), so closing it only releases idle
+	// workers.
+	close(r.elects)
 	r.workers.Wait()
 	if r.wal != nil {
 		// The builders are drained, so every acknowledged record is
@@ -788,78 +776,25 @@ func (r *Registry) Close() {
 	close(r.closeDone)
 }
 
-// worker runs one shard's elections: it drains its own queue first, then —
-// when idle — serves a queued election from the most loaded sibling, and
-// only then blocks on its queue and the steal kick. A nil stealKick (one
-// shard, no sibling) never fires, so the lone worker blocks on its queue.
-func (r *Registry) worker(sh *shard) {
+// worker runs elections from the election queue on w's simulator until
+// Close closes the queue: whichever worker is free takes the next election,
+// whatever its key's home shard.
+func (r *Registry) worker(w *shard) {
 	defer r.workers.Done()
-	for {
-		select {
-		case req, ok := <-sh.elects:
-			if !ok {
-				return
-			}
-			r.runElect(sh, req, nil)
-			continue
-		default:
-		}
-		if r.steal(sh) {
-			continue
-		}
-		select {
-		case req, ok := <-sh.elects:
-			if !ok {
-				return
-			}
-			r.runElect(sh, req, nil)
-		case <-r.stealKick:
-			// A sibling's election queue grew; loop around and steal.
-		}
+	for req := range r.elects {
+		r.runElect(w, req)
 	}
 }
 
-// steal serves one queued election from the most loaded sibling. The victim
-// needs at least two pending elections: a lone queued op belongs to its home
-// worker (which is at most one dequeue away from it), and leaving it there
-// preserves strict home-shard affinity for sequential clients.
-func (r *Registry) steal(thief *shard) bool {
-	var victim *shard
-	best := int64(1)
-	for _, sh := range r.shards {
-		if sh == thief {
-			continue
-		}
-		if l := sh.load.Load(); l > best {
-			victim, best = sh, l
-		}
-	}
-	if victim == nil {
-		return false
-	}
-	select {
-	case req, ok := <-victim.elects:
-		if !ok {
-			return false
-		}
-		r.runElect(victim, req, thief)
-		return true
-	default:
-		return false
-	}
-}
-
-// runElect executes one queued election for its home shard. thief is non-nil
-// when a sibling worker stole the op, in which case the election runs on the
-// thief's simulator. Either way the entry resolves through the home shard's
-// view, and outcomes and counters are identical: an election only reads its
-// algorithm, and every serving counter stays attributed to the home shard.
-func (r *Registry) runElect(home *shard, req request, thief *shard) {
-	home.load.Add(-1)
-	w := home
-	if thief != nil {
-		w = thief
-		thief.stolen.Add(1)
+// runElect executes one queued election on worker w's simulator. The entry
+// resolves through the home shard's view and every serving counter is the
+// home shard's, so outcomes and counters do not depend on the worker: an
+// election only reads its algorithm.
+func (r *Registry) runElect(w *shard, req request) {
+	home := req.home
+	home.queued.Add(-1)
+	if w != home {
+		w.stolen.Add(1)
 		home.stolenFrom.Add(1)
 	}
 	out := Outcome{Key: req.key, Index: req.index, Leader: -1}
@@ -954,18 +889,15 @@ func (r *Registry) takeRetired(cfg *config.Config) *election.Dedicated {
 	return d
 }
 
-// install hands one admission's result to key's shard on the calling
-// goroutine (a builder, a restore loader, journal replay). A build error is
-// counted in the shard's Failures and returned. A built algorithm replaces
-// the one key's entry holds — keeping the entry and its fault account — or
-// enters a new view under a new entry. The displaced algorithm, which no
-// election holds once the swap is done, goes to the rebuild pool.
-func (r *Registry) install(key string, d *election.Dedicated, buildErr error) error {
+// install hands one admission's algorithm to key's shard on the calling
+// goroutine (a builder, a restore loader, journal replay). It replaces the
+// algorithm key's entry holds — keeping the entry and its fault account —
+// or enters a new view under a new entry. The displaced algorithm, which no
+// election holds once the swap is done, goes to the rebuild pool. A
+// non-nil record is journaled before the shard's mutex is released (see
+// journal), and its sequence number is returned for walWait.
+func (r *Registry) install(key string, d *election.Dedicated, record []byte) (uint64, error) {
 	sh := r.shardFor(key)
-	if buildErr != nil {
-		sh.buildFails.Add(1)
-		return buildErr
-	}
 	sh.mu.Lock()
 	if e := sh.current()[key]; e != nil {
 		e.mu.Lock()
@@ -977,22 +909,24 @@ func (r *Registry) install(key string, d *election.Dedicated, buildErr error) er
 		d = nil
 	}
 	sh.builds.Add(1)
+	seq, err := r.journal(key, record)
 	sh.mu.Unlock()
 	r.retire(d)
-	return nil
+	return seq, err
 }
 
 // evict removes key's entry on the calling goroutine and reports whether
 // it was present. The entry is tombstoned under its write lock, so a reader
 // that reached it through an earlier view skips it, and the evicted
-// algorithm goes to the rebuild pool.
-func (r *Registry) evict(key string) bool {
+// algorithm goes to the rebuild pool. A non-nil record is journaled, as by
+// install, when the key was present.
+func (r *Registry) evict(key string, record []byte) (bool, uint64, error) {
 	sh := r.shardFor(key)
 	sh.mu.Lock()
 	e := sh.current()[key]
 	if e == nil {
 		sh.mu.Unlock()
-		return false
+		return false, 0, nil
 	}
 	e.mu.Lock()
 	d := e.d
@@ -1000,9 +934,10 @@ func (r *Registry) evict(key string) bool {
 	e.mu.Unlock()
 	sh.publish(key, nil)
 	r.configCount.Add(-1)
+	seq, err := r.journal(key, record)
 	sh.mu.Unlock()
 	r.retire(d)
-	return true
+	return true, seq, err
 }
 
 // publish replaces the view with a copy that maps key to e, or lacks key

@@ -253,7 +253,7 @@ func TestServiceSteadyStateAllocs(t *testing.T) {
 // expectations, plus a shared read-mostly key set exercising cross-client
 // contention on the same shards.
 func TestServiceConcurrentStress(t *testing.T) {
-	r := New(Options{Shards: 4, QueueDepth: 8})
+	r := New(Options{Shards: 4})
 	defer r.Close()
 	shared := []string{"shared-0", "shared-1", "shared-2"}
 	for i, key := range shared {

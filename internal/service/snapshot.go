@@ -370,16 +370,18 @@ func (r *Registry) restoreEntry(dir string, me ManifestEntry) error {
 		return fmt.Errorf("service: restoring %q: %w", me.Key, err)
 	}
 	d, err := election.Load(artifact, cfg)
-	if err := r.install(me.Key, d, err); err != nil {
+	if err != nil {
+		r.shardFor(me.Key).buildFails.Add(1)
 		return fmt.Errorf("service: restoring %q: %w", me.Key, err)
 	}
+	_, _ = r.install(me.Key, d, nil) // installs journal nothing without a record
 	r.artifactLoads.Add(1)
 	return nil
 }
 
 // snapshot compiles the entry's algorithm under its read lock, like the
-// (possibly stolen) elections running beside it; ok is false for an entry
-// an eviction tombstoned.
+// elections running beside it; ok is false for an entry an eviction
+// tombstoned.
 func (e *entry) snapshot(key string) (SnapshotEntry, bool) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()

@@ -53,12 +53,13 @@ func hammerElect(t *testing.T, r *Registry, keys []string, want map[string][2]in
 }
 
 // TestWorkStealingBitIdentical runs the same concurrent hot-key workload
-// against a stealing and a non-stealing registry and pins every served
-// outcome — stolen or home-served — to the direct Dedicated.Elect result,
-// untraced and traced. Work stealing moves *where* an election executes,
-// never what it computes. A registry steals whenever it has two or more
-// shards, so the stealing case runs four shards and the other one shard,
-// which has no sibling to steal from.
+// against a four-shard and a one-shard registry and pins every served
+// outcome — run by the key's home worker or another shard's — to the
+// direct Dedicated.Elect result, untraced and traced. Which worker takes an
+// election from the one queue decides *where* it executes, never what it
+// computes. On one shard every election runs on its home worker. The
+// subtest names are those of the work-stealing scheduler the one queue
+// replaced.
 func TestWorkStealingBitIdentical(t *testing.T) {
 	want := make(map[string][2]int)
 	keys := make([]string, 0, len(testConfigs()))
@@ -114,16 +115,16 @@ func TestWorkStealingBitIdentical(t *testing.T) {
 	}
 }
 
-// TestWorkStealingRelievesHotShard drives a single hot key hard enough to
-// queue work on its home shard and asserts a sibling worker actually
-// steals some of it (the mechanism fleetbench's service.stolen_share
-// measures): Stolen lands on the thief's row, StolenFrom on the home row,
-// and the two totals agree.
+// TestWorkStealingRelievesHotShard drives a single hot key from many
+// clients and asserts the other shard's worker runs some of its elections
+// (what fleetbench's service.stolen_share measures): Stolen lands on the
+// running worker's row, StolenFrom on the home row, and the two totals
+// agree.
 func TestWorkStealingRelievesHotShard(t *testing.T) {
-	// A thief needs scheduler slots of its own: under GOMAXPROCS=1 the home
-	// worker drains its queue in one time slice and the sibling never
-	// observes a backlog. Raise the parallelism (works even on one physical
-	// core — slices interleave) so the mechanism is testable everywhere.
+	// The other worker needs scheduler slots of its own: under GOMAXPROCS=1
+	// the home worker can drain the queue in one time slice. Raise the
+	// parallelism (works even on one physical core — slices interleave) so
+	// the mechanism is testable everywhere.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	r := New(Options{Shards: 2})
 	t.Cleanup(r.Close)
@@ -154,22 +155,22 @@ func TestWorkStealingRelievesHotShard(t *testing.T) {
 			home := r.shardFor("hot").id
 			for _, s := range stats {
 				if s.Shard == home && s.Stolen > 0 && s.StolenFrom == 0 {
-					t.Fatalf("home shard %d recorded a steal against itself: %+v", home, s)
+					t.Fatalf("home shard %d counted its own key's elections as another shard's: %+v", home, s)
 				}
 			}
-			t.Logf("stole %d of %d elections after %d rounds", total.Stolen, total.Elections, attempt+1)
+			t.Logf("%d of %d elections ran off their home worker after %d rounds", total.Stolen, total.Elections, attempt+1)
 			return
 		}
 	}
-	t.Fatal("no election was ever stolen from a saturated home shard")
+	t.Fatal("no election of the hot key ever ran off its home worker")
 }
 
-// TestStealVsEvictStress races hot-key elections (home-served and stolen)
+// TestStealVsEvictStress races hot-key elections, run on any worker,
 // against eviction and re-admission churn on the same key. Every outcome
 // must be either the correct election or a clean unknown-key failure —
-// never a torn read, a panic, or a wrong leader. Run with -race, this is
-// the PR's memory-safety acceptance check for the thief/evict/rebuild
-// interplay.
+// never a torn read, a panic, or a wrong leader. Run with -race, it checks
+// the memory safety of elections on several workers beside evictions and
+// rebuilds in place.
 func TestStealVsEvictStress(t *testing.T) {
 	r := New(Options{Shards: 4})
 	t.Cleanup(r.Close)
@@ -177,8 +178,8 @@ func TestStealVsEvictStress(t *testing.T) {
 	if err := r.Register("churn", cfg); err != nil {
 		t.Fatal(err)
 	}
-	// Background load on stable keys keeps every worker busy enough to
-	// steal while the churn key flaps.
+	// Background load on stable keys keeps every worker busy while the
+	// churn key flaps.
 	for i := 0; i < 4; i++ {
 		if err := r.Register(fmt.Sprintf("stable-%d", i), config.StaggeredClique(8+i)); err != nil {
 			t.Fatal(err)
@@ -299,6 +300,63 @@ func TestGatherSkipsEvictedEntry(t *testing.T) {
 	}
 }
 
+// TestOneQueueServesBesideParkedWorker pins that a worker parked on one
+// election strands no other: with two shards, the election of a key whose
+// entry lock the test holds parks a worker, and an election of another key
+// homed on the same shard must return while the first is still held. A
+// scheduler that queues elections on their home shard, and lets a sibling
+// take one only from a deeper queue, leaves the second waiting behind the
+// first while the other worker idles.
+func TestOneQueueServesBesideParkedWorker(t *testing.T) {
+	r := New(Options{Shards: 2})
+	t.Cleanup(r.Close)
+	home := r.shardFor("held")
+	other := ""
+	for i := 0; other == ""; i++ {
+		if key := fmt.Sprintf("beside-%d", i); r.shardFor(key) == home {
+			other = key
+		}
+	}
+	for _, key := range []string{"held", other} {
+		if err := r.Register(key, config.StaggeredClique(6)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e := home.current()["held"]
+	e.mu.Lock()
+	release := sync.OnceFunc(e.mu.Unlock)
+	defer release()
+	held := make(chan Outcome, 1)
+	go func() {
+		out, _ := r.Elect("held")
+		held <- out
+	}()
+	waitBlockedIn(t, "(*Registry).runElect")
+
+	beside := make(chan Outcome, 1)
+	go func() {
+		out, _ := r.Elect(other)
+		beside <- out
+	}()
+	select {
+	case out := <-beside:
+		if !out.Elected() {
+			t.Fatalf("elect %s beside the parked worker: %+v", other, out)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatalf("elect %s waited behind the parked worker", other)
+	}
+	select {
+	case out := <-held:
+		t.Fatalf("elect on the held entry returned early: %+v", out)
+	default:
+	}
+	release()
+	if out := <-held; !out.Elected() {
+		t.Fatalf("elect held after release: %+v", out)
+	}
+}
+
 // waitBlockedIn waits until a goroutine whose stack holds fn waits on a
 // sync lock.
 func waitBlockedIn(t *testing.T, fn string) {
@@ -315,8 +373,8 @@ func waitBlockedIn(t *testing.T, fn string) {
 }
 
 // TestHotKeyFaultAccountConcurrent hammers one faulted key from parallel
-// clients on a stealing registry until some of its elections ran on a
-// thief, so elections of the key overlap on two workers. Every outcome
+// clients on a four-shard registry until some of its elections ran off its
+// home worker, so elections of the key overlap on two workers. Every outcome
 // must equal a direct election under the same plan, and the key's fault
 // account must be exactly the number of elections times one election's
 // account: a lost update in the overlapping counters breaks the equality,
@@ -389,17 +447,14 @@ func TestHotKeyFaultAccountConcurrent(t *testing.T) {
 }
 
 // BenchmarkStealHotKey measures serving one hot key from parallel clients
-// on a four-shard registry: idle sibling workers take elections from the
-// hot shard's queue and run them on their own simulators, beside the home
-// worker's (the steal path is the same ElectOn, only the executing worker
-// changes). Four clients per GOMAXPROCS keep the hot queue two or more
-// deep, the depth a thief needs; with one client per GOMAXPROCS, at
-// GOMAXPROCS 2 at most one election waits behind the running one, and a
-// thief rarely finds one to take. The top-level case serves a 16-clique;
-// the clique96 case serves a serve-large-sized key, whose elections last
-// long enough for two of them to overlap. The cases keep the
-// "stealing=true" names of BENCH_engines.json's records, from when
-// stealing could be switched off.
+// on a four-shard registry: every worker takes the key's elections from
+// the one queue and runs them on its own simulator, beside the home
+// worker. Four clients per GOMAXPROCS keep the queue non-empty. The
+// top-level case serves a 16-clique; the clique96 case serves a
+// serve-large-sized key, whose elections last long enough for two of them
+// to overlap. The benchmark and its "stealing=true" cases keep the names
+// of BENCH_engines.json's records, from the work-stealing scheduler the
+// one queue replaced.
 func BenchmarkStealHotKey(b *testing.B) {
 	bench := func(b *testing.B, cfg *config.Config) {
 		b.Run("stealing=true", func(b *testing.B) {

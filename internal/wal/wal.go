@@ -12,13 +12,14 @@
 //     payload length, CRC-32C of the payload) followed by the payload.
 //     The magic marker is what makes resynchronization after a corrupt
 //     record possible; the CRC is what detects the corruption.
-//   - Sync policies. Append durability is configurable: SyncAlways
-//     fsyncs before every append returns (an acknowledged record survives
-//     power loss), SyncBatch writes through to the OS on every append (an
-//     acknowledged record survives a process kill) and fsyncs on a short
-//     timer (bounded loss on power failure), SyncOff buffers in process
-//     memory (fastest; a kill can lose the buffered tail, which replay
-//     then truncates).
+//   - Sync policies. Write puts a record in the journal's order, and Wait
+//     makes it as durable as the policy asks: SyncAlways fsyncs before
+//     Wait returns (an acknowledged record survives power loss),
+//     SyncBatch writes through to the OS on every Write (an acknowledged
+//     record survives a process kill) and fsyncs on a short timer
+//     (bounded loss on power failure), SyncOff buffers in process memory
+//     (fastest; a kill can lose the buffered tail, which replay then
+//     truncates).
 //   - Segments. The log is a sequence of journal-NNNNNNNN.wal files, each
 //     opening with an 8-byte header (magic, format version byte, padding;
 //     see SegmentVersion — version-1 segments predate the header and are
@@ -84,17 +85,17 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // ErrClosed is returned by operations on a closed log.
 var ErrClosed = errors.New("wal: log is closed")
 
-// SyncPolicy selects how durable an acknowledged Append is.
+// SyncPolicy selects how durable an acknowledged record is.
 type SyncPolicy uint8
 
 const (
-	// SyncAlways fsyncs before Append returns: an acknowledged record
-	// survives power loss. One fsync may cover several concurrent appends
+	// SyncAlways fsyncs before Wait returns: an acknowledged record
+	// survives power loss. One fsync may cover several concurrent waiters
 	// (group commit), but none of them returns before its record is on
 	// stable storage.
 	SyncAlways SyncPolicy = iota
 	// SyncBatch writes every record through to the operating system before
-	// Append returns (an acknowledged record survives kill -9) and fsyncs
+	// Write returns (an acknowledged record survives kill -9) and fsyncs
 	// on a short timer, so power loss can cost at most the last batch
 	// interval of records.
 	SyncBatch
@@ -165,8 +166,8 @@ type Stats struct {
 	Segments int
 }
 
-// Log is an append-only journal over a directory of segment files. Append,
-// Rotate, Stats and Close are safe for concurrent use.
+// Log is an append-only journal over a directory of segment files. Write,
+// Wait, Rotate, Stats and Close are safe for concurrent use.
 type Log struct {
 	dir  string
 	opts Options
@@ -298,19 +299,20 @@ func (l *Log) openSegment() error {
 // Dir returns the journal directory.
 func (l *Log) Dir() string { return l.dir }
 
-// Append writes one record and applies the sync policy before returning:
-// under SyncAlways the record is on stable storage, under SyncBatch it is
-// in the operating system, under SyncOff it may still sit in the process
-// buffer. Append is safe for concurrent use; concurrent records land in
-// some serial order.
-func (l *Log) Append(payload []byte) error {
+// Write writes one record and returns its sequence number, which Wait
+// takes. Under SyncAlways and SyncBatch the record is in the operating
+// system when Write returns, under SyncOff it may still sit in the process
+// buffer. Write is safe for concurrent use, and records land in the order
+// their Writes ran: a caller that holds its own lock across Write journals
+// its mutations in that lock's order.
+func (l *Log) Write(payload []byte) (uint64, error) {
 	if len(payload) > MaxRecord {
-		return fmt.Errorf("wal: record of %d bytes exceeds the %d-byte limit", len(payload), MaxRecord)
+		return 0, fmt.Errorf("wal: record of %d bytes exceeds the %d-byte limit", len(payload), MaxRecord)
 	}
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	if l.closed {
-		l.mu.Unlock()
-		return ErrClosed
+		return 0, ErrClosed
 	}
 	hdr := l.scratch[:0]
 	hdr = binary.LittleEndian.AppendUint32(hdr, frameMagic)
@@ -333,19 +335,26 @@ func (l *Log) Append(payload []byte) error {
 		}
 	}
 	if err != nil {
-		l.mu.Unlock()
-		return fmt.Errorf("wal: appending record: %w", err)
+		return 0, fmt.Errorf("wal: appending record: %w", err)
 	}
 	seq := l.appends.Add(1)
 	l.bytes.Add(int64(headerSize + len(payload)))
 	if l.opts.Sync != SyncOff {
 		l.flushed.Store(seq)
 	}
-	l.mu.Unlock()
-	if l.opts.Sync == SyncAlways {
-		return l.syncTo(seq)
+	return seq, nil
+}
+
+// Wait applies the sync policy to record seq of Write: under SyncAlways it
+// returns once the record is on stable storage, and under SyncBatch and
+// SyncOff at once. Waiters group-commit: one fsync covers every record
+// written before it, so callers that write under a lock of their own and
+// wait after releasing it share their fsyncs.
+func (l *Log) Wait(seq uint64) error {
+	if l.opts.Sync != SyncAlways {
+		return nil
 	}
-	return nil
+	return l.syncTo(seq)
 }
 
 // flushLocked writes the SyncOff buffer through to the OS; caller holds mu.
@@ -416,7 +425,7 @@ func (l *Log) syncer() {
 			return
 		case <-t.C:
 			if target := l.flushed.Load(); target > l.synced.Load() {
-				_ = l.syncTo(target) // an fsync error here resurfaces on the next Append/Sync/Close
+				_ = l.syncTo(target) // an fsync error here resurfaces on the next Wait/Sync/Close
 			}
 		}
 	}

@@ -24,6 +24,16 @@ func payloads(n int) [][]byte {
 	return out
 }
 
+// appendRecord writes one record and waits for it as the sync policy asks,
+// the way the registry journals a mutation.
+func appendRecord(l *Log, payload []byte) error {
+	seq, err := l.Write(payload)
+	if err != nil {
+		return err
+	}
+	return l.Wait(seq)
+}
+
 // appendAll opens a log in dir, appends every payload, and closes it.
 func appendAll(t *testing.T, dir string, opts Options, recs [][]byte) {
 	t.Helper()
@@ -32,7 +42,7 @@ func appendAll(t *testing.T, dir string, opts Options, recs [][]byte) {
 		t.Fatalf("open: %v", err)
 	}
 	for i, p := range recs {
-		if err := l.Append(p); err != nil {
+		if err := appendRecord(l, p); err != nil {
 			t.Fatalf("append %d: %v", i, err)
 		}
 	}
@@ -106,7 +116,7 @@ func TestConcurrentAppend(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				if err := l.Append([]byte(fmt.Sprintf("g%02d-i%03d", g, i))); err != nil {
+				if err := appendRecord(l, []byte(fmt.Sprintf("g%02d-i%03d", g, i))); err != nil {
 					t.Errorf("append: %v", err)
 					return
 				}
@@ -124,6 +134,43 @@ func TestConcurrentAppend(t *testing.T) {
 	if st := l.Stats(); st.Appends != goroutines*per {
 		t.Fatalf("stats appends %d, want %d", st.Appends, goroutines*per)
 	}
+}
+
+// TestWriteThenWait pins the two halves of an append: Write returns
+// consecutive sequence numbers and, under SyncAlways, leaves its record
+// unsynced until a Wait, and one Wait covers every record written before
+// it. Records replay in Write order.
+func TestWriteThenWait(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, Options{Sync: SyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := payloads(3)
+	for i, p := range recs {
+		seq, err := l.Write(p)
+		if err != nil || seq != uint64(i+1) {
+			t.Fatalf("write %d: seq %d, %v", i, seq, err)
+		}
+	}
+	st := l.Stats()
+	if st.Unsynced != 3 {
+		t.Fatalf("stats before Wait %+v, want 3 unsynced", st)
+	}
+	if err := l.Wait(3); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Wait(1); err != nil {
+		t.Fatal(err)
+	}
+	if after := l.Stats(); after.Unsynced != 0 || after.Syncs != st.Syncs+1 {
+		t.Fatalf("stats after Wait %+v, want lag 0 after one fsync", after)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, _ := replayAll(t, dir)
+	checkRecords(t, got, recs)
 }
 
 // TestTornTailTruncated injects the classic kill -9 residue: the final
@@ -249,7 +296,7 @@ func TestRotateAndRemove(t *testing.T) {
 	}
 	recs := payloads(9)
 	for _, p := range recs[:4] {
-		if err := l.Append(p); err != nil {
+		if err := appendRecord(l, p); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -261,7 +308,7 @@ func TestRotateAndRemove(t *testing.T) {
 		t.Fatalf("frozen %v, want 1 segment", frozen)
 	}
 	for _, p := range recs[4:] {
-		if err := l.Append(p); err != nil {
+		if err := appendRecord(l, p); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -291,7 +338,7 @@ func TestRotateAndRemove(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l2.Append([]byte("after-reboot")); err != nil {
+	if err := appendRecord(l2, []byte("after-reboot")); err != nil {
 		t.Fatal(err)
 	}
 	if err := l2.Close(); err != nil {
@@ -309,7 +356,7 @@ func TestStatsAndLag(t *testing.T) {
 	}
 	defer l.Close()
 	for i := 0; i < 5; i++ {
-		if err := l.Append([]byte("x")); err != nil {
+		if err := appendRecord(l, []byte("x")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -337,7 +384,7 @@ func TestClosedLog(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err) // idempotent
 	}
-	if err := l.Append([]byte("late")); err != ErrClosed {
+	if err := appendRecord(l, []byte("late")); err != ErrClosed {
 		t.Fatalf("append on closed log: %v, want ErrClosed", err)
 	}
 	if _, err := l.Rotate(); err != ErrClosed {
@@ -420,7 +467,7 @@ func BenchmarkWALAppend(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := l.Append(payload); err != nil {
+				if err := appendRecord(l, payload); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -439,7 +486,7 @@ func BenchmarkWALReplay(b *testing.B) {
 	payload := bytes.Repeat([]byte("y"), 4096)
 	const records = 1000
 	for i := 0; i < records; i++ {
-		if err := l.Append(payload); err != nil {
+		if err := appendRecord(l, payload); err != nil {
 			b.Fatal(err)
 		}
 	}
