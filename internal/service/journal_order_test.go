@@ -6,8 +6,6 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -106,27 +104,6 @@ func pauseFirstJournal(r *Registry, key string) (paused <-chan struct{}, resume 
 		}
 	}
 	return arrived, sync.OnceFunc(func() { close(release) })
-}
-
-// waitDoneOrBlocked waits until done is closed or a goroutine inside fn
-// waits on a sync lock: a second mutation of a key either completes inside
-// the first one's journal gap or queues behind it.
-func waitDoneOrBlocked(t *testing.T, done <-chan struct{}, fn string) {
-	t.Helper()
-	buf := make([]byte, 1<<20)
-	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
-		select {
-		case <-done:
-			return
-		default:
-		}
-		for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
-			if head, _, _ := strings.Cut(g, "\n"); strings.Contains(head, "[sync.") && strings.Contains(g, fn) {
-				return
-			}
-		}
-	}
-	t.Fatalf("the second mutation neither finished nor waited in %s", fn)
 }
 
 // waitQuiescent waits until no admission is pending and fails the test if

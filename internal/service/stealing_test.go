@@ -361,8 +361,21 @@ func TestOneQueueServesBesideParkedWorker(t *testing.T) {
 // sync lock.
 func waitBlockedIn(t *testing.T, fn string) {
 	t.Helper()
+	waitDoneOrBlocked(t, nil, fn)
+}
+
+// waitDoneOrBlocked waits until done is closed or a goroutine whose stack
+// holds fn waits on a sync lock: a second mutation of a key, for one,
+// either completes inside the first one's journal gap or queues behind it.
+func waitDoneOrBlocked(t *testing.T, done <-chan struct{}, fn string) {
+	t.Helper()
 	buf := make([]byte, 1<<20)
 	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		select {
+		case <-done:
+			return
+		default:
+		}
 		for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
 			if head, _, _ := strings.Cut(g, "\n"); strings.Contains(head, "[sync.") && strings.Contains(g, fn) {
 				return
