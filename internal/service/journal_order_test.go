@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -39,33 +38,6 @@ func keyStates(t *testing.T, r *Registry, keys []string) map[string]keyState {
 	return states
 }
 
-// copyDir copies the files under src into a fresh temporary directory.
-func copyDir(t *testing.T, src string) string {
-	t.Helper()
-	dst := t.TempDir()
-	err := filepath.WalkDir(src, func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		rel, err := filepath.Rel(src, path)
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			return os.MkdirAll(filepath.Join(dst, rel), 0o755)
-		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		return os.WriteFile(filepath.Join(dst, rel), data, 0o644)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return dst
-}
-
 // openJournaled opens a durable registry in dir with checkpoints off, so
 // the journal alone holds every acknowledged mutation.
 func openJournaled(t *testing.T, dir string, builders int) *Registry {
@@ -83,7 +55,11 @@ func openJournaled(t *testing.T, dir string, builders int) *Registry {
 func checkRebootMatches(t *testing.T, r *Registry, dir string, keys []string) {
 	t.Helper()
 	live := keyStates(t, r, keys)
-	rebooted := openJournaled(t, copyDir(t, dir), 1)
+	copied := t.TempDir()
+	if err := os.CopyFS(copied, os.DirFS(dir)); err != nil {
+		t.Fatal(err)
+	}
+	rebooted := openJournaled(t, copied, 1)
 	for key, got := range keyStates(t, rebooted, keys) {
 		if got != live[key] {
 			t.Errorf("key %s: live registry %+v, after Open on its journal %+v", key, live[key], got)
