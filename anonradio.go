@@ -244,12 +244,40 @@ func LoadElection(c *CompiledElection, cfg *Config) (*Dedicated, error) {
 	return election.Load(c, cfg)
 }
 
-// ParseCompiledElection decodes a compiled algorithm in either encoding:
-// the JSON document cmd/compile writes, or the binary artifact frame of a
-// snapshot's NNNN.artifact.bin file (sniffed from the leading bytes, as
-// snapshot restore does).
+// ParseCompiledElection decodes a compiled algorithm in any form it is
+// persisted in, sniffed from the leading bytes: the JSON document
+// cmd/compile writes, the binary artifact frame of an earlier release's
+// snapshot file NNNN.artifact.bin, or a journal admit frame — the unit
+// GET /v1/artifact/{key} serves and a snapshot's entries file holds per
+// key — whose configuration ParseCompiledEntry also returns.
 func ParseCompiledElection(data []byte) (*CompiledElection, error) {
-	return wire.DecodeArtifactAuto(data)
+	c, _, err := ParseCompiledEntry(data)
+	return c, err
+}
+
+// ParseCompiledEntry is ParseCompiledElection that also returns the
+// configuration a journal admit frame carries; cfg is nil for the other
+// forms, which carry none.
+func ParseCompiledEntry(data []byte) (c *CompiledElection, cfg *Config, err error) {
+	typ, body, rest, err := wire.DecodeFrame(data)
+	if err != nil || typ != wire.FrameWALAdmit {
+		c, err = wire.DecodeArtifactAuto(data)
+		return c, nil, err
+	}
+	var rec wire.WALAdmit
+	if len(rest) != 0 {
+		return nil, nil, wire.ErrTrailing
+	}
+	if err := rec.DecodeFrom(body); err != nil {
+		return nil, nil, err
+	}
+	if rec.Artifact == nil {
+		return nil, nil, fmt.Errorf("anonradio: admit frame for %q carries no artifact", rec.Key)
+	}
+	if cfg, err = config.Unmarshal(rec.Config); err != nil {
+		return nil, nil, err
+	}
+	return rec.Artifact, cfg, nil
 }
 
 // ElectCompiled loads a pre-compiled dedicated algorithm (LoadElection),
@@ -335,8 +363,9 @@ func NewService(opts ServiceOptions) *Service { return service.New(opts) }
 func ServiceTotals(stats []ServiceShardStats) ServiceShardStats { return service.Totals(stats) }
 
 // ServiceSnapshotManifest describes an on-disk registry snapshot: the
-// format version and one entry (key, artifact file, configuration file)
-// per persisted configuration.
+// format version, the entries file, and one entry (key, node count, and
+// the offset and length of its record in the entries file) per persisted
+// configuration.
 type ServiceSnapshotManifest = service.Manifest
 
 // ServiceRestoreReport summarizes a snapshot restore: entries re-admitted
@@ -344,9 +373,9 @@ type ServiceSnapshotManifest = service.Manifest
 type ServiceRestoreReport = service.RestoreReport
 
 // SnapshotService persists every configuration admitted in the service into
-// dir: one compiled artifact (the binary frame of the cmd/compile artifact)
-// and one configuration file per key, plus a manifest of keys, written
-// last. See docs/SERVER.md for the on-disk format.
+// dir: one entries file holding each key's journal admit record (key,
+// configuration text, compiled artifact), plus a manifest of keys that
+// commits it. See docs/SERVER.md for the on-disk format.
 func SnapshotService(s *Service, dir string) (*ServiceSnapshotManifest, error) {
 	return s.Snapshot(dir)
 }

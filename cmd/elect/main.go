@@ -4,7 +4,12 @@
 //
 // Usage:
 //
-//	elect -config cfg.txt [-trace] [-compiled alg.json|NNNN.artifact.bin]
+//	elect -config cfg.txt [-trace] [-compiled alg.json|NNNN.artifact.bin|key.frame]
+//	elect -compiled key.frame [-trace]
+//
+// A key.frame is one journal admit frame, the unit GET /v1/artifact/{key}
+// serves and a snapshot's entries file holds per key; it carries its
+// configuration, which -config, when given, replaces.
 package main
 
 import (
@@ -20,21 +25,32 @@ func main() {
 	var (
 		path     = flag.String("config", "", "configuration file (default: read standard input)")
 		trace    = flag.Bool("trace", false, "print the round-by-round transcript of the election")
-		compiled = flag.String("compiled", "", "run a pre-compiled algorithm (JSON from cmd/compile, or a snapshot's binary .artifact.bin) instead of re-deriving it")
+		compiled = flag.String("compiled", "", "run a pre-compiled algorithm (JSON from cmd/compile, an earlier release's snapshot .artifact.bin, or an admit frame from GET /v1/artifact/{key} or a snapshot's entries file, which carries its configuration) instead of re-deriving it")
 	)
 	flag.Parse()
 
-	cfg, err := readConfig(*path)
-	if err != nil {
-		fatal(err)
+	var (
+		artifact *anonradio.CompiledElection
+		cfg      *anonradio.Config
+		err      error
+	)
+	if *compiled != "" {
+		if artifact, cfg, err = readCompiled(*compiled); err != nil {
+			fatal(err)
+		}
+	}
+	if cfg == nil || *path != "" {
+		if cfg, err = readConfig(*path); err != nil {
+			fatal(err)
+		}
 	}
 
 	var (
 		out       *anonradio.ElectionOutcome
 		dedicated *anonradio.Dedicated
 	)
-	if *compiled != "" {
-		out, dedicated, err = electCompiled(*compiled, cfg)
+	if artifact != nil {
+		out, dedicated, err = anonradio.ElectCompiled(artifact, cfg)
 	} else {
 		out, dedicated, err = anonradio.Elect(cfg)
 	}
@@ -63,22 +79,14 @@ func main() {
 	}
 }
 
-// electCompiled loads a compiled algorithm artifact and runs it on cfg.
-func electCompiled(path string, cfg *anonradio.Config) (*anonradio.ElectionOutcome, *anonradio.Dedicated, error) {
-	compiled, err := readCompiled(path)
+// readCompiled reads and decodes a compiled algorithm artifact, and the
+// configuration it carries, if any.
+func readCompiled(path string) (*anonradio.CompiledElection, *anonradio.Config, error) {
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, nil, err
 	}
-	return anonradio.ElectCompiled(compiled, cfg)
-}
-
-// readCompiled reads and decodes a compiled algorithm artifact.
-func readCompiled(path string) (*anonradio.CompiledElection, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return anonradio.ParseCompiledElection(data)
+	return anonradio.ParseCompiledEntry(data)
 }
 
 func readConfig(path string) (*anonradio.Config, error) {

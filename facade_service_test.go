@@ -114,9 +114,11 @@ func TestFacadeServiceAsyncAdmission(t *testing.T) {
 }
 
 // TestParseCompiledElectionReadsSnapshotArtifacts pins what `elect
-// -compiled` relies on: an artifact file from a snapshot directory — the
-// binary frame a Snapshot writes, or the JSON file of a JSON-era checkpoint
-// — parses and elects the leader and round count the registry serves.
+// -compiled` relies on: every persisted form of one key parses and elects
+// the leader and round count the registry serves — the JSON artifact and
+// configuration files of a JSON-era checkpoint, and the admit frame that a
+// snapshot's entries file holds (cut out at the manifest's offset) and
+// that the artifact export serves, which carries its configuration.
 func TestParseCompiledElectionReadsSnapshotArtifacts(t *testing.T) {
 	jsonEra := filepath.Join("internal", "service", "testdata", "json-era", "checkpoint")
 	svc := NewService(ServiceOptions{Shards: 2})
@@ -128,42 +130,70 @@ func TestParseCompiledElectionReadsSnapshotArtifacts(t *testing.T) {
 	if err != nil || !served.Elected() {
 		t.Fatalf("served era1-a: %+v, %v", served, err)
 	}
+	check := func(form string, c *CompiledElection, cfg *Config) {
+		t.Helper()
+		out, _, err := ElectCompiled(c, cfg)
+		if err != nil {
+			t.Fatalf("electing from %s: %v", form, err)
+		}
+		if out.Leader() != served.Leader || out.Rounds != served.Rounds {
+			t.Fatalf("%s elected %d in %d rounds, the registry serves %d in %d",
+				form, out.Leader(), out.Rounds, served.Leader, served.Rounds)
+		}
+	}
+
+	data, err := os.ReadFile(filepath.Join(jsonEra, "0000.artifact.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := ParseCompiledElection(data)
+	if err != nil {
+		t.Fatalf("parsing the JSON-era artifact: %v", err)
+	}
+	text, err := os.ReadFile(filepath.Join(jsonEra, "0000.config.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := ParseConfig(strings.NewReader(string(text)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("the JSON-era files", c, cfg)
+
 	snapDir := t.TempDir()
 	manifest, err := SnapshotService(svc, snapDir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	first := manifest.Entries[0]
-	if first.Key != "era1-a" || !strings.HasSuffix(first.ArtifactFile, ".artifact.bin") {
-		t.Fatalf("first snapshot entry %+v, want era1-a as a .artifact.bin file", first)
+	if first.Key != "era1-a" {
+		t.Fatalf("first snapshot entry %+v, want era1-a", first)
 	}
-	for _, f := range []struct{ dir, artifact, config string }{
-		{jsonEra, "0000.artifact.json", "0000.config.txt"},
-		{snapDir, first.ArtifactFile, first.ConfigFile},
+	entries, err := os.ReadFile(filepath.Join(snapDir, manifest.EntriesFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	exported, err := svc.ExportArtifact("era1-a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []struct {
+		form  string
+		frame []byte
+	}{
+		{"the entries file's frame", entries[first.Offset : first.Offset+int64(first.Length)]},
+		{"the exported frame", exported},
 	} {
-		data, err := os.ReadFile(filepath.Join(f.dir, f.artifact))
-		if err != nil {
-			t.Fatal(err)
+		c, cfg, err := ParseCompiledEntry(f.frame)
+		if err != nil || cfg == nil {
+			t.Fatalf("parsing %s: %v (configuration %v)", f.form, err, cfg)
 		}
-		c, err := ParseCompiledElection(data)
-		if err != nil {
-			t.Fatalf("parsing %s: %v", f.artifact, err)
+		check(f.form, c, cfg)
+		if c2, err := ParseCompiledElection(f.frame); err != nil || c2.ExpectedLeader != c.ExpectedLeader {
+			t.Fatalf("ParseCompiledElection on %s: %v", f.form, err)
 		}
-		text, err := os.ReadFile(filepath.Join(f.dir, f.config))
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg, err := ParseConfig(strings.NewReader(string(text)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		out, _, err := ElectCompiled(c, cfg)
-		if err != nil {
-			t.Fatalf("electing from %s: %v", f.artifact, err)
-		}
-		if out.Leader() != served.Leader || out.Rounds != served.Rounds {
-			t.Fatalf("%s elected %d in %d rounds, the registry serves %d in %d",
-				f.artifact, out.Leader(), out.Rounds, served.Leader, served.Rounds)
-		}
+	}
+	if _, _, err := ParseCompiledEntry(exported[:len(exported)-1]); err == nil {
+		t.Fatal("a truncated admit frame parsed")
 	}
 }

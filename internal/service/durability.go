@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"time"
 
 	"anonradio/internal/config"
@@ -29,11 +30,12 @@ import (
 //	            return
 //	election:   untouched — shard workers never see the journal, and the
 //	            steady-state Elect stays zero-alloc
-//	checkpoint: rotate the journal, Snapshot the registry (staged, manifest
-//	            committed last), delete the frozen segments
+//	checkpoint: rotate the journal, Snapshot the registry (one entries
+//	            file, fsynced, then the manifest committed by rename and
+//	            the directory fsynced), delete the frozen segments
 //	boot:       restore the checkpoint (tolerating per-entry damage), replay
-//	            the journal (tolerating torn/corrupt records), then open a
-//	            fresh segment for new appends
+//	            each key's newest journal record (tolerating torn/corrupt
+//	            records), then open a fresh segment for new appends
 //
 // Appending *after* the install (write-behind-before-acknowledge)
 // rather than before it is what makes checkpointing race-free: a record in
@@ -45,9 +47,16 @@ import (
 // live registry did. A crash between install and append loses only
 // un-acknowledged work, and replay is idempotent (an install is a
 // replace), so the crash windows around checkpointing all converge to the
-// acknowledged state.
+// acknowledged state. The snapshot is on stable storage before any segment
+// it covers is deleted, so under wal.SyncAlways a checkpoint never leaves
+// an acknowledged record only in the page cache.
 //
-// Journal records and checkpoint artifacts are written as binary wire
+// Because an install replaces and an evict removes, a key's state after an
+// in-order replay is set by its newest record that applies; replay applies
+// only that one (see replay), so each surviving key is loaded once however
+// often the journal re-admitted it.
+//
+// Journal records and checkpoint entries are written as binary wire
 // frames. Replay and restore sniff each record and artifact file, so a
 // directory written by an older release in JSON (records, checkpoint, or
 // both) boots unchanged, and its next checkpoint rewrites it as binary.
@@ -103,8 +112,8 @@ const (
 
 // RecordFault is one journal record recovery could not apply.
 type RecordFault struct {
-	// Index is the record's position in the replay (0-based, counting
-	// applied, compacted and skipped records).
+	// Index is the record's position among the journal's intact records
+	// (0-based).
 	Index int
 	// Op and Key identify the record when its envelope decoded.
 	Op, Key string
@@ -125,17 +134,18 @@ type RecoveryReport struct {
 	Journal *wal.Report
 	// Admits and Evicts count journal records applied.
 	Admits, Evicts int
-	// Compacted counts admit records replay skipped because a later evict
-	// for the same key sits in the un-checkpointed journal tail: the entry
-	// is gone again by the end of the replay, so decoding, validating and
-	// installing its artifact would be pure wasted boot work. The paired
-	// evicts still apply (an evict also erases a checkpoint-restored
-	// entry). Compaction is an optimization, not damage — it leaves
-	// Clean() untouched.
+	// Compacted counts journal records replay passed over because a later
+	// record of the same key was applied: admits replaced by a later admit
+	// or removed by a later evict, whose artifacts are never decoded,
+	// validated or installed, and evicts a later admit undid. Compaction is
+	// an optimization, not damage — it leaves Clean() untouched.
 	Compacted int
 	// Skipped lists journal records that were intact at the framing level
 	// but could not be applied (undecodable payload, artifact rejected by
-	// validation, unknown op).
+	// validation, unknown op), in journal order. Replay tries a key's
+	// records newest first and stops at the first that applies, so a
+	// damaged record that a later one of its key supersedes is compacted,
+	// never tried, and not listed.
 	Skipped []RecordFault
 }
 
@@ -213,25 +223,13 @@ func Open(opts Options) (*Registry, *RecoveryReport, error) {
 		report.CheckpointRestored = true
 		report.Checkpoint = *rr
 	}
-	compact, jr, err := walScan(w.Dir)
+	recs, jr, err := walScan(w.Dir)
 	report.Journal = jr
 	if err != nil {
 		r.Close()
 		return nil, nil, fmt.Errorf("service: replaying journal: %w", err)
 	}
-	idx := 0
-	if _, err := wal.Replay(w.Dir, func(payload []byte) error {
-		if compact[idx] {
-			report.Compacted++
-		} else {
-			r.applyRecord(payload, report)
-		}
-		idx++
-		return nil
-	}); err != nil {
-		r.Close()
-		return nil, nil, fmt.Errorf("service: replaying journal: %w", err)
-	}
+	r.replay(recs, report)
 	log, err := wal.Open(w.Dir, wal.Options{Sync: w.Sync})
 	if err != nil {
 		r.Close()
@@ -251,165 +249,166 @@ func Open(opts Options) (*Registry, *RecoveryReport, error) {
 	return r, report, nil
 }
 
-// walScan is the compaction pre-pass over the journal: one cheap replay
-// that peeks only each record's (op, key) envelope — artifacts are never
-// decoded — and pairs every admit with a later evict of the same key. An
-// admit whose key is evicted again later in the un-checkpointed tail is
-// dead on arrival: replaying it would decode, validate and install an
-// artifact only for the later evict record to drop it. The returned set
-// holds the journal positions of those admits; the apply pass skips them
-// and counts them in RecoveryReport.Compacted. Evicts are never compacted
-// (an evict also erases a checkpoint-restored entry, and replaying one is
-// idempotent and nearly free), and admits superseded by a later *admit*
-// are not either — the replacement install is exactly how the live
-// sequence behaved, and dropping the older one would change what a replay
-// interrupted mid-journal reconstructs. Records whose envelope cannot be
-// peeked are left for the apply pass to report.
-//
-// The scan doubles as the damage-repair pass: wal.Replay physically
-// truncates torn tails on first contact, so the report returned here (not
-// the apply pass's, which reads the already-repaired journal as clean) is
-// the honest account of what recovery found.
-func walScan(dir string) (map[int]bool, *wal.Report, error) {
-	type admitAt struct {
-		key string
-		idx int
-	}
-	var admits []admitAt
-	lastEvict := make(map[string]int)
-	idx := 0
-	jr, err := wal.Replay(dir, func(payload []byte) error {
-		op, key, ok := peekRecord(payload)
-		if ok {
-			switch op {
-			case walOpAdmit:
-				admits = append(admits, admitAt{key, idx})
-			case walOpEvict:
-				lastEvict[key] = idx
-			}
-		}
-		idx++
-		return nil
-	})
-	if err != nil {
-		return nil, jr, err
-	}
-	var skip map[int]bool
-	for _, a := range admits {
-		if e, ok := lastEvict[a.key]; ok && e > a.idx {
-			if skip == nil {
-				skip = make(map[int]bool)
-			}
-			skip[a.idx] = true
-		}
-	}
-	return skip, jr, nil
+// journalRecord is one intact journal record as walScan read it.
+type journalRecord struct {
+	payload []byte
+	key     string
+	keyed   bool // the envelope named a key
+	newest  bool // no later record names the key
+	prev    int  // the key's previous record, or -1
 }
 
-// peekRecord sniffs one journal record's (op, key) envelope without
-// decoding its body, in either encoding era.
-func peekRecord(payload []byte) (op, key string, ok bool) {
+// walScan reads the journal once, keeping every intact record's payload
+// and peeking only its key — artifacts are decoded later, and only for the
+// records replay applies. Each record links to the previous record of its
+// key, and the last record of each key is marked newest. Records whose
+// envelope cannot be peeked carry no key; replay reports them.
+//
+// The scan doubles as the damage-repair pass: wal.Replay physically
+// truncates torn tails on first contact, and the report it returns is the
+// account of what recovery found.
+func walScan(dir string) ([]journalRecord, *wal.Report, error) {
+	var recs []journalRecord
+	last := make(map[string]int)
+	jr, err := wal.Replay(dir, func(payload []byte) error {
+		rec := journalRecord{payload: payload, prev: -1}
+		if key, ok := peekKey(payload); ok {
+			rec.key, rec.keyed = key, true
+			if p, seen := last[key]; seen {
+				rec.prev = p
+			}
+			last[key] = len(recs)
+		}
+		recs = append(recs, rec)
+		return nil
+	})
+	for _, i := range last {
+		recs[i].newest = true
+	}
+	return recs, jr, err
+}
+
+// replay applies the records walScan read. For each key it tries the
+// newest record first and, while a record cannot be applied (an artifact
+// election.Load rejects, an undecodable body), falls back to the next older
+// one: the first record that applies sets the key's state, as it would at
+// the end of an in-order replay, and every older record of the key is
+// compacted. A key none of whose records applies keeps its checkpoint
+// state. Records without a key are tried in place, which only reports
+// them. Replay runs during Open, before the registry escapes.
+func (r *Registry) replay(recs []journalRecord, report *RecoveryReport) {
+	for i, rec := range recs {
+		if !rec.keyed {
+			r.applyRecord(i, rec.payload, report)
+			continue
+		}
+		if !rec.newest {
+			continue
+		}
+		j := i
+		for j >= 0 && !r.applyRecord(j, recs[j].payload, report) {
+			j = recs[j].prev
+		}
+		for j >= 0 {
+			if j = recs[j].prev; j >= 0 {
+				report.Compacted++
+			}
+		}
+	}
+	sort.Slice(report.Skipped, func(a, b int) bool { return report.Skipped[a].Index < report.Skipped[b].Index })
+}
+
+// peekKey sniffs one journal record's key without decoding its body, in
+// either encoding era.
+func peekKey(payload []byte) (key string, ok bool) {
 	if wire.IsFrame(payload) {
 		typ, body, rest, err := wire.DecodeFrame(payload)
 		if err != nil || len(rest) != 0 {
-			return "", "", false
+			return "", false
 		}
-		k, kok := wire.PeekWALKey(typ, body)
-		if !kok {
-			return "", "", false
-		}
-		if typ == wire.FrameWALAdmit {
-			return walOpAdmit, k, true
-		}
-		return walOpEvict, k, true
+		return wire.PeekWALKey(typ, body)
 	}
 	var env struct {
-		Op  string `json:"op"`
 		Key string `json:"key"`
 	}
 	if err := json.Unmarshal(payload, &env); err != nil {
-		return "", "", false
+		return "", false
 	}
-	return env.Op, env.Key, true
+	return env.Key, true
 }
 
-// applyRecord applies one replayed journal record; failures are recorded,
-// never fatal. It runs during Open, before the registry escapes, so the
-// installs and evictions need no public-API locking. The record's encoding
-// is sniffed per payload (wire frames start with the wire magic, JSON
-// records with '{'), so a journal with mixed-era records replays whole.
-func (r *Registry) applyRecord(payload []byte, report *RecoveryReport) {
-	idx := report.Admits + report.Evicts + report.Compacted + len(report.Skipped)
-	skip := func(op, key, reason string) {
+// applyRecord applies journal record idx and reports whether it took
+// effect; a failure is recorded as skipped, never fatal. It runs during
+// Open, before the registry escapes, so the installs and evictions need no
+// public-API locking. The record's encoding is sniffed per payload (wire
+// frames start with the wire magic, JSON records with '{'), so a journal
+// with mixed-era records replays whole.
+func (r *Registry) applyRecord(idx int, payload []byte, report *RecoveryReport) bool {
+	skip := func(op, key, reason string) bool {
 		report.Skipped = append(report.Skipped, RecordFault{Index: idx, Op: op, Key: key, Reason: reason})
+		return false
 	}
 	if wire.IsFrame(payload) {
 		typ, body, rest, err := wire.DecodeFrame(payload)
 		if err != nil {
-			skip("", "", fmt.Sprintf("undecodable record frame: %v", err))
-			return
+			return skip("", "", fmt.Sprintf("undecodable record frame: %v", err))
 		}
 		if len(rest) != 0 {
-			skip("", "", "trailing bytes after record frame")
-			return
+			return skip("", "", "trailing bytes after record frame")
 		}
 		switch typ {
 		case wire.FrameWALAdmit:
 			var rec wire.WALAdmit
 			if err := rec.DecodeFrom(body); err != nil {
-				skip(walOpAdmit, "", fmt.Sprintf("undecodable admit record: %v", err))
-				return
+				return skip(walOpAdmit, "", fmt.Sprintf("undecodable admit record: %v", err))
 			}
-			r.applyAdmit(rec.Key, rec.Config, rec.Artifact, report, skip)
+			return r.applyAdmit(rec.Key, rec.Config, rec.Artifact, report, skip)
 		case wire.FrameWALEvict:
 			var rec wire.WALEvict
 			if err := rec.DecodeFrom(body); err != nil {
-				skip(walOpEvict, "", fmt.Sprintf("undecodable evict record: %v", err))
-				return
+				return skip(walOpEvict, "", fmt.Sprintf("undecodable evict record: %v", err))
 			}
 			r.evict(rec.Key, nil)
 			report.Evicts++
+			return true
 		default:
-			skip("", "", fmt.Sprintf("unexpected record frame type %v", typ))
+			return skip("", "", fmt.Sprintf("unexpected record frame type %v", typ))
 		}
-		return
 	}
 	var rec walRecord
 	if err := json.Unmarshal(payload, &rec); err != nil {
-		skip("", "", fmt.Sprintf("undecodable record: %v", err))
-		return
+		return skip("", "", fmt.Sprintf("undecodable record: %v", err))
 	}
 	switch rec.Op {
 	case walOpAdmit:
-		r.applyAdmit(rec.Key, rec.Config, rec.Artifact, report, skip)
+		return r.applyAdmit(rec.Key, rec.Config, rec.Artifact, report, skip)
 	case walOpEvict:
 		r.evict(rec.Key, nil)
 		report.Evicts++
+		return true
 	default:
-		skip(rec.Op, rec.Key, fmt.Sprintf("unknown op %q", rec.Op))
+		return skip(rec.Op, rec.Key, fmt.Sprintf("unknown op %q", rec.Op))
 	}
 }
 
 // applyAdmit loads and installs one replayed admit record (either
 // encoding); an artifact Load rejects is skipped and reported.
-func (r *Registry) applyAdmit(key, cfgText string, artifact *election.Compiled, report *RecoveryReport, skip func(op, key, reason string)) {
+func (r *Registry) applyAdmit(key, cfgText string, artifact *election.Compiled, report *RecoveryReport, skip func(op, key, reason string) bool) bool {
 	if artifact == nil {
-		skip(walOpAdmit, key, "admit record without an artifact")
-		return
+		return skip(walOpAdmit, key, "admit record without an artifact")
 	}
 	cfg, err := config.Unmarshal(cfgText)
 	if err != nil {
-		skip(walOpAdmit, key, fmt.Sprintf("parsing configuration: %v", err))
-		return
+		return skip(walOpAdmit, key, fmt.Sprintf("parsing configuration: %v", err))
 	}
 	d, err := election.Load(artifact, cfg)
 	if err != nil {
-		skip(walOpAdmit, key, fmt.Sprintf("loading artifact: %v", err))
-		return
+		return skip(walOpAdmit, key, fmt.Sprintf("loading artifact: %v", err))
 	}
 	_, _ = r.install(key, d, nil) // installs journal nothing without a record
 	r.artifactLoads.Add(1)
 	report.Admits++
+	return true
 }
 
 // walEncodeAdmit encodes one admission's journal record: the key, the
@@ -522,12 +521,14 @@ func (r *Registry) checkpointer(every time.Duration) {
 
 // Checkpoint truncates the journal by snapshotting the registry: it
 // rotates the journal (freezing every segment written so far), writes the
-// registry snapshot into the checkpoint directory (staged; the manifest
-// commits last, so a crash mid-checkpoint leaves the previous checkpoint
-// intact), and only then deletes the frozen segments. Every crash window
-// is covered: before the manifest commit the old checkpoint plus the full
-// journal reconstruct the state, after it the new checkpoint plus an
-// idempotent replay of the not-yet-deleted segments do.
+// registry snapshot into the checkpoint directory (the manifest's rename
+// commits it, so a crash mid-checkpoint leaves the previous checkpoint
+// intact), and only once the snapshot is fsynced deletes the frozen
+// segments. Every crash window is covered: before the manifest commit the
+// old checkpoint plus the full journal reconstruct the state, after it the
+// new checkpoint plus an idempotent replay of the not-yet-deleted segments
+// do. A snapshot that fails, its fsyncs included, keeps the frozen
+// segments, and the next checkpoint retries.
 //
 // One checkpoint runs at a time; the background checkpointer and explicit
 // callers serialize on the same lock.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -68,10 +69,22 @@ func freshOutcomes(t *testing.T, cfgs map[string]*config.Config) map[string][2]i
 	return electOutcomes(t, r, keys)
 }
 
-// artifactBytes sums the artifact files a manifest lists, asserting each is
-// (or is not) a wire frame.
-func artifactBytes(t *testing.T, dir string, m *Manifest, frames bool) int64 {
+// snapshotBytes sizes a snapshot's data: the artifact files of a version-1
+// manifest, each asserted to be (or not be) a wire frame, or the entries
+// file of a version-2 one, whose records are always frames.
+func snapshotBytes(t *testing.T, dir string, m *Manifest, frames bool) int64 {
 	t.Helper()
+	if m.Version == ManifestVersion {
+		if !frames {
+			t.Fatalf("a version-2 snapshot holds only frames")
+		}
+		snapshotRecords(t, dir)
+		info, err := os.Stat(filepath.Join(dir, m.EntriesFile))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return info.Size()
+	}
 	var total int64
 	for _, e := range m.Entries {
 		data, err := os.ReadFile(filepath.Join(dir, e.ArtifactFile))
@@ -86,11 +99,31 @@ func artifactBytes(t *testing.T, dir string, m *Manifest, frames bool) int64 {
 	return total
 }
 
+// checkOnlySnapshotFiles fails unless dir holds exactly the manifest and
+// m's entries file, apart from the names in other.
+func checkOnlySnapshotFiles(t *testing.T, dir string, m *Manifest, other ...string) {
+	t.Helper()
+	files, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, f := range files {
+		if !slices.Contains(other, f.Name()) {
+			names = append(names, f.Name())
+		}
+	}
+	if want := []string{m.EntriesFile, ManifestFile}; fmt.Sprint(names) != fmt.Sprint(want) {
+		t.Fatalf("snapshot directory holds %v, want %v", names, want)
+	}
+}
+
 // TestRestoreReadsBothArtifactEncodings restores a snapshot of each
 // artifact encoding into a plain registry: the fixture's JSON-era
 // checkpoint and a binary snapshot of the same configurations. Both restore
 // every entry and serve the outcomes of fresh builds, and the binary
-// artifacts are several-fold smaller than the JSON ones.
+// snapshot's entries file, configurations included, is several-fold smaller
+// than the JSON artifacts alone.
 func TestRestoreReadsBothArtifactEncodings(t *testing.T) {
 	all := jsonEraConfigs(t)
 	cfgs := make(map[string]*config.Config, len(jsonEraCheckpointKeys))
@@ -119,10 +152,10 @@ func TestRestoreReadsBothArtifactEncodings(t *testing.T) {
 	if mJSON.Encoding != "json" || mBin.Encoding != "binary" {
 		t.Fatalf("manifest encodings %q / %q, want json / binary", mJSON.Encoding, mBin.Encoding)
 	}
-	jsonBytes := artifactBytes(t, jsonDir, mJSON, false)
-	binBytes := artifactBytes(t, binDir, mBin, true)
+	jsonBytes := snapshotBytes(t, jsonDir, mJSON, false)
+	binBytes := snapshotBytes(t, binDir, mBin, true)
 	if binBytes*3 > jsonBytes {
-		t.Fatalf("binary artifacts are %d bytes vs %d JSON — want at least 3x smaller", binBytes, jsonBytes)
+		t.Fatalf("the binary entries file is %d bytes vs %d of JSON artifacts — want at least 3x smaller", binBytes, jsonBytes)
 	}
 
 	for _, dir := range []string{jsonDir, binDir} {
@@ -144,8 +177,8 @@ func TestRestoreReadsBothArtifactEncodings(t *testing.T) {
 // TestJSONEraSnapshotCheckpointsBinary is the upgrade path: Open boots the
 // JSON-era fixture (JSON checkpoint restored, JSON journal tail replayed
 // with its admit/evict pair compacted) into the outcomes of fresh builds,
-// and the next checkpoint rewrites the state as binary frames, leaving no
-// JSON artifact behind.
+// and the next checkpoint rewrites the state as a version-2 snapshot,
+// leaving none of the fixture's per-key files behind.
 func TestJSONEraSnapshotCheckpointsBinary(t *testing.T) {
 	cfgs := jsonEraConfigs(t)
 	want := freshOutcomes(t, cfgs)
@@ -174,14 +207,11 @@ func TestJSONEraSnapshotCheckpointsBinary(t *testing.T) {
 		t.Fatal(err)
 	}
 	ckDir := filepath.Join(dir, CheckpointDirName)
-	m, err := ReadManifest(ckDir)
-	if err != nil || m.Encoding != "binary" || len(m.Entries) != len(cfgs) {
-		t.Fatalf("checkpoint manifest after the upgrade: %+v, %v (want %d binary entries)", m, err, len(cfgs))
+	m, recs := snapshotRecords(t, ckDir)
+	if m.Encoding != "binary" || len(m.Entries) != len(cfgs) || len(recs) != len(cfgs) {
+		t.Fatalf("checkpoint manifest after the upgrade: %+v with %d records (want %d binary entries)", m, len(recs), len(cfgs))
 	}
-	artifactBytes(t, ckDir, m, true)
-	if left, _ := filepath.Glob(filepath.Join(ckDir, "*.artifact.json")); len(left) != 0 {
-		t.Fatalf("the binary checkpoint left JSON artifacts behind: %v", left)
-	}
+	checkOnlySnapshotFiles(t, ckDir, m)
 }
 
 // tableEraFixture is a -wal-dir written by a daemon whose artifacts still
@@ -194,8 +224,9 @@ const tableEraFixture = "testdata/table-era"
 // TestTableEraBoots is the upgrade path from artifacts with phase tables:
 // Open boots a copy of the table-era fixture — every checkpoint entry and
 // journal admit loaded, its embedded table checked against the lists —
-// into the outcomes of fresh builds, and the next checkpoint and journal
-// record write artifacts without tables or digests.
+// into the outcomes of fresh builds, and the next checkpoint (a version-2
+// snapshot, the fixture's per-key files gone) and journal record write
+// artifacts without tables or digests.
 func TestTableEraBoots(t *testing.T) {
 	cfgs := make(map[string]*config.Config)
 	for key, cfg := range jsonEraConfigs(t) {
@@ -230,23 +261,16 @@ func TestTableEraBoots(t *testing.T) {
 		t.Fatal(err)
 	}
 	ckDir := filepath.Join(dir, CheckpointDirName)
-	m, err := ReadManifest(ckDir)
-	if err != nil || len(m.Entries) != len(cfgs) {
-		t.Fatalf("checkpoint manifest after the upgrade: %+v, %v (want %d entries)", m, err, len(cfgs))
+	m, recs := snapshotRecords(t, ckDir)
+	if len(m.Entries) != len(cfgs) || len(recs) != len(cfgs) {
+		t.Fatalf("checkpoint manifest after the upgrade: %+v with %d records (want %d entries)", m, len(recs), len(cfgs))
 	}
-	for _, e := range m.Entries {
-		data, err := os.ReadFile(filepath.Join(ckDir, e.ArtifactFile))
-		if err != nil {
-			t.Fatal(err)
-		}
-		c, err := wire.DecodeArtifactAuto(data)
-		if err != nil {
-			t.Fatalf("%s after the checkpoint: %v", e.ArtifactFile, err)
-		}
-		if c.PhaseTable != nil || c.ArtifactDigest != "" {
-			t.Fatalf("%s after the checkpoint carries a phase table or the digest %q", e.ArtifactFile, c.ArtifactDigest)
+	for _, rec := range recs {
+		if c := rec.Artifact; c.PhaseTable != nil || c.ArtifactDigest != "" {
+			t.Fatalf("%s after the checkpoint carries a phase table or the digest %q", rec.Key, c.ArtifactDigest)
 		}
 	}
+	checkOnlySnapshotFiles(t, ckDir, m)
 
 	// A new admission's journal record carries no table or digest either.
 	if err := r.Register("tab-f", config.StaggeredPath(6, 1)); err != nil {
@@ -319,37 +343,13 @@ func TestMixedEncodingJournalReplay(t *testing.T) {
 }
 
 // TestSnapshotRemovesOrphanedFiles pins that a snapshot directory holds
-// only what its manifest lists: files of an earlier, larger snapshot and
-// JSON artifacts a binary snapshot superseded are deleted, along with
-// staged leftovers of an interrupted write, while unrelated files stay.
+// only what its manifest names: the entries file of an earlier, larger
+// snapshot, the per-key files of a version-1 snapshot (binary or JSON-era)
+// and staged leftovers of an interrupted write are deleted, while
+// unrelated files stay.
 func TestSnapshotRemovesOrphanedFiles(t *testing.T) {
-	listed := func(t *testing.T, dir string, m *Manifest) {
-		t.Helper()
-		want := map[string]bool{ManifestFile: true}
-		for _, e := range m.Entries {
-			want[e.ArtifactFile] = true
-			want[e.ConfigFile] = true
-		}
-		files, err := os.ReadDir(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var extra []string
-		for _, f := range files {
-			if !want[f.Name()] && f.Name() != "notes.txt" {
-				extra = append(extra, f.Name())
-			}
-			delete(want, f.Name())
-		}
-		if len(extra) != 0 || len(want) != 0 {
-			t.Fatalf("snapshot directory: unlisted files %v, missing files %v", extra, want)
-		}
-		if _, err := os.Stat(filepath.Join(dir, "notes.txt")); err != nil {
-			t.Fatalf("an unrelated file was touched: %v", err)
-		}
-	}
-
-	t.Run("shrunk registry", func(t *testing.T) {
+	const notes = "notes.txt"
+	registry := func(t *testing.T) *Registry {
 		r := New(Options{Shards: 2})
 		t.Cleanup(r.Close)
 		for _, key := range []string{"a", "b", "c"} {
@@ -357,47 +357,52 @@ func TestSnapshotRemovesOrphanedFiles(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		dir := t.TempDir()
-		if _, err := r.Snapshot(dir); err != nil {
+		return r
+	}
+	snapshotInto := func(t *testing.T, r *Registry, dir string) {
+		t.Helper()
+		if err := os.WriteFile(filepath.Join(dir, notes), []byte("x"), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		for _, name := range []string{"notes.txt", "0007.config.txt.staged"} {
-			if err := os.WriteFile(filepath.Join(dir, name), []byte("x"), 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-		r.Evict("b")
-		r.Evict("c")
 		m, err := r.Snapshot(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(m.Entries) != 1 {
-			t.Fatalf("manifest lists %d entries, want 1", len(m.Entries))
+		if m.Version != ManifestVersion || len(m.Entries) != r.Len() {
+			t.Fatalf("manifest version %d with %d entries, want %d with %d", m.Version, len(m.Entries), ManifestVersion, r.Len())
 		}
-		listed(t, dir, m)
+		checkOnlySnapshotFiles(t, dir, m, notes)
+	}
+
+	t.Run("shrunk registry", func(t *testing.T) {
+		r := registry(t)
+		dir := t.TempDir()
+		if _, err := r.Snapshot(dir); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, "0007.config.txt.staged"), []byte("x"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		r.Evict("b")
+		r.Evict("c")
+		snapshotInto(t, r, dir)
+	})
+
+	t.Run("version-1 snapshot", func(t *testing.T) {
+		r := registry(t)
+		dir := t.TempDir()
+		writeV1Snapshot(t, r, dir)
+		snapshotInto(t, r, dir)
 	})
 
 	t.Run("JSON-era checkpoint", func(t *testing.T) {
 		dir := filepath.Join(copyJSONEra(t), CheckpointDirName)
-		if err := os.WriteFile(filepath.Join(dir, "notes.txt"), []byte("x"), 0o644); err != nil {
-			t.Fatal(err)
-		}
 		r := New(Options{Shards: 2})
 		t.Cleanup(r.Close)
 		if _, err := r.Restore(dir); err != nil {
 			t.Fatal(err)
 		}
-		m, err := r.Snapshot(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, e := range m.Entries {
-			if !strings.HasSuffix(e.ArtifactFile, ".artifact.bin") {
-				t.Fatalf("snapshot wrote %s", e.ArtifactFile)
-			}
-		}
-		listed(t, dir, m)
+		snapshotInto(t, r, dir)
 	})
 }
 

@@ -220,11 +220,12 @@ func TestRecoverySkipsInvalidArtifacts(t *testing.T) {
 		t.Fatal(err)
 	}
 	entry := manifest.Entries[0]
-	c := compiledFor(t, cfg)
-	c.RoundBound = 3
-	if err := os.WriteFile(filepath.Join(snap, entry.ArtifactFile), wire.AppendArtifactFrame(nil, c), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	rewriteRecords(t, snap, func(rec *wire.WALAdmit) bool {
+		if rec.Key == entry.Key {
+			rec.Artifact.RoundBound = 3
+		}
+		return true
+	})
 	dst := New(Options{Shards: 1})
 	t.Cleanup(dst.Close)
 	restored, err := dst.Restore(snap)
@@ -248,7 +249,8 @@ func TestRecoverySkipsInvalidArtifacts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c, err = election.UnmarshalCompiled(data); err != nil || c.PhaseTable == nil {
+	c, err := election.UnmarshalCompiled(data)
+	if err != nil || c.PhaseTable == nil {
 		t.Fatalf("%s: %v (phase table %v)", path, err, c != nil && c.PhaseTable != nil)
 	}
 	c.PhaseTable.Plans[len(c.PhaseTable.Plans)-1].Block = 0

@@ -55,11 +55,12 @@
 // want to inspect full executions should build a Dedicated directly.
 //
 // A registry can be persisted and revived: Snapshot writes every admitted
-// configuration as a binary compiled-artifact frame plus a manifest of
-// keys, and Restore re-admits the set through election.Load, so a cold
-// restart loads artifacts instead of re-running the classifier. Restore and
-// journal replay also read the JSON artifacts and records older releases
-// wrote, and the phase tables and digests their artifacts carry.
+// configuration as one journal admit record (key, configuration, compiled
+// artifact) in a single entries file plus a manifest of keys, and Restore
+// re-admits the set through election.Load, so a cold restart loads
+// artifacts instead of re-running the classifier. Restore and journal
+// replay also read the per-key files, JSON artifacts and records older
+// releases wrote, and the phase tables and digests their artifacts carry.
 // Package internal/server exposes a Registry over HTTP/JSON, and
 // cmd/anonradiod is the deployable daemon around both.
 package service
@@ -380,6 +381,9 @@ type Registry struct {
 	// of its journal record, with the shard's mutex held. Tests set it to
 	// widen that gap; it stays nil otherwise.
 	beforeJournal func(key string)
+	// syncHook, when non-nil, runs before each fsync a snapshot makes and
+	// fails the fsync with its error. Tests set it; it stays nil otherwise.
+	syncHook func(name string) error
 }
 
 // New starts a registry with opts.Shards worker-owned shards and

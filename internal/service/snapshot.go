@@ -1,49 +1,61 @@
 package service
 
 import (
+	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
 	"runtime"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
 	"anonradio/internal/config"
 	"anonradio/internal/election"
+	"anonradio/internal/wal"
 	"anonradio/internal/wire"
 )
 
 // This file implements registry snapshot and restore: a warm registry is
-// persisted as one compiled artifact plus one configuration file per
-// admitted key, tied together by a manifest, and a cold registry re-admits
-// the whole set through election.Load — a restart pays for parsing and
-// loading artifacts, never for reclassifying.
+// persisted as one entries file holding every admitted key's journal admit
+// record, tied to the keys by a manifest, and a cold registry re-admits the
+// whole set through election.Load — a restart pays for parsing and loading
+// artifacts, never for reclassifying, and opens one data file however many
+// keys it holds.
 //
-// On-disk layout of a snapshot directory:
+// On-disk layout of a snapshot directory (manifest version 2):
 //
-//	manifest.json        — Manifest: version, shard count, artifact
-//	                       encoding, one entry per key
-//	NNNN.artifact.bin    — one wire.FrameArtifact frame (CRC-checked,
-//	                       several-fold smaller than the JSON form; usable
-//	                       with `elect -compiled`)
-//	NNNN.config.txt      — the configuration in the text format of
-//	                       internal/config (usable with `elect -config`)
+//	manifest.json          — Manifest: version, shard count, artifact
+//	                         encoding, the entries file's name, one entry
+//	                         per key (its node count, and the offset and
+//	                         length of its record in the entries file)
+//	entries-NNNNNNNN.bin   — one wire.FrameWALAdmit frame per key (key,
+//	                         configuration text, compiled artifact: the
+//	                         record the journal and key migration carry),
+//	                         each in the journal's record framing
+//	                         (wal.AppendRecord), in sorted key order
 //
-// Files are numbered in sorted key order, so a snapshot of a given
-// registry content is byte-stable; keys themselves live only inside the
-// manifest (they are arbitrary strings and do not make safe file names).
-// Snapshot always writes binary frames. Older releases could also write
-// NNNN.artifact.json files (election.Compiled as the JSON cmd/compile
-// emits); Restore auto-detects each artifact file's encoding from its
-// leading bytes (wire magic vs '{'), so JSON-era snapshot directories keep
-// restoring unchanged, and the next Snapshot into such a directory
-// replaces their JSON files with binary ones.
+// A snapshot of a given registry content is byte-stable apart from the
+// entries file's generation number, which each snapshot into a directory
+// advances so the manifest's rename alone commits it. Restore reads the
+// entries file with the journal's damage handling (wal.ReadFile): a record
+// whose CRC fails is skipped and the scan resynchronizes on the next one,
+// so damage costs only the keys whose records it hit, each reported by
+// key. One record is the unit `elect -compiled` runs and GET
+// /v1/artifact/{key} serves; the manifest's offsets cut it out of the file.
+//
+// Version-1 directories, written by earlier releases, hold one artifact
+// file and one configuration file per key (NNNN.artifact.bin, or
+// NNNN.artifact.json in the JSON era, and NNNN.config.txt) and restore
+// unchanged; the first snapshot into such a directory deletes those files.
+// Earlier releases refuse a version-2 manifest by its version number.
 
 // ManifestVersion is the snapshot format version written by Snapshot.
-const ManifestVersion = 1
+const ManifestVersion = 2
 
 // SnapshotEntry is one admitted configuration as gathered from its shard:
 // the key, the (normalized) configuration, and the compiled artifact of the
@@ -59,24 +71,28 @@ type SnapshotEntry struct {
 	Artifact *election.Compiled
 }
 
-// ManifestEntry locates one snapshot entry on disk.
+// ManifestEntry names one snapshot entry.
 type ManifestEntry struct {
 	// Key is the registry key to re-admit the configuration under.
 	Key string `json:"key"`
-	// ConfigFile is the configuration file, relative to the snapshot
-	// directory.
-	ConfigFile string `json:"config_file"`
-	// ArtifactFile is the compiled-artifact file, relative to the snapshot
-	// directory.
-	ArtifactFile string `json:"artifact_file"`
+	// ConfigFile and ArtifactFile are a version-1 entry's configuration and
+	// compiled-artifact files, relative to the snapshot directory.
+	ConfigFile   string `json:"config_file,omitempty"`
+	ArtifactFile string `json:"artifact_file,omitempty"`
 	// Nodes is the configuration size (informational, for operators reading
 	// the manifest).
 	Nodes int `json:"nodes"`
+	// Offset and Length locate a version-2 entry's wire.FrameWALAdmit frame
+	// in the entries file (informational: restore scans the file, and an
+	// operator can cut one key's frame out for `elect -compiled`).
+	Offset int64 `json:"offset,omitempty"`
+	Length int   `json:"length,omitempty"`
 }
 
 // Manifest describes a snapshot directory.
 type Manifest struct {
-	// Version is the snapshot format version (ManifestVersion).
+	// Version is the snapshot format version: ManifestVersion for every
+	// snapshot this release writes, 1 for earlier releases' per-key files.
 	Version int `json:"version"`
 	// Shards is the shard count of the registry the snapshot was taken from
 	// (informational; a snapshot restores into any shard count).
@@ -86,6 +102,9 @@ type Manifest struct {
 	// in pre-binary manifests) for JSON-era ones. Informational: restore
 	// auto-detects per file.
 	Encoding string `json:"encoding,omitempty"`
+	// EntriesFile is a version-2 snapshot's entries file, relative to the
+	// snapshot directory.
+	EntriesFile string `json:"entries_file,omitempty"`
 	// Entries lists every persisted configuration, in sorted key order.
 	Entries []ManifestEntry `json:"entries"`
 }
@@ -97,8 +116,8 @@ const ManifestFile = "manifest.json"
 type RestoreSkip struct {
 	// Key is the registry key of the skipped entry.
 	Key string
-	// Reason describes why the entry was skipped (missing file, corrupt
-	// artifact, rejected validation, ...).
+	// Reason describes why the entry was skipped (missing file or record,
+	// corrupt artifact, rejected validation, ...).
 	Reason string
 }
 
@@ -107,10 +126,10 @@ type RestoreReport struct {
 	// Entries is the number of configurations re-admitted.
 	Entries int
 	// Skipped lists manifest entries the restore could not bring back
-	// (missing or corrupt files, artifacts rejected by validation), in
-	// manifest order. A partially-damaged snapshot boots the surviving
-	// entries instead of refusing to boot at all; callers that require a
-	// complete restore must check this list.
+	// (missing or corrupt files or records, artifacts rejected by
+	// validation), in manifest order. A partially-damaged snapshot boots
+	// the surviving entries instead of refusing to boot at all; callers
+	// that require a complete restore must check this list.
 	Skipped []RestoreSkip
 }
 
@@ -141,19 +160,17 @@ func (r *Registry) SnapshotEntries() ([]SnapshotEntry, error) {
 }
 
 // Snapshot persists the registry's admitted configurations into dir (created
-// if needed): one compiled artifact and one configuration file per key, plus
-// a manifest recording the keys.
+// if needed): one entries file holding every key's admit record, plus a
+// manifest naming it and listing the keys.
 //
-// The write is staged so an interrupted snapshot can never produce a
-// manifest that names the wrong data: every data file is first written
-// under a temporary name (leaving a previous snapshot in dir fully
-// intact), then the previous manifest is removed, the data files are
-// renamed into place, and the new manifest is committed last via rename.
-// A crash therefore leaves either the old snapshot, or a directory whose
-// missing manifest makes Restore fail loudly — never a manifest pointing
-// at another snapshot's files. Once the manifest is committed, the data
-// files of earlier snapshots that it no longer lists are deleted (see
-// removeOrphans).
+// The manifest's rename is the commit. The entries file is written under a
+// name no committed manifest uses, and it, the staged manifest and — after
+// the rename — the directory are fsynced, so a crash leaves either the
+// previous manifest with the files it names or the new one with its
+// entries file, and a snapshot that returned survives power loss: a
+// checkpoint may then delete the journal segments it covers. Once the
+// manifest is committed, data files it does not name — earlier entries
+// files and version-1 per-key files — are deleted (see removeOrphans).
 func (r *Registry) Snapshot(dir string) (*Manifest, error) {
 	// Gathered artifacts alias live algorithm memory (the lists),
 	// and a rebuild-in-place admission recycles exactly that memory once
@@ -168,78 +185,116 @@ func (r *Registry) Snapshot(dir string) (*Manifest, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("service: creating snapshot directory: %w", err)
 	}
-	// Stage: write all data files under temporary names.
-	const stageSuffix = ".staged"
-	m := &Manifest{Version: ManifestVersion, Shards: len(r.shards), Encoding: "binary"}
-	for i, e := range entries {
-		me := ManifestEntry{
-			Key:          e.Key,
-			ConfigFile:   fmt.Sprintf("%04d.config.txt", i),
-			ArtifactFile: fmt.Sprintf("%04d.artifact.bin", i),
-			Nodes:        e.Config.N(),
+	m := &Manifest{Version: ManifestVersion, Shards: len(r.shards), Encoding: "binary", EntriesFile: nextEntriesFile(dir)}
+	f, err := os.OpenFile(filepath.Join(dir, m.EntriesFile), os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
+	if err != nil {
+		return nil, fmt.Errorf("service: creating entries file: %w", err)
+	}
+	w := bufio.NewWriterSize(f, 64<<10)
+	var rec, framed []byte
+	var off int64
+	for _, e := range entries {
+		rec = wire.AppendWALAdmitFrame(rec[:0], &wire.WALAdmit{Key: e.Key, Config: e.Config.Marshal(), Artifact: e.Artifact})
+		framed = wal.AppendRecord(framed[:0], rec)
+		if _, err := w.Write(framed); err != nil {
+			f.Close()
+			return nil, fmt.Errorf("service: writing entries file: %w", err)
 		}
-		data := wire.AppendArtifactFrame(nil, e.Artifact)
-		if err := os.WriteFile(filepath.Join(dir, me.ArtifactFile+stageSuffix), data, 0o644); err != nil {
-			return nil, fmt.Errorf("service: writing artifact for %q: %w", e.Key, err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, me.ConfigFile+stageSuffix), []byte(e.Config.Marshal()), 0o644); err != nil {
-			return nil, fmt.Errorf("service: writing configuration for %q: %w", e.Key, err)
-		}
-		m.Entries = append(m.Entries, me)
+		m.Entries = append(m.Entries, ManifestEntry{
+			Key:    e.Key,
+			Nodes:  e.Config.N(),
+			Offset: off + int64(len(framed)-len(rec)),
+			Length: len(rec),
+		})
+		off += int64(len(framed))
+	}
+	if err := r.closeSynced(f, w.Flush()); err != nil {
+		return nil, fmt.Errorf("service: writing entries file: %w", err)
 	}
 	data, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
 		return nil, fmt.Errorf("service: encoding manifest: %w", err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, ManifestFile+stageSuffix), append(data, '\n'), 0o644); err != nil {
+	staged := filepath.Join(dir, ManifestFile+".staged")
+	if f, err = os.Create(staged); err != nil {
 		return nil, fmt.Errorf("service: writing manifest: %w", err)
 	}
-	// Commit: invalidate the previous snapshot, move the staged files into
-	// place, and publish the new manifest last.
-	if err := os.Remove(filepath.Join(dir, ManifestFile)); err != nil && !os.IsNotExist(err) {
-		return nil, fmt.Errorf("service: removing previous manifest: %w", err)
+	_, err = f.Write(append(data, '\n'))
+	if err := r.closeSynced(f, err); err != nil {
+		return nil, fmt.Errorf("service: writing manifest: %w", err)
 	}
-	for _, me := range m.Entries {
-		for _, f := range []string{me.ArtifactFile, me.ConfigFile} {
-			if err := os.Rename(filepath.Join(dir, f+stageSuffix), filepath.Join(dir, f)); err != nil {
-				return nil, fmt.Errorf("service: committing %s: %w", f, err)
-			}
-		}
-	}
-	if err := os.Rename(filepath.Join(dir, ManifestFile+stageSuffix), filepath.Join(dir, ManifestFile)); err != nil {
+	if err := os.Rename(staged, filepath.Join(dir, ManifestFile)); err != nil {
 		return nil, fmt.Errorf("service: committing manifest: %w", err)
+	}
+	if f, err = os.Open(dir); err == nil {
+		err = r.closeSynced(f, nil)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("service: syncing snapshot directory: %w", err)
 	}
 	removeOrphans(dir, m)
 	return m, nil
 }
 
-// snapshotDataFile matches the names of the data files a snapshot writes,
+// closeSynced fsyncs and closes f after a write that ended with err; it
+// returns the first failure. The registry's syncHook, when set, fails the
+// fsync.
+func (r *Registry) closeSynced(f *os.File, err error) error {
+	if err == nil && r.syncHook != nil {
+		err = r.syncHook(f.Name())
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// entriesFile matches entries file names and captures the generation.
+var entriesFile = regexp.MustCompile(`^entries-([0-9]{8,})\.bin$`)
+
+// nextEntriesFile names the entries file of the next snapshot into dir: one
+// generation past every entries file dir holds, so no committed manifest
+// names it.
+func nextEntriesFile(dir string) string {
+	var gen uint64
+	files, _ := os.ReadDir(dir)
+	for _, f := range files {
+		if sub := entriesFile.FindStringSubmatch(f.Name()); sub != nil {
+			if g, err := strconv.ParseUint(sub[1], 10, 64); err == nil && g > gen {
+				gen = g
+			}
+		}
+	}
+	return fmt.Sprintf("entries-%08d.bin", gen+1)
+}
+
+// snapshotDataFile matches the names of the data files a snapshot writes
+// or an earlier release wrote: entries files, and version-1 per-key files
 // in either artifact encoding, committed or still staged.
-var snapshotDataFile = regexp.MustCompile(`^[0-9]{4,}\.(artifact\.bin|artifact\.json|config\.txt)(\.staged)?$`)
+var snapshotDataFile = regexp.MustCompile(`^(entries-[0-9]{8,}\.bin|[0-9]{4,}\.(artifact\.bin|artifact\.json|config\.txt)(\.staged)?)$`)
 
 // removeOrphans deletes the snapshot data files in dir that m does not
-// list: files of an earlier, larger snapshot, JSON artifacts a binary
-// snapshot superseded, and files an interrupted snapshot left staged. Any
-// other file in dir is left alone. Removal is best-effort: m is already
-// committed, and Restore never reads a file the manifest does not name.
+// name: earlier entries files, the per-key files of a version-1 snapshot,
+// and files an interrupted snapshot left behind. Any other file in dir is
+// left alone. Removal is best-effort: m is already committed, and Restore
+// never reads a file the manifest does not name.
 func removeOrphans(dir string, m *Manifest) {
-	listed := make(map[string]bool, 2*len(m.Entries))
-	for _, e := range m.Entries {
-		listed[e.ArtifactFile] = true
-		listed[e.ConfigFile] = true
-	}
 	files, err := os.ReadDir(dir)
 	if err != nil {
 		return
 	}
 	for _, f := range files {
-		if name := f.Name(); !f.IsDir() && !listed[name] && snapshotDataFile.MatchString(name) {
+		if name := f.Name(); !f.IsDir() && name != m.EntriesFile && snapshotDataFile.MatchString(name) {
 			_ = os.Remove(filepath.Join(dir, name))
 		}
 	}
 }
 
-// ReadManifest reads and validates the manifest of a snapshot directory.
+// ReadManifest reads and validates the manifest of a snapshot directory, of
+// either version.
 func ReadManifest(dir string) (*Manifest, error) {
 	data, err := os.ReadFile(filepath.Join(dir, ManifestFile))
 	if err != nil {
@@ -249,8 +304,15 @@ func ReadManifest(dir string) (*Manifest, error) {
 	if err := json.Unmarshal(data, &m); err != nil {
 		return nil, fmt.Errorf("service: decoding snapshot manifest: %w", err)
 	}
-	if m.Version != ManifestVersion {
-		return nil, fmt.Errorf("service: snapshot manifest version %d not supported (want %d)", m.Version, ManifestVersion)
+	bare := func(f string) bool { return f != "" && f == filepath.Base(f) }
+	switch m.Version {
+	case 1:
+	case ManifestVersion:
+		if !bare(m.EntriesFile) {
+			return nil, fmt.Errorf("service: snapshot manifest names an invalid entries file %q (must be a bare file name)", m.EntriesFile)
+		}
+	default:
+		return nil, fmt.Errorf("service: snapshot manifest version %d not supported (want 1 or %d)", m.Version, ManifestVersion)
 	}
 	seen := make(map[string]bool, len(m.Entries))
 	for _, e := range m.Entries {
@@ -261,9 +323,11 @@ func ReadManifest(dir string) (*Manifest, error) {
 			return nil, fmt.Errorf("service: snapshot manifest lists key %q twice", e.Key)
 		}
 		seen[e.Key] = true
-		for _, f := range []string{e.ConfigFile, e.ArtifactFile} {
-			if f == "" || f != filepath.Base(f) {
-				return nil, fmt.Errorf("service: snapshot manifest entry %q names an invalid file %q (must be a bare file name)", e.Key, f)
+		if m.Version == 1 {
+			for _, f := range []string{e.ConfigFile, e.ArtifactFile} {
+				if !bare(f) {
+					return nil, fmt.Errorf("service: snapshot manifest entry %q names an invalid file %q (must be a bare file name)", e.Key, f)
+				}
 			}
 		}
 	}
@@ -284,9 +348,9 @@ func ReadManifest(dir string) (*Manifest, error) {
 // operator-initiated and should never see ErrAdmissionBusy.
 //
 // Restore degrades gracefully on a partially-damaged snapshot: an entry
-// whose files are missing or corrupt, or whose artifact fails validation,
-// is skipped and recorded in the report's Skipped list while every
-// undamaged entry still boots. Restore returns an error only when the
+// whose record or files are missing or corrupt, or whose artifact fails
+// validation, is skipped and recorded in the report's Skipped list while
+// every undamaged entry still boots. Restore returns an error only when the
 // snapshot as a whole is unusable (unreadable or invalid manifest) or the
 // registry is closed; callers that require a complete restore must check
 // report.Skipped.
@@ -299,6 +363,7 @@ func (r *Registry) Restore(dir string) (*RestoreReport, error) {
 		r.release()
 		return nil, err
 	}
+	read := entryReader(dir, m)
 	workers := runtime.GOMAXPROCS(0)
 	if workers > len(m.Entries) {
 		workers = len(m.Entries)
@@ -322,10 +387,14 @@ func (r *Registry) Restore(dir string) (*RestoreReport, error) {
 				if i >= len(m.Entries) {
 					return
 				}
-				err := r.restoreEntry(dir, m.Entries[i])
+				key := m.Entries[i].Key
+				cfgText, artifact, err := read(i)
+				if err == nil {
+					err = r.restoreEntry(key, cfgText, artifact)
+				}
 				mu.Lock()
 				if err != nil {
-					skipped[i] = RestoreSkip{Key: m.Entries[i].Key, Reason: err.Error()}
+					skipped[i] = RestoreSkip{Key: key, Reason: fmt.Sprintf("service: restoring %q: %v", key, err)}
 				} else {
 					report.Entries++
 				}
@@ -348,33 +417,73 @@ func (r *Registry) Restore(dir string) (*RestoreReport, error) {
 	return &report, nil
 }
 
-// restoreEntry parses, loads and installs one manifest entry on the
-// calling restore goroutine. The caller holds a lifecycle acquire slot.
-func (r *Registry) restoreEntry(dir string, me ManifestEntry) error {
-	cfgData, err := os.ReadFile(filepath.Join(dir, me.ConfigFile))
-	if err != nil {
-		return fmt.Errorf("service: restoring %q: %w", me.Key, err)
+// entryReader returns the reader of manifest entry i, which returns the
+// entry's configuration text and compiled artifact. A version-2 snapshot's
+// entries file is scanned here, once, and indexed by key (the first intact
+// record of a key counts; records of keys the manifest does not list are
+// ignored); the reader decodes entry i's record. A version-1 entry's reader
+// reads its two files.
+func entryReader(dir string, m *Manifest) func(i int) (string, *election.Compiled, error) {
+	if m.Version == 1 {
+		return func(i int) (string, *election.Compiled, error) {
+			me := m.Entries[i]
+			cfgData, err := os.ReadFile(filepath.Join(dir, me.ConfigFile))
+			if err != nil {
+				return "", nil, err
+			}
+			artData, err := os.ReadFile(filepath.Join(dir, me.ArtifactFile))
+			if err != nil {
+				return "", nil, err
+			}
+			// Auto-detect the artifact's encoding from its leading bytes:
+			// binary wire frames and JSON-era files restore interchangeably.
+			artifact, err := wire.DecodeArtifactAuto(artData)
+			return string(cfgData), artifact, err
+		}
 	}
-	cfg, err := config.Unmarshal(string(cfgData))
-	if err != nil {
-		return fmt.Errorf("service: restoring %q: %w", me.Key, err)
+	records := make(map[string][]byte, len(m.Entries))
+	fr, err := wal.ReadFile(filepath.Join(dir, m.EntriesFile), func(payload []byte) error {
+		if typ, body, rest, err := wire.DecodeFrame(payload); err == nil && len(rest) == 0 && typ == wire.FrameWALAdmit {
+			if key, ok := wire.PeekWALKey(typ, body); ok && records[key] == nil {
+				records[key] = body
+			}
+		}
+		return nil
+	})
+	if err == nil && !fr.Clean() {
+		err = fmt.Errorf("no intact record in %s (first of %d faults: %v)", m.EntriesFile, len(fr.Faults), fr.Faults[0])
+	} else if err == nil {
+		err = fmt.Errorf("no admit record in %s", m.EntriesFile)
 	}
-	artData, err := os.ReadFile(filepath.Join(dir, me.ArtifactFile))
-	if err != nil {
-		return fmt.Errorf("service: restoring %q: %w", me.Key, err)
+	return func(i int) (string, *election.Compiled, error) {
+		body := records[m.Entries[i].Key]
+		if body == nil {
+			return "", nil, err
+		}
+		var rec wire.WALAdmit
+		if err := rec.DecodeFrom(body); err != nil {
+			return "", nil, err
+		}
+		if rec.Artifact == nil {
+			return "", nil, errors.New("admit record without an artifact")
+		}
+		return rec.Config, rec.Artifact, nil
 	}
-	// Auto-detect the artifact's encoding from its leading bytes: binary
-	// wire frames and JSON-era files restore interchangeably.
-	artifact, err := wire.DecodeArtifactAuto(artData)
+}
+
+// restoreEntry parses, loads and installs one entry on the calling restore
+// goroutine. The caller holds a lifecycle acquire slot.
+func (r *Registry) restoreEntry(key, cfgText string, artifact *election.Compiled) error {
+	cfg, err := config.Unmarshal(cfgText)
 	if err != nil {
-		return fmt.Errorf("service: restoring %q: %w", me.Key, err)
+		return err
 	}
 	d, err := election.Load(artifact, cfg)
 	if err != nil {
-		r.shardFor(me.Key).buildFails.Add(1)
-		return fmt.Errorf("service: restoring %q: %w", me.Key, err)
+		r.shardFor(key).buildFails.Add(1)
+		return err
 	}
-	_, _ = r.install(me.Key, d, nil) // installs journal nothing without a record
+	_, _ = r.install(key, d, nil) // installs journal nothing without a record
 	r.artifactLoads.Add(1)
 	return nil
 }

@@ -3,22 +3,108 @@ package service
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"anonradio/internal/config"
 	"anonradio/internal/election"
 	"anonradio/internal/radio"
+	"anonradio/internal/wal"
 	"anonradio/internal/wire"
 )
+
+// snapshotRecords reads a version-2 snapshot: its manifest, and the admit
+// records of its entries file in file order.
+func snapshotRecords(t *testing.T, dir string) (*Manifest, []wire.WALAdmit) {
+	t.Helper()
+	m, err := ReadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Version != ManifestVersion {
+		t.Fatalf("manifest version %d, want %d", m.Version, ManifestVersion)
+	}
+	var recs []wire.WALAdmit
+	report, err := wal.ReadFile(filepath.Join(dir, m.EntriesFile), func(payload []byte) error {
+		typ, body, rest, err := wire.DecodeFrame(payload)
+		if err != nil || typ != wire.FrameWALAdmit || len(rest) != 0 {
+			t.Fatalf("entries file record: %v %v %d trailing bytes", typ, err, len(rest))
+		}
+		var rec wire.WALAdmit
+		if err := rec.DecodeFrom(body); err != nil {
+			t.Fatal(err)
+		}
+		recs = append(recs, rec)
+		return nil
+	})
+	if err != nil || !report.Clean() {
+		t.Fatalf("reading %s: %+v, %v", m.EntriesFile, report, err)
+	}
+	return m, recs
+}
+
+// rewriteRecords rewrites a version-2 snapshot's entries file with edit
+// applied to each record; a record edit reports false is left out. Records
+// are re-framed with valid CRCs, so only Load and the parsers see the edit.
+func rewriteRecords(t *testing.T, dir string, edit func(rec *wire.WALAdmit) bool) {
+	t.Helper()
+	m, recs := snapshotRecords(t, dir)
+	var data []byte
+	for i := range recs {
+		if edit(&recs[i]) {
+			data = wal.AppendRecord(data, wire.AppendWALAdmitFrame(nil, &recs[i]))
+		}
+	}
+	if err := os.WriteFile(filepath.Join(dir, m.EntriesFile), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// writeV1Snapshot writes r's entries into dir as a version-1 snapshot, the
+// layout earlier releases wrote: one NNNN.artifact.bin frame and one
+// NNNN.config.txt per key, in sorted key order, and a manifest naming them.
+func writeV1Snapshot(t *testing.T, r *Registry, dir string) *Manifest {
+	t.Helper()
+	entries, err := r.SnapshotEntries()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := &Manifest{Version: 1, Shards: len(r.shards), Encoding: "binary"}
+	for i, e := range entries {
+		me := ManifestEntry{
+			Key:          e.Key,
+			ConfigFile:   fmt.Sprintf("%04d.config.txt", i),
+			ArtifactFile: fmt.Sprintf("%04d.artifact.bin", i),
+			Nodes:        e.Config.N(),
+		}
+		if err := os.WriteFile(filepath.Join(dir, me.ArtifactFile), wire.AppendArtifactFrame(nil, e.Artifact), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, me.ConfigFile), []byte(e.Config.Marshal()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		m.Entries = append(m.Entries, me)
+	}
+	data, err := json.MarshalIndent(m, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, ManifestFile), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
 
 // TestSnapshotRestoreRoundTrip is the snapshot acceptance check: snapshot a
 // populated registry, restore into a fresh one, and assert the key set and
 // the election outcomes survive bit-identically — the latter checked
-// against direct Dedicated elections. Artifacts and manifest carry neither
-// a phase table nor a digest.
+// against direct Dedicated elections. The snapshot is one entries file
+// whose records the manifest locates, and neither its artifacts nor the
+// manifest carry a phase table or a digest.
 func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	src := newTestRegistry(t, 3)
@@ -29,21 +115,25 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	if len(manifest.Entries) != len(testConfigs()) {
 		t.Fatalf("manifest has %d entries, want %d", len(manifest.Entries), len(testConfigs()))
 	}
-	// Keys must cover the registry, and no artifact file carries a table or
-	// a digest.
+	// Keys must cover the registry, each manifest entry must locate its
+	// key's record, and no artifact carries a table or a digest.
 	keys := map[string]bool{}
-	for _, e := range manifest.Entries {
+	_, recs := snapshotRecords(t, dir)
+	data, err := os.ReadFile(filepath.Join(dir, manifest.EntriesFile))
+	if err != nil || len(recs) != len(manifest.Entries) {
+		t.Fatalf("%d records for %d manifest entries (%v)", len(recs), len(manifest.Entries), err)
+	}
+	for i, e := range manifest.Entries {
 		keys[e.Key] = true
-		data, err := os.ReadFile(filepath.Join(dir, e.ArtifactFile))
-		if err != nil {
-			t.Fatalf("reading artifact %s: %v", e.ArtifactFile, err)
+		rec := recs[i]
+		if rec.Key != e.Key || rec.Artifact == nil {
+			t.Fatalf("record %d is %q (artifact %v), manifest entry %q", i, rec.Key, rec.Artifact != nil, e.Key)
 		}
-		artifact, err := wire.DecodeArtifactAuto(data)
-		if err != nil {
-			t.Fatalf("decoding artifact %s: %v", e.ArtifactFile, err)
+		if frame := data[e.Offset : e.Offset+int64(e.Length)]; string(frame) != string(wire.AppendWALAdmitFrame(nil, &rec)) {
+			t.Fatalf("manifest offset %d length %d does not locate %q's frame", e.Offset, e.Length, e.Key)
 		}
-		if artifact.PhaseTable != nil || artifact.ArtifactDigest != "" {
-			t.Fatalf("artifact %s carries a phase table or the digest %q", e.ArtifactFile, artifact.ArtifactDigest)
+		if rec.Artifact.PhaseTable != nil || rec.Artifact.ArtifactDigest != "" {
+			t.Fatalf("%s's artifact carries a phase table or the digest %q", e.Key, rec.Artifact.ArtifactDigest)
 		}
 	}
 	if raw, err := os.ReadFile(filepath.Join(dir, ManifestFile)); err != nil || strings.Contains(string(raw), "digest") {
@@ -103,9 +193,9 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 }
 
 // TestResnapshotSameDirectory re-snapshots a changed registry into the same
-// directory and checks the new manifest supersedes the old content — the
-// entry numbering reshuffles when keys change, so this pins the staged
-// commit (a manifest must never name another snapshot's files).
+// directory and checks the new manifest supersedes the old content: the
+// second snapshot writes a new entries file, the manifest's rename commits
+// it, and the first snapshot's file is gone.
 func TestResnapshotSameDirectory(t *testing.T) {
 	dir := t.TempDir()
 	src := newTestRegistry(t, 2)
@@ -131,11 +221,14 @@ func TestResnapshotSameDirectory(t *testing.T) {
 	if len(m.Entries) != len(testConfigs()) {
 		t.Fatalf("second manifest has %d entries, want %d", len(m.Entries), len(testConfigs()))
 	}
-	// No staging leftovers, and the directory restores to exactly the
-	// second registry content.
+	// No staging leftovers, only the new entries file, and the directory
+	// restores to exactly the second registry content.
 	leftovers, err := filepath.Glob(filepath.Join(dir, "*.staged"))
 	if err != nil || len(leftovers) != 0 {
 		t.Fatalf("staged leftovers after commit: %v %v", leftovers, err)
+	}
+	if files, _ := filepath.Glob(filepath.Join(dir, "entries-*.bin")); len(files) != 1 || filepath.Base(files[0]) != m.EntriesFile {
+		t.Fatalf("entries files after the second snapshot: %v, want only %s", files, m.EntriesFile)
 	}
 	dst := New(Options{Shards: 1})
 	t.Cleanup(dst.Close)
@@ -222,7 +315,8 @@ func TestRestoreRejectsTamperedArtifact(t *testing.T) {
 		t.Fatalf("snapshot: %v", err)
 	}
 	// Find an entry with more than one node (its leader history is
-	// non-trivial) and truncate the history in the artifact file.
+	// non-trivial) and drop the history from its record, re-framed with a
+	// valid CRC so the damage reaches Load.
 	var target ManifestEntry
 	for _, e := range manifest.Entries {
 		if e.Nodes > 1 {
@@ -233,23 +327,12 @@ func TestRestoreRejectsTamperedArtifact(t *testing.T) {
 	if target.Key == "" {
 		t.Fatal("no multi-node entry in the test fleet")
 	}
-	path := filepath.Join(dir, target.ArtifactFile)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("reading artifact: %v", err)
-	}
-	artifact, err := wire.DecodeArtifactAuto(data)
-	if err != nil {
-		t.Fatalf("decoding artifact: %v", err)
-	}
-	artifact.LeaderHistory = nil // tampered: decision data gone
-	tampered, err := json.Marshal(artifact)
-	if err != nil {
-		t.Fatalf("re-encoding artifact: %v", err)
-	}
-	if err := os.WriteFile(path, tampered, 0o644); err != nil {
-		t.Fatalf("rewriting artifact: %v", err)
-	}
+	rewriteRecords(t, dir, func(rec *wire.WALAdmit) bool {
+		if rec.Key == target.Key {
+			rec.Artifact.LeaderHistory = nil // tampered: decision data gone
+		}
+		return true
+	})
 
 	dst := New(Options{Shards: 1})
 	t.Cleanup(dst.Close)
@@ -269,92 +352,122 @@ func TestRestoreRejectsTamperedArtifact(t *testing.T) {
 }
 
 // TestRestorePartialDamage injects every damage mode the graceful restore
-// must survive — a deleted artifact file, a corrupt artifact JSON, a
-// deleted configuration file, and corrupt configuration text — one per
-// entry of a four-key snapshot, plus leaves other entries intact. The
-// restore must boot every undamaged entry, skip each damaged one with a
-// report naming its key, and return no error.
+// must survive, one per entry of a six-key snapshot with two entries left
+// intact, in both snapshot versions. Version 2: a record whose bytes no
+// longer match its CRC, a record missing from the entries file, a record
+// without an artifact, and a record whose configuration text does not
+// parse. Version 1: a deleted artifact file, a corrupt artifact, a deleted
+// configuration file, and corrupt configuration text. The restore must
+// boot every undamaged entry, skip each damaged one with a report naming
+// its key, and return no error.
 func TestRestorePartialDamage(t *testing.T) {
-	dir := t.TempDir()
 	src := New(Options{Shards: 2})
 	t.Cleanup(src.Close)
-	keys := []string{"intact-a", "dmg-artifact-gone", "dmg-artifact-corrupt", "dmg-config-gone", "dmg-config-corrupt", "intact-b"}
+	keys := []string{"intact-a", "dmg-1", "dmg-2", "dmg-3", "dmg-4", "intact-b"}
 	for i, key := range keys {
 		if err := src.Register(key, config.StaggeredClique(5+i)); err != nil {
 			t.Fatalf("register %s: %v", key, err)
 		}
 	}
-	manifest, err := src.Snapshot(dir)
-	if err != nil {
-		t.Fatalf("snapshot: %v", err)
-	}
-	files := map[string]ManifestEntry{}
-	for _, e := range manifest.Entries {
-		files[e.Key] = e
-	}
-	damage := map[string]func() error{
-		"dmg-artifact-gone": func() error {
-			return os.Remove(filepath.Join(dir, files["dmg-artifact-gone"].ArtifactFile))
-		},
-		"dmg-artifact-corrupt": func() error {
-			return os.WriteFile(filepath.Join(dir, files["dmg-artifact-corrupt"].ArtifactFile), []byte("{not json"), 0o644)
-		},
-		"dmg-config-gone": func() error {
-			return os.Remove(filepath.Join(dir, files["dmg-config-gone"].ConfigFile))
-		},
-		"dmg-config-corrupt": func() error {
-			return os.WriteFile(filepath.Join(dir, files["dmg-config-corrupt"].ConfigFile), []byte("nodes banana"), 0o644)
-		},
-	}
-	for key, apply := range damage {
-		if err := apply(); err != nil {
-			t.Fatalf("injecting damage for %s: %v", key, err)
-		}
-	}
+	damaged := keys[1:5]
 
+	t.Run("v2", func(t *testing.T) {
+		dir := t.TempDir()
+		manifest, err := src.Snapshot(dir)
+		if err != nil {
+			t.Fatalf("snapshot: %v", err)
+		}
+		rewriteRecords(t, dir, func(rec *wire.WALAdmit) bool {
+			switch rec.Key {
+			case "dmg-2":
+				return false
+			case "dmg-3":
+				rec.Artifact = nil
+			case "dmg-4":
+				rec.Config = "nodes banana"
+			}
+			return true
+		})
+		// Flip one byte inside dmg-1's frame: its CRC fails, and the scan
+		// resynchronizes on the next record.
+		path := filepath.Join(dir, manifest.EntriesFile)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		first := manifest.Entries[0] // dmg-1 sorts first, so the rewrite kept its offset
+		if first.Key != "dmg-1" {
+			t.Fatalf("manifest entry 0 is %q", first.Key)
+		}
+		data[first.Offset+int64(first.Length)/2] ^= 0xff
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		checkPartialRestore(t, src, dir, damaged)
+	})
+
+	t.Run("v1", func(t *testing.T) {
+		dir := t.TempDir()
+		manifest := writeV1Snapshot(t, src, dir)
+		files := map[string]ManifestEntry{}
+		for _, e := range manifest.Entries {
+			files[e.Key] = e
+		}
+		for _, err := range []error{
+			os.Remove(filepath.Join(dir, files["dmg-1"].ArtifactFile)),
+			os.WriteFile(filepath.Join(dir, files["dmg-2"].ArtifactFile), []byte("{not json"), 0o644),
+			os.Remove(filepath.Join(dir, files["dmg-3"].ConfigFile)),
+			os.WriteFile(filepath.Join(dir, files["dmg-4"].ConfigFile), []byte("nodes banana"), 0o644),
+		} {
+			if err != nil {
+				t.Fatalf("injecting damage: %v", err)
+			}
+		}
+		checkPartialRestore(t, src, dir, damaged)
+	})
+}
+
+// checkPartialRestore restores dir into a fresh registry and checks that
+// exactly the damaged keys are skipped, each with a reason naming it, and
+// absent, while every other key of src serves src's outcome.
+func checkPartialRestore(t *testing.T, src *Registry, dir string, damaged []string) {
+	t.Helper()
 	dst := New(Options{Shards: 3})
 	t.Cleanup(dst.Close)
 	report, err := dst.Restore(dir)
 	if err != nil {
 		t.Fatalf("restore of a partially-damaged snapshot failed outright: %v", err)
 	}
-	if report.Entries != 2 {
-		t.Fatalf("restored %d entries, want 2 intact ones (report %+v)", report.Entries, report)
+	if report.Entries != src.Len()-len(damaged) || len(report.Skipped) != len(damaged) {
+		t.Fatalf("restored %d entries and skipped %+v, want %d restored and %v skipped",
+			report.Entries, report.Skipped, src.Len()-len(damaged), damaged)
 	}
-	if len(report.Skipped) != len(damage) {
-		t.Fatalf("skipped %d entries, want %d: %+v", len(report.Skipped), len(damage), report.Skipped)
-	}
-	skippedKeys := map[string]string{}
-	for _, s := range report.Skipped {
-		skippedKeys[s.Key] = s.Reason
-	}
-	for key := range damage {
-		reason, ok := skippedKeys[key]
-		if !ok {
-			t.Fatalf("damaged key %q missing from report.Skipped: %+v", key, report.Skipped)
+	for i, s := range report.Skipped {
+		if s.Key != damaged[i] || !strings.Contains(s.Reason, s.Key) {
+			t.Fatalf("skipped entry %d is %+v, want %q with a reason naming it", i, s, damaged[i])
 		}
-		if reason == "" || !strings.Contains(reason, key) {
-			t.Fatalf("skip reason for %q does not name the key: %q", key, reason)
+		if out, _ := dst.Elect(s.Key); out.Err == nil {
+			t.Fatalf("damaged key %q is servable", s.Key)
 		}
 	}
-	// The intact entries serve, bit-identical to the source.
-	for _, key := range []string{"intact-a", "intact-b"} {
-		restored, err := dst.Elect(key)
+	entries, err := src.SnapshotEntries()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if slices.Contains(damaged, e.Key) {
+			continue
+		}
+		restored, err := dst.Elect(e.Key)
 		if err != nil {
-			t.Fatalf("elect %s after partial restore: %v", key, err)
+			t.Fatalf("elect %s after partial restore: %v", e.Key, err)
 		}
-		orig, err := src.Elect(key)
+		orig, err := src.Elect(e.Key)
 		if err != nil {
-			t.Fatalf("source elect %s: %v", key, err)
+			t.Fatalf("source elect %s: %v", e.Key, err)
 		}
 		if restored.Leader != orig.Leader || restored.Rounds != orig.Rounds {
-			t.Fatalf("%s diverged after partial restore: %+v vs %+v", key, restored, orig)
-		}
-	}
-	// The damaged entries are absent, not half-admitted.
-	for key := range damage {
-		if out, _ := dst.Elect(key); out.Err == nil {
-			t.Fatalf("damaged key %q is servable", key)
+			t.Fatalf("%s diverged after partial restore: %+v vs %+v", e.Key, restored, orig)
 		}
 	}
 }
@@ -382,6 +495,14 @@ func TestRestoreErrors(t *testing.T) {
 	write(`{"version": 99, "entries": []}`)
 	if _, err := dst.Restore(dir); err == nil {
 		t.Fatal("restore of an unsupported manifest version succeeded")
+	}
+	write(`{"version": 2, "entries_file": "../entries-00000001.bin", "entries": []}`)
+	if _, err := dst.Restore(dir); err == nil {
+		t.Fatal("restore accepted a path-escaping entries file")
+	}
+	write(`{"version": 2, "entries": []}`)
+	if _, err := dst.Restore(dir); err == nil {
+		t.Fatal("restore accepted a version-2 manifest without an entries file")
 	}
 	write(`{"version": 1, "entries": [{"key": "a", "config_file": "../evil", "artifact_file": "x.json"}]}`)
 	if _, err := dst.Restore(dir); err == nil {

@@ -36,7 +36,8 @@ type Report struct {
 	// Records is the number of intact records delivered to the callback.
 	Records int
 	// SkippedBytes counts bytes of corrupt interior records skipped by
-	// resynchronizing on the next verifiable frame.
+	// resynchronizing on the next verifiable frame, and the torn tail of a
+	// file ReadFile read (it never truncates).
 	SkippedBytes int64
 	// TruncatedBytes counts torn or corrupt tail bytes physically truncated
 	// off their segment.
@@ -62,7 +63,9 @@ func (r *Report) Clean() bool { return len(r.Faults) == 0 }
 //
 // Every decision lands in the report. Replay returns an error only when fn
 // itself fails (the error aborts the replay) or a segment cannot be read
-// at all.
+// at all. A payload aliases its segment's bytes, which Replay reads whole
+// and never reuses: it stays valid after fn returns, and fn must not
+// modify it.
 func Replay(dir string, fn func(payload []byte) error) (*Report, error) {
 	report := &Report{}
 	paths, _, err := listSegments(dir)
@@ -70,22 +73,47 @@ func Replay(dir string, fn func(payload []byte) error) (*Report, error) {
 		return report, err
 	}
 	for _, path := range paths {
-		if err := replaySegment(path, fn, report); err != nil {
+		if err := scanFile(path, true, fn, report); err != nil {
 			return report, err
 		}
 	}
 	return report, nil
 }
 
-// replaySegment scans one segment file, delivering intact records and
-// recording recovery decisions.
-func replaySegment(path string, fn func(payload []byte) error, report *Report) error {
+// AppendRecord appends payload to dst in the journal's record framing
+// (magic, payload length, CRC-32C, payload): the records of a segment, and
+// of any file ReadFile reads.
+func AppendRecord(dst, payload []byte) []byte {
+	return append(appendHeader(dst, payload), payload...)
+}
+
+// appendHeader appends the frame header of payload to dst.
+func appendHeader(dst, payload []byte) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, frameMagic)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
+	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(payload, castagnoli))
+}
+
+// ReadFile delivers every intact record of the file at path (records
+// framed by AppendRecord, with or without a segment header) to fn, with
+// Replay's damage handling, except that it never modifies the file: a torn
+// tail is reported, not truncated. Payloads stay valid after fn returns, as
+// Replay's do.
+func ReadFile(path string, fn func(payload []byte) error) (*Report, error) {
+	report := &Report{}
+	return report, scanFile(path, false, fn, report)
+}
+
+// scanFile scans one framed file, delivering intact records and recording
+// recovery decisions; truncate says whether a torn tail is cut off the file
+// (counted in TruncatedBytes) or left in place (counted in SkippedBytes).
+func scanFile(path string, truncate bool, fn func(payload []byte) error, report *Report) error {
+	name := filepath.Base(path)
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return fmt.Errorf("wal: reading segment: %w", err)
+		return fmt.Errorf("wal: reading %s: %w", name, err)
 	}
 	report.Segments++
-	name := filepath.Base(path)
 	off := 0
 	// A segment header (format version 2+) precedes the records; its
 	// absence means a version-1 segment, whose records start at byte 0 in
@@ -118,10 +146,16 @@ func replaySegment(path string, fn func(payload []byte) error, report *Report) e
 		next := findNextFrame(data, off+1)
 		if next < 0 {
 			dropped := len(data) - off
-			report.TruncatedBytes += int64(dropped)
-			reason := fmt.Sprintf("torn tail: %d trailing bytes with no intact record, truncated", dropped)
-			if err := os.Truncate(path, int64(off)); err != nil {
-				reason += fmt.Sprintf(" (truncate failed: %v; will be re-reported next boot)", err)
+			reason := fmt.Sprintf("torn tail: %d trailing bytes with no intact record", dropped)
+			if truncate {
+				report.TruncatedBytes += int64(dropped)
+				reason += ", truncated"
+				if err := os.Truncate(path, int64(off)); err != nil {
+					reason += fmt.Sprintf(" (truncate failed: %v; will be re-reported next boot)", err)
+				}
+			} else {
+				report.SkippedBytes += int64(dropped)
+				reason += ", left in place"
 			}
 			report.Faults = append(report.Faults, Fault{Segment: name, Offset: int64(off), Reason: reason})
 			return nil

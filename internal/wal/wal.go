@@ -30,7 +30,10 @@
 //     payload. Faults do not abort the boot: a torn or corrupt tail is
 //     physically truncated, a corrupt record mid-log is skipped by scanning
 //     forward to the next verifiable frame, and every such decision is
-//     returned as a per-record fault report.
+//     returned as a per-record fault report. ReadFile reads one file in the
+//     same framing (AppendRecord writes it) with the same damage handling,
+//     but never truncates: internal/service keeps a snapshot's entries in
+//     such a file.
 package wal
 
 import (
@@ -216,10 +219,11 @@ func segmentSeq(name string) (seq uint64, ok bool) {
 	return seq, err == nil
 }
 
-// listSegments returns the journal segments in dir, ordered by sequence.
+// listSegments returns the journal segments in dir, ordered by sequence; a
+// missing dir holds none.
 func listSegments(dir string) (paths []string, seqs []uint64, err error) {
-	matches, err := filepath.Glob(filepath.Join(dir, "journal-*.wal"))
-	if err != nil {
+	names, err := readDirNames(dir)
+	if err != nil && !os.IsNotExist(err) {
 		return nil, nil, fmt.Errorf("wal: scanning %s: %w", dir, err)
 	}
 	type seg struct {
@@ -227,12 +231,12 @@ func listSegments(dir string) (paths []string, seqs []uint64, err error) {
 		seq  uint64
 	}
 	var segs []seg
-	for _, p := range matches {
-		seq, ok := segmentSeq(filepath.Base(p))
+	for _, name := range names {
+		seq, ok := segmentSeq(name)
 		if !ok {
 			continue // not a segment; leave foreign files alone
 		}
-		segs = append(segs, seg{p, seq})
+		segs = append(segs, seg{filepath.Join(dir, name), seq})
 	}
 	sort.Slice(segs, func(i, j int) bool { return segs[i].seq < segs[j].seq })
 	for _, s := range segs {
@@ -314,10 +318,7 @@ func (l *Log) Write(payload []byte) (uint64, error) {
 	if l.closed {
 		return 0, ErrClosed
 	}
-	hdr := l.scratch[:0]
-	hdr = binary.LittleEndian.AppendUint32(hdr, frameMagic)
-	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(payload)))
-	hdr = binary.LittleEndian.AppendUint32(hdr, crc32.Checksum(payload, castagnoli))
+	hdr := appendHeader(l.scratch[:0], payload)
 	l.scratch = hdr
 	var err error
 	if l.opts.Sync == SyncOff {

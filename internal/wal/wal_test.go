@@ -537,3 +537,40 @@ func TestForeignFilesIgnored(t *testing.T) {
 		}
 	}
 }
+
+// TestReadFileLeavesFileAlone frames records with AppendRecord into one
+// file, breaks one record's CRC mid-file and tears the last record, and
+// reads it with ReadFile: the intact records arrive, both faults are
+// reported, and the file keeps every byte.
+func TestReadFileLeavesFileAlone(t *testing.T) {
+	recs := payloads(5)
+	var data []byte
+	var offs []int
+	for _, p := range recs {
+		offs = append(offs, len(data))
+		data = AppendRecord(data, p)
+	}
+	data[offs[1]+headerSize] ^= 0xff // record 1's payload no longer matches its CRC
+	data = data[:len(data)-3]        // record 4 is torn
+	path := filepath.Join(t.TempDir(), "entries.bin")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var got [][]byte
+	report, err := ReadFile(path, func(p []byte) error {
+		got = append(got, p)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := [][]byte{recs[0], recs[2], recs[3]}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("ReadFile delivered %q, want %q", got, want)
+	}
+	if len(report.Faults) != 2 || report.TruncatedBytes != 0 || report.SkippedBytes != int64(len(data)-offs[4])+int64(offs[2]-offs[1]) {
+		t.Fatalf("report %+v, want the corrupt record and the torn tail, nothing truncated", report)
+	}
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, data) {
+		t.Fatalf("ReadFile changed the file (%v)", err)
+	}
+}
