@@ -27,6 +27,7 @@ package anonradio
 import (
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 
 	"anonradio/internal/baseline"
@@ -98,14 +99,17 @@ const (
 // undirected edges, and the given wake-up tags (one per node, non-negative).
 // The graph must be connected.
 func NewConfig(n int, edges [][2]int, tags []int, name string) (*Config, error) {
-	g := graph.New(n)
+	if n < 0 || n > math.MaxInt32 {
+		return nil, fmt.Errorf("anonradio: invalid node count %d", n)
+	}
+	ends := make([]int32, 0, 2*len(edges))
 	for _, e := range edges {
 		if e[0] < 0 || e[0] >= n || e[1] < 0 || e[1] >= n || e[0] == e[1] {
 			return nil, fmt.Errorf("anonradio: invalid edge %v", e)
 		}
-		g.AddEdge(e[0], e[1])
+		ends = append(ends, int32(e[0]), int32(e[1]))
 	}
-	cfg, err := config.New(g, tags)
+	cfg, err := config.New(graph.FromEdges(n, ends), tags)
 	if err != nil {
 		return nil, err
 	}

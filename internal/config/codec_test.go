@@ -342,6 +342,34 @@ func TestUnmarshalAllocsConstant(t *testing.T) {
 	}
 }
 
+// TestUnmarshalBytesWithinCSRBudget pins the bytes one parse of the
+// 96-node staggered clique allocates, a TotalAlloc delta (allocation is
+// deterministic here), under the budget of a compressed-sparse-row graph:
+// the parser's int32 edge list and the graph's int32 neighbour array (8m
+// bytes each; a large array rounds up to whole 8 KiB pages), the graph's
+// n+1 int32 offsets, one int tag per node, and 4 KiB for the connectivity
+// check's scratch and the small structs. A graph of one slice header per
+// node and int neighbour entries needs over 128 KB.
+func TestUnmarshalBytesWithinCSRBudget(t *testing.T) {
+	c := StaggeredClique(96)
+	n, m := c.N(), c.Graph().M()
+	text := c.Marshal()
+	budget := uint64(2*(8*m+8<<10) + 4*(n+1) + 8*n + 4<<10)
+	if _, err := Unmarshal(text); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Unmarshal(text)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > budget {
+		t.Fatalf("Unmarshal of the %d-node clique allocated %d bytes, budget %d", n, got, budget)
+	}
+}
+
 // codecBenchConfigs are the two ends of the served configurations' sizes: a
 // 96-node staggered clique and a 16-node sparse random graph.
 func codecBenchConfigs() []struct {

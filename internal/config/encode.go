@@ -75,7 +75,7 @@ func (c *Config) appendText(b []byte) []byte {
 	}
 	for u := range c.N() {
 		for _, v := range c.g.Neighbors(u) {
-			if v > u {
+			if int(v) > u {
 				b = append(b, "edge "...)
 				b = strconv.AppendInt(b, int64(u), 10)
 				b = append(b, ' ')
@@ -113,7 +113,7 @@ func Read(r io.Reader) (*Config, error) {
 // which graph.FromEdges builds the graph in bulk. The result adopts that
 // graph and copies its Name, so it does not keep s alive.
 func Unmarshal(s string) (*Config, error) {
-	p := parser{size: len(s), n: -1}
+	p := parser{size: len(s), lines: strings.Count(s, "\n") + 1, n: -1}
 	rest := s
 	for line := 1; rest != ""; line++ {
 		text := rest
@@ -144,6 +144,7 @@ func Unmarshal(s string) (*Config, error) {
 // parser is Unmarshal's state between lines.
 type parser struct {
 	size  int     // length of the whole text
+	lines int     // number of lines of the whole text
 	n     int     // declared node count, -1 before the nodes line
 	tags  []int   // tag per node, -1 until the node's tag line
 	edges []int32 // edge endpoints in line order, two per edge
@@ -184,8 +185,9 @@ func (p *parser) parseLine(line int, text string) error {
 		for v := range p.tags {
 			p.tags[v] = -1
 		}
-		// Each edge line takes minEdgeLine bytes and a line end, but the last.
-		p.edges = make([]int32, 0, 2*((p.size+1)/(minEdgeLine+1)))
+		// Each edge is a line of at least minEdgeLine bytes and a line end,
+		// but the last.
+		p.edges = make([]int32, 0, 2*min(p.lines, (p.size+1)/(minEdgeLine+1)))
 	case "tag":
 		if p.n < 0 {
 			return fmt.Errorf("config: line %d: tag before nodes declaration", line)

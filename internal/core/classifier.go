@@ -15,7 +15,9 @@ type Snapshot struct {
 	// Classes[v] is the 1-based equivalence class of node v.
 	Classes []int
 	// Labels[v] is the label assigned to node v by the Partitioner call that
-	// produced this snapshot; nil in snapshot 0.
+	// produced this snapshot; nil in snapshot 0. A lean turbo report
+	// (ClassifyOptions{RecordSnapshots: false}) keeps no label slots: its
+	// one snapshot's Labels is nil.
 	Labels []Label
 	// NumClasses is the number of equivalence classes.
 	NumClasses int
@@ -222,7 +224,8 @@ func partitioner(cfg *config.Config, sigma int, prev Snapshot, stats *Stats) Sna
 	labels := make([]Label, n)
 	for v := 0; v < n; v++ {
 		var nv Label
-		for _, w := range g.Neighbors(v) {
+		for _, nb := range g.Neighbors(v) {
+			w := int(nb)
 			if prev.Classes[w] == prev.Classes[v] && cfg.Tag(w) == cfg.Tag(v) {
 				// v and w transmit simultaneously in this phase: v hears
 				// nothing from w and detects no collision.

@@ -28,8 +28,9 @@ import (
 //   - short neighbourhood lists are ordered with an allocation-free
 //     insertion sort (they arrive nearly sorted, since neighbour lists are
 //     sorted and classes correlate with node order);
-//   - adjacency is walked through the graph's CSR view, so one node's
-//     neighbourhood is one contiguous memory range;
+//   - adjacency is read in place from the graph's compressed sparse rows,
+//     so one node's neighbourhood is one contiguous memory range and a run
+//     copies no adjacency;
 //   - all scratch state lives in a Turbo value that is reused across
 //     iterations and across configurations, so the steady-state per-call
 //     allocation cost is just the Report being returned.
@@ -47,11 +48,11 @@ type ClassifyOptions struct {
 	// leader, iteration count, snapshots (classes, labels, representatives)
 	// and lists as the one produced by Classify (the Stats operation
 	// counters are the one exception: they count the turbo implementation's
-	// own operations). When false (the lean mode used by batch surveys)
-	// Report.Snapshots holds only the final partition — per-iteration
-	// accessors such as ClassOf and PartitionAfter need a recorded run —
-	// while Decision, Leader, LeaderClass, Lists, Iterations() and
-	// Stats.Iterations are unaffected.
+	// own operations). When false (the lean mode used by batch surveys
+	// and every election build) Report.Snapshots holds only the final
+	// partition, with nil Labels — per-iteration accessors such as ClassOf
+	// and PartitionAfter need a recorded run — while Decision, Leader,
+	// LeaderClass, Lists, Iterations() and Stats.Iterations are unaffected.
 	RecordSnapshots bool
 }
 
@@ -83,17 +84,16 @@ func unpackTriple(p uint64) Triple {
 // ready to use; a Turbo must not be used from multiple goroutines
 // concurrently (give each worker its own, as ClassifyBatch does).
 type Turbo struct {
-	csr     graph.CSR // CSR scratch, rebuilt per configuration
-	tags    []int32   // wake-up tags of the current configuration
-	classes []int32   // partition before the current iteration (1-based)
-	next    []int32   // partition after the current iteration
-	reps    []int32   // representative node of each class
-	sizes   []int32   // class-size scratch for the singleton check
-	labOff  []int32   // labOff[v]..labOff[v+1] delimit v's packed label
-	lab     []uint64  // packed-triple arena, reset every iteration
-	nbuf    []uint64  // per-node packed-pair buffer
-	hashes  []uint64  // FNV-1a hash of (oldClass, label) per node
-	table   []int32   // open-addressing table: class number or 0 (empty)
+	tags    []int32  // wake-up tags of the current configuration
+	classes []int32  // partition before the current iteration (1-based)
+	next    []int32  // partition after the current iteration
+	reps    []int32  // representative node of each class
+	sizes   []int32  // class-size scratch for the singleton check
+	labOff  []int32  // labOff[v]..labOff[v+1] delimit v's packed label
+	lab     []uint64 // packed-triple arena, reset every iteration
+	nbuf    []uint64 // per-node packed-pair buffer
+	hashes  []uint64 // FNV-1a hash of (oldClass, label) per node
+	table   []int32  // open-addressing table: class number or 0 (empty)
 }
 
 // NewTurbo returns a reusable turbo classifier engine.
@@ -159,7 +159,7 @@ func (t *Turbo) ClassifyInto(prev *Report, cfg *config.Config, opts ClassifyOpti
 	*report = Report{Config: cfg, Leader: -1, Lists: report.Lists[:0], Snapshots: report.Snapshots[:0]}
 	if opts.RecordSnapshots {
 		s := nextSnapshot(report)
-		*s = t.snapshotInto(*s, t.classes, 1, false)
+		*s = t.snapshotInto(*s, t.classes, 1, nilLabels)
 	}
 	l0 := nextList(report)
 	l0.Terminate = false
@@ -170,7 +170,7 @@ func (t *Turbo) ClassifyInto(prev *Report, cfg *config.Config, opts ClassifyOpti
 	maxIter := (n + 1) / 2
 	for i := 1; i <= maxIter; i++ {
 		oldCount := numClasses
-		numClasses = t.refine(sigma, numClasses, &report.Stats)
+		numClasses = t.refine(cfg.Graph(), sigma, numClasses, &report.Stats)
 		report.Stats.Iterations++
 
 		singleton := t.singletonClass(numClasses)
@@ -180,11 +180,15 @@ func (t *Turbo) ClassifyInto(prev *Report, cfg *config.Config, opts ClassifyOpti
 			lt := nextList(report)
 			lt.Terminate = true
 			lt.Entries = nil
-			// Lean mode keeps the final partition but not its labels: the
+			// Lean mode keeps the final partition but no label slots: the
 			// callers that opt out of snapshots only consume the verdict,
 			// the class structure and the lists.
+			labels := noLabels
+			if opts.RecordSnapshots {
+				labels = iterationLabels
+			}
 			final := nextSnapshot(report)
-			*final = t.snapshotInto(*final, t.next, numClasses, opts.RecordSnapshots)
+			*final = t.snapshotInto(*final, t.next, numClasses, labels)
 			if singleton != 0 {
 				report.Decision = Feasible
 				report.LeaderClass = int(singleton)
@@ -217,7 +221,7 @@ func (t *Turbo) ClassifyInto(prev *Report, cfg *config.Config, opts ClassifyOpti
 
 		if opts.RecordSnapshots {
 			s := nextSnapshot(report)
-			*s = t.snapshotInto(*s, t.next, numClasses, true)
+			*s = t.snapshotInto(*s, t.next, numClasses, iterationLabels)
 		}
 		t.classes, t.next = t.next, t.classes
 	}
@@ -259,10 +263,9 @@ func growKeep[T any](s []T, n int) []T {
 }
 
 // reset prepares the scratch arena for a run on cfg: Init-Aug state (every
-// node in class 1, node 0 its representative) plus the CSR adjacency view.
+// node in class 1, node 0 its representative).
 func (t *Turbo) reset(cfg *config.Config) {
 	n := cfg.N()
-	t.csr = cfg.Graph().CSRInto(t.csr)
 	t.tags = arena.Grow(t.tags, n)
 	for v := 0; v < n; v++ {
 		t.tags[v] = int32(cfg.Tag(v))
@@ -276,8 +279,8 @@ func (t *Turbo) reset(cfg *config.Config) {
 	t.sizes = arena.Grow(t.sizes, n)
 	t.labOff = arena.Grow(t.labOff, n+1)
 	t.lab = t.lab[:0]
-	if cap(t.nbuf) < t.csr.MaxDegree() {
-		t.nbuf = make([]uint64, 0, t.csr.MaxDegree())
+	if d := cfg.MaxDegree(); cap(t.nbuf) < d {
+		t.nbuf = make([]uint64, 0, d)
 	}
 	t.hashes = arena.Grow(t.hashes, n)
 	// Table sized to the next power of two >= 4n keeps the load factor
@@ -296,10 +299,11 @@ func (t *Turbo) reset(cfg *config.Config) {
 // refine executes one Partitioner+Refine iteration (Algorithms 3 and 2) on
 // the packed representation: it fills the label arena, hashes every node's
 // (old class, label) key, and assigns new class numbers through the
-// open-addressing table. It reads t.classes and writes t.next and t.reps,
-// returning the new class count.
-func (t *Turbo) refine(sigma, numClasses int32, stats *Stats) int32 {
+// open-addressing table. It reads g's rows in place and t.classes, and
+// writes t.next and t.reps, returning the new class count.
+func (t *Turbo) refine(g *graph.Graph, sigma, numClasses int32, stats *Stats) int32 {
 	n := len(t.classes)
+	off, nbr := g.CSR()
 	t.lab = t.lab[:0]
 	t.labOff[0] = 0
 
@@ -308,7 +312,7 @@ func (t *Turbo) refine(sigma, numClasses int32, stats *Stats) int32 {
 	for v := 0; v < n; v++ {
 		cv, tv := t.classes[v], t.tags[v]
 		nbuf := t.nbuf[:0]
-		for _, w := range t.csr.Neighbors(v) {
+		for _, w := range nbr[off[v]:off[v+1]] {
 			cw, tw := t.classes[w], t.tags[w]
 			if cw == cv && tw == tv {
 				// v and w transmit simultaneously in this phase: v hears
@@ -456,15 +460,26 @@ func (t *Turbo) unpackLabelInto(dst Label, v int32) Label {
 	return dst
 }
 
+// labelSlots is what a snapshot keeps in its Labels field.
+type labelSlots uint8
+
+const (
+	// noLabels leaves Labels nil: a lean run's final snapshot.
+	noLabels labelSlots = iota
+	// nilLabels keeps one nil label per node: snapshot 0 of a recorded run,
+	// matching Init-Aug.
+	nilLabels
+	// iterationLabels keeps the labels of the current iteration.
+	iterationLabels
+)
+
 // snapshotInto materializes the partition in the given class array as a
-// heap-owned Snapshot, recycling prev's buffers. withLabels selects whether
-// the labels of the current iteration are attached (they are nil in
-// snapshot 0, matching Init-Aug).
-func (t *Turbo) snapshotInto(prev Snapshot, classes []int32, numClasses int32, withLabels bool) Snapshot {
+// heap-owned Snapshot, recycling prev's buffers, with the labels that
+// labels selects.
+func (t *Turbo) snapshotInto(prev Snapshot, classes []int32, numClasses int32, labels labelSlots) Snapshot {
 	n := len(classes)
 	s := Snapshot{
 		Classes:    arena.Grow(prev.Classes, n),
-		Labels:     growKeep(prev.Labels, n),
 		NumClasses: int(numClasses),
 		Reps:       arena.Grow(prev.Reps, int(numClasses)),
 	}
@@ -474,13 +489,16 @@ func (t *Turbo) snapshotInto(prev Snapshot, classes []int32, numClasses int32, w
 	for k := int32(0); k < numClasses; k++ {
 		s.Reps[k] = int(t.reps[k])
 	}
-	if withLabels {
-		for v := int32(0); v < int32(n); v++ {
-			s.Labels[v] = t.unpackLabelInto(s.Labels[v], v)
-		}
-	} else {
+	switch labels {
+	case nilLabels:
+		s.Labels = growKeep(prev.Labels, n)
 		for v := range s.Labels {
 			s.Labels[v] = nil
+		}
+	case iterationLabels:
+		s.Labels = growKeep(prev.Labels, n)
+		for v := int32(0); v < int32(n); v++ {
+			s.Labels[v] = t.unpackLabelInto(s.Labels[v], v)
 		}
 	}
 	return s

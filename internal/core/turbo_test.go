@@ -15,18 +15,21 @@ func reportsEquivalent(a, b *Report) bool {
 	if a.Feasible() != b.Feasible() || a.Leader != b.Leader || a.LeaderClass != b.LeaderClass {
 		return false
 	}
-	if a.Iterations() != b.Iterations() || len(a.Lists) != len(b.Lists) {
+	if a.Iterations() != b.Iterations() || len(a.Lists) != len(b.Lists) || len(a.Snapshots) != len(b.Snapshots) {
 		return false
 	}
 	for j := range a.Snapshots {
 		sa, sb := a.Snapshots[j], b.Snapshots[j]
-		if sa.NumClasses != sb.NumClasses {
+		if sa.NumClasses != sb.NumClasses || len(sa.Labels) != len(sb.Labels) {
 			return false
 		}
 		for v := range sa.Classes {
 			if sa.Classes[v] != sb.Classes[v] {
 				return false
 			}
+		}
+		// A lean report's snapshot keeps no label slots.
+		for v := range sa.Labels {
 			if !sa.Labels[v].Equal(sb.Labels[v]) {
 				return false
 			}

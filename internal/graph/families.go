@@ -8,13 +8,20 @@ import "fmt"
 // caterpillars and barbells. All generators return connected graphs (for
 // positive sizes) and are fully deterministic.
 
+// edgeList collects a generator's edges as FromEdges takes them.
+type edgeList []int32
+
+func (l *edgeList) add(u, v int) { *l = append(*l, int32(u), int32(v)) }
+
 // Path returns the path graph P_n on n nodes: 0-1-2-...-(n-1).
-func Path(n int) *Graph {
-	g := New(n)
+func Path(n int) *Graph { return FromEdges(n, pathEdges(n)) }
+
+func pathEdges(n int) edgeList {
+	var l edgeList
 	for v := 0; v+1 < n; v++ {
-		g.AddEdge(v, v+1)
+		l.add(v, v+1)
 	}
-	return g
+	return l
 }
 
 // Cycle returns the cycle graph C_n on n >= 3 nodes. It panics for n < 3.
@@ -22,41 +29,46 @@ func Cycle(n int) *Graph {
 	if n < 3 {
 		panic(fmt.Sprintf("graph: cycle requires n >= 3, got %d", n))
 	}
-	g := Path(n)
-	g.AddEdge(n-1, 0)
-	return g
+	l := pathEdges(n)
+	l.add(n-1, 0)
+	return FromEdges(n, l)
 }
 
 // Star returns the star graph on n nodes with node 0 as the centre.
 func Star(n int) *Graph {
-	g := New(n)
+	var l edgeList
 	for v := 1; v < n; v++ {
-		g.AddEdge(0, v)
+		l.add(0, v)
 	}
-	return g
+	return FromEdges(n, l)
 }
 
 // Complete returns the complete graph K_n.
 func Complete(n int) *Graph {
-	g := New(n)
-	for u := 0; u < n; u++ {
-		for v := u + 1; v < n; v++ {
-			g.AddEdge(u, v)
+	var l edgeList
+	cliqueEdges(&l, 0, n)
+	return FromEdges(n, l)
+}
+
+// cliqueEdges adds the edges of a clique on nodes from..from+k-1.
+func cliqueEdges(l *edgeList, from, k int) {
+	for u := 0; u < k; u++ {
+		for v := u + 1; v < k; v++ {
+			l.add(from+u, from+v)
 		}
 	}
-	return g
 }
 
 // CompleteBipartite returns the complete bipartite graph K_{a,b} with parts
 // {0..a-1} and {a..a+b-1}.
 func CompleteBipartite(a, b int) *Graph {
-	g := New(a + b)
+	var l edgeList
 	for u := 0; u < a; u++ {
 		for v := 0; v < b; v++ {
-			g.AddEdge(u, a+v)
+			l.add(u, a+v)
 		}
 	}
-	return g
+	return FromEdges(a+b, l)
 }
 
 // Grid returns the rows×cols grid graph. Node (r,c) has index r*cols+c.
@@ -64,19 +76,23 @@ func Grid(rows, cols int) *Graph {
 	if rows < 0 || cols < 0 {
 		panic(fmt.Sprintf("graph: negative grid dimensions %dx%d", rows, cols))
 	}
-	g := New(rows * cols)
+	return FromEdges(rows*cols, gridEdges(rows, cols))
+}
+
+func gridEdges(rows, cols int) edgeList {
+	var l edgeList
 	idx := func(r, c int) int { return r*cols + c }
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
 			if c+1 < cols {
-				g.AddEdge(idx(r, c), idx(r, c+1))
+				l.add(idx(r, c), idx(r, c+1))
 			}
 			if r+1 < rows {
-				g.AddEdge(idx(r, c), idx(r+1, c))
+				l.add(idx(r, c), idx(r+1, c))
 			}
 		}
 	}
-	return g
+	return l
 }
 
 // Torus returns the rows×cols torus (grid with wrap-around edges). Both
@@ -86,15 +102,15 @@ func Torus(rows, cols int) *Graph {
 	if rows < 3 || cols < 3 {
 		panic(fmt.Sprintf("graph: torus requires dimensions >= 3, got %dx%d", rows, cols))
 	}
-	g := Grid(rows, cols)
+	l := gridEdges(rows, cols)
 	idx := func(r, c int) int { return r*cols + c }
 	for r := 0; r < rows; r++ {
-		g.AddEdge(idx(r, cols-1), idx(r, 0))
+		l.add(idx(r, cols-1), idx(r, 0))
 	}
 	for c := 0; c < cols; c++ {
-		g.AddEdge(idx(rows-1, c), idx(0, c))
+		l.add(idx(rows-1, c), idx(0, c))
 	}
-	return g
+	return FromEdges(rows*cols, l)
 }
 
 // Hypercube returns the d-dimensional hypercube Q_d on 2^d nodes, where nodes
@@ -104,32 +120,31 @@ func Hypercube(d int) *Graph {
 		panic(fmt.Sprintf("graph: hypercube dimension %d out of range [0,30]", d))
 	}
 	n := 1 << uint(d)
-	g := New(n)
+	var l edgeList
 	for u := 0; u < n; u++ {
 		for b := 0; b < d; b++ {
 			v := u ^ (1 << uint(b))
 			if u < v {
-				g.AddEdge(u, v)
+				l.add(u, v)
 			}
 		}
 	}
-	return g
+	return FromEdges(n, l)
 }
 
 // CompleteBinaryTree returns a complete binary tree with n nodes, where node
 // v has children 2v+1 and 2v+2 when those indices are below n.
 func CompleteBinaryTree(n int) *Graph {
-	g := New(n)
+	var l edgeList
 	for v := 0; v < n; v++ {
-		l, r := 2*v+1, 2*v+2
-		if l < n {
-			g.AddEdge(v, l)
+		if c := 2*v + 1; c < n {
+			l.add(v, c)
 		}
-		if r < n {
-			g.AddEdge(v, r)
+		if c := 2*v + 2; c < n {
+			l.add(v, c)
 		}
 	}
-	return g
+	return FromEdges(n, l)
 }
 
 // Caterpillar returns a caterpillar tree: a spine path of length spine with
@@ -139,18 +154,15 @@ func Caterpillar(spine, legs int) *Graph {
 	if spine < 1 || legs < 0 {
 		panic(fmt.Sprintf("graph: invalid caterpillar parameters spine=%d legs=%d", spine, legs))
 	}
-	g := New(spine * (1 + legs))
-	for v := 0; v+1 < spine; v++ {
-		g.AddEdge(v, v+1)
-	}
+	l := pathEdges(spine)
 	next := spine
 	for v := 0; v < spine; v++ {
-		for l := 0; l < legs; l++ {
-			g.AddEdge(v, next)
+		for i := 0; i < legs; i++ {
+			l.add(v, next)
 			next++
 		}
 	}
-	return g
+	return FromEdges(spine*(1+legs), l)
 }
 
 // Barbell returns the barbell graph: two cliques K_k joined by a path of
@@ -160,20 +172,22 @@ func Barbell(k, pathLen int) *Graph {
 	if k < 1 || pathLen < 0 {
 		panic(fmt.Sprintf("graph: invalid barbell parameters k=%d pathLen=%d", k, pathLen))
 	}
-	g := New(2*k + pathLen)
-	for u := 0; u < k; u++ {
-		for v := u + 1; v < k; v++ {
-			g.AddEdge(u, v)
-			g.AddEdge(k+pathLen+u, k+pathLen+v)
-		}
-	}
-	prev := k - 1
+	var l edgeList
+	cliqueEdges(&l, 0, k)
+	cliqueEdges(&l, k+pathLen, k)
+	last := tailEdges(&l, k-1, k, pathLen)
+	l.add(last, k+pathLen)
+	return FromEdges(2*k+pathLen, l)
+}
+
+// tailEdges adds a path of pathLen nodes from..from+pathLen-1 hanging off
+// node at, and returns its far end (at itself when pathLen is 0).
+func tailEdges(l *edgeList, at, from, pathLen int) int {
 	for i := 0; i < pathLen; i++ {
-		g.AddEdge(prev, k+i)
-		prev = k + i
+		l.add(at, from+i)
+		at = from + i
 	}
-	g.AddEdge(prev, k+pathLen)
-	return g
+	return at
 }
 
 // Lollipop returns a clique K_k with a path of pathLen nodes attached to node
@@ -182,18 +196,10 @@ func Lollipop(k, pathLen int) *Graph {
 	if k < 1 || pathLen < 0 {
 		panic(fmt.Sprintf("graph: invalid lollipop parameters k=%d pathLen=%d", k, pathLen))
 	}
-	g := New(k + pathLen)
-	for u := 0; u < k; u++ {
-		for v := u + 1; v < k; v++ {
-			g.AddEdge(u, v)
-		}
-	}
-	prev := k - 1
-	for i := 0; i < pathLen; i++ {
-		g.AddEdge(prev, k+i)
-		prev = k + i
-	}
-	return g
+	var l edgeList
+	cliqueEdges(&l, 0, k)
+	tailEdges(&l, k-1, k, pathLen)
+	return FromEdges(k+pathLen, l)
 }
 
 // Wheel returns the wheel graph W_n: a cycle on n-1 nodes (1..n-1) plus a hub
@@ -202,14 +208,14 @@ func Wheel(n int) *Graph {
 	if n < 4 {
 		panic(fmt.Sprintf("graph: wheel requires n >= 4, got %d", n))
 	}
-	g := New(n)
+	var l edgeList
 	for v := 1; v < n; v++ {
-		g.AddEdge(0, v)
+		l.add(0, v)
 		next := v + 1
 		if next == n {
 			next = 1
 		}
-		g.AddEdge(v, next)
+		l.add(v, next)
 	}
-	return g
+	return FromEdges(n, l)
 }

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -122,7 +123,7 @@ func TestNeighborsSorted(t *testing.T) {
 	g.AddEdge(3, 4)
 	g.AddEdge(3, 1)
 	nb := g.Neighbors(3)
-	want := []int{0, 1, 4, 5}
+	want := []int32{0, 1, 4, 5}
 	if len(nb) != len(want) {
 		t.Fatalf("neighbour count mismatch: %v", nb)
 	}
@@ -541,20 +542,6 @@ func addEdges(n int, edges []int32) *Graph {
 	return g
 }
 
-// sameAdjacency reports whether g and h hold identical neighbour lists,
-// down to nil (never touched) versus empty.
-func sameAdjacency(g, h *Graph) bool {
-	if !g.Equal(h) {
-		return false
-	}
-	for v := range g.adj {
-		if (g.adj[v] == nil) != (h.adj[v] == nil) {
-			return false
-		}
-	}
-	return true
-}
-
 func TestFromEdgesMatchesAddEdge(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -570,8 +557,8 @@ func TestFromEdgesMatchesAddEdge(t *testing.T) {
 	}
 	for _, tc := range cases {
 		got, want := FromEdges(tc.n, tc.edges), addEdges(tc.n, tc.edges)
-		if !sameAdjacency(got, want) {
-			t.Fatalf("%s: FromEdges = %v, AddEdge = %v", tc.name, got.adj, want.adj)
+		if !got.Equal(want) {
+			t.Fatalf("%s: FromEdges = %v, AddEdge = %v", tc.name, got.Edges(), want.Edges())
 		}
 		if err := got.Validate(); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
@@ -591,7 +578,7 @@ func TestPropertyFromEdgesMatchesAddEdge(t *testing.T) {
 			}
 		}
 		g := FromEdges(n, edges)
-		return sameAdjacency(g, addEdges(n, edges)) && g.Validate() == nil
+		return g.Equal(addEdges(n, edges)) && g.Validate() == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatalf("property failed: %v", err)
@@ -611,7 +598,7 @@ func TestFromEdgesListsStayApart(t *testing.T) {
 	g.AddEdge(1, 3)
 	want.AddEdge(1, 3)
 	if !g.Equal(want) {
-		t.Fatalf("mutations leaked across lists: %v, want %v", g.adj, want.adj)
+		t.Fatalf("mutations leaked across lists: %v, want %v", g.Edges(), want.Edges())
 	}
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
@@ -640,5 +627,119 @@ func TestStringer(t *testing.T) {
 	s := Complete(4).String()
 	if !strings.Contains(s, "n=4") || !strings.Contains(s, "m=6") {
 		t.Fatalf("String() = %q", s)
+	}
+}
+
+// TestPropertyOneRepresentation builds random edge lists, with repeated
+// pairs in both orientations and in any order, three ways: FromEdges,
+// AddEdge one edge at a time, and AddEdge of every edge followed by
+// RemoveEdge of a random subset of the pairs (against FromEdges of the
+// list without that subset). All must give equal, valid graphs. A clone
+// that is then edited must leave the original as it was, and an append to
+// any returned neighbour list must not reach the graph.
+func TestPropertyOneRepresentation(t *testing.T) {
+	f := func(seed int64, size, count uint8) bool {
+		n := int(size%24) + 2
+		rng := rand.New(rand.NewSource(seed))
+		edges := make([]int32, 0, 2*int(count))
+		for len(edges) < cap(edges) {
+			u, v := rng.Intn(n), rng.Intn(n)
+			if u == v {
+				continue
+			}
+			edges = append(edges, int32(u), int32(v))
+			if rng.Intn(4) == 0 {
+				// Repeat the pair, reversed half the time.
+				if rng.Intn(2) == 0 {
+					u, v = v, u
+				}
+				edges = append(edges, int32(u), int32(v))
+			}
+		}
+		rng.Shuffle(len(edges)/2, func(i, j int) {
+			edges[2*i], edges[2*j] = edges[2*j], edges[2*i]
+			edges[2*i+1], edges[2*j+1] = edges[2*j+1], edges[2*i+1]
+		})
+		g := FromEdges(n, edges)
+		if !g.Equal(addEdges(n, edges)) || g.Validate() != nil {
+			t.Logf("n=%d: FromEdges %v, AddEdge %v", n, g.Edges(), addEdges(n, edges).Edges())
+			return false
+		}
+
+		removed := make(map[[2]int]bool)
+		for _, e := range g.Edges() {
+			if rng.Intn(3) == 0 {
+				removed[e] = true
+			}
+		}
+		var kept []int32
+		for i := 0; i < len(edges); i += 2 {
+			u, v := int(edges[i]), int(edges[i+1])
+			if !removed[[2]int{min(u, v), max(u, v)}] {
+				kept = append(kept, edges[i], edges[i+1])
+			}
+		}
+		edited := addEdges(n, edges)
+		for _, e := range g.Edges() {
+			if removed[e] {
+				u, v := e[0], e[1]
+				if rng.Intn(2) == 0 {
+					u, v = v, u
+				}
+				if !edited.RemoveEdge(u, v) || edited.RemoveEdge(u, v) {
+					t.Logf("n=%d: RemoveEdge(%d, %d) did not remove the edge exactly once", n, u, v)
+					return false
+				}
+			}
+		}
+		if want := FromEdges(n, kept); !edited.Equal(want) || edited.Validate() != nil {
+			t.Logf("n=%d: after RemoveEdge %v, want %v", n, edited.Edges(), want.Edges())
+			return false
+		}
+
+		before := g.Edges()
+		c := g.Clone()
+		if !c.Equal(g) {
+			return false
+		}
+		u, v := rng.Intn(n), rng.Intn(n)
+		if u != v {
+			c.AddEdge(u, v)
+		}
+		if es := c.Edges(); len(es) > 0 {
+			e := es[rng.Intn(len(es))]
+			c.RemoveEdge(e[0], e[1])
+		}
+		if !slices.Equal(g.Edges(), before) || c.Validate() != nil || g.Validate() != nil {
+			t.Logf("n=%d: editing a clone changed the original", n)
+			return false
+		}
+
+		for w := range n {
+			_ = append(g.Neighbors(w), int32(n))
+		}
+		if !slices.Equal(g.Edges(), before) || g.Validate() != nil {
+			t.Logf("n=%d: an append to a neighbour list reached the graph", n)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatalf("property failed: %v", err)
+	}
+}
+
+// TestNeighborsAppendCopies pins the capacity of a returned neighbour list:
+// it ends with the list, so an append copies instead of overwriting the
+// first neighbour of the next node.
+func TestNeighborsAppendCopies(t *testing.T) {
+	g := Path(3)
+	nb := g.Neighbors(0)
+	if cap(nb) != len(nb) {
+		t.Fatalf("Neighbors(0) has capacity %d past its %d entries", cap(nb), len(nb))
+	}
+	_ = append(nb, 2)
+	if got := g.Neighbors(1); !slices.Equal(got, []int32{0, 2}) {
+		t.Fatalf("append to Neighbors(0) wrote into node 1's list: %v", got)
 	}
 }

@@ -14,15 +14,15 @@ func RandomGNP(n int, p float64, rng *rand.Rand) *Graph {
 	if p < 0 || p > 1 {
 		panic(fmt.Sprintf("graph: probability %v out of range [0,1]", p))
 	}
-	g := New(n)
+	var l edgeList
 	for u := 0; u < n; u++ {
 		for v := u + 1; v < n; v++ {
 			if rng.Float64() < p {
-				g.AddEdge(u, v)
+				l.add(u, v)
 			}
 		}
 	}
-	return g
+	return FromEdges(n, l)
 }
 
 // RandomConnectedGNP returns a connected graph sampled by first drawing a
@@ -33,30 +33,37 @@ func RandomConnectedGNP(n int, p float64, rng *rand.Rand) *Graph {
 	if n <= 0 {
 		return New(n)
 	}
-	g := RandomTree(n, rng)
+	l := randomTreeEdges(n, rng)
 	if p <= 0 {
-		return g
+		return FromEdges(n, l)
 	}
+	tree := FromEdges(n, l)
 	for u := 0; u < n; u++ {
 		for v := u + 1; v < n; v++ {
-			if !g.HasEdge(u, v) && rng.Float64() < p {
-				g.AddEdge(u, v)
+			if !tree.HasEdge(u, v) && rng.Float64() < p {
+				l.add(u, v)
 			}
 		}
 	}
-	return g
+	return FromEdges(n, l)
 }
 
 // RandomTree returns a uniformly-random labeled tree on n nodes generated
 // from a random Prüfer sequence. For n <= 2 the unique tree is returned.
 func RandomTree(n int, rng *rand.Rand) *Graph {
-	g := New(n)
+	return FromEdges(n, randomTreeEdges(n, rng))
+}
+
+// randomTreeEdges returns RandomTree's edges, in the order the Prüfer
+// decoding finds them.
+func randomTreeEdges(n int, rng *rand.Rand) edgeList {
+	var l edgeList
 	switch {
 	case n <= 1:
-		return g
+		return l
 	case n == 2:
-		g.AddEdge(0, 1)
-		return g
+		l.add(0, 1)
+		return l
 	}
 	prufer := make([]int, n-2)
 	for i := range prufer {
@@ -80,7 +87,7 @@ func RandomTree(n int, rng *rand.Rand) *Graph {
 				break
 			}
 		}
-		g.AddEdge(leaf, v)
+		l.add(leaf, v)
 		used[leaf] = true
 		degree[leaf]--
 		degree[v]--
@@ -92,12 +99,12 @@ func RandomTree(n int, rng *rand.Rand) *Graph {
 			if first < 0 {
 				first = u
 			} else {
-				g.AddEdge(first, u)
+				l.add(first, u)
 				break
 			}
 		}
 	}
-	return g
+	return l
 }
 
 // RandomRegularish returns a connected graph where every node has degree
@@ -109,17 +116,29 @@ func RandomRegularish(n, d int, rng *rand.Rand) *Graph {
 	if d < 1 {
 		panic(fmt.Sprintf("graph: RandomRegularish requires d >= 1, got %d", d))
 	}
-	g := RandomTree(n, rng)
+	l := randomTreeEdges(n, rng)
+	degree := make([]int, n)
+	edges := make(map[[2]int]bool, len(l))
+	for i := 0; i < len(l); i += 2 {
+		u, v := int(l[i]), int(l[i+1])
+		degree[u]++
+		degree[v]++
+		edges[[2]int{min(u, v), max(u, v)}] = true
+	}
 	attempts := 20 * n * d
 	for i := 0; i < attempts; i++ {
 		u := rng.Intn(n)
 		v := rng.Intn(n)
-		if u == v || g.Degree(u) >= d || g.Degree(v) >= d || g.HasEdge(u, v) {
+		e := [2]int{min(u, v), max(u, v)}
+		if u == v || degree[u] >= d || degree[v] >= d || edges[e] {
 			continue
 		}
-		g.AddEdge(u, v)
+		l.add(u, v)
+		degree[u]++
+		degree[v]++
+		edges[e] = true
 	}
-	return g
+	return FromEdges(n, l)
 }
 
 // RandomCaterpillar returns a random caterpillar tree on approximately n
@@ -130,14 +149,11 @@ func RandomCaterpillar(n int, rng *rand.Rand) *Graph {
 		return Path(n)
 	}
 	spine := 2 + rng.Intn(n-2)
-	g := New(n)
-	for v := 0; v+1 < spine; v++ {
-		g.AddEdge(v, v+1)
-	}
+	l := pathEdges(spine)
 	for v := spine; v < n; v++ {
-		g.AddEdge(rng.Intn(spine), v)
+		l.add(rng.Intn(spine), v)
 	}
-	return g
+	return FromEdges(n, l)
 }
 
 // RandomSubdividedStar returns a spider: a centre node with arms of random
@@ -146,21 +162,16 @@ func RandomSubdividedStar(n int, rng *rand.Rand) *Graph {
 	if n <= 2 {
 		return Path(n)
 	}
-	g := New(n)
 	arms := 2 + rng.Intn(n-2)
 	if arms > n-1 {
 		arms = n - 1
 	}
-	next := 1
+	var l edgeList
 	attach := make([]int, arms) // last node of each arm, starts at the centre
-	for i := range attach {
-		attach[i] = 0
-	}
-	for next < n {
+	for next := 1; next < n; next++ {
 		a := rng.Intn(arms)
-		g.AddEdge(attach[a], next)
+		l.add(attach[a], next)
 		attach[a] = next
-		next++
 	}
-	return g
+	return FromEdges(n, l)
 }

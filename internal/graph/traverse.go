@@ -20,10 +20,10 @@ func (g *Graph) BFS(source int) []int {
 	for len(queue) > 0 {
 		u := queue[0]
 		queue = queue[1:]
-		for _, v := range g.adj[u] {
+		for _, v := range g.row(u) {
 			if dist[v] < 0 {
 				dist[v] = dist[u] + 1
-				queue = append(queue, v)
+				queue = append(queue, int(v))
 			}
 		}
 	}
@@ -47,11 +47,11 @@ func (g *Graph) BFSTree(source int) (parent, dist []int) {
 	for len(queue) > 0 {
 		u := queue[0]
 		queue = queue[1:]
-		for _, v := range g.adj[u] {
+		for _, v := range g.row(u) {
 			if dist[v] < 0 {
 				dist[v] = dist[u] + 1
 				parent[v] = u
-				queue = append(queue, v)
+				queue = append(queue, int(v))
 			}
 		}
 	}
@@ -89,10 +89,10 @@ func (g *Graph) Components() [][]int {
 			u := queue[0]
 			queue = queue[1:]
 			comp = append(comp, u)
-			for _, v := range g.adj[u] {
+			for _, v := range g.row(u) {
 				if !seen[v] {
 					seen[v] = true
-					queue = append(queue, v)
+					queue = append(queue, int(v))
 				}
 			}
 		}
@@ -175,7 +175,7 @@ func (g *Graph) IsTree() bool {
 	if g.n == 0 {
 		return false
 	}
-	return g.m == g.n-1 && g.Connected()
+	return g.M() == g.n-1 && g.Connected()
 }
 
 // DegreeHistogram returns a map from degree value to the number of nodes with
@@ -183,7 +183,7 @@ func (g *Graph) IsTree() bool {
 func (g *Graph) DegreeHistogram() map[int]int {
 	h := make(map[int]int)
 	for v := 0; v < g.n; v++ {
-		h[len(g.adj[v])]++
+		h[int(g.off[v+1]-g.off[v])]++
 	}
 	return h
 }

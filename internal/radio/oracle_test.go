@@ -212,7 +212,8 @@ func (GoroutinePerNode) Run(cfg *config.Config, proto drip.Protocol, opts Option
 			if !transmitting[v] || down(depth, v) {
 				continue
 			}
-			for _, w := range g.Neighbors(v) {
+			for _, nb := range g.Neighbors(v) {
+				w := int(nb)
 				if fp != nil {
 					if down(depth, w) {
 						continue

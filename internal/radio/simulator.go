@@ -80,8 +80,8 @@ type CodedProtocol interface {
 //   - Spontaneous wake-ups come from a tag-ordered node list; forced ones
 //     from the lone delivery or the dirty list.
 //   - Neighbourhoods are read in place from the configuration graph's
-//     adjacency lists, so rebinding the simulator to another configuration
-//     (Reset) copies no adjacency.
+//     compressed sparse rows, so rebinding the simulator to another
+//     configuration (Reset) copies no adjacency.
 //   - Under a fault plan any node may perceive noise in any round, so one
 //     dense pass per round perceives for every sleeping node and every
 //     listener, making exactly the perception calls the model prescribes.
@@ -94,7 +94,9 @@ type CodedProtocol interface {
 // A Simulator is not safe for concurrent use; give each goroutine its own.
 type Simulator struct {
 	cfg *config.Config
-	adj [][]int // cfg's adjacency lists, read in place
+	// off and nbr are cfg's graph's compressed sparse rows, read in place:
+	// node v's neighbours are nbr[off[v]:off[v+1]].
+	off, nbr []int32
 
 	states       []nodeState
 	life         []lifeStage
@@ -227,7 +229,7 @@ func (s *Simulator) Reset(cfg *config.Config) error {
 	// every other entry of the backing arrays is already zero.
 	s.cleanMedium()
 	s.cfg = cfg
-	s.adj = cfg.Graph().Adjacency()
+	s.off, s.nbr = cfg.Graph().CSR()
 	s.states = growStates(s.states, n)
 	s.life = arena.Grow(s.life, n)
 	s.base = arena.Grow(s.base, n)
@@ -511,18 +513,18 @@ func (s *Simulator) run(opts Options) (*Result, error) {
 				continue
 			}
 			msg := s.actions[v].Msg
-			for _, w := range s.adj[v] {
+			for _, w := range s.nbr[s.off[v]:s.off[v+1]] {
 				if fp != nil {
-					if down(depth, w) {
+					if down(depth, int(w)) {
 						continue
 					}
-					if fp.dropsDelivery(round, int(v), w) {
+					if fp.dropsDelivery(round, int(v), int(w)) {
 						fs.Drops++
 						continue
 					}
 				}
 				if s.counts[w] == 0 {
-					s.touched = append(s.touched, int32(w))
+					s.touched = append(s.touched, w)
 				}
 				s.counts[w]++
 				s.single[w] = msg
@@ -552,7 +554,7 @@ func (s *Simulator) run(opts Options) (*Result, error) {
 			// message; the transmitter set lastActive in step 1. A coded run
 			// records it with one byte store per running neighbour.
 			msg := s.actions[tx[0]].Msg
-			nbrs := s.adj[tx[0]]
+			nbrs := s.nbr[s.off[tx[0]]:s.off[tx[0]+1]]
 			if s.coder != nil {
 				// The slice headers are loaded once: a wake-up writes into
 				// these arrays but never replaces them.
@@ -562,7 +564,7 @@ func (s *Simulator) run(opts Options) (*Result, error) {
 					case running:
 						codes[base[w]+round] = history.CodeMessage
 					case asleep:
-						s.wake(w, round, 1, msg, rec)
+						s.wake(int(w), round, 1, msg, rec)
 					}
 				}
 				if rec != nil {
@@ -571,7 +573,7 @@ func (s *Simulator) run(opts Options) (*Result, error) {
 					// message or woke with it; both entries read the same.
 					for _, w := range nbrs {
 						if s.life[w] == running {
-							rec.Heard[w] = listenEntry(1, msg)
+							rec.Heard[int(w)] = listenEntry(1, msg)
 						}
 					}
 				}
@@ -579,9 +581,9 @@ func (s *Simulator) run(opts Options) (*Result, error) {
 				for _, w := range nbrs {
 					switch s.life[w] {
 					case running:
-						s.hear(w, round, 1, msg, rec)
+						s.hear(int(w), round, 1, msg, rec)
 					case asleep:
-						s.wake(w, round, 1, msg, rec)
+						s.wake(int(w), round, 1, msg, rec)
 					}
 				}
 			}

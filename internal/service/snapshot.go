@@ -260,9 +260,9 @@ var entriesFile = regexp.MustCompile(`^entries-([0-9]{8,})\.bin$`)
 // names it.
 func nextEntriesFile(dir string) string {
 	var gen uint64
-	files, _ := os.ReadDir(dir)
-	for _, f := range files {
-		if sub := entriesFile.FindStringSubmatch(f.Name()); sub != nil {
+	names, _ := wal.ReadDirNames(dir)
+	for _, name := range names {
+		if sub := entriesFile.FindStringSubmatch(name); sub != nil {
 			if g, err := strconv.ParseUint(sub[1], 10, 64); err == nil && g > gen {
 				gen = g
 			}
@@ -282,13 +282,17 @@ var snapshotDataFile = regexp.MustCompile(`^(entries-[0-9]{8,}\.bin|[0-9]{4,}\.(
 // left alone. Removal is best-effort: m is already committed, and Restore
 // never reads a file the manifest does not name.
 func removeOrphans(dir string, m *Manifest) {
-	files, err := os.ReadDir(dir)
+	names, err := wal.ReadDirNames(dir)
 	if err != nil {
 		return
 	}
-	for _, f := range files {
-		if name := f.Name(); !f.IsDir() && name != m.EntriesFile && snapshotDataFile.MatchString(name) {
-			_ = os.Remove(filepath.Join(dir, name))
+	for _, name := range names {
+		if name == m.EntriesFile || !snapshotDataFile.MatchString(name) {
+			continue
+		}
+		path := filepath.Join(dir, name)
+		if fi, err := os.Lstat(path); err == nil && !fi.IsDir() {
+			_ = os.Remove(path)
 		}
 	}
 }

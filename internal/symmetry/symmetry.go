@@ -81,7 +81,7 @@ func Orbits(cfg *config.Config, limit int) (*Result, error) {
 	for v := 0; v < n; v++ {
 		pairs := make([][2]int, 0, g.Degree(v))
 		for _, w := range g.Neighbors(v) {
-			pairs = append(pairs, [2]int{cfg.Tag(w), g.Degree(w)})
+			pairs = append(pairs, [2]int{cfg.Tag(int(w)), g.Degree(int(w))})
 		}
 		sort.Slice(pairs, func(i, j int) bool {
 			if pairs[i][0] != pairs[j][0] {

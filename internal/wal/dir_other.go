@@ -4,8 +4,8 @@ package wal
 
 import "os"
 
-// readDirNames lists the names in dir.
-func readDirNames(dir string) ([]string, error) {
+// ReadDirNames lists the names in dir.
+func ReadDirNames(dir string) ([]string, error) {
 	f, err := os.Open(dir)
 	if err != nil {
 		return nil, err

@@ -7,12 +7,13 @@ import (
 	"syscall"
 )
 
-// readDirNames lists the names in dir through the directory-entry system
+// ReadDirNames lists the names in dir through the directory-entry system
 // calls, with a buffer of its own. The os package's directory reads draw
 // their buffer from a sync.Pool, and the first use of a pool after a
 // garbage collection allocates, so a listing through os allocated more or
-// less depending on when collections ran.
-func readDirNames(dir string) ([]string, error) {
+// less depending on when collections ran. The journal lists its segments
+// with it, and the snapshot writer its directory.
+func ReadDirNames(dir string) ([]string, error) {
 	fd, err := syscall.Open(dir, syscall.O_RDONLY|syscall.O_DIRECTORY|syscall.O_CLOEXEC, 0)
 	if err != nil {
 		return nil, &os.PathError{Op: "open", Path: dir, Err: err}

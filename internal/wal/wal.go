@@ -222,7 +222,7 @@ func segmentSeq(name string) (seq uint64, ok bool) {
 // listSegments returns the journal segments in dir, ordered by sequence; a
 // missing dir holds none.
 func listSegments(dir string) (paths []string, seqs []uint64, err error) {
-	names, err := readDirNames(dir)
+	names, err := ReadDirNames(dir)
 	if err != nil && !os.IsNotExist(err) {
 		return nil, nil, fmt.Errorf("wal: scanning %s: %w", dir, err)
 	}
