@@ -68,10 +68,20 @@ func (g *Graph) row(v int) []int32 {
 }
 
 // find returns the index in nbr where w sits, or would be inserted, in u's
-// row, and whether it is there.
+// row, and whether it is there. The binary search is written out: Validate
+// runs one per neighbour entry on every classification, and the generic
+// slices.BinarySearch doubled its cost.
 func (g *Graph) find(u, w int) (int, bool) {
-	i, ok := slices.BinarySearch(g.row(u), int32(w))
-	return int(g.off[u]) + i, ok
+	x := int32(w)
+	lo, end := int(g.off[u]), int(g.off[u+1])
+	for hi := end; lo < hi; {
+		if mid := int(uint(lo+hi) >> 1); g.nbr[mid] < x {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, lo < end && g.nbr[lo] == x
 }
 
 // HasEdge reports whether the edge {u,v} is present.
