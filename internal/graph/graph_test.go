@@ -728,18 +728,3 @@ func TestPropertyOneRepresentation(t *testing.T) {
 		t.Fatalf("property failed: %v", err)
 	}
 }
-
-// TestNeighborsAppendCopies pins the capacity of a returned neighbour list:
-// it ends with the list, so an append copies instead of overwriting the
-// first neighbour of the next node.
-func TestNeighborsAppendCopies(t *testing.T) {
-	g := Path(3)
-	nb := g.Neighbors(0)
-	if cap(nb) != len(nb) {
-		t.Fatalf("Neighbors(0) has capacity %d past its %d entries", cap(nb), len(nb))
-	}
-	_ = append(nb, 2)
-	if got := g.Neighbors(1); !slices.Equal(got, []int32{0, 2}) {
-		t.Fatalf("append to Neighbors(0) wrote into node 1's list: %v", got)
-	}
-}

@@ -34,10 +34,10 @@ func RandomConnectedGNP(n int, p float64, rng *rand.Rand) *Graph {
 		return New(n)
 	}
 	l := randomTreeEdges(n, rng)
-	if p <= 0 {
-		return FromEdges(n, l)
-	}
 	tree := FromEdges(n, l)
+	if p <= 0 {
+		return tree
+	}
 	for u := 0; u < n; u++ {
 		for v := u + 1; v < n; v++ {
 			if !tree.HasEdge(u, v) && rng.Float64() < p {
