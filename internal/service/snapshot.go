@@ -211,15 +211,11 @@ func (r *Registry) Snapshot(dir string) (*Manifest, error) {
 	if err := r.closeSynced(f, w.Flush()); err != nil {
 		return nil, fmt.Errorf("service: writing entries file: %w", err)
 	}
-	data, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
-		return nil, fmt.Errorf("service: encoding manifest: %w", err)
-	}
 	staged := filepath.Join(dir, ManifestFile+".staged")
 	if f, err = os.Create(staged); err != nil {
 		return nil, fmt.Errorf("service: writing manifest: %w", err)
 	}
-	_, err = f.Write(append(data, '\n'))
+	_, err = f.Write(encodeManifest(m))
 	if err := r.closeSynced(f, err); err != nil {
 		return nil, fmt.Errorf("service: writing manifest: %w", err)
 	}
