@@ -159,7 +159,7 @@ func (t *Turbo) ClassifyInto(prev *Report, cfg *config.Config, opts ClassifyOpti
 	*report = Report{Config: cfg, Leader: -1, Lists: report.Lists[:0], Snapshots: report.Snapshots[:0]}
 	if opts.RecordSnapshots {
 		s := nextSnapshot(report)
-		*s = t.snapshotInto(*s, t.classes, 1, nilLabels)
+		*s = t.snapshotInto(*s, t.classes, 1, initLabels)
 	}
 	l0 := nextList(report)
 	l0.Terminate = false
@@ -466,9 +466,9 @@ type labelSlots uint8
 const (
 	// noLabels leaves Labels nil: a lean run's final snapshot.
 	noLabels labelSlots = iota
-	// nilLabels keeps one nil label per node: snapshot 0 of a recorded run,
+	// initLabels keeps one nil label per node: snapshot 0 of a recorded run,
 	// matching Init-Aug.
-	nilLabels
+	initLabels
 	// iterationLabels keeps the labels of the current iteration.
 	iterationLabels
 )
@@ -490,7 +490,7 @@ func (t *Turbo) snapshotInto(prev Snapshot, classes []int32, numClasses int32, l
 		s.Reps[k] = int(t.reps[k])
 	}
 	switch labels {
-	case nilLabels:
+	case initLabels:
 		s.Labels = growKeep(prev.Labels, n)
 		for v := range s.Labels {
 			s.Labels[v] = nil
