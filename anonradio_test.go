@@ -4,6 +4,9 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"anonradio/internal/config"
+	"anonradio/internal/graph"
 )
 
 func TestNewConfigValidation(t *testing.T) {
@@ -39,6 +42,71 @@ func TestParseConfigRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDoorsRefuseInvalidConfigurations feeds each door through which
+// outside input becomes a configuration every kind of input the model rules
+// out (Section 2.1), in the form the door takes, and expects an error every
+// time: a *Config is valid by construction, and nothing behind the doors
+// checks one again.
+func TestDoorsRefuseInvalidConfigurations(t *testing.T) {
+	type input struct {
+		nilGraph bool     // the graph is nil (only doors that take a graph)
+		n        int      // node count
+		edges    [][2]int // edges
+		tags     []int    // tag vector
+		text     string   // the same input as configuration text
+	}
+	inputs := map[string]input{
+		"nil graph":    {nilGraph: true, tags: []int{0}},
+		"tag count":    {n: 2, edges: [][2]int{{0, 1}}, tags: []int{0}, text: "nodes 2\nedge 0 1\ntag 0 0\ntag 2 0\n"},
+		"negative tag": {n: 2, edges: [][2]int{{0, 1}}, tags: []int{0, -3}, text: "nodes 2\nedge 0 1\ntag 1 -3\n"},
+		"zero nodes":   {n: 0, tags: []int{}, text: "nodes 0\n"},
+		"disconnected": {n: 3, edges: [][2]int{{0, 1}}, tags: []int{0, 0, 0}, text: "nodes 3\nedge 0 1\n"},
+	}
+	doors := []struct {
+		name      string
+		takeGraph bool
+		open      func(in input) error
+	}{
+		{"config.New", true, func(in input) error {
+			var g *graph.Graph
+			if !in.nilGraph {
+				g = graph.New(in.n)
+				for _, e := range in.edges {
+					g.AddEdge(e[0], e[1])
+				}
+			}
+			_, err := config.New(g, in.tags)
+			return err
+		}},
+		{"config.Unmarshal", false, func(in input) error {
+			_, err := config.Unmarshal(in.text)
+			return err
+		}},
+		{"config.Read", false, func(in input) error {
+			_, err := config.Read(strings.NewReader(in.text))
+			return err
+		}},
+		{"NewConfig", false, func(in input) error {
+			_, err := NewConfig(in.n, in.edges, in.tags, "door")
+			return err
+		}},
+		{"ParseConfig", false, func(in input) error {
+			_, err := ParseConfig(strings.NewReader(in.text))
+			return err
+		}},
+	}
+	for _, door := range doors {
+		for name, in := range inputs {
+			if in.nilGraph && !door.takeGraph {
+				continue
+			}
+			if err := door.open(in); err == nil {
+				t.Errorf("%s accepted the %s input", door.name, name)
+			}
+		}
+	}
+}
+
 func TestRandomConfigDeterministic(t *testing.T) {
 	a := RandomConfig(12, 0.3, 4, 7)
 	b := RandomConfig(12, 0.3, 4, 7)
@@ -49,8 +117,8 @@ func TestRandomConfigDeterministic(t *testing.T) {
 	if a.Equal(c) {
 		t.Fatalf("different seeds should give different configurations")
 	}
-	if err := a.Validate(); err != nil {
-		t.Fatalf("random config invalid: %v", err)
+	if !a.Graph().Connected() || a.MinTag() < 0 {
+		t.Fatalf("random config invalid: %v", a)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -23,7 +24,9 @@ import (
 // the paper's claims on each one exhaustively:
 //
 //   - the turbo classifier, the reference Classify and the naive oracle
-//     agree on the verdict, and turbo and Classify on the designated leader;
+//     agree on the verdict, and a lean turbo classification (the one every
+//     registry build runs) and Classify on the designated leader, the
+//     iteration count and every list L_j;
 //   - symmetry.CertifiesInfeasible, which proves infeasibility from the
 //     automorphism group alone (no node fixed by every automorphism),
 //     certifies no feasible configuration;
@@ -106,7 +109,7 @@ func newCensus() *census {
 // infeasible.
 func (c *census) check(t *testing.T, cfg *config.Config) (feasible, certified bool) {
 	t.Helper()
-	rep, err := c.turbo.Classify(cfg, core.ClassifyOptions{RecordSnapshots: true})
+	rep, err := c.turbo.Classify(cfg, core.ClassifyOptions{})
 	if err != nil {
 		t.Fatalf("%s: turbo: %v", cfg, err)
 	}
@@ -123,6 +126,9 @@ func (c *census) check(t *testing.T, cfg *config.Config) (feasible, certified bo
 	}
 	if rep.Leader != ref.Leader {
 		t.Fatalf("%s: turbo designates node %d, Classify node %d", cfg, rep.Leader, ref.Leader)
+	}
+	if rep.Iterations() != ref.Iterations() || !sameLists(rep.Lists, ref.Lists) {
+		t.Fatalf("%s: turbo ran %d iterations to lists %v, Classify %d to %v", cfg, rep.Iterations(), rep.Lists, ref.Iterations(), ref.Lists)
 	}
 	certified, err = symmetry.CertifiesInfeasible(cfg, 0)
 	if err != nil {
@@ -151,6 +157,16 @@ func (c *census) check(t *testing.T, cfg *config.Config) (feasible, certified bo
 	h = fnv.Mix64(h, uint64(int64(rep.Leader)))
 	c.digest = fnv.Mix64(h, uint64(rounds))
 	return rep.Feasible(), certified
+}
+
+// sameLists reports whether two classifications produced the same lists
+// L_j: the same terminate flags, old classes and label triples.
+func sameLists(a, b []core.List) bool {
+	return slices.EqualFunc(a, b, func(x, y core.List) bool {
+		return x.Terminate == y.Terminate && slices.EqualFunc(x.Entries, y.Entries, func(e, f core.ListEntry) bool {
+			return e.OldClass == f.OldClass && e.Label.Equal(f.Label)
+		})
+	})
 }
 
 // elect builds the feasible cfg's algorithm from the turbo report, elects,

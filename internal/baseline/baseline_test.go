@@ -14,10 +14,6 @@ func TestNaiveClassifyInputValidation(t *testing.T) {
 	if _, err := NaiveClassify(nil); err == nil {
 		t.Fatalf("nil configuration should error")
 	}
-	bad := config.NewUnchecked(graph.New(2), []int{0, 0})
-	if _, err := NaiveClassify(bad); err == nil {
-		t.Fatalf("invalid configuration should error")
-	}
 }
 
 func TestNaiveClassifyKnownFamilies(t *testing.T) {

@@ -78,15 +78,8 @@ func FloodMaxTDMA(cfg *config.Config, frames int) (*FloodMaxOutcome, error) {
 	}
 	g := cfg.Graph()
 	n := g.N()
-	if n == 0 {
-		return nil, fmt.Errorf("baseline: empty configuration")
-	}
 	if frames <= 0 {
-		d := g.Diameter()
-		if d < 0 {
-			return nil, fmt.Errorf("baseline: disconnected graph")
-		}
-		frames = d + 1
+		frames = g.Diameter() + 1
 	}
 	sync := config.MustNew(g, make([]int, n))
 	protos := make([]drip.Protocol, n)

@@ -54,9 +54,6 @@ func NaiveClassify(cfg *config.Config) (*NaiveReport, error) {
 	if cfg == nil {
 		return nil, fmt.Errorf("baseline: nil configuration")
 	}
-	if err := cfg.Validate(); err != nil {
-		return nil, fmt.Errorf("baseline: invalid configuration: %w", err)
-	}
 	cfg = cfg.Normalized()
 	n := cfg.N()
 	g := cfg.Graph()

@@ -22,8 +22,16 @@ import (
 )
 
 // Config is a configuration: a graph plus one wake-up tag per node.
-// Config values should be treated as immutable once constructed; use Clone
-// before mutating.
+//
+// A *Config is valid by construction: its graph has at least one node and is
+// connected, and it carries one non-negative tag per node. New, MustNew,
+// Unmarshal and Read, the doors through which outside input becomes a
+// configuration, check exactly that; every other constructor (Clone,
+// Normalized, the families and the random generators) derives a
+// configuration that keeps it, and no code behind the doors checks it
+// again. The zero value has no graph and is not a configuration. Config
+// values should be treated as immutable once constructed, and the graph
+// Graph returns must not be edited.
 type Config struct {
 	// Name is an optional human-readable identifier used in reports.
 	Name string
@@ -35,8 +43,7 @@ type Config struct {
 // New builds a configuration from a graph and a tag vector. The tag slice is
 // copied. It returns an error if the sizes do not match, any tag is
 // negative, or the graph is not connected (the paper's model requires
-// connected graphs). Use NewUnchecked for intentionally malformed inputs in
-// tests.
+// connected graphs).
 func New(g *graph.Graph, tags []int) (*Config, error) {
 	if err := check(g, tags); err != nil {
 		return nil, err
@@ -75,16 +82,6 @@ func MustNew(g *graph.Graph, tags []int) *Config {
 		panic(err)
 	}
 	return c
-}
-
-// NewUnchecked builds a configuration without validating connectivity or tag
-// signs. It still requires matching sizes. It is intended for tests of error
-// paths in higher layers.
-func NewUnchecked(g *graph.Graph, tags []int) *Config {
-	if g == nil || len(tags) != g.N() {
-		panic("config: NewUnchecked size mismatch")
-	}
-	return &Config{g: g.Clone(), tags: append([]int(nil), tags...)}
 }
 
 // Clone returns a deep copy of c.
@@ -165,32 +162,6 @@ func (c *Config) Equal(o *Config) bool {
 		}
 	}
 	return c.g.Equal(o.g)
-}
-
-// Validate re-checks the structural invariants of the configuration: a
-// connected non-empty graph and non-negative tags.
-func (c *Config) Validate() error {
-	if c.g == nil {
-		return fmt.Errorf("config: nil graph")
-	}
-	if err := c.g.Validate(); err != nil {
-		return err
-	}
-	if c.g.N() == 0 {
-		return fmt.Errorf("config: empty configuration")
-	}
-	if len(c.tags) != c.g.N() {
-		return fmt.Errorf("config: %d tags for %d nodes", len(c.tags), c.g.N())
-	}
-	for v, t := range c.tags {
-		if t < 0 {
-			return fmt.Errorf("config: node %d has negative tag %d", v, t)
-		}
-	}
-	if !c.g.Connected() {
-		return fmt.Errorf("config: graph is not connected")
-	}
-	return nil
 }
 
 // String returns a short description of the configuration.

@@ -1,13 +1,33 @@
 package config
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"anonradio/internal/graph"
 )
+
+// invariant returns an error unless c is what every *Config must be: at
+// least one node, one non-negative tag per node and a connected graph. It is
+// written apart from check, so a check that lets a bad configuration through
+// does not blind the tests that call it.
+func invariant(c *Config) error {
+	switch {
+	case c.g.N() == 0:
+		return fmt.Errorf("no nodes")
+	case len(c.tags) != c.g.N():
+		return fmt.Errorf("%d tags for %d nodes", len(c.tags), c.g.N())
+	case slices.Min(c.tags) < 0:
+		return fmt.Errorf("negative tag %d", slices.Min(c.tags))
+	case !c.g.Connected():
+		return fmt.Errorf("graph is not connected")
+	}
+	return nil
+}
 
 func TestNewValidation(t *testing.T) {
 	g := graph.Path(3)
@@ -134,21 +154,6 @@ func TestCloneAndEqual(t *testing.T) {
 	}
 }
 
-func TestValidate(t *testing.T) {
-	c := MustNew(graph.Path(4), []int{0, 1, 0, 2})
-	if err := c.Validate(); err != nil {
-		t.Fatalf("valid config failed validation: %v", err)
-	}
-	bad := NewUnchecked(graph.New(2), []int{0, 0}) // disconnected: no edge
-	if err := bad.Validate(); err == nil {
-		t.Fatalf("disconnected config should fail validation")
-	}
-	neg := NewUnchecked(graph.Path(2), []int{0, -3})
-	if err := neg.Validate(); err == nil {
-		t.Fatalf("negative tag should fail validation")
-	}
-}
-
 func TestStringAndDescribe(t *testing.T) {
 	c := SpanFamilyH(2)
 	s := c.String()
@@ -189,7 +194,7 @@ func TestLineFamilyG(t *testing.T) {
 				t.Fatalf("G_%d: b node %d has tag %d, want 1", m, i, c.Tag(i))
 			}
 		}
-		if err := c.Validate(); err != nil {
+		if err := invariant(c); err != nil {
 			t.Fatalf("G_%d invalid: %v", m, err)
 		}
 	}
@@ -286,7 +291,6 @@ func TestFamilyPanics(t *testing.T) {
 	mustPanic("EarlyCenterStar(1,1)", func() { EarlyCenterStar(1, 1) })
 	mustPanic("EarlyCenterStar(3,0)", func() { EarlyCenterStar(3, 0) })
 	mustPanic("TwoBlockCycle(1)", func() { TwoBlockCycle(1) })
-	mustPanic("NewUnchecked mismatch", func() { NewUnchecked(graph.Path(2), []int{0}) })
 }
 
 func TestTagStrategies(t *testing.T) {
@@ -405,7 +409,7 @@ func TestRandomGenerators(t *testing.T) {
 	if c.N() != 15 || !c.IsNormalized() {
 		t.Fatalf("Random config wrong: %v", c)
 	}
-	if err := c.Validate(); err != nil {
+	if err := invariant(c); err != nil {
 		t.Fatalf("Random config invalid: %v", err)
 	}
 	tc := RandomTreeConfig(12, DistinctRandomTags{}, rng)
@@ -417,7 +421,7 @@ func TestRandomGenerators(t *testing.T) {
 		t.Fatalf("Batch size wrong")
 	}
 	for _, b := range batch {
-		if err := b.Validate(); err != nil {
+		if err := invariant(b); err != nil {
 			t.Fatalf("batch config invalid: %v", err)
 		}
 	}

@@ -134,9 +134,6 @@ func Classify(cfg *config.Config) (*Report, error) {
 	if cfg == nil {
 		return nil, fmt.Errorf("core: nil configuration")
 	}
-	if err := cfg.Validate(); err != nil {
-		return nil, fmt.Errorf("core: invalid configuration: %w", err)
-	}
 	cfg = cfg.Normalized()
 	n := cfg.N()
 	sigma := cfg.Span()

@@ -134,9 +134,6 @@ func (t *Turbo) ClassifyInto(prev *Report, cfg *config.Config, opts ClassifyOpti
 	if cfg == nil {
 		return nil, fmt.Errorf("core: nil configuration")
 	}
-	if err := cfg.Validate(); err != nil {
-		return nil, fmt.Errorf("core: invalid configuration: %w", err)
-	}
 	cfg = cfg.Normalized()
 	if cfg.Span() > maxTurboSpan {
 		// Rounds would overflow the packed layout; delegate to the

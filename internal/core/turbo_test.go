@@ -61,10 +61,6 @@ func TestClassifyTurboInputValidation(t *testing.T) {
 	if _, err := ClassifyTurbo(nil, ClassifyOptions{}); err == nil {
 		t.Fatalf("nil configuration should error")
 	}
-	bad := config.NewUnchecked(graph.New(3), []int{0, 0, 0})
-	if _, err := ClassifyTurbo(bad, ClassifyOptions{}); err == nil {
-		t.Fatalf("disconnected configuration should error")
-	}
 }
 
 func TestClassifyTurboAgreesOnFamilies(t *testing.T) {

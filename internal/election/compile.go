@@ -90,9 +90,6 @@ func Load(c *Compiled, cfg *config.Config) (_ *Dedicated, err error) {
 	if cfg == nil {
 		return nil, fmt.Errorf("election: nil configuration")
 	}
-	if err := cfg.Validate(); err != nil {
-		return nil, fmt.Errorf("election: invalid configuration: %w", err)
-	}
 	cfg = cfg.Normalized()
 	if err := canonical.CheckCodeMatrix(cfg.N(), c.Blueprint.Sigma, c.Blueprint.Lists); err != nil {
 		return nil, err

@@ -387,9 +387,3 @@ func (d *Dedicated) VerifyCorrespondence(res *radio.Result) error {
 	}
 	return nil
 }
-
-// Feasible classifies cfg and reports whether it is feasible; it is a thin
-// convenience wrapper used by the examples and the harness.
-func Feasible(cfg *config.Config) (bool, error) {
-	return core.IsFeasible(cfg)
-}

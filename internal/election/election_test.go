@@ -220,17 +220,6 @@ func TestVerifyCorrespondenceLemma39(t *testing.T) {
 	}
 }
 
-func TestFeasibleWrapper(t *testing.T) {
-	ok, err := Feasible(config.SpanFamilyH(1))
-	if err != nil || !ok {
-		t.Fatalf("H_1 should be feasible: %v %v", ok, err)
-	}
-	ok, err = Feasible(config.SymmetricPair())
-	if err != nil || ok {
-		t.Fatalf("symmetric pair should be infeasible: %v %v", ok, err)
-	}
-}
-
 func TestSymmetryBreakingFailedDetector(t *testing.T) {
 	// On the symmetric pair every history is duplicated.
 	res, err := radio.Sequential{}.Run(config.SymmetricPair(), drip.SilentTerminator{}, radio.Options{})
@@ -285,7 +274,7 @@ func TestUniversalCounterexampleForCanonicalCandidates(t *testing.T) {
 			t.Fatalf("k=%d: invalid counterexample index %d", k, m)
 		}
 		// The counterexample is itself a feasible configuration.
-		feasible, err := Feasible(config.SpanFamilyH(m))
+		feasible, err := core.IsFeasible(config.SpanFamilyH(m))
 		if err != nil || !feasible {
 			t.Fatalf("k=%d: H_%d should be feasible (%v, %v)", k, m, feasible, err)
 		}
@@ -332,8 +321,8 @@ func TestDecisionIndistinguishability(t *testing.T) {
 		if !same {
 			t.Fatalf("candidate %d: H_%d and S_%d were distinguishable", i, m, m)
 		}
-		feasibleH, _ := Feasible(config.SpanFamilyH(m))
-		feasibleS, _ := Feasible(config.SymmetricFamilyS(m))
+		feasibleH, _ := core.IsFeasible(config.SpanFamilyH(m))
+		feasibleS, _ := core.IsFeasible(config.SymmetricFamilyS(m))
 		if !feasibleH || feasibleS {
 			t.Fatalf("candidate %d: expected H_%d feasible and S_%d infeasible", i, m, m)
 		}

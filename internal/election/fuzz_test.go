@@ -42,8 +42,10 @@ func fuzzConfig(data []byte) *config.Config {
 }
 
 // FuzzElectDifferential checks the classifiers and both history
-// representations against each other on small configurations. Turbo and the
-// reference Classify must agree on verdict and leader; the naive oracle,
+// representations against each other on small configurations. A lean turbo
+// classification, whose lists every artifact carries, and the reference
+// Classify must agree on verdict, leader, iteration count and every list
+// L_j; the naive oracle,
 // whose leader is the first singleton in its own class numbering, must
 // agree on the verdict and on the final partition, so the designated leader
 // is alone in its class there too. A feasible configuration's served
@@ -57,6 +59,9 @@ func FuzzElectDifferential(f *testing.F) {
 	f.Add([]byte{5, 0, 2, 2, 4, 1, 0, 1, 0, 2, 0x13, 0x24}, uint64(3))
 	f.Add([]byte{7, 0, 1, 1, 0, 1, 1, 0, 0, 0, 1, 2, 3, 4, 5}, uint64(4))
 	f.Add([]byte{11, 4, 3, 2, 1, 0, 1, 2, 3, 4, 0, 1, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 0x5a, 0x17, 0x8b}, uint64(5))
+	// The 4-cycle with tags 0, 1, 0, 1: every node hears its two neighbours
+	// collide, so the second list's labels are collision triples.
+	f.Add([]byte{3, 0, 1, 0, 1, 0, 1, 2, 0x30}, uint64(6))
 	f.Fuzz(func(t *testing.T, data []byte, seed uint64) {
 		cfg := fuzzConfig(data)
 		turbo, err := core.ClassifyTurbo(cfg, core.ClassifyOptions{})
@@ -76,6 +81,9 @@ func FuzzElectDifferential(f *testing.F) {
 		}
 		if turbo.Leader != ref.Leader {
 			t.Fatalf("%s: leaders turbo %d, Classify %d", cfg, turbo.Leader, ref.Leader)
+		}
+		if turbo.Iterations() != ref.Iterations() || !sameLists(turbo.Lists, ref.Lists) {
+			t.Fatalf("%s: turbo ran %d iterations to lists %v, Classify %d to %v", cfg, turbo.Iterations(), turbo.Lists, ref.Iterations(), ref.Lists)
 		}
 		final := naive.Iterations
 		for v := 0; v < cfg.N(); v++ {
@@ -119,5 +127,15 @@ func FuzzElectDifferential(f *testing.F) {
 				}
 			}
 		}
+	})
+}
+
+// sameLists reports whether two classifications produced the same lists
+// L_j: the same terminate flags, old classes and label triples.
+func sameLists(a, b []core.List) bool {
+	return slices.EqualFunc(a, b, func(x, y core.List) bool {
+		return x.Terminate == y.Terminate && slices.EqualFunc(x.Entries, y.Entries, func(e, f core.ListEntry) bool {
+			return e.OldClass == f.OldClass && e.Label.Equal(f.Label)
+		})
 	})
 }

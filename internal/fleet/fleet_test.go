@@ -355,6 +355,91 @@ func TestFleetDropNodeRecovers(t *testing.T) {
 	}
 }
 
+// TestFleetRemoveNodeShipsArtifacts pins the live drain: RemoveNode ships
+// every key of the drained node to its new owner as a compiled artifact (no
+// classifier run there), evicts the drained copies and drops the node from
+// the ring, and every key keeps serving its outcome. Removing the last node
+// is refused and leaves the ring as it was.
+func TestFleetRemoveNodeShipsArtifacts(t *testing.T) {
+	urls, regs, opts := newNamedNodes(t, 3)
+	f, err := New(urls, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := registerFleet(t, f, 30)
+
+	before := make(map[string]service.Outcome, len(keys))
+	owned := make(map[string]int, len(urls))
+	for _, key := range keys {
+		out, err := f.Elect(key)
+		if err != nil {
+			t.Fatalf("pre-drain elect %s: %v", key, err)
+		}
+		before[key] = out
+		owned[f.Owner(key)]++
+	}
+	drained := urls[0]
+	for _, u := range urls[1:] {
+		if owned[u] > owned[drained] {
+			drained = u
+		}
+	}
+	receiverLoads := func() (n int64) {
+		for _, u := range urls {
+			if u != drained {
+				n += regs[u].AdmissionStats().ArtifactLoads
+			}
+		}
+		return n
+	}
+	loads := receiverLoads()
+
+	report, err := f.RemoveNode(drained)
+	if err != nil {
+		t.Fatalf("remove node: %v", err)
+	}
+	if n := owned[drained]; len(report.Moves) != n || report.Shipped != n || report.Rebuilt != 0 || report.Failed != 0 {
+		t.Fatalf("draining %s, which owned %d keys: %+v", drained, n, report)
+	}
+	for _, mv := range report.Moves {
+		if mv.From != drained || !mv.Shipped || mv.Error != "" {
+			t.Fatalf("move %+v: only the drained node may lose keys, via shipping", mv)
+		}
+	}
+	if got := receiverLoads() - loads; got != int64(owned[drained]) {
+		t.Fatalf("receivers' ArtifactLoads rose by %d, want %d (one per shipped key)", got, owned[drained])
+	}
+	if n := regs[drained].Len(); n != 0 {
+		t.Fatalf("drained node still holds %d keys", n)
+	}
+	if f.Ring().Contains(drained) {
+		t.Fatal("drained node still in the ring")
+	}
+
+	for _, key := range keys {
+		out, err := f.Elect(key)
+		if err != nil {
+			t.Fatalf("post-drain elect %s: %v", key, err)
+		}
+		if want := before[key]; out.Leader != want.Leader || out.Rounds != want.Rounds {
+			t.Fatalf("%s: outcome changed across the drain: (%d, %d) -> (%d, %d)",
+				key, want.Leader, want.Rounds, out.Leader, out.Rounds)
+		}
+	}
+
+	last, err := New(urls[:1], opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ring := last.Ring()
+	if _, err := last.RemoveNode(urls[0]); err == nil {
+		t.Fatal("removing the last node succeeded")
+	}
+	if last.Ring() != ring || !slices.Equal(ring.Nodes(), urls[:1]) {
+		t.Fatalf("a refused removal changed the ring to %v", last.Ring().Nodes())
+	}
+}
+
 // registerGate is an http.RoundTripper that, once armed, holds every
 // POST /v1/register until release is closed; blocked is closed when the
 // first one is held.

@@ -68,20 +68,10 @@ func (g *Graph) row(v int) []int32 {
 }
 
 // find returns the index in nbr where w sits, or would be inserted, in u's
-// row, and whether it is there. The binary search is written out: Validate
-// runs one per neighbour entry on every classification, and the generic
-// slices.BinarySearch doubled its cost.
+// row, and whether it is there.
 func (g *Graph) find(u, w int) (int, bool) {
-	x := int32(w)
-	lo, end := int(g.off[u]), int(g.off[u+1])
-	for hi := end; lo < hi; {
-		if mid := int(uint(lo+hi) >> 1); g.nbr[mid] < x {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo, lo < end && g.nbr[lo] == x
+	i, ok := slices.BinarySearch(g.row(u), int32(w))
+	return int(g.off[u]) + i, ok
 }
 
 // HasEdge reports whether the edge {u,v} is present.
@@ -118,38 +108,18 @@ func (g *Graph) AddEdge(u, v int) {
 	g.nbr[k+1] = int32(u)
 	copy(g.nbr[i+1:k+1], g.nbr[i:k])
 	g.nbr[i] = int32(v)
-	g.shift(u, v, 1)
+	g.shift(u, v)
 }
 
-// RemoveEdge deletes the undirected edge {u,v} if present and reports whether
-// an edge was removed. Like AddEdge it costs O(n+m).
-func (g *Graph) RemoveEdge(u, v int) bool {
-	g.check(u)
-	g.check(v)
-	if u > v {
-		u, v = v, u
-	}
-	i, ok := g.find(u, v)
-	if !ok {
-		return false
-	}
-	k, _ := g.find(v, u)
-	copy(g.nbr[i:k-1], g.nbr[i+1:k])
-	copy(g.nbr[k-1:], g.nbr[k+1:])
-	g.nbr = g.nbr[:len(g.nbr)-2]
-	g.shift(u, v, -1)
-	return true
-}
-
-// shift moves the row boundaries after an edit of edge {u,v}, u < v, that
-// changed each of their rows by d entries: the rows after u's start d
-// entries later, those after v's 2d.
-func (g *Graph) shift(u, v int, d int32) {
+// shift moves the row boundaries after AddEdge inserted edge {u,v}, u < v,
+// one entry into each of their rows: the rows after u's start one entry
+// later, those after v's two.
+func (g *Graph) shift(u, v int) {
 	for w := u + 1; w <= v; w++ {
-		g.off[w] += d
+		g.off[w]++
 	}
 	for w := v + 1; w <= g.n; w++ {
-		g.off[w] += 2 * d
+		g.off[w] += 2
 	}
 }
 
@@ -219,7 +189,7 @@ func FromEdges(n int, edges []int32) *Graph {
 // Neighbors returns the sorted neighbour list of v, a window of the graph's
 // neighbour array whose capacity ends with the list, so an append to it
 // copies rather than writing into the next node's list. The caller must not
-// modify it; it reflects the graph until the next AddEdge or RemoveEdge.
+// modify it; it reflects the graph until the next AddEdge.
 func (g *Graph) Neighbors(v int) []int32 {
 	g.check(v)
 	return g.row(v)
@@ -228,7 +198,7 @@ func (g *Graph) Neighbors(v int) []int32 {
 // CSR returns the graph's own compressed sparse rows: node v's sorted
 // neighbours are nbr[off[v]:off[v+1]], and len(off) == N()+1. Hot loops read
 // them in place; the caller must not modify them, and they are valid until
-// the next AddEdge or RemoveEdge.
+// the next AddEdge.
 func (g *Graph) CSR() (off, nbr []int32) { return g.off, g.nbr }
 
 // Degree returns the degree of node v.
@@ -287,42 +257,4 @@ func (g *Graph) Equal(h *Graph) bool {
 // String returns a compact human-readable description of g.
 func (g *Graph) String() string {
 	return fmt.Sprintf("graph{n=%d m=%d Δ=%d}", g.n, g.M(), g.MaxDegree())
-}
-
-// Validate checks internal invariants (row bounds, sorted rows, symmetry, no
-// self-loops) and returns an error describing the first violation found, or
-// nil.
-func (g *Graph) Validate() error {
-	if g.n < 0 {
-		return fmt.Errorf("graph: negative node count %d", g.n)
-	}
-	if len(g.off) != g.n+1 || g.off[0] != 0 || int(g.off[g.n]) != len(g.nbr) {
-		return fmt.Errorf("graph: %d offsets for %d nodes do not delimit %d neighbour entries", len(g.off), g.n, len(g.nbr))
-	}
-	if len(g.nbr)%2 != 0 {
-		return fmt.Errorf("graph: odd neighbour entry count %d", len(g.nbr))
-	}
-	for u := 0; u < g.n; u++ {
-		if g.off[u] > g.off[u+1] {
-			return fmt.Errorf("graph: row of node %d ends before it starts", u)
-		}
-	}
-	for u := 0; u < g.n; u++ {
-		nb := g.row(u)
-		for i, v := range nb {
-			if v < 0 || int(v) >= g.n {
-				return fmt.Errorf("graph: node %d has out-of-range neighbour %d", u, v)
-			}
-			if int(v) == u {
-				return fmt.Errorf("graph: self-loop at node %d", u)
-			}
-			if i > 0 && nb[i-1] >= v {
-				return fmt.Errorf("graph: adjacency of node %d not strictly sorted", u)
-			}
-			if _, ok := g.find(int(v), u); !ok {
-				return fmt.Errorf("graph: edge %d-%d not symmetric", u, v)
-			}
-		}
-	}
-	return nil
 }

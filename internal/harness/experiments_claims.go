@@ -76,7 +76,7 @@ func E4SpanFamily(opts Options) (*Table, error) {
 		"m", "σ", "feasible", "election rounds", "lower bound m", "bound satisfied")
 	for _, m := range e4Values(opts) {
 		cfg := config.SpanFamilyH(m)
-		feasible, err := election.Feasible(cfg)
+		feasible, err := core.IsFeasible(cfg)
 		if err != nil {
 			return nil, fmt.Errorf("E4 m=%d: %w", m, err)
 		}
@@ -122,7 +122,7 @@ func E5Universal(opts Options) (*Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("E5 k=%d: %w", k, err)
 		}
-		feasible, err := election.Feasible(config.SpanFamilyH(m))
+		feasible, err := core.IsFeasible(config.SpanFamilyH(m))
 		if err != nil {
 			return nil, err
 		}
@@ -156,8 +156,8 @@ func E6Decision(opts Options) (*Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("E6 k=%d: %w", k, err)
 		}
-		feasH, _ := election.Feasible(config.SpanFamilyH(m))
-		feasS, _ := election.Feasible(config.SymmetricFamilyS(m))
+		feasH, _ := core.IsFeasible(config.SpanFamilyH(m))
+		feasS, _ := core.IsFeasible(config.SymmetricFamilyS(m))
 		table.AddRow(
 			fmt.Sprintf("canonical for H_%d", k),
 			fmt.Sprintf("%d", m),

@@ -373,8 +373,5 @@ func validate(cfg *config.Config, proto drip.Protocol) error {
 	if proto == nil {
 		return fmt.Errorf("radio: nil protocol")
 	}
-	if err := cfg.Validate(); err != nil {
-		return fmt.Errorf("radio: invalid configuration: %w", err)
-	}
 	return nil
 }

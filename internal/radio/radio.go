@@ -98,10 +98,6 @@ type FaultStats struct {
 	OutageRounds int64
 }
 
-// Total folds the three counters into one number, for quick "was anything
-// injected" checks.
-func (f FaultStats) Total() int64 { return f.Drops + f.Noise + f.OutageRounds }
-
 // Result is the outcome of executing a protocol on a configuration.
 type Result struct {
 	// Histories[v] is the complete history vector of node v, indexed by

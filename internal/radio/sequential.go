@@ -22,7 +22,7 @@ func (Sequential) Run(cfg *config.Config, proto drip.Protocol, opts Options) (*R
 	if proto == nil {
 		return nil, fmt.Errorf("radio: nil protocol")
 	}
-	sim, err := NewSimulator(cfg) // validates cfg
+	sim, err := NewSimulator(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -35,9 +35,6 @@ func (Sequential) Run(cfg *config.Config, proto drip.Protocol, opts Options) (*R
 // provided for the labeled baselines of the evaluation, which assume
 // distinct node identifiers.
 func RunAssigned(cfg *config.Config, protos []drip.Protocol, opts Options) (*Result, error) {
-	if cfg == nil {
-		return nil, fmt.Errorf("radio: nil configuration")
-	}
 	sim, err := NewSimulator(cfg)
 	if err != nil {
 		return nil, err

@@ -173,14 +173,8 @@ type nodeState struct {
 // its rows double whenever a run outgrows them.
 const rowStart = 64
 
-// NewSimulator validates cfg and builds a reusable simulator for it.
+// NewSimulator builds a reusable simulator for cfg.
 func NewSimulator(cfg *config.Config) (*Simulator, error) {
-	if cfg == nil {
-		return nil, fmt.Errorf("radio: nil configuration")
-	}
-	if err := cfg.Validate(); err != nil {
-		return nil, fmt.Errorf("radio: invalid configuration: %w", err)
-	}
 	s := &Simulator{}
 	if err := s.Reset(cfg); err != nil {
 		return nil, err
@@ -203,27 +197,14 @@ func NewSimulator(cfg *config.Config) (*Simulator, error) {
 //
 // Any Result returned by a previous Run is invalidated. The simulator reads
 // cfg's graph until the next Reset, so the graph must not change meanwhile.
-//
-// Reset performs only allocation-free shape checks; unlike NewSimulator it
-// does not re-run the connectivity traversal of Config.Validate, so the
-// caller must pass a configuration that already passed full validation (the
-// build paths hand over configurations that came out of a Classifier run).
+// Reset's one error is a nil configuration: a *config.Config is valid by
+// construction.
 func (s *Simulator) Reset(cfg *config.Config) error {
 	if cfg == nil {
 		return fmt.Errorf("radio: nil configuration")
 	}
 	n := cfg.N()
-	if n == 0 {
-		return fmt.Errorf("radio: empty configuration")
-	}
-	lo, hi := cfg.Tag(0), cfg.Tag(0)
-	for v := 0; v < n; v++ {
-		t := cfg.Tag(v)
-		if t < 0 {
-			return fmt.Errorf("radio: node %d has negative tag %d", v, t)
-		}
-		lo, hi = min(lo, t), max(hi, t)
-	}
+	lo, hi := cfg.MinTag(), cfg.MaxTag()
 	// The round loop relies on the medium being all-clean. Entries an
 	// aborted run left dirty are cleaned while the slices still span them;
 	// every other entry of the backing arrays is already zero.

@@ -133,16 +133,14 @@ type RestoreReport struct {
 	Skipped []RestoreSkip
 }
 
-// SnapshotEntries gathers the admitted configurations with their compiled
-// artifacts, in sorted key order. It reads each shard's view once, without
-// entering its worker, and compiles each entry under the entry's read lock:
-// a concurrent admission of a new key lands in the snapshot iff its shard
-// published it before the gather read the view, and a key evicted after
-// the view was read is left out. The returned artifacts alias live
-// algorithm memory; callers that consume them while admissions continue
-// should encode them promptly (Snapshot additionally fences them against
-// rebuild-in-place re-admissions).
-func (r *Registry) SnapshotEntries() ([]SnapshotEntry, error) {
+// snapshotEntries gathers the admitted configurations with their compiled
+// artifacts, in sorted key order, for Snapshot, which holds the snapshot
+// fence across the gather and the encode. It reads each shard's view once,
+// without entering its worker, and compiles each entry under the entry's
+// read lock: a concurrent admission of a new key lands in the snapshot iff
+// its shard published it before the gather read the view, and a key
+// evicted after the view was read is left out.
+func (r *Registry) snapshotEntries() ([]SnapshotEntry, error) {
 	if !r.acquire() {
 		return nil, ErrClosed
 	}
@@ -178,7 +176,7 @@ func (r *Registry) Snapshot(dir string) (*Manifest, error) {
 	// encode so no builder rebuilds into an artifact mid-write.
 	r.snapMu.Lock()
 	defer r.snapMu.Unlock()
-	entries, err := r.SnapshotEntries()
+	entries, err := r.snapshotEntries()
 	if err != nil {
 		return nil, err
 	}

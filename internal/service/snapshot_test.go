@@ -69,7 +69,7 @@ func rewriteRecords(t *testing.T, dir string, edit func(rec *wire.WALAdmit) bool
 // NNNN.config.txt per key, in sorted key order, and a manifest naming them.
 func writeV1Snapshot(t *testing.T, r *Registry, dir string) *Manifest {
 	t.Helper()
-	entries, err := r.SnapshotEntries()
+	entries, err := r.snapshotEntries()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestResnapshotSameDirectory(t *testing.T) {
 	}
 	// Change the key set so the sorted numbering shifts: drop the
 	// lexicographically-first key and add a new one.
-	first, err := src.SnapshotEntries()
+	first, err := src.snapshotEntries()
 	if err != nil {
 		t.Fatalf("entries: %v", err)
 	}
@@ -450,7 +450,7 @@ func checkPartialRestore(t *testing.T, src *Registry, dir string, damaged []stri
 			t.Fatalf("damaged key %q is servable", s.Key)
 		}
 	}
-	entries, err := src.SnapshotEntries()
+	entries, err := src.snapshotEntries()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -239,7 +239,7 @@ func TestGatherSkipsEvictedEntry(t *testing.T) {
 		name, frame string // frame: the gather's function in a goroutine dump
 		run         func(t *testing.T, r *Registry)
 	}{
-		{"Snapshot", "(*Registry).SnapshotEntries", func(t *testing.T, r *Registry) {
+		{"Snapshot", "(*Registry).snapshotEntries", func(t *testing.T, r *Registry) {
 			m, err := r.Snapshot(t.TempDir())
 			if err != nil {
 				t.Errorf("snapshot: %v", err)

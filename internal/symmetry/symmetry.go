@@ -58,9 +58,6 @@ func Orbits(cfg *config.Config, limit int) (*Result, error) {
 	if cfg == nil {
 		return nil, fmt.Errorf("symmetry: nil configuration")
 	}
-	if err := cfg.Validate(); err != nil {
-		return nil, fmt.Errorf("symmetry: invalid configuration: %w", err)
-	}
 	if limit <= 0 {
 		limit = DefaultNodeLimit
 	}

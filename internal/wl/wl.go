@@ -74,9 +74,6 @@ func Refine(cfg *config.Config) (*Result, error) {
 	if cfg == nil {
 		return nil, fmt.Errorf("wl: nil configuration")
 	}
-	if err := cfg.Validate(); err != nil {
-		return nil, fmt.Errorf("wl: invalid configuration: %w", err)
-	}
 	cfg = cfg.Normalized()
 	n := cfg.N()
 	g := cfg.Graph()
