@@ -28,6 +28,11 @@ import (
 type Fleet struct {
 	opts ClientOptions
 
+	// memberMu serializes membership changes: each holds it from reading
+	// the ring through the swap, so two changes never start from one ring
+	// and the later swap never drops the earlier one's node.
+	memberMu sync.Mutex
+
 	mu      sync.RWMutex
 	ring    *Ring
 	clients map[string]*Client
@@ -325,23 +330,22 @@ type RebalanceReport struct {
 // swap they route to the old owner (which still holds the key), after it
 // to the new owner (which already does).
 func (f *Fleet) AddNode(node string) (*RebalanceReport, error) {
-	f.mu.RLock()
-	next := f.ring.With(node)
-	f.mu.RUnlock()
-	return f.Rebalance(next, "")
+	f.memberMu.Lock()
+	defer f.memberMu.Unlock()
+	return f.rebalance(f.Ring().With(node), "")
 }
 
 // RemoveNode drains a live node: its keys are shipped to their new owners
 // first, the ring swaps, and the source copies are evicted. The node is
 // still expected to answer during the drain; for a dead node use DropNode.
 func (f *Fleet) RemoveNode(node string) (*RebalanceReport, error) {
-	f.mu.RLock()
-	next := f.ring.Without(node)
-	f.mu.RUnlock()
+	f.memberMu.Lock()
+	defer f.memberMu.Unlock()
+	next := f.Ring().Without(node)
 	if next.Len() == 0 {
 		return nil, fmt.Errorf("fleet: removing %s would empty the ring", node)
 	}
-	return f.Rebalance(next, "")
+	return f.rebalance(next, "")
 }
 
 // DropNode handles node loss: every key the dead node owned is
@@ -353,13 +357,13 @@ func (f *Fleet) RemoveNode(node string) (*RebalanceReport, error) {
 // service.ErrUnknownKey for a key that exists. Keys on surviving nodes are
 // untouched and keep serving identical outcomes throughout.
 func (f *Fleet) DropNode(node string) (*RebalanceReport, error) {
-	f.mu.RLock()
-	next := f.ring.Without(node)
-	f.mu.RUnlock()
+	f.memberMu.Lock()
+	defer f.memberMu.Unlock()
+	next := f.Ring().Without(node)
 	if next.Len() == 0 {
 		return nil, fmt.Errorf("fleet: dropping %s would empty the ring", node)
 	}
-	return f.Rebalance(next, node)
+	return f.rebalance(next, node)
 }
 
 // Rebalance migrates the fleet onto the next ring. lost optionally names a
@@ -374,7 +378,17 @@ func (f *Fleet) DropNode(node string) (*RebalanceReport, error) {
 // key. A key that fails both the ship and the rebuild is reported in the
 // Moves list and left where it was (for a live source that means still
 // serving; for a lost one, gone until re-registered).
+//
+// Membership changes run one at a time: Rebalance, AddNode, RemoveNode and
+// DropNode each wait for the one in progress.
 func (f *Fleet) Rebalance(next *Ring, lost string) (*RebalanceReport, error) {
+	f.memberMu.Lock()
+	defer f.memberMu.Unlock()
+	return f.rebalance(next, lost)
+}
+
+// rebalance is Rebalance; the caller holds memberMu.
+func (f *Fleet) rebalance(next *Ring, lost string) (*RebalanceReport, error) {
 	if next.Len() == 0 {
 		return nil, fmt.Errorf("fleet: rebalance onto an empty ring")
 	}

@@ -12,6 +12,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"anonradio/internal/canonical"
 	"anonradio/internal/config"
@@ -503,6 +504,80 @@ func TestDropNodeRebuildsBeforeSwap(t *testing.T) {
 		}
 		if want := before[key]; out.Leader != want.Leader || out.Rounds != want.Rounds {
 			t.Fatalf("%s: outcome changed across node loss: (%d, %d) -> (%d, %d)",
+				key, want.Leader, want.Rounds, out.Leader, out.Rounds)
+		}
+	}
+}
+
+// artifactGate is an http.RoundTripper that holds every POST
+// /v1/admit/artifact to one host until release is closed and passes every
+// request on to next; blocked is closed when the first one is held.
+type artifactGate struct {
+	host    string
+	next    http.RoundTripper
+	once    sync.Once
+	blocked chan struct{}
+	release chan struct{}
+}
+
+func (g *artifactGate) RoundTrip(r *http.Request) (*http.Response, error) {
+	if r.Method == http.MethodPost && r.URL.Path == "/v1/admit/artifact" && r.URL.Host == g.host {
+		g.once.Do(func() { close(g.blocked) })
+		<-g.release
+	}
+	return g.next.RoundTrip(r)
+}
+
+// TestConcurrentAddNodesKeepBoth holds the artifact admits of node c
+// mid-AddNode and adds node d meanwhile. Membership changes run one at a
+// time, so the second waits for the first and starts from its ring: both
+// nodes end up in the ring and every key elects its outcome. Two changes
+// that start from one ring lose the node of the one that swaps first,
+// together with the keys shipped to it, which their sources have evicted.
+func TestConcurrentAddNodesKeepBoth(t *testing.T) {
+	urls, _, opts := newNamedNodes(t, 4)
+	gate := &artifactGate{host: "node-c", next: opts.HTTP.Transport, blocked: make(chan struct{}), release: make(chan struct{})}
+	f, err := New(urls[:2], ClientOptions{HTTP: &http.Client{Transport: gate}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := registerFleet(t, f, 40)
+	before := make(map[string]service.Outcome, len(keys))
+	for _, key := range keys {
+		if before[key], err = f.Elect(key); err != nil {
+			t.Fatalf("elect %s: %v", key, err)
+		}
+	}
+
+	release := sync.OnceFunc(func() { close(gate.release) })
+	t.Cleanup(release) // a failed check must not leave AddNode parked
+	added := make(chan error, 2)
+	go func() {
+		_, err := f.AddNode(urls[2])
+		added <- err
+	}()
+	<-gate.blocked
+	go func() {
+		_, err := f.AddNode(urls[3])
+		added <- err
+	}()
+	time.Sleep(300 * time.Millisecond)
+	release()
+	for range 2 {
+		if err := <-added; err != nil {
+			t.Fatalf("add node: %v", err)
+		}
+	}
+	if nodes := f.Ring().Nodes(); !slices.Equal(nodes, urls) {
+		t.Fatalf("ring %v after adding %s and %s, want %v", nodes, urls[2], urls[3], urls)
+	}
+	for _, key := range keys {
+		out, err := f.Elect(key)
+		if err != nil {
+			t.Fatalf("elect %s after both additions: %v", key, err)
+		}
+		if want := before[key]; out.Leader != want.Leader || out.Rounds != want.Rounds {
+			t.Fatalf("%s: outcome changed across the additions: (%d, %d) -> (%d, %d)",
 				key, want.Leader, want.Rounds, out.Leader, out.Rounds)
 		}
 	}

@@ -320,7 +320,7 @@ func (r *Registry) admit(arena *election.BuildArena, job admission) {
 	// very report and list memory Compile reads.
 	var record []byte
 	if r.wal != nil {
-		record = r.walEncodeAdmit(job.key, d)
+		record = appendAdmitRecord(nil, job.key, d)
 	}
 	// The install journals the record under the shard's mutex — after the
 	// swap, so checkpoint rotation can never freeze a record whose install
@@ -345,17 +345,15 @@ func (r *Registry) admit(arena *election.BuildArena, job admission) {
 // buildDedicated builds cfg on the builder's arena, recycling a retired
 // algorithm's memory when the pool has one (rebuild-in-place): re-admission
 // churn then retains report lists, phase tables and decision targets across
-// generations instead of reallocating them per build. Rebuilds mutate
-// memory that snapshot artifacts alias (the lists), so they are fenced
-// behind the snapshot's writer lock.
+// generations instead of reallocating them per build. A retired algorithm
+// was displaced under its entry's write lock, so no election, snapshot or
+// export that reads it under the read lock is left to see the rebuild.
 func (r *Registry) buildDedicated(arena *election.BuildArena, cfg *config.Config) (*election.Dedicated, error) {
 	prev := r.takeRetired(cfg)
 	if prev == nil {
 		return election.BuildDedicatedInto(arena, cfg)
 	}
 	r.rebuildHits.Add(1)
-	r.snapMu.RLock()
-	defer r.snapMu.RUnlock()
 	return arena.RebuildInto(prev, cfg)
 }
 

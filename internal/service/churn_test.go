@@ -2,6 +2,7 @@ package service
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"anonradio/internal/election"
 	"anonradio/internal/radio"
 	"anonradio/internal/wal"
+	"anonradio/internal/wire"
 )
 
 // churnEntry is one churned key and the configuration it is re-registered
@@ -133,9 +135,11 @@ func TestChurnSoakNoLostAdmissions(t *testing.T) {
 // TestChurnSoakRaceStress is the -race satellite: a durable registry with
 // aggressive background checkpointing, elections on every worker hammering
 // both stable and churned keys, and a churn cycling keys through the
-// retired pool and the rebuild-in-place admission path — all at once.
+// retired pool and the rebuild-in-place admission path — all at once, with
+// artifact exports racing the churn.
 // Every served election must be the correct outcome or a clean unknown-key
-// failure, the churn must finish with every admission intact, and the
+// failure, every exported frame must decode and load with its
+// configuration, the churn must finish with every admission intact, and the
 // background checkpointer must have run against the churn.
 func TestChurnSoakRaceStress(t *testing.T) {
 	dir := t.TempDir()
@@ -166,6 +170,34 @@ func TestChurnSoakRaceStress(t *testing.T) {
 	}
 
 	c := startChurn(r, churned)
+	// Exports race the churn too: each frame is encoded under its entry's
+	// read lock, so no rebuild in place may recycle the memory it reads.
+	var exports atomic.Int64
+	stopExports := make(chan struct{})
+	exported := make(chan struct{})
+	go func() {
+		defer close(exported)
+		for i := 0; ; i++ {
+			select {
+			case <-stopExports:
+				return
+			default:
+			}
+			key := keys[i%len(keys)]
+			frame, err := r.ExportArtifact(key)
+			if errors.Is(err, ErrUnknownKey) {
+				continue
+			}
+			if err == nil {
+				err = loadExport(key, frame, want[key][0])
+			}
+			if err != nil {
+				t.Errorf("export of %s: %v", key, err)
+				return
+			}
+			exports.Add(1)
+		}
+	}()
 	// Elections race the churn: churned keys may be mid-cycle, so unknown-key
 	// failures are legal; wrong outcomes never are. The churn runs for as
 	// long as the elections do, so keep electing until the churn has
@@ -177,6 +209,8 @@ func TestChurnSoakRaceStress(t *testing.T) {
 			break
 		}
 	}
+	close(stopExports)
+	<-exported
 	c.halt()
 	if t.Failed() {
 		return
@@ -184,6 +218,9 @@ func TestChurnSoakRaceStress(t *testing.T) {
 
 	if n := c.failures.Load(); n != 0 {
 		t.Fatalf("%d churn failures", n)
+	}
+	if exports.Load() == 0 {
+		t.Fatal("no export completed beside the churn")
 	}
 	if r.Len() != len(stable)+len(churned) {
 		t.Fatalf("lost admissions: %d keys, want %d", r.Len(), len(stable)+len(churned))
@@ -213,6 +250,31 @@ func TestChurnSoakRaceStress(t *testing.T) {
 			t.Fatalf("recovered elect %s: %+v, %v (want %v)", key, out, err, want[key])
 		}
 	}
+}
+
+// loadExport decodes an exported admit frame of key and loads its artifact
+// with its configuration, which must designate leader.
+func loadExport(key string, frame []byte, leader int) error {
+	typ, body, rest, err := wire.DecodeFrame(frame)
+	if err != nil || typ != wire.FrameWALAdmit || len(rest) != 0 {
+		return fmt.Errorf("frame %v, %d trailing bytes: %v", typ, len(rest), err)
+	}
+	var rec wire.WALAdmit
+	if err := rec.DecodeFrom(body); err != nil {
+		return err
+	}
+	cfg, err := config.Unmarshal(rec.Config)
+	if err != nil {
+		return err
+	}
+	d, err := election.Load(rec.Artifact, cfg)
+	if err != nil {
+		return err
+	}
+	if rec.Key != key || d.ExpectedLeader != leader {
+		return fmt.Errorf("frame of %q designates leader %d, want %q and %d", rec.Key, d.ExpectedLeader, key, leader)
+	}
+	return nil
 }
 
 // directOutcome computes the reference (leader, rounds) for cfg on the

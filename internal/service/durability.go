@@ -1,15 +1,12 @@
 package service
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"time"
 
-	"anonradio/internal/config"
 	"anonradio/internal/election"
 	"anonradio/internal/wal"
 	"anonradio/internal/wire"
@@ -33,8 +30,9 @@ import (
 //	checkpoint: rotate the journal, Snapshot the registry (one entries
 //	            file, fsynced, then the manifest committed by rename and
 //	            the directory fsynced), delete the frozen segments
-//	boot:       restore the checkpoint (tolerating per-entry damage), replay
-//	            each key's newest journal record (tolerating torn/corrupt
+//	boot:       load the checkpoint's entries and the journal's records as
+//	            one run, each key from its newest record that applies
+//	            (recovery.go; tolerating per-entry damage and torn/corrupt
 //	            records), then open a fresh segment for new appends
 //
 // Appending *after* the install (write-behind-before-acknowledge)
@@ -51,15 +49,10 @@ import (
 // it covers is deleted, so under wal.SyncAlways a checkpoint never leaves
 // an acknowledged record only in the page cache.
 //
-// Because an install replaces and an evict removes, a key's state after an
-// in-order replay is set by its newest record that applies; replay applies
-// only that one (see replay), so each surviving key is loaded once however
-// often the journal re-admitted it.
-//
 // Journal records and checkpoint entries are written as binary wire
-// frames. Replay and restore sniff each record and artifact file, so a
-// directory written by an older release in JSON (records, checkpoint, or
-// both) boots unchanged, and its next checkpoint rewrites it as binary.
+// frames. Recovery sniffs each record and artifact file, so a directory
+// written by an older release in JSON (records, checkpoint, or both) boots
+// unchanged, and its next checkpoint rewrites it as binary.
 
 // CheckpointDirName is the snapshot subdirectory inside the journal
 // directory.
@@ -124,17 +117,20 @@ type RecordFault struct {
 // RecoveryReport summarizes what Open brought back.
 type RecoveryReport struct {
 	// CheckpointRestored reports whether a checkpoint snapshot existed and
-	// was restored.
+	// was read.
 	CheckpointRestored bool
 	// Checkpoint is the restore report of the checkpoint (zero when none
-	// existed); its Skipped list carries per-entry damage.
+	// existed): Entries counts the entries that set their key's state, and
+	// Skipped carries per-entry damage. An entry a newer journal record
+	// supersedes is never read, so it is in neither, unless its record is
+	// missing from the entries file.
 	Checkpoint RestoreReport
 	// Journal is the framing-level replay report: segments visited, intact
 	// records, torn tails truncated, corrupt records resynchronized over.
 	Journal *wal.Report
 	// Admits and Evicts count journal records applied.
 	Admits, Evicts int
-	// Compacted counts journal records replay passed over because a later
+	// Compacted counts journal records recovery passed over because a later
 	// record of the same key was applied: admits replaced by a later admit
 	// or removed by a later evict, whose artifacts are never decoded,
 	// validated or installed, and evicts a later admit undid. Compaction is
@@ -142,7 +138,7 @@ type RecoveryReport struct {
 	Compacted int
 	// Skipped lists journal records that were intact at the framing level
 	// but could not be applied (undecodable payload, artifact rejected by
-	// validation, unknown op), in journal order. Replay tries a key's
+	// validation, unknown op), in journal order. Recovery tries a key's
 	// records newest first and stops at the first that applies, so a
 	// damaged record that a later one of its key supersedes is compacted,
 	// never tried, and not listed.
@@ -191,14 +187,15 @@ type WALStats struct {
 	LastCheckpointSeconds float64 `json:"last_checkpoint_seconds"`
 }
 
-// Open starts a durable registry: it restores the checkpoint snapshot in
-// opts.WAL.Dir (if one exists), replays the admission journal through
-// election.Load, opens a fresh journal segment for new
-// appends, and starts the background checkpointer. Recovery tolerates
-// damage instead of refusing to boot — torn tails are truncated, corrupt
-// records and damaged checkpoint entries are skipped — and every such
-// decision is in the returned report; callers that require a loss-free
-// boot must check report.Clean().
+// Open starts a durable registry: it loads the checkpoint snapshot in
+// opts.WAL.Dir (if one exists) and the admission journal as one run of
+// records (see recovery.go), each surviving key once through
+// election.Load, opens a fresh journal segment for new appends, and starts
+// the background checkpointer. Recovery tolerates damage instead of
+// refusing to boot — torn tails are truncated, corrupt records and damaged
+// checkpoint entries are skipped — and every such decision is in the
+// returned report; callers that require a loss-free boot must check
+// report.Clean().
 //
 // Open fails only when the journal directory itself is unusable or the
 // checkpoint manifest is present but unreadable.
@@ -213,23 +210,25 @@ func Open(opts Options) (*Registry, *RecoveryReport, error) {
 	r := newCore(opts)
 	r.walOpts = w
 	report := &RecoveryReport{}
+	var rc recovery
 	ckDir := filepath.Join(w.Dir, CheckpointDirName)
 	if _, err := os.Stat(filepath.Join(ckDir, ManifestFile)); err == nil {
-		rr, err := r.Restore(ckDir)
+		m, err := ReadManifest(ckDir)
 		if err != nil {
 			r.Close()
 			return nil, nil, fmt.Errorf("service: restoring checkpoint: %w", err)
 		}
+		rc.addSnapshot(ckDir, m)
 		report.CheckpointRestored = true
-		report.Checkpoint = *rr
 	}
-	recs, jr, err := walScan(w.Dir)
+	jr, err := rc.addJournal(w.Dir)
 	report.Journal = jr
 	if err != nil {
 		r.Close()
 		return nil, nil, fmt.Errorf("service: replaying journal: %w", err)
 	}
-	r.replay(recs, report)
+	r.loadRun(&rc)
+	rc.account(report)
 	log, err := wal.Open(w.Dir, wal.Options{Sync: w.Sync})
 	if err != nil {
 		r.Close()
@@ -247,183 +246,6 @@ func Open(opts Options) (*Registry, *RecoveryReport, error) {
 		r.kickCheckpoint()
 	}
 	return r, report, nil
-}
-
-// journalRecord is one intact journal record as walScan read it.
-type journalRecord struct {
-	payload []byte
-	key     string
-	keyed   bool // the envelope named a key
-	newest  bool // no later record names the key
-	prev    int  // the key's previous record, or -1
-}
-
-// walScan reads the journal once, keeping every intact record's payload
-// and peeking only its key — artifacts are decoded later, and only for the
-// records replay applies. Each record links to the previous record of its
-// key, and the last record of each key is marked newest. Records whose
-// envelope cannot be peeked carry no key; replay reports them.
-//
-// The scan doubles as the damage-repair pass: wal.Replay physically
-// truncates torn tails on first contact, and the report it returns is the
-// account of what recovery found.
-func walScan(dir string) ([]journalRecord, *wal.Report, error) {
-	var recs []journalRecord
-	last := make(map[string]int)
-	jr, err := wal.Replay(dir, func(payload []byte) error {
-		rec := journalRecord{payload: payload, prev: -1}
-		if key, ok := peekKey(payload); ok {
-			rec.key, rec.keyed = key, true
-			if p, seen := last[key]; seen {
-				rec.prev = p
-			}
-			last[key] = len(recs)
-		}
-		recs = append(recs, rec)
-		return nil
-	})
-	for _, i := range last {
-		recs[i].newest = true
-	}
-	return recs, jr, err
-}
-
-// replay applies the records walScan read. For each key it tries the
-// newest record first and, while a record cannot be applied (an artifact
-// election.Load rejects, an undecodable body), falls back to the next older
-// one: the first record that applies sets the key's state, as it would at
-// the end of an in-order replay, and every older record of the key is
-// compacted. A key none of whose records applies keeps its checkpoint
-// state. Records without a key are tried in place, which only reports
-// them. Replay runs during Open, before the registry escapes.
-func (r *Registry) replay(recs []journalRecord, report *RecoveryReport) {
-	for i, rec := range recs {
-		if !rec.keyed {
-			r.applyRecord(i, rec.payload, report)
-			continue
-		}
-		if !rec.newest {
-			continue
-		}
-		j := i
-		for j >= 0 && !r.applyRecord(j, recs[j].payload, report) {
-			j = recs[j].prev
-		}
-		for j >= 0 {
-			if j = recs[j].prev; j >= 0 {
-				report.Compacted++
-			}
-		}
-	}
-	sort.Slice(report.Skipped, func(a, b int) bool { return report.Skipped[a].Index < report.Skipped[b].Index })
-}
-
-// peekKey sniffs one journal record's key without decoding its body, in
-// either encoding era.
-func peekKey(payload []byte) (key string, ok bool) {
-	if wire.IsFrame(payload) {
-		typ, body, rest, err := wire.DecodeFrame(payload)
-		if err != nil || len(rest) != 0 {
-			return "", false
-		}
-		return wire.PeekWALKey(typ, body)
-	}
-	var env struct {
-		Key string `json:"key"`
-	}
-	if err := json.Unmarshal(payload, &env); err != nil {
-		return "", false
-	}
-	return env.Key, true
-}
-
-// applyRecord applies journal record idx and reports whether it took
-// effect; a failure is recorded as skipped, never fatal. It runs during
-// Open, before the registry escapes, so the installs and evictions need no
-// public-API locking. The record's encoding is sniffed per payload (wire
-// frames start with the wire magic, JSON records with '{'), so a journal
-// with mixed-era records replays whole.
-func (r *Registry) applyRecord(idx int, payload []byte, report *RecoveryReport) bool {
-	skip := func(op, key, reason string) bool {
-		report.Skipped = append(report.Skipped, RecordFault{Index: idx, Op: op, Key: key, Reason: reason})
-		return false
-	}
-	if wire.IsFrame(payload) {
-		typ, body, rest, err := wire.DecodeFrame(payload)
-		if err != nil {
-			return skip("", "", fmt.Sprintf("undecodable record frame: %v", err))
-		}
-		if len(rest) != 0 {
-			return skip("", "", "trailing bytes after record frame")
-		}
-		switch typ {
-		case wire.FrameWALAdmit:
-			var rec wire.WALAdmit
-			if err := rec.DecodeFrom(body); err != nil {
-				return skip(walOpAdmit, "", fmt.Sprintf("undecodable admit record: %v", err))
-			}
-			return r.applyAdmit(rec.Key, rec.Config, rec.Artifact, report, skip)
-		case wire.FrameWALEvict:
-			var rec wire.WALEvict
-			if err := rec.DecodeFrom(body); err != nil {
-				return skip(walOpEvict, "", fmt.Sprintf("undecodable evict record: %v", err))
-			}
-			r.evict(rec.Key, nil)
-			report.Evicts++
-			return true
-		default:
-			return skip("", "", fmt.Sprintf("unexpected record frame type %v", typ))
-		}
-	}
-	var rec walRecord
-	if err := json.Unmarshal(payload, &rec); err != nil {
-		return skip("", "", fmt.Sprintf("undecodable record: %v", err))
-	}
-	switch rec.Op {
-	case walOpAdmit:
-		return r.applyAdmit(rec.Key, rec.Config, rec.Artifact, report, skip)
-	case walOpEvict:
-		r.evict(rec.Key, nil)
-		report.Evicts++
-		return true
-	default:
-		return skip(rec.Op, rec.Key, fmt.Sprintf("unknown op %q", rec.Op))
-	}
-}
-
-// applyAdmit loads and installs one replayed admit record (either
-// encoding); an artifact Load rejects is skipped and reported.
-func (r *Registry) applyAdmit(key, cfgText string, artifact *election.Compiled, report *RecoveryReport, skip func(op, key, reason string) bool) bool {
-	if artifact == nil {
-		return skip(walOpAdmit, key, "admit record without an artifact")
-	}
-	cfg, err := config.Unmarshal(cfgText)
-	if err != nil {
-		return skip(walOpAdmit, key, fmt.Sprintf("parsing configuration: %v", err))
-	}
-	d, err := election.Load(artifact, cfg)
-	if err != nil {
-		return skip(walOpAdmit, key, fmt.Sprintf("loading artifact: %v", err))
-	}
-	_, _ = r.install(key, d, nil) // installs journal nothing without a record
-	r.artifactLoads.Add(1)
-	report.Admits++
-	return true
-}
-
-// walEncodeAdmit encodes one admission's journal record: the key, the
-// (normalized) configuration text, and the compiled artifact. It runs on
-// the builder goroutine *before* the install — Compile aliases the
-// algorithm's live list memory, and once the install lands a concurrent
-// evict → retire → rebuild-in-place may recycle exactly that memory. The
-// install journals the pre-encoded record after the swap, preserving the
-// checkpoint ordering invariant documented at the top of this file.
-func (r *Registry) walEncodeAdmit(key string, d *election.Dedicated) []byte {
-	return wire.AppendWALAdmitFrame(nil, &wire.WALAdmit{
-		Key:      key,
-		Config:   d.Config.Marshal(),
-		Artifact: d.Compile(),
-	})
 }
 
 // walEvictRecord encodes one eviction's journal record.

@@ -11,14 +11,13 @@ import (
 	"testing"
 
 	"anonradio/internal/config"
-	"anonradio/internal/wal"
 	"anonradio/internal/wire"
 )
 
-// replayInOrder is the recovery replay ran before it kept only each key's
-// newest record, kept as the reference Open must agree with: restore the
-// checkpoint in dir, then apply every intact journal record in journal
-// order. It returns the registry, the report, and for each record its key
+// replayInOrder is the reference Open must agree with: it applies every
+// entry of the checkpoint in dir, then every intact journal record, one at
+// a time in run order, without Open's newest-record selection or its pool.
+// It returns the registry, the report, and for each journal record its key
 // (as peekKey reads it; "" when it has none) and whether it took effect.
 // wal.Replay repairs torn tails in place, so dir must be a copy.
 func replayInOrder(t *testing.T, dir string) (*Registry, *RecoveryReport, []string, []bool) {
@@ -26,26 +25,31 @@ func replayInOrder(t *testing.T, dir string) (*Registry, *RecoveryReport, []stri
 	r := New(Options{Shards: 2})
 	t.Cleanup(r.Close)
 	report := &RecoveryReport{}
+	var rc recovery
 	ckDir := filepath.Join(dir, CheckpointDirName)
 	if _, err := os.Stat(filepath.Join(ckDir, ManifestFile)); err == nil {
-		rr, err := r.Restore(ckDir)
+		m, err := ReadManifest(ckDir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		report.CheckpointRestored, report.Checkpoint = true, *rr
+		rc.addSnapshot(ckDir, m)
+		report.CheckpointRestored = true
 	}
-	var keys []string
-	var applied []bool
-	jr, err := wal.Replay(dir, func(payload []byte) error {
-		key, _ := peekKey(payload)
-		keys = append(keys, key)
-		applied = append(applied, r.applyRecord(len(applied), payload, report))
-		return nil
-	})
+	jr, err := rc.addJournal(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	report.Journal = jr
+	var keys []string
+	var applied []bool
+	for i := range rc.recs {
+		ok := rc.recs[i].err == nil && r.apply(&rc, i)
+		if i >= rc.nsnap {
+			keys = append(keys, rc.recs[i].key)
+			applied = append(applied, ok)
+		}
+	}
+	rc.account(report)
 	return r, report, keys, applied
 }
 
@@ -103,6 +107,9 @@ func checkMatchesInOrder(t *testing.T, dir string, keys []string) *RecoveryRepor
 	}
 	if wantSkipped := supersededFaults(oracle.Skipped, recKeys, applied); !reflect.DeepEqual(report.Skipped, wantSkipped) {
 		t.Errorf("Open skipped %+v, in-order replay %+v", report.Skipped, wantSkipped)
+	}
+	if loads := got.AdmissionStats().ArtifactLoads; loads != int64(got.Len()) {
+		t.Errorf("Open loaded %d artifacts for the %d keys it serves", loads, got.Len())
 	}
 	if n := report.Admits + report.Evicts + report.Compacted + len(report.Skipped); n != report.Journal.Records {
 		t.Errorf("%d admits + %d evicts + %d compacted + %d skipped, want the %d records",

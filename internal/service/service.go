@@ -11,10 +11,10 @@
 // simulator to the key it elects (election.Dedicated.ElectOn; a rebind is
 // O(n) and allocation-free), so the worker's buffers are sized by the
 // largest key it has served, not summed over its keys. Installs and
-// evictions run on their caller's goroutine (a builder, a restore loader,
-// journal replay, Evict) under the shard's mutex, which keeps them in one
-// total order per shard, and journal their record before it is released;
-// one that adds or removes a key publishes a new view. Every election, and
+// evictions run on their caller's goroutine (a builder, a recovery loader,
+// Evict) under the shard's mutex, which keeps them in one total order per
+// shard, and journal their record before it is released; one that adds or
+// removes a key publishes a new view. Every election, and
 // every gather behind Stats, FaultKeyStats and snapshots, resolves keys
 // with one atomic load of the view, so no reader enters a worker or waits
 // for a mutation except on the one entry both touch. The steady-state
@@ -56,11 +56,14 @@
 //
 // A registry can be persisted and revived: Snapshot writes every admitted
 // configuration as one journal admit record (key, configuration, compiled
-// artifact) in a single entries file plus a manifest of keys, and Restore
-// re-admits the set through election.Load, so a cold restart loads
-// artifacts instead of re-running the classifier. Restore and journal
-// replay also read the per-key files, JSON artifacts and records older
-// releases wrote, and the phase tables and digests their artifacts carry.
+// artifact), each encoded under its entry's read lock, in a single entries
+// file plus a manifest of keys, and Restore re-admits the set through
+// election.Load, so a cold restart loads artifacts instead of re-running
+// the classifier. Restore and Open share one loader (recovery.go): Open
+// runs the checkpoint's entries and the journal's records as one run and
+// loads each surviving key once, from its newest record. Both also read
+// the per-key files, JSON artifacts and records older releases wrote, and
+// the phase tables and digests their artifacts carry.
 // Package internal/server exposes a Registry over HTTP/JSON, and
 // cmd/anonradiod is the deployable daemon around both.
 package service
@@ -230,13 +233,13 @@ type KeyFaultStats struct {
 }
 
 // entry is one registered configuration. Elections (on any worker) and
-// snapshot gathers hold mu's read side, installs and evictions its write
-// side, so an algorithm is never swapped, retired or rebuilt in place under
-// a running election while elections of one key overlap. d == nil under the
-// lock marks an evicted entry that a reader holding an earlier view may
-// still reach; every reader skips it. The fault counters are atomics
-// because overlapping elections add to them; a gather takes the write side
-// to read a consistent row.
+// the snapshot and export encoders hold mu's read side, installs and
+// evictions its write side, so an algorithm is never swapped, retired or
+// rebuilt in place under a running election or encoding while elections of
+// one key overlap. d == nil under the lock marks an evicted entry that a
+// reader holding an earlier view may still reach; every reader skips it.
+// The fault counters are atomics because overlapping elections add to
+// them; a gather takes the write side to read a consistent row.
 type entry struct {
 	mu     sync.RWMutex
 	d      *election.Dedicated
@@ -338,11 +341,6 @@ type Registry struct {
 	// of a 200-node one (or vice versa), wasting either the memory or the
 	// reuse.
 	retired [retiredBuckets]sync.Pool
-	// snapMu fences artifact gathering against rebuild-in-place: snapshots
-	// compile artifacts that alias live algorithm memory and encode them on
-	// the caller's goroutine, so Snapshot holds the write side across
-	// gather+encode while builders hold the read side around RebuildInto.
-	snapMu sync.RWMutex
 
 	// Admission pipeline state (admission.go).
 	admissions    chan admission
@@ -894,7 +892,7 @@ func (r *Registry) takeRetired(cfg *config.Config) *election.Dedicated {
 }
 
 // install hands one admission's algorithm to key's shard on the calling
-// goroutine (a builder, a restore loader, journal replay). It replaces the
+// goroutine (a builder or a recovery loader). It replaces the
 // algorithm key's entry holds — keeping the entry and its fault account —
 // or enters a new view under a new entry. The displaced algorithm, which no
 // election holds once the swap is done, goes to the rebuild pool. A

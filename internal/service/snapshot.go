@@ -3,21 +3,14 @@ package service
 import (
 	"bufio"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
-	"runtime"
 	"sort"
 	"strconv"
-	"sync"
-	"sync/atomic"
 
-	"anonradio/internal/config"
-	"anonradio/internal/election"
 	"anonradio/internal/wal"
-	"anonradio/internal/wire"
 )
 
 // This file implements registry snapshot and restore: a warm registry is
@@ -56,20 +49,6 @@ import (
 
 // ManifestVersion is the snapshot format version written by Snapshot.
 const ManifestVersion = 2
-
-// SnapshotEntry is one admitted configuration as gathered from its shard:
-// the key, the (normalized) configuration, and the compiled artifact of the
-// dedicated algorithm serving it.
-type SnapshotEntry struct {
-	// Key is the registry key the configuration is admitted under.
-	Key string
-	// Config is the normalized configuration the entry's algorithm is
-	// dedicated to.
-	Config *config.Config
-	// Artifact is the compiled algorithm (blueprint and leader history),
-	// exactly as cmd/compile would emit it.
-	Artifact *election.Compiled
-}
 
 // ManifestEntry names one snapshot entry.
 type ManifestEntry struct {
@@ -133,30 +112,6 @@ type RestoreReport struct {
 	Skipped []RestoreSkip
 }
 
-// snapshotEntries gathers the admitted configurations with their compiled
-// artifacts, in sorted key order, for Snapshot, which holds the snapshot
-// fence across the gather and the encode. It reads each shard's view once,
-// without entering its worker, and compiles each entry under the entry's
-// read lock: a concurrent admission of a new key lands in the snapshot iff
-// its shard published it before the gather read the view, and a key
-// evicted after the view was read is left out.
-func (r *Registry) snapshotEntries() ([]SnapshotEntry, error) {
-	if !r.acquire() {
-		return nil, ErrClosed
-	}
-	defer r.release()
-	var entries []SnapshotEntry
-	for _, sh := range r.shards {
-		for key, e := range sh.current() {
-			if se, ok := e.snapshot(key); ok {
-				entries = append(entries, se)
-			}
-		}
-	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].Key < entries[j].Key })
-	return entries, nil
-}
-
 // Snapshot persists the registry's admitted configurations into dir (created
 // if needed): one entries file holding every key's admit record, plus a
 // manifest naming it and listing the keys.
@@ -169,17 +124,29 @@ func (r *Registry) snapshotEntries() ([]SnapshotEntry, error) {
 // checkpoint may then delete the journal segments it covers. Once the
 // manifest is committed, data files it does not name — earlier entries
 // files and version-1 per-key files — are deleted (see removeOrphans).
+//
+// The snapshot reads each shard's view once, without entering its worker:
+// a concurrent admission of a new key lands in it iff its shard published
+// the key before the view was read. Each entry's record is encoded under
+// the entry's read lock (entry.appendRecord), as elections read it, so a
+// key evicted after the view was read is left out and no algorithm is
+// displaced, or rebuilt in place, while its artifact is encoded.
 func (r *Registry) Snapshot(dir string) (*Manifest, error) {
-	// Gathered artifacts alias live algorithm memory (the lists),
-	// and a rebuild-in-place admission recycles exactly that memory once
-	// the algorithm is displaced. Hold the snapshot fence across gather and
-	// encode so no builder rebuilds into an artifact mid-write.
-	r.snapMu.Lock()
-	defer r.snapMu.Unlock()
-	entries, err := r.snapshotEntries()
-	if err != nil {
-		return nil, err
+	if !r.acquire() {
+		return nil, ErrClosed
 	}
+	defer r.release()
+	type keyEntry struct {
+		key string
+		e   *entry
+	}
+	var entries []keyEntry
+	for _, sh := range r.shards {
+		for key, e := range sh.current() {
+			entries = append(entries, keyEntry{key, e})
+		}
+	}
+	sort.Slice(entries, func(i, j int) bool { return entries[i].key < entries[j].key })
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("service: creating snapshot directory: %w", err)
 	}
@@ -191,16 +158,20 @@ func (r *Registry) Snapshot(dir string) (*Manifest, error) {
 	w := bufio.NewWriterSize(f, 64<<10)
 	var rec, framed []byte
 	var off int64
-	for _, e := range entries {
-		rec = wire.AppendWALAdmitFrame(rec[:0], &wire.WALAdmit{Key: e.Key, Config: e.Config.Marshal(), Artifact: e.Artifact})
+	for _, en := range entries {
+		var nodes int
+		var ok bool
+		if rec, nodes, ok = en.e.appendRecord(rec[:0], en.key); !ok {
+			continue
+		}
 		framed = wal.AppendRecord(framed[:0], rec)
 		if _, err := w.Write(framed); err != nil {
 			f.Close()
 			return nil, fmt.Errorf("service: writing entries file: %w", err)
 		}
 		m.Entries = append(m.Entries, ManifestEntry{
-			Key:    e.Key,
-			Nodes:  e.Config.N(),
+			Key:    en.key,
+			Nodes:  nodes,
 			Offset: off + int64(len(framed)-len(rec)),
 			Length: len(rec),
 		})
@@ -339,11 +310,13 @@ func ReadManifest(dir string) (*Manifest, error) {
 // earlier release may record an artifact digest per entry; Restore
 // ignores it.
 //
-// Entries restore concurrently (one loader goroutine per core, each
-// parsing and validating its artifacts off the serve path, then installing
-// them on the owning shard itself), so a cold boot uses the whole machine
-// without queueing through the bounded admission pipeline — a restore is
-// operator-initiated and should never see ErrAdmissionBusy.
+// The snapshot's entries are a recovery run (see recovery.go), loaded as
+// Open loads a checkpoint and its journal: one loader goroutine per core,
+// the caller one of them, each parsing and validating its artifacts off the
+// serve path and installing them on the owning shard itself, so a cold
+// boot uses the whole machine without queueing through the bounded
+// admission pipeline — a restore is operator-initiated and should never see
+// ErrAdmissionBusy.
 //
 // Restore degrades gracefully on a partially-damaged snapshot: an entry
 // whose record or files are missing or corrupt, or whose artifact fails
@@ -356,174 +329,38 @@ func (r *Registry) Restore(dir string) (*RestoreReport, error) {
 	if !r.acquire() {
 		return nil, ErrClosed
 	}
+	defer r.release()
 	m, err := ReadManifest(dir)
 	if err != nil {
-		r.release()
 		return nil, err
 	}
-	read := entryReader(dir, m)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(m.Entries) {
-		workers = len(m.Entries)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var (
-		next    atomic.Int64
-		mu      sync.Mutex
-		report  RestoreReport
-		skipped = make(map[int]RestoreSkip)
-		wg      sync.WaitGroup
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(m.Entries) {
-					return
-				}
-				key := m.Entries[i].Key
-				cfgText, artifact, err := read(i)
-				if err == nil {
-					err = r.restoreEntry(key, cfgText, artifact)
-				}
-				mu.Lock()
-				if err != nil {
-					skipped[i] = RestoreSkip{Key: key, Reason: fmt.Sprintf("service: restoring %q: %v", key, err)}
-				} else {
-					report.Entries++
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-	for i := range m.Entries {
-		if s, ok := skipped[i]; ok {
-			report.Skipped = append(report.Skipped, s)
-		}
-	}
-	r.release()
+	var rc recovery
+	rc.addSnapshot(dir, m)
+	r.loadRun(&rc)
+	var report RecoveryReport
+	rc.account(&report)
 	// New state entered the registry outside the admission pipeline; make
-	// it durable if a journal is attached (no-op otherwise). The kick is
-	// asynchronous, so a restore during recovery (before the journal opens)
-	// stays inert.
+	// it durable if a journal is attached (no-op otherwise).
 	r.kickCheckpoint()
-	return &report, nil
+	return &report.Checkpoint, nil
 }
 
-// entryReader returns the reader of manifest entry i, which returns the
-// entry's configuration text and compiled artifact. A version-2 snapshot's
-// entries file is scanned here, once, and indexed by key (the first intact
-// record of a key counts; records of keys the manifest does not list are
-// ignored); the reader decodes entry i's record. A version-1 entry's reader
-// reads its two files.
-func entryReader(dir string, m *Manifest) func(i int) (string, *election.Compiled, error) {
-	if m.Version == 1 {
-		return func(i int) (string, *election.Compiled, error) {
-			me := m.Entries[i]
-			cfgData, err := os.ReadFile(filepath.Join(dir, me.ConfigFile))
-			if err != nil {
-				return "", nil, err
-			}
-			artData, err := os.ReadFile(filepath.Join(dir, me.ArtifactFile))
-			if err != nil {
-				return "", nil, err
-			}
-			// Auto-detect the artifact's encoding from its leading bytes:
-			// binary wire frames and JSON-era files restore interchangeably.
-			artifact, err := wire.DecodeArtifactAuto(artData)
-			return string(cfgData), artifact, err
-		}
-	}
-	records := make(map[string][]byte, len(m.Entries))
-	fr, err := wal.ReadFile(filepath.Join(dir, m.EntriesFile), func(payload []byte) error {
-		if typ, body, rest, err := wire.DecodeFrame(payload); err == nil && len(rest) == 0 && typ == wire.FrameWALAdmit {
-			if key, ok := wire.PeekWALKey(typ, body); ok && records[key] == nil {
-				records[key] = body
-			}
-		}
-		return nil
-	})
-	if err == nil && !fr.Clean() {
-		err = fmt.Errorf("no intact record in %s (first of %d faults: %v)", m.EntriesFile, len(fr.Faults), fr.Faults[0])
-	} else if err == nil {
-		err = fmt.Errorf("no admit record in %s", m.EntriesFile)
-	}
-	return func(i int) (string, *election.Compiled, error) {
-		body := records[m.Entries[i].Key]
-		if body == nil {
-			return "", nil, err
-		}
-		var rec wire.WALAdmit
-		if err := rec.DecodeFrom(body); err != nil {
-			return "", nil, err
-		}
-		if rec.Artifact == nil {
-			return "", nil, errors.New("admit record without an artifact")
-		}
-		return rec.Config, rec.Artifact, nil
-	}
-}
-
-// restoreEntry parses, loads and installs one entry on the calling restore
-// goroutine. The caller holds a lifecycle acquire slot.
-func (r *Registry) restoreEntry(key, cfgText string, artifact *election.Compiled) error {
-	cfg, err := config.Unmarshal(cfgText)
-	if err != nil {
-		return err
-	}
-	d, err := election.Load(artifact, cfg)
-	if err != nil {
-		r.shardFor(key).buildFails.Add(1)
-		return err
-	}
-	_, _ = r.install(key, d, nil) // installs journal nothing without a record
-	r.artifactLoads.Add(1)
-	return nil
-}
-
-// snapshot compiles the entry's algorithm under its read lock, like the
-// elections running beside it; ok is false for an entry an eviction
-// tombstoned.
-func (e *entry) snapshot(key string) (SnapshotEntry, bool) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if e.d == nil {
-		return SnapshotEntry{}, false
-	}
-	return SnapshotEntry{Key: key, Config: e.d.Config, Artifact: e.d.Compile()}, true
-}
-
-// ExportArtifact compiles the configuration admitted under key and encodes
-// it as one wire.FrameWALAdmit frame — key, configuration text, compiled
-// artifact — the exact unit fleet key migration ships between nodes (GET
-// /v1/artifact/{key} serves it, POST /v1/admit/artifact consumes it through
-// RegisterCompiled, and a journal replay would accept it verbatim). The frame is encoded under the snapshot fence: the gathered
-// artifact aliases live algorithm memory, and the fence keeps a concurrent
-// rebuild-in-place admission from recycling that memory mid-encode. It
-// returns ErrUnknownKey (wrapped) for an unregistered key.
+// ExportArtifact encodes the configuration admitted under key as one admit
+// record — key, configuration text, compiled artifact — the exact unit
+// fleet key migration ships between nodes (GET /v1/artifact/{key} serves
+// it, POST /v1/admit/artifact consumes it through RegisterCompiled, and a
+// journal replay would accept it verbatim). The record is encoded under
+// the entry's read lock, as Snapshot encodes it. It returns ErrUnknownKey
+// (wrapped) for an unregistered key.
 func (r *Registry) ExportArtifact(key string) ([]byte, error) {
 	if !r.acquire() {
 		return nil, ErrClosed
 	}
 	defer r.release()
-	r.snapMu.Lock()
-	defer r.snapMu.Unlock()
-	var e SnapshotEntry
-	ok := false
-	if en := r.shardFor(key).current()[key]; en != nil {
-		e, ok = en.snapshot(key)
+	if e := r.shardFor(key).current()[key]; e != nil {
+		if rec, _, ok := e.appendRecord(nil, key); ok {
+			return rec, nil
+		}
 	}
-	if !ok {
-		return nil, fmt.Errorf("%w: no configuration registered under %q", ErrUnknownKey, key)
-	}
-	return wire.AppendWALAdmitFrame(nil, &wire.WALAdmit{
-		Key:      e.Key,
-		Config:   e.Config.Marshal(),
-		Artifact: e.Artifact,
-	}), nil
+	return nil, fmt.Errorf("%w: no configuration registered under %q", ErrUnknownKey, key)
 }

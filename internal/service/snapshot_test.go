@@ -64,27 +64,34 @@ func rewriteRecords(t *testing.T, dir string, edit func(rec *wire.WALAdmit) bool
 	}
 }
 
+// freshSnapshot snapshots r into a fresh directory and reads it back.
+func freshSnapshot(t *testing.T, r *Registry) (*Manifest, []wire.WALAdmit) {
+	t.Helper()
+	dir := t.TempDir()
+	if _, err := r.Snapshot(dir); err != nil {
+		t.Fatal(err)
+	}
+	return snapshotRecords(t, dir)
+}
+
 // writeV1Snapshot writes r's entries into dir as a version-1 snapshot, the
 // layout earlier releases wrote: one NNNN.artifact.bin frame and one
 // NNNN.config.txt per key, in sorted key order, and a manifest naming them.
 func writeV1Snapshot(t *testing.T, r *Registry, dir string) *Manifest {
 	t.Helper()
-	entries, err := r.snapshotEntries()
-	if err != nil {
-		t.Fatal(err)
-	}
+	fresh, recs := freshSnapshot(t, r)
 	m := &Manifest{Version: 1, Shards: len(r.shards), Encoding: "binary"}
-	for i, e := range entries {
+	for i, rec := range recs {
 		me := ManifestEntry{
-			Key:          e.Key,
+			Key:          rec.Key,
 			ConfigFile:   fmt.Sprintf("%04d.config.txt", i),
 			ArtifactFile: fmt.Sprintf("%04d.artifact.bin", i),
-			Nodes:        e.Config.N(),
+			Nodes:        fresh.Entries[i].Nodes,
 		}
-		if err := os.WriteFile(filepath.Join(dir, me.ArtifactFile), wire.AppendArtifactFrame(nil, e.Artifact), 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, me.ArtifactFile), wire.AppendArtifactFrame(nil, rec.Artifact), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(filepath.Join(dir, me.ConfigFile), []byte(e.Config.Marshal()), 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, me.ConfigFile), []byte(rec.Config), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		m.Entries = append(m.Entries, me)
@@ -199,17 +206,14 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 func TestResnapshotSameDirectory(t *testing.T) {
 	dir := t.TempDir()
 	src := newTestRegistry(t, 2)
-	if _, err := src.Snapshot(dir); err != nil {
+	first, err := src.Snapshot(dir)
+	if err != nil {
 		t.Fatalf("first snapshot: %v", err)
 	}
 	// Change the key set so the sorted numbering shifts: drop the
 	// lexicographically-first key and add a new one.
-	first, err := src.snapshotEntries()
-	if err != nil {
-		t.Fatalf("entries: %v", err)
-	}
-	if ok, err := src.Evict(first[0].Key); !ok || err != nil {
-		t.Fatalf("evict %q failed", first[0].Key)
+	if ok, err := src.Evict(first.Entries[0].Key); !ok || err != nil {
+		t.Fatalf("evict %q failed", first.Entries[0].Key)
 	}
 	if err := src.Register("zz-new", config.StaggeredClique(9)); err != nil {
 		t.Fatalf("register: %v", err)
@@ -242,8 +246,8 @@ func TestResnapshotSameDirectory(t *testing.T) {
 	if out, err := dst.Elect("zz-new"); err != nil || !out.Elected() {
 		t.Fatalf("new key after re-snapshot: %v %+v", err, out)
 	}
-	if out, _ := dst.Elect(first[0].Key); out.Err == nil {
-		t.Fatalf("evicted key %q still restorable after re-snapshot", first[0].Key)
+	if out, _ := dst.Elect(first.Entries[0].Key); out.Err == nil {
+		t.Fatalf("evicted key %q still restorable after re-snapshot", first.Entries[0].Key)
 	}
 }
 
@@ -450,10 +454,7 @@ func checkPartialRestore(t *testing.T, src *Registry, dir string, damaged []stri
 			t.Fatalf("damaged key %q is servable", s.Key)
 		}
 	}
-	entries, err := src.snapshotEntries()
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, entries := freshSnapshot(t, src)
 	for _, e := range entries {
 		if slices.Contains(damaged, e.Key) {
 			continue
